@@ -363,19 +363,7 @@ analyze(const core::MixedExperimentSpec &spec)
 DeploymentBounds
 analyze(const core::ExperimentSpec &spec)
 {
-    core::MixedExperimentSpec mixed;
-    mixed.device = spec.device;
-    mixed.workloads.push_back(core::WorkloadSpec{
-        spec.model, spec.precision, spec.batch, spec.processes});
-    mixed.phase = spec.phase;
-    mixed.warmup = spec.warmup;
-    mixed.duration = spec.duration;
-    mixed.pre_enqueue = spec.pre_enqueue;
-    mixed.dvfs = spec.dvfs;
-    mixed.biglittle = spec.biglittle;
-    mixed.spatial_sharing = spec.spatial_sharing;
-    mixed.seed = spec.seed;
-    return analyze(mixed);
+    return analyze(core::toMixed(spec));
 }
 
 double

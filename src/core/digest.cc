@@ -1,40 +1,72 @@
 #include "core/digest.hh"
 
+#include <ranges>
+#include <string>
+#include <type_traits>
+
 #include "check/digest.hh"
 
 namespace jetsim::core {
 
 namespace {
 
-void
-addCdf(check::Digest &d, const prof::Cdf &c)
+/**
+ * Field-list visitor folding each field into a check::Digest in list
+ * order: scalars by value, a prof::Cdf as its count and —
+ * when non-empty — mean and eight quantiles, a vector element by
+ * element, a nested struct with a label() (a spec) as that label, any
+ * other struct through its own field list.
+ */
+struct FieldDigest
 {
-    d.add(static_cast<std::uint64_t>(c.count()));
-    if (c.empty())
-        return;
-    d.add(c.mean());
-    for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0})
-        d.add(c.quantile(q));
-}
+    check::Digest &d;
 
-void
-addProc(check::Digest &d, const ProcessMetrics &p)
+    template <class T>
+    void
+    operator()(const char *key, const T &x)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            d.add(std::uint64_t{x});
+        } else if constexpr (std::is_same_v<T, double> ||
+                             std::is_same_v<T, std::string>) {
+            d.add(x);
+        } else if constexpr (std::is_signed_v<T>) {
+            d.add(static_cast<std::int64_t>(x));
+        } else if constexpr (std::is_integral_v<T>) {
+            d.add(static_cast<std::uint64_t>(x));
+        } else if constexpr (std::is_same_v<T, prof::Cdf>) {
+            add(x);
+        } else if constexpr (std::ranges::range<T>) {
+            for (const auto &e : x)
+                (*this)(key, e);
+        } else if constexpr (requires { x.label(); }) {
+            d.add(x.label());
+        } else {
+            visitFields(*this, x);
+        }
+    }
+
+    void
+    add(const prof::Cdf &c)
+    {
+        d.add(static_cast<std::uint64_t>(c.count()));
+        if (c.empty())
+            return;
+        d.add(c.mean());
+        for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0})
+            d.add(c.quantile(q));
+    }
+};
+
+
+template <class R>
+std::uint64_t
+fieldListDigest(const R &r)
 {
-    d.add(p.name);
-    d.add(std::uint64_t{p.deployed});
-    d.add(p.throughput);
-    d.add(p.ec_ms);
-    d.add(p.pipeline_ms);
-    d.add(p.enqueue_ms);
-    d.add(p.launch_ms_per_ec);
-    d.add(p.sync_ms);
-    d.add(p.blocking_ms_per_ec);
-    d.add(p.resched_ms_per_ec);
-    d.add(p.cpu_ms_per_ec);
-    d.add(p.cache_ms_per_ec);
-    d.add(p.migrations);
-    d.add(p.preemptions);
-    d.add(p.ecs);
+    check::Digest d;
+    FieldDigest v{d};
+    visitFields(v, r);
+    return d.value();
 }
 
 } // namespace
@@ -42,55 +74,13 @@ addProc(check::Digest &d, const ProcessMetrics &p)
 std::uint64_t
 resultDigest(const ExperimentResult &r)
 {
-    check::Digest d;
-    d.add(r.spec.label());
-    d.add(std::uint64_t{r.all_deployed});
-    d.add(static_cast<std::int64_t>(r.deployed_count));
-    d.add(r.total_throughput);
-    d.add(r.throughput_per_process);
-    d.add(r.avg_power_w);
-    d.add(r.max_power_w);
-    d.add(r.gpu_util_pct);
-    d.add(r.mem_pct);
-    d.add(r.workload_mem_mb);
-    d.add(static_cast<std::int64_t>(r.dvfs_throttle_events));
-    d.add(r.final_freq_frac);
-    addCdf(d, r.sm_active);
-    addCdf(d, r.issue_slot);
-    addCdf(d, r.tc_util);
-    d.add(r.kernel_us_mean);
-    d.add(r.kernels);
-    for (const auto &p : r.procs)
-        addProc(d, p);
-    addProc(d, r.mean);
-    return d.value();
+    return fieldListDigest(r);
 }
 
 std::uint64_t
 resultDigest(const MixedExperimentResult &r)
 {
-    check::Digest d;
-    d.add(r.spec.label());
-    d.add(std::uint64_t{r.all_deployed});
-    d.add(static_cast<std::int64_t>(r.deployed_count));
-    d.add(r.total_throughput);
-    d.add(r.avg_power_w);
-    d.add(r.max_power_w);
-    d.add(r.gpu_util_pct);
-    d.add(r.mem_pct);
-    d.add(r.workload_mem_mb);
-    for (const double t : r.throughput_by_workload)
-        d.add(t);
-    for (const auto &p : r.procs)
-        addProc(d, p);
-    addCdf(d, r.sm_active);
-    addCdf(d, r.issue_slot);
-    addCdf(d, r.tc_util);
-    d.add(r.kernel_us_mean);
-    d.add(r.kernels);
-    d.add(static_cast<std::int64_t>(r.dvfs_throttle_events));
-    d.add(r.final_freq_frac);
-    return d.value();
+    return fieldListDigest(r);
 }
 
 std::uint64_t

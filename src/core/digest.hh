@@ -8,6 +8,10 @@
  * CDFs — into one 64-bit value so the replay harness
  * (tools/simcheck) and tests/check/determinism_test.cc can compare
  * runs with a single integer.
+ *
+ * The experiment digests walk the result's field list
+ * (sim/fields.hh), so a field added to the list is digested without
+ * touching this file.
  */
 
 #ifndef JETSIM_CORE_DIGEST_HH

@@ -12,11 +12,13 @@
 #ifndef JETSIM_CORE_EXPERIMENT_HH
 #define JETSIM_CORE_EXPERIMENT_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "prof/cdf.hh"
+#include "sim/fields.hh"
 #include "sim/types.hh"
 #include "soc/precision.hh"
 
@@ -27,6 +29,12 @@ enum class Phase {
     Light, ///< phase 1: trtexec + jetson-stats, no intrusion
     Deep,  ///< phase 2: + Nsight tracing, ~50 % throughput intrusion
 };
+
+inline constexpr std::array<Phase, 2> kAllPhases = {Phase::Light,
+                                                    Phase::Deep};
+
+/** "light" or "deep", as in labels and files. */
+const char *name(Phase p);
 
 /** Full description of one profiling run. */
 struct ExperimentSpec
@@ -54,7 +62,28 @@ struct ExperimentSpec
 
     /** Compact one-line identity for logs and reports. */
     std::string label() const;
+
+    bool operator==(const ExperimentSpec &) const = default;
 };
+
+template <class V, sim::FieldsOf<ExperimentSpec> S>
+void
+visitFields(V &v, S &s)
+{
+    v("device", s.device);
+    v("model", s.model);
+    v("precision", s.precision);
+    v("batch", s.batch);
+    v("processes", s.processes);
+    v("phase", s.phase);
+    v("warmup", s.warmup);
+    v("duration", s.duration);
+    v("pre_enqueue", s.pre_enqueue);
+    v("dvfs", s.dvfs);
+    v("biglittle", s.biglittle);
+    v("spatial_sharing", s.spatial_sharing);
+    v("seed", s.seed);
+}
 
 /** Per-process measurements (Section 7 decomposition inputs). */
 struct ProcessMetrics
@@ -74,7 +103,30 @@ struct ProcessMetrics
     std::uint64_t migrations = 0;
     std::uint64_t preemptions = 0;
     std::uint64_t ecs = 0;
+
+    bool operator==(const ProcessMetrics &) const = default;
 };
+
+template <class V, sim::FieldsOf<ProcessMetrics> S>
+void
+visitFields(V &v, S &p)
+{
+    v("name", p.name);
+    v("deployed", p.deployed);
+    v("throughput", p.throughput);
+    v("ec_ms", p.ec_ms);
+    v("pipeline_ms", p.pipeline_ms);
+    v("enqueue_ms", p.enqueue_ms);
+    v("launch_ms_per_ec", p.launch_ms_per_ec);
+    v("sync_ms", p.sync_ms);
+    v("blocking_ms_per_ec", p.blocking_ms_per_ec);
+    v("resched_ms_per_ec", p.resched_ms_per_ec);
+    v("cpu_ms_per_ec", p.cpu_ms_per_ec);
+    v("cache_ms_per_ec", p.cache_ms_per_ec);
+    v("migrations", p.migrations);
+    v("preemptions", p.preemptions);
+    v("ecs", p.ecs);
+}
 
 /**
  * One group of identical processes inside a mixed (multi-tenant)
@@ -88,7 +140,19 @@ struct WorkloadSpec
     soc::Precision precision = soc::Precision::Fp16;
     int batch = 1;
     int processes = 1;
+
+    bool operator==(const WorkloadSpec &) const = default;
 };
+
+template <class V, sim::FieldsOf<WorkloadSpec> S>
+void
+visitFields(V &v, S &w)
+{
+    v("model", w.model);
+    v("precision", w.precision);
+    v("batch", w.batch);
+    v("processes", w.processes);
+}
 
 /** A heterogeneous concurrent experiment. */
 struct MixedExperimentSpec
@@ -107,7 +171,28 @@ struct MixedExperimentSpec
 
     int totalProcesses() const;
     std::string label() const;
+
+    bool operator==(const MixedExperimentSpec &) const = default;
 };
+
+/** @p spec as a one-workload mixed experiment. */
+MixedExperimentSpec toMixed(const ExperimentSpec &spec);
+
+template <class V, sim::FieldsOf<MixedExperimentSpec> S>
+void
+visitFields(V &v, S &s)
+{
+    v("device", s.device);
+    v("workloads", s.workloads);
+    v("phase", s.phase);
+    v("warmup", s.warmup);
+    v("duration", s.duration);
+    v("pre_enqueue", s.pre_enqueue);
+    v("dvfs", s.dvfs);
+    v("biglittle", s.biglittle);
+    v("spatial_sharing", s.spatial_sharing);
+    v("seed", s.seed);
+}
 
 /** Everything one run produces. */
 struct ExperimentResult
@@ -142,9 +227,37 @@ struct ExperimentResult
 
     std::vector<ProcessMetrics> procs;
 
-    /** Mean across deployed processes of the ProcessMetrics fields. */
+    /** Across deployed processes: the mean of every double field; the
+     * total of migrations, preemptions and ecs. */
     ProcessMetrics mean;
+
+    bool operator==(const ExperimentResult &) const = default;
 };
+
+template <class V, sim::FieldsOf<ExperimentResult> S>
+void
+visitFields(V &v, S &r)
+{
+    v("spec", r.spec);
+    v("all_deployed", r.all_deployed);
+    v("deployed_count", r.deployed_count);
+    v("total_throughput", r.total_throughput);
+    v("throughput_per_process", r.throughput_per_process);
+    v("avg_power_w", r.avg_power_w);
+    v("max_power_w", r.max_power_w);
+    v("gpu_util_pct", r.gpu_util_pct);
+    v("mem_pct", r.mem_pct);
+    v("workload_mem_mb", r.workload_mem_mb);
+    v("dvfs_throttle_events", r.dvfs_throttle_events);
+    v("final_freq_frac", r.final_freq_frac);
+    v("sm_active", r.sm_active);
+    v("issue_slot", r.issue_slot);
+    v("tc_util", r.tc_util);
+    v("kernel_us_mean", r.kernel_us_mean);
+    v("kernels", r.kernels);
+    v("procs", r.procs);
+    v("mean", r.mean);
+}
 
 /** Result of a heterogeneous run. */
 struct MixedExperimentResult
@@ -177,7 +290,33 @@ struct MixedExperimentResult
 
     int dvfs_throttle_events = 0;
     double final_freq_frac = 1.0;
+
+    bool operator==(const MixedExperimentResult &) const = default;
 };
+
+template <class V, sim::FieldsOf<MixedExperimentResult> S>
+void
+visitFields(V &v, S &r)
+{
+    v("spec", r.spec);
+    v("all_deployed", r.all_deployed);
+    v("deployed_count", r.deployed_count);
+    v("total_throughput", r.total_throughput);
+    v("avg_power_w", r.avg_power_w);
+    v("max_power_w", r.max_power_w);
+    v("gpu_util_pct", r.gpu_util_pct);
+    v("mem_pct", r.mem_pct);
+    v("workload_mem_mb", r.workload_mem_mb);
+    v("throughput_by_workload", r.throughput_by_workload);
+    v("procs", r.procs);
+    v("sm_active", r.sm_active);
+    v("issue_slot", r.issue_slot);
+    v("tc_util", r.tc_util);
+    v("kernel_us_mean", r.kernel_us_mean);
+    v("kernels", r.kernels);
+    v("dvfs_throttle_events", r.dvfs_throttle_events);
+    v("final_freq_frac", r.final_freq_frac);
+}
 
 } // namespace jetsim::core
 

@@ -1,11 +1,12 @@
 #include "core/fleet.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
+#include <string_view>
 
+#include "core/json.hh"
 #include "cpu/scheduler.hh"
 #include "gpu/engine.hh"
 #include "models/zoo.hh"
@@ -25,17 +26,11 @@ FleetSpec::label() const
     // Runs of identical boards are run-length compressed ("256x
     // orin-nano/mobilenet_v2/int8 b1") so thousand-board fleet
     // labels stay one line.
-    const auto same = [](const FleetDevice &a, const FleetDevice &b) {
-        return a.device == b.device && a.model == b.model &&
-               a.precision == b.precision && a.batch == b.batch &&
-               a.local_rate == b.local_rate;
-    };
     std::string s = "fleet[";
     for (std::size_t i = 0; i < devices.size();) {
         const auto &d = devices[i];
         std::size_t run = 1;
-        while (i + run < devices.size() &&
-               same(d, devices[i + run]))
+        while (i + run < devices.size() && d == devices[i + run])
             ++run;
         if (i)
             s += " + ";
@@ -347,138 +342,77 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
 }
 
 // ---------------------------------------------------------------------------
-// Replay specs: flat key=value, one per line. Written by the
-// differential harness on failure, consumed by simcheck
-// --fleet-replay; doubles use %.17g so the round trip is bit-exact.
+// Replay specs: a "jetsim_fleet_replay" document of the shared codec.
+
+namespace {
+
+constexpr std::string_view kReplayTag = "jetsim_fleet_replay";
+
+struct FleetReplay
+{
+    FleetSpec spec;
+    FleetOptions options;
+};
+
+template <class V, sim::FieldsOf<FleetReplay> S>
+void
+visitFields(V &v, S &r)
+{
+    v("spec", r.spec);
+    v("options", r.options);
+}
+
+/** The preconditions runFleet asserts, as "<field>: <reason>". */
+std::string
+checkSpec(const FleetSpec &s)
+{
+    if (s.devices.empty())
+        return "spec.devices: must list at least one board";
+    for (std::size_t i = 0; i < s.devices.size(); ++i) {
+        const auto &d = s.devices[i];
+        const std::string at = "spec.devices[" + std::to_string(i) + "].";
+        if (!soc::findDevice(d.device))
+            return at + "device: unknown board '" + d.device + "'";
+        if (std::ranges::count(models::allModelNames(), d.model) == 0)
+            return at + "model: unknown model '" + d.model + "'";
+        if (d.batch < 1)
+            return at + "batch: must be >= 1";
+        if (d.local_rate < 0.0)
+            return at + "local_rate: must be >= 0";
+    }
+    if (s.balancer_rate < 0.0)
+        return "spec.balancer_rate: must be >= 0";
+    if (s.dispatch_latency < 1)
+        return "spec.dispatch_latency: must be >= 1";
+    if (s.hierarchical && s.fanout_latency < 1)
+        return "spec.fanout_latency: must be >= 1 when hierarchical";
+    if (s.warmup < 0)
+        return "spec.warmup: must be >= 0";
+    if (s.duration < 0)
+        return "spec.duration: must be >= 0";
+    return "";
+}
+
+} // namespace
 
 bool
 writeFleetReplay(const FleetSpec &spec, const FleetOptions &opts,
                  const std::string &path)
 {
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    char buf[64];
-    auto num = [&buf](double v) {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        return std::string(buf);
-    };
-    out << "devices=" << spec.devices.size() << "\n";
-    for (std::size_t i = 0; i < spec.devices.size(); ++i) {
-        const auto &d = spec.devices[i];
-        out << "d" << i << ".device=" << d.device << "\n";
-        out << "d" << i << ".model=" << d.model << "\n";
-        out << "d" << i << ".precision=" << soc::name(d.precision)
-            << "\n";
-        out << "d" << i << ".batch=" << d.batch << "\n";
-        out << "d" << i << ".local_rate=" << num(d.local_rate)
-            << "\n";
-    }
-    out << "balancer_rate=" << num(spec.balancer_rate) << "\n";
-    out << "dispatch_latency=" << spec.dispatch_latency << "\n";
-    out << "hierarchical=" << (spec.hierarchical ? 1 : 0) << "\n";
-    out << "fanout_latency=" << spec.fanout_latency << "\n";
-    out << "warmup=" << spec.warmup << "\n";
-    out << "duration=" << spec.duration << "\n";
-    out << "seed=" << spec.seed << "\n";
-    out << "shards=" << opts.shards << "\n";
-    out << "threads=" << opts.threads << "\n";
-    out << "lookahead=" << opts.lookahead << "\n";
-    return static_cast<bool>(out);
+    return writeFileAtomic(path,
+                           toJson(FleetReplay{spec, opts}, kReplayTag, 1));
 }
 
 bool
 readFleetReplay(const std::string &path, FleetSpec &spec,
                 FleetOptions &opts, std::string &err)
 {
-    std::ifstream in(path);
-    if (!in) {
-        err = "cannot open " + path;
+    FleetReplay r;
+    if (!readJson(path, kReplayTag, 1, r, err,
+                  [](const FleetReplay &r) { return checkSpec(r.spec); }))
         return false;
-    }
-    spec = FleetSpec{};
-    spec.devices.clear();
-    opts = FleetOptions{};
-
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty() || line[0] == '#')
-            continue;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos) {
-            err = path + ":" + std::to_string(lineno) +
-                  ": expected key=value";
-            return false;
-        }
-        const std::string key = line.substr(0, eq);
-        const std::string val = line.substr(eq + 1);
-
-        if (key == "devices") {
-            spec.devices.resize(
-                static_cast<std::size_t>(std::stoul(val)));
-            continue;
-        }
-        if (key.size() > 1 && key[0] == 'd' &&
-            key.find('.') != std::string::npos) {
-            const auto dot = key.find('.');
-            const auto idx = static_cast<std::size_t>(
-                std::stoul(key.substr(1, dot - 1)));
-            if (idx >= spec.devices.size()) {
-                err = path + ":" + std::to_string(lineno) +
-                      ": device index out of range";
-                return false;
-            }
-            auto &d = spec.devices[idx];
-            const std::string field = key.substr(dot + 1);
-            if (field == "device")
-                d.device = val;
-            else if (field == "model")
-                d.model = val;
-            else if (field == "precision")
-                d.precision = soc::precisionFromName(val);
-            else if (field == "batch")
-                d.batch = std::stoi(val);
-            else if (field == "local_rate")
-                d.local_rate = std::stod(val);
-            else {
-                err = path + ":" + std::to_string(lineno) +
-                      ": unknown device field " + field;
-                return false;
-            }
-            continue;
-        }
-        if (key == "balancer_rate")
-            spec.balancer_rate = std::stod(val);
-        else if (key == "dispatch_latency")
-            spec.dispatch_latency = std::stoll(val);
-        else if (key == "hierarchical") // absent in pre-hierarchy
-            spec.hierarchical = std::stoi(val) != 0; // files: default
-        else if (key == "fanout_latency")            // (flat) holds
-            spec.fanout_latency = std::stoll(val);
-        else if (key == "warmup")
-            spec.warmup = std::stoll(val);
-        else if (key == "duration")
-            spec.duration = std::stoll(val);
-        else if (key == "seed")
-            spec.seed = std::stoull(val);
-        else if (key == "shards")
-            opts.shards = std::stoi(val);
-        else if (key == "threads")
-            opts.threads = std::stoi(val);
-        else if (key == "lookahead")
-            opts.lookahead = std::stoll(val);
-        else {
-            err = path + ":" + std::to_string(lineno) +
-                  ": unknown key " + key;
-            return false;
-        }
-    }
-    if (spec.devices.empty()) {
-        err = path + ": no devices";
-        return false;
-    }
+    spec = std::move(r.spec);
+    opts = r.options;
     return true;
 }
 

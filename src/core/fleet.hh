@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fields.hh"
 #include "sim/types.hh"
 #include "soc/precision.hh"
 
@@ -44,7 +45,20 @@ struct FleetDevice
     /** Device-local open-loop arrivals (img/s) on top of balancer
      * traffic; 0 = balancer-fed only. */
     double local_rate = 0.0;
+
+    bool operator==(const FleetDevice &) const = default;
 };
+
+template <class V, sim::FieldsOf<FleetDevice> S>
+void
+visitFields(V &v, S &d)
+{
+    v("device", d.device);
+    v("model", d.model);
+    v("precision", d.precision);
+    v("batch", d.batch);
+    v("local_rate", d.local_rate);
+}
 
 /** A fleet serving deployment. */
 struct FleetSpec
@@ -80,7 +94,23 @@ struct FleetSpec
      * tag; runs of identical boards are run-length compressed so a
      * 1000-board fleet stays one line. */
     std::string label() const;
+
+    bool operator==(const FleetSpec &) const = default;
 };
+
+template <class V, sim::FieldsOf<FleetSpec> S>
+void
+visitFields(V &v, S &s)
+{
+    v("devices", s.devices);
+    v("balancer_rate", s.balancer_rate);
+    v("dispatch_latency", s.dispatch_latency);
+    v("hierarchical", s.hierarchical);
+    v("fanout_latency", s.fanout_latency);
+    v("warmup", s.warmup);
+    v("duration", s.duration);
+    v("seed", s.seed);
+}
 
 /** Per-board outcome of a fleet run. */
 struct FleetDeviceResult
@@ -127,15 +157,29 @@ struct FleetOptions
     /** Engine lookahead. -1 = auto (the spec's dispatch_latency);
      * 0 = force the serial-merge fallback. */
     sim::Tick lookahead = -1;
+
+    bool operator==(const FleetOptions &) const = default;
 };
+
+template <class V, sim::FieldsOf<FleetOptions> S>
+void
+visitFields(V &v, S &o)
+{
+    v("shards", o.shards);
+    v("threads", o.threads);
+    v("lookahead", o.lookahead);
+}
 
 /** Simulate @p spec under @p opts (bit-identical at any opts). */
 FleetResult runFleet(const FleetSpec &spec,
                      const FleetOptions &opts = {});
 
 /** @name Replay specs (differential harness <-> simcheck)
- * A failing sharded-vs-serial comparison dumps its spec as a flat
- * key=value file that `simcheck --fleet-replay` re-runs. @{ */
+ * A failing sharded-vs-serial comparison dumps its spec and options
+ * as a JSON file (core/json.hh) that `simcheck --fleet-replay`
+ * re-runs. The reader rejects a missing, unknown, mistyped or
+ * out-of-range field and any spec runFleet would assert on, with
+ * "<path>: <field>: <reason>" in @p err. @{ */
 bool writeFleetReplay(const FleetSpec &spec, const FleetOptions &opts,
                       const std::string &path);
 bool readFleetReplay(const std::string &path, FleetSpec &spec,

@@ -15,15 +15,30 @@
 
 namespace jetsim::core {
 
+const char *
+name(Phase p)
+{
+    return p == Phase::Deep ? "deep" : "light";
+}
+
 std::string
 ExperimentSpec::label() const
 {
     char buf[160];
     std::snprintf(buf, sizeof(buf), "%s/%s/%s b%d p%d %s",
                   device.c_str(), model.c_str(), soc::name(precision),
-                  batch, processes,
-                  phase == Phase::Deep ? "deep" : "light");
+                  batch, processes, name(phase));
     return buf;
+}
+
+MixedExperimentSpec
+toMixed(const ExperimentSpec &spec)
+{
+    MixedExperimentSpec mixed;
+    sim::zipFields(spec, mixed, [](const auto &a, auto &b) { b = a; });
+    mixed.workloads = {WorkloadSpec{spec.model, spec.precision,
+                                    spec.batch, spec.processes}};
+    return mixed;
 }
 
 int
@@ -47,7 +62,7 @@ MixedExperimentSpec::label() const
              soc::name(w.precision) + " b" +
              std::to_string(w.batch);
     }
-    s += phase == Phase::Deep ? "] deep" : "] light";
+    s += std::string("] ") + name(phase);
     return s;
 }
 
@@ -253,72 +268,34 @@ runExperiment(const ExperimentSpec &spec)
 {
     JETSIM_ASSERT(spec.processes >= 1 && spec.batch >= 1);
 
-    MixedExperimentSpec mixed;
-    mixed.device = spec.device;
-    mixed.workloads = {WorkloadSpec{spec.model, spec.precision,
-                                    spec.batch, spec.processes}};
-    mixed.phase = spec.phase;
-    mixed.warmup = spec.warmup;
-    mixed.duration = spec.duration;
-    mixed.pre_enqueue = spec.pre_enqueue;
-    mixed.dvfs = spec.dvfs;
-    mixed.biglittle = spec.biglittle;
-    mixed.spatial_sharing = spec.spatial_sharing;
-    mixed.seed = spec.seed;
-
-    MixedExperimentResult m = runMixedExperiment(mixed);
+    MixedExperimentResult m = runMixedExperiment(toMixed(spec));
 
     ExperimentResult res;
     res.spec = spec;
-    res.all_deployed = m.all_deployed;
-    res.deployed_count = m.deployed_count;
-    res.total_throughput = m.total_throughput;
-    res.avg_power_w = m.avg_power_w;
-    res.max_power_w = m.max_power_w;
-    res.gpu_util_pct = m.gpu_util_pct;
-    res.mem_pct = m.mem_pct;
-    res.workload_mem_mb = m.workload_mem_mb;
-    res.sm_active = std::move(m.sm_active);
-    res.issue_slot = std::move(m.issue_slot);
-    res.tc_util = std::move(m.tc_util);
-    res.kernels = m.kernels;
-    res.kernel_us_mean = m.kernel_us_mean;
-    res.dvfs_throttle_events = m.dvfs_throttle_events;
-    res.final_freq_frac = m.final_freq_frac;
-    res.procs = std::move(m.procs);
+    sim::zipFields(m, res, [](auto &a, auto &b) { b = std::move(a); });
 
+    // Over the deployed processes: each double is summed in process
+    // order and then divided, each counter is summed.
     int live = 0;
     for (const auto &p : res.procs) {
         if (!p.deployed)
             continue;
         ++live;
-        res.mean.throughput += p.throughput;
-        res.mean.ec_ms += p.ec_ms;
-        res.mean.pipeline_ms += p.pipeline_ms;
-        res.mean.enqueue_ms += p.enqueue_ms;
-        res.mean.launch_ms_per_ec += p.launch_ms_per_ec;
-        res.mean.sync_ms += p.sync_ms;
-        res.mean.blocking_ms_per_ec += p.blocking_ms_per_ec;
-        res.mean.resched_ms_per_ec += p.resched_ms_per_ec;
-        res.mean.cpu_ms_per_ec += p.cpu_ms_per_ec;
-        res.mean.cache_ms_per_ec += p.cache_ms_per_ec;
-        res.mean.migrations += p.migrations;
-        res.mean.preemptions += p.preemptions;
-        res.mean.ecs += p.ecs;
+        sim::zipFields(p, res.mean, [](const auto &a, auto &b) {
+            using F = std::remove_reference_t<decltype(b)>;
+            if constexpr (std::is_same_v<F, double> ||
+                          std::is_same_v<F, std::uint64_t>)
+                b += a;
+        });
     }
     if (live > 0) {
         const double n = live;
         res.throughput_per_process = res.total_throughput / n;
-        res.mean.throughput /= n;
-        res.mean.ec_ms /= n;
-        res.mean.pipeline_ms /= n;
-        res.mean.enqueue_ms /= n;
-        res.mean.launch_ms_per_ec /= n;
-        res.mean.sync_ms /= n;
-        res.mean.blocking_ms_per_ec /= n;
-        res.mean.resched_ms_per_ec /= n;
-        res.mean.cpu_ms_per_ec /= n;
-        res.mean.cache_ms_per_ec /= n;
+        auto divide = [n](const char *, auto &f) {
+            if constexpr (std::is_same_v<decltype(f), double &>)
+                f /= n;
+        };
+        visitFields(divide, res.mean);
         res.mean.deployed = true;
         res.mean.name = "mean";
     }

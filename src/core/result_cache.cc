@@ -1,664 +1,54 @@
 #include "core/result_cache.hh"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "check/digest.hh"
+#include "core/json.hh"
 #include "sim/logging.hh"
 
 namespace jetsim::core {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Canonical key derivation. Every field participates; the version
-// constant invalidates old entries when the schema evolves.
-// ---------------------------------------------------------------------
+constexpr std::string_view kTag = "jetsim_cache";
 
+/** FNV-1a over the spec's canonical JSON: the version, the kind tag
+ * and every field of its field list. */
+template <class Spec>
+std::uint64_t
+keyOf(std::string_view kind, const Spec &spec)
+{
+    check::Digest d;
+    d.add(toJson(spec, kind, ResultCache::kFormatVersion));
+    return d.value();
+}
+
+template <class Result>
 void
-addCommon(check::Digest &d, const std::string &device, int phase,
-          sim::Tick warmup, sim::Tick duration, int pre_enqueue,
-          bool dvfs, bool biglittle, bool spatial_sharing,
-          std::uint64_t seed)
+storeEntry(const std::string &path, const Result &r)
 {
-    d.add(device);
-    d.add(static_cast<std::int64_t>(phase));
-    d.add(static_cast<std::int64_t>(warmup));
-    d.add(static_cast<std::int64_t>(duration));
-    d.add(static_cast<std::int64_t>(pre_enqueue));
-    d.add(std::uint64_t{dvfs});
-    d.add(std::uint64_t{biglittle});
-    d.add(std::uint64_t{spatial_sharing});
-    d.add(seed);
+    if (!writeFileAtomic(path,
+                         toJson(r, kTag, ResultCache::kFormatVersion)))
+        sim::warn("result cache: cannot write '%s'", path.c_str());
 }
 
-// ---------------------------------------------------------------------
-// JSON writer. Doubles use 17 significant digits (bit-exact round
-// trip for finite IEEE values); integers are written verbatim so
-// 64-bit seeds and tick counts never pass through a double.
-// ---------------------------------------------------------------------
-
-std::string
-jsonEscape(const std::string &s)
+/** Any read or decode failure, or a stored spec that differs from
+ * @p spec (a key collision), is a miss. */
+template <class Result, class Spec>
+std::optional<Result>
+loadEntry(const std::string &path, const Spec &spec)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-class JsonWriter
-{
-  public:
-    void key(const std::string &k)
-    {
-        comma();
-        out_ << '"' << jsonEscape(k) << "\":";
-        pending_ = false;
-    }
-
-    void beginObject() { prefix(); out_ << '{'; first_ = true; }
-    void endObject() { out_ << '}'; first_ = false; }
-    void beginArray() { prefix(); out_ << '['; first_ = true; }
-    void endArray() { out_ << ']'; first_ = false; }
-
-    void value(double v)
-    {
-        prefix();
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        out_ << buf;
-    }
-
-    void value(std::int64_t v) { prefix(); out_ << v; }
-    void value(std::uint64_t v) { prefix(); out_ << v; }
-    void value(int v) { value(static_cast<std::int64_t>(v)); }
-    void value(bool v) { prefix(); out_ << (v ? "true" : "false"); }
-
-    void value(const std::string &s)
-    {
-        prefix();
-        out_ << '"' << jsonEscape(s) << '"';
-    }
-
-    void field(const std::string &k, double v) { key(k); value(v); }
-    void field(const std::string &k, std::int64_t v) { key(k); value(v); }
-    void field(const std::string &k, std::uint64_t v) { key(k); value(v); }
-    void field(const std::string &k, int v) { key(k); value(v); }
-    void field(const std::string &k, bool v) { key(k); value(v); }
-    void field(const std::string &k, const std::string &v)
-    {
-        key(k);
-        value(v);
-    }
-
-    std::string str() const { return out_.str(); }
-
-  private:
-    void comma()
-    {
-        if (!first_)
-            out_ << ',';
-        first_ = false;
-    }
-
-    /** Array elements need commas; values after key() do not. */
-    void prefix()
-    {
-        if (pending_)
-            comma();
-        pending_ = true;
-    }
-
-    std::ostringstream out_;
-    bool first_ = true;
-    bool pending_ = true;
-};
-
-// ---------------------------------------------------------------------
-// JSON parser: minimal recursive descent over the subset the writer
-// emits. Numbers keep their raw token so the consumer decides the
-// type (bit-exact doubles via strtod, full-range u64 via strtoull).
-// Any malformed input yields "no value", which the cache treats as a
-// miss.
-// ---------------------------------------------------------------------
-
-struct JsonValue
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    std::string text; ///< decoded string, or raw number token
-    std::vector<JsonValue> items;
-    std::vector<std::pair<std::string, JsonValue>> fields;
-
-    const JsonValue *find(const std::string &k) const
-    {
-        if (kind != Kind::Object)
-            return nullptr;
-        for (const auto &[key, v] : fields)
-            if (key == k)
-                return &v;
-        return nullptr;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
-
-    std::optional<JsonValue> parse()
-    {
-        auto v = parseValue();
-        if (!v)
-            return std::nullopt;
-        skipWs();
-        if (pos_ != s_.size()) // trailing garbage
-            return std::nullopt;
-        return v;
-    }
-
-  private:
-    void skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                s_[pos_] == '\n' || s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool eat(char c)
-    {
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool literal(const char *word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (s_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    std::optional<JsonValue> parseValue()
-    {
-        skipWs();
-        if (pos_ >= s_.size())
-            return std::nullopt;
-        const char c = s_[pos_];
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"')
-            return parseString();
-        if (c == 't' || c == 'f' || c == 'n') {
-            JsonValue v;
-            if (literal("true")) {
-                v.kind = JsonValue::Kind::Bool;
-                v.boolean = true;
-                return v;
-            }
-            if (literal("false")) {
-                v.kind = JsonValue::Kind::Bool;
-                return v;
-            }
-            if (literal("null"))
-                return v;
-            return std::nullopt;
-        }
-        return parseNumber();
-    }
-
-    std::optional<JsonValue> parseObject()
-    {
-        if (!eat('{'))
-            return std::nullopt;
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        if (eat('}'))
-            return v;
-        for (;;) {
-            auto key = parseString();
-            if (!key || !eat(':'))
-                return std::nullopt;
-            auto val = parseValue();
-            if (!val)
-                return std::nullopt;
-            v.fields.emplace_back(std::move(key->text),
-                                  std::move(*val));
-            if (eat(','))
-                continue;
-            if (eat('}'))
-                return v;
-            return std::nullopt;
-        }
-    }
-
-    std::optional<JsonValue> parseArray()
-    {
-        if (!eat('['))
-            return std::nullopt;
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        if (eat(']'))
-            return v;
-        for (;;) {
-            auto item = parseValue();
-            if (!item)
-                return std::nullopt;
-            v.items.push_back(std::move(*item));
-            if (eat(','))
-                continue;
-            if (eat(']'))
-                return v;
-            return std::nullopt;
-        }
-    }
-
-    std::optional<JsonValue> parseString()
-    {
-        if (!eat('"'))
-            return std::nullopt;
-        JsonValue v;
-        v.kind = JsonValue::Kind::String;
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_++];
-            if (c == '"')
-                return v;
-            if (c != '\\') {
-                v.text += c;
-                continue;
-            }
-            if (pos_ >= s_.size())
-                return std::nullopt;
-            const char e = s_[pos_++];
-            switch (e) {
-              case '"': v.text += '"'; break;
-              case '\\': v.text += '\\'; break;
-              case '/': v.text += '/'; break;
-              case 'n': v.text += '\n'; break;
-              case 't': v.text += '\t'; break;
-              case 'r': v.text += '\r'; break;
-              case 'u': {
-                if (pos_ + 4 > s_.size())
-                    return std::nullopt;
-                const std::string hex = s_.substr(pos_, 4);
-                pos_ += 4;
-                char *end = nullptr;
-                const long code = std::strtol(hex.c_str(), &end, 16);
-                if (end != hex.c_str() + 4 || code < 0 || code > 0x7f)
-                    return std::nullopt; // writer only emits ASCII
-                v.text += static_cast<char>(code);
-                break;
-              }
-              default: return std::nullopt;
-            }
-        }
-        return std::nullopt; // unterminated
-    }
-
-    std::optional<JsonValue> parseNumber()
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
-            ++pos_;
-        bool digits = false;
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-                s_[pos_] == '-' || s_[pos_] == '+')) {
-            digits |= std::isdigit(static_cast<unsigned char>(s_[pos_]));
-            ++pos_;
-        }
-        if (!digits)
-            return std::nullopt;
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.text = s_.substr(start, pos_ - start);
-        return v;
-    }
-
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
-
-// Typed getters: nullopt on kind/type mismatch so one missing or
-// mistyped field poisons the whole load (treated as a miss).
-
-std::optional<double>
-getDouble(const JsonValue *v)
-{
-    if (!v || v->kind != JsonValue::Kind::Number)
+    Result r;
+    std::string err;
+    if (!readJson(path, kTag, ResultCache::kFormatVersion, r, err,
+                  [&spec](const Result &r) {
+                      return r.spec == spec ? "" : "spec: not the key's";
+                  }))
         return std::nullopt;
-    char *end = nullptr;
-    const double d = std::strtod(v->text.c_str(), &end);
-    if (end != v->text.c_str() + v->text.size())
-        return std::nullopt;
-    return d;
-}
-
-std::optional<std::int64_t>
-getI64(const JsonValue *v)
-{
-    if (!v || v->kind != JsonValue::Kind::Number)
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const long long x = std::strtoll(v->text.c_str(), &end, 10);
-    if (errno || end != v->text.c_str() + v->text.size())
-        return std::nullopt;
-    return x;
-}
-
-std::optional<std::uint64_t>
-getU64(const JsonValue *v)
-{
-    if (!v || v->kind != JsonValue::Kind::Number ||
-        (!v->text.empty() && v->text[0] == '-'))
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long x = std::strtoull(v->text.c_str(), &end, 10);
-    if (errno || end != v->text.c_str() + v->text.size())
-        return std::nullopt;
-    return x;
-}
-
-std::optional<bool>
-getBool(const JsonValue *v)
-{
-    if (!v || v->kind != JsonValue::Kind::Bool)
-        return std::nullopt;
-    return v->boolean;
-}
-
-std::optional<std::string>
-getString(const JsonValue *v)
-{
-    if (!v || v->kind != JsonValue::Kind::String)
-        return std::nullopt;
-    return v->text;
-}
-
-// ---------------------------------------------------------------------
-// Spec / result <-> JSON
-// ---------------------------------------------------------------------
-
-void
-writeSpec(JsonWriter &w, const ExperimentSpec &s)
-{
-    w.beginObject();
-    w.field("device", s.device);
-    w.field("model", s.model);
-    w.field("precision", std::string(soc::name(s.precision)));
-    w.field("batch", s.batch);
-    w.field("processes", s.processes);
-    // std::string() is load-bearing: a bare const char* would pick
-    // the bool overload of field().
-    w.field("phase",
-            std::string(s.phase == Phase::Deep ? "deep" : "light"));
-    w.field("warmup", static_cast<std::int64_t>(s.warmup));
-    w.field("duration", static_cast<std::int64_t>(s.duration));
-    w.field("pre_enqueue", s.pre_enqueue);
-    w.field("dvfs", s.dvfs);
-    w.field("biglittle", s.biglittle);
-    w.field("spatial_sharing", s.spatial_sharing);
-    w.field("seed", s.seed);
-    w.endObject();
-}
-
-void
-writeSpec(JsonWriter &w, const MixedExperimentSpec &s)
-{
-    w.beginObject();
-    w.field("device", s.device);
-    w.key("workloads");
-    w.beginArray();
-    for (const auto &wl : s.workloads) {
-        w.beginObject();
-        w.field("model", wl.model);
-        w.field("precision", std::string(soc::name(wl.precision)));
-        w.field("batch", wl.batch);
-        w.field("processes", wl.processes);
-        w.endObject();
-    }
-    w.endArray();
-    // std::string() is load-bearing: a bare const char* would pick
-    // the bool overload of field().
-    w.field("phase",
-            std::string(s.phase == Phase::Deep ? "deep" : "light"));
-    w.field("warmup", static_cast<std::int64_t>(s.warmup));
-    w.field("duration", static_cast<std::int64_t>(s.duration));
-    w.field("pre_enqueue", s.pre_enqueue);
-    w.field("dvfs", s.dvfs);
-    w.field("biglittle", s.biglittle);
-    w.field("spatial_sharing", s.spatial_sharing);
-    w.field("seed", s.seed);
-    w.endObject();
-}
-
-/** Spec echo check: the stored spec must equal the requested one. */
-bool
-specMatches(const JsonValue *v, const ExperimentSpec &s)
-{
-    if (!v)
-        return false;
-    return getString(v->find("device")) == s.device &&
-           getString(v->find("model")) == s.model &&
-           getString(v->find("precision")) ==
-               std::string(soc::name(s.precision)) &&
-           getI64(v->find("batch")) == std::int64_t{s.batch} &&
-           getI64(v->find("processes")) == std::int64_t{s.processes} &&
-           getString(v->find("phase")) ==
-               std::string(s.phase == Phase::Deep ? "deep" : "light") &&
-           getI64(v->find("warmup")) == std::int64_t{s.warmup} &&
-           getI64(v->find("duration")) == std::int64_t{s.duration} &&
-           getI64(v->find("pre_enqueue")) ==
-               std::int64_t{s.pre_enqueue} &&
-           getBool(v->find("dvfs")) == s.dvfs &&
-           getBool(v->find("biglittle")) == s.biglittle &&
-           getBool(v->find("spatial_sharing")) == s.spatial_sharing &&
-           getU64(v->find("seed")) == s.seed;
-}
-
-bool
-specMatches(const JsonValue *v, const MixedExperimentSpec &s)
-{
-    if (!v)
-        return false;
-    const JsonValue *wls = v->find("workloads");
-    if (!wls || wls->kind != JsonValue::Kind::Array ||
-        wls->items.size() != s.workloads.size())
-        return false;
-    for (std::size_t i = 0; i < s.workloads.size(); ++i) {
-        const auto &wl = s.workloads[i];
-        const auto &jw = wls->items[i];
-        if (getString(jw.find("model")) != wl.model ||
-            getString(jw.find("precision")) !=
-                std::string(soc::name(wl.precision)) ||
-            getI64(jw.find("batch")) != std::int64_t{wl.batch} ||
-            getI64(jw.find("processes")) != std::int64_t{wl.processes})
-            return false;
-    }
-    return getString(v->find("device")) == s.device &&
-           getString(v->find("phase")) ==
-               std::string(s.phase == Phase::Deep ? "deep" : "light") &&
-           getI64(v->find("warmup")) == std::int64_t{s.warmup} &&
-           getI64(v->find("duration")) == std::int64_t{s.duration} &&
-           getI64(v->find("pre_enqueue")) ==
-               std::int64_t{s.pre_enqueue} &&
-           getBool(v->find("dvfs")) == s.dvfs &&
-           getBool(v->find("biglittle")) == s.biglittle &&
-           getBool(v->find("spatial_sharing")) == s.spatial_sharing &&
-           getU64(v->find("seed")) == s.seed;
-}
-
-void
-writeCdf(JsonWriter &w, const std::string &k, const prof::Cdf &c)
-{
-    w.key(k);
-    w.beginArray();
-    for (const double x : c.samples())
-        w.value(x);
-    w.endArray();
-}
-
-bool
-readCdf(const JsonValue *v, prof::Cdf &out)
-{
-    if (!v || v->kind != JsonValue::Kind::Array)
-        return false;
-    for (const auto &item : v->items) {
-        const auto x = getDouble(&item);
-        if (!x)
-            return false;
-        out.add(*x);
-    }
-    return true;
-}
-
-void
-writeProc(JsonWriter &w, const ProcessMetrics &p)
-{
-    w.beginObject();
-    w.field("name", p.name);
-    w.field("deployed", p.deployed);
-    w.field("throughput", p.throughput);
-    w.field("ec_ms", p.ec_ms);
-    w.field("pipeline_ms", p.pipeline_ms);
-    w.field("enqueue_ms", p.enqueue_ms);
-    w.field("launch_ms_per_ec", p.launch_ms_per_ec);
-    w.field("sync_ms", p.sync_ms);
-    w.field("blocking_ms_per_ec", p.blocking_ms_per_ec);
-    w.field("resched_ms_per_ec", p.resched_ms_per_ec);
-    w.field("cpu_ms_per_ec", p.cpu_ms_per_ec);
-    w.field("cache_ms_per_ec", p.cache_ms_per_ec);
-    w.field("migrations", p.migrations);
-    w.field("preemptions", p.preemptions);
-    w.field("ecs", p.ecs);
-    w.endObject();
-}
-
-bool
-readProc(const JsonValue *v, ProcessMetrics &p)
-{
-    if (!v || v->kind != JsonValue::Kind::Object)
-        return false;
-    const auto name = getString(v->find("name"));
-    const auto deployed = getBool(v->find("deployed"));
-    const auto throughput = getDouble(v->find("throughput"));
-    const auto ec = getDouble(v->find("ec_ms"));
-    const auto pipe = getDouble(v->find("pipeline_ms"));
-    const auto enq = getDouble(v->find("enqueue_ms"));
-    const auto launch = getDouble(v->find("launch_ms_per_ec"));
-    const auto sync = getDouble(v->find("sync_ms"));
-    const auto block = getDouble(v->find("blocking_ms_per_ec"));
-    const auto resched = getDouble(v->find("resched_ms_per_ec"));
-    const auto cpu = getDouble(v->find("cpu_ms_per_ec"));
-    const auto cache = getDouble(v->find("cache_ms_per_ec"));
-    const auto migrations = getU64(v->find("migrations"));
-    const auto preemptions = getU64(v->find("preemptions"));
-    const auto ecs = getU64(v->find("ecs"));
-    if (!name || !deployed || !throughput || !ec || !pipe || !enq ||
-        !launch || !sync || !block || !resched || !cpu || !cache ||
-        !migrations || !preemptions || !ecs)
-        return false;
-    p.name = *name;
-    p.deployed = *deployed;
-    p.throughput = *throughput;
-    p.ec_ms = *ec;
-    p.pipeline_ms = *pipe;
-    p.enqueue_ms = *enq;
-    p.launch_ms_per_ec = *launch;
-    p.sync_ms = *sync;
-    p.blocking_ms_per_ec = *block;
-    p.resched_ms_per_ec = *resched;
-    p.cpu_ms_per_ec = *cpu;
-    p.cache_ms_per_ec = *cache;
-    p.migrations = *migrations;
-    p.preemptions = *preemptions;
-    p.ecs = *ecs;
-    return true;
-}
-
-bool
-writeWholeFile(const std::string &path, const std::string &text)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out << text;
-        if (!out.flush())
-            return false;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    return true;
-}
-
-std::optional<std::string>
-readWholeFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        return std::nullopt;
-    return ss.str();
-}
-
-/** Parse + validate the envelope shared by both entry kinds. */
-const JsonValue *
-validEnvelope(const JsonValue &root, std::uint64_t key)
-{
-    if (root.kind != JsonValue::Kind::Object)
-        return nullptr;
-    if (getI64(root.find("version")) !=
-        std::int64_t{ResultCache::kFormatVersion})
-        return nullptr;
-    if (getU64(root.find("key")) != key)
-        return nullptr;
-    return root.find("result");
+    return r;
 }
 
 } // namespace
@@ -676,36 +66,13 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 std::uint64_t
 ResultCache::specKey(const ExperimentSpec &spec)
 {
-    check::Digest d;
-    d.add(std::int64_t{kFormatVersion});
-    d.add("experiment");
-    d.add(spec.model);
-    d.add(static_cast<std::int64_t>(spec.precision));
-    d.add(std::int64_t{spec.batch});
-    d.add(std::int64_t{spec.processes});
-    addCommon(d, spec.device, static_cast<int>(spec.phase),
-              spec.warmup, spec.duration, spec.pre_enqueue, spec.dvfs,
-              spec.biglittle, spec.spatial_sharing, spec.seed);
-    return d.value();
+    return keyOf("experiment", spec);
 }
 
 std::uint64_t
 ResultCache::specKey(const MixedExperimentSpec &spec)
 {
-    check::Digest d;
-    d.add(std::int64_t{kFormatVersion});
-    d.add("mixed");
-    d.add(static_cast<std::uint64_t>(spec.workloads.size()));
-    for (const auto &w : spec.workloads) {
-        d.add(w.model);
-        d.add(static_cast<std::int64_t>(w.precision));
-        d.add(std::int64_t{w.batch});
-        d.add(std::int64_t{w.processes});
-    }
-    addCommon(d, spec.device, static_cast<int>(spec.phase),
-              spec.warmup, spec.duration, spec.pre_enqueue, spec.dvfs,
-              spec.biglittle, spec.spatial_sharing, spec.seed);
-    return d.value();
+    return keyOf("mixed", spec);
 }
 
 std::string
@@ -732,223 +99,25 @@ ResultCache::pathFor(const MixedExperimentSpec &spec) const
 void
 ResultCache::store(const ExperimentResult &r) const
 {
-    JsonWriter w;
-    w.beginObject();
-    w.field("version", kFormatVersion);
-    w.field("key", specKey(r.spec));
-    w.key("spec");
-    writeSpec(w, r.spec);
-    w.key("result");
-    w.beginObject();
-    w.field("all_deployed", r.all_deployed);
-    w.field("deployed_count", r.deployed_count);
-    w.field("total_throughput", r.total_throughput);
-    w.field("throughput_per_process", r.throughput_per_process);
-    w.field("avg_power_w", r.avg_power_w);
-    w.field("max_power_w", r.max_power_w);
-    w.field("gpu_util_pct", r.gpu_util_pct);
-    w.field("mem_pct", r.mem_pct);
-    w.field("workload_mem_mb", r.workload_mem_mb);
-    w.field("dvfs_throttle_events", r.dvfs_throttle_events);
-    w.field("final_freq_frac", r.final_freq_frac);
-    writeCdf(w, "sm_active", r.sm_active);
-    writeCdf(w, "issue_slot", r.issue_slot);
-    writeCdf(w, "tc_util", r.tc_util);
-    w.field("kernel_us_mean", r.kernel_us_mean);
-    w.field("kernels", r.kernels);
-    w.key("procs");
-    w.beginArray();
-    for (const auto &p : r.procs)
-        writeProc(w, p);
-    w.endArray();
-    w.key("mean");
-    writeProc(w, r.mean);
-    w.endObject();
-    w.endObject();
-
-    const auto path = pathFor(r.spec);
-    if (!writeWholeFile(path, w.str()))
-        sim::warn("result cache: cannot write '%s'", path.c_str());
+    storeEntry(pathFor(r.spec), r);
 }
 
 std::optional<ExperimentResult>
 ResultCache::load(const ExperimentSpec &spec) const
 {
-    const auto text = readWholeFile(pathFor(spec));
-    if (!text)
-        return std::nullopt;
-    const auto root = JsonParser(*text).parse();
-    if (!root)
-        return std::nullopt;
-    const JsonValue *res = validEnvelope(*root, specKey(spec));
-    if (!res || res->kind != JsonValue::Kind::Object ||
-        !specMatches(root->find("spec"), spec))
-        return std::nullopt;
-
-    ExperimentResult r;
-    r.spec = spec;
-    const auto all_deployed = getBool(res->find("all_deployed"));
-    const auto deployed = getI64(res->find("deployed_count"));
-    const auto tput = getDouble(res->find("total_throughput"));
-    const auto tpp = getDouble(res->find("throughput_per_process"));
-    const auto avg_w = getDouble(res->find("avg_power_w"));
-    const auto max_w = getDouble(res->find("max_power_w"));
-    const auto gpu = getDouble(res->find("gpu_util_pct"));
-    const auto mem = getDouble(res->find("mem_pct"));
-    const auto wl_mem = getDouble(res->find("workload_mem_mb"));
-    const auto throttle = getI64(res->find("dvfs_throttle_events"));
-    const auto freq = getDouble(res->find("final_freq_frac"));
-    const auto kmean = getDouble(res->find("kernel_us_mean"));
-    const auto kernels = getU64(res->find("kernels"));
-    if (!all_deployed || !deployed || !tput || !tpp || !avg_w ||
-        !max_w || !gpu || !mem || !wl_mem || !throttle || !freq ||
-        !kmean || !kernels)
-        return std::nullopt;
-    r.all_deployed = *all_deployed;
-    r.deployed_count = static_cast<int>(*deployed);
-    r.total_throughput = *tput;
-    r.throughput_per_process = *tpp;
-    r.avg_power_w = *avg_w;
-    r.max_power_w = *max_w;
-    r.gpu_util_pct = *gpu;
-    r.mem_pct = *mem;
-    r.workload_mem_mb = *wl_mem;
-    r.dvfs_throttle_events = static_cast<int>(*throttle);
-    r.final_freq_frac = *freq;
-    r.kernel_us_mean = *kmean;
-    r.kernels = *kernels;
-    if (!readCdf(res->find("sm_active"), r.sm_active) ||
-        !readCdf(res->find("issue_slot"), r.issue_slot) ||
-        !readCdf(res->find("tc_util"), r.tc_util))
-        return std::nullopt;
-
-    const JsonValue *procs = res->find("procs");
-    if (!procs || procs->kind != JsonValue::Kind::Array)
-        return std::nullopt;
-    for (const auto &jp : procs->items) {
-        ProcessMetrics p;
-        if (!readProc(&jp, p))
-            return std::nullopt;
-        r.procs.push_back(std::move(p));
-    }
-    if (!readProc(res->find("mean"), r.mean))
-        return std::nullopt;
-    return r;
+    return loadEntry<ExperimentResult>(pathFor(spec), spec);
 }
 
 void
 ResultCache::store(const MixedExperimentResult &r) const
 {
-    JsonWriter w;
-    w.beginObject();
-    w.field("version", kFormatVersion);
-    w.field("key", specKey(r.spec));
-    w.key("spec");
-    writeSpec(w, r.spec);
-    w.key("result");
-    w.beginObject();
-    w.field("all_deployed", r.all_deployed);
-    w.field("deployed_count", r.deployed_count);
-    w.field("total_throughput", r.total_throughput);
-    w.field("avg_power_w", r.avg_power_w);
-    w.field("max_power_w", r.max_power_w);
-    w.field("gpu_util_pct", r.gpu_util_pct);
-    w.field("mem_pct", r.mem_pct);
-    w.field("workload_mem_mb", r.workload_mem_mb);
-    w.key("throughput_by_workload");
-    w.beginArray();
-    for (const double t : r.throughput_by_workload)
-        w.value(t);
-    w.endArray();
-    writeCdf(w, "sm_active", r.sm_active);
-    writeCdf(w, "issue_slot", r.issue_slot);
-    writeCdf(w, "tc_util", r.tc_util);
-    w.field("kernel_us_mean", r.kernel_us_mean);
-    w.field("kernels", r.kernels);
-    w.field("dvfs_throttle_events", r.dvfs_throttle_events);
-    w.field("final_freq_frac", r.final_freq_frac);
-    w.key("procs");
-    w.beginArray();
-    for (const auto &p : r.procs)
-        writeProc(w, p);
-    w.endArray();
-    w.endObject();
-    w.endObject();
-
-    const auto path = pathFor(r.spec);
-    if (!writeWholeFile(path, w.str()))
-        sim::warn("result cache: cannot write '%s'", path.c_str());
+    storeEntry(pathFor(r.spec), r);
 }
 
 std::optional<MixedExperimentResult>
 ResultCache::load(const MixedExperimentSpec &spec) const
 {
-    const auto text = readWholeFile(pathFor(spec));
-    if (!text)
-        return std::nullopt;
-    const auto root = JsonParser(*text).parse();
-    if (!root)
-        return std::nullopt;
-    const JsonValue *res = validEnvelope(*root, specKey(spec));
-    if (!res || res->kind != JsonValue::Kind::Object ||
-        !specMatches(root->find("spec"), spec))
-        return std::nullopt;
-
-    MixedExperimentResult r;
-    r.spec = spec;
-    const auto all_deployed = getBool(res->find("all_deployed"));
-    const auto deployed = getI64(res->find("deployed_count"));
-    const auto tput = getDouble(res->find("total_throughput"));
-    const auto avg_w = getDouble(res->find("avg_power_w"));
-    const auto max_w = getDouble(res->find("max_power_w"));
-    const auto gpu = getDouble(res->find("gpu_util_pct"));
-    const auto mem = getDouble(res->find("mem_pct"));
-    const auto wl_mem = getDouble(res->find("workload_mem_mb"));
-    const auto kmean = getDouble(res->find("kernel_us_mean"));
-    const auto kernels = getU64(res->find("kernels"));
-    const auto throttle = getI64(res->find("dvfs_throttle_events"));
-    const auto freq = getDouble(res->find("final_freq_frac"));
-    if (!all_deployed || !deployed || !tput || !avg_w || !max_w ||
-        !gpu || !mem || !wl_mem || !kmean || !kernels || !throttle ||
-        !freq)
-        return std::nullopt;
-    r.all_deployed = *all_deployed;
-    r.deployed_count = static_cast<int>(*deployed);
-    r.total_throughput = *tput;
-    r.avg_power_w = *avg_w;
-    r.max_power_w = *max_w;
-    r.gpu_util_pct = *gpu;
-    r.mem_pct = *mem;
-    r.workload_mem_mb = *wl_mem;
-    r.kernel_us_mean = *kmean;
-    r.kernels = *kernels;
-    r.dvfs_throttle_events = static_cast<int>(*throttle);
-    r.final_freq_frac = *freq;
-
-    const JsonValue *tbw = res->find("throughput_by_workload");
-    if (!tbw || tbw->kind != JsonValue::Kind::Array)
-        return std::nullopt;
-    for (const auto &jt : tbw->items) {
-        const auto t = getDouble(&jt);
-        if (!t)
-            return std::nullopt;
-        r.throughput_by_workload.push_back(*t);
-    }
-    if (!readCdf(res->find("sm_active"), r.sm_active) ||
-        !readCdf(res->find("issue_slot"), r.issue_slot) ||
-        !readCdf(res->find("tc_util"), r.tc_util))
-        return std::nullopt;
-
-    const JsonValue *procs = res->find("procs");
-    if (!procs || procs->kind != JsonValue::Kind::Array)
-        return std::nullopt;
-    for (const auto &jp : procs->items) {
-        ProcessMetrics p;
-        if (!readProc(&jp, p))
-            return std::nullopt;
-        r.procs.push_back(std::move(p));
-    }
-    return r;
+    return loadEntry<MixedExperimentResult>(pathFor(spec), spec);
 }
 
 } // namespace jetsim::core

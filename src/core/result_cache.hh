@@ -7,17 +7,19 @@
  * re-simulates every cell it shares with the others. Because the
  * simulator is bit-deterministic (same spec ⇒ same result, the JetSan
  * determinism invariant), a result can be keyed purely by its spec:
- * the cache key is a canonical FNV-1a digest over *every* field of
- * the ExperimentSpec / MixedExperimentSpec plus a format version, so
- * any change to any field (or to the serialisation format) misses.
+ * the cache key is an FNV-1a digest over the format version, a kind
+ * tag ("experiment" / "mixed") and the spec's field list (its
+ * canonical JSON, core/json.hh), so any change to any field, or to
+ * the format, misses.
  *
  * Entries are single JSON files, `jetsim-<16-hex-key>.json`, written
- * atomically (temp file + rename). Doubles are stored with 17
- * significant digits so the round trip is bit-exact — a cached
- * result's core::resultDigest equals the fresh one's. Loads verify
- * the echoed spec field-by-field (guards digest collisions and stale
- * formats); any parse error, truncation or mismatch is treated as a
- * miss, never an error — a corrupted cache can only cost time.
+ * atomically: the result's field list as a `"jetsim_cache": 2`
+ * document of the shared codec (core/json.hh), bit-exact, so a cached
+ * result's core::resultDigest equals the fresh one's. A load decodes
+ * the stored spec with the result and compares it with the requested
+ * one (guards digest collisions). Any read or decode error, or a
+ * mismatch, is a miss, never an error — a corrupted cache can only
+ * cost time.
  */
 
 #ifndef JETSIM_CORE_RESULT_CACHE_HH
@@ -36,14 +38,14 @@ class ResultCache
 {
   public:
     /** Bump when the JSON schema or the key derivation changes. */
-    static constexpr int kFormatVersion = 1;
+    static constexpr int kFormatVersion = 2;
 
     /** Open (and create, if needed) a cache rooted at @p dir. */
     explicit ResultCache(std::string dir);
 
     const std::string &dir() const { return dir_; }
 
-    /** Canonical digest of every field of @p spec (the cache key). */
+    /** Digest of every field of @p spec (the cache key). */
     static std::uint64_t specKey(const ExperimentSpec &spec);
     static std::uint64_t specKey(const MixedExperimentSpec &spec);
 

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/env.hh"
+#include "core/json.hh"
 #include "core/mutex.hh"
 #include "core/profiler.hh"
 #include "core/result_cache.hh"
@@ -130,9 +131,9 @@ Runner::resolveThreads(int requested)
     // Worker-count config from the cached startup environment
     // (core::env()); thread count never affects results.
     if (const std::string &ts = env().threads; !ts.empty()) {
-        const int v = std::atoi(ts.c_str());
-        if (v > 0)
-            return v;
+        const auto v = parseNumber<int>(ts);
+        if (v && *v > 0)
+            return *v;
         sim::warn("JETSIM_THREADS='%s' is not a positive integer; "
                   "using hardware concurrency", ts.c_str());
     }

@@ -1,104 +1,48 @@
 #include "mc/ce.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
+#include <string_view>
 
+#include "core/json.hh"
 #include "mc/explorer.hh"
 #include "mc/toylock.hh"
+#include "models/zoo.hh"
+#include "soc/device_spec.hh"
 
 namespace jetsim::mc {
 
 namespace {
 
-void
-jsonEscape(std::FILE *f, const std::string &s)
+constexpr std::string_view kTag = "jetmc_ce";
+
+/** What DeploymentModel and the workload assert, as
+ * "<field>: <reason>". */
+std::string
+checkCe(const CounterExample &ce)
 {
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            std::fputc('\\', f);
-        std::fputc(c, f);
+    if (ce.model == "toylock-inverted" || ce.model == "toylock-ordered")
+        return "";
+    if (ce.model != "deployment")
+        return "model: unknown model '" + ce.model + "'";
+    const DeployConfig &d = ce.deploy;
+    if (!soc::findDevice(d.device))
+        return "deployment.device: unknown board '" + d.device + "'";
+    if (d.procs.empty())
+        return "deployment.procs: must list at least one process";
+    for (std::size_t i = 0; i < d.procs.size(); ++i) {
+        const auto &p = d.procs[i];
+        const std::string at =
+            "deployment.procs[" + std::to_string(i) + "].";
+        if (std::ranges::count(models::allModelNames(), p.model) == 0)
+            return at + "net: unknown model '" + p.model + "'";
+        if (p.batch < 1)
+            return at + "batch: must be >= 1";
     }
-}
-
-/** Value text after `"key":`, or npos. */
-std::size_t
-valuePos(const std::string &text, const std::string &key,
-         std::size_t from = 0)
-{
-    const std::string needle = "\"" + key + "\"";
-    const auto at = text.find(needle, from);
-    if (at == std::string::npos)
-        return std::string::npos;
-    auto p = text.find(':', at + needle.size());
-    if (p == std::string::npos)
-        return std::string::npos;
-    ++p;
-    while (p < text.size() &&
-           (text[p] == ' ' || text[p] == '\n' || text[p] == '\t'))
-        ++p;
-    return p;
-}
-
-bool
-getString(const std::string &text, const std::string &key,
-          std::string &out, std::size_t from = 0)
-{
-    auto p = valuePos(text, key, from);
-    if (p == std::string::npos || text[p] != '"')
-        return false;
-    ++p;
-    out.clear();
-    while (p < text.size() && text[p] != '"') {
-        if (text[p] == '\\' && p + 1 < text.size())
-            ++p;
-        out += text[p++];
-    }
-    return true;
-}
-
-bool
-getU64(const std::string &text, const std::string &key,
-       std::uint64_t &out, std::size_t from = 0)
-{
-    const auto p = valuePos(text, key, from);
-    if (p == std::string::npos)
-        return false;
-    out = std::strtoull(text.c_str() + p, nullptr, 10);
-    return true;
-}
-
-bool
-getBool(const std::string &text, const std::string &key, bool &out,
-        std::size_t from = 0)
-{
-    const auto p = valuePos(text, key, from);
-    if (p == std::string::npos)
-        return false;
-    out = text.compare(p, 4, "true") == 0;
-    return true;
-}
-
-bool
-getIntArray(const std::string &text, const std::string &key,
-            std::vector<int> &out)
-{
-    auto p = valuePos(text, key);
-    if (p == std::string::npos || text[p] != '[')
-        return false;
-    ++p;
-    out.clear();
-    while (p < text.size() && text[p] != ']') {
-        char *end = nullptr;
-        const long v = std::strtol(text.c_str() + p, &end, 10);
-        if (end == text.c_str() + p) {
-            ++p; // skip separators / whitespace
-            continue;
-        }
-        out.push_back(static_cast<int>(v));
-        p = static_cast<std::size_t>(end - text.c_str());
-    }
-    return true;
+    if (d.max_ecs == 0)
+        return "deployment.max_ecs: must be > 0";
+    if (d.pre_enqueue < 0)
+        return "deployment.pre_enqueue: must be >= 0";
+    return "";
 }
 
 } // namespace
@@ -106,124 +50,13 @@ getIntArray(const std::string &text, const std::string &key,
 bool
 writeCe(const CounterExample &ce, const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f, "{\n  \"jetmc_ce\": 1,\n  \"model\": \"");
-    jsonEscape(f, ce.model);
-    std::fprintf(f, "\",\n  \"what\": \"");
-    jsonEscape(f, ce.what);
-    std::fprintf(f, "\",\n  \"detail\": \"");
-    jsonEscape(f, ce.detail);
-    std::fprintf(f, "\",\n  \"ref_digest\": %llu,\n",
-                 static_cast<unsigned long long>(ce.ref_digest));
-    std::fprintf(f, "  \"script\": [");
-    for (std::size_t i = 0; i < ce.script.size(); ++i)
-        std::fprintf(f, "%s%d", i ? ", " : "", ce.script[i]);
-    std::fprintf(f, "]");
-    if (ce.model == "deployment") {
-        const DeployConfig &d = ce.deploy;
-        std::fprintf(f, ",\n  \"deployment\": {\n    \"device\": \"");
-        jsonEscape(f, d.device);
-        std::fprintf(f,
-                     "\",\n    \"max_ecs\": %llu,\n"
-                     "    \"pre_enqueue\": %d,\n"
-                     "    \"seed\": %llu,\n"
-                     "    \"max_events\": %llu,\n"
-                     "    \"shared_buffer\": %s,\n"
-                     "    \"procs\": [\n",
-                     static_cast<unsigned long long>(d.max_ecs),
-                     d.pre_enqueue,
-                     static_cast<unsigned long long>(d.seed),
-                     static_cast<unsigned long long>(d.max_events),
-                     d.shared_buffer ? "true" : "false");
-        for (std::size_t i = 0; i < d.procs.size(); ++i) {
-            std::fprintf(f, "      {\"net\": \"");
-            jsonEscape(f, d.procs[i].model);
-            std::fprintf(
-                f, "\", \"precision\": \"%s\", \"batch\": %d}%s\n",
-                soc::name(d.procs[i].precision), d.procs[i].batch,
-                i + 1 < d.procs.size() ? "," : "");
-        }
-        std::fprintf(f, "    ]\n  }");
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    return true;
+    return core::writeFileAtomic(path, core::toJson(ce, kTag, 1));
 }
 
 bool
 readCe(const std::string &path, CounterExample &ce, std::string &err)
 {
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f) {
-        err = "cannot open " + path;
-        return false;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    std::uint64_t version = 0;
-    if (!getU64(text, "jetmc_ce", version) || version != 1) {
-        err = path + ": not a jetmc counterexample (v1)";
-        return false;
-    }
-    if (!getString(text, "model", ce.model) ||
-        !getString(text, "what", ce.what) ||
-        !getIntArray(text, "script", ce.script)) {
-        err = path + ": missing model/what/script";
-        return false;
-    }
-    getString(text, "detail", ce.detail);
-    getU64(text, "ref_digest", ce.ref_digest);
-
-    if (ce.model == "deployment") {
-        const auto dep = valuePos(text, "deployment");
-        if (dep == std::string::npos) {
-            err = path + ": deployment CE without config";
-            return false;
-        }
-        DeployConfig &d = ce.deploy;
-        getString(text, "device", d.device, dep);
-        getU64(text, "max_ecs", d.max_ecs, dep);
-        std::uint64_t v = 0;
-        if (getU64(text, "pre_enqueue", v, dep))
-            d.pre_enqueue = static_cast<int>(v);
-        getU64(text, "seed", d.seed, dep);
-        getU64(text, "max_events", d.max_events, dep);
-        getBool(text, "shared_buffer", d.shared_buffer, dep);
-        d.procs.clear();
-        std::size_t at = dep;
-        std::string model_name;
-        while (getString(text, "net", model_name, at)) {
-            DeployConfig::Proc p;
-            p.model = model_name;
-            const auto here = text.find("\"net\"", at);
-            std::string prec;
-            if (getString(text, "precision", prec, here))
-                p.precision = soc::precisionFromName(prec);
-            std::uint64_t batch = 1;
-            if (getU64(text, "batch", batch, here))
-                p.batch = static_cast<int>(batch);
-            d.procs.push_back(std::move(p));
-            at = text.find('}', here);
-            if (at == std::string::npos)
-                break;
-        }
-        if (d.procs.empty()) {
-            err = path + ": deployment CE with no processes";
-            return false;
-        }
-    } else if (ce.model != "toylock-inverted" &&
-               ce.model != "toylock-ordered") {
-        err = path + ": unknown model '" + ce.model + "'";
-        return false;
-    }
-    return true;
+    return core::readJson(path, kTag, 1, ce, err, checkCe);
 }
 
 std::unique_ptr<Model>

@@ -3,15 +3,17 @@
  * Counterexample files: how jetmc hands a failing schedule to a human
  * (or to `simcheck --mc-replay`).
  *
- * A counterexample is a JSON object carrying the model identity, the
- * minimal choice script that reproduces the failure, the failure kind
- * and the reference digest. Replaying is exact: reconstruct the model
- * from the embedded configuration, run the script, and the same
- * failure must appear — runs are pure functions of (config, script).
+ * A counterexample is a `"jetmc_ce": 1` JSON document of the shared
+ * codec (core/json.hh) carrying the CounterExample field list: the
+ * model identity, the minimal choice script that reproduces the
+ * failure, the failure kind, the reference digest and the deployment
+ * configuration. Replaying is exact: reconstruct the model from the
+ * embedded configuration, run the script, and the same failure must
+ * appear — runs are pure functions of (config, script).
  *
- * The reader is a minimal scanner for exactly the format the writer
- * produces (no external JSON dependency); it is tolerant of
- * whitespace and field order but not a general JSON parser.
+ * The reader rejects a missing, unknown, mistyped or out-of-range
+ * field, an unknown model, and a deployment the model would assert
+ * on, naming the file and the field.
  */
 
 #ifndef JETSIM_MC_CE_HH
@@ -23,6 +25,7 @@
 
 #include "mc/deployment.hh"
 #include "mc/model.hh"
+#include "sim/fields.hh"
 
 namespace jetsim::mc {
 
@@ -35,9 +38,23 @@ struct CounterExample
     std::string detail; ///< human diagnosis from the failing run
     std::uint64_t ref_digest = 0;
     std::vector<int> script;
-    /** Populated when model == "deployment". */
+    /** Used when model == "deployment". */
     DeployConfig deploy;
+
+    bool operator==(const CounterExample &) const = default;
 };
+
+template <class V, sim::FieldsOf<CounterExample> S>
+void
+visitFields(V &v, S &ce)
+{
+    v("model", ce.model);
+    v("what", ce.what);
+    v("detail", ce.detail);
+    v("ref_digest", ce.ref_digest);
+    v("script", ce.script);
+    v("deployment", ce.deploy);
+}
 
 /** Serialise to @p path; returns false on I/O failure. */
 bool writeCe(const CounterExample &ce, const std::string &path);

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "mc/model.hh"
+#include "sim/fields.hh"
 #include "sim/name_registry.hh"
 #include "soc/precision.hh"
 
@@ -53,6 +54,17 @@ struct DeployConfig
         std::string model = "resnet50";
         soc::Precision precision = soc::Precision::Fp16;
         int batch = 1;
+
+        bool operator==(const Proc &) const = default;
+
+        template <class V, sim::FieldsOf<Proc> S>
+        friend void
+        visitFields(V &v, S &p)
+        {
+            v("net", p.model);
+            v("precision", p.precision);
+            v("batch", p.batch);
+        }
     };
     std::vector<Proc> procs;
 
@@ -69,7 +81,22 @@ struct DeployConfig
     bool shared_buffer = false;
 
     std::string label() const;
+
+    bool operator==(const DeployConfig &) const = default;
 };
+
+template <class V, sim::FieldsOf<DeployConfig> S>
+void
+visitFields(V &v, S &c)
+{
+    v("device", c.device);
+    v("procs", c.procs);
+    v("max_ecs", c.max_ecs);
+    v("pre_enqueue", c.pre_enqueue);
+    v("seed", c.seed);
+    v("max_events", c.max_events);
+    v("shared_buffer", c.shared_buffer);
+}
 
 /** Model implementation over the full simulator stack. */
 class DeploymentModel final : public Model

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 
 #include "sim/logging.hh"
 
@@ -13,6 +12,7 @@ Cdf::add(double x)
 {
     samples_.push_back(x);
     sorted_ = false;
+    sum_ += x;
 }
 
 void
@@ -45,8 +45,7 @@ Cdf::mean() const
 {
     if (samples_.empty())
         return 0.0;
-    return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-           static_cast<double>(samples_.size());
+    return sum_ / static_cast<double>(samples_.size());
 }
 
 double

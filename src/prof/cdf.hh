@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/fields.hh"
+
 namespace jetsim::prof {
 
 /**
@@ -31,6 +33,8 @@ class Cdf
     double median() const { return quantile(0.5); }
     double min() const { return quantile(0.0); }
     double max() const { return quantile(1.0); }
+    /** Sum in insertion order over the count: sorting for a quantile
+     * never moves it. */
     double mean() const;
 
     /** Fraction of samples <= @p x. */
@@ -48,19 +52,29 @@ class Cdf
      */
     std::string summary() const;
 
-    /**
-     * Raw samples in their current order (sorted iff a quantile-style
-     * query already ran). Exposed so the result cache can serialise a
-     * CDF losslessly; quantiles over the round-tripped samples are
-     * bit-identical to the original's.
-     */
+    /** Raw samples in their current order (sorted iff a
+     * quantile-style query already ran). */
     const std::vector<double> &samples() const { return samples_; }
+
+    bool operator==(const Cdf &) const = default;
+
+    /** Exact state, so a serialised CDF restores bit-identically
+     * whether or not a quantile query has sorted it. */
+    template <class V, sim::FieldsOf<Cdf> S>
+    friend void
+    visitFields(V &v, S &c)
+    {
+        v("samples", c.samples_);
+        v("sorted", c.sorted_);
+        v("sum", c.sum_);
+    }
 
   private:
     void ensureSorted() const;
 
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
+    double sum_ = 0.0;
 };
 
 } // namespace jetsim::prof

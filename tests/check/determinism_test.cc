@@ -67,6 +67,28 @@ TEST(Determinism, DeepPhaseIsAlsoReproducible)
     EXPECT_EQ(cap.total(), 0u);
 }
 
+TEST(Determinism, DigestIsRepeatableOnOneResult)
+{
+    // resultDigest folds each counter CDF's mean, then its quantiles,
+    // which sort the samples in place. A second digest of the same
+    // result, or one taken after a quantile query, must not see a
+    // differently-ordered sum.
+    auto spec = smallSpec(1);
+    spec.precision = soc::Precision::Int8;
+    spec.processes = 8;
+    spec.phase = core::Phase::Deep;
+    const auto r = core::runExperiment(spec);
+    ASSERT_GT(r.sm_active.count(), 1u);
+    const auto first = core::resultDigest(r);
+    EXPECT_EQ(core::resultDigest(r), first);
+
+    const auto queried = core::runExperiment(spec);
+    for (const auto *c :
+         {&queried.sm_active, &queried.issue_slot, &queried.tc_util})
+        c->quantile(0.5);
+    EXPECT_EQ(core::resultDigest(queried), first);
+}
+
 TEST(Determinism, DigestCoversPerProcessMetrics)
 {
     const auto a = core::runExperiment(smallSpec(7));

@@ -40,9 +40,12 @@ cell(const std::string &device, const std::string &model,
     return spec;
 }
 
+// Strings, not char pointers: gtest prints the parameter into the
+// listed test name, and a pointer would put a load address (different
+// on every run) there.
 class FleetGolden
     : public ::testing::TestWithParam<
-          std::tuple<const char *, const char *>>
+          std::tuple<std::string, std::string>>
 {
 };
 
@@ -86,8 +89,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          "yolov8n", "resnet18",
                                          "mobilenet_v2")),
     [](const auto &info) {
-        std::string s = std::string(std::get<0>(info.param)) + "_" +
-                        std::get<1>(info.param);
+        std::string s =
+            std::get<0>(info.param) + "_" + std::get<1>(info.param);
         for (auto &c : s)
             if (c == '-')
                 c = '_';

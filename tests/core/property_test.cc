@@ -8,25 +8,41 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <ostream>
 
 #include "soc/device_spec.hh"
 
 namespace jetsim::core {
 namespace {
 
-using Cell = std::tuple<const char *, const char *, soc::Precision,
-                        int, int>; // device, model, prec, batch, procs
+struct Cell
+{
+    const char *device;
+    const char *model;
+    soc::Precision precision;
+    int batch;
+    int procs;
+
+    // gtest prints parameters into the test names; printing the bare
+    // pointers would put load addresses (different on every run) in
+    // them.
+    friend void
+    PrintTo(const Cell &c, std::ostream *os)
+    {
+        *os << c.device << '_' << c.model << '_' << soc::name(c.precision)
+            << "_b" << c.batch << "_p" << c.procs;
+    }
+};
 
 ExperimentResult
 run(const Cell &c, Phase phase = Phase::Light)
 {
     ExperimentSpec s;
-    s.device = std::get<0>(c);
-    s.model = std::get<1>(c);
-    s.precision = std::get<2>(c);
-    s.batch = std::get<3>(c);
-    s.processes = std::get<4>(c);
+    s.device = c.device;
+    s.model = c.model;
+    s.precision = c.precision;
+    s.batch = c.batch;
+    s.processes = c.procs;
     s.phase = phase;
     s.warmup = sim::msec(200);
     s.duration = sim::sec(1);

@@ -104,7 +104,7 @@ expectIdentical(const FleetSpec &spec, const FleetOptions &sharded,
     const FleetSpec min = minimise(spec, sharded);
     const std::string path =
         ::testing::TempDir() + "fleet_replay_" +
-        std::to_string(min.seed) + ".txt";
+        std::to_string(min.seed) + ".json";
     writeFleetReplay(min, sharded, path);
     FAIL() << what << ": sharded digest diverged from serial for "
            << spec.label() << "\nminimised replay spec: " << path
@@ -162,26 +162,15 @@ TEST(ShardedDiff, ReplaySpecRoundTrips)
     o.threads = 2;
     o.lookahead = 12345;
     const std::string path =
-        ::testing::TempDir() + "fleet_replay_roundtrip.txt";
+        ::testing::TempDir() + "fleet_replay_roundtrip.json";
     ASSERT_TRUE(writeFleetReplay(spec, o, path));
 
     FleetSpec back;
     FleetOptions back_o;
     std::string err;
     ASSERT_TRUE(readFleetReplay(path, back, back_o, err)) << err;
-    EXPECT_EQ(back.label(), spec.label());
-    EXPECT_EQ(back.devices.size(), spec.devices.size());
-    for (std::size_t d = 0; d < spec.devices.size(); ++d)
-        EXPECT_EQ(back.devices[d].local_rate,
-                  spec.devices[d].local_rate);
-    EXPECT_EQ(back.warmup, spec.warmup);
-    EXPECT_EQ(back.duration, spec.duration);
-    EXPECT_EQ(back.seed, spec.seed);
-    EXPECT_EQ(back.hierarchical, spec.hierarchical);
-    EXPECT_EQ(back.fanout_latency, spec.fanout_latency);
-    EXPECT_EQ(back_o.shards, o.shards);
-    EXPECT_EQ(back_o.threads, o.threads);
-    EXPECT_EQ(back_o.lookahead, o.lookahead);
+    EXPECT_EQ(back, spec);
+    EXPECT_EQ(back_o, o);
     // The round-tripped spec reproduces the original's digest.
     EXPECT_EQ(resultDigest(runFleet(back, back_o)),
               resultDigest(runFleet(spec, o)));

@@ -126,5 +126,30 @@ TEST(ArgParse, BooleanSpellings)
     EXPECT_FALSE(p.boolean("verbose"));
 }
 
+TEST(ArgParse, MalformedNumbersExitNamingTheFlag)
+{
+    auto p = parser();
+    ASSERT_TRUE(parse(p, std::array<const char *, 4>{
+                             "test", "--batch=12abc", "--rate=1e999",
+                             "--list=1,,4"}));
+    const auto user_error = testing::ExitedWithCode(1);
+    EXPECT_EXIT(p.intval("batch"), user_error,
+                "--batch: '12abc' is not an integer");
+    EXPECT_EXIT(p.dbl("rate"), user_error,
+                "--rate: '1e999' is not a number");
+    EXPECT_EXIT(p.intlist("list"), user_error,
+                "--list: '' is not an integer");
+
+    auto q = parser();
+    ASSERT_TRUE(parse(q, std::array<const char *, 3>{
+                             "test", "--batch=0", "--rate=-0.5"}));
+    EXPECT_EXIT(q.intval("batch", 1), user_error,
+                "--batch: '0' is not an integer in \\[1, ");
+    EXPECT_EXIT(q.dbl("rate", 0.0, 1.0), user_error,
+                "--rate: '-0.5' is not a number in \\[0, 1\\]");
+    EXPECT_EQ(q.intval("batch", 0), 0);
+    EXPECT_EQ(q.dbl("rate", -1.0, 0.0), -0.5);
+}
+
 } // namespace
 } // namespace jetsim::tools

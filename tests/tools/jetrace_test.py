@@ -89,6 +89,10 @@ class JetraceInventory(unittest.TestCase):
         self.assert_clean("const int kLimit = 8;\n"
                           "constexpr double kScale = 1.5;\n")
 
+    def test_concepts_are_not_inventory(self):
+        self.assert_clean("template <class S, class T>\n"
+                          "concept Same = std::is_same_v<S, T>;\n")
+
     def test_confined_comment_passes(self):
         self.assert_clean(
             "// jetrace: confined(main) set once before spawn\n"

@@ -3,17 +3,24 @@
  * Minimal command-line flag parser for the jetsim tools.
  *
  * Supports `--flag=value`, `--flag value` and boolean `--flag`
- * switches, with typed accessors, defaults, and generated help.
+ * switches, with typed accessors, defaults, and generated help. A
+ * numeric accessor on a value that is not wholly a number in range
+ * is a user error: fatal() naming the flag, exit 1.
  */
 
 #ifndef JETSIM_TOOLS_ARGPARSE_HH
 #define JETSIM_TOOLS_ARGPARSE_HH
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "core/json.hh"
+#include "sim/logging.hh"
 
 namespace jetsim::tools {
 
@@ -92,16 +99,21 @@ class ArgParser
         return defaults_.at(name);
     }
 
+    /** Integer value, at least @p lo. */
     int
-    intval(const std::string &name) const
+    intval(const std::string &name,
+           int lo = std::numeric_limits<int>::min()) const
     {
-        return std::atoi(str(name).c_str());
+        return number<int>(name, str(name), lo,
+                           std::numeric_limits<int>::max());
     }
 
+    /** Finite number in [@p lo, @p hi]. */
     double
-    dbl(const std::string &name) const
+    dbl(const std::string &name, double lo = -HUGE_VAL,
+        double hi = HUGE_VAL) const
     {
-        return std::atof(str(name).c_str());
+        return number<double>(name, str(name), lo, hi);
     }
 
     bool
@@ -122,7 +134,9 @@ class ArgParser
             const auto comma = v.find(',', pos);
             const auto end =
                 comma == std::string::npos ? v.size() : comma;
-            out.push_back(std::atoi(v.substr(pos, end - pos).c_str()));
+            out.push_back(number<int>(name, v.substr(pos, end - pos),
+                                      std::numeric_limits<int>::min(),
+                                      std::numeric_limits<int>::max()));
             pos = end + 1;
         }
         return out;
@@ -146,6 +160,21 @@ class ArgParser
     }
 
   private:
+    /** @p v as a T in [@p lo, @p hi], or fatal() naming the flag. */
+    template <class T>
+    T
+    number(const std::string &name, const std::string &v, double lo,
+           double hi) const
+    {
+        const auto x = core::parseNumber<T>(v);
+        if (!x || *x < lo || *x > hi)
+            sim::fatal("%s: --%s: '%s' is not %s in [%.17g, %.17g]",
+                       program_.c_str(), name.c_str(), v.c_str(),
+                       std::is_integral_v<T> ? "an integer" : "a number",
+                       lo, hi);
+        return *x;
+    }
+
     std::string program_;
     std::string description_;
     std::vector<std::string> order_;

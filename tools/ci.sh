@@ -7,7 +7,8 @@
 #                  error-severity finding fails CI) and the detlint
 #                  determinism lint over src/
 #   2. sanitized - ASan+UBSan (-Werror) build + full suite + the
-#                  simcheck determinism replay
+#                  simcheck determinism replay (both suites include
+#                  the malformed-input corpus, tests/data/malformed)
 #   3. tidy      - clang-tidy over src/, tools/ and tests/ (skipped
 #                  with a warning when clang-tidy is not installed)
 #
@@ -18,10 +19,11 @@
 # pooled event core still dispatches in the bit-identical order the
 # committed digests were recorded from, the sharded fleet goldens
 # (GOLDEN_fleet.json at shards 1, 4 and 16, including a 256-board
-# hierarchical config), the sharded scaling smoke (>= 1.5x at 4
-# shards; auto-skipped below 4 cores) and the sharded overhead gate
-# (1000-board hierarchical fleet at shards=8/threads=1 must keep
-# >= 0.75x the serial event rate; never skipped).
+# hierarchical config), a replay of the committed replay file
+# tests/data/fleet_replay_golden0.json, the sharded scaling smoke
+# (>= 1.5x at 4 shards; auto-skipped below 4 cores) and the sharded
+# overhead gate (1000-board hierarchical fleet at shards=8/threads=1
+# must keep >= 0.75x the serial event rate; never skipped).
 #
 # Pass 1d is the bounded model check (jetmc): the seeded-deadlock
 # self-test must find its counterexample and replay it, then small
@@ -125,6 +127,11 @@ if [ "$run_plain" = 1 ]; then
     # the cost model legitimately moves).
     "$repo/build-ci/plain/tools/simcheck" \
         --fleet-golden="$repo/GOLDEN_fleet.json"
+    # Replay-format gate: the committed replay of the first golden
+    # fleet (shards=4, threads=2) must decode and re-run serial ==
+    # sharded == repeat.
+    "$repo/build-ci/plain/tools/simcheck" \
+        --fleet-replay="$repo/tests/data/fleet_replay_golden0.json"
     # Scaling smoke: the parallel epoch path must actually pay for
     # itself — >= 1.5x serial event rate at shards=4/threads=4. The
     # digest is always compared; simcheck skips the speedup gate by
@@ -252,7 +259,7 @@ if [ "$run_san" = 1 ]; then
         -DJETSIM_SANITIZE="$san_flavor"
     banner "pass 2b: determinism replay (simcheck, parallel path)"
     "$repo/build-ci/$san_flavor/tools/simcheck" \
-        --duration 0.3 --warmup 0.1 --seeds 1,2,3 --threads 4
+        --duration 0.3 --warmup 100 --seeds 1,2,3 --threads 4
     banner "pass 2c: runner + sharded concurrency stress ($san_flavor)"
     # ctest already ran these binaries once; run them again explicitly
     # with the pool oversubscribed well past the host core count so

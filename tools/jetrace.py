@@ -142,9 +142,9 @@ LOCAL_STATIC_RE = re.compile(
 
 CONTROL_KEYWORDS = cpplex.CONTROL_KEYWORDS
 NONVAR_WORDS = re.compile(
-    r"\b(const|constexpr|using|typedef|namespace|class|struct|enum|"
-    r"union|template|operator|return|friend|throw|goto|public|"
-    r"private|protected)\b")
+    r"\b(const|constexpr|concept|using|typedef|namespace|class|"
+    r"struct|enum|union|template|operator|return|friend|throw|goto|"
+    r"public|private|protected)\b")
 
 strip_noise = cpplex.strip_noise
 collect_files = cpplex.collect_files

@@ -27,7 +27,10 @@
  * With --fleet-replay=<file> it re-runs a fleet spec dumped by the
  * sharded differential battery (tests/sim/sharded_diff_test.cc):
  * serial and sharded digests must be bit-identical, making a fuzzer
- * failure reproducible from a single flat key=value file.
+ * failure reproducible from a single JSON replay file.
+ *
+ * A replay or counterexample file that is unreadable, malformed or
+ * out of range is a user error: exit 1 with the file and the field.
  *
  * With --fleet-golden=<path> it runs the committed fleet golden
  * suite (including a 256-board hierarchical config): sharded digests
@@ -49,13 +52,11 @@
  */
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,6 +66,7 @@
 #include "check/reporter.hh"
 #include "core/digest.hh"
 #include "core/fleet.hh"
+#include "core/json.hh"
 #include "core/profiler.hh"
 #include "core/runner.hh"
 #include "gpu/cost_model.hh"
@@ -85,12 +87,12 @@ parseSeeds(const std::string &csv)
     for (const char c : csv + ",") {
         if (c == ',') {
             if (!cur.empty()) {
-                for (const char d : cur) {
-                    if (!std::isdigit(static_cast<unsigned char>(d)))
-                        sim::fatal("--seeds: '%s' is not a number",
-                                   cur.c_str());
-                }
-                seeds.push_back(std::stoull(cur));
+                const auto seed = core::parseNumber<std::uint64_t>(cur);
+                if (!seed)
+                    sim::fatal("simcheck: --seeds: '%s' is not an "
+                               "unsigned 64-bit integer",
+                               cur.c_str());
+                seeds.push_back(*seed);
             }
             cur.clear();
         } else {
@@ -98,7 +100,7 @@ parseSeeds(const std::string &csv)
         }
     }
     if (seeds.empty())
-        sim::fatal("--seeds: no seeds given");
+        sim::fatal("simcheck: --seeds: no seeds given");
     return seeds;
 }
 
@@ -186,7 +188,7 @@ mcReplay(const std::string &path)
     std::string err;
     if (!mc::readCe(path, ce, err)) {
         std::fprintf(stderr, "simcheck: %s\n", err.c_str());
-        return 2;
+        return 1;
     }
     std::printf("mc-replay: model %s, failure '%s', %zu choices\n",
                 ce.model.c_str(), ce.what.c_str(), ce.script.size());
@@ -220,7 +222,7 @@ fleetReplay(const std::string &path)
     std::string err;
     if (!core::readFleetReplay(path, spec, opts, err)) {
         std::fprintf(stderr, "simcheck: %s\n", err.c_str());
-        return 2;
+        return 1;
     }
     std::printf("fleet-replay: %s\n", spec.label().c_str());
     std::printf("fleet-replay: shards=%d threads=%d lookahead=%lld\n",
@@ -316,8 +318,8 @@ goldenSuite()
     return suite;
 }
 
-/** Minimal scanner for the golden file's flat JSON (mirrors the
- * hand-rolled style of mc/ce.cc): "label": "...", "digest": "...". */
+/** Minimal scanner for the golden file's flat JSON:
+ * "label": "...", "digest": "...". */
 std::map<std::string, std::string>
 readGolden(const std::string &path, bool &ok)
 {
@@ -386,7 +388,7 @@ fleetGolden(const std::string &path, bool update)
     if (!opened) {
         std::fprintf(stderr, "simcheck: cannot read %s\n",
                      path.c_str());
-        return 2;
+        return 1;
     }
     int failures = 0;
     for (const auto &spec : suite) {
@@ -682,12 +684,13 @@ main(int argc, char **argv)
     spec.device = args.str("device");
     spec.model = args.str("model");
     spec.precision = soc::precisionFromName(args.str("precision"));
-    spec.batch = args.intval("batch");
-    spec.processes = args.intval("procs");
+    spec.batch = args.intval("batch", 1);
+    spec.processes = args.intval("procs", 1);
     spec.phase = args.str("phase") == "deep" ? core::Phase::Deep
                                              : core::Phase::Light;
-    spec.warmup = sim::msec(args.intval("warmup"));
-    spec.duration = sim::sec(args.dbl("duration"));
+    spec.warmup = sim::msec(args.intval("warmup", 0));
+    // 1e9 s keeps every tick count far from int64 overflow.
+    spec.duration = sim::sec(args.dbl("duration", 0, 1e9));
 
     const int runs = std::max(2, args.intval("runs"));
     const auto seeds = parseSeeds(args.str("seeds"));

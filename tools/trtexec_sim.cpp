@@ -75,9 +75,12 @@ main(int argc, char **argv)
     workload::ProcessConfig cfg;
     cfg.name = "trtexec";
     cfg.build.precision = prec;
-    cfg.build.batch = args.intval("batch");
-    cfg.pre_enqueue = args.intval("preEnqueue");
+    cfg.build.batch = args.intval("batch", 1);
+    cfg.pre_enqueue = args.intval("preEnqueue", 0);
     cfg.spin_wait = args.boolean("useSpinWait");
+    const sim::Tick warmup = sim::msec(args.intval("warmUp", 0));
+    // 1e9 s keeps every tick count far from int64 overflow.
+    const sim::Tick duration = sim::sec(args.dbl("duration", 0, 1e9));
 
     workload::InferenceProcess proc(board, sched, gpu, net, cfg);
     if (!proc.deploy()) {
@@ -122,11 +125,11 @@ main(int argc, char **argv)
     jstats.start();
 
     proc.start();
-    eq.runUntil(sim::msec(args.intval("warmUp")));
+    eq.runUntil(warmup);
     proc.beginMeasurement();
     jstats.reset();
     profile.clear();
-    eq.runUntil(eq.now() + sim::sec(args.dbl("duration")));
+    eq.runUntil(eq.now() + duration);
     proc.endMeasurement();
     proc.stopEnqueue();
 
