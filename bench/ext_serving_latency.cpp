@@ -16,7 +16,7 @@
 #include "gpu/engine.hh"
 #include "models/zoo.hh"
 #include "sim/logging.hh"
-#include "workload/serving_process.hh"
+#include "workload/inference_process.hh"
 
 using namespace jetsim;
 
@@ -41,11 +41,12 @@ run(const std::string &device, double rate)
     gpu::GpuEngine gpu(board);
     const auto net = models::yolov8n();
 
-    workload::ServingConfig cfg;
+    workload::ProcessConfig cfg;
     cfg.name = "srv";
     cfg.build.precision = soc::Precision::Int8;
     cfg.arrival_rate = rate;
-    workload::ServingProcess p(board, sched, gpu, net, cfg);
+    cfg.spin_wait = false;
+    workload::InferenceProcess p(board, sched, gpu, net, cfg);
     if (!p.deploy())
         sim::fatal("deploy failed");
     p.start();
@@ -56,17 +57,17 @@ run(const std::string &device, double rate)
                               : sim::sec(4);
     eq.runUntil(eq.now() + dur);
     p.endMeasurement();
-    p.stopArrivals();
+    p.stopEnqueue();
 
     Point pt;
     pt.offered = rate;
-    pt.achieved = p.achievedThroughput();
-    pt.p50_ms = p.requestLatency().empty()
+    pt.achieved = p.throughput();
+    pt.p50_ms = p.latencyCdf().empty()
                     ? 0.0
-                    : p.requestLatency().median() / 1e6;
-    pt.p99_ms = p.requestLatency().empty()
+                    : p.latencyCdf().median() / 1e6;
+    pt.p99_ms = p.latencyCdf().empty()
                     ? 0.0
-                    : p.requestLatency().quantile(0.99) / 1e6;
+                    : p.latencyCdf().quantile(0.99) / 1e6;
     pt.max_queue = p.maxQueueDepth();
     return pt;
 }

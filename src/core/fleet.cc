@@ -16,7 +16,7 @@
 #include "soc/board.hh"
 #include "soc/device_spec.hh"
 #include "soc/shard_map.hh"
-#include "workload/serving_process.hh"
+#include "workload/inference_process.hh"
 
 namespace jetsim::core {
 
@@ -71,20 +71,19 @@ struct Node
         : board(soc::deviceByName(d.device), eq, seed), sched(board),
           gpu(board), net(models::modelByName(d.model))
     {
-        workload::ServingConfig cfg;
-        cfg.name = "srv"; // per-fleet index appended by caller
-        cfg.build.precision = d.precision;
-        cfg.build.batch = d.batch;
-        cfg.arrival_rate = d.local_rate; // 0 = balancer-fed only
-        srv_cfg = cfg;
+        srv_cfg.name = "srv"; // per-fleet index appended by caller
+        srv_cfg.build.precision = d.precision;
+        srv_cfg.build.batch = d.batch;
+        srv_cfg.arrival_rate = d.local_rate; // 0 = balancer-fed only
+        srv_cfg.spin_wait = false;           // servers block in sync
     }
 
     soc::Board board;
     cpu::OsScheduler sched;
     gpu::GpuEngine gpu;
     graph::Network net;
-    workload::ServingConfig srv_cfg;
-    std::unique_ptr<workload::ServingProcess> srv;
+    workload::ProcessConfig srv_cfg;
+    std::unique_ptr<workload::InferenceProcess> srv;
 };
 
 /**
@@ -116,7 +115,7 @@ struct Balancer
      * (never indexed in flat mode). Immutable during the run. */
     std::vector<int> sub_ports;
     /** (dst shard, server), in device order — the round-robin ring. */
-    std::vector<std::pair<int, workload::ServingProcess *>> targets;
+    std::vector<std::pair<int, workload::InferenceProcess *>> targets;
     std::size_t next = 0;
     bool measuring = false;
     bool stopped = false;
@@ -216,7 +215,7 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
             spec.seed * 1000003 + static_cast<std::uint64_t>(d));
         node->board.start();
         node->srv_cfg.name = "srv" + std::to_string(d);
-        node->srv = std::make_unique<workload::ServingProcess>(
+        node->srv = std::make_unique<workload::InferenceProcess>(
             node->board, node->sched, node->gpu, node->net,
             node->srv_cfg);
         if (!node->srv->deploy())
@@ -272,7 +271,7 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
     bal.stopped = true;
     for (auto &node : nodes) {
         node->srv->endMeasurement();
-        node->srv->stopArrivals();
+        node->srv->stopEnqueue();
     }
 
     // Per-device leaf accumulators merged by a deterministic
@@ -292,9 +291,9 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
         r.deployed = srv.deployed();
         if (r.deployed) {
             r.arrived = srv.arrived();
-            r.served = srv.served();
-            r.throughput = srv.achievedThroughput();
-            const auto &lat = srv.requestLatency();
+            r.served = srv.imagesCompleted();
+            r.throughput = srv.throughput();
+            const auto &lat = srv.latencyCdf();
             if (!lat.empty()) {
                 r.p50_ms = sim::toMsec(
                     static_cast<sim::Tick>(lat.quantile(0.5)));

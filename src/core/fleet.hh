@@ -4,10 +4,13 @@
  * sharded event core.
  *
  * A FleetSpec describes a heterogeneous fleet of simulated Jetson
- * boards, each running one open-loop inference server
- * (workload::ServingProcess), plus a central load balancer that
- * receives fleet-wide Poisson traffic and dispatches requests
- * round-robin over the boards with a fixed network latency. The
+ * boards, each running one inference server: a
+ * workload::InferenceProcess whose request source is the open loop
+ * (the same process class runs the paper's trtexec closed loop). Its
+ * requests come from the central load balancer, which receives
+ * fleet-wide Poisson traffic and dispatches requests round-robin over
+ * the boards with a fixed network latency, and optionally from a
+ * local Poisson generator (FleetDevice::local_rate). The
  * dispatch hop is the *only* cross-device edge, which makes it the
  * sharded engine's lookahead: with K shards (soc::ShardMap placement)
  * the per-device event streams run in parallel between balancer

@@ -1,6 +1,7 @@
 #include "workload/inference_process.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/logging.hh"
 
@@ -12,9 +13,13 @@ InferenceProcess::InferenceProcess(soc::Board &board,
                                    const graph::Network &net,
                                    ProcessConfig cfg)
     : board_(board), gpu_(gpu), net_(net), cfg_(std::move(cfg)),
-      rng_(board.rng().fork("proc-" + cfg_.name)),
+      // One RNG stream name per request source ("proc-" closed,
+      // "serve-" open): the recorded golden digests depend on it.
+      rng_(board.rng().fork((cfg_.arrival_rate ? "serve-" : "proc-") +
+                            cfg_.name)),
       thread_(sched.createThread(cfg_.name, /*big=*/true))
 {
+    JETSIM_ASSERT(cfg_.arrival_rate.value_or(0.0) >= 0.0);
 }
 
 bool
@@ -50,8 +55,68 @@ void
 InferenceProcess::start()
 {
     JETSIM_ASSERT(deployed_);
-    board_.eq().scheduleIn(cfg_.start_offset,
-                           [this] { prepAndEnqueue(); });
+    if (!openLoop())
+        board_.eq().scheduleIn(cfg_.start_offset, [this] { kick(); });
+    else if (*cfg_.arrival_rate > 0.0)
+        scheduleArrival();
+}
+
+void
+InferenceProcess::scheduleArrival()
+{
+    // Poisson process: exponential inter-arrival times.
+    const double mean_ns = 1e9 / *cfg_.arrival_rate;
+    double u = rng_.uniform();
+    if (u < 1e-12)
+        u = 1e-12;
+    const auto gap =
+        static_cast<sim::Tick>(-mean_ns * std::log(u)) + 1;
+    board_.eq().scheduleIn(gap, [this] { onArrival(); });
+}
+
+void
+InferenceProcess::onArrival()
+{
+    if (stopped_)
+        return;
+    scheduleArrival();
+    injectArrival(board_.eq().now());
+}
+
+void
+InferenceProcess::injectArrival(sim::Tick origin)
+{
+    JETSIM_ASSERT(openLoop());
+    if (stopped_)
+        return;
+    JETSIM_ASSERT(deployed_);
+    JETSIM_ASSERT(origin <= board_.eq().now());
+    ++arrived_;
+    // Queue the *origin* tick: the request's latency clock started at
+    // the balancer, so the dispatch hop is part of what it waited.
+    queue_.push_back(origin);
+    max_queue_ = std::max(max_queue_, queue_.size());
+    kick();
+}
+
+bool
+InferenceProcess::hasWork() const
+{
+    if (cfg_.max_ecs != 0 && launched_ >= cfg_.max_ecs)
+        return false;
+    // A closed loop always has a batch ready; an open loop has work
+    // while requests are queued, and drains them after a stop.
+    return openLoop() ? !queue_.empty() : !stopped_;
+}
+
+void
+InferenceProcess::kick()
+{
+    // A running cycle picks up new work by itself.
+    if (cycling_ || !hasWork())
+        return;
+    cycling_ = true;
+    prepAndEnqueue();
 }
 
 // The loop is trtexec's strict single-thread sequence:
@@ -63,8 +128,6 @@ InferenceProcess::start()
 void
 InferenceProcess::prepAndEnqueue()
 {
-    if (stopped_ || launchBoundReached())
-        return;
     // Bounded draw: prep stays within the sim::kLognormalEnvelope
     // band, which is what src/absint's CPU-side upper bounds assume.
     const auto prep = static_cast<sim::Tick>(rng_.lognormalBounded(
@@ -79,36 +142,43 @@ InferenceProcess::enqueueOne()
     // cuts the loop at the same EC index in every interleaving.
     ++launched_;
     auto slot = std::make_shared<Slot>();
+    // An open loop's EC carries up to `batch` queued requests (a
+    // closed loop's queue is always empty).
+    const auto take = std::min(
+        static_cast<std::size_t>(cfg_.build.batch), queue_.size());
+    for (std::size_t i = 0; i < take; ++i) {
+        slot->arrivals.push_back(queue_.front());
+        queue_.pop_front();
+    }
     pending_.push_back(slot);
     ctx_->enqueue(
         [this, slot](const trt::EcRecord &rec) {
             slot->rec = rec;
             slot->gpu_done = true;
-            recordEc(rec);
+            recordEc(*slot);
             if (waiting_on_ == slot) {
                 // The thread is blocked in cudaStreamSynchronize on
                 // this EC: wake it (the wait is the paper's B_l).
                 waiting_on_.reset();
                 thread_->exec(board_.spec().runtime.sync_cpu_cost,
-                              [this, begin = sync_begin_] {
-                                  syncReturn(begin);
-                              });
+                              [this] { syncReturn(); });
             }
         },
-        [this] { afterEnqueue(); });
+        [this] { next(); });
 }
 
 void
-InferenceProcess::afterEnqueue()
+InferenceProcess::next()
 {
-    // Fill the pipeline to 1 + pre_enqueue ECs, then block on the
-    // oldest one.
-    if (!stopped_ && !launchBoundReached() &&
-        pending_.size() < static_cast<std::size_t>(1 + cfg_.pre_enqueue)) {
+    // Fill the pipeline to 1 + pre_enqueue ECs while there is work,
+    // then block on the oldest one; with nothing in flight, go idle.
+    if (hasWork() &&
+        pending_.size() < static_cast<std::size_t>(1 + cfg_.pre_enqueue))
         prepAndEnqueue();
-        return;
-    }
-    syncFront();
+    else if (!pending_.empty())
+        syncFront();
+    else
+        cycling_ = false;
 }
 
 void
@@ -120,7 +190,7 @@ InferenceProcess::syncFront()
     if (slot->gpu_done) {
         // Already complete: the sync call returns after its CPU cost.
         thread_->exec(board_.spec().runtime.sync_cpu_cost,
-                      [this, begin = sync_begin_] { syncReturn(begin); });
+                      [this] { syncReturn(); });
     } else if (cfg_.spin_wait) {
         spinWait();
     } else {
@@ -139,51 +209,48 @@ InferenceProcess::spinWait()
     thread_->exec(cfg_.spin_chunk, [this] {
         JETSIM_ASSERT(!pending_.empty());
         if (pending_.front()->gpu_done)
-            syncReturn(sync_begin_);
+            syncReturn();
         else
             spinWait();
     });
 }
 
 void
-InferenceProcess::syncReturn(sim::Tick sync_begin)
+InferenceProcess::syncReturn()
 {
     JETSIM_ASSERT(!pending_.empty());
-    const sim::Tick now = board_.eq().now();
     if (measuring_) {
-        sync_span_.sample(static_cast<double>(now - sync_begin));
+        const sim::Tick now = board_.eq().now();
+        sync_span_.sample(static_cast<double>(now - sync_begin_));
         const sim::Tick done = pending_.front()->rec.gpu_done;
         blocked_.sample(
             static_cast<double>(std::max<sim::Tick>(0, now - done)));
     }
     pending_.pop_front();
-    if (stopped_)
-        return;
-    if (launchBoundReached()) {
-        // Closed workload: no new ECs, but the tail of the pipeline
-        // still gets its cudaStreamSynchronize calls so the process
-        // quiesces cleanly.
-        if (!pending_.empty())
-            syncFront();
-        return;
-    }
-    prepAndEnqueue();
+    next();
 }
 
 void
-InferenceProcess::recordEc(const trt::EcRecord &rec)
+InferenceProcess::recordEc(const Slot &slot)
 {
     const sim::Tick now = board_.eq().now();
+    const trt::EcRecord &rec = slot.rec;
     if (measuring_) {
-        images_ += static_cast<std::uint64_t>(cfg_.build.batch);
         ++ecs_;
         ec_span_.sample(static_cast<double>(rec.span()));
-        latency_cdf_.add(static_cast<double>(rec.span()));
         enqueue_span_.sample(
             static_cast<double>(rec.enqueue_end - rec.enqueue_begin));
         launch_api_.sample(static_cast<double>(rec.launch_api_total));
         if (last_ec_done_ != sim::kTickInvalid)
             ec_period_.sample(static_cast<double>(now - last_ec_done_));
+        if (openLoop()) {
+            images_ += slot.arrivals.size();
+            for (const sim::Tick t : slot.arrivals)
+                latency_cdf_.add(static_cast<double>(rec.gpu_done - t));
+        } else {
+            images_ += static_cast<std::uint64_t>(cfg_.build.batch);
+            latency_cdf_.add(static_cast<double>(rec.span()));
+        }
     }
     last_ec_done_ = now;
 }
@@ -195,6 +262,8 @@ InferenceProcess::beginMeasurement()
     window_start_ = board_.eq().now();
     images_ = 0;
     ecs_ = 0;
+    arrived_ = 0;
+    max_queue_ = queue_.size();
     ec_span_.reset();
     ec_period_.reset();
     enqueue_span_.reset();

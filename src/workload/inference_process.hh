@@ -1,18 +1,27 @@
 /**
  * @file
- * One concurrent inference process (the trtexec analogue).
+ * One concurrent inference process.
  *
  * A process owns an engine built for its precision/batch, a CUDA
  * stream, an enqueue thread on the big CPU cluster, and its device
- * memory (CUDA runtime overhead + engine footprint). The run loop
- * follows trtexec's discipline: one batch is pre-enqueued so the GPU
- * never idles on host-side preprocessing — the paper notes this makes
- * measured throughput an upper bound, and ablation A1 quantifies it.
+ * memory (CUDA runtime overhead + engine footprint). The thread runs
+ * one EC loop: prep -> enqueue -> fill the pipeline to
+ * 1 + pre_enqueue ECs -> sync the oldest. Only the request source
+ * differs between the two operating points the paper's intro cares
+ * about (ProcessConfig::arrival_rate):
  *
- * Loop (steady state, pre_enqueue = 1):
- *   GPU executes EC_i while EC_{i+1} sits in the stream; when EC_i
- *   completes, the thread wakes (sync return, paying B_l), performs
- *   host prep, and enqueues EC_{i+2}.
+ *  - Closed loop (trtexec, the paper's capacity measurement): a full
+ *    batch is always ready and one batch is pre-enqueued, so the GPU
+ *    never idles on host-side prep. The paper notes this makes the
+ *    measured throughput an upper bound; ablation A1 quantifies it.
+ *    Steady state at pre_enqueue = 1: the GPU executes EC_i while
+ *    EC_{i+1} sits in the stream; when EC_i completes, the thread
+ *    wakes (sync return, paying B_l), preps, and enqueues EC_{i+2}.
+ *  - Open loop (serving, an extension beyond the paper): requests
+ *    arrive on their own clock into a FIFO, and latency under
+ *    queueing is the QoS metric. A fixed-batch engine serves up to
+ *    `batch` queued requests per EC; a short batch is padded, as real
+ *    fixed-shape TensorRT engines do.
  */
 
 #ifndef JETSIM_WORKLOAD_INFERENCE_PROCESS_HH
@@ -22,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cpu/scheduler.hh"
 #include "cuda/device_buffer.hh"
@@ -39,18 +49,26 @@ struct ProcessConfig
 {
     std::string name = "proc";
     trt::BuilderConfig build;
+    /**
+     * The request source. Empty: trtexec's closed loop, a full batch
+     * is always ready. A rate in images/s: open-loop Poisson arrivals
+     * into a FIFO. 0: an open loop fed only by injectArrival(), the
+     * fleet balancer's cross-shard dispatch path.
+     */
+    std::optional<double> arrival_rate;
     /** Extra ECs kept in flight beyond the executing one. */
     int pre_enqueue = 1;
     /** Host-side per-EC work (input prep, bindings, bookkeeping). */
     sim::Tick prep_cost = sim::usec(450);
-    /** Stagger offset before the loop starts. */
+    /** Stagger offset before a closed loop starts. */
     sim::Tick start_offset = 0;
     /**
      * Busy-spin in cudaStreamSynchronize (trtexec's low-latency sync
      * mode). Spinning threads occupy CPU cores, so once processes
      * outnumber the heavy-load cores the OS time-shares them and
      * completion detection is deferred — the paper's blocking
-     * mechanism (S7). false = blocking sync (yield until woken).
+     * mechanism (S7). false = blocking sync (yield until woken), what
+     * servers typically use.
      */
     bool spin_wait = true;
     /** Spin-loop polling granularity. */
@@ -86,10 +104,21 @@ class InferenceProcess
 
     bool deployed() const { return deployed_; }
 
-    /** Begin the inference loop (after deploy()). */
+    /** Begin the loop, or the arrivals of an open loop (after
+     * deploy()). */
     void start();
 
-    /** Let in-flight ECs finish but enqueue no new ones. */
+    /**
+     * Externally injected request (open loop only; the fleet
+     * balancer's cross-shard dispatch). @p origin is the tick the
+     * request entered the system — at the balancer, before the
+     * dispatch hop — so request latency includes the network leg.
+     * Dropped after stopEnqueue(), like locally generated arrivals.
+     */
+    void injectArrival(sim::Tick origin);
+
+    /** Accept no new requests; every accepted EC still finishes and
+     * is synced. */
     void stopEnqueue() { stopped_ = true; }
 
     /** Zero all measurement state (end of warm-up). */
@@ -101,10 +130,16 @@ class InferenceProcess
     /** @name Results (valid after endMeasurement)
      * @{ */
     double throughput() const; ///< images/s over the window
+    /** Images whose EC completed in the window: `batch` per
+     * closed-loop EC, the requests it carried per open-loop EC. */
     std::uint64_t imagesCompleted() const { return images_; }
     std::uint64_t ecsCompleted() const { return ecs_; }
     /** Lifetime ECs enqueued (not reset by beginMeasurement). */
     std::uint64_t ecsLaunched() const { return launched_; }
+    /** Open-loop requests accepted in the window. */
+    std::uint64_t arrived() const { return arrived_; }
+    /** Largest open-loop backlog observed during the window. */
+    std::size_t maxQueueDepth() const { return max_queue_; }
     /** Pipeline span: enqueue begin to GPU done (includes queueing
      * behind the pre-enqueued EC). */
     const sim::Accumulator &ecSpan() const { return ec_span_; }
@@ -116,8 +151,9 @@ class InferenceProcess
     const sim::Accumulator &syncSpan() const { return sync_span_; }
     /** Per-EC blocking B_l: GPU completion to CPU-side detection. */
     const sim::Accumulator &blockedTime() const { return blocked_; }
-    /** Per-EC latency samples (pipeline spans, ns) for percentile
-     * reporting a la trtexec. */
+    /** Latency samples (ns) for percentile reporting: one pipeline
+     * span per closed-loop EC, a la trtexec, and one arrival-to-GPU-
+     * done time per open-loop request. */
     const prof::Cdf &latencyCdf() const { return latency_cdf_; }
     /** @} */
 
@@ -134,20 +170,22 @@ class InferenceProcess
     {
         bool gpu_done = false;
         trt::EcRecord rec;
+        std::vector<sim::Tick> arrivals; ///< open-loop requests served
     };
 
-    bool launchBoundReached() const
-    {
-        return cfg_.max_ecs != 0 && launched_ >= cfg_.max_ecs;
-    }
+    bool openLoop() const { return cfg_.arrival_rate.has_value(); }
+    bool hasWork() const;
 
+    void scheduleArrival();
+    void onArrival();
+    void kick();
     void prepAndEnqueue();
     void enqueueOne();
-    void afterEnqueue();
+    void next();
     void syncFront();
     void spinWait();
-    void syncReturn(sim::Tick sync_begin);
-    void recordEc(const trt::EcRecord &rec);
+    void syncReturn();
+    void recordEc(const Slot &slot);
 
     soc::Board &board_;
     gpu::GpuEngine &gpu_;
@@ -165,6 +203,8 @@ class InferenceProcess
     bool deployed_ = false;
     bool stopped_ = false;
     bool measuring_ = false;
+    bool cycling_ = false; ///< the thread is inside the EC loop
+    std::deque<sim::Tick> queue_; ///< open-loop request origins
     std::deque<std::shared_ptr<Slot>> pending_;
     std::shared_ptr<Slot> waiting_on_;
     sim::Tick sync_begin_ = 0;
@@ -175,6 +215,8 @@ class InferenceProcess
     std::uint64_t images_ = 0;
     std::uint64_t ecs_ = 0;
     std::uint64_t launched_ = 0;
+    std::uint64_t arrived_ = 0;
+    std::size_t max_queue_ = 0;
     sim::Accumulator ec_span_;
     sim::Accumulator ec_period_;
     sim::Accumulator enqueue_span_;

@@ -1,156 +1,20 @@
 /**
  * @file
- * Open-loop inference serving (extension beyond the paper).
- *
- * trtexec measures *capacity*: a closed loop that always has a batch
- * ready. Deployments face *load*: requests arrive on their own clock
- * and latency under queueing is the QoS metric. ServingProcess
- * models a single-tenant server: Poisson arrivals, a FIFO request
- * queue, fixed-batch engines (partially filled batches are padded,
- * as real fixed-shape TensorRT engines do), and per-request latency
- * from arrival to GPU completion.
- *
- * Together with the closed-loop InferenceProcess this spans both
- * operating points the paper's intro cares about: the offline
- * capacity bound and the online latency curve a capacity planner
- * actually needs.
+ * Former names of the open-loop server, which is an InferenceProcess
+ * whose ProcessConfig::arrival_rate is set. Only the benchmark harness
+ * (perfbench/src/traced.cc) still includes this header and uses these
+ * names; everything else uses workload/inference_process.hh.
  */
 
 #ifndef JETSIM_WORKLOAD_SERVING_PROCESS_HH
 #define JETSIM_WORKLOAD_SERVING_PROCESS_HH
 
-#include <deque>
-#include <memory>
-#include <optional>
-#include <string>
-
-#include "cpu/scheduler.hh"
-#include "cuda/device_buffer.hh"
-#include "cuda/stream.hh"
-#include "graph/network.hh"
-#include "prof/cdf.hh"
-#include "sim/rng.hh"
-#include "trt/builder.hh"
-#include "trt/execution_context.hh"
+#include "workload/inference_process.hh"
 
 namespace jetsim::workload {
 
-/** Open-loop server configuration. */
-struct ServingConfig
-{
-    std::string name = "server";
-    trt::BuilderConfig build;
-    /** Offered load in images/s (Poisson arrivals). 0 disables the
-     * local generator: requests then come only from injectArrival()
-     * — the fleet balancer's cross-shard dispatch path. */
-    double arrival_rate = 100.0;
-    /** Extra ECs kept in flight beyond the executing one. */
-    int pre_enqueue = 1;
-    /** Host-side per-EC work. */
-    sim::Tick prep_cost = sim::usec(450);
-    /** Servers typically use blocking sync; spin optional. */
-    bool spin_wait = false;
-    sim::Tick spin_chunk = sim::usec(150);
-};
-
-/** One inference server on a board. */
-class ServingProcess
-{
-  public:
-    ServingProcess(soc::Board &board, cpu::OsScheduler &sched,
-                   gpu::GpuEngine &gpu, const graph::Network &net,
-                   ServingConfig cfg);
-
-    ServingProcess(const ServingProcess &) = delete;
-    ServingProcess &operator=(const ServingProcess &) = delete;
-
-    /** Build the engine and pin device memory; false on OOM. */
-    bool deploy();
-
-    bool deployed() const { return deployed_; }
-
-    /** Begin arrivals and the serving loop. */
-    void start();
-
-    /**
-     * Externally injected request (the fleet balancer's cross-shard
-     * dispatch). @p origin is the tick the request entered the
-     * system — at the balancer, before the dispatch hop — so request
-     * latency includes the network leg. Dropped after
-     * stopArrivals(), like locally generated arrivals.
-     */
-    void injectArrival(sim::Tick origin);
-
-    /** Stop generating arrivals (in-flight work drains). */
-    void stopArrivals() { stopped_ = true; }
-
-    /** Zero measurement state (end of warm-up). */
-    void beginMeasurement();
-
-    /** Freeze the measurement window. */
-    void endMeasurement();
-
-    /** @name Results
-     * @{ */
-    /** Served images/s over the window. */
-    double achievedThroughput() const;
-    double offeredLoad() const { return cfg_.arrival_rate; }
-    /** Per-request latency samples (arrival to completion, ns). */
-    const prof::Cdf &requestLatency() const { return latency_; }
-    std::uint64_t served() const { return served_; }
-    std::uint64_t arrived() const { return arrived_; }
-    /** Largest backlog observed during the window. */
-    std::size_t maxQueueDepth() const { return max_queue_; }
-    /** @} */
-
-    const trt::Engine &engine() const;
-
-  private:
-    struct Slot
-    {
-        bool gpu_done = false;
-        std::vector<sim::Tick> arrivals; ///< requests in this EC
-    };
-
-    void scheduleArrival();
-    void onArrival();
-    void kick();
-    void prepAndEnqueue();
-    void enqueueOne();
-    void afterEnqueue();
-    void syncFront();
-    void spinWait();
-    void syncReturn();
-
-    soc::Board &board_;
-    gpu::GpuEngine &gpu_;
-    graph::Network net_;
-    ServingConfig cfg_;
-    sim::Rng rng_;
-
-    cpu::Thread *thread_;
-    std::optional<trt::Engine> engine_;
-    std::optional<cuda::Stream> stream_;
-    std::optional<trt::ExecutionContext> ctx_;
-    std::optional<cuda::DeviceBuffer> runtime_mem_;
-    std::optional<cuda::DeviceBuffer> engine_mem_;
-
-    bool deployed_ = false;
-    bool stopped_ = false;
-    bool measuring_ = false;
-    bool cycling_ = false; ///< the thread is inside the serve cycle
-
-    std::deque<sim::Tick> queue_; ///< pending request arrival times
-    std::deque<std::shared_ptr<Slot>> pending_;
-    std::shared_ptr<Slot> waiting_on_;
-
-    sim::Tick window_start_ = 0;
-    sim::Tick window_end_ = 0;
-    std::uint64_t served_ = 0;
-    std::uint64_t arrived_ = 0;
-    std::size_t max_queue_ = 0;
-    prof::Cdf latency_;
-};
+using ServingConfig = ProcessConfig;
+using ServingProcess = InferenceProcess;
 
 } // namespace jetsim::workload
 

@@ -21,6 +21,7 @@ parser()
     p.add("rate", "2.5", "a double");
     p.add("verbose", "false", "a boolean switch");
     p.add("list", "1,2,4", "an int list");
+    p.add("precision", "fp16", "a precision name");
     return p;
 }
 
@@ -141,14 +142,36 @@ TEST(ArgParse, MalformedNumbersExitNamingTheFlag)
                 "--list: '' is not an integer");
 
     auto q = parser();
-    ASSERT_TRUE(parse(q, std::array<const char *, 3>{
-                             "test", "--batch=0", "--rate=-0.5"}));
+    ASSERT_TRUE(parse(q, std::array<const char *, 4>{
+                             "test", "--batch=0", "--rate=-0.5",
+                             "--list=1,0"}));
     EXPECT_EXIT(q.intval("batch", 1), user_error,
                 "--batch: '0' is not an integer in \\[1, ");
     EXPECT_EXIT(q.dbl("rate", 0.0, 1.0), user_error,
                 "--rate: '-0.5' is not a number in \\[0, 1\\]");
+    EXPECT_EXIT(q.intlist("list", 1), user_error,
+                "--list: '0' is not an integer in \\[1, ");
     EXPECT_EQ(q.intval("batch", 0), 0);
     EXPECT_EQ(q.dbl("rate", -1.0, 0.0), -0.5);
+    EXPECT_EQ(q.intlist("list", 0), (std::vector<int>{1, 0}));
+}
+
+TEST(ArgParse, ChoicesOutsideTheirSetExitNamingTheFlag)
+{
+    auto p = parser();
+    ASSERT_TRUE(parse(p, std::array<const char *, 3>{
+                             "test", "--model=vgg16", "--precision=bf16"}));
+    const auto user_error = testing::ExitedWithCode(1);
+    EXPECT_EXIT(p.choice("model", {"resnet50", "yolov8n"}), user_error,
+                "--model: 'vgg16' is not one of resnet50, yolov8n");
+    EXPECT_EXIT(p.precision("precision"), user_error,
+                "--precision: 'bf16' is not one of int8, fp16, tf32, "
+                "fp32");
+
+    auto q = parser();
+    ASSERT_TRUE(parse(q, std::array<const char *, 1>{"test"}));
+    EXPECT_EQ(q.choice("model", {"yolov8n", "resnet50"}), "resnet50");
+    EXPECT_EQ(q.precision("precision"), soc::Precision::Fp16);
 }
 
 } // namespace

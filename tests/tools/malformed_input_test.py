@@ -8,7 +8,8 @@ the flag) and the offending field, and no "panic" or "terminate" in
 the output (those mean a simulator bug or an uncaught exception). As
 a control, the committed good replay file must still replay cleanly.
 
-    malformed_input_test.py --simcheck PATH --trtexec PATH
+    malformed_input_test.py --simcheck PATH --trtexec PATH \
+        --jetprof PATH --netinfo PATH --jetmc PATH
 
 ctest runs it in every build, so tools/ci.sh runs it both plain
 (pass 1) and under ASan/UBSan (pass 2).
@@ -87,6 +88,9 @@ FLAGS = [
     ("trtexec", ["--duration=nan"], "--duration"),
     ("trtexec", ["--warmUp=1.5"], "--warmUp"),
     ("trtexec", ["--preEnqueue=-2"], "--preEnqueue"),
+    ("trtexec", ["--precision=int4"], "--precision"),
+    ("trtexec", ["--model=vgg16"], "--model"),
+    ("trtexec", ["--device=tx2"], "--device"),
     ("simcheck", ["--seeds=abc"], "--seeds"),
     ("simcheck", ["--seeds=-1"], "--seeds"),
     ("simcheck", ["--seeds=99999999999999999999"], "--seeds"),
@@ -95,6 +99,30 @@ FLAGS = [
     ("simcheck", ["--duration=-0.5"], "--duration"),
     ("simcheck", ["--runs=2x"], "--runs"),
     ("simcheck", ["--fleet-scaling=fast"], "--fleet-scaling"),
+    ("simcheck", ["--phase=medium"], "--phase"),
+    ("simcheck", ["--precision=int4"], "--precision"),
+    ("simcheck", ["--model=vgg16"], "--model"),
+    ("simcheck", ["--device=tx2"], "--device"),
+    ("jetprof", ["--batch=0"], "--batch"),
+    ("jetprof", ["--procs=0"], "--procs"),
+    ("jetprof", ["--mode=sweep", "--batches=0"], "--batches"),
+    ("jetprof", ["--mode=sweep", "--batches=1,-2"], "--batches"),
+    ("jetprof", ["--mode=sweep", "--procs-list=0"], "--procs-list"),
+    ("jetprof", ["--mode=sweep", "--threads=-1"], "--threads"),
+    ("jetprof", ["--duration=-1"], "--duration"),
+    ("jetprof", ["--warmup=-5"], "--warmup"),
+    ("jetprof", ["--phase=medium"], "--phase"),
+    ("jetprof", ["--precision=int4"], "--precision"),
+    ("jetprof", ["--model=vgg16"], "--model"),
+    ("jetprof", ["--device=tx2"], "--device"),
+    ("netinfo", ["--batch=0"], "--batch"),
+    ("netinfo", ["--precision=bf16"], "--precision"),
+    ("netinfo", ["--model=vgg16"], "--model"),
+    ("netinfo", ["--device=tx2"], "--device"),
+    ("jetmc", ["--max-ecs=0"], "--max-ecs"),
+    ("jetmc", ["--precision=int4"], "--precision"),
+    ("jetmc", ["--model=vgg16"], "--model"),
+    ("jetmc", ["--device=tx2"], "--device"),
 ]
 
 TOOLS = {}
@@ -156,9 +184,8 @@ class MalformedInput(unittest.TestCase):
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    ap.add_argument("--simcheck", required=True)
-    ap.add_argument("--trtexec", required=True)
+    for tool in ("simcheck", "trtexec", "jetprof", "netinfo", "jetmc"):
+        ap.add_argument("--" + tool, required=True)
     args, rest = ap.parse_known_args()
-    TOOLS["simcheck"] = args.simcheck
-    TOOLS["trtexec"] = args.trtexec
+    TOOLS.update(vars(args))
     unittest.main(argv=[sys.argv[0]] + rest)

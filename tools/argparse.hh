@@ -4,13 +4,15 @@
  *
  * Supports `--flag=value`, `--flag value` and boolean `--flag`
  * switches, with typed accessors, defaults, and generated help. A
- * numeric accessor on a value that is not wholly a number in range
- * is a user error: fatal() naming the flag, exit 1.
+ * numeric accessor on a value that is not wholly a number in range,
+ * or a choice accessor on a value outside its set, is a user error:
+ * fatal() naming the flag, exit 1.
  */
 
 #ifndef JETSIM_TOOLS_ARGPARSE_HH
 #define JETSIM_TOOLS_ARGPARSE_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +23,7 @@
 
 #include "core/json.hh"
 #include "sim/logging.hh"
+#include "soc/precision.hh"
 
 namespace jetsim::tools {
 
@@ -123,9 +126,11 @@ class ArgParser
         return v == "true" || v == "1" || v == "yes" || v == "on";
     }
 
-    /** Comma-separated integer list ("1,2,4" -> {1,2,4}). */
+    /** Comma-separated integer list ("1,2,4" -> {1,2,4}), each item
+     * at least @p lo. */
     std::vector<int>
-    intlist(const std::string &name) const
+    intlist(const std::string &name,
+            int lo = std::numeric_limits<int>::min()) const
     {
         std::vector<int> out;
         const std::string v = str(name);
@@ -135,11 +140,39 @@ class ArgParser
             const auto end =
                 comma == std::string::npos ? v.size() : comma;
             out.push_back(number<int>(name, v.substr(pos, end - pos),
-                                      std::numeric_limits<int>::min(),
+                                      lo,
                                       std::numeric_limits<int>::max()));
             pos = end + 1;
         }
         return out;
+    }
+
+    /** Value that is one of @p allowed. */
+    std::string
+    choice(const std::string &name,
+           const std::vector<std::string> &allowed) const
+    {
+        const std::string v = str(name);
+        if (std::find(allowed.begin(), allowed.end(), v) ==
+            allowed.end()) {
+            std::string list;
+            for (const auto &a : allowed)
+                list += (list.empty() ? "" : ", ") + a;
+            sim::fatal("%s: --%s: '%s' is not one of %s",
+                       program_.c_str(), name.c_str(), v.c_str(),
+                       list.c_str());
+        }
+        return v;
+    }
+
+    /** Value as a precision name ("int8", "fp16", "tf32", "fp32"). */
+    soc::Precision
+    precision(const std::string &name) const
+    {
+        std::vector<std::string> names;
+        for (const auto p : soc::kAllPrecisions)
+            names.emplace_back(soc::name(p));
+        return soc::precisionFromName(choice(name, names));
     }
 
     /** True when the user supplied the flag explicitly. */

@@ -15,9 +15,9 @@
 # Pass 1 also runs a perf smoke (1c): the event-core microbenchmarks
 # at short min-time — not for numbers (CI hosts are noisy) but so a
 # perf-path assert/regression that only triggers at benchmark volume
-# fails CI — plus the golden-digest runner tests, which prove the
-# pooled event core still dispatches in the bit-identical order the
-# committed digests were recorded from, the sharded fleet goldens
+# fails CI — plus the golden-digest tests (parallel runner equal to
+# serial, and the inference loop equal to its committed literal
+# digests), the sharded fleet goldens
 # (GOLDEN_fleet.json at shards 1, 4 and 16, including a 256-board
 # hierarchical config), a replay of the committed replay file
 # tests/data/fleet_replay_golden0.json, the sharded scaling smoke
@@ -114,11 +114,12 @@ if [ "$run_plain" = 1 ]; then
     # Steady-state schedule path must stay allocation-free: any
     # InlineFn capture outgrowing the inline buffer fails here.
     "$repo/build-ci/plain/bench/micro_sim" --assert-sbo
-    # Golden digests: the pooled event core must dispatch in the
-    # bit-identical order the committed serial digests encode, on
-    # both boards and across runner thread counts.
+    # Golden digests: RunnerGolden proves runner threads=2 and 8
+    # bit-identical to threads=1 on both boards (a self-comparison in
+    # one process); ProcessGolden pins the inference loop's digests
+    # to literal values recorded in tests/core/process_golden_test.cc.
     "$repo/build-ci/plain/tests/runner_tests" \
-        --gtest_filter='BothBoards/RunnerGolden.*' \
+        --gtest_filter='BothBoards/RunnerGolden.*:ProcessGolden.*' \
         --gtest_brief=1
     # Sharded golden digests: the fleet suite (including the
     # 256-board hierarchical config) re-run at shards 1, 4 and 16

@@ -38,6 +38,7 @@
 #include "mc/explorer.hh"
 #include "mc/toylock.hh"
 #include "models/zoo.hh"
+#include "soc/device_spec.hh"
 
 using namespace jetsim;
 
@@ -319,7 +320,8 @@ main(int argc, char **argv)
             for (const auto &m : models::paperModelNames())
                 names.push_back(m);
         else
-            names.push_back(args.str("model"));
+            names.push_back(
+                args.choice("model", models::allModelNames()));
         for (const auto &m : names)
             proc_sets.push_back(std::vector<std::string>(
                 static_cast<std::size_t>(procs), m));
@@ -331,22 +333,23 @@ main(int argc, char **argv)
         static_cast<std::uint64_t>(args.intval("max-runs"));
     ecfg.dpor = !args.boolean("no-dpor");
 
+    const auto device = args.choice("device", soc::deviceNames());
+    const auto precision = args.precision("precision");
     std::vector<CheckResult> results;
     bool failed = false;
     int index = 0;
     for (const auto &set : proc_sets) {
         mc::DeployConfig dc;
-        dc.device = args.str("device");
+        dc.device = device;
         dc.max_ecs =
-            static_cast<std::uint64_t>(args.intval("max-ecs"));
+            static_cast<std::uint64_t>(args.intval("max-ecs", 1));
         dc.max_events =
             static_cast<std::uint64_t>(args.intval("max-events"));
         dc.shared_buffer = args.boolean("shared-buffer");
         for (const auto &m : set) {
             mc::DeployConfig::Proc p;
             p.model = m;
-            p.precision =
-                soc::precisionFromName(args.str("precision"));
+            p.precision = precision;
             dc.procs.push_back(std::move(p));
         }
 

@@ -18,8 +18,10 @@
 #include "core/report.hh"
 #include "core/runner.hh"
 #include "core/sweep.hh"
+#include "models/zoo.hh"
 #include "prof/metrics.hh"
 #include "prof/report.hh"
+#include "soc/device_spec.hh"
 
 using namespace jetsim;
 
@@ -29,15 +31,17 @@ core::ExperimentSpec
 specFromArgs(const tools::ArgParser &args)
 {
     core::ExperimentSpec s;
-    s.device = args.str("device");
-    s.model = args.str("model");
-    s.precision = soc::precisionFromName(args.str("precision"));
-    s.batch = args.intval("batch");
-    s.processes = args.intval("procs");
-    s.phase = args.str("phase") == "deep" ? core::Phase::Deep
-                                          : core::Phase::Light;
-    s.warmup = sim::msec(args.intval("warmup"));
-    s.duration = sim::sec(args.dbl("duration"));
+    s.device = args.choice("device", soc::deviceNames());
+    s.model = args.choice("model", models::allModelNames());
+    s.precision = args.precision("precision");
+    s.batch = args.intval("batch", 1);
+    s.processes = args.intval("procs", 1);
+    s.phase = args.choice("phase", {"light", "deep"}) == "deep"
+                  ? core::Phase::Deep
+                  : core::Phase::Light;
+    s.warmup = sim::msec(args.intval("warmup", 0));
+    // 1e9 s keeps every tick count far from int64 overflow.
+    s.duration = sim::sec(args.dbl("duration", 0, 1e9));
     s.dvfs = args.boolean("dvfs");
     s.seed = static_cast<std::uint64_t>(args.intval("seed"));
     return s;
@@ -93,8 +97,8 @@ int
 runSweep(const tools::ArgParser &args)
 {
     auto base = specFromArgs(args);
-    const auto batches = args.intlist("batches");
-    const auto procs = args.intlist("procs-list");
+    const auto batches = args.intlist("batches", 1);
+    const auto procs = args.intlist("procs-list", 1);
     const bool csv = args.boolean("csv");
 
     // Same grid order as core::sweepGrid (row-major over processes),
@@ -109,7 +113,7 @@ runSweep(const tools::ArgParser &args)
             specs.push_back(base);
         }
     }
-    core::Runner runner(args.intval("threads"), args.str("cache"));
+    core::Runner runner(args.intval("threads", 0), args.str("cache"));
     const auto results =
         runner.run(specs, [](const std::string &label) {
             std::fprintf(stderr, "  running %s\n", label.c_str());

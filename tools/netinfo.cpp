@@ -19,6 +19,7 @@
 #include "argparse.hh"
 #include "models/zoo.hh"
 #include "prof/report.hh"
+#include "soc/device_spec.hh"
 #include "trt/builder.hh"
 
 using namespace jetsim;
@@ -35,23 +36,27 @@ main(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 1;
 
+    auto model_choices = models::allModelNames();
+    model_choices.push_back("all");
+    const auto model = args.choice("model", model_choices);
     if (args.boolean("dot")) {
-        const auto net = models::modelByName(args.str("model"));
+        const auto net = models::modelByName(model);
         std::fputs(net.toDot().c_str(), stdout);
         return 0;
     }
 
     std::vector<std::string> names;
-    if (args.str("model") == "all")
+    if (model == "all")
         names = models::allModelNames();
     else
-        names = {args.str("model")};
+        names = {model};
 
-    const auto dev = soc::deviceByName(args.str("device"));
+    const auto dev =
+        soc::deviceByName(args.choice("device", soc::deviceNames()));
     trt::Builder builder(dev);
     trt::BuilderConfig cfg;
-    cfg.precision = soc::precisionFromName(args.str("precision"));
-    cfg.batch = args.intval("batch");
+    cfg.precision = args.precision("precision");
+    cfg.batch = args.intval("batch", 1);
 
     prof::Table t({"model", "layers", "params (M)", "MACs (G)",
                    "kernels", "precision mix", "weights (MiB)",

@@ -681,13 +681,14 @@ main(int argc, char **argv)
     check::Reporter::instance().setMode(check::Reporter::Mode::Log);
 
     core::ExperimentSpec spec;
-    spec.device = args.str("device");
-    spec.model = args.str("model");
-    spec.precision = soc::precisionFromName(args.str("precision"));
+    spec.device = args.choice("device", soc::deviceNames());
+    spec.model = args.choice("model", models::allModelNames());
+    spec.precision = args.precision("precision");
     spec.batch = args.intval("batch", 1);
     spec.processes = args.intval("procs", 1);
-    spec.phase = args.str("phase") == "deep" ? core::Phase::Deep
-                                             : core::Phase::Light;
+    spec.phase = args.choice("phase", {"light", "deep"}) == "deep"
+                     ? core::Phase::Deep
+                     : core::Phase::Light;
     spec.warmup = sim::msec(args.intval("warmup", 0));
     // 1e9 s keeps every tick count far from int64 overflow.
     spec.duration = sim::sec(args.dbl("duration", 0, 1e9));

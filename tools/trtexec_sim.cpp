@@ -57,20 +57,21 @@ main(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 1;
 
-    soc::Precision prec =
-        soc::precisionFromName(args.str("precision"));
+    soc::Precision prec = args.precision("precision");
     if (args.boolean("int8"))
         prec = soc::Precision::Int8;
     else if (args.given("fp16") && args.boolean("fp16"))
         prec = soc::Precision::Fp16;
 
     sim::EventQueue eq;
-    soc::Board board(soc::deviceByName(args.str("device")), eq);
+    soc::Board board(
+        soc::deviceByName(args.choice("device", soc::deviceNames())), eq);
     board.start();
     cpu::OsScheduler sched(board);
     gpu::GpuEngine gpu(board);
 
-    const auto net = models::modelByName(args.str("model"));
+    const auto net =
+        models::modelByName(args.choice("model", models::allModelNames()));
 
     workload::ProcessConfig cfg;
     cfg.name = "trtexec";
