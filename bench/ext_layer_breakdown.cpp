@@ -28,7 +28,7 @@ breakdown(const std::string &model, soc::Precision prec)
     board.start();
     cpu::OsScheduler sched(board);
     gpu::GpuEngine gpu(board);
-    const auto net = models::modelByName(model);
+    const auto &net = models::modelByName(model);
 
     workload::ProcessConfig cfg;
     cfg.name = "p0";

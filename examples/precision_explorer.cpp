@@ -42,7 +42,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  running %s\n", l.c_str());
         });
 
-    const auto net = models::modelByName(base.model);
+    const auto &net = models::modelByName(base.model);
     trt::Builder builder(soc::deviceByName(base.device));
 
     prof::Table t({"precision", "img/s", "ms/img", "W", "W/img",

@@ -136,14 +136,14 @@ analyze(const core::MixedExperimentSpec &spec)
     std::vector<WorkloadInfo> infos;
     for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
         const auto &w = spec.workloads[wi];
-        const graph::Network net = models::modelByName(w.model);
-        const trt::Engine eng = trt::Builder(*dev).build(
-            net, trt::BuilderConfig{w.precision, w.batch, true});
+        const auto eng =
+            trt::sharedEngine(*dev, models::modelByName(w.model),
+                              trt::BuilderConfig{w.precision, w.batch});
         WorkloadInfo info;
-        info.kernels = static_cast<int>(eng.kernels().size());
+        info.kernels = static_cast<int>(eng->kernels().size());
         info.batch = w.batch;
-        info.engine_bytes = eng.deviceBytes();
-        for (const auto &k : eng.kernels()) {
+        info.engine_bytes = eng->deviceBytes();
+        for (const auto &k : eng->kernels()) {
             const auto t1 = cm.timing(k, 1.0, nullptr);
             const auto tmin = cm.timing(k, f_lo, nullptr);
             const double body1 =

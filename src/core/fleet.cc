@@ -69,7 +69,7 @@ struct Node
 {
     Node(const FleetDevice &d, sim::EventQueue &eq, std::uint64_t seed)
         : board(soc::deviceByName(d.device), eq, seed), sched(board),
-          gpu(board), net(models::modelByName(d.model))
+          gpu(board)
     {
         srv_cfg.name = "srv"; // per-fleet index appended by caller
         srv_cfg.build.precision = d.precision;
@@ -81,7 +81,6 @@ struct Node
     soc::Board board;
     cpu::OsScheduler sched;
     gpu::GpuEngine gpu;
-    graph::Network net;
     workload::ProcessConfig srv_cfg;
     std::unique_ptr<workload::InferenceProcess> srv;
 };
@@ -209,15 +208,15 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
     std::vector<std::unique_ptr<Node>> nodes;
     nodes.reserve(static_cast<std::size_t>(n));
     for (int d = 0; d < n; ++d) {
+        const FleetDevice &dev = spec.devices[static_cast<std::size_t>(d)];
         auto node = std::make_unique<Node>(
-            spec.devices[static_cast<std::size_t>(d)],
-            engine.shard(map.shardOf(d)),
+            dev, engine.shard(map.shardOf(d)),
             spec.seed * 1000003 + static_cast<std::uint64_t>(d));
         node->board.start();
         node->srv_cfg.name = "srv" + std::to_string(d);
         node->srv = std::make_unique<workload::InferenceProcess>(
-            node->board, node->sched, node->gpu, node->net,
-            node->srv_cfg);
+            node->board, node->sched, node->gpu,
+            models::modelByName(dev.model), node->srv_cfg);
         if (!node->srv->deploy())
             res.all_deployed = false;
         nodes.push_back(std::move(node));

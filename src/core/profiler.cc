@@ -135,12 +135,6 @@ runMixedExperiment(const MixedExperimentSpec &spec)
     gpu::GpuEngine gpu(board);
     gpu.setSpatialSharing(spec.spatial_sharing);
 
-    // One network instance per distinct model name.
-    std::vector<graph::Network> nets;
-    nets.reserve(spec.workloads.size());
-    for (const auto &w : spec.workloads)
-        nets.push_back(models::modelByName(w.model));
-
     std::vector<ProcessPlan> plans;
     int idx = 0;
     for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
@@ -163,9 +157,10 @@ runMixedExperiment(const MixedExperimentSpec &spec)
     std::vector<std::unique_ptr<workload::InferenceProcess>> procs;
     std::vector<int> proc_workload;
     for (auto &plan : plans) {
+        const auto &model =
+            spec.workloads[static_cast<std::size_t>(plan.workload)].model;
         procs.push_back(std::make_unique<workload::InferenceProcess>(
-            board, sched, gpu,
-            nets[static_cast<std::size_t>(plan.workload)],
+            board, sched, gpu, models::modelByName(model),
             std::move(plan.cfg)));
         proc_workload.push_back(plan.workload);
         if (procs.back()->deploy())

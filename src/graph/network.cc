@@ -1,12 +1,45 @@
 #include "graph/network.hh"
 
 #include <algorithm>
+#include <ranges>
+#include <type_traits>
 
 #include "core/hot_annotations.hh"
 
 #include "sim/logging.hh"
 
 namespace jetsim::graph {
+
+namespace {
+
+/**
+ * Field-list visitor folding a layer into a check::Digest: integers,
+ * bools and enums by value, strings by content, a vector as its
+ * length and then its elements, a shape through its own field list.
+ */
+struct FieldDigest
+{
+    check::Digest &d;
+
+    template <class T>
+    void
+    operator()(const char *key, const T &x)
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            d.add(x);
+        } else if constexpr (std::is_enum_v<T> || std::is_integral_v<T>) {
+            d.add(static_cast<std::int64_t>(x));
+        } else if constexpr (std::ranges::range<T>) {
+            d.add(static_cast<std::uint64_t>(x.size()));
+            for (const auto &e : x)
+                (*this)(key, e);
+        } else {
+            visitFields(*this, x);
+        }
+    }
+};
+
+} // namespace
 
 const char *
 opName(OpKind k)
@@ -127,6 +160,8 @@ Network::push(Layer l)
     for (int in : l.inputs)
         JETSIM_ASSERT(in >= 0 && in < l.id);
     layers_.push_back(std::move(l));
+    FieldDigest fold{layers_digest_};
+    visitFields(fold, layers_.back());
     output_ = layers_.back().id;
     return output_;
 }
@@ -406,6 +441,15 @@ Network::toDot() const
     }
     out += "}\n";
     return out;
+}
+
+std::uint64_t
+Network::digest() const
+{
+    check::Digest d = layers_digest_;
+    d.add(name_);
+    d.add(static_cast<std::int64_t>(output_));
+    return d.value();
 }
 
 void

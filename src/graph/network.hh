@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "check/digest.hh"
+#include "sim/fields.hh"
 #include "sim/types.hh"
 
 namespace jetsim::graph {
@@ -37,6 +39,15 @@ struct Shape
 
     bool operator==(const Shape &) const = default;
 };
+
+template <class V, sim::FieldsOf<Shape> S>
+void
+visitFields(V &v, S &s)
+{
+    v("c", s.c);
+    v("h", s.h);
+    v("w", s.w);
+}
 
 /** Operator kinds supported by the IR. */
 enum class OpKind {
@@ -97,6 +108,30 @@ struct Layer
      * cores (dense matrix math). */
     bool tensorCoreEligible() const;
 };
+
+template <class V, sim::FieldsOf<Layer> S>
+void
+visitFields(V &v, S &l)
+{
+    v("id", l.id);
+    v("name", l.name);
+    v("kind", l.kind);
+    v("inputs", l.inputs);
+    v("in", l.in);
+    v("out", l.out);
+    v("out_channels", l.out_channels);
+    v("kernel", l.kernel);
+    v("stride", l.stride);
+    v("padding", l.padding);
+    v("dilation", l.dilation);
+    v("groups", l.groups);
+    v("bias", l.bias);
+    v("in_features", l.in_features);
+    v("out_features", l.out_features);
+    v("factor", l.factor);
+    v("slice_from", l.slice_from);
+    v("slice_to", l.slice_to);
+}
 
 /** A DAG of layers with single output. */
 class Network
@@ -164,6 +199,15 @@ class Network
     /** Render the DAG as a Graphviz dot document. */
     std::string toDot() const;
 
+    /**
+     * Content digest: every field of every layer (in insertion
+     * order), the name and the output id. Two networks with equal
+     * digests compile to the same engine, so this is the network's
+     * share of the engine-cache key (trt::sharedEngine). O(1): the
+     * layers are folded in as they are added.
+     */
+    std::uint64_t digest() const;
+
   private:
     int push(Layer l);
     Shape shapeOf(int id) const;
@@ -171,6 +215,7 @@ class Network
     std::string name_;
     std::vector<Layer> layers_;
     int output_ = 0;
+    check::Digest layers_digest_; ///< every layer pushed so far
 };
 
 } // namespace jetsim::graph

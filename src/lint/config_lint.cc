@@ -163,16 +163,15 @@ lintExperiment(const core::ExperimentSpec &spec, Report &rep)
     if (!buildable || !dev)
         return;
 
-    const auto net = models::modelByName(spec.model);
+    const auto &net = models::modelByName(spec.model);
     lintNetwork(net, rep);
 
-    trt::Builder builder(*dev);
     trt::BuilderConfig cfg;
     cfg.precision = spec.precision;
     cfg.batch = spec.batch;
-    const auto engine = builder.build(net, cfg);
-    lintEngine(engine, *dev, rep);
-    lintDeployment(engine, spec.processes, *dev, rep);
+    const auto engine = trt::sharedEngine(*dev, net, cfg);
+    lintEngine(*engine, *dev, rep);
+    lintDeployment(*engine, spec.processes, *dev, rep);
 }
 
 void
@@ -194,23 +193,22 @@ lintExperiment(const core::MixedExperimentSpec &spec, Report &rep)
     if (!buildable || !dev || spec.workloads.empty())
         return;
 
-    trt::Builder builder(*dev);
-    std::vector<trt::Engine> engines;
+    std::vector<std::shared_ptr<const trt::Engine>> engines;
     engines.reserve(spec.workloads.size());
     for (const auto &w : spec.workloads) {
-        const auto net = models::modelByName(w.model);
+        const auto &net = models::modelByName(w.model);
         lintNetwork(net, rep);
         trt::BuilderConfig cfg;
         cfg.precision = w.precision;
         cfg.batch = w.batch;
-        engines.push_back(builder.build(net, cfg));
-        lintEngine(engines.back(), *dev, rep);
+        engines.push_back(trt::sharedEngine(*dev, net, cfg));
+        lintEngine(*engines.back(), *dev, rep);
     }
 
     std::vector<DeploymentGroup> groups;
     groups.reserve(engines.size());
     for (std::size_t i = 0; i < engines.size(); ++i)
-        groups.emplace_back(&engines[i],
+        groups.emplace_back(engines[i].get(),
                             spec.workloads[i].processes);
     lintDeployment(groups, *dev, rep);
 }

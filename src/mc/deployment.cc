@@ -154,13 +154,10 @@ DeploymentModel::run(const std::vector<int> &script)
     });
 
     const int n = procCount();
-    std::vector<graph::Network> nets;
-    nets.reserve(static_cast<std::size_t>(n));
     std::vector<std::unique_ptr<workload::InferenceProcess>> procs;
     procs.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         const auto &p = cfg_.procs[static_cast<std::size_t>(i)];
-        nets.push_back(models::modelByName(p.model));
         workload::ProcessConfig pc;
         pc.name = procName(cfg_, i);
         pc.build.precision = p.precision;
@@ -173,7 +170,8 @@ DeploymentModel::run(const std::vector<int> &script)
         pc.spin_wait = false;
         pc.max_ecs = cfg_.max_ecs;
         procs.push_back(std::make_unique<workload::InferenceProcess>(
-            board, sched, gpu, nets.back(), std::move(pc)));
+            board, sched, gpu, models::modelByName(p.model),
+            std::move(pc)));
     }
     for (auto &p : procs) {
         if (!p->deploy()) {

@@ -1,5 +1,9 @@
 #include "models/zoo.hh"
 
+#include <map>
+
+#include "core/mutex.hh"
+#include "core/thread_annotations.hh"
 #include "sim/logging.hh"
 
 namespace jetsim::models {
@@ -23,21 +27,56 @@ allModelNames()
     return names;
 }
 
-graph::Network
-modelByName(const std::string &name)
+namespace {
+
+using ModelBuilder = graph::Network (*)();
+
+/** The zoo's builder for @p name, or nullptr. */
+ModelBuilder
+builderFor(const std::string &name)
 {
     if (name == "resnet50")
-        return resnet50();
+        return resnet50;
     if (name == "fcn_resnet50")
-        return fcnResnet50();
+        return fcnResnet50;
     if (name == "yolov8n")
-        return yolov8n();
+        return yolov8n;
     if (name == "resnet18")
-        return resnet18();
+        return resnet18;
     if (name == "mobilenet_v2")
-        return mobilenetV2();
-    sim::fatal("unknown model '%s' (expected resnet50, fcn_resnet50, "
-               "yolov8n, resnet18, mobilenet_v2)", name.c_str());
+        return mobilenetV2;
+    return nullptr;
+}
+
+/** The models built so far, by name. A std::map never moves its
+ * values, so a reference handed out stays valid after the lock drops,
+ * and a published network is never mutated. */
+struct ModelStore
+{
+    core::Mutex model_store_mu;
+    std::map<std::string, graph::Network> models
+        JETSIM_GUARDED_BY(model_store_mu);
+};
+
+} // namespace
+
+const graph::Network &
+modelByName(const std::string &name)
+{
+    // Checked before the lock: fatal() exits, which would destroy the
+    // store while its mutex is held.
+    const ModelBuilder build = builderFor(name);
+    if (!build)
+        sim::fatal("unknown model '%s' (expected resnet50, "
+                   "fcn_resnet50, yolov8n, resnet18, mobilenet_v2)",
+                   name.c_str());
+
+    static ModelStore store; // jetrace: guarded(ModelStore::model_store_mu)
+    core::LockGuard lock(store.model_store_mu);
+    auto it = store.models.find(name);
+    if (it == store.models.end())
+        it = store.models.emplace(name, build()).first;
+    return it->second;
 }
 
 } // namespace jetsim::models

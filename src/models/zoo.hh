@@ -52,8 +52,12 @@ const std::vector<std::string> &paperModelNames();
 /** Every model the zoo can build (paper three + extensions). */
 const std::vector<std::string> &allModelNames();
 
-/** Build a paper model by name; fatal() on unknown names. */
-graph::Network modelByName(const std::string &name);
+/**
+ * The zoo model called @p name; fatal() on unknown names. Each model
+ * is built once per process, on first use, and every call returns
+ * that same immutable network (thread-safe).
+ */
+const graph::Network &modelByName(const std::string &name);
 
 } // namespace jetsim::models
 

@@ -31,8 +31,7 @@
  *
  * jetrace sees exactly what is here: std::atomic cells and cursors
  * (synchronisation is the type), zero capabilities, zero lock-graph
- * nodes — the `shard-lock-not-leaf` discipline is vacuous for the
- * engine once this replaces the mutexed inbox.
+ * nodes.
  */
 
 #ifndef JETSIM_SIM_MSG_RING_HH

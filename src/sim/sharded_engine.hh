@@ -52,8 +52,7 @@
  * the engine's hot path owns no mutex at all. The inbox is a bounded
  * lock-free ring with arena-batched overflow blocks, the barrier is
  * two sense-reversing atomics, and the per-shard next-event cache is
- * a relaxed atomic published through the barrier. jetrace's
- * `shard-lock-not-leaf` rule is vacuous here by construction. The hot
+ * a relaxed atomic published through the barrier. The hot
  * path is allocation-free at steady state: each shard reuses its slab
  * EventPool, and ring cells / overflow node blocks are recycled
  * across epochs.

@@ -1,8 +1,12 @@
 #include "trt/builder.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
 
+#include "core/mutex.hh"
+#include "core/thread_annotations.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -169,11 +173,6 @@ Builder::build(const graph::Network &net,
             p = soc::Precision::Fp16;
             ++e.fallback_ops_;
         } else if (!supported(op, p)) {
-            if (!cfg.allow_fallback)
-                sim::fatal("%s: no native %s kernel for '%s' on %s "
-                           "and fallback disabled",
-                           net.name().c_str(), soc::name(p),
-                           op.name.c_str(), spec_.name.c_str());
             p = soc::Precision::Fp32;
             ++e.fallback_ops_;
         }
@@ -208,6 +207,58 @@ Builder::build(const graph::Network &net,
                  static_cast<sim::Bytes>(e.activation_bytes_ * 0.6));
 
     return e;
+}
+
+namespace {
+
+/** Everything Builder::build reads from its inputs. */
+struct BuildKey
+{
+    std::uint64_t net = 0;
+    soc::Precision precision = soc::Precision::Fp16;
+    int batch = 1;
+    std::array<double, soc::kAllPrecisions.size()> coverage{};
+    bool tensor_cores = false;
+
+    auto operator<=>(const BuildKey &) const = default;
+};
+
+BuildKey
+buildKey(const soc::DeviceSpec &spec, const graph::Network &net,
+         const BuilderConfig &cfg)
+{
+    BuildKey k;
+    k.net = net.digest();
+    k.precision = cfg.precision;
+    k.batch = cfg.batch;
+    for (std::size_t i = 0; i < k.coverage.size(); ++i)
+        k.coverage[i] = spec.precisionCoverage(soc::kAllPrecisions[i]);
+    k.tensor_cores = spec.gpu.hasTensorCores();
+    return k;
+}
+
+/** The engines built so far. An engine is a deterministic function of
+ * its key, so which thread builds it first cannot change a result. */
+struct EngineCache
+{
+    core::Mutex engine_cache_mu;
+    std::map<BuildKey, std::shared_ptr<const Engine>> engines
+        JETSIM_GUARDED_BY(engine_cache_mu);
+};
+
+} // namespace
+
+std::shared_ptr<const Engine>
+sharedEngine(const soc::DeviceSpec &spec, const graph::Network &net,
+             const BuilderConfig &cfg)
+{
+    const BuildKey key = buildKey(spec, net, cfg);
+    static EngineCache cache; // jetrace: guarded(EngineCache::engine_cache_mu)
+    core::LockGuard lock(cache.engine_cache_mu);
+    auto &slot = cache.engines[key];
+    if (!slot)
+        slot = std::make_shared<const Engine>(Builder(spec).build(net, cfg));
+    return slot;
 }
 
 } // namespace jetsim::trt

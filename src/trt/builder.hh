@@ -17,6 +17,8 @@
 #ifndef JETSIM_TRT_BUILDER_HH
 #define JETSIM_TRT_BUILDER_HH
 
+#include <memory>
+
 #include "graph/network.hh"
 #include "soc/device_spec.hh"
 #include "trt/engine.hh"
@@ -24,14 +26,13 @@
 
 namespace jetsim::trt {
 
-/** Build-time options (a slim TensorRT BuilderConfig). */
+/** Build-time options (a slim TensorRT BuilderConfig). An op the
+ * device has no native kernel for at the requested precision always
+ * falls back to fp32, as under TensorRT's default. */
 struct BuilderConfig
 {
     soc::Precision precision = soc::Precision::Fp16;
     int batch = 1;
-    /** Permit per-op fp32 fallback; when false, building a model with
-     * unsupported ops fails (fatal). TensorRT's default permits it. */
-    bool allow_fallback = true;
 };
 
 /** Per-device compiler from Network to Engine. */
@@ -53,6 +54,19 @@ class Builder
 
     soc::DeviceSpec spec_;
 };
+
+/**
+ * The engine Builder(spec).build(net, cfg) returns, built once per
+ * process for each distinct builder input and shared from then on
+ * (build once, deploy many). The key is exactly what build() reads:
+ * the network's digest, the precision and batch, the device's
+ * precision-coverage table and whether it has tensor cores.
+ * Thread-safe; the engine lives as long as the process or its last
+ * holder, whichever is longer.
+ */
+std::shared_ptr<const Engine> sharedEngine(const soc::DeviceSpec &spec,
+                                           const graph::Network &net,
+                                           const BuilderConfig &cfg);
 
 } // namespace jetsim::trt
 

@@ -77,9 +77,11 @@ class Engine
      */
     std::string serialize() const;
 
-    /** Reconstruct an engine from serialize() output; fatal() on a
-     * malformed or version-mismatched plan. */
-    static Engine deserialize(const std::string &plan);
+    /** Reconstruct an engine from serialize() output; fatal(), with a
+     * message that starts with @p source (e.g. the plan file's path),
+     * on a malformed or version-mismatched plan. */
+    static Engine deserialize(const std::string &plan,
+                              const std::string &source = "engine plan");
 
   private:
     friend class Builder;

@@ -49,22 +49,24 @@ Engine::serialize() const
 }
 
 Engine
-Engine::deserialize(const std::string &plan)
+Engine::deserialize(const std::string &plan, const std::string &source)
 {
+    const char *src = source.c_str();
     std::istringstream is(plan);
     std::string magic, version;
     is >> magic >> version;
     if (magic != kMagic || version != "v1")
-        sim::fatal("engine plan: bad header '%s %s'", magic.c_str(),
+        sim::fatal("%s: bad header '%s %s'", src, magic.c_str(),
                    version.c_str());
 
     Engine e;
     std::string key;
     std::size_t kernel_count = 0;
     auto expect = [&](const char *want) {
-        is >> key;
+        if (!(is >> key))
+            key = "end of plan";
         if (key != want)
-            sim::fatal("engine plan: expected '%s', got '%s'", want,
+            sim::fatal("%s: expected '%s', got '%s'", src, want,
                        key.c_str());
     };
 
@@ -89,18 +91,22 @@ Engine::deserialize(const std::string &plan)
     expect("kernels");
     is >> kernel_count;
     if (!is)
-        sim::fatal("engine plan: truncated header");
+        sim::fatal("%s: truncated header", src);
 
-    e.kernels_.reserve(kernel_count);
+    // The declared count is untrusted: grow the list one kernel at a
+    // time, so a forged count fails on the first missing line instead
+    // of reserving memory for it.
     for (std::size_t i = 0; i < kernel_count; ++i) {
-        expect("k");
+        if (!(is >> key) || key != "k")
+            sim::fatal("%s: kernel %zu of the %zu declared is missing",
+                       src, i, kernel_count);
         gpu::KernelDesc k;
         int tc = 0;
         is >> k.name >> k.flops >> k.bytes >> prec_name >> tc >>
             k.blocks >> k.efficiency_scale >> k.issue_intensity >>
             k.tc_stall_factor;
         if (!is)
-            sim::fatal("engine plan: truncated kernel %zu", i);
+            sim::fatal("%s: kernel %zu: truncated line", src, i);
         k.prec = soc::precisionFromName(prec_name);
         k.tc = tc != 0;
         // The plan text stores only the display name; intern it so a

@@ -12,12 +12,13 @@ InferenceProcess::InferenceProcess(soc::Board &board,
                                    gpu::GpuEngine &gpu,
                                    const graph::Network &net,
                                    ProcessConfig cfg)
-    : board_(board), gpu_(gpu), net_(net), cfg_(std::move(cfg)),
+    : board_(board), gpu_(gpu), cfg_(std::move(cfg)),
       // One RNG stream name per request source ("proc-" closed,
       // "serve-" open): the recorded golden digests depend on it.
       rng_(board.rng().fork((cfg_.arrival_rate ? "serve-" : "proc-") +
                             cfg_.name)),
-      thread_(sched.createThread(cfg_.name, /*big=*/true))
+      thread_(sched.createThread(cfg_.name, /*big=*/true)),
+      engine_(trt::sharedEngine(board.spec(), net, cfg_.build))
 {
     JETSIM_ASSERT(cfg_.arrival_rate.value_or(0.0) >= 0.0);
 }
@@ -27,21 +28,15 @@ InferenceProcess::deploy()
 {
     JETSIM_ASSERT(!deployed_);
 
-    trt::Builder builder(board_.spec());
-    engine_.emplace(builder.build(net_, cfg_.build));
-
     auto &mem = board_.memory();
     runtime_mem_ = cuda::DeviceBuffer::tryAlloc(
         mem, cfg_.name, board_.spec().memory.process_runtime_overhead);
-    if (!runtime_mem_) {
-        engine_.reset();
+    if (!runtime_mem_)
         return false;
-    }
     engine_mem_ = cuda::DeviceBuffer::tryAlloc(mem, cfg_.name,
                                                engine_->deviceBytes());
     if (!engine_mem_) {
         runtime_mem_.reset();
-        engine_.reset();
         return false;
     }
 
@@ -286,13 +281,6 @@ InferenceProcess::throughput() const
 {
     const double span = sim::toSec(window_end_ - window_start_);
     return span > 0 ? static_cast<double>(images_) / span : 0.0;
-}
-
-const trt::Engine &
-InferenceProcess::engine() const
-{
-    JETSIM_ASSERT(engine_.has_value());
-    return *engine_;
 }
 
 sim::Bytes

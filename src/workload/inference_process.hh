@@ -2,9 +2,12 @@
  * @file
  * One concurrent inference process.
  *
- * A process owns an engine built for its precision/batch, a CUDA
- * stream, an enqueue thread on the big CPU cluster, and its device
- * memory (CUDA runtime overhead + engine footprint). The thread runs
+ * A process loads the engine built for its device, network,
+ * precision and batch (trt::sharedEngine: one engine per distinct
+ * build, shared by every process that deploys it, as every real
+ * process deserialises the same plan), and owns a CUDA stream, an
+ * enqueue thread on the big CPU cluster, and its device memory (CUDA
+ * runtime overhead + its own copy of the engine footprint). The thread runs
  * one EC loop: prep -> enqueue -> fill the pipeline to
  * 1 + pre_enqueue ECs -> sync the oldest. Only the request source
  * differs between the two operating points the paper's intro cares
@@ -88,6 +91,8 @@ struct ProcessConfig
 class InferenceProcess
 {
   public:
+    /** Looks up the engine for @p net under cfg.build on the board's
+     * device; @p net need not outlive the process. */
     InferenceProcess(soc::Board &board, cpu::OsScheduler &sched,
                      gpu::GpuEngine &gpu, const graph::Network &net,
                      ProcessConfig cfg);
@@ -96,7 +101,9 @@ class InferenceProcess
     InferenceProcess &operator=(const InferenceProcess &) = delete;
 
     /**
-     * Build the engine and pin device memory.
+     * Pin this process's device memory: the runtime overhead plus the
+     * engine's footprint, charged per process even though the engine
+     * itself is shared.
      * @return false when unified memory cannot hold the deployment
      *         (the paper's Nano FCN_ResNet50 x4 failure mode).
      */
@@ -157,7 +164,7 @@ class InferenceProcess
     const prof::Cdf &latencyCdf() const { return latency_cdf_; }
     /** @} */
 
-    const trt::Engine &engine() const;
+    const trt::Engine &engine() const { return *engine_; }
     const cpu::Thread &thread() const { return *thread_; }
     const ProcessConfig &config() const { return cfg_; }
 
@@ -189,12 +196,11 @@ class InferenceProcess
 
     soc::Board &board_;
     gpu::GpuEngine &gpu_;
-    graph::Network net_;
     ProcessConfig cfg_;
     sim::Rng rng_;
 
     cpu::Thread *thread_;
-    std::optional<trt::Engine> engine_;
+    std::shared_ptr<const trt::Engine> engine_;
     std::optional<cuda::Stream> stream_;
     std::optional<trt::ExecutionContext> ctx_;
     std::optional<cuda::DeviceBuffer> runtime_mem_;

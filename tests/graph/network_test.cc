@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 namespace jetsim::graph {
 namespace {
 
@@ -210,6 +213,101 @@ TEST(Network, ValidatePassesOnWellFormedGraph)
 // Malformed construction must die deterministically — the same
 // assertion fires in every build flavour (NDEBUG included), so a bad
 // model generator can never silently produce a nonsense graph.
+
+/** Knobs for every layer parameter of a net that uses each op. */
+struct Knobs
+{
+    std::string name = "n";
+    Shape input{3, 32, 32};
+    std::string conv_name = "conv";
+    int out_channels = 16;
+    int kernel = 3;
+    int stride = 1;
+    int padding = 1;
+    int dilation = 1;
+    int groups = 1;
+    bool conv_bias = false;
+    OpKind act = OpKind::Relu;
+    bool add_skip_from_conv = true;
+    OpKind pool = OpKind::MaxPool;
+    int pool_kernel = 2;
+    int pool_stride = 2;
+    int pool_padding = 0;
+    int factor = 2;
+    int slice_from = 0;
+    int slice_to = 8;
+    std::int64_t out_features = 10;
+    bool linear_bias = true;
+    bool output_before_linear = false;
+};
+
+Network
+knobbed(const Knobs &k)
+{
+    Network net(k.name, k.input);
+    const int c = net.addConv(k.conv_name, net.inputId(), k.out_channels,
+                              k.kernel, k.stride, k.padding, k.dilation,
+                              k.groups, k.conv_bias);
+    const int a = net.addActivation("act", c, k.act);
+    const int s = net.addAdd("add", k.add_skip_from_conv ? c : a, a);
+    const int p = net.addPool("pool", s, k.pool, k.pool_kernel,
+                              k.pool_stride, k.pool_padding);
+    const int u = net.addUpsample("up", p, k.factor);
+    const int sl = net.addSlice("slice", u, k.slice_from, k.slice_to);
+    const int g = net.addGlobalAvgPool("gap", sl);
+    net.addLinear("fc", g, k.out_features, k.linear_bias);
+    if (k.output_before_linear)
+        net.setOutput(g);
+    return net;
+}
+
+TEST(Network, DigestIsEqualForEqualContent)
+{
+    const Network a = knobbed({});
+    const Network copy = a;
+    EXPECT_EQ(knobbed({}).digest(), a.digest());
+    EXPECT_EQ(copy.digest(), a.digest());
+}
+
+TEST(Network, DigestDiffersWhenAnyLayerParameterDiffers)
+{
+    std::vector<Knobs> variants(1);
+    auto vary = [&](auto change) {
+        Knobs k;
+        change(k);
+        variants.push_back(k);
+    };
+    vary([](Knobs &k) { k.name = "m"; });
+    vary([](Knobs &k) { k.input.w = 48; });
+    vary([](Knobs &k) { k.conv_name = "conv2"; });
+    vary([](Knobs &k) { k.out_channels = 24; });
+    vary([](Knobs &k) { k.kernel = 5; });
+    vary([](Knobs &k) { k.stride = 2; });
+    vary([](Knobs &k) { k.padding = 2; });
+    vary([](Knobs &k) { k.dilation = 2; });
+    vary([](Knobs &k) { k.groups = 3; });
+    vary([](Knobs &k) { k.conv_bias = true; });
+    vary([](Knobs &k) { k.act = OpKind::Silu; });
+    vary([](Knobs &k) { k.add_skip_from_conv = false; });
+    vary([](Knobs &k) { k.pool = OpKind::AvgPool; });
+    vary([](Knobs &k) { k.pool_kernel = 3; });
+    vary([](Knobs &k) { k.pool_stride = 1; });
+    vary([](Knobs &k) { k.pool_padding = 1; });
+    vary([](Knobs &k) { k.factor = 3; });
+    vary([](Knobs &k) { k.slice_from = 1; });
+    vary([](Knobs &k) { k.slice_to = 9; });
+    vary([](Knobs &k) { k.out_features = 11; });
+    vary([](Knobs &k) { k.linear_bias = false; });
+    vary([](Knobs &k) { k.output_before_linear = true; });
+
+    std::map<std::uint64_t, std::size_t> seen;
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        const auto d = knobbed(variants[i]).digest();
+        const auto [it, fresh] = seen.emplace(d, i);
+        EXPECT_TRUE(fresh) << "variants " << it->second << " and " << i
+                           << " share a digest";
+    }
+}
 
 TEST(NetworkDeath, ZeroInputDimension)
 {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 namespace jetsim::models {
 namespace {
 
@@ -114,6 +116,26 @@ TEST(Zoo, BuildersAreDeterministic)
     EXPECT_EQ(a.size(), b.size());
     EXPECT_EQ(a.totalParams(), b.totalParams());
     EXPECT_DOUBLE_EQ(a.totalMacs(), b.totalMacs());
+    for (const auto builder :
+         {resnet50, fcnResnet50, yolov8n, resnet18, mobilenetV2}) {
+        const auto first = builder();
+        const auto copy = first;
+        EXPECT_EQ(builder().digest(), first.digest()) << first.name();
+        EXPECT_EQ(copy.digest(), first.digest()) << first.name();
+    }
+}
+
+TEST(Zoo, ModelByNameBuildsEachModelOnce)
+{
+    std::set<std::uint64_t> digests;
+    for (const auto &name : allModelNames()) {
+        const graph::Network &net = modelByName(name);
+        EXPECT_EQ(&modelByName(name), &net) << name;
+        EXPECT_EQ(net.name(), name);
+        digests.insert(net.digest());
+    }
+    EXPECT_EQ(digests.size(), allModelNames().size());
+    EXPECT_EQ(modelByName("yolov8n").digest(), yolov8n().digest());
 }
 
 TEST(Zoo, Resnet18ParamsMatchTorchvision)

@@ -174,5 +174,24 @@ TEST(ArgParse, ChoicesOutsideTheirSetExitNamingTheFlag)
     EXPECT_EQ(q.precision("precision"), soc::Precision::Fp16);
 }
 
+TEST(ArgParse, ChoiceListsNeedKnownItemsAndAtLeastOne)
+{
+    const std::vector<std::string> zoo = {"resnet50", "yolov8n"};
+    auto p = parser();
+    ASSERT_TRUE(parse(p, std::array<const char *, 2>{
+                             "test", "--model=yolov8n,resnet50"}));
+    EXPECT_EQ(p.choicelist("model", zoo),
+              (std::vector<std::string>{"yolov8n", "resnet50"}));
+
+    const auto user_error = testing::ExitedWithCode(1);
+    for (const char *bad : {"--model=", "--model=resnet50,,yolov8n",
+                            "--model=resnet50,vgg16"}) {
+        auto q = parser();
+        ASSERT_TRUE(parse(q, std::array<const char *, 2>{"test", bad}));
+        EXPECT_EXIT(q.choicelist("model", zoo), user_error, "--model: ")
+            << bad;
+    }
+}
+
 } // namespace
 } // namespace jetsim::tools

@@ -5,8 +5,8 @@ Feeds synthetic C++ files through the concurrency auditor and checks
 each rule fires (and stays quiet) where it should: the shared-state
 inventory trichotomy (guarded / atomic / confined), the raw-mutex
 ban, unknown capabilities, lock-order cycle detection across both
-single functions and the call graph, the shard-lock leaf discipline
-(shard-lock-not-leaf), suppression and justification comments, and
+single functions and the call graph, suppression and justification
+comments, and
 the --json contract (schema_version 1, inventory and
 lock-graph blocks, exit codes). Also runs the embedded --selftest
 (the two-lock jetmc mirror) and asserts src/ itself audits clean.
@@ -188,52 +188,6 @@ class JetraceLocks(unittest.TestCase):
             "void g() { { LockGuard lb(b); } { LockGuard la(a); } }\n")
         self.assertEqual(code, 0, out)
 
-    def test_shard_lock_leaf_is_clean(self):
-        # Taking the shard lock innermost (edges *into* it) is the
-        # sanctioned shape; no finding even though edges exist.
-        code, out = run_audit(
-            "Mutex shard_mu_;\nMutex stats_mu;\n"
-            "void f() { LockGuard s(stats_mu); "
-            "LockGuard g(shard_mu_); }\n")
-        self.assertEqual(code, 0, out)
-
-    def test_shard_lock_not_leaf_fires(self):
-        # Acquiring any capability under the shard lock breaks the
-        # leaf discipline even though the graph is acyclic.
-        code, out = run_audit(
-            "Mutex shard_mu_;\nMutex stats_mu;\n"
-            "void f() { LockGuard g(shard_mu_); "
-            "LockGuard s(stats_mu); }\n")
-        self.assertEqual(code, 1, out)
-        self.assertIn("[shard-lock-not-leaf]", out)
-        self.assertNotIn("[lock-cycle]", out)
-
-    def test_shard_lock_not_leaf_through_call_graph(self):
-        # The violation is indirect: the callee takes the inner lock.
-        code, out = run_audit(
-            "Mutex shard_mu_;\nMutex stats_mu;\n"
-            "void bump() { LockGuard s(stats_mu); }\n"
-            "void f() { LockGuard g(shard_mu_); bump(); }\n")
-        self.assertEqual(code, 1, out)
-        self.assertIn("[shard-lock-not-leaf]", out)
-
-    def test_nested_shard_locks_fire(self):
-        # Two shard inbox locks nested is still a non-leaf edge.
-        code, out = run_audit(
-            "Mutex shard_mu_;\nMutex other_shard_mu_;\n"
-            "void f() { LockGuard a(shard_mu_); "
-            "LockGuard b(other_shard_mu_); }\n")
-        self.assertEqual(code, 1, out)
-        self.assertIn("[shard-lock-not-leaf]", out)
-
-    def test_shard_lock_not_leaf_allow_suppresses(self):
-        code, out = run_audit(
-            "Mutex shard_mu_;\nMutex stats_mu;\n"
-            "void f() { LockGuard g(shard_mu_);\n"
-            "  // jetrace: allow(shard-lock-not-leaf) test fixture\n"
-            "  LockGuard s(stats_mu); }\n")
-        self.assertEqual(code, 0, out)
-
     def test_requires_annotation_contributes_held_set(self):
         # f() runs with `a` held by contract; taking b inside it plus
         # g()'s inverted order closes the cycle.
@@ -249,9 +203,8 @@ class JetraceMpscInbox(unittest.TestCase):
     """The sharded engine's lock-free MPSC inbox ring replaced the
     shard_mu_ mutex inbox (DESIGN.md §4i). These tests pin the audit
     contract for that replacement: the ring idiom introduces no
-    lock-graph capability at all, the old mutexed idiom is flagged
-    before it can come back, and the real tree no longer carries any
-    shard capability (shard-lock-not-leaf is vacuously satisfied)."""
+    lock-graph capability at all, and the old mutexed idiom is flagged
+    before it can come back."""
 
     def test_ring_fixture_is_clean_and_capability_free(self):
         code, out = run_audit(JETRACE_MOD.SELFTEST_MPSC_RING,
@@ -276,22 +229,6 @@ class JetraceMpscInbox(unittest.TestCase):
         rules = [f["rule"] for f in doc["findings"]]
         # Declaration plus lock site: both raw-mutex, nothing else.
         self.assertEqual(rules, ["raw-mutex", "raw-mutex"])
-
-    def test_repo_lock_graph_has_no_shard_capability(self):
-        # With the mutex inbox gone, no capability matching the
-        # shard pattern may remain anywhere in src/ — the leaf rule
-        # holds vacuously rather than by discipline.
-        proc = subprocess.run(
-            [sys.executable, JETRACE] + BASE_ARGS + ["--json"],
-            capture_output=True, text=True)
-        self.assertEqual(proc.returncode, 0, proc.stdout)
-        doc = json.loads(proc.stdout)
-        shard_caps = [n for n in doc["lock_graph"]["nodes"]
-                      if JETRACE_MOD.SHARD_CAP_RE.search(n)]
-        self.assertEqual(shard_caps, [])
-        self.assertNotIn(
-            "shard-lock-not-leaf",
-            [f["rule"] for f in doc["findings"]])
 
 
 class JetraceJson(unittest.TestCase):
@@ -384,7 +321,7 @@ class JetraceHarness(unittest.TestCase):
             capture_output=True, text=True)
         self.assertEqual(proc.returncode, 0)
         for rule in ("unannotated-global", "lock-cycle", "raw-mutex",
-                     "unknown-capability", "shard-lock-not-leaf"):
+                     "unknown-capability"):
             self.assertIn(rule, proc.stdout)
 
     def test_repo_src_is_clean(self):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Malformed-input corpus for the command-line tools.
 
-Every fleet replay file and jetmc counterexample under
+Every fleet replay file, jetmc counterexample and engine plan under
 tests/data/malformed/, and every malformed flag value below, must be
 rejected as a user error: exit code 1, a message naming the file (or
 the flag) and the offending field, and no "panic" or "terminate" in
@@ -9,7 +9,8 @@ the output (those mean a simulator bug or an uncaught exception). As
 a control, the committed good replay file must still replay cleanly.
 
     malformed_input_test.py --simcheck PATH --trtexec PATH \
-        --jetprof PATH --netinfo PATH --jetmc PATH
+        --jetprof PATH --netinfo PATH --jetmc PATH --jetlint PATH \
+        --jetbound PATH
 
 ctest runs it in every build, so tools/ci.sh runs it both plain
 (pass 1) and under ASan/UBSan (pass 2).
@@ -74,6 +75,14 @@ COUNTEREXAMPLES = {
     "ce_truncated.json": "deployment: expected",
 }
 
+# engine plan file (jetlint --plan) -> the field its rejection message
+# must name.
+PLANS = {
+    "plan_kernels_overflow.plan": "kernel 1 of the 99999999999999",
+    "plan_bad_header.plan": "bad header",
+    "plan_kernel_truncated.plan": "kernel 1: truncated",
+}
+
 # (tool, flags, the flag its rejection message must name)
 FLAGS = [
     ("trtexec", ["--batch=abc"], "--batch"),
@@ -123,6 +132,18 @@ FLAGS = [
     ("jetmc", ["--precision=int4"], "--precision"),
     ("jetmc", ["--model=vgg16"], "--model"),
     ("jetmc", ["--device=tx2"], "--device"),
+    ("jetmc", ["--models="], "--models"),
+    ("jetmc", ["--models=vgg16"], "--models"),
+    ("jetmc", ["--models=resnet50,,yolov8n"], "--models"),
+    ("jetbound", ["--warmup-ms=-5", "--compare-sim"], "--warmup-ms"),
+    ("jetbound", ["--duration-ms=-1"], "--duration-ms"),
+    ("jetbound", ["--batch=0"], "--batch"),
+    ("jetbound", ["--procs=0"], "--procs"),
+    ("jetbound", ["--pre-enqueue=-1"], "--pre-enqueue"),
+    ("jetbound", ["--precision=int4"], "--precision"),
+    ("jetlint", ["--precision=int4"], "--precision"),
+    ("jetlint", ["--zoo", "--precision=int4"], "--precision"),
+    ("jetlint", ["--zoo", "--batch=0"], "--batch"),
 ]
 
 TOOLS = {}
@@ -159,6 +180,14 @@ class MalformedInput(unittest.TestCase):
                      "--mc-replay=" + os.path.join(MALFORMED, name)],
                     name, field)
 
+    def test_plan_files(self):
+        for name, field in PLANS.items():
+            with self.subTest(file=name):
+                self.assert_user_error(
+                    [TOOLS["jetlint"],
+                     "--plan=" + os.path.join(MALFORMED, name)],
+                    name, field)
+
     def test_unreadable_files(self):
         missing = os.path.join(MALFORMED, "no_such_file.json")
         for flag in ("--fleet-replay=", "--mc-replay=", "--fleet-golden="):
@@ -179,12 +208,14 @@ class MalformedInput(unittest.TestCase):
 
     def test_corpus_is_fully_listed(self):
         self.assertEqual(sorted(os.listdir(MALFORMED)),
-                         sorted(list(REPLAYS) + list(COUNTEREXAMPLES)))
+                         sorted(list(REPLAYS) + list(COUNTEREXAMPLES) +
+                                list(PLANS)))
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    for tool in ("simcheck", "trtexec", "jetprof", "netinfo", "jetmc"):
+    for tool in ("simcheck", "trtexec", "jetprof", "netinfo", "jetmc",
+                 "jetlint", "jetbound"):
         ap.add_argument("--" + tool, required=True)
     args, rest = ap.parse_known_args()
     TOOLS.update(vars(args))

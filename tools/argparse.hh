@@ -152,17 +152,29 @@ class ArgParser
     choice(const std::string &name,
            const std::vector<std::string> &allowed) const
     {
+        return member(name, str(name), allowed);
+    }
+
+    /** Comma-separated list ("a,b" -> {a,b}) of at least one item,
+     * each one of @p allowed. */
+    std::vector<std::string>
+    choicelist(const std::string &name,
+               const std::vector<std::string> &allowed) const
+    {
+        std::vector<std::string> out;
         const std::string v = str(name);
-        if (std::find(allowed.begin(), allowed.end(), v) ==
-            allowed.end()) {
-            std::string list;
-            for (const auto &a : allowed)
-                list += (list.empty() ? "" : ", ") + a;
-            sim::fatal("%s: --%s: '%s' is not one of %s",
-                       program_.c_str(), name.c_str(), v.c_str(),
-                       list.c_str());
+        std::size_t pos = 0;
+        while (pos < v.size()) {
+            const auto comma = v.find(',', pos);
+            const auto end =
+                comma == std::string::npos ? v.size() : comma;
+            out.push_back(member(name, v.substr(pos, end - pos), allowed));
+            pos = end + 1;
         }
-        return v;
+        if (out.empty())
+            sim::fatal("%s: --%s: empty list", program_.c_str(),
+                       name.c_str());
+        return out;
     }
 
     /** Value as a precision name ("int8", "fp16", "tf32", "fp32"). */
@@ -193,6 +205,23 @@ class ArgParser
     }
 
   private:
+    /** @p v if it is one of @p allowed, or fatal() naming the flag. */
+    std::string
+    member(const std::string &name, const std::string &v,
+           const std::vector<std::string> &allowed) const
+    {
+        if (std::find(allowed.begin(), allowed.end(), v) ==
+            allowed.end()) {
+            std::string list;
+            for (const auto &a : allowed)
+                list += (list.empty() ? "" : ", ") + a;
+            sim::fatal("%s: --%s: '%s' is not one of %s",
+                       program_.c_str(), name.c_str(), v.c_str(),
+                       list.c_str());
+        }
+        return v;
+    }
+
     /** @p v as a T in [@p lo, @p hi], or fatal() naming the flag. */
     template <class T>
     T

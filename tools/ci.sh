@@ -42,7 +42,9 @@
 #
 # Pass 1f is the concurrency-discipline gate (jetrace): src/ must
 # carry zero unannotated mutable globals/statics, no raw std::mutex
-# outside core/mutex.hh, and an acyclic static lock-order graph; the
+# outside core/mutex.hh, and an acyclic static lock-order graph that
+# includes the two build-once stores' locks (model_store_mu,
+# engine_cache_mu); the
 # auditor's own selftest must agree with the deadlock counterexample
 # jetmc produced in pass 1d (static cycle <-> dynamic deadlock on the
 # same inverted two-lock discipline). When a clang++ is installed the
@@ -56,14 +58,15 @@
 #                    [--skip-tidy]
 #
 # --tsan swaps the sanitized pass to ThreadSanitizer and is the
-# gate for the parallel sweep runner (core::Runner) and the sharded
-# event core (sim::ShardedEngine): the pass rings the
-# runner_stress_tests binary (oversubscribed work-stealing pool
-# plus the global-state regression tests), the sharded_stress_tests
-# binary (sense-reversing barriers + the lock-free MPSC inbox rings
-# under oversubscription) and the simcheck replay through the
-# parallel path, so data races in the concurrent executors fail CI
-# rather than lurk.
+# gate for the parallel sweep runner (core::Runner), the sharded
+# event core (sim::ShardedEngine) and the build-once model and
+# engine stores: the pass rings the runner_stress_tests binary
+# (oversubscribed work-stealing pool plus the global-state
+# regression tests), the sharded_stress_tests binary
+# (sense-reversing barriers + the lock-free MPSC inbox rings under
+# oversubscription), the 8-thread store lookup test and the simcheck
+# replay through the parallel path, so data races in the concurrent
+# executors fail CI rather than lurk.
 
 set -euo pipefail
 
@@ -202,6 +205,8 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["findings"] == [], doc["findings"]
 assert doc["lock_graph"]["acyclic"], doc["lock_graph"]
+stores = {"model_store_mu", "engine_cache_mu"}
+assert stores <= set(doc["lock_graph"]["nodes"]), doc["lock_graph"]
 print("jetrace: src clean; lock graph acyclic "
       f"({len(doc['lock_graph']['nodes'])} capabilities, "
       f"{doc['inventory']['guarded_fields']} guarded fields, "
@@ -271,6 +276,14 @@ if [ "$run_san" = 1 ]; then
     # under the same treatment: with --tsan this is the pass that
     # turns any data race in ShardedEngine into a CI failure.
     "$repo/build-ci/$san_flavor/tests/sharded_stress_tests"
+    # The build-once model and engine stores: 8 threads (twice the
+    # cores of a 4-core host) race first builds against lookups of
+    # every key. Each run is a fresh process, so every run races the
+    # builds again rather than reading a warm cache.
+    for _ in 1 2 3 4 5; do
+        "$repo/build-ci/$san_flavor/tests/trt_tests" --gtest_brief=1 \
+            --gtest_filter='EngineCache.ConcurrentLookupsAgreeOnOnePointerPerKey'
+    done
 fi
 
 if [ "$run_tidy" = 1 ]; then

@@ -242,16 +242,15 @@ main(int argc, char **argv)
             core::ExperimentSpec spec;
             spec.device = device;
             spec.model = model;
-            spec.precision =
-                soc::precisionFromName(args.str("precision"));
-            spec.batch = args.intval("batch");
-            spec.processes = args.intval("procs");
-            spec.pre_enqueue = args.intval("pre-enqueue");
+            spec.precision = args.precision("precision");
+            spec.batch = args.intval("batch", 1);
+            spec.processes = args.intval("procs", 1);
+            spec.pre_enqueue = args.intval("pre-enqueue", 0);
             spec.phase = args.boolean("deep") ? core::Phase::Deep
                                               : core::Phase::Light;
             spec.dvfs = !args.boolean("no-dvfs");
-            spec.warmup = sim::msec(args.intval("warmup-ms"));
-            spec.duration = sim::msec(args.intval("duration-ms"));
+            spec.warmup = sim::msec(args.intval("warmup-ms", 0));
+            spec.duration = sim::msec(args.intval("duration-ms", 0));
 
             const auto b = absint::analyze(spec);
             if (!b.ok) {

@@ -75,9 +75,14 @@ deviceList(const std::string &flag)
     return {flag};
 }
 
+/** --precision as a list: one precision, or every one for 'all'. */
 std::vector<soc::Precision>
-precisionList(const std::string &flag)
+precisionList(const tools::ArgParser &args)
 {
+    std::vector<std::string> names = {"all"};
+    for (const auto p : soc::kAllPrecisions)
+        names.emplace_back(soc::name(p));
+    const auto flag = args.choice("precision", names);
     if (flag == "all")
         return {soc::kAllPrecisions.begin(), soc::kAllPrecisions.end()};
     return {soc::precisionFromName(flag)};
@@ -91,7 +96,7 @@ lintZoo(const std::vector<std::string> &devices,
         int procs, lint::Report &rep)
 {
     for (const auto &model : models::allModelNames()) {
-        const auto net = models::modelByName(model);
+        const auto &net = models::modelByName(model);
         lint::lintNetwork(net, rep);
         for (const auto &dev_name : devices) {
             const auto dev = soc::findDevice(dev_name);
@@ -173,7 +178,7 @@ lintPlanFile(const std::string &path, const std::string &device,
     }
     std::ostringstream text;
     text << in.rdbuf();
-    const auto engine = trt::Engine::deserialize(text.str());
+    const auto engine = trt::Engine::deserialize(text.str(), path);
     if (const auto dev = soc::findDevice(device))
         lint::lintEngine(engine, *dev, rep);
     else
@@ -211,9 +216,8 @@ main(int argc, char **argv)
 
     lint::Report rep;
     if (args.boolean("zoo")) {
-        lintZoo(deviceList(args.str("device")),
-                precisionList(args.str("precision")),
-                args.intval("batch"), args.intval("procs"), rep);
+        lintZoo(deviceList(args.str("device")), precisionList(args),
+                args.intval("batch", 1), args.intval("procs", 1), rep);
     } else if (args.boolean("examples")) {
         lintExamples(rep);
     } else if (args.given("plan")) {
@@ -223,9 +227,9 @@ main(int argc, char **argv)
         core::ExperimentSpec spec;
         spec.device = args.str("device");
         spec.model = args.str("model");
-        spec.precision = soc::precisionFromName(args.str("precision"));
-        spec.batch = args.intval("batch");
-        spec.processes = args.intval("procs");
+        spec.precision = args.precision("precision");
+        spec.batch = args.intval("batch", 1);
+        spec.processes = args.intval("procs", 1);
         lint::lintExperiment(spec, rep);
     }
 

@@ -55,22 +55,6 @@ struct CheckResult
     std::string ce_path;
 };
 
-/** Split "a,b,c"; empty string gives an empty list. */
-std::vector<std::string>
-splitList(const std::string &v)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos < v.size()) {
-        const auto comma = v.find(',', pos);
-        const auto end = comma == std::string::npos ? v.size() : comma;
-        if (end > pos)
-            out.push_back(v.substr(pos, end - pos));
-        pos = end + 1;
-    }
-    return out;
-}
-
 void
 printReport(const CheckResult &r)
 {
@@ -306,8 +290,9 @@ main(int argc, char **argv)
         args.boolean("compare") || min_reduction > 0;
 
     std::vector<std::vector<std::string>> proc_sets;
-    if (!args.str("models").empty()) {
-        proc_sets.push_back(splitList(args.str("models")));
+    if (args.given("models")) {
+        proc_sets.push_back(
+            args.choicelist("models", models::allModelNames()));
     } else {
         const int procs = args.intval("procs");
         if (procs < 1 || procs > 8) {

@@ -29,15 +29,6 @@ event core will be written against:
       propagated through the static call graph to a fixpoint, and any
       cycle is reported as a potential deadlock (`lock-cycle`).
 
-  shard locks are leaves
-      The sharded event core's per-shard inbox locks (capabilities
-      named like `shard_mu_`) must be leaves of the lock graph
-      (DESIGN.md §4h/§4i): the epoch barrier spins while shards drain
-      inboxes, so a shard lock entangled with any other capability
-      can stall every worker. Any edge *out* of a shard capability —
-      direct or through the call graph — is a `shard-lock-not-leaf`
-      finding, even when the graph stays acyclic.
-
 `--selftest` runs both analyses on a C++ rendition of jetmc's seeded
 two-lock model (src/mc/toylock.*): the inverted variant must produce
 the A<->B cycle, the well-ordered variant must not. With
@@ -94,15 +85,7 @@ RULES = [
     ("unknown-capability",
      "JETSIM_GUARDED_BY names a capability that is not a declared "
      "core::Mutex in this file"),
-    ("shard-lock-not-leaf",
-     "lock acquired while a shard inbox lock (capability named "
-     "shard*mu*) is held; shard locks must be lock-graph leaves "
-     "(DESIGN.md §4h/§4i)"),
 ]
-
-# Capabilities the leaf rule applies to: the sharded event core's
-# per-shard inbox locks (shard_mu_, shard_mutex, ...).
-SHARD_CAP_RE = re.compile(r"shard\w*mu", re.IGNORECASE)
 
 allowed = cpplex.allow_matcher("jetrace")
 ALLOW_RE = allowed.regexp
@@ -467,28 +450,6 @@ def audit(files, root):
 
     nodes, edges = build_lock_graph(analyses)
 
-    # Leaf discipline for the sharded core: no capability may be
-    # acquired under a shard inbox lock. Call-graph propagation has
-    # already folded indirect acquisitions into `edges`, so every
-    # violation — direct or transitive — is an edge out of a shard
-    # capability.
-    for (a, b), (path, line) in sorted(edges.items()):
-        if not SHARD_CAP_RE.search(a):
-            continue
-        raw = raw_by_path.get(path)
-        if raw is not None and allowed(raw, line - 1,
-                                       "shard-lock-not-leaf"):
-            continue
-        findings.append({
-            "path": path, "line": line,
-            "rule": "shard-lock-not-leaf",
-            "message": f"'{b}' is acquired while shard lock '{a}' "
-                       f"is held; shard inbox locks must be leaves "
-                       f"of the lock graph (DESIGN.md §4h/§4i) — "
-                       f"the epoch barrier spins on shards whose "
-                       f"inbox lock is entangled with another "
-                       f"capability"})
-
     cycles = find_cycles(nodes, edges)
     for cyc in cycles:
         involved = [(a, b) for (a, b) in edges
@@ -537,34 +498,6 @@ void worker2() { LockGuard a(lockA); LockGuard b(lockB); ++shared_ab; }
 SELFTEST_INVERTED = SELFTEST_COMMON + """
 void worker1() { LockGuard a(lockA); LockGuard b(lockB); ++shared_ab; }
 void worker2() { LockGuard b(lockB); LockGuard a(lockA); }
-"""
-
-# Shard-leaf fixtures: a miniature of the sharded engine's inbox
-# lock. The leaf variant only ever takes shard_mu_ innermost (edges
-# *into* the shard capability are fine); the non-leaf variant drains
-# the inbox while reaching for the stats lock — acyclic, yet exactly
-# the entanglement the epoch barrier cannot tolerate.
-SELFTEST_SHARD_COMMON = """\
-#include "core/mutex.hh"
-using jetsim::core::LockGuard;
-using jetsim::core::Mutex;
-
-Mutex shard_mu_;
-Mutex stats_mu;
-int inbox JETSIM_GUARDED_BY(shard_mu_);
-int stats JETSIM_GUARDED_BY(stats_mu);
-"""
-
-SELFTEST_SHARD_LEAF = SELFTEST_SHARD_COMMON + """
-void push() { LockGuard g(shard_mu_); ++inbox; }
-void report() { LockGuard s(stats_mu); LockGuard g(shard_mu_);
-                stats += inbox; }
-"""
-
-SELFTEST_SHARD_NONLEAF = SELFTEST_SHARD_COMMON + """
-void push() { LockGuard g(shard_mu_); ++inbox; }
-void drain() { LockGuard g(shard_mu_); LockGuard s(stats_mu);
-               stats += inbox; }
 """
 
 # MPSC-inbox fixtures: a miniature of the lock-free shard inbox ring
@@ -651,32 +584,6 @@ def selftest(jetmc_ce):
                 print("jetrace selftest: FAILED — ordered variant "
                       "missing the lockA->lockB edge")
                 ok = False
-        for name, src, want_leaf in [
-                ("shard_leaf.cc", SELFTEST_SHARD_LEAF, 0),
-                ("shard_nonleaf.cc", SELFTEST_SHARD_NONLEAF, 1)]:
-            p = os.path.join(td, name)
-            with open(p, "w", encoding="utf-8") as f:
-                f.write(src)
-            findings, _, graph = audit([p], td)
-            leaf = [f for f in findings
-                    if f["rule"] == "shard-lock-not-leaf"]
-            others = [f for f in findings
-                      if f["rule"] != "shard-lock-not-leaf"]
-            if len(leaf) != want_leaf:
-                print(f"jetrace selftest: FAILED — expected "
-                      f"{want_leaf} shard-lock-not-leaf finding(s) "
-                      f"on {name}, got {leaf}")
-                ok = False
-            if others:
-                print(f"jetrace selftest: FAILED — unexpected "
-                      f"findings on {name}: {others}")
-                ok = False
-            # Both variants are acyclic: the leaf rule must fire
-            # where cycle detection stays silent.
-            if not graph["acyclic"]:
-                print(f"jetrace selftest: FAILED — shard fixture "
-                      f"{name} should be acyclic")
-                ok = False
         for name, src, want_raw in [
                 ("mpsc_ring.cc", SELFTEST_MPSC_RING, 0),
                 ("mpsc_raw_inbox.cc", SELFTEST_MPSC_RAW_MUTEX, 2)]:
@@ -711,10 +618,8 @@ def selftest(jetmc_ce):
     if ok:
         print("jetrace selftest: inverted two-lock fixture yields "
               "the lockA<->lockB cycle; ordered fixture is acyclic; "
-              "shard-leaf fixtures: non-leaf acquisition under "
-              "shard_mu_ flagged, leaf-only use clean; MPSC inbox "
-              "ring audits clean with zero lock-graph capabilities, "
-              "raw-mutex inbox variant flagged")
+              "MPSC inbox ring audits clean with zero lock-graph "
+              "capabilities, raw-mutex inbox variant flagged")
     if jetmc_ce:
         try:
             with open(jetmc_ce, encoding="utf-8") as f:

@@ -40,7 +40,7 @@ main(int argc, char **argv)
     model_choices.push_back("all");
     const auto model = args.choice("model", model_choices);
     if (args.boolean("dot")) {
-        const auto net = models::modelByName(model);
+        const auto &net = models::modelByName(model);
         std::fputs(net.toDot().c_str(), stdout);
         return 0;
     }
@@ -62,7 +62,7 @@ main(int argc, char **argv)
                    "kernels", "precision mix", "weights (MiB)",
                    "total (MiB)", "fallbacks"});
     for (const auto &name : names) {
-        const auto net = models::modelByName(name);
+        const auto &net = models::modelByName(name);
         const auto engine = builder.build(net, cfg);
 
         std::map<soc::Precision, int> mix;

@@ -70,7 +70,7 @@ main(int argc, char **argv)
     cpu::OsScheduler sched(board);
     gpu::GpuEngine gpu(board);
 
-    const auto net =
+    const auto &net =
         models::modelByName(args.choice("model", models::allModelNames()));
 
     workload::ProcessConfig cfg;
