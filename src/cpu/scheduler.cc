@@ -19,7 +19,6 @@ Thread::exec(sim::Tick work, sim::InlineFn done)
     if (done.onHeap())
         JETSIM_COLD_OK("SBO miss: work-item capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
         sched_.eq().noteSboMiss();
-    JETSIM_COLD_OK("amortized: per-thread work deque, steady-state depth bounded by queued items")
     queue_.push_back(WorkItem{work, std::move(done)});
     if (state_ == State::Idle)
         sched_.makeRunnable(this);
@@ -141,9 +140,7 @@ OsScheduler::dispatchAll()
             Core *core = pickCore(t);
             if (!core)
                 break;
-            q->erase(q->begin() +
-                     static_cast<std::deque<Thread *>::difference_type>(
-                         at));
+            q->erase(at);
             dispatch(*core, t);
         }
     }
@@ -235,8 +232,7 @@ OsScheduler::sliceEnd(Core &core, Thread *t, sim::Tick work_done)
     // from ping-ponging the core at microsecond scale.
     const sim::Tick min_granularity =
         board_.spec().runtime.timeslice / 2;
-    auto &q = queueFor(t->big_);
-    if (!q.empty() &&
+    if (!queueFor(t->big_).empty() &&
         eq_.now() - core.dispatched_at >= min_granularity) {
         t->state_ = Thread::State::Runnable;
         t->runnable_since_ = eq_.now();
@@ -245,8 +241,7 @@ OsScheduler::sliceEnd(Core &core, Thread *t, sim::Tick work_done)
         ++preemptions_;
         t->core_ = -1;
         core.running = nullptr;
-        JETSIM_COLD_OK("amortized: run queue holds raw pointers, depth bounded by the thread count")
-        q.push_back(t);
+        queueFor(t->big_).push_back(t);
         updateBoardActivity();
         dispatchAll();
         return;

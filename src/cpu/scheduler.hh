@@ -20,7 +20,6 @@
 #ifndef JETSIM_CPU_SCHEDULER_HH
 #define JETSIM_CPU_SCHEDULER_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -115,7 +114,7 @@ class OsScheduler
 
     void updateBoardActivity();
 
-    std::deque<Thread *> &queueFor(bool big)
+    sim::Fifo<Thread *> &queueFor(bool big)
     {
         return big ? runq_big_ : runq_little_;
     }
@@ -124,8 +123,8 @@ class OsScheduler
     sim::EventQueue &eq_;
     std::vector<Core> cores_;
     std::vector<std::unique_ptr<Thread>> threads_;
-    std::deque<Thread *> runq_big_;
-    std::deque<Thread *> runq_little_;
+    sim::Fifo<Thread *> runq_big_;
+    sim::Fifo<Thread *> runq_little_;
     bool partitioned_ = true;
     std::uint64_t context_switches_ = 0;
     std::uint64_t preemptions_ = 0;

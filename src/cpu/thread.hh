@@ -20,9 +20,9 @@
 #define JETSIM_CPU_THREAD_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
+#include "sim/fifo.hh"
 #include "sim/inline_fn.hh"
 #include "sim/name_registry.hh"
 #include "sim/types.hh"
@@ -86,7 +86,7 @@ class Thread
     OsScheduler &sched_;
 
     State state_ = State::Idle;
-    std::deque<WorkItem> queue_;
+    sim::Fifo<WorkItem> queue_;
     int core_ = -1;       ///< core currently running on, -1 if none
     int last_core_ = -1;  ///< core of the previous dispatch
     sim::Tick runnable_since_ = sim::kTickInvalid;

@@ -6,7 +6,8 @@
 namespace jetsim::cuda {
 
 Stream::Stream(gpu::GpuEngine &engine, const std::string &name)
-    : engine_(engine), channel_(engine.createChannel(name))
+    : engine_(engine),
+      channel_(engine.createChannel(name, [this] { kernelDone(); }))
 {
 }
 
@@ -19,7 +20,7 @@ void
 Stream::launch(const gpu::KernelDesc *k)
 {
     ++submitted_;
-    engine_.submit(channel_, k, [this] { kernelDone(); });
+    engine_.submit(channel_, k);
 }
 
 void
@@ -48,7 +49,6 @@ Stream::onComplete(std::uint64_t target, sim::InlineFn cb)
     if (cb.onHeap())
         JETSIM_COLD_OK("SBO miss: waiter capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
         engine_.eq().noteSboMiss();
-    JETSIM_COLD_OK("amortized: waiter list bounded by outstanding host syncs")
     waiters_.push_back(Waiter{target, std::move(cb)});
 }
 

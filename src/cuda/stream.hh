@@ -13,10 +13,10 @@
 #define JETSIM_CUDA_STREAM_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "gpu/engine.hh"
+#include "sim/fifo.hh"
 #include "sim/inline_fn.hh"
 
 namespace jetsim::cuda {
@@ -79,7 +79,7 @@ class Stream
         std::uint64_t target;
         sim::InlineFn cb;
     };
-    std::deque<Waiter> waiters_; // sorted by target (FIFO submit order)
+    sim::Fifo<Waiter> waiters_; // sorted by target (FIFO submit order)
 };
 
 /**

@@ -20,6 +20,9 @@ constexpr const char *kComponent = "gpu.cost";
  */
 constexpr double kMaxBodyNs = KernelCostModel::kMaxBodyNsCap;
 
+/** Per-launch execution-time jitter (see KernelCostModel::kJitterLo). */
+const sim::Lognormal kJitter(1.0, 0.05);
+
 } // namespace
 
 KernelCostModel::KernelCostModel(const soc::DeviceSpec &spec)
@@ -125,7 +128,7 @@ KernelCostModel::timing(const KernelDesc &k, double freq_frac,
     body_ns = std::max(
         body_ns, static_cast<double>(g.min_kernel_latency) / freq_frac);
     if (rng)
-        body_ns *= std::clamp(rng->lognormal(1.0, 0.05), kJitterLo,
+        body_ns *= std::clamp(rng->lognormal(kJitter), kJitterLo,
                               kJitterHi);
     body_ns = std::min(body_ns, kMaxBodyNs);
 

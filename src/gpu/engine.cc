@@ -20,9 +20,15 @@ GpuEngine::GpuEngine(soc::Board &board)
 }
 
 int
-GpuEngine::createChannel(const std::string &name)
+GpuEngine::createChannel(const std::string &name, Callback on_done)
 {
-    channels_.push_back(Channel{name, {}, false, true, 0});
+    JETSIM_ASSERT(!in_callback_);
+    // The callback waits in the channel, outside the event queue's own
+    // SBO accounting; attribute a heap fallback here, once.
+    if (on_done.onHeap())
+        JETSIM_COLD_OK("SBO miss: channel completion capture spilled past 48 bytes; counted once per channel, asserted zero by micro_sim --assert-sbo")
+        eq_.noteSboMiss();
+    channels_.push_back(Channel{name, std::move(on_done), {}, false, true, 0});
     return static_cast<int>(channels_.size()) - 1;
 }
 
@@ -33,9 +39,9 @@ GpuEngine::destroyChannel(int channel)
                   channel < static_cast<int>(channels_.size()));
     auto &ch = channels_[channel];
     ch.alive = false;
-    // Drop not-yet-started work: their callbacks point into the
-    // destroyed stream. The in-flight kernel (if any) is skipped at
-    // completion via the alive flag.
+    // Drop not-yet-started work: the channel's callback points into
+    // the destroyed stream. The in-flight kernel (if any) completes
+    // without calling it (notifyDone checks the alive flag).
     ch.queue.clear();
 }
 
@@ -48,7 +54,7 @@ GpuEngine::channelAlive(int channel) const
 }
 
 void
-GpuEngine::submit(int channel, const KernelDesc *k, Callback done)
+GpuEngine::submit(int channel, const KernelDesc *k)
 {
     JETSIM_ASSERT(channel >= 0 &&
                   channel < static_cast<int>(channels_.size()));
@@ -63,13 +69,7 @@ GpuEngine::submit(int channel, const KernelDesc *k, Callback done)
                          k->name.c_str(), channel, ch.name.c_str());
         return; // drop: the owning stream no longer exists
     }
-    // Queued completions live in the channel, outside the event
-    // queue's own SBO accounting; attribute heap fallbacks here.
-    if (done.onHeap())
-        JETSIM_COLD_OK("SBO miss: completion capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
-        eq_.noteSboMiss();
-    JETSIM_COLD_OK("amortized: per-channel deque, steady-state depth bounded by inflight kernels")
-    ch.queue.push_back(Queued{k, std::move(done), eq_.now()});
+    ch.queue.push_back(Queued{k, eq_.now()});
     ch.peak_depth = std::max(ch.peak_depth, channelDepth(channel));
 
     if (spatial_) {
@@ -114,6 +114,17 @@ GpuEngine::publishIdleIfQuiet()
 {
     if (!busy_ && execs_.empty())
         board_.setGpuState(false, 0, 0, 0, 0);
+}
+
+void
+GpuEngine::notifyDone(int channel)
+{
+    Channel &ch = channels_[static_cast<std::size_t>(channel)];
+    if (!ch.alive || !ch.on_done)
+        return;
+    in_callback_ = true;
+    ch.on_done(); // may submit; submit() calls scheduleNext itself
+    in_callback_ = false;
 }
 
 // ------------------------------------------------- time-multiplexed path
@@ -186,7 +197,6 @@ GpuEngine::scheduleNext()
 
     auto &ch = channels_[pick];
     const KernelDesc *k = ch.queue.front().desc;
-    Callback done = std::move(ch.queue.front().done);
     const sim::Tick submit_tick = ch.queue.front().submit;
     ch.queue.pop_front();
 
@@ -202,17 +212,16 @@ GpuEngine::scheduleNext()
     busy_ = true;
     dispatch_wait_.sample(static_cast<double>(start - submit_tick));
 
-    // The in-flight record and completion live on the engine, not in
-    // the event captures: both events below capture only `this`
-    // (valid because busy_ serialises the time-mux path) and stay on
-    // the event queue's inline (no-allocation) path.
+    // The in-flight record lives on the engine, not in the event
+    // captures: both events below capture only `this` (valid because
+    // busy_ serialises the time-mux path) and stay on the event
+    // queue's inline (no-allocation) path.
     inflight_rec_.channel = pick;
     inflight_rec_.desc = k;
     inflight_rec_.submit = submit_tick;
     inflight_rec_.start = start;
     inflight_rec_.end = end;
     inflight_rec_.timing = timing;
-    inflight_done_ = std::move(done);
 
     if (start > eq_.now()) {
         // Channel switches keep warps resident (SM-active, nothing
@@ -248,18 +257,13 @@ GpuEngine::finishMux()
                  inflight_rec_.channel);
     ++kernels_executed_;
     busy_ = false;
-    // Move the in-flight state out first: the completion may submit,
-    // which starts the next kernel and overwrites the members.
+    // Copy the in-flight record out first: the completion may submit,
+    // which starts the next kernel and overwrites the member.
     const KernelRecord rec = inflight_rec_;
-    Callback done = std::move(inflight_done_);
-    inflight_done_ = nullptr;
     board_.setGpuState(false, 0, 0, 0, 0);
-    if (channels_[rec.channel].alive) {
-        if (trace_)
-            trace_(rec);
-        if (done)
-            done(); // may submit; submit() calls scheduleNext itself
-    }
+    if (channels_[rec.channel].alive && trace_)
+        trace_(rec);
+    notifyDone(rec.channel);
     scheduleNext();
 }
 
@@ -276,7 +280,6 @@ GpuEngine::spatialStart(int channel)
     Exec e;
     e.channel = channel;
     e.desc = ch.queue.front().desc;
-    e.done = std::move(ch.queue.front().done);
     e.submit = ch.queue.front().submit;
     ch.queue.pop_front();
 
@@ -351,8 +354,7 @@ GpuEngine::spatialReschedule()
             rec.timing = e.timing;
             if (trace_)
                 trace_(rec);
-            if (e.done)
-                e.done();
+            notifyDone(e.channel);
         }
 
         // Channels with queued work (from callbacks or earlier

@@ -18,7 +18,6 @@
 #ifndef JETSIM_GPU_ENGINE_HH
 #define JETSIM_GPU_ENGINE_HH
 
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "gpu/cost_model.hh"
 #include "gpu/kernel.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/stats.hh"
 #include "soc/board.hh"
 
@@ -35,8 +35,8 @@ namespace jetsim::gpu {
 class GpuEngine
 {
   public:
-    /** Completion callbacks ride the event queue's SBO type: a submit
-     * never heap-allocates for captures <= InlineFn::kInlineSize. */
+    /** A channel's completion callback rides the event queue's SBO
+     * type: captures <= InlineFn::kInlineSize never heap-allocate. */
     using Callback = sim::InlineFn;
     using TraceHook = std::function<void(const KernelRecord &)>;
 
@@ -45,8 +45,15 @@ class GpuEngine
     GpuEngine(const GpuEngine &) = delete;
     GpuEngine &operator=(const GpuEngine &) = delete;
 
-    /** Create a channel (one per process stream). */
-    int createChannel(const std::string &name);
+    /**
+     * Create a channel (one per process stream). @p on_done fires
+     * once per kernel the channel completes, in submission order,
+     * while the channel is alive; it may be empty. Channels are
+     * created before the run: creating one from inside a completion
+     * callback is a bug (the callback runs in place in the channel
+     * table, which the new channel could reallocate).
+     */
+    int createChannel(const std::string &name, Callback on_done = nullptr);
 
     /**
      * Retire a channel when its owning stream is destroyed. Queued
@@ -61,10 +68,11 @@ class GpuEngine
     bool channelAlive(int channel) const;
 
     /**
-     * Enqueue @p k on @p channel; @p done fires at completion. The
-     * KernelDesc must outlive the execution (engines own theirs).
+     * Enqueue @p k on @p channel; the channel's completion callback
+     * fires when it finishes. The KernelDesc must outlive the
+     * execution (engines own theirs).
      */
-    void submit(int channel, const KernelDesc *k, Callback done);
+    void submit(int channel, const KernelDesc *k);
 
     /** Kernels queued or executing on @p channel. */
     std::size_t channelDepth(int channel) const;
@@ -110,19 +118,19 @@ class GpuEngine
     /** @} */
 
   private:
-    /** One queued kernel: descriptor, completion, submit tick —
-     * a single deque node instead of two parallel deques. */
+    /** One queued kernel: descriptor and submit tick (16 bytes; the
+     * completion callback is the channel's). */
     struct Queued
     {
         const KernelDesc *desc;
-        Callback done;
         sim::Tick submit;
     };
 
     struct Channel
     {
         std::string name;
-        std::deque<Queued> queue;
+        Callback on_done;
+        sim::Fifo<Queued> queue;
         bool executing = false; // spatial mode only
         bool alive = true;      // owning stream exists
         std::size_t peak_depth = 0;
@@ -133,7 +141,6 @@ class GpuEngine
     {
         int channel;
         const KernelDesc *desc;
-        Callback done;
         sim::Tick submit;
         sim::Tick start;
         double remaining_ns; // at exclusive service rate
@@ -152,27 +159,29 @@ class GpuEngine
 
     void publishIdleIfQuiet();
 
+    /** Run @p channel's completion callback, in place, if the channel
+     * is alive. */
+    void notifyDone(int channel);
+
     soc::Board &board_;
     sim::EventQueue &eq_;
     KernelCostModel cost_;
     sim::Rng rng_;
     TraceHook trace_;
 
-    // deque: grows without relocation, which a vector would do via
-    // Channel's copy constructor (Queued is move-only).
-    std::deque<Channel> channels_;
+    std::vector<Channel> channels_;
+    bool in_callback_ = false; ///< a completion callback is running
     bool spatial_ = false;
     sim::Tick extra_overhead_ = 0;
 
     // time-mux state. Exactly one kernel is in flight (busy_), so its
-    // record and completion live here instead of inside the end
-    // event's capture — the event captures only `this` and stays on
-    // the queue's 48-byte inline path.
+    // record lives here instead of inside the end event's capture —
+    // the event captures only `this` and stays on the queue's 48-byte
+    // inline path.
     bool busy_ = false;
     int active_channel_ = -1;
     sim::Tick quantum_start_ = 0;
     KernelRecord inflight_rec_;
-    Callback inflight_done_;
 
     // spatial state
     std::vector<Exec> execs_;

@@ -105,23 +105,28 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
-double
-Rng::lognormal(double mean, double cv)
+Lognormal::Lognormal(double mean, double cv) : mean_(mean), cv_(cv)
 {
     JETSIM_ASSERT(mean > 0.0 && cv >= 0.0);
-    if (cv == 0.0)
-        return mean;
     const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(mu + std::sqrt(sigma2) * normal());
+    mu_ = std::log(mean) - 0.5 * sigma2;
+    sigma_ = std::sqrt(sigma2);
 }
 
 double
-Rng::lognormalBounded(double mean, double cv)
+Rng::lognormal(const Lognormal &d)
 {
-    const double v = lognormal(mean, cv);
-    const double lo = mean / kLognormalEnvelope;
-    const double hi = mean * kLognormalEnvelope;
+    if (d.cv_ == 0.0)
+        return d.mean_;
+    return std::exp(d.mu_ + d.sigma_ * normal());
+}
+
+double
+Rng::lognormalBounded(const Lognormal &d)
+{
+    const double v = lognormal(d);
+    const double lo = d.mean_ / kLognormalEnvelope;
+    const double hi = d.mean_ * kLognormalEnvelope;
     return v < lo ? lo : (v > hi ? hi : v);
 }
 

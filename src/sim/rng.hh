@@ -29,6 +29,29 @@ namespace jetsim::sim {
 inline constexpr double kLognormalEnvelope = 8.0;
 
 /**
+ * A log-normal distribution given by the *target* mean and the
+ * coefficient of variation of the resulting distribution — the
+ * natural parameterisation for latency jitter. The log-space
+ * parameters are computed once, here, so a draw from a distribution
+ * used many times costs one normal variate and one exp.
+ */
+class Lognormal
+{
+  public:
+    Lognormal(double mean, double cv);
+
+    double mean() const { return mean_; }
+
+  private:
+    friend class Rng;
+
+    double mean_;
+    double cv_;
+    double mu_ = 0.0;    ///< mean of the underlying normal
+    double sigma_ = 0.0; ///< standard deviation of the underlying normal
+};
+
+/**
  * Deterministic pseudo-random generator (xoshiro256**).
  *
  * Cheap to copy; each component typically owns a fork()ed child so
@@ -58,19 +81,21 @@ class Rng
     /** Normal variate with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
-    /**
-     * Log-normal variate parameterised by the *target* mean and the
-     * coefficient of variation of the resulting distribution — the
-     * natural parameterisation for latency jitter.
-     */
-    double lognormal(double mean, double cv);
+    /** Log-normal variate from @p d (see Lognormal). */
+    double lognormal(const Lognormal &d);
+
+    /** As above for a distribution used once. */
+    double lognormal(double mean, double cv)
+    {
+        return lognormal(Lognormal(mean, cv));
+    }
 
     /**
      * lognormal() clamped to the kLognormalEnvelope band around the
-     * mean. All latency-jitter draws in the simulator use this form
+     * mean. All CPU-side latency draws in the simulator use this form
      * so worst cases are boundable (see src/absint).
      */
-    double lognormalBounded(double mean, double cv);
+    double lognormalBounded(const Lognormal &d);
 
     /** Bernoulli trial with probability p of true. */
     bool chance(double p);

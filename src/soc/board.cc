@@ -37,7 +37,9 @@ maxPlausibleWatts(const DeviceSpec &spec)
 } // namespace
 
 Board::Board(DeviceSpec spec, sim::EventQueue &eq, std::uint64_t seed)
-    : spec_(std::move(spec)), eq_(eq),
+    : spec_(std::move(spec)), big_cores_(spec_.bigCores()),
+      little_cores_(spec_.littleCores()),
+      max_plausible_w_(maxPlausibleWatts(spec_)), eq_(eq),
       rng_(seed ^ sim::hashLabel(spec_.name)),
       memory_(spec_.memory.total, spec_.memory.os_reserved),
       power_model_(spec_.power),
@@ -49,16 +51,15 @@ Board::Board(DeviceSpec spec, sim::EventQueue &eq, std::uint64_t seed)
 void
 Board::setCpuActive(int big, int little)
 {
-    JETSIM_CHECK(big >= 0 && big <= spec_.bigCores() && little >= 0 &&
-                     little <= spec_.littleCores(),
+    JETSIM_CHECK(big >= 0 && big <= big_cores_ && little >= 0 &&
+                     little <= little_cores_,
                  check::Severity::Error,
                  check::Invariant::Plausibility, kComponent, eq_.now(),
                  "active core counts (%d big, %d little) outside the "
                  "%d/%d the board has",
-                 big, little, spec_.bigCores(), spec_.littleCores());
-    activity_.cpu_active_big = std::clamp(big, 0, spec_.bigCores());
-    activity_.cpu_active_little =
-        std::clamp(little, 0, spec_.littleCores());
+                 big, little, big_cores_, little_cores_);
+    activity_.cpu_active_big = std::clamp(big, 0, big_cores_);
+    activity_.cpu_active_little = std::clamp(little, 0, little_cores_);
     refresh();
 }
 
@@ -102,11 +103,11 @@ Board::refresh()
 {
     const double p = powerW();
     JETSIM_CHECK(std::isfinite(p) && p >= 0.0 &&
-                     p <= maxPlausibleWatts(spec_) + 0.5,
+                     p <= max_plausible_w_ + 0.5,
                  check::Severity::Error,
                  check::Invariant::Plausibility, kComponent, eq_.now(),
                  "implausible board power %g W (max plausible %g W)",
-                 p, maxPlausibleWatts(spec_));
+                 p, max_plausible_w_);
     power_tw_.set(eq_.now(), p);
 }
 

@@ -83,6 +83,10 @@ class Board
     void refresh();
 
     const DeviceSpec spec_;
+    // Per-event constants of the spec, computed once.
+    const int big_cores_;
+    const int little_cores_;
+    const double max_plausible_w_; ///< see maxPlausibleWatts()
     sim::EventQueue &eq_;
     sim::Rng rng_;
     UnifiedMemory memory_;

@@ -18,10 +18,10 @@ constexpr double kCoolPerDeg = 0.055;   // 1/s toward ambient
 DvfsGovernor::DvfsGovernor(const DeviceSpec &spec, sim::EventQueue &eq,
                            PowerFn power_fn)
     : spec_(spec), eq_(eq), power_fn_(std::move(power_fn)),
-      level_(spec.gpu.dvfs_levels - 1),
       temp_c_(spec.power.ambient_temp_c)
 {
     JETSIM_ASSERT(spec_.gpu.dvfs_levels >= 2);
+    setLevel(spec_.gpu.dvfs_levels - 1);
 }
 
 void
@@ -45,15 +45,16 @@ DvfsGovernor::setEnabled(bool enabled)
 {
     enabled_ = enabled;
     if (!enabled_)
-        level_ = spec_.gpu.dvfs_levels - 1;
+        setLevel(spec_.gpu.dvfs_levels - 1);
 }
 
-double
-DvfsGovernor::freqFrac() const
+void
+DvfsGovernor::setLevel(int level)
 {
+    level_ = level;
     // The level arithmetic can land a hair above max_freq_ghz in
     // floating point; clamp so consumers can rely on (0, 1].
-    return std::min(1.0, freqGhz() / spec_.gpu.max_freq_ghz);
+    freq_frac_ = std::min(1.0, freqGhz() / spec_.gpu.max_freq_ghz);
 }
 
 double
@@ -86,12 +87,12 @@ DvfsGovernor::tick()
         const bool hot = temp_c_ > spec_.power.throttle_temp_c;
         if (power_ema_ > cap || hot) {
             if (level_ > 0) {
-                --level_;
+                setLevel(level_ - 1);
                 ++throttle_events_;
             }
         } else if (power_ema_ < 0.88 * cap &&
                    temp_c_ < spec_.power.throttle_temp_c - 5.0) {
-            level_ = std::min(level_ + 1, spec_.gpu.dvfs_levels - 1);
+            setLevel(std::min(level_ + 1, spec_.gpu.dvfs_levels - 1));
         }
     }
 

@@ -46,7 +46,7 @@ class DvfsGovernor
     bool enabled() const { return enabled_; }
 
     /** Current GPU frequency as a fraction of the maximum. */
-    double freqFrac() const;
+    double freqFrac() const { return freq_frac_; }
 
     /** Current GPU frequency in GHz. */
     double freqGhz() const;
@@ -66,12 +66,16 @@ class DvfsGovernor
   private:
     void tick();
 
+    /** Move to @p level and recompute freq_frac_. */
+    void setLevel(int level);
+
     const DeviceSpec spec_;
     sim::EventQueue &eq_;
     PowerFn power_fn_;
     bool enabled_ = true;
     bool running_ = false;
-    int level_;
+    int level_ = 0;
+    double freq_frac_ = 0.0; ///< freqFrac() at level_, set by setLevel
     double temp_c_;
     double power_ema_ = 0.0;
     std::uint64_t throttle_events_ = 0;

@@ -4,45 +4,51 @@
 
 namespace jetsim::trt {
 
+namespace {
+/** Coefficient of variation of one launch API call's CPU cost. */
+constexpr double kLaunchCostCv = 0.35;
+} // namespace
+
 ExecutionContext::ExecutionContext(const Engine &engine,
                                    cuda::Stream &stream,
                                    cpu::Thread &thread,
                                    soc::Board &board)
     : engine_(engine), stream_(stream), thread_(thread), board_(board),
-      rng_(board.rng().fork("ec-" + engine.model()))
+      rng_(board.rng().fork("ec-" + engine.model())),
+      launch_cost_(
+          static_cast<double>(board.spec().runtime.launch_cpu_cost),
+          kLaunchCostCv)
 {
     JETSIM_ASSERT(!engine_.kernels().empty());
 }
 
 void
-ExecutionContext::enqueue(DoneFn done, std::function<void()> cpu_done)
+ExecutionContext::enqueue(EcRecord &rec, DoneFn done, DoneFn cpu_done)
 {
     ++invocations_;
-    auto p = std::make_shared<Pending>();
-    p->rec.enqueue_begin = board_.eq().now();
-    p->rec.kernels = static_cast<int>(engine_.kernels().size());
-    p->done = std::move(done);
-    p->cpu_done = std::move(cpu_done);
-    launchNext(p, 0);
+    rec = EcRecord{};
+    rec.enqueue_begin = board_.eq().now();
+    rec.kernels = static_cast<int>(engine_.kernels().size());
+    inflight_.push_back(Pending{&rec, std::move(done)});
+    cpu_done_ = std::move(cpu_done);
+    launchNext(0);
 }
 
 void
-ExecutionContext::launchNext(const std::shared_ptr<Pending> &p,
-                             std::size_t i)
+ExecutionContext::launchNext(std::size_t i)
 {
     auto &eq = board_.eq();
+    EcRecord &rec = *inflight_.back().rec;
 
     if (i == engine_.kernels().size()) {
-        p->rec.enqueue_end = eq.now();
+        rec.enqueue_end = eq.now();
         // Wait for everything this EC submitted (stream is FIFO and
         // the caller serialises enqueues, so the tail is ours).
-        stream_.onComplete(stream_.submitted(), [this, p] {
-            p->rec.gpu_done = board_.eq().now();
-            if (p->done)
-                p->done(p->rec);
-        });
-        if (p->cpu_done)
-            p->cpu_done();
+        stream_.onComplete(stream_.submitted(), [this] { finishFront(); });
+        if (cpu_done_) {
+            DoneFn cpu_done = std::move(cpu_done_);
+            cpu_done();
+        }
         return;
     }
 
@@ -50,15 +56,28 @@ ExecutionContext::launchNext(const std::shared_ptr<Pending> &p,
     const double mean =
         static_cast<double>(board_.spec().runtime.launch_cpu_cost) *
         board_.launchOverheadFactor();
+    if (mean != launch_cost_.mean())
+        launch_cost_ = sim::Lognormal(mean, kLaunchCostCv);
     // Bounded draw (sim::kLognormalEnvelope): launch-API worst cases
     // are provable, not just unlikely (src/absint).
     const auto cost =
-        static_cast<sim::Tick>(rng_.lognormalBounded(mean, 0.35));
-    thread_.exec(cost, [this, p, i, t0] {
+        static_cast<sim::Tick>(rng_.lognormalBounded(launch_cost_));
+    thread_.exec(cost, [this, i, t0] {
         stream_.launch(&engine_.kernels()[i]);
-        p->rec.launch_api_total += board_.eq().now() - t0;
-        launchNext(p, i + 1);
+        inflight_.back().rec->launch_api_total += board_.eq().now() - t0;
+        launchNext(i + 1);
     });
+}
+
+void
+ExecutionContext::finishFront()
+{
+    Pending &p = inflight_.front();
+    p.rec->gpu_done = board_.eq().now();
+    DoneFn done = std::move(p.done);
+    inflight_.pop_front();
+    if (done)
+        done();
 }
 
 } // namespace jetsim::trt

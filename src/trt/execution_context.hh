@@ -18,11 +18,10 @@
 #ifndef JETSIM_TRT_EXECUTION_CONTEXT_HH
 #define JETSIM_TRT_EXECUTION_CONTEXT_HH
 
-#include <functional>
-#include <memory>
-
 #include "cpu/scheduler.hh"
 #include "cuda/stream.hh"
+#include "sim/fifo.hh"
+#include "sim/inline_fn.hh"
 #include "sim/rng.hh"
 #include "soc/board.hh"
 #include "trt/engine.hh"
@@ -46,7 +45,9 @@ struct EcRecord
 class ExecutionContext
 {
   public:
-    using DoneFn = std::function<void(const EcRecord &)>;
+    /** Completion callbacks ride the event queue's SBO type, so an
+     * enqueue never heap-allocates for small captures. */
+    using DoneFn = sim::InlineFn;
 
     /**
      * @param engine compiled plan (must outlive the context)
@@ -61,34 +62,47 @@ class ExecutionContext
     ExecutionContext &operator=(const ExecutionContext &) = delete;
 
     /**
-     * Enqueue one batch inference. @p done fires (in GPU-completion
-     * context) when the batch finishes; @p cpu_done fires (in thread
-     * context) when the CPU-side launch sequence returns — the moment
-     * the real enqueueV3() call would return. Must be invoked from
-     * the owning thread's logic, and the caller must not issue other
-     * work on the thread until @p cpu_done (real TensorRT contexts
-     * are not re-entrant either).
+     * Enqueue one batch inference, recording it into @p rec (which
+     * is reset first and must stay valid until @p done fires). @p done
+     * fires (in GPU-completion context) when the batch finishes, with
+     * @p rec complete; @p cpu_done fires (in thread context) when the
+     * CPU-side launch sequence returns — the moment the real
+     * enqueueV3() call would return. Must be invoked from the owning
+     * thread's logic, and the caller must not issue other work on the
+     * thread until @p cpu_done (real TensorRT contexts are not
+     * re-entrant either).
      */
-    void enqueue(DoneFn done, std::function<void()> cpu_done = nullptr);
+    void enqueue(EcRecord &rec, DoneFn done, DoneFn cpu_done = nullptr);
 
     /** ECs enqueued over the context's lifetime. */
     std::uint64_t invocations() const { return invocations_; }
 
   private:
+    /** An EC whose kernels are launched, or being launched, and not
+     * yet complete. The stream completes ECs in enqueue order. */
     struct Pending
     {
-        EcRecord rec;
+        EcRecord *rec;
         DoneFn done;
-        std::function<void()> cpu_done;
     };
 
-    void launchNext(const std::shared_ptr<Pending> &p, std::size_t i);
+    /** Launch kernel @p i of the EC at the back of inflight_. */
+    void launchNext(std::size_t i);
+
+    /** The oldest in-flight EC's last kernel completed. */
+    void finishFront();
 
     const Engine &engine_;
     cuda::Stream &stream_;
     cpu::Thread &thread_;
     soc::Board &board_;
     sim::Rng rng_;
+    /** Launch-API cost distribution, rebuilt when its mean moves
+     * (attaching a profiler inflates it). */
+    sim::Lognormal launch_cost_;
+    sim::Fifo<Pending> inflight_;
+    /** The launching EC's cpu_done: one launch sequence at a time. */
+    DoneFn cpu_done_;
     std::uint64_t invocations_ = 0;
 };
 

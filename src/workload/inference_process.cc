@@ -17,10 +17,19 @@ InferenceProcess::InferenceProcess(soc::Board &board,
       // "serve-" open): the recorded golden digests depend on it.
       rng_(board.rng().fork((cfg_.arrival_rate ? "serve-" : "proc-") +
                             cfg_.name)),
+      // Bounded draws: prep stays within the sim::kLognormalEnvelope
+      // band, which is what src/absint's CPU-side upper bounds assume.
+      prep_dist_(static_cast<double>(cfg_.prep_cost), 0.3),
       thread_(sched.createThread(cfg_.name, /*big=*/true)),
       engine_(trt::sharedEngine(board.spec(), net, cfg_.build))
 {
     JETSIM_ASSERT(cfg_.arrival_rate.value_or(0.0) >= 0.0);
+    JETSIM_ASSERT(cfg_.pre_enqueue >= 0);
+    slots_.resize(static_cast<std::size_t>(1 + cfg_.pre_enqueue));
+    if (openLoop())
+        for (Slot &slot : slots_)
+            slot.arrivals.reserve(
+                static_cast<std::size_t>(cfg_.build.batch));
 }
 
 bool
@@ -123,10 +132,8 @@ InferenceProcess::kick()
 void
 InferenceProcess::prepAndEnqueue()
 {
-    // Bounded draw: prep stays within the sim::kLognormalEnvelope
-    // band, which is what src/absint's CPU-side upper bounds assume.
-    const auto prep = static_cast<sim::Tick>(rng_.lognormalBounded(
-        static_cast<double>(cfg_.prep_cost), 0.3));
+    const auto prep =
+        static_cast<sim::Tick>(rng_.lognormalBounded(prep_dist_));
     thread_->exec(prep, [this] { enqueueOne(); });
 }
 
@@ -136,30 +143,40 @@ InferenceProcess::enqueueOne()
     // Counted here, in the enqueue thread's program order: the bound
     // cuts the loop at the same EC index in every interleaving.
     ++launched_;
-    auto slot = std::make_shared<Slot>();
+    JETSIM_ASSERT(in_flight_ < slots_.size());
+    Slot &slot = inFlight(in_flight_++);
+    slot.gpu_done = false;
     // An open loop's EC carries up to `batch` queued requests (a
     // closed loop's queue is always empty).
+    slot.arrivals.clear();
     const auto take = std::min(
         static_cast<std::size_t>(cfg_.build.batch), queue_.size());
     for (std::size_t i = 0; i < take; ++i) {
-        slot->arrivals.push_back(queue_.front());
+        slot.arrivals.push_back(queue_.front());
         queue_.pop_front();
     }
-    pending_.push_back(slot);
-    ctx_->enqueue(
-        [this, slot](const trt::EcRecord &rec) {
-            slot->rec = rec;
-            slot->gpu_done = true;
-            recordEc(*slot);
-            if (waiting_on_ == slot) {
-                // The thread is blocked in cudaStreamSynchronize on
-                // this EC: wake it (the wait is the paper's B_l).
-                waiting_on_.reset();
-                thread_->exec(board_.spec().runtime.sync_cpu_cost,
-                              [this] { syncReturn(); });
-            }
-        },
-        [this] { next(); });
+    ctx_->enqueue(slot.rec, [this] { ecDone(); }, [this] { next(); });
+}
+
+void
+InferenceProcess::ecDone()
+{
+    // The stream completes ECs in enqueue order, so the one that
+    // finished is the oldest in-flight EC not yet done.
+    std::size_t i = 0;
+    while (i < in_flight_ && inFlight(i).gpu_done)
+        ++i;
+    JETSIM_ASSERT(i < in_flight_);
+    Slot &slot = inFlight(i);
+    slot.gpu_done = true;
+    recordEc(slot);
+    if (sync_blocked_ && i == 0) {
+        // The thread is blocked in cudaStreamSynchronize on this EC:
+        // wake it (the wait is the paper's B_l).
+        sync_blocked_ = false;
+        thread_->exec(board_.spec().runtime.sync_cpu_cost,
+                      [this] { syncReturn(); });
+    }
 }
 
 void
@@ -167,10 +184,9 @@ InferenceProcess::next()
 {
     // Fill the pipeline to 1 + pre_enqueue ECs while there is work,
     // then block on the oldest one; with nothing in flight, go idle.
-    if (hasWork() &&
-        pending_.size() < static_cast<std::size_t>(1 + cfg_.pre_enqueue))
+    if (hasWork() && in_flight_ < slots_.size())
         prepAndEnqueue();
-    else if (!pending_.empty())
+    else if (in_flight_ > 0)
         syncFront();
     else
         cycling_ = false;
@@ -179,10 +195,9 @@ InferenceProcess::next()
 void
 InferenceProcess::syncFront()
 {
-    JETSIM_ASSERT(!pending_.empty());
-    auto slot = pending_.front();
+    JETSIM_ASSERT(in_flight_ > 0);
     sync_begin_ = board_.eq().now();
-    if (slot->gpu_done) {
+    if (inFlight(0).gpu_done) {
         // Already complete: the sync call returns after its CPU cost.
         thread_->exec(board_.spec().runtime.sync_cpu_cost,
                       [this] { syncReturn(); });
@@ -190,7 +205,7 @@ InferenceProcess::syncFront()
         spinWait();
     } else {
         // Blocking sync: yield the core until the GPU signals.
-        waiting_on_ = slot;
+        sync_blocked_ = true;
     }
 }
 
@@ -202,8 +217,8 @@ InferenceProcess::spinWait()
     // time-shares the spinners and completion detection is delayed
     // by scheduler waits (the paper's B_l).
     thread_->exec(cfg_.spin_chunk, [this] {
-        JETSIM_ASSERT(!pending_.empty());
-        if (pending_.front()->gpu_done)
+        JETSIM_ASSERT(in_flight_ > 0);
+        if (inFlight(0).gpu_done)
             syncReturn();
         else
             spinWait();
@@ -213,15 +228,16 @@ InferenceProcess::spinWait()
 void
 InferenceProcess::syncReturn()
 {
-    JETSIM_ASSERT(!pending_.empty());
+    JETSIM_ASSERT(in_flight_ > 0);
     if (measuring_) {
         const sim::Tick now = board_.eq().now();
         sync_span_.sample(static_cast<double>(now - sync_begin_));
-        const sim::Tick done = pending_.front()->rec.gpu_done;
+        const sim::Tick done = inFlight(0).rec.gpu_done;
         blocked_.sample(
             static_cast<double>(std::max<sim::Tick>(0, now - done)));
     }
-    pending_.pop_front();
+    head_ = (head_ + 1) % slots_.size();
+    --in_flight_;
     next();
 }
 

@@ -30,7 +30,6 @@
 #ifndef JETSIM_WORKLOAD_INFERENCE_PROCESS_HH
 #define JETSIM_WORKLOAD_INFERENCE_PROCESS_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,6 +40,8 @@
 #include "cuda/stream.hh"
 #include "graph/network.hh"
 #include "prof/cdf.hh"
+#include "sim/fifo.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "trt/builder.hh"
 #include "trt/execution_context.hh"
@@ -172,22 +173,30 @@ class InferenceProcess
     sim::Bytes deviceBytes() const;
 
   private:
-    /** One in-flight EC's bookkeeping. */
+    /** One in-flight EC's bookkeeping, reused EC after EC. */
     struct Slot
     {
         bool gpu_done = false;
         trt::EcRecord rec;
-        std::vector<sim::Tick> arrivals; ///< open-loop requests served
+        /** Open-loop requests served; reserved to `batch` up front. */
+        std::vector<sim::Tick> arrivals;
     };
 
     bool openLoop() const { return cfg_.arrival_rate.has_value(); }
     bool hasWork() const;
+
+    /** The @p i-th in-flight EC, oldest first. */
+    Slot &inFlight(std::size_t i)
+    {
+        return slots_[(head_ + i) % slots_.size()];
+    }
 
     void scheduleArrival();
     void onArrival();
     void kick();
     void prepAndEnqueue();
     void enqueueOne();
+    void ecDone();
     void next();
     void syncFront();
     void spinWait();
@@ -198,6 +207,7 @@ class InferenceProcess
     gpu::GpuEngine &gpu_;
     ProcessConfig cfg_;
     sim::Rng rng_;
+    sim::Lognormal prep_dist_; ///< host-side prep cost per EC
 
     cpu::Thread *thread_;
     std::shared_ptr<const trt::Engine> engine_;
@@ -210,9 +220,13 @@ class InferenceProcess
     bool stopped_ = false;
     bool measuring_ = false;
     bool cycling_ = false; ///< the thread is inside the EC loop
-    std::deque<sim::Tick> queue_; ///< open-loop request origins
-    std::deque<std::shared_ptr<Slot>> pending_;
-    std::shared_ptr<Slot> waiting_on_;
+    bool sync_blocked_ = false; ///< blocked in a sync on the oldest EC
+    sim::Fifo<sim::Tick> queue_; ///< open-loop request origins
+    /** Ring of 1 + pre_enqueue EC slots; in_flight_ of them, from
+     * head_, are enqueued and not yet synced. */
+    std::vector<Slot> slots_;
+    std::size_t head_ = 0;
+    std::size_t in_flight_ = 0;
     sim::Tick sync_begin_ = 0;
 
     sim::Tick window_start_ = 0;

@@ -48,12 +48,18 @@ TEST(HazardInjection, SubmitOnDestroyedStreamIsDetected)
     }
     EXPECT_FALSE(engine.channelAlive(channel));
 
-    ScopedCapture cap;
+    // A retired channel whose callback is still observable.
     bool fired = false;
-    engine.submit(channel, &k, [&fired] { fired = true; });
+    const int watched =
+        engine.createChannel("watched", [&fired] { fired = true; });
+    engine.destroyChannel(watched);
+
+    ScopedCapture cap;
+    engine.submit(channel, &k);
+    engine.submit(watched, &k);
     eq.runAll();
 
-    ASSERT_EQ(cap.count(Invariant::StreamHazard), 1u);
+    ASSERT_EQ(cap.count(Invariant::StreamHazard), 2u);
     const auto &v = cap.violations().front();
     EXPECT_EQ(v.severity, Severity::Error);
     EXPECT_EQ(v.component, "gpu.engine");
@@ -80,6 +86,20 @@ TEST(HazardInjection, InFlightKernelSkipsCallbackAfterDestroy)
 
     EXPECT_EQ(engine.kernelsExecuted(), 1u);
     // Teardown with in-flight work is normal shutdown, not a bug.
+    EXPECT_EQ(cap.total(), 0u);
+
+    // The same on a bare channel: the kernel in flight when the
+    // channel is retired completes without its callback, and the
+    // queued one is dropped.
+    bool fired = false;
+    const int ch = engine.createChannel("bare", [&fired] { fired = true; });
+    engine.submit(ch, &k);
+    engine.submit(ch, &k);
+    EXPECT_EQ(engine.channelDepth(ch), 2u);
+    engine.destroyChannel(ch);
+    eq.runAll();
+    EXPECT_FALSE(fired);
+    EXPECT_EQ(engine.kernelsExecuted(), 2u);
     EXPECT_EQ(cap.total(), 0u);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * GPU engine tests: channel FIFO order, time multiplexing with
- * switch penalties and quanta, spatial (MPS-like) sharing, trace
- * hooks and profiler intrusion.
+ * GPU engine tests: channel FIFO order, the per-channel completion
+ * callback, time multiplexing with switch penalties and quanta,
+ * spatial (MPS-like) sharing, trace hooks and profiler intrusion.
  */
 
 #include "gpu/engine.hh"
@@ -37,13 +37,38 @@ kernel(double flops = 5e8)
     return k;
 }
 
+/**
+ * Submits @p n distinct kernels to one channel and returns the order
+ * in which the channel's completion callback saw them finish: the
+ * trace hook names the kernel, the callback (which fires right after
+ * it, once per kernel) records it.
+ */
+std::vector<int>
+completionOrder(Rig &r, int n)
+{
+    std::vector<KernelDesc> ks(static_cast<std::size_t>(n), kernel());
+    const KernelDesc *last = nullptr;
+    std::vector<int> order;
+    r.engine.setTraceHook(
+        [&](const KernelRecord &rec) { last = rec.desc; });
+    const int ch = r.engine.createChannel("p0", [&] {
+        order.push_back(static_cast<int>(last - ks.data()));
+        last = nullptr;
+    });
+    for (const auto &k : ks)
+        r.engine.submit(ch, &k);
+    r.eq.runAll();
+    r.engine.setTraceHook(nullptr);
+    return order;
+}
+
 TEST(GpuEngine, ExecutesSubmittedKernel)
 {
     Rig r;
-    const int ch = r.engine.createChannel("p0");
-    const auto k = kernel();
     bool done = false;
-    r.engine.submit(ch, &k, [&] { done = true; });
+    const int ch = r.engine.createChannel("p0", [&] { done = true; });
+    const auto k = kernel();
+    r.engine.submit(ch, &k);
     r.eq.runAll();
     EXPECT_TRUE(done);
     EXPECT_EQ(r.engine.kernelsExecuted(), 1u);
@@ -52,13 +77,7 @@ TEST(GpuEngine, ExecutesSubmittedKernel)
 TEST(GpuEngine, ChannelIsFifo)
 {
     Rig r;
-    const int ch = r.engine.createChannel("p0");
-    const auto k = kernel();
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        r.engine.submit(ch, &k, [&, i] { order.push_back(i); });
-    r.eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(completionOrder(r, 5), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(GpuEngine, BusyWhileExecuting)
@@ -66,7 +85,7 @@ TEST(GpuEngine, BusyWhileExecuting)
     Rig r;
     const int ch = r.engine.createChannel("p0");
     const auto k = kernel();
-    r.engine.submit(ch, &k, nullptr);
+    r.engine.submit(ch, &k);
     r.eq.runUntil(sim::usec(10));
     EXPECT_TRUE(r.board.activity().gpu_busy);
     r.eq.runAll();
@@ -79,7 +98,7 @@ TEST(GpuEngine, SingleChannelPaysNoSwitches)
     const int ch = r.engine.createChannel("p0");
     const auto k = kernel();
     for (int i = 0; i < 10; ++i)
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
     r.eq.runAll();
     EXPECT_EQ(r.engine.channelSwitches(), 0u);
 }
@@ -91,8 +110,8 @@ TEST(GpuEngine, MultiChannelPaysSwitchPenalty)
     const int b = r.engine.createChannel("b");
     const auto k = kernel();
     for (int i = 0; i < 4; ++i) {
-        r.engine.submit(a, &k, nullptr);
-        r.engine.submit(b, &k, nullptr);
+        r.engine.submit(a, &k);
+        r.engine.submit(b, &k);
     }
     r.eq.runAll();
     EXPECT_GT(r.engine.channelSwitches(), 0u);
@@ -101,13 +120,13 @@ TEST(GpuEngine, MultiChannelPaysSwitchPenalty)
 TEST(GpuEngine, TwoChannelsShareFairly)
 {
     Rig r;
-    const int a = r.engine.createChannel("a");
-    const int b = r.engine.createChannel("b");
-    const auto k = kernel();
     int done_a = 0, done_b = 0;
+    const int a = r.engine.createChannel("a", [&] { ++done_a; });
+    const int b = r.engine.createChannel("b", [&] { ++done_b; });
+    const auto k = kernel();
     for (int i = 0; i < 20; ++i) {
-        r.engine.submit(a, &k, [&] { ++done_a; });
-        r.engine.submit(b, &k, [&] { ++done_b; });
+        r.engine.submit(a, &k);
+        r.engine.submit(b, &k);
     }
     // Run until roughly half the work is finished, then compare.
     r.eq.runUntil(sim::msec(2));
@@ -126,7 +145,7 @@ TEST(GpuEngine, SerializationStretchesCompletionTime)
         Rig r;
         const int a = r.engine.createChannel("a");
         for (int i = 0; i < 10; ++i)
-            r.engine.submit(a, &k, nullptr);
+            r.engine.submit(a, &k);
         r.eq.runAll();
         one = r.eq.now();
     }
@@ -135,8 +154,8 @@ TEST(GpuEngine, SerializationStretchesCompletionTime)
         const int a = r.engine.createChannel("a");
         const int b = r.engine.createChannel("b");
         for (int i = 0; i < 10; ++i) {
-            r.engine.submit(a, &k, nullptr);
-            r.engine.submit(b, &k, nullptr);
+            r.engine.submit(a, &k);
+            r.engine.submit(b, &k);
         }
         r.eq.runAll();
         two = r.eq.now();
@@ -154,7 +173,7 @@ TEST(GpuEngine, TraceHookSeesEveryKernel)
         recs.push_back(rec);
     });
     for (int i = 0; i < 6; ++i)
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
     r.eq.runAll();
     ASSERT_EQ(recs.size(), 6u);
     for (const auto &rec : recs) {
@@ -174,7 +193,7 @@ TEST(GpuEngine, ExtraOverheadLengthensKernels)
     {
         Rig r;
         const int ch = r.engine.createChannel("p");
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
         r.eq.runAll();
         base = r.eq.now();
     }
@@ -182,7 +201,7 @@ TEST(GpuEngine, ExtraOverheadLengthensKernels)
         Rig r;
         r.engine.setExtraKernelOverhead(sim::usec(14));
         const int ch = r.engine.createChannel("p");
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
         r.eq.runAll();
         instrumented = r.eq.now();
     }
@@ -192,16 +211,35 @@ TEST(GpuEngine, ExtraOverheadLengthensKernels)
 TEST(GpuEngine, CompletionCallbackMaySubmitMore)
 {
     Rig r;
-    const int ch = r.engine.createChannel("p0");
     const auto k = kernel();
     int count = 0;
-    std::function<void()> resubmit = [&] {
+    int ch = -1;
+    ch = r.engine.createChannel("p0", [&] {
         if (++count < 5)
-            r.engine.submit(ch, &k, resubmit);
-    };
-    r.engine.submit(ch, &k, resubmit);
+            r.engine.submit(ch, &k);
+    });
+    r.engine.submit(ch, &k);
     r.eq.runAll();
     EXPECT_EQ(count, 5);
+    EXPECT_EQ(r.engine.kernelsExecuted(), 5u);
+}
+
+TEST(GpuEngine, CallbackFiresOncePerKernelOnItsOwnChannel)
+{
+    Rig r;
+    int done_a = 0, done_b = 0;
+    const int a = r.engine.createChannel("a", [&] { ++done_a; });
+    const int b = r.engine.createChannel("b", [&] { ++done_b; });
+    const int quiet = r.engine.createChannel("quiet");
+    const auto k = kernel();
+    for (int i = 0; i < 3; ++i)
+        r.engine.submit(a, &k);
+    r.engine.submit(b, &k);
+    r.engine.submit(quiet, &k);
+    r.eq.runAll();
+    EXPECT_EQ(done_a, 3);
+    EXPECT_EQ(done_b, 1);
+    EXPECT_EQ(r.engine.kernelsExecuted(), 5u);
 }
 
 TEST(GpuEngine, ChannelDepthTracksQueue)
@@ -210,8 +248,8 @@ TEST(GpuEngine, ChannelDepthTracksQueue)
     const int ch = r.engine.createChannel("p0");
     const auto k = kernel();
     EXPECT_EQ(r.engine.channelDepth(ch), 0u);
-    r.engine.submit(ch, &k, nullptr);
-    r.engine.submit(ch, &k, nullptr);
+    r.engine.submit(ch, &k);
+    r.engine.submit(ch, &k);
     EXPECT_EQ(r.engine.channelDepth(ch), 2u);
     r.eq.runAll();
     EXPECT_EQ(r.engine.channelDepth(ch), 0u);
@@ -223,7 +261,7 @@ TEST(GpuEngine, DispatchWaitGrowsWithQueueing)
     const int ch = r.engine.createChannel("p0");
     const auto k = kernel();
     for (int i = 0; i < 10; ++i)
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
     r.eq.runAll();
     // The first kernel starts immediately, later ones waited.
     EXPECT_GT(r.engine.dispatchWait().max(),
@@ -236,12 +274,14 @@ TEST(GpuEngineSpatial, RunsChannelsConcurrently)
 {
     Rig r;
     r.engine.setSpatialSharing(true);
-    const int a = r.engine.createChannel("a");
-    const int b = r.engine.createChannel("b");
-    const auto k = kernel();
     sim::Tick done_a = 0, done_b = 0;
-    r.engine.submit(a, &k, [&] { done_a = r.eq.now(); });
-    r.engine.submit(b, &k, [&] { done_b = r.eq.now(); });
+    const int a =
+        r.engine.createChannel("a", [&] { done_a = r.eq.now(); });
+    const int b =
+        r.engine.createChannel("b", [&] { done_b = r.eq.now(); });
+    const auto k = kernel();
+    r.engine.submit(a, &k);
+    r.engine.submit(b, &k);
     r.eq.runAll();
     // Processor sharing: both finish at ~2x the solo duration, at
     // nearly the same time (no serialisation to 1x then 2x; the
@@ -258,7 +298,7 @@ TEST(GpuEngineSpatial, SoloKernelRunsAtFullRate)
     {
         Rig r;
         const int ch = r.engine.createChannel("p");
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
         r.eq.runAll();
         mux = r.eq.now();
     }
@@ -266,7 +306,7 @@ TEST(GpuEngineSpatial, SoloKernelRunsAtFullRate)
         Rig r;
         r.engine.setSpatialSharing(true);
         const int ch = r.engine.createChannel("p");
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
         r.eq.runAll();
         spatial = r.eq.now();
     }
@@ -283,8 +323,8 @@ TEST(GpuEngineSpatial, NoChannelSwitchPenalty)
     const int b = r.engine.createChannel("b");
     const auto k = kernel();
     for (int i = 0; i < 5; ++i) {
-        r.engine.submit(a, &k, nullptr);
-        r.engine.submit(b, &k, nullptr);
+        r.engine.submit(a, &k);
+        r.engine.submit(b, &k);
     }
     r.eq.runAll();
     EXPECT_EQ(r.engine.channelSwitches(), 0u);
@@ -295,13 +335,7 @@ TEST(GpuEngineSpatial, PerChannelOrderPreserved)
 {
     Rig r;
     r.engine.setSpatialSharing(true);
-    const int a = r.engine.createChannel("a");
-    const auto k = kernel();
-    std::vector<int> order;
-    for (int i = 0; i < 4; ++i)
-        r.engine.submit(a, &k, [&, i] { order.push_back(i); });
-    r.eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(completionOrder(r, 4), (std::vector<int>{0, 1, 2, 3}));
 }
 
 } // namespace

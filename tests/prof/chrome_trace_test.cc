@@ -44,7 +44,7 @@ TEST(ChromeTrace, CapturesKernelEvents)
     const auto k = kernel("conv1+fused");
     const int ch = r.engine.createChannel("p0");
     for (int i = 0; i < 3; ++i)
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(10));
     EXPECT_EQ(trace.eventCount(), 3u);
 }
@@ -57,8 +57,8 @@ TEST(ChromeTrace, JsonIsWellFormedEnough)
     const auto k = kernel("layer1.0.conv1+fused");
     const int a = r.engine.createChannel("a");
     const int b = r.engine.createChannel("b");
-    r.engine.submit(a, &k, nullptr);
-    r.engine.submit(b, &k, nullptr);
+    r.engine.submit(a, &k);
+    r.engine.submit(b, &k);
     r.eq.runUntil(sim::msec(10));
 
     const std::string doc = trace.json();
@@ -97,10 +97,10 @@ TEST(ChromeTrace, DetachStopsCapture)
     trace.attach();
     const auto k = kernel("k");
     const int ch = r.engine.createChannel("p");
-    r.engine.submit(ch, &k, nullptr);
+    r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(10));
     trace.detach();
-    r.engine.submit(ch, &k, nullptr);
+    r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(20));
     EXPECT_EQ(trace.eventCount(), 1u);
 }
@@ -112,7 +112,7 @@ TEST(ChromeTrace, ClearDropsEvents)
     trace.attach();
     const auto k = kernel("k");
     const int ch = r.engine.createChannel("p");
-    r.engine.submit(ch, &k, nullptr);
+    r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(10));
     trace.clear();
     EXPECT_EQ(trace.eventCount(), 0u);
@@ -125,7 +125,7 @@ TEST(ChromeTrace, WritesFile)
     trace.attach();
     const auto k = kernel("k");
     const int ch = r.engine.createChannel("p");
-    r.engine.submit(ch, &k, nullptr);
+    r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(10));
 
     const std::string path = "/tmp/jetsim_trace_test.json";

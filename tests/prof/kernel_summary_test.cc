@@ -41,9 +41,9 @@ TEST(KernelSummary, AggregatesByName)
     const auto a = kernel("a", 1e9, 1e6);
     const auto b = kernel("b", 2e9, 1e6);
     const int ch = r.engine.createChannel("p");
-    r.engine.submit(ch, &a, nullptr);
-    r.engine.submit(ch, &a, nullptr);
-    r.engine.submit(ch, &b, nullptr);
+    r.engine.submit(ch, &a);
+    r.engine.submit(ch, &a);
+    r.engine.submit(ch, &b);
     r.eq.runUntil(sim::msec(50));
 
     EXPECT_EQ(s.totalCalls(), 3u);
@@ -72,7 +72,7 @@ TEST(KernelSummary, SharesSumToHundred)
         ks.push_back(kernel("k" + std::to_string(i), 1e8 * (i + 1),
                             1e6));
     for (const auto &k : ks)
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(50));
 
     double total = 0;
@@ -89,8 +89,8 @@ TEST(KernelSummary, TableSortsByTotalTime)
     const auto small = kernel("small", 1e8, 1e5);
     const auto big = kernel("big", 4e9, 1e5);
     const int ch = r.engine.createChannel("p");
-    r.engine.submit(ch, &small, nullptr);
-    r.engine.submit(ch, &big, nullptr);
+    r.engine.submit(ch, &small);
+    r.engine.submit(ch, &big);
     r.eq.runUntil(sim::msec(50));
     const auto rows = s.table();
     ASSERT_EQ(rows.size(), 2u);
@@ -107,7 +107,7 @@ TEST(KernelSummary, TopLimitsRows)
     for (int i = 0; i < 6; ++i)
         ks.push_back(kernel("k" + std::to_string(i), 1e8, 1e5));
     for (const auto &k : ks)
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(50));
     EXPECT_EQ(s.table(3).size(), 3u);
     EXPECT_EQ(s.table().size(), 6u);
@@ -122,9 +122,9 @@ TEST(KernelSummary, BoundClassification)
     const auto memory = kernel("memory", 1e6, 2e8);
     auto latency = kernel("latency", 1e5, 1e4); // tiny: hits floor
     const int ch = r.engine.createChannel("p");
-    r.engine.submit(ch, &compute, nullptr);
-    r.engine.submit(ch, &memory, nullptr);
-    r.engine.submit(ch, &latency, nullptr);
+    r.engine.submit(ch, &compute);
+    r.engine.submit(ch, &memory);
+    r.engine.submit(ch, &latency);
     r.eq.runUntil(sim::msec(50));
 
     for (const auto &row : s.table()) {
@@ -147,7 +147,7 @@ TEST(KernelSummary, ClearResets)
     s.attach();
     const auto k = kernel("k", 1e8, 1e5);
     const int ch = r.engine.createChannel("p");
-    r.engine.submit(ch, &k, nullptr);
+    r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(50));
     EXPECT_GT(s.totalCalls(), 0u);
     s.clear();

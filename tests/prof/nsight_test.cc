@@ -39,7 +39,7 @@ TEST(Nsight, RecordsKernelSpans)
     const auto k = kernel();
     const int ch = r.engine.createChannel("p");
     for (int i = 0; i < 5; ++i)
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(100));
     EXPECT_EQ(tracer.kernelCount(), 5u);
     EXPECT_GT(tracer.kernelDuration().mean(), 0.0);
@@ -53,7 +53,7 @@ TEST(Nsight, SamplesCountersWhileBusy)
     const auto k = kernel();
     const int ch = r.engine.createChannel("p");
     for (int i = 0; i < 20; ++i)
-        r.engine.submit(ch, &k, nullptr);
+        r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(100));
     EXPECT_GT(tracer.smActiveCdf().count(), 10u);
     EXPECT_GT(tracer.tcUtilCdf().median(), 0.0);
@@ -77,18 +77,20 @@ TEST(Nsight, IntrusionSlowsKernels)
     sim::Tick clean = 0, traced = 0;
     {
         Rig r;
-        const int ch = r.engine.createChannel("p");
+        const int ch = r.engine.createChannel(
+            "p", [&] { clean = r.eq.now(); });
         for (int i = 0; i < 10; ++i)
-            r.engine.submit(ch, &k, [&] { clean = r.eq.now(); });
+            r.engine.submit(ch, &k);
         r.eq.runUntil(sim::msec(100));
     }
     {
         Rig r;
         NsightTracer tracer(r.board, r.engine);
         tracer.attach();
-        const int ch = r.engine.createChannel("p");
+        const int ch = r.engine.createChannel(
+            "p", [&] { traced = r.eq.now(); });
         for (int i = 0; i < 10; ++i)
-            r.engine.submit(ch, &k, [&] { traced = r.eq.now(); });
+            r.engine.submit(ch, &k);
         r.eq.runUntil(sim::msec(100));
     }
     ASSERT_GT(clean, 0);
@@ -137,7 +139,7 @@ TEST(Nsight, ResetClearsData)
     tracer.attach();
     const auto k = kernel();
     const int ch = r.engine.createChannel("p");
-    r.engine.submit(ch, &k, nullptr);
+    r.engine.submit(ch, &k);
     r.eq.runUntil(sim::msec(100));
     EXPECT_GT(tracer.kernelCount(), 0u);
     tracer.reset();

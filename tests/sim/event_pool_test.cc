@@ -11,72 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <queue>
 #include <vector>
 
 #include "sim/rng.hh"
+#include "support/alloc_count.hh"
 
-// ------------------------------------------------ allocation counter
-//
-// Global operator new/delete overrides (whole test binary): counting
-// is off by default and enabled only inside the zero-allocation test,
-// so the other tests are unaffected.
-//
-// GCC pairs the replacement operator new with the std::free in the
-// replacement delete and warns; both sides are malloc-based, so the
-// pairing is consistent by construction.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-// Atomics: flipped by the test thread, observed from operator new on
-// any thread the allocator runs on (jetrace: atomic, hence exempt
-// from the guarded/confined requirement).
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    if (g_count_allocs.load(std::memory_order_relaxed))
-        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace jetsim::sim {
 namespace {
@@ -299,17 +239,19 @@ TEST(EventPoolAlloc, SteadyStateSchedulePathDoesNotAllocate)
     };
     static_assert(sizeof(Capture) == InlineFn::kInlineSize);
 
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
-    for (int i = 0; i < 200; ++i) {
-        const Capture c{&executed, {}};
-        eq.scheduleIn(1, [c] { ++*c.counter; });
+    std::uint64_t allocs = 0;
+    {
+        const testing::AllocCount counting;
+        for (int i = 0; i < 200; ++i) {
+            const Capture c{&executed, {}};
+            eq.scheduleIn(1, [c] { ++*c.counter; });
+        }
+        eq.runAll();
+        allocs = counting.count();
     }
-    eq.runAll();
-    g_count_allocs.store(false);
 
     EXPECT_EQ(executed, 200u);
-    EXPECT_EQ(g_alloc_count.load(), 0u)
+    EXPECT_EQ(allocs, 0u)
         << "steady-state schedule/dispatch touched the allocator";
     EXPECT_EQ(InlineFn::heapFallbackCount(), fallbacks_before);
     EXPECT_EQ(eq.stats().sbo_misses, 0u);

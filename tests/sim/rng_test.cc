@@ -101,6 +101,71 @@ TEST(Rng, LognormalIsPositive)
         EXPECT_GT(r.lognormal(10.0, 1.0), 0.0);
 }
 
+/** The per-draw lognormal expression the simulator used before
+ * distributions were precomputed (sim::Lognormal); its draws are the
+ * reference every golden digest was recorded with. */
+double
+referenceLognormal(Rng &rng, double mean, double cv)
+{
+    if (cv == 0.0)
+        return mean;
+    const double sigma2 = std::log(1.0 + cv * cv);
+    const double mu = std::log(mean) - 0.5 * sigma2;
+    return std::exp(mu + std::sqrt(sigma2) * rng.normal());
+}
+
+double
+referenceLognormalBounded(Rng &rng, double mean, double cv)
+{
+    const double v = referenceLognormal(rng, mean, cv);
+    const double lo = mean / kLognormalEnvelope;
+    const double hi = mean * kLognormalEnvelope;
+    return v < lo ? lo : (v > hi ? hi : v);
+}
+
+TEST(Rng, PrecomputedLognormalIsBitIdenticalToPerDrawParameters)
+{
+    // The three distributions the run phase draws from: kernel jitter,
+    // launch-API cost (whose mean moves when a profiler attaches) and
+    // host-side prep; plus cv = 0.
+    struct Case
+    {
+        double mean, cv;
+    };
+    const Case cases[] = {{1.0, 0.05}, {6000.0, 0.35}, {450000.0, 0.3},
+                          {3.5, 0.0}};
+    for (const Case &c : cases) {
+        Rng a(77), b(77);
+        const Lognormal d(c.mean, c.cv);
+        for (int i = 0; i < 2000; ++i) {
+            ASSERT_EQ(a.lognormal(d), referenceLognormal(b, c.mean, c.cv))
+                << "mean " << c.mean << " cv " << c.cv << " draw " << i;
+            ASSERT_EQ(a.lognormalBounded(d),
+                      referenceLognormalBounded(b, c.mean, c.cv));
+        }
+        EXPECT_EQ(a.next(), b.next()); // same RNG position
+    }
+}
+
+TEST(Rng, CachedLognormalFollowsAMeanThatChangesMidStream)
+{
+    // The launch-cost cache: rebuild the distribution whenever the
+    // mean moves (a profiler attaching or detaching mid-run).
+    Rng a(5), b(5);
+    Lognormal cached(6000.0, 0.35);
+    for (int i = 0; i < 3000; ++i) {
+        const double factor = (i / 500) % 2 ? 1.7 : 1.0;
+        const double mean = 6000.0 * factor;
+        if (mean != cached.mean())
+            cached = Lognormal(mean, 0.35);
+        ASSERT_EQ(a.lognormalBounded(cached),
+                  referenceLognormalBounded(b, mean, 0.35))
+            << "draw " << i;
+    }
+    // The (mean, cv) convenience overload is the same draw.
+    EXPECT_EQ(a.lognormal(1.0, 0.05), referenceLognormal(b, 1.0, 0.05));
+}
+
 TEST(Rng, ChanceRespectsProbability)
 {
     Rng r(9);

@@ -77,6 +77,18 @@ class ClassifyOpenTest(unittest.TestCase):
                          "block")
         self.assertEqual(self.kind("while (x.load())"), "block")
 
+    def test_if_constexpr_is_block(self):
+        self.assertEqual(self.kind("if constexpr (fitsInline<D>())"),
+                         "block")
+
+    def test_template_defaults_do_not_hide_a_function(self):
+        # `typename D = ...` is not a brace initializer.
+        sc = cpplex.classify_open(
+            "template <typename F, typename D = std::decay_t<F>, "
+            "typename = std::enable_if_t<!std::is_same_v<D, X>>> "
+            "InlineFn(F &&f)", 1)
+        self.assertEqual((sc.kind, sc.name), ("function", "InlineFn"))
+
     def test_lambda(self):
         self.assertEqual(
             cpplex.classify_open("eq_.schedule(t, [this]", 1).name,

@@ -69,6 +69,23 @@ class RuleFiresTest(AuditMixin, unittest.TestCase):
         """)
         self.assertIn("hot-alloc", self.rules_of(findings))
 
+    def test_fifo_growth_is_a_call_edge(self):
+        # Growth on a sim::Fifo receiver (member or accessor) is
+        # followed into Fifo::push_back and ends at Fifo::grow's
+        # escape; growth on the std::vector is still a finding.
+        findings, summ, _ = self.audit_src(JETHOT_MOD.SELFTEST_FIFO)
+        hits = [f for f in findings if f["rule"] == "hot-alloc"]
+        self.assertEqual([h["line"] for h in hits], [22], hits)
+        self.assertIn("Fifo::grow", [e["fn"] for e in summ["cold_ok"]])
+
+    def test_fifo_receiver_names(self):
+        self.assertEqual(
+            JETHOT_MOD.receiver_name("queueFor(t->big_).push_back(",
+                                     17), "queueFor")
+        self.assertEqual(
+            JETHOT_MOD.receiver_name("ch.queue.push_back(", 8),
+            "queue")
+
     def test_hot_lock(self):
         findings, _, _ = self.audit_src(JETHOT_MOD.SELFTEST_HOT_LOCK)
         self.assertIn("hot-lock", self.rules_of(findings))
@@ -301,6 +318,9 @@ class CliContractTest(unittest.TestCase):
         self.assertEqual(doc["findings"], [])
         self.assertTrue(len(doc["sbo_sites"]) >= 3)
         self.assertTrue(all(s["covered"] for s in doc["sbo_sites"]))
+        # Every site is attributed to the function that holds it.
+        self.assertTrue(all(s["fn"] for s in doc["sbo_sites"]),
+                        doc["sbo_sites"])
         self.assertTrue(len(doc["roots"]) >= 10)
 
 

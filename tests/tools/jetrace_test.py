@@ -280,6 +280,21 @@ class JetraceJson(unittest.TestCase):
                  for e in doc["lock_graph"]["edges"]]
         self.assertEqual(edges, [("a", "b")])
 
+    def test_json_edge_through_lock_free_caller(self):
+        # f holds a and calls g, which holds nothing and calls h,
+        # which takes b: the a -> b order is still an edge.
+        code, out = run_audit(
+            "Mutex a;\nMutex b;\n"
+            "void h() { LockGuard lb(b); }\n"
+            "void g() { h(); }\n"
+            "void f() { LockGuard la(a); g(); }\n",
+            extra_args=["--json"])
+        self.assertEqual(code, 0, out)
+        doc = json.loads(out)
+        edges = [(e["from"], e["to"])
+                 for e in doc["lock_graph"]["edges"]]
+        self.assertEqual(edges, [("a", "b")])
+
     def test_json_cycle_flag(self):
         code, out = run_audit(
             "Mutex a;\nMutex b;\n"

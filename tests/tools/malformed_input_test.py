@@ -135,15 +135,22 @@ FLAGS = [
     ("jetmc", ["--models="], "--models"),
     ("jetmc", ["--models=vgg16"], "--models"),
     ("jetmc", ["--models=resnet50,,yolov8n"], "--models"),
+    ("jetmc", ["--procs=0"], "--procs"),
+    ("jetmc", ["--procs=9"], "--procs"),
     ("jetbound", ["--warmup-ms=-5", "--compare-sim"], "--warmup-ms"),
     ("jetbound", ["--duration-ms=-1"], "--duration-ms"),
     ("jetbound", ["--batch=0"], "--batch"),
     ("jetbound", ["--procs=0"], "--procs"),
     ("jetbound", ["--pre-enqueue=-1"], "--pre-enqueue"),
     ("jetbound", ["--precision=int4"], "--precision"),
+    ("jetbound", ["--model=vgg16"], "--model"),
+    ("jetbound", ["--device=tx2"], "--device"),
+    ("jetbound", ["--duration-ms=0"], "--duration-ms"),
     ("jetlint", ["--precision=int4"], "--precision"),
     ("jetlint", ["--zoo", "--precision=int4"], "--precision"),
     ("jetlint", ["--zoo", "--batch=0"], "--batch"),
+    ("jetlint", ["--plan=" + os.path.join(MALFORMED, "no_plan.plan")],
+     "no_plan.plan"),
 ]
 
 TOOLS = {}

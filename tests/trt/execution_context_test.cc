@@ -40,10 +40,7 @@ TEST(ExecutionContext, EnqueueRunsEveryKernel)
     bool done = false;
     EcRecord rec;
     r.thread->exec(sim::usec(1), [&] {
-        r.ctx.enqueue([&](const EcRecord &x) {
-            rec = x;
-            done = true;
-        });
+        r.ctx.enqueue(rec, [&] { done = true; });
     });
     r.eq.runAll();
     ASSERT_TRUE(done);
@@ -58,10 +55,7 @@ TEST(ExecutionContext, RecordTimesAreOrdered)
     EcRecord rec;
     bool done = false;
     r.thread->exec(sim::usec(1), [&] {
-        r.ctx.enqueue([&](const EcRecord &x) {
-            rec = x;
-            done = true;
-        });
+        r.ctx.enqueue(rec, [&] { done = true; });
     });
     r.eq.runAll();
     ASSERT_TRUE(done);
@@ -74,10 +68,11 @@ TEST(ExecutionContext, RecordTimesAreOrdered)
 TEST(ExecutionContext, CpuDoneFiresBeforeGpuDone)
 {
     Rig r;
+    EcRecord rec;
     sim::Tick cpu_done = -1, gpu_done = -1;
     r.thread->exec(sim::usec(1), [&] {
         r.ctx.enqueue(
-            [&](const EcRecord &) { gpu_done = r.eq.now(); },
+            rec, [&] { gpu_done = r.eq.now(); },
             [&] { cpu_done = r.eq.now(); });
     });
     r.eq.runAll();
@@ -90,15 +85,19 @@ TEST(ExecutionContext, SequentialEnqueuesPipeline)
 {
     Rig r;
     int done = 0;
+    EcRecord first, second;
     // Enqueue the second EC as soon as the first's CPU side returns:
     // both are then in flight on the stream.
     r.thread->exec(sim::usec(1), [&] {
-        r.ctx.enqueue([&](const EcRecord &) { ++done; }, [&] {
-            r.ctx.enqueue([&](const EcRecord &) { ++done; });
+        r.ctx.enqueue(first, [&] { ++done; }, [&] {
+            r.ctx.enqueue(second, [&] { ++done; });
         });
     });
     r.eq.runAll();
     EXPECT_EQ(done, 2);
+    // Each EC completed into its own record, in enqueue order.
+    EXPECT_LT(first.gpu_done, second.gpu_done);
+    EXPECT_LE(first.enqueue_end, second.enqueue_begin);
     EXPECT_EQ(r.ctx.invocations(), 2u);
     EXPECT_EQ(r.stream.completed(), 2 * r.engine.kernels().size());
 }
@@ -110,7 +109,7 @@ TEST(ExecutionContext, LaunchApiInflatesWithProfiler)
         Rig r;
         EcRecord rec;
         r.thread->exec(sim::usec(1), [&] {
-            r.ctx.enqueue([&](const EcRecord &x) { rec = x; });
+            r.ctx.enqueue(rec, nullptr);
         });
         r.eq.runAll();
         base = rec.launch_api_total;
@@ -120,7 +119,7 @@ TEST(ExecutionContext, LaunchApiInflatesWithProfiler)
         r.board.setLaunchOverheadFactor(1.7);
         EcRecord rec;
         r.thread->exec(sim::usec(1), [&] {
-            r.ctx.enqueue([&](const EcRecord &x) { rec = x; });
+            r.ctx.enqueue(rec, nullptr);
         });
         r.eq.runAll();
         inflated = rec.launch_api_total;

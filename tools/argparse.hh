@@ -102,13 +102,13 @@ class ArgParser
         return defaults_.at(name);
     }
 
-    /** Integer value, at least @p lo. */
+    /** Integer value in [@p lo, @p hi]. */
     int
     intval(const std::string &name,
-           int lo = std::numeric_limits<int>::min()) const
+           int lo = std::numeric_limits<int>::min(),
+           int hi = std::numeric_limits<int>::max()) const
     {
-        return number<int>(name, str(name), lo,
-                           std::numeric_limits<int>::max());
+        return number<int>(name, str(name), lo, hi);
     }
 
     /** Finite number in [@p lo, @p hi]. */

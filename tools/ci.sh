@@ -44,10 +44,11 @@
 # carry zero unannotated mutable globals/statics, no raw std::mutex
 # outside core/mutex.hh, and an acyclic static lock-order graph that
 # includes the two build-once stores' locks (model_store_mu,
-# engine_cache_mu); the
-# auditor's own selftest must agree with the deadlock counterexample
-# jetmc produced in pass 1d (static cycle <-> dynamic deadlock on the
-# same inverted two-lock discipline). When a clang++ is installed the
+# engine_cache_mu) and the engine_cache_mu -> mu order that is only
+# reached through lock-free callers; the auditor's own selftest must
+# agree with the deadlock counterexample jetmc produced in pass 1d
+# (static cycle <-> dynamic deadlock on the same inverted two-lock
+# discipline). When a clang++ is installed the
 # whole tree is additionally rebuilt with -DJETSIM_THREAD_SAFETY=ON
 # (-Wthread-safety -Werror=thread-safety), making every unguarded
 # access to a JETSIM_GUARDED_BY field a hard compile error; without
@@ -207,8 +208,14 @@ assert doc["findings"] == [], doc["findings"]
 assert doc["lock_graph"]["acyclic"], doc["lock_graph"]
 stores = {"model_store_mu", "engine_cache_mu"}
 assert stores <= set(doc["lock_graph"]["nodes"]), doc["lock_graph"]
+# Reached only through lock-free callers (sharedEngine holds
+# engine_cache_mu -> Builder::build -> internName takes mu): the
+# graph must see acquisitions below functions that hold nothing.
+edges = {(e["from"], e["to"]) for e in doc["lock_graph"]["edges"]}
+assert ("engine_cache_mu", "mu") in edges, doc["lock_graph"]
 print("jetrace: src clean; lock graph acyclic "
       f"({len(doc['lock_graph']['nodes'])} capabilities, "
+      f"{len(edges)} edges, "
       f"{doc['inventory']['guarded_fields']} guarded fields, "
       f"{doc['inventory']['confined']} confined)")
 EOF
@@ -243,7 +250,9 @@ EOF
     # every runtime heap-fallback counter site (what micro_sim
     # --assert-sbo counts) is covered by a ledgered escape, so the
     # static escape set and the runtime SBO accounting name the
-    # same sites.
+    # same sites. The site list itself is pinned (file and
+    # function), so a per-kernel or per-EC site cannot come back
+    # unnoticed.
     python3 "$repo/tools/jethot.py" --json > \
         "$repo/build-ci/plain/jethot.json"
     python3 - "$repo/build-ci/plain/jethot.json" <<'EOF'
@@ -251,7 +260,20 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["findings"] == [], doc["findings"]
 sites = doc["sbo_sites"]
-assert len(sites) >= 3 and all(s["covered"] for s in sites), sites
+assert all(s["covered"] for s in sites), sites
+# The exact heap-fallback ledger: one site per place a callback is
+# stored outside the event queue's own accounting, and none per
+# kernel, per work item or per EC beyond these.
+want = {
+    ("src/cpu/scheduler.cc", "Thread::exec"),
+    ("src/cuda/stream.cc", "Stream::onComplete"),
+    ("src/gpu/engine.cc", "GpuEngine::createChannel"),
+    ("src/sim/event_queue.hh", "EventQueue::noteSboMiss"),
+    ("src/sim/event_queue.hh", "EventQueue::scheduleKeyed"),
+    ("src/sim/inline_fn.hh", "InlineFn::InlineFn"),
+}
+got = {(s["path"], s["fn"]) for s in sites}
+assert got == want and len(sites) == len(want), sorted(got)
 print(f"jethot: src clean; {len(doc['roots'])} hot roots, "
       f"{doc['reachable']} reachable, "
       f"{len(doc['cold_ok'])} sanctioned cold escapes, "

@@ -26,9 +26,10 @@ SCHEMA_VERSION = 1
 
 STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"|' r"'(?:\\.|[^'\\])*'")
 
-CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "do",
-                    "else", "try", "return", "sizeof", "alignof",
-                    "decltype", "new", "delete", "case", "default"}
+CONTROL_KEYWORDS = {"if", "constexpr", "for", "while", "switch",
+                    "catch", "do", "else", "try", "return", "sizeof",
+                    "alignof", "decltype", "new", "delete", "case",
+                    "default"}
 
 #: C++ source extensions the analyzers consider.
 SOURCE_EXTS = (".cc", ".hh", ".cpp", ".hpp")
@@ -118,11 +119,28 @@ class Scope:
         self.held_before = held_before  # tool-defined scope payload
 
 
+def strip_template_header(text):
+    """Drop a leading `template <...>` clause, whose default
+    arguments (`typename D = ...`) would otherwise read as a brace
+    initializer."""
+    if not re.match(r"template\s*<", text):
+        return text
+    depth = 0
+    for i, c in enumerate(text):
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth -= 1
+            if depth == 0:
+                return text[i + 1:].strip()
+    return text
+
+
 def classify_open(text, lineno):
     """Classify the declaration text preceding a `{`: namespace,
     class/struct/enum, function (incl. lambdas), or plain block."""
     del lineno  # kept for signature stability across tools
-    text = ANNOT_MACRO_RE.sub("", text).strip()
+    text = strip_template_header(ANNOT_MACRO_RE.sub("", text).strip())
     if not text:
         return Scope("block", "")
     m = re.match(r"^(?:inline\s+)?namespace\b\s*([\w:]*)", text)

@@ -224,16 +224,17 @@ main(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 2;
 
-    std::vector<std::string> devices;
-    if (args.str("device") == "all")
-        devices = soc::deviceNames();
-    else
-        devices = {args.str("device")};
-    std::vector<std::string> model_list;
-    if (args.boolean("zoo"))
-        model_list = models::allModelNames();
-    else
-        model_list = {args.str("model")};
+    std::vector<std::string> device_choices = soc::deviceNames();
+    device_choices.emplace_back("all");
+    const std::string device = args.choice("device", device_choices);
+    const std::vector<std::string> devices =
+        device == "all" ? soc::deviceNames()
+                        : std::vector<std::string>{device};
+    const std::string model =
+        args.choice("model", models::allModelNames());
+    const std::vector<std::string> model_list =
+        args.boolean("zoo") ? models::allModelNames()
+                            : std::vector<std::string>{model};
 
     bool sound = true;
     bool analyzable = true;
@@ -250,7 +251,7 @@ main(int argc, char **argv)
                                               : core::Phase::Light;
             spec.dvfs = !args.boolean("no-dvfs");
             spec.warmup = sim::msec(args.intval("warmup-ms", 0));
-            spec.duration = sim::msec(args.intval("duration-ms", 0));
+            spec.duration = sim::msec(args.intval("duration-ms", 1));
 
             const auto b = absint::analyze(spec);
             if (!b.ok) {

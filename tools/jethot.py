@@ -31,6 +31,15 @@ automatically: they expand to diagnostics behind an
 invariant-already-broken branch and are the sanctioned error arm of a
 hot function.
 
+Growth calls on a sim::Fifo (the run phase's grow-only ring) are
+call edges, not findings: a name declared with a Fifo type (member,
+variable, or a function returning one) is collected from every
+scanned file, and `name.push_back(...)` / `name(...).push_back(...)`
+on such a receiver is followed into Fifo::push_back, whose only
+allocation is Fifo::grow's function-level JETSIM_COLD_OK. Growth on
+any other receiver (std containers, locals of deduced type) is still
+a hot-alloc finding.
+
 Cross-validation against the runtime probes: every heap-fallback
 counter site (`noteSboMiss()` callers and the InlineFn
 heap-fallback counter) must sit on a line covered by JETSIM_COLD_OK —
@@ -118,6 +127,15 @@ MACRO_NAME_RE = re.compile(r"^JETSIM_[A-Z_]+$")
 MACRO_STMT_RE = re.compile(r"\s*JETSIM_[A-Z_]+\s*\(")
 LOOP_SIG_RE = re.compile(r"\s*(?:for|while|do)\b")
 
+# A name declared with a sim::Fifo type: a member or variable
+# (`Fifo<T> name;`) or an accessor returning one (`Fifo<T> &name(`).
+FIFO_DECL_RE = re.compile(r"\bFifo\s*<[^;{}]*?>\s*&?\s*(\w+)\s*[;={(]")
+# The container-growth rule's method names; the receiver before one
+# decides whether the call can allocate (see allocating_growth).
+GROWTH_CALL_RE = re.compile(r"(?:\.|->)\s*(?:push_back|emplace_back|"
+                            r"emplace|emplace_front|push_front|insert|"
+                            r"resize|reserve|append|assign)\s*\(")
+
 SBO_SITE_RE = re.compile(r"(?:\.|->)\s*noteSboMiss\s*\(|"
                          r"\+\+\s*sbo_misses_|"
                          r"\bg_inline_fn_heap_fallbacks\s*\.\s*"
@@ -142,11 +160,7 @@ STMT_PATTERNS = [
      "std::function construction (may allocate)"),
     ("hot-alloc", re.compile(r"\bstd::[io]?stringstream\b"),
      "stringstream construction"),
-    ("hot-alloc", re.compile(r"(?:\.|->)\s*(?:push_back|emplace_back|"
-                             r"emplace|emplace_front|push_front|"
-                             r"insert|resize|reserve|append|assign)"
-                             r"\s*\("),
-     "container growth call"),
+    ("hot-alloc", GROWTH_CALL_RE, "container growth call"),
     ("hot-lock", re.compile(r"\b(?:core::)?LockGuard\b"),
      "LockGuard acquisition"),
     ("hot-lock", re.compile(r"(?:\.|->)\s*lock\s*\("),
@@ -192,6 +206,44 @@ SPIN_BODY_RE = re.compile(r"\bcompare_exchange_\w+|"
 SIG_RULES = {"hot-spin"}
 
 
+def receiver_name(text, end):
+    """The identifier a member call is made on: `name` in
+    `name.f(` / `a->name.f(`, and `acc` in `acc(args).f(`."""
+    i = end
+    while i > 0 and text[i - 1].isspace():
+        i -= 1
+    if i > 0 and text[i - 1] == ")":
+        depth = 0
+        while i > 0:
+            i -= 1
+            if text[i] == ")":
+                depth += 1
+            elif text[i] == "(":
+                depth -= 1
+                if depth == 0:
+                    break
+        while i > 0 and text[i - 1].isspace():
+            i -= 1
+    m = re.search(r"(\w+)$", text[:i])
+    return m.group(1) if m else None
+
+
+def allocating_growth(text, fifo_names):
+    """True when some container-growth call in @text is made on a
+    receiver not declared as a sim::Fifo."""
+    return any(receiver_name(text, m.start()) not in fifo_names
+               for m in GROWTH_CALL_RE.finditer(text))
+
+
+def collect_fifo_names(paths):
+    names = set()
+    for path in paths:
+        with open(path, encoding="utf-8", errors="replace") as f:
+            code = "\n".join(cpplex.strip_file(f.read().splitlines()))
+        names.update(FIFO_DECL_RE.findall(code))
+    return names
+
+
 def cold_ok_reason(raw_lines, lines_0):
     """JETSIM_COLD_OK / `// jethot: cold-ok(...)` on any of the
     0-based lines; returns the reason string or None."""
@@ -218,8 +270,9 @@ class Analysis:
         self.boundary_decls = []   # {name, path, line, why}
         self.boundary_names = set()
         self.cold_escapes = []     # {path, line, scope, fn, why}
-        self.sbo_sites = []        # {path, line, covered}
+        self.sbo_sites = []        # {path, line, fn, covered, why}
         self.findings = []         # non-reachability findings (sbo)
+        self.fifo_names = set()    # names declared with a Fifo type
 
     def rec(self, key, display):
         return self.functions.setdefault(key, {
@@ -262,6 +315,7 @@ def scan_file(path, rel, an):
         if SBO_SITE_RE.search(code):
             why = cold_ok_reason(raw_lines, [idx, idx - 1])
             an.sbo_sites.append({"path": rel, "line": idx + 1,
+                                 "fn": None,
                                  "covered": why is not None,
                                  "why": why})
             if why is None and not allowed(raw_lines, idx,
@@ -290,6 +344,11 @@ def scan_file(path, rel, an):
     def scan_text(text, start_1, end_1, is_sig):
         key = fn_stack[-1]
         rec = an.functions[key]
+        if SBO_SITE_RE.search(text):
+            for site in an.sbo_sites:
+                if site["path"] == rel and \
+                        start_1 - 1 <= site["line"] <= end_1:
+                    site["fn"] = rec["display"]
         why = None
         if "JETSIM_COLD_OK" in text:
             why = cold_ok_reason(raw_lines, span_lines0(start_1,
@@ -326,6 +385,9 @@ def scan_file(path, rel, an):
             if is_sig and rule not in SIG_RULES:
                 continue
             mm = rx.search(text)
+            if mm and rx is GROWTH_CALL_RE and \
+                    not allocating_growth(text, an.fifo_names):
+                continue  # a Fifo's growth: followed as a call edge
             if mm and not suppressed(rule, start_1, end_1):
                 rec["hits"].append((rule, rel, start_1, what))
         if not is_sig and in_loop and SPIN_BODY_RE.search(text) and \
@@ -527,6 +589,7 @@ def propagate(an):
 
 def audit(files, root, backend="lex"):
     an = Analysis()
+    an.fifo_names = collect_fifo_names(files)
     for path in files:
         rel = os.path.relpath(path, root) if root else path
         scan_file(path, rel, an)
@@ -634,6 +697,36 @@ void submitUncovered(Q &q, bool heap)
 }
 """
 
+# A hot root pushing onto a grow-only Fifo (member and accessor
+# receivers) and onto a std::vector: only the vector is a finding;
+# the Fifo calls are followed to Fifo::grow's function-level escape.
+SELFTEST_FIFO = """\
+#include <vector>
+#include "core/hot_annotations.hh"
+template <typename T> class Fifo
+{
+  public:
+    void push_back(T v) { if (size_ == cap_) grow(); ++size_; }
+  private:
+    JETSIM_COLD_OK("grow-only: reaches the high-water depth once")
+    void grow() { buf_ = new T[cap_ = 2 * cap_ + 4]; }
+    T *buf_ = nullptr;
+    int size_ = 0, cap_ = 0;
+};
+struct Sched
+{
+    Fifo<int> runq_;
+    Fifo<int> &queueFor(bool) { return runq_; }
+    std::vector<int> log_;
+    JETSIM_HOT void tick()
+    {
+        runq_.push_back(1);
+        queueFor(true).push_back(2);
+        log_.push_back(3);
+    }
+};
+"""
+
 
 def selftest():
     import tempfile
@@ -692,13 +785,22 @@ def selftest():
         if len(summ["sbo_sites"]) != 2 or \
                 sum(s["covered"] for s in summ["sbo_sites"]) != 1:
             fail(f"sbo site ledger wrong: {summ['sbo_sites']}")
+        findings, summ, _ = run("fifo.cc", SELFTEST_FIFO)
+        growth = [SELFTEST_FIFO.splitlines()[f["line"] - 1].strip()
+                  for f in findings if f["rule"] == "hot-alloc"]
+        if growth != ["log_.push_back(3);"]:
+            fail(f"want exactly the std::vector growth flagged, "
+                 f"got {growth}")
+        if not any(e["fn"] == "Fifo::grow" for e in summ["cold_ok"]):
+            fail("Fifo growth not followed to Fifo::grow's escape")
     if ok:
         print("jethot selftest: seeded hot-path alloc/lock/throw "
               "each found with a minimised 2-hop chain; CAS spin "
               "flagged and allow()-whitelistable; JETSIM_COLD_OK "
               "and JETSIM_HOT_BOUNDARY stop traversal with the "
               "escape recorded; uncovered noteSboMiss site flagged, "
-              "covered site ledgered")
+              "covered site ledgered; Fifo growth followed to its "
+              "grow() escape, std::vector growth flagged")
     return ok
 
 

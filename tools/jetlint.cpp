@@ -165,17 +165,15 @@ lintExamples(lint::Report &rep)
     lint::lintExperiment(mix, rep);
 }
 
-/** Lint a serialized engine plan file (netinfo/trtexec_sim output). */
-bool
+/** Lint a serialized engine plan file (netinfo/trtexec_sim output);
+ * an unreadable file is a user error. */
+void
 lintPlanFile(const std::string &path, const std::string &device,
              lint::Report &rep)
 {
     std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "jetlint: cannot read plan '%s'\n",
-                     path.c_str());
-        return false;
-    }
+    if (!in)
+        sim::fatal("jetlint: --plan: cannot read '%s'", path.c_str());
     std::ostringstream text;
     text << in.rdbuf();
     const auto engine = trt::Engine::deserialize(text.str(), path);
@@ -183,7 +181,6 @@ lintPlanFile(const std::string &path, const std::string &device,
         lint::lintEngine(engine, *dev, rep);
     else
         lint::lintEngine(engine, rep);
-    return true;
 }
 
 } // namespace
@@ -221,8 +218,7 @@ main(int argc, char **argv)
     } else if (args.boolean("examples")) {
         lintExamples(rep);
     } else if (args.given("plan")) {
-        if (!lintPlanFile(args.str("plan"), args.str("device"), rep))
-            return 2;
+        lintPlanFile(args.str("plan"), args.str("device"), rep);
     } else {
         core::ExperimentSpec spec;
         spec.device = args.str("device");

@@ -294,12 +294,7 @@ main(int argc, char **argv)
         proc_sets.push_back(
             args.choicelist("models", models::allModelNames()));
     } else {
-        const int procs = args.intval("procs");
-        if (procs < 1 || procs > 8) {
-            std::fprintf(stderr,
-                         "jetmc: --procs must be in [1, 8]\n");
-            return 2;
-        }
+        const int procs = args.intval("procs", 1, 8);
         std::vector<std::string> names;
         if (args.boolean("zoo"))
             for (const auto &m : models::paperModelNames())

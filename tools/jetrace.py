@@ -205,7 +205,10 @@ def analyze_file(path, relpath):
                     held.append((c, len(w.scopes)))
 
     def record_calls(stmt, lineno):
-        """Calls made under held locks (cross-function edges)."""
+        """Every call, with the locks held at it: a call made under no
+        lock still carries its callee's acquisitions to its caller
+        (the fixpoint in build_lock_graph), so a lock taken two calls
+        below a held one still yields its edge."""
         for m in re.finditer(r"([\w~:]+)\s*\(", stmt):
             callee = m.group(1).split("::")[-1]
             if callee in CONTROL_KEYWORDS or callee == "LockGuard":
@@ -267,8 +270,8 @@ def analyze_file(path, relpath):
             enter_function(sc, pending, lineno)
         else:
             # Calls in a control condition (`if (f()) {`)
-            # still happen under the held set.
-            if cur_fn is not None and held:
+            # happen under the held set too.
+            if cur_fn is not None:
                 record_calls(pending, lineno)
 
     def on_close(sc):
@@ -308,8 +311,7 @@ def analyze_file(path, relpath):
                 (cap, lineno, [c for c, _ in held]))
             held.append((cap, len(w.scopes)))
             return
-        if held:
-            record_calls(stmt, lineno)
+        record_calls(stmt, lineno)
 
     w.on_line = on_line
     w.on_open = on_open
@@ -500,6 +502,15 @@ void worker1() { LockGuard a(lockA); LockGuard b(lockB); ++shared_ab; }
 void worker2() { LockGuard b(lockB); LockGuard a(lockA); }
 """
 
+# A lock taken two calls below a held one, through a function that
+# holds nothing itself (the shape of sharedEngine -> Builder::build ->
+# internName): the lockA -> lockB edge must still be found.
+SELFTEST_TRANSITIVE = SELFTEST_COMMON + """
+void leaf() { LockGuard b(lockB); }
+void middle() { leaf(); }
+void outer() { LockGuard a(lockA); middle(); ++shared_ab; }
+"""
+
 # MPSC-inbox fixtures: a miniature of the lock-free shard inbox ring
 # (src/sim/msg_ring.hh) that replaced the shard_mu_ mutex inbox in
 # DESIGN.md §4i. The ring variant is pure std::atomic — it must audit
@@ -559,6 +570,7 @@ def selftest(jetmc_ce):
     with tempfile.TemporaryDirectory() as td:
         for name, src, want_cycle in [
                 ("toylock_ordered.cc", SELFTEST_ORDERED, False),
+                ("toylock_transitive.cc", SELFTEST_TRANSITIVE, False),
                 ("toylock_inverted.cc", SELFTEST_INVERTED, True)]:
             p = os.path.join(td, name)
             with open(p, "w", encoding="utf-8") as f:
@@ -581,8 +593,8 @@ def selftest(jetmc_ce):
             if not want_cycle and \
                     ("lockA", "lockB") not in {
                         (e["from"], e["to"]) for e in graph["edges"]}:
-                print("jetrace selftest: FAILED — ordered variant "
-                      "missing the lockA->lockB edge")
+                print(f"jetrace selftest: FAILED — {name} is "
+                      f"missing the lockA->lockB edge")
                 ok = False
         for name, src, want_raw in [
                 ("mpsc_ring.cc", SELFTEST_MPSC_RING, 0),
@@ -618,6 +630,7 @@ def selftest(jetmc_ce):
     if ok:
         print("jetrace selftest: inverted two-lock fixture yields "
               "the lockA<->lockB cycle; ordered fixture is acyclic; "
+              "lockA->lockB found through a lock-free caller; "
               "MPSC inbox ring audits clean with zero lock-graph "
               "capabilities, raw-mutex inbox variant flagged")
     if jetmc_ce:
