@@ -7,7 +7,8 @@
  * phases drawn around it). This bench renders the *actual* measured
  * timeline from the simulated run: an ASCII Gantt of kernels grouped
  * into ECs for two concurrent processes, plus the per-EC / CS event
- * sequence — and writes a Chrome trace for interactive viewing.
+ * sequence. It writes no trace file; prof::ChromeTraceExporter
+ * exports the same kernel timeline for Perfetto.
  */
 
 #include <cstdio>

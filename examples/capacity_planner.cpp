@@ -27,13 +27,11 @@
  *
  * Exit: 0 ok; 1 when --min-pruned=N was given and fewer than N
  * cells were provably prunable (CI uses this as the effectiveness
- * gate); 2 usage error.
+ * gate), or on an unknown flag or a malformed argument.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -44,6 +42,8 @@
 #include "core/profiler.hh"
 #include "core/sweep.hh"
 #include "prof/report.hh"
+#include "sim/json.hh"
+#include "sim/logging.hh"
 
 using namespace jetsim;
 
@@ -55,6 +55,18 @@ struct Plan
     double stream_fps;  ///< frames/s each process sustains
     double latency_ms;  ///< per-batch completion time
 };
+
+/** Argument @p arg's value @p v as a T >= 0, or fatal(). */
+template <class T>
+T
+nonNegative(const char *arg, const std::string &v)
+{
+    const auto x = sim::parseNumber<T>(v);
+    if (!x || *x < 0)
+        sim::fatal("capacity_planner: %s: '%s' is not a number >= 0",
+                   arg, v.c_str());
+    return *x;
+}
 
 /** FNV-1a fold of the unpruned cells' result digests, grid order. */
 std::uint64_t
@@ -80,26 +92,24 @@ main(int argc, char **argv)
         if (a == "--prescreen") {
             prescreen = true;
         } else if (a.rfind("--min-pruned=", 0) == 0) {
-            min_pruned = std::atoi(a.c_str() + 13);
+            min_pruned = nonNegative<int>("--min-pruned", a.substr(13));
             prescreen = true; // the gate implies the screen
         } else if (a.rfind("--", 0) == 0) {
-            std::fprintf(stderr,
-                         "capacity_planner: unknown flag %s\n"
-                         "usage: capacity_planner [--prescreen] "
-                         "[--min-pruned=N] [device] [model] "
-                         "[max_latency_ms] [min_stream_fps]\n",
-                         a.c_str());
-            return 2;
+            sim::fatal("capacity_planner: unknown flag %s\n"
+                       "usage: capacity_planner [--prescreen] "
+                       "[--min-pruned=N] [device] [model] "
+                       "[max_latency_ms] [min_stream_fps]",
+                       a.c_str());
         } else {
             pos.push_back(a);
         }
     }
     const std::string device = pos.size() > 0 ? pos[0] : "orin-nano";
     const std::string model = pos.size() > 1 ? pos[1] : "yolov8n";
-    const double max_latency_ms =
-        pos.size() > 2 ? std::atof(pos[2].c_str()) : 100;
-    const double min_fps =
-        pos.size() > 3 ? std::atof(pos[3].c_str()) : 15;
+    const double max_latency_ms = nonNegative<double>(
+        "max_latency_ms", pos.size() > 2 ? pos[2] : "100");
+    const double min_fps = nonNegative<double>(
+        "min_stream_fps", pos.size() > 3 ? pos[3] : "15");
 
     std::printf("capacity planning: %s on %s, latency <= %.0f ms, "
                 ">= %.0f fps per stream%s\n",

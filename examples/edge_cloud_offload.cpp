@@ -16,12 +16,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/profiler.hh"
 #include "models/zoo.hh"
 #include "prof/report.hh"
+#include "sim/json.hh"
+#include "sim/logging.hh"
 #include "soc/network_link.hh"
 
 using namespace jetsim;
@@ -72,9 +73,21 @@ evaluate(const std::string &device, const soc::NetworkLink &link)
 int
 main(int argc, char **argv)
 {
+    const char *uplink = argc > 1 ? argv[1] : "50";
+    const char *rtt = argc > 2 ? argv[2] : "40";
+    const auto uplink_mbps = sim::parseNumber<double>(uplink);
+    if (!uplink_mbps || *uplink_mbps <= 0)
+        sim::fatal("edge_cloud_offload: uplink_mbps: '%s' is not a "
+                   "number > 0",
+                   uplink);
+    const auto rtt_ms = sim::parseNumber<double>(rtt);
+    if (!rtt_ms || *rtt_ms < 0)
+        sim::fatal("edge_cloud_offload: rtt_ms: '%s' is not a number "
+                   ">= 0",
+                   rtt);
     soc::NetworkLink link;
-    link.uplink_mbps = argc > 1 ? std::atof(argv[1]) : 50.0;
-    link.rtt_ms = argc > 2 ? std::atof(argv[2]) : 40.0;
+    link.uplink_mbps = *uplink_mbps;
+    link.rtt_ms = *rtt_ms;
 
     std::printf("edge vs cloud for YoloV8n fp16 (uplink %.0f Mbps, "
                 "RTT %.0f ms; wire admits %.0f img/s)\n",

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/bottleneck.hh"
@@ -17,6 +16,8 @@
 #include "core/sweep.hh"
 #include "models/zoo.hh"
 #include "prof/report.hh"
+#include "sim/json.hh"
+#include "sim/logging.hh"
 #include "trt/builder.hh"
 
 using namespace jetsim;
@@ -24,10 +25,16 @@ using namespace jetsim;
 int
 main(int argc, char **argv)
 {
+    const char *batch = argc > 3 ? argv[3] : "1";
     core::ExperimentSpec base;
     base.device = argc > 1 ? argv[1] : "orin-nano";
     base.model = argc > 2 ? argv[2] : "resnet50";
-    base.batch = argc > 3 ? std::atoi(argv[3]) : 1;
+    const auto b = sim::parseNumber<int>(batch);
+    if (!b || *b < 1)
+        sim::fatal("precision_explorer: batch: '%s' is not an integer "
+                   ">= 1",
+                   batch);
+    base.batch = *b;
     base.warmup = sim::msec(250);
     base.duration = sim::sec(2);
 

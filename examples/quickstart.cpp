@@ -12,24 +12,45 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/bottleneck.hh"
 #include "core/profiler.hh"
 #include "prof/report.hh"
+#include "sim/json.hh"
+#include "sim/logging.hh"
 
 using namespace jetsim;
+
+namespace {
+
+/** Argument @p arg's value @p v as an integer >= 1, or fatal(). */
+int
+positiveInt(const char *arg, const char *v)
+{
+    const auto n = sim::parseNumber<int>(v);
+    if (!n || *n < 1)
+        sim::fatal("quickstart: %s: '%s' is not an integer >= 1", arg, v);
+    return *n;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
+    const char *precision = argc > 3 ? argv[3] : "int8";
     core::ExperimentSpec spec;
     spec.device = argc > 1 ? argv[1] : "orin-nano";
     spec.model = argc > 2 ? argv[2] : "resnet50";
-    spec.precision = soc::precisionFromName(argc > 3 ? argv[3] : "int8");
-    spec.batch = argc > 4 ? std::atoi(argv[4]) : 1;
-    spec.processes = argc > 5 ? std::atoi(argv[5]) : 1;
+    const auto prec = sim::enumFromName<soc::Precision>(precision);
+    if (!prec)
+        sim::fatal("quickstart: precision: '%s' is not one of int8, "
+                   "fp16, tf32, fp32",
+                   precision);
+    spec.precision = *prec;
+    spec.batch = positiveInt("batch", argc > 4 ? argv[4] : "1");
+    spec.processes = positiveInt("processes", argc > 5 ? argv[5] : "1");
 
     std::printf("jetsim quickstart: %s\n", spec.label().c_str());
 

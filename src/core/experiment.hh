@@ -36,6 +36,13 @@ inline constexpr std::array<Phase, 2> kAllPhases = {Phase::Light,
 /** "light" or "deep", as in labels and files. */
 const char *name(Phase p);
 
+/** Every phase, for names read back (sim::enumFromName). */
+constexpr const auto &
+enumValues(Phase)
+{
+    return kAllPhases;
+}
+
 /** Full description of one profiling run. */
 struct ExperimentSpec
 {

@@ -6,11 +6,11 @@
 #include <memory>
 #include <string_view>
 
-#include "core/json.hh"
 #include "cpu/scheduler.hh"
 #include "gpu/engine.hh"
 #include "models/zoo.hh"
 #include "prof/cdf.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sharded_engine.hh"
 #include "soc/board.hh"
@@ -397,8 +397,9 @@ bool
 writeFleetReplay(const FleetSpec &spec, const FleetOptions &opts,
                  const std::string &path)
 {
-    return writeFileAtomic(path,
-                           toJson(FleetReplay{spec, opts}, kReplayTag, 1));
+    return sim::writeFileAtomic(path,
+                                sim::toJson(FleetReplay{spec, opts},
+                                            kReplayTag, 1));
 }
 
 bool
@@ -406,8 +407,10 @@ readFleetReplay(const std::string &path, FleetSpec &spec,
                 FleetOptions &opts, std::string &err)
 {
     FleetReplay r;
-    if (!readJson(path, kReplayTag, 1, r, err,
-                  [](const FleetReplay &r) { return checkSpec(r.spec); }))
+    if (!sim::readJson(path, kReplayTag, 1, r, err,
+                       [](const FleetReplay &r) {
+                           return checkSpec(r.spec);
+                       }))
         return false;
     spec = std::move(r.spec);
     opts = r.options;

@@ -179,7 +179,7 @@ FleetResult runFleet(const FleetSpec &spec,
 
 /** @name Replay specs (differential harness <-> simcheck)
  * A failing sharded-vs-serial comparison dumps its spec and options
- * as a JSON file (core/json.hh) that `simcheck --fleet-replay`
+ * as a JSON file (sim/json.hh) that `simcheck --fleet-replay`
  * re-runs. The reader rejects a missing, unknown, mistyped or
  * out-of-range field and any spec runFleet would assert on, with
  * "<path>: <field>: <reason>" in @p err. @{ */

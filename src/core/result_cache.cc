@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "check/digest.hh"
-#include "core/json.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace jetsim::core {
@@ -22,7 +22,7 @@ std::uint64_t
 keyOf(std::string_view kind, const Spec &spec)
 {
     check::Digest d;
-    d.add(toJson(spec, kind, ResultCache::kFormatVersion));
+    d.add(sim::toJson(spec, kind, ResultCache::kFormatVersion));
     return d.value();
 }
 
@@ -30,8 +30,8 @@ template <class Result>
 void
 storeEntry(const std::string &path, const Result &r)
 {
-    if (!writeFileAtomic(path,
-                         toJson(r, kTag, ResultCache::kFormatVersion)))
+    if (!sim::writeFileAtomic(
+            path, sim::toJson(r, kTag, ResultCache::kFormatVersion)))
         sim::warn("result cache: cannot write '%s'", path.c_str());
 }
 
@@ -43,10 +43,11 @@ loadEntry(const std::string &path, const Spec &spec)
 {
     Result r;
     std::string err;
-    if (!readJson(path, kTag, ResultCache::kFormatVersion, r, err,
-                  [&spec](const Result &r) {
-                      return r.spec == spec ? "" : "spec: not the key's";
-                  }))
+    if (!sim::readJson(path, kTag, ResultCache::kFormatVersion, r, err,
+                       [&spec](const Result &r) {
+                           return r.spec == spec ? ""
+                                                 : "spec: not the key's";
+                       }))
         return std::nullopt;
     return r;
 }

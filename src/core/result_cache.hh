@@ -9,12 +9,12 @@
  * determinism invariant), a result can be keyed purely by its spec:
  * the cache key is an FNV-1a digest over the format version, a kind
  * tag ("experiment" / "mixed") and the spec's field list (its
- * canonical JSON, core/json.hh), so any change to any field, or to
+ * canonical JSON, sim/json.hh), so any change to any field, or to
  * the format, misses.
  *
  * Entries are single JSON files, `jetsim-<16-hex-key>.json`, written
  * atomically: the result's field list as a `"jetsim_cache": 2`
- * document of the shared codec (core/json.hh), bit-exact, so a cached
+ * document of the shared codec (sim/json.hh), bit-exact, so a cached
  * result's core::resultDigest equals the fresh one's. A load decodes
  * the stored spec with the result and compares it with the requested
  * one (guards digest collisions). Any read or decode error, or a

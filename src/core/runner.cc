@@ -6,10 +6,10 @@
 #include <thread>
 
 #include "core/env.hh"
-#include "core/json.hh"
 #include "core/mutex.hh"
 #include "core/profiler.hh"
 #include "core/result_cache.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace jetsim::core {
@@ -131,7 +131,7 @@ Runner::resolveThreads(int requested)
     // Worker-count config from the cached startup environment
     // (core::env()); thread count never affects results.
     if (const std::string &ts = env().threads; !ts.empty()) {
-        const auto v = parseNumber<int>(ts);
+        const auto v = sim::parseNumber<int>(ts);
         if (v && *v > 0)
             return *v;
         sim::warn("JETSIM_THREADS='%s' is not a positive integer; "

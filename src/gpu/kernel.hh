@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "sim/fields.hh"
 #include "sim/name_registry.hh"
 #include "sim/types.hh"
 #include "soc/precision.hh"
@@ -75,6 +76,22 @@ struct KernelDesc
      */
     double tc_stall_factor = 1.0;
 };
+
+/** Everything but @ref KernelDesc::name_id, which is derived. */
+template <class V, sim::FieldsOf<KernelDesc> S>
+void
+visitFields(V &v, S &k)
+{
+    v("name", k.name);
+    v("flops", k.flops);
+    v("bytes", k.bytes);
+    v("precision", k.prec);
+    v("tc", k.tc);
+    v("blocks", k.blocks);
+    v("efficiency_scale", k.efficiency_scale);
+    v("issue_intensity", k.issue_intensity);
+    v("tc_stall_factor", k.tc_stall_factor);
+}
 
 /** Timing and counters for one kernel execution. */
 struct KernelTiming

@@ -1,40 +1,12 @@
 #include "lint/finding.hh"
 
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 #include "check/reporter.hh"
+#include "sim/json.hh"
 
 namespace jetsim::lint {
-
-namespace {
-
-/** Minimal JSON string escaping (quotes, backslashes, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 Finding::str() const
@@ -110,26 +82,35 @@ Report::text() const
 std::string
 Report::json() const
 {
-    std::ostringstream os;
-    os << "{\"schema_version\":" << kJsonSchemaVersion
-       << ",\"findings\":[";
-    bool first = true;
+    std::string out = "{\"schema_version\":" +
+                      std::to_string(kJsonSchemaVersion) +
+                      ",\"findings\":[";
+    auto member = [&out](const char *key, std::string_view value) {
+        if (out.back() != '{')
+            out += ',';
+        sim::putJsonString(out, key);
+        out += ':';
+        sim::putJsonString(out, value);
+    };
     for (const auto &f : findings_) {
-        if (!first)
-            os << ",";
-        first = false;
+        if (out.back() != '[')
+            out += ',';
         const RuleInfo &info = ruleInfo(f.rule);
-        os << "{\"rule\":\"" << info.id << "\",\"title\":\""
-           << info.title << "\",\"severity\":\""
-           << check::severityName(f.severity) << "\",\"component\":\""
-           << jsonEscape(f.component) << "\",\"location\":\""
-           << jsonEscape(f.location) << "\",\"message\":\""
-           << jsonEscape(f.message) << "\",\"hint\":\""
-           << jsonEscape(f.hint) << "\"}";
+        out += '{';
+        member("rule", info.id);
+        member("title", info.title);
+        member("severity", check::severityName(f.severity));
+        member("component", f.component);
+        member("location", f.location);
+        member("message", f.message);
+        member("hint", f.hint);
+        out += '}';
     }
-    os << "],\"errors\":" << errors() << ",\"warnings\":" << warnings()
-       << ",\"infos\":" << count(check::Severity::Info) << "}";
-    return os.str();
+    out += "],\"errors\":" + std::to_string(errors()) +
+           ",\"warnings\":" + std::to_string(warnings()) +
+           ",\"infos\":" +
+           std::to_string(count(check::Severity::Info)) + "}";
+    return out;
 }
 
 void

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <string_view>
 
-#include "core/json.hh"
 #include "mc/explorer.hh"
 #include "mc/toylock.hh"
 #include "models/zoo.hh"
+#include "sim/json.hh"
 #include "soc/device_spec.hh"
 
 namespace jetsim::mc {
@@ -50,13 +50,13 @@ checkCe(const CounterExample &ce)
 bool
 writeCe(const CounterExample &ce, const std::string &path)
 {
-    return core::writeFileAtomic(path, core::toJson(ce, kTag, 1));
+    return sim::writeFileAtomic(path, sim::toJson(ce, kTag, 1));
 }
 
 bool
 readCe(const std::string &path, CounterExample &ce, std::string &err)
 {
-    return core::readJson(path, kTag, 1, ce, err, checkCe);
+    return sim::readJson(path, kTag, 1, ce, err, checkCe);
 }
 
 std::unique_ptr<Model>

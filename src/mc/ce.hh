@@ -4,7 +4,7 @@
  * (or to `simcheck --mc-replay`).
  *
  * A counterexample is a `"jetmc_ce": 1` JSON document of the shared
- * codec (core/json.hh) carrying the CounterExample field list: the
+ * codec (sim/json.hh) carrying the CounterExample field list: the
  * model identity, the minimal choice script that reproduces the
  * failure, the failure kind, the reference digest and the deployment
  * configuration. Replaying is exact: reconstruct the model from the

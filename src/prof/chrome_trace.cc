@@ -1,7 +1,8 @@
 #include "prof/chrome_trace.hh"
 
 #include <cstdio>
-#include <sstream>
+
+#include "sim/json.hh"
 
 namespace jetsim::prof {
 
@@ -43,25 +44,23 @@ ChromeTraceExporter::detach()
 std::string
 ChromeTraceExporter::json() const
 {
-    std::ostringstream os;
-    os << "{\"traceEvents\":[";
-    bool first = true;
+    std::string out = "{\"traceEvents\":[";
     for (const auto &e : events_) {
-        if (!first)
-            os << ",";
-        first = false;
-        // Kernel names contain only [A-Za-z0-9._+/-]; no escaping
-        // needed for JSON strings.
-        os << "{\"name\":\"" << nameOf(e.name_id) << "\",\"ph\":\"X\""
-           << ",\"ts\":" << sim::toUsec(e.start)
-           << ",\"dur\":" << sim::toUsec(e.end - e.start)
-           << ",\"pid\":0,\"tid\":" << e.channel
-           << ",\"args\":{\"precision\":\"" << soc::name(e.prec)
-           << "\",\"tensor_cores\":" << (e.tc ? "true" : "false")
-           << "}}";
+        if (out.back() != '[')
+            out += ',';
+        out += "{\"name\":";
+        sim::putJsonString(out, nameOf(e.name_id));
+        out += ",\"ph\":\"X\",\"ts\":";
+        sim::putJsonNumber(out, sim::toUsec(e.start));
+        out += ",\"dur\":";
+        sim::putJsonNumber(out, sim::toUsec(e.end - e.start));
+        out += ",\"pid\":0,\"tid\":" + std::to_string(e.channel) +
+               ",\"args\":{\"precision\":\"" + soc::name(e.prec) +
+               "\",\"tensor_cores\":" + (e.tc ? "true" : "false") +
+               "}}";
     }
-    os << "],\"displayTimeUnit\":\"ms\"}";
-    return os.str();
+    out += "],\"displayTimeUnit\":\"ms\"}";
+    return out;
 }
 
 bool

@@ -10,7 +10,7 @@
  *
  * that calls `v("key", x.member)` once per member, in declaration
  * order. That list is the struct's only description of its fields:
- * the result digest (core/digest.hh), the JSON codec (core/json.hh)
+ * the result digest (core/digest.hh), the JSON codec (sim/json.hh)
  * and every file format built on it read the struct through it, so
  * adding a member to the list is all it takes to digest, cache and
  * replay it. `S` is `T` or `const T`, so one template serves both the

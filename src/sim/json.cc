@@ -1,11 +1,11 @@
-#include "core/json.hh"
+#include "sim/json.hh"
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-namespace jetsim::core {
+namespace jetsim::sim {
 
 std::optional<std::string>
 readFile(const std::string &path)
@@ -41,10 +41,8 @@ writeFileAtomic(const std::string &path, const std::string &text)
     return true;
 }
 
-namespace json_detail {
-
 void
-putString(std::string &out, std::string_view s)
+putJsonString(std::string &out, std::string_view s)
 {
     out += '"';
     for (const char c : s) {
@@ -67,12 +65,14 @@ putString(std::string &out, std::string_view s)
 }
 
 void
-putDouble(std::string &out, double v)
+putJsonNumber(std::string &out, double v)
 {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     out += buf;
 }
+
+namespace json_detail {
 
 void
 Decoder::skipWs()
@@ -164,4 +164,4 @@ Decoder::fail(const std::string &path, const std::string &why)
 
 } // namespace json_detail
 
-} // namespace jetsim::core
+} // namespace jetsim::sim

@@ -3,7 +3,8 @@
  * The one JSON codec. Every struct with a field list (sim/fields.hh)
  * round-trips through it, and every file jetsim writes in order to
  * read it back — result-cache entries, fleet replay specs, jetmc
- * counterexamples — is a document of this codec, tag first:
+ * counterexamples, engine plans — is a document of this codec, tag
+ * first:
  *
  *     {"<tag>": <version>, "<field>": <value>, ...}
  *
@@ -17,11 +18,21 @@
  * as "<field path>: <reason>", e.g. "spec.devices[2].batch: 'abc' is
  * not an integer in [-2147483648, 2147483647]".
  *
- * The command-line tools parse flag values with the same parseNumber.
+ * An enum E is encoded by name. Its header declares, next to
+ * `const char *name(E)`, the hook
+ *
+ *     constexpr const auto &enumValues(E);  // every value, in order
+ *
+ * found by argument-dependent lookup; enumFromName() and the decoder
+ * read names through it, so this header knows no enum of its own.
+ *
+ * The command-line tools parse flag values with the same parseNumber
+ * and enumFromName, and write-only JSON (the jetlint report, the
+ * Chrome trace) uses putJsonString and putJsonNumber.
  */
 
-#ifndef JETSIM_CORE_JSON_HH
-#define JETSIM_CORE_JSON_HH
+#ifndef JETSIM_SIM_JSON_HH
+#define JETSIM_SIM_JSON_HH
 
 #include <algorithm>
 #include <charconv>
@@ -34,10 +45,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/experiment.hh"
-#include "soc/precision.hh"
-
-namespace jetsim::core {
+namespace jetsim::sim {
 
 /** The whole of @p s as one number of type T (an integer type or
  * double): nullopt on an empty string, leading blanks, trailing text,
@@ -56,6 +64,26 @@ parseNumber(std::string_view s)
     return x;
 }
 
+/** The value of enum E named @p s (see the file comment); nullopt
+ * for any other string. */
+template <class E>
+std::optional<E>
+enumFromName(std::string_view s)
+{
+    for (const E e : enumValues(E{}))
+        if (s == name(e))
+            return e;
+    return std::nullopt;
+}
+
+/** Append @p s as a JSON string: quoted, with '"', '\\' and control
+ * characters escaped. */
+void putJsonString(std::string &out, std::string_view s);
+
+/** Append @p v as a JSON number that parses back to exactly @p v
+ * (17 significant digits). */
+void putJsonNumber(std::string &out, double v);
+
 /** Whole-file read; nullopt when the file cannot be read. */
 std::optional<std::string> readFile(const std::string &path);
 
@@ -63,9 +91,6 @@ std::optional<std::string> readFile(const std::string &path);
 bool writeFileAtomic(const std::string &path, const std::string &text);
 
 namespace json_detail {
-
-void putString(std::string &out, std::string_view s);
-void putDouble(std::string &out, double v);
 
 /** Field-list visitor appending each field as `"key":value`. */
 struct Encoder
@@ -78,7 +103,7 @@ struct Encoder
     {
         if (out.back() != '{')
             out += ',';
-        putString(out, key);
+        putJsonString(out, key);
         out += ':';
         put(x);
     }
@@ -92,11 +117,11 @@ struct Encoder
         } else if constexpr (std::is_integral_v<T>) {
             out += std::to_string(x);
         } else if constexpr (std::is_same_v<T, double>) {
-            putDouble(out, x);
+            putJsonNumber(out, x);
         } else if constexpr (std::is_same_v<T, std::string>) {
-            putString(out, x);
+            putJsonString(out, x);
         } else if constexpr (std::is_enum_v<T>) {
-            putString(out, name(x));
+            putJsonString(out, name(x));
         } else if constexpr (std::ranges::range<T>) {
             out += '[';
             for (const auto &e : x) {
@@ -167,10 +192,8 @@ class Decoder
             if (!readString(x))
                 fail(path, "'" + std::string(token()) +
                                "' is not a string");
-        } else if constexpr (std::is_same_v<T, soc::Precision>) {
-            getName(x, soc::kAllPrecisions, path);
-        } else if constexpr (std::is_same_v<T, Phase>) {
-            getName(x, kAllPhases, path);
+        } else if constexpr (std::is_enum_v<T>) {
+            getName(x, path);
         } else if constexpr (std::ranges::range<T>) {
             if (!eat('['))
                 return fail(path, "not an array");
@@ -224,13 +247,13 @@ class Decoder
         visitFields(present, x);
     }
 
-    template <class E, class All>
+    template <class E>
     void
-    getName(E &x, const All &all, const std::string &path)
+    getName(E &x, const std::string &path)
     {
         std::string s, names;
         const bool read = readString(s);
-        for (const E e : all) {
+        for (const E e : enumValues(x)) {
             if (read && s == name(e)) {
                 x = e;
                 return;
@@ -262,7 +285,7 @@ toJson(const T &x, std::string_view tag, int version)
 {
     json_detail::Encoder e;
     e.out = "{";
-    json_detail::putString(e.out, tag);
+    putJsonString(e.out, tag);
     e.out += ':' + std::to_string(version);
     visitFields(e, x);
     e.out += "}\n";
@@ -306,6 +329,6 @@ readJson(const std::string &path, std::string_view tag, int version,
     return false;
 }
 
-} // namespace jetsim::core
+} // namespace jetsim::sim
 
-#endif // JETSIM_CORE_JSON_HH
+#endif // JETSIM_SIM_JSON_HH

@@ -1,7 +1,5 @@
 #include "soc/precision.hh"
 
-#include "sim/logging.hh"
-
 namespace jetsim::soc {
 
 const char *
@@ -14,15 +12,6 @@ name(Precision p)
       case Precision::Fp32: return "fp32";
     }
     return "?";
-}
-
-Precision
-precisionFromName(const std::string &s)
-{
-    for (Precision p : kAllPrecisions)
-        if (s == name(p))
-            return p;
-    sim::fatal("unknown precision '%s'", s.c_str());
 }
 
 unsigned

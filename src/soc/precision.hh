@@ -10,7 +10,6 @@
 #define JETSIM_SOC_PRECISION_HH
 
 #include <array>
-#include <string>
 
 namespace jetsim::soc {
 
@@ -25,8 +24,12 @@ inline constexpr std::array<Precision, 4> kAllPrecisions = {
 /** Short lowercase name as used in the paper ("int8", "fp16", ...). */
 const char *name(Precision p);
 
-/** Parse a precision name; fatal() on unknown names. */
-Precision precisionFromName(const std::string &s);
+/** Every precision, for names read back (sim::enumFromName). */
+constexpr const auto &
+enumValues(Precision)
+{
+    return kAllPrecisions;
+}
 
 /**
  * Bytes used to *store* one weight element in this format. tf32 is a

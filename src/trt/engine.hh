@@ -12,10 +12,13 @@
 #ifndef JETSIM_TRT_ENGINE_HH
 #define JETSIM_TRT_ENGINE_HH
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/kernel.hh"
+#include "sim/fields.hh"
 #include "sim/types.hh"
 #include "soc/precision.hh"
 
@@ -71,17 +74,35 @@ class Engine
     double totalBytes() const { return total_bytes_; }
 
     /**
-     * Serialise the compiled plan to a portable text format (the
-     * TensorRT plan-file analogue): build once, deploy many times
-     * without re-running the builder.
+     * Serialise the compiled plan (the TensorRT plan-file analogue:
+     * build once, deploy many times without re-running the builder)
+     * as a `"jetsim_plan": 2` document of the JSON codec
+     * (sim/json.hh).
      */
     std::string serialize() const;
 
-    /** Reconstruct an engine from serialize() output; fatal(), with a
-     * message that starts with @p source (e.g. the plan file's path),
-     * on a malformed or version-mismatched plan. */
-    static Engine deserialize(const std::string &plan,
-                              const std::string &source = "engine plan");
+    /** Reconstruct an engine from serialize() output. On a malformed
+     * or other-version plan returns nullopt and sets @p err to
+     * "<field>: <reason>". */
+    static std::optional<Engine> deserialize(std::string_view plan,
+                                             std::string &err);
+
+    /** The plan's fields; the totals and kernel name ids are derived
+     * from them. */
+    template <class V, sim::FieldsOf<Engine> S>
+    friend void
+    visitFields(V &v, S &e)
+    {
+        v("model", e.model_);
+        v("precision", e.requested_);
+        v("batch", e.batch_);
+        v("fallback_ops", e.fallback_ops_);
+        v("weight_bytes", e.weight_bytes_);
+        v("activation_bytes", e.activation_bytes_);
+        v("io_bytes", e.io_bytes_);
+        v("workspace_bytes", e.workspace_bytes_);
+        v("kernels", e.kernels_);
+    }
 
   private:
     friend class Builder;

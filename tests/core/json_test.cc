@@ -14,7 +14,7 @@
 
 #include "core/experiment.hh"
 #include "core/fleet.hh"
-#include "core/json.hh"
+#include "sim/json.hh"
 
 namespace jetsim {
 namespace {
@@ -23,10 +23,10 @@ template <class T>
 T
 roundTrip(const T &x)
 {
-    const std::string text = core::toJson(x, "test", 3);
+    const std::string text = sim::toJson(x, "test", 3);
     T back;
     std::string err;
-    EXPECT_TRUE(core::fromJson(text, "test", 3, back, err))
+    EXPECT_TRUE(sim::fromJson(text, "test", 3, back, err))
         << err << "\n" << text;
     return back;
 }
@@ -38,7 +38,7 @@ decodeError(const std::string &text)
 {
     T x;
     std::string err;
-    EXPECT_FALSE(core::fromJson(text, "test", 1, x, err)) << text;
+    EXPECT_FALSE(sim::fromJson(text, "test", 1, x, err)) << text;
     return err;
 }
 
@@ -203,24 +203,42 @@ TEST(JsonCodec, CdfRestoresItsExactState)
 
 TEST(JsonCodec, CheckedNumberParsing)
 {
-    EXPECT_EQ(core::parseNumber<int>("-42"), -42);
-    EXPECT_EQ(core::parseNumber<std::int64_t>("9223372036854775807"),
+    EXPECT_EQ(sim::parseNumber<int>("-42"), -42);
+    EXPECT_EQ(sim::parseNumber<std::int64_t>("9223372036854775807"),
               INT64_MAX);
     for (const char *bad : {"", " 5", "5 ", "5x", "0x10", "1.0", "abc",
                             "+5", "2147483648"})
-        EXPECT_FALSE(core::parseNumber<int>(bad)) << bad;
+        EXPECT_FALSE(sim::parseNumber<int>(bad)) << bad;
 
-    EXPECT_EQ(core::parseNumber<std::uint64_t>("18446744073709551615"),
+    EXPECT_EQ(sim::parseNumber<std::uint64_t>("18446744073709551615"),
               UINT64_MAX);
     for (const char *bad : {"-1", "18446744073709551616", ""})
-        EXPECT_FALSE(core::parseNumber<std::uint64_t>(bad)) << bad;
+        EXPECT_FALSE(sim::parseNumber<std::uint64_t>(bad)) << bad;
 
-    EXPECT_EQ(core::parseNumber<double>("2.5e-3"), 2.5e-3);
-    EXPECT_EQ(core::parseNumber<double>("4.9406564584124654e-324"),
+    EXPECT_EQ(sim::parseNumber<double>("2.5e-3"), 2.5e-3);
+    EXPECT_EQ(sim::parseNumber<double>("4.9406564584124654e-324"),
               4.9406564584124654e-324);
     for (const char *bad : {"", "xyz", "1e999", "inf", "nan", "1.5s",
                             " 1"})
-        EXPECT_FALSE(core::parseNumber<double>(bad)) << bad;
+        EXPECT_FALSE(sim::parseNumber<double>(bad)) << bad;
+}
+
+TEST(JsonCodec, EnumNamesComeFromEachEnumsHeader)
+{
+    // Phase and Precision each supply enumValues() next to name();
+    // the codec and enumFromName() know neither.
+    for (const auto p : core::kAllPhases)
+        EXPECT_EQ(sim::enumFromName<core::Phase>(core::name(p)), p);
+    EXPECT_FALSE(sim::enumFromName<core::Phase>("Deep"));
+    EXPECT_FALSE(sim::enumFromName<core::Phase>(""));
+
+    std::string text = sim::toJson(spec(), "test", 1);
+    const std::string deep = "\"phase\":\"deep\"";
+    const auto at = text.find(deep);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, deep.size(), "\"phase\":\"medium\"");
+    EXPECT_EQ(decodeError<core::ExperimentSpec>(text),
+              "phase: 'medium' is not one of light deep");
 }
 
 TEST(JsonCodec, ReaderNamesTheBadField)

@@ -70,6 +70,12 @@ TEST(Report, JsonRenderingEscapesAndCounts)
     EXPECT_NE(json.find("\\n"), std::string::npos);
     EXPECT_NE(json.find("\"errors\":1"), std::string::npos);
     EXPECT_EQ(json.find("\n"), std::string::npos) << "raw newline";
+    EXPECT_EQ(json,
+              "{\"schema_version\":1,\"findings\":[{\"rule\":\"G003\","
+              "\"title\":\"shape-mismatch\",\"severity\":\"error\","
+              "\"component\":\"graph.m\",\"location\":\"layer 1\","
+              "\"message\":\"shape \\\"8x8\\\"\\nmismatch\",\"hint\":\"\"}],"
+              "\"errors\":1,\"warnings\":0,\"infos\":0}");
 }
 
 TEST(Report, ForwardsIntoJetSanAsStaticLintViolations)

@@ -44,15 +44,18 @@ TEST(PlanLint, PrecisionMismatchPlanIsFlagged)
     const auto e =
         buildEngine("resnet50", "orin-nano", soc::Precision::Fp16);
     auto plan = e.serialize();
-    const auto k = plan.find("\nk ");
+    const auto k = plan.find("\"kernels\":[");
     ASSERT_NE(k, std::string::npos);
-    const auto prec = plan.find(" fp16 ", k);
+    const std::string fp16 = "\"precision\":\"fp16\"";
+    const auto prec = plan.find(fp16, k);
     ASSERT_NE(prec, std::string::npos);
-    plan.replace(prec, 6, " tf32 ");
+    plan.replace(prec, fp16.size(), "\"precision\":\"tf32\"");
 
-    const auto tampered = trt::Engine::deserialize(plan);
+    std::string err;
+    const auto tampered = trt::Engine::deserialize(plan, err);
+    ASSERT_TRUE(tampered) << err;
     Report rep;
-    lintEngine(tampered, rep);
+    lintEngine(*tampered, rep);
     EXPECT_FALSE(rep.byRule(Rule::PlanPrecisionMismatch).empty());
     EXPECT_FALSE(rep.clean());
 }
@@ -65,14 +68,18 @@ TEST(PlanLint, FallbackBookkeepingMismatchIsAWarning)
         buildEngine("resnet50", "nano", soc::Precision::Int8);
     ASSERT_GT(e.fallbackOps(), 0);
     auto plan = e.serialize();
-    const auto pos = plan.find("fallback_ops ");
+    const std::string key = "\"fallback_ops\":";
+    const auto pos = plan.find(key);
     ASSERT_NE(pos, std::string::npos);
-    const auto eol = plan.find('\n', pos);
-    plan.replace(pos, eol - pos, "fallback_ops 0");
+    const auto end = plan.find(',', pos);
+    plan.replace(pos, end - pos, key + "0");
 
-    const auto tampered = trt::Engine::deserialize(plan);
+    std::string err;
+    const auto tampered = trt::Engine::deserialize(plan, err);
+    ASSERT_TRUE(tampered) << err;
+    EXPECT_EQ(tampered->fallbackOps(), 0);
     Report rep;
-    lintEngine(tampered, rep);
+    lintEngine(*tampered, rep);
     EXPECT_FALSE(rep.byRule(Rule::PlanFallbackMismatch).empty());
 }
 

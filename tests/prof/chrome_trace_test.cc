@@ -7,14 +7,85 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/json.hh"
 #include "soc/board.hh"
 
 namespace jetsim::prof {
 namespace {
+
+/** @name The trace document's shape, to read json() back through the
+ * JSON codec (sim/json.hh).
+ * @{ */
+struct TraceArgs
+{
+    std::string precision;
+    bool tensor_cores = false;
+};
+
+template <class V, sim::FieldsOf<TraceArgs> S>
+void
+visitFields(V &v, S &a)
+{
+    v("precision", a.precision);
+    v("tensor_cores", a.tensor_cores);
+}
+
+struct TraceEvent
+{
+    std::string name, ph;
+    double ts = 0, dur = 0;
+    int pid = 0, tid = 0;
+    TraceArgs args;
+};
+
+template <class V, sim::FieldsOf<TraceEvent> S>
+void
+visitFields(V &v, S &e)
+{
+    v("name", e.name);
+    v("ph", e.ph);
+    v("ts", e.ts);
+    v("dur", e.dur);
+    v("pid", e.pid);
+    v("tid", e.tid);
+    v("args", e.args);
+}
+
+struct TraceDoc
+{
+    std::vector<TraceEvent> traceEvents;
+    std::string displayTimeUnit;
+};
+
+template <class V, sim::FieldsOf<TraceDoc> S>
+void
+visitFields(V &v, S &d)
+{
+    v("traceEvents", d.traceEvents);
+    v("displayTimeUnit", d.displayTimeUnit);
+}
+/** @} */
+
+/** Decode a json() document. The codec reads tagged documents only,
+ * so tag it first. */
+TraceDoc
+decode(const std::string &doc)
+{
+    TraceDoc t;
+    std::string err;
+    EXPECT_EQ(doc.rfind("{\"traceEvents\":", 0), 0u) << doc;
+    EXPECT_TRUE(sim::fromJson("{\"trace\":1," + doc.substr(1), "trace", 1,
+                              t, err))
+        << err << "\n"
+        << doc;
+    return t;
+}
 
 struct Rig
 {
@@ -80,6 +151,57 @@ TEST(ChromeTrace, JsonIsWellFormedEnough)
         EXPECT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
+}
+
+TEST(ChromeTrace, TimestampsKeepEveryDigit)
+{
+    // Two back-to-back kernels after 1.5 s: a timestamp printed with
+    // six significant digits would lose the microseconds.
+    Rig r;
+    ChromeTraceExporter trace(r.engine);
+    trace.attach();
+    const auto k = kernel("late");
+    std::vector<sim::Tick> ends;
+    const int ch = r.engine.createChannel(
+        "p0", [&] { ends.push_back(r.eq.now()); });
+    r.eq.runUntil(sim::msec(1500));
+    r.engine.submit(ch, &k);
+    r.engine.submit(ch, &k);
+    r.eq.runUntil(sim::msec(1600));
+
+    const auto doc = decode(trace.json());
+    ASSERT_EQ(doc.traceEvents.size(), 2u);
+    ASSERT_EQ(ends.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const auto &e = doc.traceEvents[i];
+        const sim::Tick start = std::llround(e.ts * 1e3);
+        const sim::Tick dur = std::llround(e.dur * 1e3);
+        EXPECT_GE(start, sim::msec(1500));
+        EXPECT_EQ(e.ts, sim::toUsec(start)) << i;
+        EXPECT_EQ(e.dur, sim::toUsec(dur)) << i;
+        EXPECT_EQ(start + dur, ends[i]) << i;
+    }
+}
+
+TEST(ChromeTrace, NamesAreEscaped)
+{
+    Rig r;
+    ChromeTraceExporter trace(r.engine);
+    trace.attach();
+    const auto k = kernel("say \"hi\" \\ there");
+    const int ch = r.engine.createChannel("p0");
+    r.engine.submit(ch, &k);
+    r.eq.runUntil(sim::msec(10));
+
+    const auto doc = decode(trace.json());
+    ASSERT_EQ(doc.traceEvents.size(), 1u);
+    const auto &e = doc.traceEvents[0];
+    EXPECT_EQ(e.name, "say \"hi\" \\ there");
+    EXPECT_EQ(e.ph, "X");
+    EXPECT_EQ(e.tid, ch);
+    EXPECT_EQ(e.args.precision, "fp16");
+    EXPECT_TRUE(e.args.tensor_cores);
+    EXPECT_EQ(doc.displayTimeUnit, "ms");
 }
 
 TEST(ChromeTrace, EmptyTraceIsStillValid)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/json.hh"
+
 namespace jetsim::soc {
 namespace {
 
@@ -112,7 +114,9 @@ TEST(DeviceSpec, NanoFastFp16CudaPathExists)
 TEST(PrecisionNames, RoundTrip)
 {
     for (Precision p : kAllPrecisions)
-        EXPECT_EQ(precisionFromName(name(p)), p);
+        EXPECT_EQ(sim::enumFromName<Precision>(name(p)), p);
+    for (const char *bad : {"", "bf16", "INT8", "fp16 ", "int"})
+        EXPECT_FALSE(sim::enumFromName<Precision>(bad)) << bad;
 }
 
 TEST(PrecisionStorage, MatchesFormatWidths)

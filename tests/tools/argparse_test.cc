@@ -9,6 +9,9 @@
 
 #include <array>
 
+#include "core/experiment.hh"
+#include "soc/precision.hh"
+
 namespace jetsim::tools {
 namespace {
 
@@ -22,6 +25,7 @@ parser()
     p.add("verbose", "false", "a boolean switch");
     p.add("list", "1,2,4", "an int list");
     p.add("precision", "fp16", "a precision name");
+    p.add("phase", "light", "a phase name");
     return p;
 }
 
@@ -159,19 +163,29 @@ TEST(ArgParse, MalformedNumbersExitNamingTheFlag)
 TEST(ArgParse, ChoicesOutsideTheirSetExitNamingTheFlag)
 {
     auto p = parser();
-    ASSERT_TRUE(parse(p, std::array<const char *, 3>{
-                             "test", "--model=vgg16", "--precision=bf16"}));
+    ASSERT_TRUE(parse(p, std::array<const char *, 4>{
+                             "test", "--model=vgg16", "--precision=bf16",
+                             "--phase=medium"}));
     const auto user_error = testing::ExitedWithCode(1);
     EXPECT_EXIT(p.choice("model", {"resnet50", "yolov8n"}), user_error,
                 "--model: 'vgg16' is not one of resnet50, yolov8n");
-    EXPECT_EXIT(p.precision("precision"), user_error,
+    EXPECT_EXIT(p.enumval<soc::Precision>("precision"), user_error,
                 "--precision: 'bf16' is not one of int8, fp16, tf32, "
                 "fp32");
+    EXPECT_EXIT(p.enumval<core::Phase>("phase"), user_error,
+                "--phase: 'medium' is not one of light, deep");
 
     auto q = parser();
     ASSERT_TRUE(parse(q, std::array<const char *, 1>{"test"}));
     EXPECT_EQ(q.choice("model", {"yolov8n", "resnet50"}), "resnet50");
-    EXPECT_EQ(q.precision("precision"), soc::Precision::Fp16);
+    EXPECT_EQ(q.enumval<soc::Precision>("precision"), soc::Precision::Fp16);
+    EXPECT_EQ(q.enumval<core::Phase>("phase"), core::Phase::Light);
+
+    auto r = parser();
+    ASSERT_TRUE(parse(r, std::array<const char *, 3>{
+                             "test", "--precision=tf32", "--phase=deep"}));
+    EXPECT_EQ(r.enumval<soc::Precision>("precision"), soc::Precision::Tf32);
+    EXPECT_EQ(r.enumval<core::Phase>("phase"), core::Phase::Deep);
 }
 
 TEST(ArgParse, ChoiceListsNeedKnownItemsAndAtLeastOne)

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Malformed-input corpus for the command-line tools.
+"""Malformed-input corpus for the command-line tools and examples.
 
 Every fleet replay file, jetmc counterexample and engine plan under
-tests/data/malformed/, and every malformed flag value below, must be
-rejected as a user error: exit code 1, a message naming the file (or
-the flag) and the offending field, and no "panic" or "terminate" in
-the output (those mean a simulator bug or an uncaught exception). As
-a control, the committed good replay file must still replay cleanly.
+tests/data/malformed/, and every malformed flag or argument value
+below, must be rejected as a user error: exit code 1, a message naming
+the file (or the flag or argument) and the offending field, and no
+"panic" or "terminate" in the output (those mean a simulator bug or an
+uncaught exception). As a control, the committed good replay file must
+still replay cleanly.
 
     malformed_input_test.py --simcheck PATH --trtexec PATH \
         --jetprof PATH --netinfo PATH --jetmc PATH --jetlint PATH \
-        --jetbound PATH
+        --jetbound PATH --quickstart PATH --precision-explorer PATH \
+        --capacity-planner PATH --edge-cloud-offload PATH
 
 ctest runs it in every build, so tools/ci.sh runs it both plain
 (pass 1) and under ASan/UBSan (pass 2).
@@ -78,9 +80,11 @@ COUNTEREXAMPLES = {
 # engine plan file (jetlint --plan) -> the field its rejection message
 # must name.
 PLANS = {
-    "plan_kernels_overflow.plan": "kernel 1 of the 99999999999999",
-    "plan_bad_header.plan": "bad header",
-    "plan_kernel_truncated.plan": "kernel 1: truncated",
+    "plan_blocks_overflow.json": "kernels[0].blocks: '99999999999999'",
+    "plan_bad_header.json": 'document: not a "jetsim_plan": 2 document',
+    "plan_kernel_truncated.json": "kernels[1].precision: missing",
+    "plan_v1_line_format.plan":
+        'document: not a "jetsim_plan": 2 document',
 }
 
 # (tool, flags, the flag its rejection message must name)
@@ -151,6 +155,13 @@ FLAGS = [
     ("jetlint", ["--zoo", "--batch=0"], "--batch"),
     ("jetlint", ["--plan=" + os.path.join(MALFORMED, "no_plan.plan")],
      "no_plan.plan"),
+    ("quickstart", ["orin-nano", "resnet50", "int8", "abc"], "batch"),
+    ("precision_explorer", ["orin-nano", "resnet50", "abc"], "batch"),
+    ("capacity_planner", ["--min-pruned=abc"], "--min-pruned"),
+    ("capacity_planner", ["nano", "fcn_resnet50", "abc", "15"],
+     "max_latency_ms"),
+    ("capacity_planner", ["--prescreen", "--bogus"], "--bogus"),
+    ("edge_cloud_offload", ["abc"], "uplink_mbps"),
 ]
 
 TOOLS = {}
@@ -222,7 +233,9 @@ class MalformedInput(unittest.TestCase):
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     for tool in ("simcheck", "trtexec", "jetprof", "netinfo", "jetmc",
-                 "jetlint", "jetbound"):
+                 "jetlint", "jetbound", "quickstart",
+                 "precision-explorer", "capacity-planner",
+                 "edge-cloud-offload"):
         ap.add_argument("--" + tool, required=True)
     args, rest = ap.parse_known_args()
     TOOLS.update(vars(args))

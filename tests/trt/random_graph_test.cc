@@ -152,9 +152,12 @@ TEST_P(RandomGraphs, SerializationRoundTrips)
     BuilderConfig cfg;
     cfg.precision = soc::Precision::Fp16;
     const auto e = b.build(net, cfg);
-    const auto d = Engine::deserialize(e.serialize());
-    EXPECT_EQ(d.kernels().size(), e.kernels().size());
-    EXPECT_DOUBLE_EQ(d.totalFlops(), e.totalFlops());
+    std::string err;
+    const auto d = Engine::deserialize(e.serialize(), err);
+    ASSERT_TRUE(d) << err;
+    EXPECT_EQ(d->kernels().size(), e.kernels().size());
+    EXPECT_DOUBLE_EQ(d->totalFlops(), e.totalFlops());
+    EXPECT_EQ(d->serialize(), e.serialize());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphs,

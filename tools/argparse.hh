@@ -5,8 +5,8 @@
  * Supports `--flag=value`, `--flag value` and boolean `--flag`
  * switches, with typed accessors, defaults, and generated help. A
  * numeric accessor on a value that is not wholly a number in range,
- * or a choice accessor on a value outside its set, is a user error:
- * fatal() naming the flag, exit 1.
+ * or a choice or enum accessor on a value outside its set, is a user
+ * error: fatal() naming the flag, exit 1.
  */
 
 #ifndef JETSIM_TOOLS_ARGPARSE_HH
@@ -21,9 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "core/json.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
-#include "soc/precision.hh"
 
 namespace jetsim::tools {
 
@@ -177,14 +176,17 @@ class ArgParser
         return out;
     }
 
-    /** Value as a precision name ("int8", "fp16", "tf32", "fp32"). */
-    soc::Precision
-    precision(const std::string &name) const
+    /** Value as the name of an enum E (sim::enumFromName), e.g.
+     * enumval<soc::Precision>("precision"). The parameter is not
+     * called `name`: that would hide the enum's name() from ADL. */
+    template <class E>
+    E
+    enumval(const std::string &flag) const
     {
         std::vector<std::string> names;
-        for (const auto p : soc::kAllPrecisions)
-            names.emplace_back(soc::name(p));
-        return soc::precisionFromName(choice(name, names));
+        for (const E e : enumValues(E{}))
+            names.emplace_back(name(e));
+        return *sim::enumFromName<E>(choice(flag, names));
     }
 
     /** True when the user supplied the flag explicitly. */
@@ -228,7 +230,7 @@ class ArgParser
     number(const std::string &name, const std::string &v, double lo,
            double hi) const
     {
-        const auto x = core::parseNumber<T>(v);
+        const auto x = sim::parseNumber<T>(v);
         if (!x || *x < lo || *x > hi)
             sim::fatal("%s: --%s: '%s' is not %s in [%.17g, %.17g]",
                        program_.c_str(), name.c_str(), v.c_str(),

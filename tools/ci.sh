@@ -8,7 +8,8 @@
 #                  determinism lint over src/
 #   2. sanitized - ASan+UBSan (-Werror) build + full suite + the
 #                  simcheck determinism replay (both suites include
-#                  the malformed-input corpus, tests/data/malformed)
+#                  the malformed-input corpus, tests/data/malformed,
+#                  and the seeded decoder fuzz tests, fuzz_tests)
 #   3. tidy      - clang-tidy over src/, tools/ and tests/ (skipped
 #                  with a warning when clang-tidy is not installed)
 #

@@ -243,7 +243,7 @@ main(int argc, char **argv)
             core::ExperimentSpec spec;
             spec.device = device;
             spec.model = model;
-            spec.precision = args.precision("precision");
+            spec.precision = args.enumval<soc::Precision>("precision");
             spec.batch = args.intval("batch", 1);
             spec.processes = args.intval("procs", 1);
             spec.pre_enqueue = args.intval("pre-enqueue", 0);

@@ -13,23 +13,23 @@
  *   jetlint --model=fcn_resnet50 --device=nano --procs=4
  *   jetlint --zoo --device=all                # every model x precision
  *   jetlint --examples                        # shipped example configs
- *   jetlint --plan=resnet50.plan              # serialized engine file
+ *   jetlint --plan=tests/data/plan_good.json  # Engine::serialize() file
  *   jetlint --list-rules
  *
- * Exit status: 0 clean, 1 error findings (or warnings under
- * --werror), 2 usage/IO trouble. CI runs the --zoo and --examples
- * modes and gates on the exit status.
+ * Exit status: 0 clean; 1 error findings (or warnings under
+ * --werror), a bad flag value, or an unreadable or malformed plan
+ * ("<path>: <field>: <reason>"); 2 an unknown flag. CI runs the --zoo
+ * and --examples modes and gates on the exit status.
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "argparse.hh"
 #include "lint/lint.hh"
 #include "models/zoo.hh"
+#include "sim/json.hh"
 #include "soc/device_spec.hh"
 #include "trt/builder.hh"
 
@@ -85,7 +85,7 @@ precisionList(const tools::ArgParser &args)
     const auto flag = args.choice("precision", names);
     if (flag == "all")
         return {soc::kAllPrecisions.begin(), soc::kAllPrecisions.end()};
-    return {soc::precisionFromName(flag)};
+    return {*sim::enumFromName<soc::Precision>(flag)};
 }
 
 /** Lint every zoo model at every requested precision on every
@@ -165,22 +165,24 @@ lintExamples(lint::Report &rep)
     lint::lintExperiment(mix, rep);
 }
 
-/** Lint a serialized engine plan file (netinfo/trtexec_sim output);
- * an unreadable file is a user error. */
+/** Lint a plan file written from trt::Engine::serialize() (e.g.
+ * tests/data/plan_good.json); an unreadable or malformed file is a
+ * user error. */
 void
 lintPlanFile(const std::string &path, const std::string &device,
              lint::Report &rep)
 {
-    std::ifstream in(path);
-    if (!in)
+    const auto text = sim::readFile(path);
+    if (!text)
         sim::fatal("jetlint: --plan: cannot read '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    const auto engine = trt::Engine::deserialize(text.str(), path);
+    std::string err;
+    const auto engine = trt::Engine::deserialize(*text, err);
+    if (!engine)
+        sim::fatal("%s: %s", path.c_str(), err.c_str());
     if (const auto dev = soc::findDevice(device))
-        lint::lintEngine(engine, *dev, rep);
+        lint::lintEngine(*engine, *dev, rep);
     else
-        lint::lintEngine(engine, rep);
+        lint::lintEngine(*engine, rep);
 }
 
 } // namespace
@@ -197,7 +199,9 @@ main(int argc, char **argv)
     args.add("procs", "1", "concurrent process count");
     args.add("zoo", "false", "lint every zoo model");
     args.add("examples", "false", "lint the shipped example configs");
-    args.add("plan", "", "lint a serialized engine plan file");
+    args.add("plan", "",
+             "lint a plan file (trt::Engine::serialize() output, "
+             "e.g. tests/data/plan_good.json)");
     args.add("json", "false", "emit findings as JSON");
     args.add("werror", "false", "treat warnings as errors");
     args.add("list-rules", "false", "print the rule catalogue");
@@ -223,7 +227,7 @@ main(int argc, char **argv)
         core::ExperimentSpec spec;
         spec.device = args.str("device");
         spec.model = args.str("model");
-        spec.precision = args.precision("precision");
+        spec.precision = args.enumval<soc::Precision>("precision");
         spec.batch = args.intval("batch", 1);
         spec.processes = args.intval("procs", 1);
         lint::lintExperiment(spec, rep);

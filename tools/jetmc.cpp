@@ -314,7 +314,7 @@ main(int argc, char **argv)
     ecfg.dpor = !args.boolean("no-dpor");
 
     const auto device = args.choice("device", soc::deviceNames());
-    const auto precision = args.precision("precision");
+    const auto precision = args.enumval<soc::Precision>("precision");
     std::vector<CheckResult> results;
     bool failed = false;
     int index = 0;

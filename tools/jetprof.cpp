@@ -33,12 +33,10 @@ specFromArgs(const tools::ArgParser &args)
     core::ExperimentSpec s;
     s.device = args.choice("device", soc::deviceNames());
     s.model = args.choice("model", models::allModelNames());
-    s.precision = args.precision("precision");
+    s.precision = args.enumval<soc::Precision>("precision");
     s.batch = args.intval("batch", 1);
     s.processes = args.intval("procs", 1);
-    s.phase = args.choice("phase", {"light", "deep"}) == "deep"
-                  ? core::Phase::Deep
-                  : core::Phase::Light;
+    s.phase = args.enumval<core::Phase>("phase");
     s.warmup = sim::msec(args.intval("warmup", 0));
     // 1e9 s keeps every tick count far from int64 overflow.
     s.duration = sim::sec(args.dbl("duration", 0, 1e9));

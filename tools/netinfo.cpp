@@ -55,7 +55,7 @@ main(int argc, char **argv)
         soc::deviceByName(args.choice("device", soc::deviceNames()));
     trt::Builder builder(dev);
     trt::BuilderConfig cfg;
-    cfg.precision = args.precision("precision");
+    cfg.precision = args.enumval<soc::Precision>("precision");
     cfg.batch = args.intval("batch", 1);
 
     prof::Table t({"model", "layers", "params (M)", "MACs (G)",

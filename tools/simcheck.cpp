@@ -66,12 +66,12 @@
 #include "check/reporter.hh"
 #include "core/digest.hh"
 #include "core/fleet.hh"
-#include "core/json.hh"
 #include "core/profiler.hh"
 #include "core/runner.hh"
 #include "gpu/cost_model.hh"
 #include "mc/ce.hh"
 #include "models/zoo.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "trt/builder.hh"
 
@@ -87,7 +87,7 @@ parseSeeds(const std::string &csv)
     for (const char c : csv + ",") {
         if (c == ',') {
             if (!cur.empty()) {
-                const auto seed = core::parseNumber<std::uint64_t>(cur);
+                const auto seed = sim::parseNumber<std::uint64_t>(cur);
                 if (!seed)
                     sim::fatal("simcheck: --seeds: '%s' is not an "
                                "unsigned 64-bit integer",
@@ -141,11 +141,20 @@ planRoundTripCheck(const core::ExperimentSpec &spec)
         builder.build(models::modelByName(spec.model), cfg);
 
     const auto plan = built.serialize();
-    const auto restored = trt::Engine::deserialize(plan);
+    std::string err;
+    const auto restored = trt::Engine::deserialize(plan, err);
     auto &rep = check::Reporter::instance();
+    if (!restored) {
+        rep.report(check::Severity::Error,
+                   check::Invariant::Determinism, "tools.simcheck",
+                   check::kTimeUnknown, "%s plan does not decode: %s",
+                   spec.model.c_str(), err.c_str());
+        std::printf("plan round trip: DIVERGED (%s)\n", err.c_str());
+        return false;
+    }
 
     bool ok = true;
-    if (restored.serialize() != plan) {
+    if (restored->serialize() != plan) {
         ok = false;
         rep.report(check::Severity::Error,
                    check::Invariant::Determinism, "tools.simcheck",
@@ -156,7 +165,7 @@ planRoundTripCheck(const core::ExperimentSpec &spec)
     }
 
     const auto before = dryRunDigest(built, dev);
-    const auto after = dryRunDigest(restored, dev);
+    const auto after = dryRunDigest(*restored, dev);
     if (before != after) {
         ok = false;
         rep.report(check::Severity::Error,
@@ -683,12 +692,10 @@ main(int argc, char **argv)
     core::ExperimentSpec spec;
     spec.device = args.choice("device", soc::deviceNames());
     spec.model = args.choice("model", models::allModelNames());
-    spec.precision = args.precision("precision");
+    spec.precision = args.enumval<soc::Precision>("precision");
     spec.batch = args.intval("batch", 1);
     spec.processes = args.intval("procs", 1);
-    spec.phase = args.choice("phase", {"light", "deep"}) == "deep"
-                     ? core::Phase::Deep
-                     : core::Phase::Light;
+    spec.phase = args.enumval<core::Phase>("phase");
     spec.warmup = sim::msec(args.intval("warmup", 0));
     // 1e9 s keeps every tick count far from int64 overflow.
     spec.duration = sim::sec(args.dbl("duration", 0, 1e9));

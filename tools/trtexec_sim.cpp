@@ -57,7 +57,7 @@ main(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 1;
 
-    soc::Precision prec = args.precision("precision");
+    soc::Precision prec = args.enumval<soc::Precision>("precision");
     if (args.boolean("int8"))
         prec = soc::Precision::Int8;
     else if (args.given("fp16") && args.boolean("fp16"))
@@ -161,9 +161,13 @@ main(int argc, char **argv)
                     "throughput than phase 1)\n");
 
     if (tracer && !profile.empty()) {
+        // The hook above replaced the tracer's in the engine's one
+        // trace slot, so the count is the calls the table aggregates.
+        std::uint64_t kernels = 0;
+        for (const auto &[k, s] : profile)
+            kernels += s.calls;
         std::printf("\n=== Profile (%llu kernels) ===\n",
-                    static_cast<unsigned long long>(
-                        tracer->kernelCount()));
+                    static_cast<unsigned long long>(kernels));
         std::vector<std::pair<const gpu::KernelDesc *, KStat>> rows(
             profile.begin(), profile.end());
         std::sort(rows.begin(), rows.end(),
