@@ -9,6 +9,22 @@ namespace jetsim::sim {
 
 namespace {
 constexpr const char *kComponent = "sim.sharded_engine";
+
+/** a + b, saturating at kTickMax (both operands >= 0). */
+Tick
+addSat(Tick a, Tick b)
+{
+    return a > kTickMax - b ? kTickMax : a + b;
+}
+
+/** L * windows, saturating at kTickMax. */
+Tick
+windowsSpan(Tick lookahead, std::uint64_t windows)
+{
+    return lookahead > kTickMax / static_cast<Tick>(windows)
+               ? kTickMax
+               : lookahead * static_cast<Tick>(windows);
+}
 } // namespace
 
 ShardedEngine::ShardedEngine(Options opts)
@@ -21,8 +37,9 @@ ShardedEngine::ShardedEngine(Options opts)
         shards_.push_back(std::make_unique<Shard>(opts.inbox_capacity));
     threads_ = std::min(opts.threads, opts.shards);
     lookahead_ = opts.lookahead;
-    batch_windows_ = opts.batch_windows;
-    scratch_.resize(static_cast<std::size_t>(opts.shards));
+    if (opts.batch_windows != 0)
+        batch_span_ = windowsSpan(lookahead_, opts.batch_windows);
+    run_ahead_ = windowsSpan(lookahead_, kRunAheadWindows);
 }
 
 ShardedEngine::~ShardedEngine()
@@ -48,8 +65,11 @@ ShardedEngine::addPort(int shard_idx, bool local_only)
     port_shard_.push_back(shard_idx);
     port_local_.push_back(local_only);
     port_count_.push_back(0);
-    if (!local_only)
-        shards_[static_cast<std::size_t>(shard_idx)]->posts = true;
+    Shard &sh = *shards_[static_cast<std::size_t>(shard_idx)];
+    if (!local_only && !sh.posts) {
+        sh.posts = true;
+        ++posters_;
+    }
     return static_cast<int>(port_shard_.size()) - 1;
 }
 
@@ -158,36 +178,30 @@ ShardedEngine::refreshAll()
         refreshCache(*sp);
 }
 
-JETSIM_HOT void
-ShardedEngine::reduceMins(Tick &gmin, Tick &gmin_post)
+JETSIM_HOT ShardedEngine::Mins
+ShardedEngine::reduceMins() const
 {
-    // Tournament (pairwise bracket) min-reduction over the cached
-    // per-shard next-event times: two lanes, one over every shard
-    // (gmin — the earliest work anywhere) and one over the shards
-    // that own a cross-shard source port (gmin_post — the earliest
-    // tick at which anything *could* post). Reading K relaxed atomics
-    // beats K heap peeks; the bracket keeps each round's operands
-    // adjacent in the scratch vector.
-    const int k = shards();
-    for (int s = 0; s < k; ++s) {
+    // One linear pass over the cached per-shard next-event times:
+    // gmin (the earliest work anywhere), gmin_post (the earliest tick
+    // at which anything *could* post), the poster holding it and the
+    // runner-up poster time. Reading K relaxed atomics beats K heap
+    // peeks.
+    Mins m;
+    for (int s = 0; s < shards(); ++s) {
         const Shard &sh = *shards_[static_cast<std::size_t>(s)];
         const Tick w = sh.next_when.load(std::memory_order_relaxed);
-        scratch_[static_cast<std::size_t>(s)] = {
-            w, sh.posts ? w : kTickMax};
-    }
-    for (int width = k; width > 1;) {
-        const int half = (width + 1) / 2;
-        for (int i = 0; i + half < width; ++i) {
-            auto &a = scratch_[static_cast<std::size_t>(i)];
-            const auto &b =
-                scratch_[static_cast<std::size_t>(i + half)];
-            a.first = std::min(a.first, b.first);
-            a.second = std::min(a.second, b.second);
+        m.all = std::min(m.all, w);
+        if (!sh.posts)
+            continue;
+        if (m.lead < 0 || w < m.post) {
+            m.post2 = m.post;
+            m.post = w;
+            m.lead = s;
+        } else {
+            m.post2 = std::min(m.post2, w);
         }
-        width = half;
     }
-    gmin = scratch_[0].first;
-    gmin_post = scratch_[0].second;
+    return m;
 }
 
 bool
@@ -239,78 +253,70 @@ JETSIM_HOT std::uint64_t
 ShardedEngine::runEpochs(Tick target)
 {
     std::uint64_t n = 0;
+    const Tick cap = target >= kTickMax ? kTickMax : target + 1;
+    // How far the lead may pass the receivers' horizon: with other
+    // posters, one more lookahead (its own earliest post can reach a
+    // peer at gmin_post + L, whose reply lands a lookahead later);
+    // alone, nothing can ever reach it, and only the backlog cap
+    // binds.
+    const Tick reach = posters_ > 1 ? lookahead_ : run_ahead_;
     for (;;) {
         if (msgs_pending_.load(std::memory_order_relaxed) != 0)
             deliverInboxes();
-        Tick gmin = kTickMax;
-        Tick gmin_post = kTickMax;
-        reduceMins(gmin, gmin_post);
+        const Mins m = reduceMins();
         // gmin == kTickMax: nothing schedulable below the sentinel.
         // (An event *at* kTickMax is indistinguishable from empty
         // here; runUntil's final clock sync — or runAll's saturated
         // tail merge — executes those.)
-        if (gmin >= kTickMax || gmin > target)
+        if (m.all >= kTickMax || m.all > target)
             return n;
         // Safety argument: every cross-shard post originates on a
-        // shard that owns a non-local port, whose events this epoch
-        // all run at when >= gmin_post — so the message lands at
-        // when >= gmin_post + L >= horizon. Shards without such a
-        // port can run arbitrarily far ahead, which is what fuses
-        // multiple lookahead windows into one barrier when
-        // gmin_post >> gmin (adaptive epoch batching).
-        const Tick cap = target >= kTickMax ? kTickMax : target + 1;
-        Tick horizon =
-            std::min(cap, gmin_post > kTickMax - lookahead_
-                              ? kTickMax
-                              : gmin_post + lookahead_);
-        if (batch_windows_ != 0) {
-            // Fuse at most batch_windows lookahead windows past gmin
-            // (1 restores the classic single-window epoch exactly).
-            const Tick span =
-                lookahead_ >
-                        kTickMax / static_cast<Tick>(batch_windows_)
-                    ? kTickMax
-                    : lookahead_ * static_cast<Tick>(batch_windows_);
-            horizon = std::min(horizon, gmin > kTickMax - span
-                                            ? kTickMax
-                                            : gmin + span);
-        }
+        // poster, whose events this epoch all run at when >=
+        // gmin_post — so a message lands at when >= gmin_post + L >=
+        // the receivers' horizon. The lead receives only from the
+        // other posters, which cannot act before min(post2, gmin_post
+        // + L); their posts land a lookahead after that. Shards
+        // without a non-local port can run arbitrarily far ahead,
+        // which is what fuses many lookahead windows into one
+        // barrier when gmin_post >> gmin, and a lead that runs ahead
+        // pulls the receivers' next horizon along with it.
+        const Tick recv = addSat(m.post, lookahead_);
+        // batch_windows: at most that many windows past gmin (1
+        // restores the classic single-window epoch for every shard).
+        const Tick limit = addSat(m.all, batch_span_);
+        horizons_.horizon = std::min({cap, recv, limit});
+        horizons_.lead = m.lead;
+        horizons_.lead_horizon =
+            std::min({cap, limit, addSat(m.post2, lookahead_),
+                      addSat(recv, reach)});
         ++epochs_;
         if (threads_ == 1) {
-            for (auto &sp : shards_) {
-                Shard &sh = *sp;
-                if (sh.next_when.load(std::memory_order_relaxed) >=
-                    horizon)
-                    continue; // idle shard: skip without touching it
-                n += sh.eq.runUntil(horizon - 1);
-                refreshCache(sh);
-            }
-        } else {
-            startWorkers();
-            executed_parallel_.store(0, std::memory_order_relaxed);
-            horizon_.store(horizon, std::memory_order_relaxed);
-            barrierArrive(start_, start_sense_);
-            runShardSlice(0, horizon); // caller is worker 0
-            barrierArrive(end_, end_sense_);
-            barriers_ += 2;
-            n += executed_parallel_.load(std::memory_order_relaxed);
+            n += runShardSlice(0, horizons_);
+            continue;
         }
+        startWorkers();
+        executed_parallel_.store(0, std::memory_order_relaxed);
+        barrierArrive(start_, start_sense_);
+        n += runShardSlice(0, horizons_); // caller is worker 0
+        barrierArrive(end_, end_sense_);
+        barriers_ += 2;
+        n += executed_parallel_.load(std::memory_order_relaxed);
     }
 }
 
-JETSIM_HOT void
-ShardedEngine::runShardSlice(int worker, Tick horizon)
+JETSIM_HOT std::uint64_t
+ShardedEngine::runShardSlice(int worker, const Horizons &h)
 {
     std::uint64_t n = 0;
     for (int s = worker; s < shards(); s += threads_) {
         Shard &sh = *shards_[static_cast<std::size_t>(s)];
+        const Tick horizon = s == h.lead ? h.lead_horizon : h.horizon;
         if (sh.next_when.load(std::memory_order_relaxed) >= horizon)
             continue; // idle shard: no dispatch, no clock advance
         n += sh.eq.runUntil(horizon - 1);
         refreshCache(sh); // published through the end barrier
     }
-    if (n != 0)
-        executed_parallel_.fetch_add(n, std::memory_order_relaxed);
+    return n;
 }
 
 JETSIM_HOT void
@@ -342,8 +348,9 @@ ShardedEngine::workerLoop(int worker)
         barrierArrive(start_, start_sense);
         if (stop_.load(std::memory_order_acquire))
             return;
-        runShardSlice(worker,
-                      horizon_.load(std::memory_order_relaxed));
+        const std::uint64_t n = runShardSlice(worker, horizons_);
+        if (n != 0)
+            executed_parallel_.fetch_add(n, std::memory_order_relaxed);
         barrierArrive(end_, end_sense);
     }
 }

@@ -13,19 +13,26 @@
  *   1. deliver buffered cross-shard messages into their destination
  *      shards' heaps (skipped outright when the pending counter is
  *      zero);
- *   2. a tournament min-reduction over *cached* per-shard next-event
- *      times yields gmin (over all shards) and gmin_post (over shards
- *      that own a cross-shard source port);
- *   3. horizon = min(target + 1, gmin_post + L): no event executing
- *      this epoch can post a message due before it, because every
- *      post originates on a port-owning shard whose events all run at
- *      when >= gmin_post. When gmin_post >> gmin this *fuses many
- *      lookahead windows into one epoch* (adaptive epoch batching;
- *      Options::batch_windows caps or disables the fusion);
- *   4. every shard whose cached next event is below the horizon runs
- *      it in parallel — idle shards are skipped without touching
- *      their queues — with outbound posts pushed onto per-shard
- *      lock-free MPSC rings (sim::MsgRing);
+ *   2. one linear pass over *cached* per-shard next-event times
+ *      yields gmin (over all shards), gmin_post (over the *posters*:
+ *      shards that own a cross-shard source port), the poster that
+ *      holds gmin_post (the lead) and the runner-up poster time;
+ *   3. two horizons. Receivers (every shard but the lead) run to
+ *      min(target + 1, gmin_post + L): nothing posted this epoch can
+ *      land before it, because every post originates on a poster
+ *      whose events all run at when >= gmin_post. The lead receives
+ *      only from the *other* posters, so it runs to one lookahead
+ *      past the earliest tick another poster could act — its next
+ *      event, or the lead's own earliest post landing there — and a
+ *      lone poster only to kRunAheadWindows lookaheads past the
+ *      receivers' horizon. Receivers then trail the lead by one
+ *      epoch, and each epoch *fuses many lookahead windows*
+ *      (adaptive epoch batching; Options::batch_windows caps or
+ *      disables the fusion);
+ *   4. every shard whose cached next event is below its horizon runs
+ *      in parallel — idle shards are skipped without touching their
+ *      queues — with outbound posts pushed onto per-shard lock-free
+ *      MPSC rings (sim::MsgRing);
  *   5. a sense-reversing barrier; repeat.
  *
  * Determinism is *bit-identical* to the serial engine at any
@@ -35,7 +42,9 @@
  *  - cross-shard messages carry an explicit seq in the reserved low
  *    band (EventQueue::kMessageSeqLimit), packed from (source port,
  *    per-port counter): a pure function of simulation content, never
- *    of epoch boundaries, worker assignment or delivery timing;
+ *    of epoch boundaries, worker assignment or delivery timing — so
+ *    a message delivered an epoch early (a run-ahead lead's) keeps
+ *    its dispatch key;
  *  - events on *different* shards never touch shared state, so their
  *    relative order across shards cannot affect any observable — the
  *    same independence argument jetmc's partial-order reduction is
@@ -65,7 +74,6 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -97,12 +105,13 @@ class ShardedEngine
          */
         Tick lookahead = 0;
         /**
-         * Adaptive epoch batching cap: how many lookahead windows one
-         * epoch may fuse when the port map proves it safe (horizon =
-         * gmin_post + L instead of gmin + L). 0 = unlimited fusion
-         * (default), 1 = classic single-window epochs, N = fuse at
-         * most N windows per barrier. Any value yields bit-identical
-         * digests; the knob only trades barriers for window size.
+         * Adaptive epoch batching cap: how many lookahead windows past
+         * gmin one epoch may run when the port map proves it safe
+         * (receivers to gmin_post + L, the lead poster further). 0 =
+         * no cap beyond the port map's (default), 1 = classic
+         * single-window epochs for every shard, N = at most N windows
+         * per barrier. Any value yields bit-identical digests; the
+         * knob only trades barriers for window size.
          */
         std::uint64_t batch_windows = 0;
         /** Per-shard inbox ring capacity (power of two); bursts past
@@ -197,6 +206,16 @@ class ShardedEngine
     Stats stats() const;
 
   private:
+    /**
+     * How many lookahead windows a lone poster may run past the
+     * receivers' horizon. Its posts wait in the receivers' inboxes
+     * until they catch up, so the cap bounds that backlog: on the
+     * 1000-board fleet 32 windows cut the epochs from 4,157 to ~150,
+     * and an unbounded lead (4 epochs) grew peak RSS by a third and
+     * made the run phase allocate ring overflow blocks.
+     */
+    static constexpr std::uint64_t kRunAheadWindows = 32;
+
     /** One buffered cross-shard message. */
     struct Msg
     {
@@ -224,9 +243,28 @@ class ShardedEngine
         EventQueue eq;
         MsgRing<Msg> inbox;
         std::atomic<Tick> next_when{kTickMax};
-        /** Owns >= 1 non-local port: only these shards can shrink
-         * the fused epoch horizon (gmin_post). */
+        /** Owns >= 1 non-local port (a *poster*): only these shards
+         * can shrink the fused epoch horizon (gmin_post). */
         bool posts = false;
+    };
+
+    /** One linear pass's minima over the cached next_when. */
+    struct Mins
+    {
+        Tick all = kTickMax;   ///< gmin: earliest work anywhere
+        Tick post = kTickMax;  ///< gmin_post: earliest poster event
+        Tick post2 = kTickMax; ///< earliest of the other posters
+        int lead = -1;         ///< the poster holding gmin_post
+    };
+
+    /** An epoch's horizons: every shard runs its events below
+     * @c horizon, except shard @c lead, which runs below
+     * @c lead_horizon (>= horizon). */
+    struct Horizons
+    {
+        Tick horizon = 0;
+        Tick lead_horizon = 0;
+        int lead = -1;
     };
 
     /** Sense-reversing barrier half (one for epoch start, one for
@@ -241,7 +279,7 @@ class ShardedEngine
     void deliverInboxes();
     void refreshCache(Shard &sh);
     void refreshAll();
-    void reduceMins(Tick &gmin, Tick &gmin_post);
+    Mins reduceMins() const;
     std::uint64_t runEpochs(Tick target);
     std::uint64_t runMerge(Tick target);
     bool mergeOne(Tick target);
@@ -249,12 +287,16 @@ class ShardedEngine
     void startWorkers();
     void stopWorkers();
     void workerLoop(int worker);
-    void runShardSlice(int worker, Tick horizon);
+    std::uint64_t runShardSlice(int worker, const Horizons &h);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     int threads_ = 1;
     Tick lookahead_ = 0;
-    std::uint64_t batch_windows_ = 0;
+    /** batch_windows * L (kTickMax when uncapped) and
+     * kRunAheadWindows * L, saturated once at construction. */
+    Tick batch_span_ = kTickMax;
+    Tick run_ahead_ = kTickMax;
+    int posters_ = 0; ///< shards with Shard::posts set
     Chooser *chooser_ = nullptr;
 
     /** Port registry: port id -> (shard, local_only), plus the
@@ -264,9 +306,6 @@ class ShardedEngine
     std::vector<int> port_shard_;
     std::vector<bool> port_local_;
     std::vector<std::uint32_t> port_count_;
-
-    /** Tournament scratch: (gmin lane, gmin_post lane) per slot. */
-    std::vector<std::pair<Tick, Tick>> scratch_;
 
     std::uint64_t epochs_ = 0;
     std::uint64_t barriers_ = 0;
@@ -279,18 +318,19 @@ class ShardedEngine
     std::atomic<std::uint64_t> msgs_pending_{0};
 
     /** @name Epoch workers (lock-free coordination)
-     * The coordinator publishes horizon_, crosses the start barrier
-     * with the workers, runs its own slice, and meets them again at
-     * the end barrier. Workers check stop_ right after the start
-     * barrier, so shutdown is one extra crossing. jetrace's graph
-     * over the engine has no lock nodes at all.
+     * The coordinator writes horizons_, crosses the start barrier
+     * with the workers (its release/acquire pair publishes them),
+     * runs its own slice, and meets them again at the end barrier.
+     * Workers check stop_ right after the start barrier, so shutdown
+     * is one extra crossing. jetrace's graph over the engine has no
+     * lock nodes at all.
      * @{ */
     std::vector<std::thread> workers_;
     Barrier start_;
     Barrier end_;
     bool start_sense_ = false; ///< coordinator-local senses
     bool end_sense_ = false;
-    std::atomic<Tick> horizon_{0};
+    Horizons horizons_;
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> executed_parallel_{0};
     /** @} */

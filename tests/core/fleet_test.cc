@@ -194,8 +194,14 @@ TEST(Fleet, ThousandBoardFleetCompletesBitIdentical)
     EXPECT_EQ(resultDigest(got), want) << "epoch-batched";
     EXPECT_EQ(got.events, serial.events);
     // Batching must actually have fused windows: far fewer epochs
-    // than root dispatch decisions would need one-by-one.
+    // than root dispatch decisions would need one-by-one, and — the
+    // root being the only poster, free to run ahead of its boards —
+    // at least eight dispatch latencies of simulated time per epoch.
     EXPECT_LT(got.epochs, got.messages);
+    EXPECT_LE(static_cast<sim::Tick>(got.epochs) * 8 *
+                  spec.dispatch_latency,
+              spec.warmup + spec.duration)
+        << got.epochs << " epochs";
     EXPECT_EQ(cap.total(), 0u);
 }
 

@@ -73,11 +73,13 @@ TEST(ShardedEngine, PostBelowLookaheadViolatesAndClamps)
 /**
  * The observable of a sharded run: per-shard event logs (cross-shard
  * order is unobservable by design — no shared state) plus counters.
+ * The epoch count is a diagnostic, not compared.
  */
 struct Observed
 {
     std::vector<std::string> per_shard;
     std::uint64_t executed = 0;
+    std::uint64_t epochs = 0;
 
     bool
     operator==(const Observed &o) const
@@ -354,18 +356,20 @@ TEST(ShardedEngine, BatchWindowsKnobIsDigestInvariantButCheaper)
 {
     // batch_windows=1 restores classic one-window epochs;
     // batch_windows=0 (adaptive) must produce the same observables
-    // with no more epochs.
+    // with no more epochs. Each destination shard keeps its own log,
+    // written only by that shard: the interleaving *across* shards is
+    // not an observable.
     auto run = [](std::uint64_t batch, std::uint64_t &epochs) {
         ShardedEngine::Options o = opts(3, 1, 10);
         o.batch_windows = batch;
         ShardedEngine eng(o);
         const int port = eng.addPort(0);
-        std::string log;
+        std::vector<std::string> logs(3);
         struct Pump
         {
             ShardedEngine &eng;
             int port;
-            std::string &log;
+            std::vector<std::string> &logs;
             int left = 20;
             void
             go()
@@ -375,26 +379,190 @@ TEST(ShardedEngine, BatchWindowsKnobIsDigestInvariantButCheaper)
                 const int dst = 1 + left % 2;
                 eng.post(port, dst, eng.shard(0).now() + 10,
                          [this, dst] {
-                             log += std::to_string(dst) + "@" +
-                                    std::to_string(
-                                        eng.shard(dst).now()) +
-                                    ";";
+                             logs[static_cast<std::size_t>(dst)] +=
+                                 std::to_string(dst) + "@" +
+                                 std::to_string(eng.shard(dst).now()) +
+                                 ";";
                          });
                 eng.shard(0).scheduleIn(40, [this] { go(); });
             }
-        } pump{eng, port, log};
+        } pump{eng, port, logs};
         eng.shard(0).schedule(1, [&pump] { pump.go(); });
         eng.runUntil(2000);
         epochs = eng.stats().epochs;
-        return log;
+        return logs;
     };
     std::uint64_t classic_epochs = 0;
     std::uint64_t adaptive_epochs = 0;
-    const std::string classic = run(1, classic_epochs);
-    const std::string adaptive = run(0, adaptive_epochs);
+    const auto classic = run(1, classic_epochs);
+    const auto adaptive = run(0, adaptive_epochs);
     EXPECT_EQ(adaptive, classic);
+    EXPECT_FALSE(classic[1].empty());
+    EXPECT_FALSE(classic[2].empty());
     EXPECT_LE(adaptive_epochs, classic_epochs);
     EXPECT_GT(classic_epochs, 0u);
+}
+
+/** A receiver's local event chain: every 5 ticks it logs how many
+ * messages it has seen, so a late delivery changes its log. */
+struct Chain
+{
+    ShardedEngine *eng = nullptr;
+    std::string *log = nullptr;
+    int shard = 0;
+    int seen = 0;
+
+    void
+    tick()
+    {
+        auto &eq = eng->shard(shard);
+        *log += "t" + std::to_string(eq.now()) + ":" +
+                std::to_string(seen) + ";";
+        if (eq.now() < 1990)
+            eq.scheduleIn(5, [this] { tick(); });
+    }
+};
+
+/**
+ * The fleet's shape in miniature: a root-only shard 0, the only
+ * poster, pumps 250 messages (delays 10..13 ticks) round-robin into
+ * three receiver shards that each run a local Chain.
+ */
+Observed
+runRootPump(int threads, Tick lookahead, std::uint64_t batch)
+{
+    ShardedEngine::Options o = opts(4, threads, lookahead);
+    o.batch_windows = batch;
+    ShardedEngine eng(o);
+    Observed r;
+    r.per_shard.resize(4);
+    std::array<Chain, 4> rx{};
+    for (int s = 1; s < 4; ++s) {
+        auto &c = rx[static_cast<std::size_t>(s)];
+        c = Chain{&eng, &r.per_shard[static_cast<std::size_t>(s)], s};
+        eng.shard(s).schedule(s, [&c] { c.tick(); });
+    }
+    struct Root
+    {
+        ShardedEngine &eng;
+        int port;
+        std::string &log;
+        std::array<Chain, 4> &rx;
+        int sent = 0;
+
+        void
+        go()
+        {
+            auto &eq = eng.shard(0);
+            const int k = sent++;
+            log += "p" + std::to_string(k) + "@" +
+                   std::to_string(eq.now()) + ";";
+            Chain &c = rx[static_cast<std::size_t>(1 + k % 3)];
+            eng.post(port, c.shard, eq.now() + 10 + k % 4, [&c, k] {
+                ++c.seen;
+                *c.log += "m" + std::to_string(k) + "@" +
+                          std::to_string(c.eng->shard(c.shard).now()) +
+                          ";";
+            });
+            if (sent < 250)
+                eq.scheduleIn(7, [this] { go(); });
+        }
+    } root{eng, eng.addPort(0), r.per_shard[0], rx};
+    eng.shard(0).schedule(1, [&root] { root.go(); });
+    r.executed = eng.runUntil(2000);
+    r.epochs = eng.stats().epochs;
+    return r;
+}
+
+TEST(ShardedEngine, LonePosterRunsAheadOfItsReceivers)
+{
+    // Nothing can post to a lone poster, so it runs up to
+    // kRunAheadWindows lookaheads past its receivers and they follow
+    // an epoch behind: far fewer epochs, the same per-shard logs as
+    // the lookahead-0 merge.
+    check::ScopedCapture cap;
+    const Observed want = runRootPump(1, 0, 0);
+    for (const int threads : {1, 2, 4}) {
+        const Observed classic = runRootPump(threads, 10, 1);
+        const Observed adaptive = runRootPump(threads, 10, 0);
+        EXPECT_EQ(classic, want)
+            << "threads=" << threads << " batch_windows=1";
+        EXPECT_EQ(adaptive, want)
+            << "threads=" << threads << " batch_windows=0";
+        EXPECT_GT(classic.epochs, 100u) << "threads=" << threads;
+        EXPECT_LE(adaptive.epochs * 8, classic.epochs)
+            << "threads=" << threads << ": adaptive "
+            << adaptive.epochs << " vs classic " << classic.epochs;
+    }
+    EXPECT_EQ(cap.total(), 0u);
+}
+
+/**
+ * Two posters (shards 0 and 1) bounce tokens at exactly now + 10 and
+ * copy every hop to receiver shard 2, which runs a local Chain.
+ * Token A bounces 80 times from tick 1; token B 30 times from tick 5,
+ * so late in the run one poster is idle while the other holds A.
+ */
+Observed
+runPingPong(int threads, Tick lookahead)
+{
+    ShardedEngine eng(opts(3, threads, lookahead));
+    Observed r;
+    r.per_shard.resize(3);
+    Chain rx{&eng, &r.per_shard[2], 2};
+    eng.shard(2).schedule(2, [&rx] { rx.tick(); });
+    const std::array<int, 2> ports{eng.addPort(0), eng.addPort(1)};
+    struct Token
+    {
+        ShardedEngine &eng;
+        const std::array<int, 2> &ports;
+        std::vector<std::string> &logs;
+        Chain &rx;
+        char name;
+        int left;
+
+        void
+        hop(int at)
+        {
+            auto &eq = eng.shard(at);
+            logs[static_cast<std::size_t>(at)] +=
+                std::string(1, name) + std::to_string(left) + "@" +
+                std::to_string(eq.now()) + ";";
+            const int port = ports[static_cast<std::size_t>(at)];
+            eng.post(port, 2, eq.now() + 10, [this] {
+                ++rx.seen;
+                *rx.log += std::string(1, name) + "@" +
+                           std::to_string(eng.shard(2).now()) + ";";
+            });
+            if (--left > 0)
+                eng.post(port, 1 - at, eq.now() + 10,
+                         [this, at] { hop(1 - at); });
+        }
+    };
+    Token a{eng, ports, r.per_shard, rx, 'a', 80};
+    Token b{eng, ports, r.per_shard, rx, 'b', 30};
+    eng.shard(0).schedule(1, [&a] { a.hop(0); });
+    eng.shard(1).schedule(5, [&b] { b.hop(1); });
+    r.executed = eng.runUntil(2000);
+    r.epochs = eng.stats().epochs;
+    return r;
+}
+
+TEST(ShardedEngine, PostersReplyingAtTheLookaheadStayCausal)
+{
+    // The lead poster may run past the others' next events, but not
+    // past the tick its own post could come back: a peer idle now can
+    // be woken by the lead's post at gmin_post + L and reply a
+    // lookahead later.
+    check::ScopedCapture cap;
+    const Observed want = runPingPong(1, 0);
+    ASSERT_FALSE(want.per_shard[1].empty());
+    for (const int threads : {1, 2, 3}) {
+        const Observed got = runPingPong(threads, 10);
+        EXPECT_EQ(got, want) << "threads=" << threads;
+    }
+    EXPECT_EQ(cap.count(check::Invariant::Causality), 0u);
+    EXPECT_EQ(cap.total(), 0u);
 }
 
 TEST(ShardedEngine, RingOverflowDeliversEverything)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Controls for two gates: each must be shown to pass and to fail.
+"""Controls for four gates: each must be shown to pass and to fail.
 
 jetlint's plan mode on the committed good plan
 (tests/data/plan_good.json, trt::Engine::serialize() of resnet18 at
@@ -9,7 +9,14 @@ P006 is a warning) and 0 without it. The capacity planner's prescreen
 gate (tools/ci.sh pass 1e) must exit 1 when it asks for more pruned
 cells than the grid has.
 
-    gate_controls_test.py --jetlint PATH --capacity-planner PATH
+simcheck's fleet gates (pass 1c) must fail at a ratio no host reaches
+(1000x) and pass at one every host reaches (0.01x): --fleet-overhead
+anywhere, --fleet-scaling where the process may use at least 4 CPUs.
+Pinned to one CPU, --fleet-scaling must skip, say why and pass. Both
+verdicts carry the sharded run's epochs and events per epoch.
+
+    gate_controls_test.py --jetlint PATH --capacity-planner PATH \
+        --simcheck PATH
 """
 
 import argparse
@@ -26,10 +33,14 @@ GOOD_PLAN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 TOOLS = {}
 
 
-def run(cmd):
+def run(cmd, preexec_fn=None):
     proc = subprocess.run(cmd, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, preexec_fn=preexec_fn)
     return proc.returncode, proc.stdout + proc.stderr
+
+
+def pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 class GateControls(unittest.TestCase):
@@ -63,9 +74,55 @@ class GateControls(unittest.TestCase):
         self.assertIn("expected >= 1000", out)
 
 
+class FleetGateControls(unittest.TestCase):
+    def simcheck(self, gate, ratio, preexec_fn=None):
+        code, out = run([TOOLS["simcheck"], f"--{gate}={ratio}",
+                         "--json"], preexec_fn)
+        verdict = json.loads(out.strip().splitlines()[-1])
+        self.assertEqual(verdict["check"], gate, out)
+        self.assertTrue(verdict["digest_match"], out)
+        self.assertGreater(verdict["epochs"], 0, out)
+        self.assertAlmostEqual(verdict["events_per_epoch"],
+                               verdict["events"] / verdict["epochs"],
+                               delta=0.1)
+        return code, verdict
+
+    def test_overhead_gate_fails_and_passes(self):
+        code, verdict = self.simcheck("fleet-overhead", 1000)
+        self.assertEqual(code, 1, verdict)
+        self.assertFalse(verdict["pass"], verdict)
+        code, verdict = self.simcheck("fleet-overhead", 0.01)
+        self.assertEqual(code, 0, verdict)
+        self.assertTrue(verdict["pass"], verdict)
+
+    @unittest.skipIf(len(os.sched_getaffinity(0)) < 4,
+                     "fewer than 4 usable CPUs: the gate self-skips")
+    def test_scaling_gate_fails_and_passes(self):
+        code, verdict = self.simcheck("fleet-scaling", 1000)
+        self.assertEqual(code, 1, verdict)
+        self.assertFalse(verdict["skipped"], verdict)
+        self.assertGreaterEqual(verdict["usable_cpus"], 4, verdict)
+        code, verdict = self.simcheck("fleet-scaling", 0.01)
+        self.assertEqual(code, 0, verdict)
+        self.assertTrue(verdict["pass"], verdict)
+
+    def test_scaling_gate_skips_when_pinned_to_one_cpu(self):
+        code, verdict = self.simcheck("fleet-scaling", 1000,
+                                      pin_to_one_cpu)
+        self.assertEqual(code, 0, verdict)
+        self.assertTrue(verdict["skipped"], verdict)
+        self.assertEqual(verdict["usable_cpus"], 1, verdict)
+        self.assertGreaterEqual(verdict["cores"], 1, verdict)
+        self.assertIn("may use 1 of", verdict["skip_reason"])
+        code, out = run([TOOLS["simcheck"], "--fleet-scaling=1000"],
+                        pin_to_one_cpu)
+        self.assertEqual(code, 0, out)
+        self.assertIn("speedup gate skipped: process may use 1 of", out)
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    for tool in ("jetlint", "capacity-planner"):
+    for tool in ("jetlint", "capacity-planner", "simcheck"):
         ap.add_argument("--" + tool, required=True)
     args, rest = ap.parse_known_args()
     TOOLS.update(vars(args))
