@@ -7,8 +7,9 @@
  * phases drawn around it). This bench renders the *actual* measured
  * timeline from the simulated run: an ASCII Gantt of kernels grouped
  * into ECs for two concurrent processes, plus the per-EC / CS event
- * sequence. It writes no trace file; prof::ChromeTraceExporter
- * exports the same kernel timeline for Perfetto.
+ * sequence. It writes no trace file; a prof::ChromeTraceExporter
+ * attached beside the Gantt's own subscriber would export the same
+ * kernel timeline for Perfetto.
  */
 
 #include <cstdio>
@@ -48,7 +49,7 @@ main()
     }
 
     std::vector<std::pair<int, std::pair<sim::Tick, sim::Tick>>> spans;
-    gpu.setTraceHook([&](const gpu::KernelRecord &rec) {
+    const auto sub = gpu.subscribe([&](const gpu::KernelRecord &rec) {
         spans.emplace_back(rec.channel,
                            std::make_pair(rec.start, rec.end));
     });
@@ -109,8 +110,9 @@ main()
                     ? p0.enqueueSpan().mean() / 1e6
                     : 0.0);
 
-    std::printf("\n(Chrome-trace export of the same window is "
-                "available via prof::ChromeTraceExporter; see "
-                "tests/prof/chrome_trace_test.cc.)\n");
+    std::printf("\n(The Gantt above is one subscriber to the GPU "
+                "engine's kernel records; prof::ChromeTraceExporter, "
+                "prof::KernelSummary and prof::NsightTracer subscribe "
+                "the same way and can all watch one run.)\n");
     return 0;
 }

@@ -1,13 +1,15 @@
 #include "core/bottleneck.hh"
 
 #include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 #include <map>
 
+#include "sim/logging.hh"
 #include "soc/device_spec.hh"
 
 namespace jetsim::core {
+
+using sim::format;
 
 const char *
 bottleneckName(Bottleneck b)
@@ -80,24 +82,6 @@ analyzeBottleneck(const ExperimentResult &res)
     b.explanation = "GPU execution dominates the EC timeline";
     return b;
 }
-
-namespace {
-
-std::string
-format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
-}
-
-} // namespace
 
 std::vector<Observation>
 makeObservations(const std::vector<ExperimentResult> &results)

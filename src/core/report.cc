@@ -1,11 +1,11 @@
 #include "core/report.hh"
 
-#include <cstdio>
 #include <sstream>
 
 #include "core/bottleneck.hh"
 #include "core/profiler.hh"
 #include "prof/report.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace jetsim::core {
@@ -127,14 +127,7 @@ bool
 writeReport(const ExperimentSpec &spec, const std::string &path)
 {
     auto [light, deep] = runTwoPhase(spec);
-    const std::string doc = renderReport(light, deep);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok =
-        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    std::fclose(f);
-    return ok;
+    return sim::writeFileAtomic(path, renderReport(light, deep));
 }
 
 } // namespace jetsim::core

@@ -19,6 +19,30 @@ GpuEngine::GpuEngine(soc::Board &board)
 {
 }
 
+GpuEngine::~GpuEngine()
+{
+    JETSIM_ASSERT(subscribers_.empty(),
+                  "%zu record subscription(s) outlive their engine",
+                  subscribers_.size());
+}
+
+GpuEngine::Subscription
+GpuEngine::subscribe(RecordFn fn)
+{
+    JETSIM_ASSERT(!in_callback_ && fn);
+    Subscription sub(new RecordFn(std::move(fn)), Unsubscribe{this});
+    subscribers_.push_back(sub.get());
+    return sub;
+}
+
+void
+GpuEngine::Unsubscribe::operator()(RecordFn *fn) const
+{
+    JETSIM_ASSERT(!engine->in_callback_);
+    std::erase(engine->subscribers_, fn);
+    delete fn;
+}
+
 int
 GpuEngine::createChannel(const std::string &name, Callback on_done)
 {
@@ -41,7 +65,7 @@ GpuEngine::destroyChannel(int channel)
     ch.alive = false;
     // Drop not-yet-started work: the channel's callback points into
     // the destroyed stream. The in-flight kernel (if any) completes
-    // without calling it (notifyDone checks the alive flag).
+    // without calling it (complete() checks the alive flag).
     ch.queue.clear();
 }
 
@@ -117,13 +141,16 @@ GpuEngine::publishIdleIfQuiet()
 }
 
 void
-GpuEngine::notifyDone(int channel)
+GpuEngine::complete(const KernelRecord &rec)
 {
-    Channel &ch = channels_[static_cast<std::size_t>(channel)];
-    if (!ch.alive || !ch.on_done)
-        return;
+    Channel &ch = channels_[static_cast<std::size_t>(rec.channel)];
+    if (!ch.alive)
+        return; // owning stream destroyed mid-flight
     in_callback_ = true;
-    ch.on_done(); // may submit; submit() calls scheduleNext itself
+    for (RecordFn *fn : subscribers_)
+        (*fn)(rec);
+    if (ch.on_done)
+        ch.on_done(); // may submit; submit() calls scheduleNext itself
     in_callback_ = false;
 }
 
@@ -210,7 +237,6 @@ GpuEngine::scheduleNext()
     const sim::Tick end = start + timing.duration;
 
     busy_ = true;
-    dispatch_wait_.sample(static_cast<double>(start - submit_tick));
 
     // The in-flight record lives on the engine, not in the event
     // captures: both events below capture only `this` (valid because
@@ -261,9 +287,7 @@ GpuEngine::finishMux()
     // which starts the next kernel and overwrites the member.
     const KernelRecord rec = inflight_rec_;
     board_.setGpuState(false, 0, 0, 0, 0);
-    if (channels_[rec.channel].alive && trace_)
-        trace_(rec);
-    notifyDone(rec.channel);
+    complete(rec);
     scheduleNext();
 }
 
@@ -288,7 +312,6 @@ GpuEngine::spatialStart(int channel)
     e.timing.duration += extra_overhead_;
     e.remaining_ns = static_cast<double>(e.timing.duration);
     ch.executing = true;
-    dispatch_wait_.sample(static_cast<double>(eq_.now() - e.submit));
 
     execs_.push_back(std::move(e));
     spatialReschedule();
@@ -343,8 +366,6 @@ GpuEngine::spatialReschedule()
 
         for (auto &e : finished) {
             ++kernels_executed_;
-            if (!channels_[e.channel].alive)
-                continue; // owning stream destroyed mid-flight
             KernelRecord rec;
             rec.channel = e.channel;
             rec.desc = e.desc;
@@ -352,9 +373,7 @@ GpuEngine::spatialReschedule()
             rec.start = e.start;
             rec.end = eq_.now();
             rec.timing = e.timing;
-            if (trace_)
-                trace_(rec);
-            notifyDone(e.channel);
+            complete(rec);
         }
 
         // Channels with queued work (from callbacks or earlier

@@ -19,6 +19,7 @@
 #define JETSIM_GPU_ENGINE_HH
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "gpu/kernel.hh"
 #include "sim/event_queue.hh"
 #include "sim/fifo.hh"
-#include "sim/stats.hh"
 #include "soc/board.hh"
 
 namespace jetsim::gpu {
@@ -38,9 +38,22 @@ class GpuEngine
     /** A channel's completion callback rides the event queue's SBO
      * type: captures <= InlineFn::kInlineSize never heap-allocate. */
     using Callback = sim::InlineFn;
-    using TraceHook = std::function<void(const KernelRecord &)>;
+    using RecordFn = std::function<void(const KernelRecord &)>;
+
+    /** A Subscription's deleter: unsubscribes, then frees. */
+    struct Unsubscribe
+    {
+        GpuEngine *engine = nullptr;
+        void operator()(RecordFn *fn) const;
+    };
+
+    /** Keeps one record subscriber attached (see subscribe()); reset()
+     * or destruction unsubscribes. It must not outlive its engine
+     * (~GpuEngine asserts that none is left). */
+    using Subscription = std::unique_ptr<RecordFn, Unsubscribe>;
 
     explicit GpuEngine(soc::Board &board);
+    ~GpuEngine();
 
     GpuEngine(const GpuEngine &) = delete;
     GpuEngine &operator=(const GpuEngine &) = delete;
@@ -89,8 +102,14 @@ class GpuEngine
 
     bool spatialSharing() const { return spatial_; }
 
-    /** Install a per-kernel trace hook (profiler); may be empty. */
-    void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
+    /**
+     * Hand every finished kernel's record to @p fn, in subscription
+     * order and before its channel's completion callback, until the
+     * subscription is reset (retired channels' kernels reach no one).
+     * Subscribers only observe: (un)subscribing from inside a record
+     * or completion callback is a bug.
+     */
+    [[nodiscard]] Subscription subscribe(RecordFn fn);
 
     /**
      * Extra GPU residency added to every kernel (profiler intrusion:
@@ -113,8 +132,6 @@ class GpuEngine
      * @{ */
     std::uint64_t kernelsExecuted() const { return kernels_executed_; }
     std::uint64_t channelSwitches() const { return channel_switches_; }
-    /** Submit-to-start wait per kernel (ns samples). */
-    const sim::Accumulator &dispatchWait() const { return dispatch_wait_; }
     /** @} */
 
   private:
@@ -159,18 +176,18 @@ class GpuEngine
 
     void publishIdleIfQuiet();
 
-    /** Run @p channel's completion callback, in place, if the channel
-     * is alive. */
-    void notifyDone(int channel);
+    /** Hand @p rec to every subscriber, then run its channel's
+     * completion callback in place, if the channel is alive. */
+    void complete(const KernelRecord &rec);
 
     soc::Board &board_;
     sim::EventQueue &eq_;
     KernelCostModel cost_;
     sim::Rng rng_;
-    TraceHook trace_;
 
+    std::vector<RecordFn *> subscribers_; ///< owned by Subscriptions
     std::vector<Channel> channels_;
-    bool in_callback_ = false; ///< a completion callback is running
+    bool in_callback_ = false; ///< a record or completion callback runs
     bool spatial_ = false;
     sim::Tick extra_overhead_ = 0;
 
@@ -191,7 +208,6 @@ class GpuEngine
 
     std::uint64_t kernels_executed_ = 0;
     std::uint64_t channel_switches_ = 0;
-    sim::Accumulator dispatch_wait_;
 };
 
 } // namespace jetsim::gpu

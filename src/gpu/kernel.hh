@@ -30,7 +30,7 @@ struct KernelDesc
 
     /**
      * Interned id of @ref name, assigned when the builder (or plan
-     * deserialisation) creates the descriptor. Profiling hooks key
+     * deserialisation) creates the descriptor. Record subscribers key
      * their per-kernel accumulators on this id — a dense vector index
      * — instead of hashing/comparing the string on every record.
      * Hand-built descriptors may leave it invalid; consumers intern
@@ -104,7 +104,8 @@ struct KernelTiming
     double compute_frac = 0.0; ///< fraction of duration compute-bound
 };
 
-/** Trace record handed to the profiling hook per executed kernel. */
+/** Trace record handed to every record subscriber per executed kernel
+ * (GpuEngine::subscribe). */
 struct KernelRecord
 {
     int channel = -1;

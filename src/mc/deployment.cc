@@ -146,7 +146,7 @@ DeploymentModel::run(const std::vector<int> &script)
     // channel's sequence is schedule-invariant and digest-safe even
     // though the cross-channel interleaving is not.
     std::vector<std::vector<std::string>> chan_seq;
-    gpu.setTraceHook([&chan_seq](const gpu::KernelRecord &r) {
+    const auto sub = gpu.subscribe([&chan_seq](const gpu::KernelRecord &r) {
         if (r.channel >= static_cast<int>(chan_seq.size()))
             chan_seq.resize(static_cast<std::size_t>(r.channel) + 1);
         chan_seq[static_cast<std::size_t>(r.channel)].push_back(

@@ -1,7 +1,5 @@
 #include "prof/chrome_trace.hh"
 
-#include <cstdio>
-
 #include "sim/json.hh"
 
 namespace jetsim::prof {
@@ -11,34 +9,18 @@ ChromeTraceExporter::ChromeTraceExporter(gpu::GpuEngine &engine)
 {
 }
 
-ChromeTraceExporter::~ChromeTraceExporter()
-{
-    if (attached_)
-        detach();
-}
-
 void
 ChromeTraceExporter::attach()
 {
-    if (attached_)
+    if (sub_)
         return;
-    attached_ = true;
-    engine_.setTraceHook([this](const gpu::KernelRecord &rec) {
+    sub_ = engine_.subscribe([this](const gpu::KernelRecord &rec) {
         NameId id = rec.desc->name_id;
         if (id == kInvalidNameId)
             id = internName(rec.desc->name); // hand-built descriptor
         events_.push_back(Event{id, rec.channel, rec.start, rec.end,
                                 rec.desc->prec, rec.desc->tc});
     });
-}
-
-void
-ChromeTraceExporter::detach()
-{
-    if (!attached_)
-        return;
-    attached_ = false;
-    engine_.setTraceHook(nullptr);
 }
 
 std::string
@@ -66,14 +48,7 @@ ChromeTraceExporter::json() const
 bool
 ChromeTraceExporter::writeFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const std::string doc = json();
-    const bool ok =
-        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    std::fclose(f);
-    return ok;
+    return sim::writeFileAtomic(path, json());
 }
 
 } // namespace jetsim::prof

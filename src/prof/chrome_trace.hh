@@ -22,21 +22,23 @@ namespace jetsim::prof {
 /**
  * Collects kernel records into an in-memory Chrome trace.
  *
- * Installs itself as the GPU engine's trace hook on attach(); the
- * engine supports one hook at a time, so do not combine with a
- * simultaneously-attached NsightTracer on the same engine.
+ * attach() subscribes to the GPU engine's kernel records, beside any
+ * other subscriber (an NsightTracer, a KernelSummary, ...).
  */
 class ChromeTraceExporter
 {
   public:
     explicit ChromeTraceExporter(gpu::GpuEngine &engine);
-    ~ChromeTraceExporter();
+
+    /** Immovable: the subscription's callback captures `this`. */
+    ChromeTraceExporter(const ChromeTraceExporter &) = delete;
+    ChromeTraceExporter &operator=(const ChromeTraceExporter &) = delete;
 
     /** Start capturing kernel events. */
     void attach();
 
     /** Stop capturing (keeps collected events). */
-    void detach();
+    void detach() { sub_.reset(); }
 
     /** Drop collected events. */
     void clear() { events_.clear(); }
@@ -65,7 +67,7 @@ class ChromeTraceExporter
     };
 
     gpu::GpuEngine &engine_;
-    bool attached_ = false;
+    gpu::GpuEngine::Subscription sub_;
     std::vector<Event> events_;
 };
 

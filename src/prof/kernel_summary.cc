@@ -21,29 +21,13 @@ KernelSummary::KernelSummary(gpu::GpuEngine &engine) : engine_(engine)
 {
 }
 
-KernelSummary::~KernelSummary()
-{
-    if (attached_)
-        detach();
-}
-
 void
 KernelSummary::attach()
 {
-    if (attached_)
+    if (sub_)
         return;
-    attached_ = true;
-    engine_.setTraceHook(
+    sub_ = engine_.subscribe(
         [this](const gpu::KernelRecord &rec) { record(rec); });
-}
-
-void
-KernelSummary::detach()
-{
-    if (!attached_)
-        return;
-    attached_ = false;
-    engine_.setTraceHook(nullptr);
 }
 
 JETSIM_HOT void

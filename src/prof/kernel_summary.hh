@@ -46,11 +46,15 @@ class KernelSummary
 {
   public:
     explicit KernelSummary(gpu::GpuEngine &engine);
-    ~KernelSummary();
 
-    /** Install as the engine's trace hook; one hook at a time. */
+    /** Immovable: the subscription's callback captures `this`. */
+    KernelSummary(const KernelSummary &) = delete;
+    KernelSummary &operator=(const KernelSummary &) = delete;
+
+    /** Subscribe to the engine's kernel records, beside any other
+     * subscriber; detach() unsubscribes (keeps the table). */
     void attach();
-    void detach();
+    void detach() { sub_.reset(); }
 
     /** Feed one record manually (e.g. from a replayed trace). */
     void record(const gpu::KernelRecord &rec);
@@ -77,7 +81,7 @@ class KernelSummary
     };
 
     gpu::GpuEngine &engine_;
-    bool attached_ = false;
+    gpu::GpuEngine::Subscription sub_;
     /** Dense accumulators indexed by interned NameId: the record hot
      * path is an array index, never a string hash or compare. Strings
      * are resolved only in table(). */

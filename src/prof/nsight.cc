@@ -10,21 +10,18 @@ NsightTracer::NsightTracer(soc::Board &board, gpu::GpuEngine &engine,
 
 NsightTracer::~NsightTracer()
 {
-    if (attached_)
-        detach();
+    detach();
 }
 
 void
 NsightTracer::attach()
 {
-    if (attached_)
+    if (sub_)
         return;
-    attached_ = true;
 
-    engine_.setTraceHook([this](const gpu::KernelRecord &rec) {
+    sub_ = engine_.subscribe([this](const gpu::KernelRecord &rec) {
         ++kernel_count_;
         duration_.sample(static_cast<double>(rec.end - rec.start));
-        wait_.sample(static_cast<double>(rec.start - rec.submit));
     });
 
     if (intrusion_) {
@@ -40,10 +37,9 @@ NsightTracer::attach()
 void
 NsightTracer::detach()
 {
-    if (!attached_)
+    if (!sub_)
         return;
-    attached_ = false;
-    engine_.setTraceHook(nullptr);
+    sub_.reset();
     engine_.setExtraKernelOverhead(0);
     board_.setLaunchOverheadFactor(1.0);
     pending_.cancel();
@@ -53,7 +49,7 @@ void
 NsightTracer::setIntrusion(bool on)
 {
     intrusion_ = on;
-    if (attached_) {
+    if (sub_) {
         engine_.setExtraKernelOverhead(on ? kPerKernelOverhead : 0);
         board_.setLaunchOverheadFactor(on ? kLaunchOverheadFactor
                                           : 1.0);
@@ -64,7 +60,6 @@ void
 NsightTracer::reset()
 {
     duration_.reset();
-    wait_.reset();
     kernel_count_ = 0;
     sm_active_ = Cdf();
     issue_slot_ = Cdf();
@@ -74,7 +69,7 @@ NsightTracer::reset()
 void
 NsightTracer::sampleCounters()
 {
-    if (!attached_)
+    if (!sub_)
         return;
 
     const auto &a = board_.activity();

@@ -2,8 +2,8 @@
  * @file
  * Nsight Systems analogue: the phase-2 deep tracer.
  *
- * While attached it (a) records every kernel execution via the GPU
- * engine's trace hook, (b) samples the SM-active / issue-slot / TC
+ * While attached it (a) records every kernel execution through a GPU
+ * engine subscription, (b) samples the SM-active / issue-slot / TC
  * utilisation counters at a fixed period into CDFs (Fig 5 / Fig 10),
  * and (c) *intrudes*: per-kernel instrumentation overhead on the GPU
  * and inflated CPU launch-API costs. The paper measured a ~50 %
@@ -35,13 +35,15 @@ class NsightTracer
 
     ~NsightTracer();
 
-    /** Install hooks and enable the intrusion. */
+    /** Subscribe to the engine's kernel records, start sampling the
+     * counters and enable the intrusion. */
     void attach();
 
-    /** Remove hooks and restore unprofiled behaviour. */
+    /** Unsubscribe, stop sampling and restore unprofiled
+     * behaviour. */
     void detach();
 
-    bool attached() const { return attached_; }
+    bool attached() const { return static_cast<bool>(sub_); }
 
     /**
      * Disable the intrusion while keeping tracing (an idealised
@@ -55,7 +57,6 @@ class NsightTracer
     /** @name Kernel-span statistics (ns samples)
      * @{ */
     const sim::Accumulator &kernelDuration() const { return duration_; }
-    const sim::Accumulator &dispatchWait() const { return wait_; }
     std::uint64_t kernelCount() const { return kernel_count_; }
     /** @} */
 
@@ -73,12 +74,11 @@ class NsightTracer
     soc::Board &board_;
     gpu::GpuEngine &engine_;
     sim::Tick interval_;
-    bool attached_ = false;
+    gpu::GpuEngine::Subscription sub_;
     bool intrusion_ = true;
     sim::EventQueue::Handle pending_;
 
     sim::Accumulator duration_;
-    sim::Accumulator wait_;
     std::uint64_t kernel_count_ = 0;
     Cdf sm_active_;
     Cdf issue_slot_;

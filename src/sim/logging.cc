@@ -64,6 +64,16 @@ vformat(const char *fmt, std::va_list ap)
     return std::string(buf.data(), static_cast<size_t>(n));
 }
 
+std::string
+format(const char *fmt, ...)
+{
+    std::va_list ap;
+    va_start(ap, fmt);
+    std::string out = vformat(fmt, ap);
+    va_end(ap);
+    return out;
+}
+
 void
 inform(const char *fmt, ...)
 {

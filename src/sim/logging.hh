@@ -41,6 +41,10 @@ LogSink setLogSink(LogSink sink);
 /** printf-style message formatting used by the helpers below. */
 std::string vformat(const char *fmt, std::va_list ap);
 
+/** printf-style formatting into a string, of any length. */
+std::string format(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
 /** Report a condition the user should know about but not worry over. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -2,7 +2,8 @@
  * @file
  * GPU engine tests: channel FIFO order, the per-channel completion
  * callback, time multiplexing with switch penalties and quanta,
- * spatial (MPS-like) sharing, trace hooks and profiler intrusion.
+ * spatial (MPS-like) sharing, record subscribers and profiler
+ * intrusion.
  */
 
 #include "gpu/engine.hh"
@@ -39,9 +40,9 @@ kernel(double flops = 5e8)
 
 /**
  * Submits @p n distinct kernels to one channel and returns the order
- * in which the channel's completion callback saw them finish: the
- * trace hook names the kernel, the callback (which fires right after
- * it, once per kernel) records it.
+ * in which the channel's completion callback saw them finish: a
+ * record subscriber names the kernel, the callback (which fires right
+ * after it, once per kernel) records it.
  */
 std::vector<int>
 completionOrder(Rig &r, int n)
@@ -49,7 +50,7 @@ completionOrder(Rig &r, int n)
     std::vector<KernelDesc> ks(static_cast<std::size_t>(n), kernel());
     const KernelDesc *last = nullptr;
     std::vector<int> order;
-    r.engine.setTraceHook(
+    const auto sub = r.engine.subscribe(
         [&](const KernelRecord &rec) { last = rec.desc; });
     const int ch = r.engine.createChannel("p0", [&] {
         order.push_back(static_cast<int>(last - ks.data()));
@@ -58,7 +59,6 @@ completionOrder(Rig &r, int n)
     for (const auto &k : ks)
         r.engine.submit(ch, &k);
     r.eq.runAll();
-    r.engine.setTraceHook(nullptr);
     return order;
 }
 
@@ -169,12 +169,22 @@ TEST(GpuEngine, TraceHookSeesEveryKernel)
     const int ch = r.engine.createChannel("p0");
     const auto k = kernel();
     std::vector<KernelRecord> recs;
-    r.engine.setTraceHook([&](const KernelRecord &rec) {
+    const auto first = r.engine.subscribe([&](const KernelRecord &rec) {
         recs.push_back(rec);
+    });
+    // Subscribers run in subscription order: the second sees each
+    // record right after the first has.
+    std::size_t second_seen = 0;
+    const auto second = r.engine.subscribe([&](const KernelRecord &rec) {
+        ++second_seen;
+        ASSERT_EQ(recs.size(), second_seen);
+        EXPECT_EQ(recs.back().start, rec.start);
+        EXPECT_EQ(recs.back().end, rec.end);
     });
     for (int i = 0; i < 6; ++i)
         r.engine.submit(ch, &k);
     r.eq.runAll();
+    EXPECT_EQ(second_seen, 6u);
     ASSERT_EQ(recs.size(), 6u);
     for (const auto &rec : recs) {
         EXPECT_EQ(rec.desc, &k);
@@ -260,12 +270,19 @@ TEST(GpuEngine, DispatchWaitGrowsWithQueueing)
     Rig r;
     const int ch = r.engine.createChannel("p0");
     const auto k = kernel();
+    std::vector<sim::Tick> waits;
+    const auto sub = r.engine.subscribe([&](const KernelRecord &rec) {
+        waits.push_back(rec.start - rec.submit);
+    });
     for (int i = 0; i < 10; ++i)
         r.engine.submit(ch, &k);
     r.eq.runAll();
-    // The first kernel starts immediately, later ones waited.
-    EXPECT_GT(r.engine.dispatchWait().max(),
-              r.engine.dispatchWait().min());
+    // The first kernel starts immediately, each later one waited
+    // longer than the one before it.
+    ASSERT_EQ(waits.size(), 10u);
+    EXPECT_EQ(waits.front(), 0);
+    for (std::size_t i = 1; i < waits.size(); ++i)
+        EXPECT_GT(waits[i], waits[i - 1]) << i;
 }
 
 // ------------------------------------------------ spatial (MPS) mode

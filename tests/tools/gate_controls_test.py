@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Controls for four gates: each must be shown to pass and to fail.
+"""Controls for six gates: each must be shown to pass and to fail.
 
 jetlint's plan mode on the committed good plan
 (tests/data/plan_good.json, trt::Engine::serialize() of resnet18 at
@@ -15,8 +15,14 @@ anywhere, --fleet-scaling where the process may use at least 4 CPUs.
 Pinned to one CPU, --fleet-scaling must skip, say why and pass. Both
 verdicts carry the sharded run's epochs and events per epoch.
 
+simcheck's fleet golden gate (pass 1c) must fail on a copy of
+GOLDEN_fleet.json with one digest changed and pass on the committed
+file. jetmc's reduction gate (pass 1d) must fail when it asks for a
+reduction no search reaches and pass at one it does (2x; the 2-process
+resnet50 deployment measures 5x).
+
     gate_controls_test.py --jetlint PATH --capacity-planner PATH \
-        --simcheck PATH
+        --simcheck PATH --jetmc PATH
 """
 
 import argparse
@@ -27,8 +33,10 @@ import sys
 import tempfile
 import unittest
 
-GOOD_PLAN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "data", "plan_good.json")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                    os.pardir, os.pardir)
+GOOD_PLAN = os.path.join(ROOT, "tests", "data", "plan_good.json")
+FLEET_GOLDEN = os.path.join(ROOT, "GOLDEN_fleet.json")
 
 TOOLS = {}
 
@@ -72,6 +80,35 @@ class GateControls(unittest.TestCase):
                          "100", "15"])
         self.assertEqual(code, 1, out)
         self.assertIn("expected >= 1000", out)
+
+
+    def test_fleet_golden_gate_fails_on_a_changed_digest(self):
+        code, out = run([TOOLS["simcheck"],
+                         "--fleet-golden=" + FLEET_GOLDEN])
+        self.assertEqual(code, 0, out)
+        with open(FLEET_GOLDEN) as f:
+            golden = json.load(f)
+        first = golden["fleet_goldens"][0]
+        first["digest"] = "%016x" % (int(first["digest"], 16) ^ 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "GOLDEN_fleet.json")
+            with open(path, "w") as f:
+                json.dump(golden, f)
+            code, out = run([TOOLS["simcheck"], "--fleet-golden=" + path])
+        self.assertEqual(code, 1, out)
+        self.assertIn("committed " + first["digest"], out)
+
+    def test_reduction_gate_fails_and_passes(self):
+        def jetmc(ratio):
+            return run([TOOLS["jetmc"], "--device=orin-nano",
+                        "--model=resnet50", "--procs=2", "--max-ecs=1",
+                        "--depth=8", f"--min-reduction={ratio}"])
+        code, out = jetmc(1000000)
+        self.assertEqual(code, 1, out)
+        self.assertIn("below required 1000000.0x", out)
+        code, out = jetmc(2)
+        self.assertEqual(code, 0, out)
+        self.assertIn("reduction", out)
 
 
 class FleetGateControls(unittest.TestCase):
@@ -122,7 +159,7 @@ class FleetGateControls(unittest.TestCase):
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    for tool in ("jetlint", "capacity-planner", "simcheck"):
+    for tool in ("jetlint", "capacity-planner", "simcheck", "jetmc"):
         ap.add_argument("--" + tool, required=True)
     args, rest = ap.parse_known_args()
     TOOLS.update(vars(args))

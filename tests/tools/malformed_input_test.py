@@ -6,8 +6,9 @@ tests/data/malformed/, and every malformed flag or argument value
 below, must be rejected as a user error: exit code 1, a message naming
 the file (or the flag or argument) and the offending field, and no
 "panic" or "terminate" in the output (those mean a simulator bug or an
-uncaught exception). As a control, the committed good replay file must
-still replay cleanly.
+uncaught exception). An output file that cannot be written is a user
+error too. As a control, the committed good replay file must still
+replay cleanly.
 
     malformed_input_test.py --simcheck PATH --trtexec PATH \
         --jetprof PATH --netinfo PATH --jetmc PATH --jetlint PATH \
@@ -212,6 +213,19 @@ class MalformedInput(unittest.TestCase):
             with self.subTest(flag=flag):
                 self.assert_user_error([TOOLS["simcheck"], flag + missing],
                                        "no_such_file.json")
+
+    def test_unwritable_output_files(self):
+        missing_dir = os.path.join(MALFORMED, "no_such_dir")
+        report = os.path.join(missing_dir, "x.json")
+        golden = os.path.join(missing_dir, "g.json")
+        for cmd, path in (
+                ([TOOLS["jetmc"], "--device=orin-nano", "--model=resnet50",
+                  "--procs=2", "--max-ecs=1", "--depth=8",
+                  "--json=" + report], report),
+                ([TOOLS["simcheck"], "--fleet-golden=" + golden,
+                  "--update"], golden)):
+            with self.subTest(tool=os.path.basename(cmd[0])):
+                self.assert_user_error(cmd, "cannot write " + path)
 
     def test_flag_values(self):
         for tool, flags, flag in FLAGS:

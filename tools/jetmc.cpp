@@ -38,6 +38,8 @@
 #include "mc/explorer.hh"
 #include "mc/toylock.hh"
 #include "models/zoo.hh"
+#include "sim/json.hh"
+#include "sim/logging.hh"
 #include "soc/device_spec.hh"
 
 using namespace jetsim;
@@ -104,47 +106,44 @@ printReport(const CheckResult &r)
     }
 }
 
-void
+/** Write the machine-readable report; false when it cannot. */
+bool
 emitJson(const std::string &path,
          const std::vector<CheckResult> &results)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "jetmc: cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"configs\": [\n");
+    std::string doc = "{\n  \"configs\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
         const auto &rep = r.dpor;
-        std::fprintf(f,
-                     "    {\"label\": \"%s\", \"runs\": %llu, "
-                     "\"pruned\": %llu, \"clean\": %s, "
-                     "\"proved\": %s, \"digest\": \"%016llx\", "
-                     "\"ce\": \"%s\"",
-                     r.label.c_str(),
-                     static_cast<unsigned long long>(rep.runs),
-                     static_cast<unsigned long long>(rep.pruned),
-                     rep.clean() ? "true" : "false",
-                     rep.proved() ? "true" : "false",
-                     static_cast<unsigned long long>(rep.digest),
-                     rep.ce_what.c_str());
+        doc += sim::format(
+            "    {\"label\": \"%s\", \"runs\": %llu, "
+            "\"pruned\": %llu, \"clean\": %s, "
+            "\"proved\": %s, \"digest\": \"%016llx\", "
+            "\"ce\": \"%s\"",
+            r.label.c_str(), static_cast<unsigned long long>(rep.runs),
+            static_cast<unsigned long long>(rep.pruned),
+            rep.clean() ? "true" : "false",
+            rep.proved() ? "true" : "false",
+            static_cast<unsigned long long>(rep.digest),
+            rep.ce_what.c_str());
         if (r.compared)
-            std::fprintf(f,
-                         ", \"naive_runs\": %llu, "
-                         "\"reduction\": %.2f",
-                         static_cast<unsigned long long>(r.naive_runs),
-                         r.reduction);
-        std::fprintf(f, ", \"max_block_ms\": [");
+            doc += sim::format(
+                ", \"naive_runs\": %llu, \"reduction\": %.2f",
+                static_cast<unsigned long long>(r.naive_runs),
+                r.reduction);
+        doc += ", \"max_block_ms\": [";
         for (std::size_t b = 0; b < rep.max_block_ms.size(); ++b)
-            std::fprintf(f, "%s%.4f", b ? ", " : "",
-                         rep.max_block_ms[b]);
-        std::fprintf(f, "]}%s\n",
-                     i + 1 < results.size() ? "," : "");
+            doc += sim::format("%s%.4f", b ? ", " : "",
+                               rep.max_block_ms[b]);
+        doc += i + 1 < results.size() ? "]},\n" : "]}\n";
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    doc += "  ]\n}\n";
+    if (!sim::writeFileAtomic(path, doc)) {
+        std::fprintf(stderr, "jetmc: cannot write %s\n", path.c_str());
+        return false;
+    }
     std::fprintf(stderr, "jetmc: wrote %s\n", path.c_str());
+    return true;
 }
 
 /** Write the CE (if any) next to the report; returns the path. */
@@ -369,8 +368,8 @@ main(int argc, char **argv)
         results.push_back(std::move(r));
     }
 
-    if (!args.str("json").empty())
-        emitJson(args.str("json"), results);
+    if (!args.str("json").empty() && !emitJson(args.str("json"), results))
+        failed = true;
 
     std::uint64_t total_runs = 0;
     for (const auto &r : results)

@@ -377,7 +377,7 @@ fleetGolden(const std::string &path, bool update)
         if (!out) {
             std::fprintf(stderr, "simcheck: cannot write %s\n",
                          path.c_str());
-            return 2;
+            return 1;
         }
         out << "{\n  \"fleet_goldens\": [\n";
         for (std::size_t i = 0; i < suite.size(); ++i) {

@@ -6,8 +6,9 @@
  * Mirrors the real trtexec's workflow: build an engine for the
  * requested model/precision/batch, warm up, run a timed loop with a
  * pre-enqueued batch, and report throughput plus latency percentiles.
- * `--dumpProfile` additionally attaches the tracer and prints the
- * per-kernel profile (at the documented intrusion cost).
+ * `--dumpProfile` additionally attaches the tracer and a kernel
+ * summary beside it and prints the per-kernel profile (at the
+ * documented intrusion cost).
  *
  *   trtexec_sim --model=yolov8n --int8 --batch=4 --device=orin-nano
  *   trtexec_sim --model=resnet50 --precision=fp16 --dumpProfile
@@ -16,15 +17,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <vector>
 
 #include "argparse.hh"
 #include "cpu/scheduler.hh"
 #include "gpu/engine.hh"
 #include "models/zoo.hh"
 #include "prof/jstats.hh"
+#include "prof/kernel_summary.hh"
 #include "prof/nsight.hh"
 #include "prof/report.hh"
 #include "sim/event_queue.hh"
@@ -104,22 +104,12 @@ main(int argc, char **argv)
                 sim::toMiB(engine.activationBytes()),
                 sim::toMiB(engine.workspaceBytes()));
 
-    // Per-kernel aggregation for --dumpProfile.
-    struct KStat
-    {
-        std::uint64_t calls = 0;
-        double total_us = 0;
-    };
-    std::map<const gpu::KernelDesc *, KStat> profile;
     std::unique_ptr<prof::NsightTracer> tracer;
+    prof::KernelSummary summary(gpu);
     if (args.boolean("dumpProfile")) {
         tracer = std::make_unique<prof::NsightTracer>(board, gpu);
         tracer->attach();
-        gpu.setTraceHook([&](const gpu::KernelRecord &rec) {
-            auto &s = profile[rec.desc];
-            ++s.calls;
-            s.total_us += sim::toUsec(rec.end - rec.start);
-        });
+        summary.attach();
     }
 
     prof::JStatsSampler jstats(board, sim::msec(100));
@@ -129,7 +119,10 @@ main(int argc, char **argv)
     eq.runUntil(warmup);
     proc.beginMeasurement();
     jstats.reset();
-    profile.clear();
+    if (tracer) {
+        tracer->reset();
+        summary.clear();
+    }
     eq.runUntil(eq.now() + duration);
     proc.endMeasurement();
     proc.stopEnqueue();
@@ -160,30 +153,24 @@ main(int argc, char **argv)
         std::printf("(profiler attached: expect ~50%% lower "
                     "throughput than phase 1)\n");
 
-    if (tracer && !profile.empty()) {
-        // The hook above replaced the tracer's in the engine's one
-        // trace slot, so the count is the calls the table aggregates.
-        std::uint64_t kernels = 0;
-        for (const auto &[k, s] : profile)
-            kernels += s.calls;
+    if (tracer && tracer->kernelCount() > 0) {
         std::printf("\n=== Profile (%llu kernels) ===\n",
-                    static_cast<unsigned long long>(kernels));
-        std::vector<std::pair<const gpu::KernelDesc *, KStat>> rows(
-            profile.begin(), profile.end());
-        std::sort(rows.begin(), rows.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.second.total_us > b.second.total_us;
-                  });
+                    static_cast<unsigned long long>(
+                        tracer->kernelCount()));
         prof::Table t({"kernel", "calls", "total (us)", "avg (us)",
                        "prec", "tc"});
-        int shown = 0;
-        for (const auto &[k, s] : rows) {
-            if (++shown > 15)
-                break;
-            t.addRow({k->name, std::to_string(s.calls),
-                      prof::fmt(s.total_us, 0),
-                      prof::fmt(s.total_us / s.calls, 1),
-                      soc::name(k->prec), k->tc ? "yes" : "no"});
+        const auto &ks = engine.kernels();
+        for (const auto &row : summary.table(15)) {
+            // The summary keys by name; the engine knows the rest.
+            const auto k = std::find_if(
+                ks.begin(), ks.end(), [&](const gpu::KernelDesc &d) {
+                    return d.name == row.name;
+                });
+            JETSIM_ASSERT(k != ks.end());
+            t.addRow({row.name, std::to_string(row.calls),
+                      prof::fmt(row.total_us, 0),
+                      prof::fmt(row.avg_us(), 1), soc::name(k->prec),
+                      k->tc ? "yes" : "no"});
         }
         t.print(std::cout);
     }
