@@ -16,11 +16,16 @@ Run directly or via ctest (registered in tests/CMakeLists.txt).
 """
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
+import tempfile
 import unittest
 
-CPPLEX = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      os.pardir, os.pardir, "tools", "cpplex.py")
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                     os.pardir, os.pardir, "tools")
+CPPLEX = os.path.join(TOOLS, "cpplex.py")
 
 spec = importlib.util.spec_from_file_location("cpplex", CPPLEX)
 cpplex = importlib.util.module_from_spec(spec)
@@ -54,20 +59,19 @@ class StripNoiseTest(unittest.TestCase):
 
 class ClassifyOpenTest(unittest.TestCase):
     def kind(self, text):
-        return cpplex.classify_open(text, 1).kind
+        return cpplex.classify_open(text).kind
 
     def test_namespace(self):
-        sc = cpplex.classify_open("namespace jetsim::sim", 1)
+        sc = cpplex.classify_open("namespace jetsim::sim")
         self.assertEqual((sc.kind, sc.name),
                          ("namespace", "jetsim::sim"))
 
     def test_class(self):
-        sc = cpplex.classify_open("class EventQueue", 1)
+        sc = cpplex.classify_open("class EventQueue")
         self.assertEqual((sc.kind, sc.name), ("class", "EventQueue"))
 
     def test_function_qualified(self):
-        sc = cpplex.classify_open("void EventQueue::dispatch(int k)",
-                                  1)
+        sc = cpplex.classify_open("void EventQueue::dispatch(int k)")
         self.assertEqual((sc.kind, sc.name),
                          ("function", "EventQueue::dispatch"))
 
@@ -86,20 +90,20 @@ class ClassifyOpenTest(unittest.TestCase):
         sc = cpplex.classify_open(
             "template <typename F, typename D = std::decay_t<F>, "
             "typename = std::enable_if_t<!std::is_same_v<D, X>>> "
-            "InlineFn(F &&f)", 1)
+            "InlineFn(F &&f)")
         self.assertEqual((sc.kind, sc.name), ("function", "InlineFn"))
 
     def test_lambda(self):
         self.assertEqual(
-            cpplex.classify_open("eq_.schedule(t, [this]", 1).name,
+            cpplex.classify_open("eq_.schedule(t, [this]").name,
             "<lambda>")
 
     def test_annotation_macros_stripped(self):
         sc = cpplex.classify_open(
-            'JETSIM_COLD_OK("slab growth") void EventPool::grow()', 1)
+            'JETSIM_COLD_OK("slab growth") void EventPool::grow()')
         self.assertEqual((sc.kind, sc.name),
                          ("function", "EventPool::grow"))
-        sc = cpplex.classify_open("JETSIM_HOT void dispatch()", 1)
+        sc = cpplex.classify_open("JETSIM_HOT void dispatch()")
         self.assertEqual((sc.kind, sc.name),
                          ("function", "dispatch"))
 
@@ -169,6 +173,170 @@ class WalkerTest(unittest.TestCase):
         w.run(cpplex.strip_file(
             "void f()\n{\n    g(a,\n      b);\n}\n".splitlines()))
         self.assertEqual(starts, [(3, 4)])
+
+
+class CallGraphTest(unittest.TestCase):
+    def graph(self):
+        g = cpplex.CallGraph()
+        for key in ("A::tick", "A::run", "B::run", "B::stop", "free"):
+            g.node(key)
+        return g
+
+    def test_call_sites(self):
+        self.assertEqual(
+            cpplex.call_sites("if (ok(a.run(), p->stop(), this->run(),"
+                              " ns::B::run(), JETSIM_CHECK(x),"
+                              " n_.load()))"),
+            [("ok", False), ("run", True), ("stop", True),
+             ("run", False), ("B::run", False)])
+
+    def test_exact_key_first(self):
+        self.assertEqual(self.graph().resolve("A::tick", "B::run"),
+                         ("B::run",))
+        self.assertEqual(self.graph().resolve("A::tick", "free"),
+                         ("free",))
+
+    def test_bare_and_this_calls_prefer_the_own_class(self):
+        g = self.graph()
+        for callee, on_object in cpplex.call_sites("run(); this->run();"):
+            self.assertEqual(g.resolve("A::tick", callee, on_object),
+                             ("A::run",))
+
+    def test_base_name_fallback(self):
+        g = self.graph()
+        self.assertEqual(g.resolve("free", "run"), ("A::run", "B::run"))
+        self.assertEqual(g.resolve("A::tick", "stop"), ("B::stop",))
+        self.assertEqual(g.resolve("A::run", "run", on_object=True),
+                         ("B::run",))  # never the caller itself
+
+    def test_call_on_an_object_reaches_every_namesake(self):
+        g = self.graph()
+        for callee, on_object in cpplex.call_sites("x.run(); p->run();"):
+            self.assertEqual(g.resolve("A::tick", callee, on_object),
+                             ("A::run", "B::run"))
+
+    def test_walker_keys_functions_and_lambdas(self):
+        src = ("#define CHECK(x) do { report(x); } while (0)\n"
+               "struct A {\n"
+               "    void run();\n"
+               "    void tick() { run(); log_.flush(); }\n"
+               "};\n"
+               "void A::run() { auto f = [this] { helper(); }; f(); }\n"
+               "void helper() {}\n")
+        g = cpplex.CallGraph()
+        w = cpplex.GraphWalker(g, "t.cc")
+        w.on_statement = lambda st, ln: w.fn and w.add_calls(st, ln)
+        w.run(cpplex.strip_file(src.splitlines()))
+        self.assertEqual(sorted(g.nodes), ["<lambda@t.cc:6>", "A::run",
+                                           "A::tick", "helper"])
+        calls = {k: [(c.callee, c.on_object, c.line)
+                     for c in r["calls"]] for k, r in g.nodes.items()}
+        self.assertEqual(calls["A::tick"],
+                         [("run", False, 4), ("flush", True, 4)])
+        self.assertEqual(calls["A::run"][0], ("<lambda@t.cc:6>", False, 6))
+        self.assertEqual([k for k, _ in g.callees("<lambda@t.cc:6>")],
+                         ["helper"])
+
+
+# A stand-in for libclang's Python bindings: whatever file it parses,
+# the AST it returns has root() calling hidden() at line 5, where the
+# lexer sees only a macro.
+FAKE_CINDEX = """\
+class CursorKind:
+    (TRANSLATION_UNIT, NAMESPACE, CLASS_DECL, STRUCT_DECL,
+     CLASS_TEMPLATE, FUNCTION_DECL, CXX_METHOD, CONSTRUCTOR,
+     DESTRUCTOR, CALL_EXPR, VAR_DECL) = range(11)
+
+
+class StorageClass:
+    STATIC = 0
+
+
+class Location:
+    def __init__(self, file, line):
+        self.file, self.line = file, line
+
+
+class Cursor:
+    def __init__(self, kind, spelling, file, line, parent=None,
+                 referenced=None):
+        self.kind, self.spelling = kind, spelling
+        self.location = Location(file, line)
+        self.semantic_parent, self.referenced = parent, referenced
+        self.children = []
+        if parent is not None:
+            parent.children.append(self)
+
+    def get_children(self):
+        return self.children
+
+    def is_definition(self):
+        return self.kind == CursorKind.FUNCTION_DECL
+
+
+class Index:
+    @staticmethod
+    def create():
+        return Index()
+
+    def parse(self, path, args=None):
+        tu = Cursor(CursorKind.TRANSLATION_UNIT, path, None, 0)
+        hidden = Cursor(CursorKind.FUNCTION_DECL, "hidden", path, 4, tu)
+        root = Cursor(CursorKind.FUNCTION_DECL, "root", path, 5, tu)
+        Cursor(CursorKind.CALL_EXPR, "hidden", path, 5, root, hidden)
+        return type("TU", (), {"cursor": tu})
+"""
+
+HIDDEN_CALL = """\
+#define INVOKE(f) f()
+Mutex lockA;
+Mutex lockB;
+void hidden() { LockGuard b(lockB); if (broken()) throw 1; }
+JETSIM_HOT void root() { INVOKE(hidden); }
+void outer() { LockGuard a(lockA); root(); }
+"""
+
+
+class LibclangBackendTest(unittest.TestCase):
+    """The AST's call edges widen the one call graph for both tools.
+    No bindings ship here, so a fake clang.cindex goes on the tools'
+    sys.path."""
+
+    def run_tool(self, tool, backend):
+        with tempfile.TemporaryDirectory() as td:
+            os.makedirs(os.path.join(td, "fake", "clang"))
+            open(os.path.join(td, "fake", "clang", "__init__.py"),
+                 "w").close()
+            with open(os.path.join(td, "fake", "clang", "cindex.py"),
+                      "w") as f:
+                f.write(FAKE_CINDEX)
+            path = os.path.join(td, "hidden.cc")
+            with open(path, "w") as f:
+                f.write(HIDDEN_CALL)
+            env = dict(os.environ, PYTHONPATH=os.path.join(td, "fake"))
+            proc = subprocess.run(
+                [sys.executable, os.path.join(TOOLS, tool),
+                 "--backend", backend, "--json", "--root", td, path],
+                capture_output=True, text=True, env=env)
+        return proc.returncode, json.loads(proc.stdout)
+
+    def test_jethot_reaches_a_throw_through_an_ast_edge(self):
+        code, doc = self.run_tool("jethot.py", "libclang")
+        self.assertEqual(code, 1, doc)
+        throws = [f["chain"] for f in doc["findings"]
+                  if f["rule"] == "hot-throw"]
+        self.assertEqual(throws, [["root", "hidden"]])
+        code, doc = self.run_tool("jethot.py", "lex")
+        self.assertEqual((code, doc["findings"]), (0, []))
+
+    def test_jetrace_adds_the_lock_edge_an_ast_edge_carries(self):
+        def edges(doc):
+            return [(e["from"], e["to"])
+                    for e in doc["lock_graph"]["edges"]]
+        code, doc = self.run_tool("jetrace.py", "libclang")
+        self.assertEqual((code, edges(doc)), (0, [("lockA", "lockB")]))
+        code, doc = self.run_tool("jetrace.py", "lex")
+        self.assertEqual((code, edges(doc)), (0, []))
 
 
 class FindCyclesTest(unittest.TestCase):

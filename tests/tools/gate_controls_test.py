@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Controls for six gates: each must be shown to pass and to fail.
+"""Controls for eight gates: each must be shown to pass and to fail.
 
 jetlint's plan mode on the committed good plan
 (tests/data/plan_good.json, trt::Engine::serialize() of resnet18 at
@@ -21,6 +21,12 @@ file. jetmc's reduction gate (pass 1d) must fail when it asks for a
 reduction no search reaches and pass at one it does (2x; the 2-process
 resnet50 deployment measures 5x).
 
+The source analyzers' gates (passes 1f and 1g) must pass on src/ and
+fail once one bad file joins it: jetrace on a function taking mu_ then
+engine_cache_mu, the reverse of the engine cache's order, must report
+a lock cycle over exactly those two locks; jethot on a JETSIM_HOT root
+that calls new must report hot-alloc.
+
     gate_controls_test.py --jetlint PATH --capacity-planner PATH \
         --simcheck PATH --jetmc PATH
 """
@@ -28,6 +34,7 @@ resnet50 deployment measures 5x).
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -155,6 +162,61 @@ class FleetGateControls(unittest.TestCase):
                         pin_to_one_cpu)
         self.assertEqual(code, 0, out)
         self.assertIn("speedup gate skipped: process may use 1 of", out)
+
+
+# Takes the JetSan reporter's lock, then the engine cache's: the
+# reverse of sharedEngine's engine_cache_mu -> mu_ order.
+INVERTED_LOCKS = """\
+#include "core/mutex.hh"
+void inverted(Reporter &r, EngineCache &cache)
+{
+    core::LockGuard a(r.mu_);
+    core::LockGuard b(cache.engine_cache_mu);
+}
+"""
+
+HOT_NEW = """\
+#include "core/hot_annotations.hh"
+JETSIM_HOT int *controlRoot() { return new int(1); }
+"""
+
+
+class AnalyzerGateControls(unittest.TestCase):
+    def analyze(self, tool, extra=None):
+        """Run a source analyzer over src/ (plus @p extra's source);
+        returns (exit code, JSON document)."""
+        cmd = [sys.executable, os.path.join(ROOT, "tools", tool),
+               "--backend", "lex", "--json", "--root", ROOT,
+               os.path.join(ROOT, "src")]
+        with tempfile.TemporaryDirectory() as tmp:
+            if extra is not None:
+                path = os.path.join(tmp, "control.cc")
+                with open(path, "w") as f:
+                    f.write(extra)
+                cmd.append(path)
+            proc = subprocess.run(cmd, capture_output=True, text=True,
+                                  timeout=120)
+        return proc.returncode, json.loads(proc.stdout)
+
+    def test_jetrace_fails_on_an_inverted_lock_order(self):
+        code, doc = self.analyze("jetrace.py")
+        self.assertEqual((code, doc["findings"]), (0, []))
+        code, doc = self.analyze("jetrace.py", INVERTED_LOCKS)
+        self.assertEqual(code, 1, doc["findings"])
+        self.assertEqual([f["rule"] for f in doc["findings"]],
+                         ["lock-cycle"])
+        cycle = re.search(r"cycle over \{([^}]*)\}",
+                          doc["findings"][0]["message"]).group(1)
+        self.assertEqual(cycle, "engine_cache_mu, mu_")
+
+    def test_jethot_fails_on_a_hot_allocation(self):
+        code, doc = self.analyze("jethot.py")
+        self.assertEqual((code, doc["findings"]), (0, []))
+        code, doc = self.analyze("jethot.py", HOT_NEW)
+        self.assertEqual(code, 1, doc["findings"])
+        self.assertEqual([(f["rule"], f["chain"])
+                          for f in doc["findings"]],
+                         [("hot-alloc", ["controlRoot"])])
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ JETSIM_CHECK error arm vs. a reachable throw. Also pins the
 annotation semantics (JETSIM_HOT roots, function- and statement-level
 JETSIM_COLD_OK, JETSIM_HOT_BOUNDARY, the `// jethot:` comment forms),
 chain minimisation, class-qualified call resolution (an atomic
-member `.store(...)` must not alias an unrelated `X::store`), the
+member `.store(...)` must not alias an unrelated `X::store`, and a
+call on another object is not taken for the caller's own method), the
 --json and --sarif contracts, and that the repo's own src/ tree
 audits clean with every heap-fallback site covered.
 
@@ -122,6 +123,24 @@ class RuleFiresTest(AuditMixin, unittest.TestCase):
         self.assertEqual(len(summ["sbo_sites"]), 2)
         self.assertEqual(
             sum(s["covered"] for s in summ["sbo_sites"]), 1)
+
+    def test_call_on_a_member_reaches_every_namesake(self):
+        # Queue has its own flush, but `log_.flush()` is a call on a
+        # Log: the own-class step applies only to bare and `this->`
+        # calls, so Log::flush's throw is reached.
+        findings, _, _ = self.audit_src("""
+            struct Log { void flush(); };
+            void Log::flush() { throw 1; }
+            struct Queue {
+                void flush() {}
+                void pop();
+                Log log_;
+            };
+            JETSIM_HOT void Queue::pop() { log_.flush(); }
+        """)
+        hits = [f for f in findings if f["rule"] == "hot-throw"]
+        self.assertEqual([h["chain"] for h in hits],
+                         [["Queue::pop", "Log::flush"]], findings)
 
     def test_chain_is_minimised(self):
         findings, _, _ = self.audit_src(

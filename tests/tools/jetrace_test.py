@@ -199,6 +199,73 @@ class JetraceLocks(unittest.TestCase):
         self.assertIn("[lock-cycle]", out)
 
 
+# Batch::drain holds lockA and calls its own lock-free flush();
+# Cache::flush takes lockB and Other::run inverts the order. The bare
+# call resolves to Batch::flush, so there is no lockA -> lockB edge
+# and no cycle: resolving by base name alone invents one.
+OWN_CLASS_CALL = """\
+Mutex lockA;
+Mutex lockB;
+struct Batch {
+    void flush() { ++n_; }
+    void drain() { LockGuard a(lockA); flush(); }
+    int n_ = 0;
+};
+struct Cache {
+    void flush() { LockGuard b(lockB); }
+};
+struct Other {
+    void run() { LockGuard b(lockB); LockGuard a(lockA); }
+};
+"""
+
+# The same shape with drain() calling flush() on a Sink member: the
+# receiver's class is unknown to the lexer, so the call reaches every
+# flush, Sink::flush's lockB among them, and the cycle is real.
+RECEIVER_CALL = """\
+Mutex lockA;
+Mutex lockB;
+struct Sink {
+    void flush() { LockGuard b(lockB); }
+};
+struct Batch {
+    void flush() { ++n_; }
+    void drain() { LockGuard a(lockA); sink_.flush(); }
+    Sink sink_;
+    int n_ = 0;
+};
+struct Other {
+    void run() { LockGuard b(lockB); LockGuard a(lockA); }
+};
+"""
+
+
+class JetraceResolver(unittest.TestCase):
+    """Calls resolve through the call graph shared with jethot
+    (tools/cpplex.py): a bare call prefers the caller's own class, a
+    call on another object may reach every function of that name."""
+
+    def audit_json(self, source):
+        code, out = run_audit(source, extra_args=["--json"])
+        doc = json.loads(out)
+        return code, doc, {(e["from"], e["to"])
+                           for e in doc["lock_graph"]["edges"]}
+
+    def test_own_class_call_is_not_a_name_collision(self):
+        code, doc, edges = self.audit_json(OWN_CLASS_CALL)
+        self.assertEqual(code, 0, doc["findings"])
+        self.assertTrue(doc["lock_graph"]["acyclic"])
+        self.assertEqual(edges, {("lockB", "lockA")})
+
+    def test_call_on_a_member_reaches_every_namesake(self):
+        code, doc, edges = self.audit_json(RECEIVER_CALL)
+        self.assertEqual(code, 1, doc["findings"])
+        self.assertFalse(doc["lock_graph"]["acyclic"])
+        self.assertEqual(edges, {("lockA", "lockB"), ("lockB", "lockA")})
+        self.assertEqual([f["rule"] for f in doc["findings"]],
+                         ["lock-cycle"])
+
+
 class JetraceMpscInbox(unittest.TestCase):
     """The sharded engine's lock-free MPSC inbox ring replaced the
     shard_mu_ mutex inbox (DESIGN.md §4i). These tests pin the audit

@@ -113,6 +113,10 @@ FLAGS = [
     ("simcheck", ["--duration=-0.5"], "--duration"),
     ("simcheck", ["--runs=2x"], "--runs"),
     ("simcheck", ["--fleet-scaling=fast"], "--fleet-scaling"),
+    ("simcheck", ["--fleet-scaling=-2"], "--fleet-scaling"),
+    ("simcheck", ["--fleet-overhead=-1"], "--fleet-overhead"),
+    ("simcheck", ["--runs=1"], "--runs"),
+    ("simcheck", ["--threads=-1"], "--threads"),
     ("simcheck", ["--phase=medium"], "--phase"),
     ("simcheck", ["--precision=int4"], "--precision"),
     ("simcheck", ["--model=vgg16"], "--model"),
@@ -142,6 +146,12 @@ FLAGS = [
     ("jetmc", ["--models=resnet50,,yolov8n"], "--models"),
     ("jetmc", ["--procs=0"], "--procs"),
     ("jetmc", ["--procs=9"], "--procs"),
+    ("jetmc", ["--max-runs=0"], "--max-runs"),
+    ("jetmc", ["--max-runs=-1"], "--max-runs"),
+    ("jetmc", ["--max-events=0"], "--max-events"),
+    ("jetmc", ["--max-events=-1"], "--max-events"),
+    ("jetmc", ["--depth=-1"], "--depth"),
+    ("jetmc", ["--min-reduction=-1"], "--min-reduction"),
     ("jetbound", ["--warmup-ms=-5", "--compare-sim"], "--warmup-ms"),
     ("jetbound", ["--duration-ms=-1"], "--duration-ms"),
     ("jetbound", ["--batch=0"], "--batch"),

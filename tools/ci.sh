@@ -46,7 +46,8 @@
 # outside core/mutex.hh, and an acyclic static lock-order graph that
 # includes the two build-once stores' locks (model_store_mu,
 # engine_cache_mu) and the engine_cache_mu -> mu order that is only
-# reached through lock-free callers; the auditor's own selftest must
+# reached through lock-free callers, and whose edge set is pinned
+# exactly (five edges); the auditor's own selftest must
 # agree with the deadlock counterexample jetmc produced in pass 1d
 # (static cycle <-> dynamic deadlock on the same inverted two-lock
 # discipline). When a clang++ is installed the
@@ -217,6 +218,12 @@ assert stores <= set(doc["lock_graph"]["nodes"]), doc["lock_graph"]
 # graph must see acquisitions below functions that hold nothing.
 edges = {(e["from"], e["to"]) for e in doc["lock_graph"]["edges"]}
 assert ("engine_cache_mu", "mu") in edges, doc["lock_graph"]
+# The exact order set, so an edge that appears or vanishes (a new
+# lock site, or a resolver change) is looked at, not waved through.
+want = {("engine_cache_mu", "mu"), ("engine_cache_mu", "mu_"),
+        ("m_", "mu"), ("model_store_mu", "mu"),
+        ("model_store_mu", "mu_")}
+assert edges == want, sorted(edges)
 print("jetrace: src clean; lock graph acyclic "
       f"({len(doc['lock_graph']['nodes'])} capabilities, "
       f"{len(edges)} edges, "

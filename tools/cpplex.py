@@ -2,26 +2,30 @@
 """cpplex: shared C++ lexical scaffolding for the jetsim analyzers.
 
 jetrace (concurrency discipline), jethot (hot-path discipline) and
-detlint (determinism lint) all audit src/ at the source level with
-the same idiom-driven lexical engine: strip comments and strings,
-walk brace scopes statement by statement, and classify what remains.
-This module is the single home of that engine so the three tools
-cannot drift — the noise stripper, the suppression-comment matcher,
-the scope walker, the file collector, the Tarjan SCC pass over
-capability/call graphs, and the SARIF 2.1.0 emitter all live here and
-are imported by the tools.
+detlint (determinism lint) all audit src/ with one idiom-driven
+lexical engine, which lives here so the tools cannot drift: the noise
+stripper, the suppression-comment matcher, the scope walker, the file
+collector, Tarjan's SCC pass, the SARIF 2.1.0 emitter, and the one
+call graph jethot and jetrace share (CallGraph, filled by GraphWalker
+and widened by libclang's AST call edges when the bindings import).
+Its resolver tries the exact key, then the caller's own class, then
+every function sharing the base name. The own-class step is taken
+only for bare and `this->` calls: a lexer cannot know the class of
+`x` in `x.f()`. The first two steps can still pick a wrong target, so
+the graph is no sound over-approximation.
 
 Nothing in this module knows about any specific rule: each tool
 supplies its own regexes and callbacks. The self-test lives in
 tests/tools/cpplex_test.py (wired into ctest).
 """
 
+import collections
 import json
 import os
 import re
 
-# Keep in lockstep with lint::kJsonSchemaVersion (src/lint/finding.hh)
-# and with the SCHEMA_VERSION the tools stamp into --json output.
+# Keep in lockstep with lint::kJsonSchemaVersion (src/lint/finding.hh);
+# report() stamps it into every analyzer's --json output.
 SCHEMA_VERSION = 1
 
 STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"|' r"'(?:\\.|[^'\\])*'")
@@ -92,7 +96,6 @@ def allow_matcher(tool):
                     return True
         return False
 
-    allowed.regexp = allow_re
     return allowed
 
 
@@ -111,12 +114,13 @@ def collect_files(targets):
 
 
 class Scope:
-    __slots__ = ("kind", "name", "held_before")
+    __slots__ = ("kind", "name", "held_before", "key")
 
     def __init__(self, kind, name, held_before=0):
         self.kind = kind    # namespace | class | function | block
         self.name = name
         self.held_before = held_before  # tool-defined scope payload
+        self.key = None     # a function's CallGraph key (GraphWalker)
 
 
 def strip_template_header(text):
@@ -136,10 +140,9 @@ def strip_template_header(text):
     return text
 
 
-def classify_open(text, lineno):
+def classify_open(text):
     """Classify the declaration text preceding a `{`: namespace,
     class/struct/enum, function (incl. lambdas), or plain block."""
-    del lineno  # kept for signature stability across tools
     text = strip_template_header(ANNOT_MACRO_RE.sub("", text).strip())
     if not text:
         return Scope("block", "")
@@ -214,18 +217,15 @@ class Walker:
                 if not pending.strip():
                     self.pending_start = idx + 1
                 if ch == "{":
-                    sc = classify_open(pending, idx + 1)
+                    sc = classify_open(pending)
                     self.scopes.append(sc)
-                    if self.on_open:
-                        self.on_open(sc, pending, idx + 1)
+                    self.opened(sc, pending, idx + 1)
                     pending = ""
                     depth_stack.append(depth)
                     depth = 0
                 elif ch == "}":
                     if self.scopes:
-                        sc = self.scopes.pop()
-                        if self.on_close:
-                            self.on_close(sc)
+                        self.closed(self.scopes.pop())
                     pending = ""
                     depth = depth_stack.pop() if depth_stack else 0
                 elif ch == ";" and depth == 0:
@@ -240,11 +240,238 @@ class Walker:
                     pending += ch
             pending += " "
 
-    def fn_depth(self):
-        return sum(1 for s in self.scopes if s.kind == "function")
+    def opened(self, sc, sig, lineno):
+        if self.on_open:
+            self.on_open(sc, sig, lineno)
+
+    def closed(self, sc):
+        if self.on_close:
+            self.on_close(sc)
 
     def in_class(self):
         return any(s.kind == "class" for s in self.scopes)
+
+
+def blank_preprocessor(code_lines):
+    """Blank out #directives incl. backslash continuations, so macro
+    *definitions* (JETSIM_CHECK's braces and report() calls) never
+    reach the scope walker — expansion sites are what gets audited."""
+    out = []
+    cont = False
+    for code in code_lines:
+        s = code.strip()
+        if cont or s.startswith("#"):
+            cont = s.endswith("\\")
+            out.append("")
+        else:
+            cont = False
+            out.append(code)
+    return out
+
+
+CALL_RE = re.compile(r"([\w~:]+)\s*\(")
+MACRO_NAME_RE = re.compile(r"^JETSIM_[A-Z_]+$")
+THIS_ARROW_RE = re.compile(r"\bthis\s*->$")
+
+# Member names that are std::atomic's API: a dotted call to one of
+# these is synchronisation on a data member, not a call into repo
+# code, and must not alias a repo function that shares the base name
+# (ResultCache::store vs. `sense_.store(...)`). Rule matching still
+# sees the text — only the call *edge* is dropped.
+ATOMIC_MEMBERS = frozenset((
+    "load", "store", "exchange", "compare_exchange_weak",
+    "compare_exchange_strong", "fetch_add", "fetch_sub", "fetch_and",
+    "fetch_or", "fetch_xor", "test_and_set", "notify_one",
+    "notify_all", "wait"))
+
+
+def call_sites(text):
+    """The calls in noise-stripped @p text as (callee, on_object)
+    pairs. The callee keeps one level of qualification (`Class::fn`
+    resolves exactly; deeper namespace prefixes add nothing).
+    on_object is True for `x.f(` and `x->f(`, False for a bare or
+    `this->` call."""
+    out = []
+    for m in CALL_RE.finditer(text):
+        parts = [p for p in m.group(1).split("::") if p]
+        if not parts or parts[-1] in CONTROL_KEYWORDS or \
+                MACRO_NAME_RE.match(parts[-1]):
+            continue
+        pre = text[:m.start(1)].rstrip()
+        dotted = pre.endswith(".") or pre.endswith("->")
+        if dotted and parts[-1] in ATOMIC_MEMBERS:
+            continue
+        out.append(("::".join(parts[-2:]),
+                    dotted and not THIS_ARROW_RE.search(pre)))
+    return out
+
+
+#: A call site; ctx is the tool's context there (jetrace: held locks).
+Call = collections.namedtuple("Call", "callee on_object path line ctx")
+
+
+class CallGraph:
+    """`nodes` maps each function key (`C::f`, `f`, or
+    `<lambda@path:line>`) to its record: `calls`, a list of Call,
+    plus the fields the tool's @p new_record returns."""
+
+    def __init__(self, new_record=dict):
+        self.new_record = new_record
+        self.nodes = {}
+        self._bases = None
+
+    def node(self, key):
+        rec = self.nodes.get(key)
+        if rec is None:
+            rec = self.nodes[key] = self.new_record()
+            rec["calls"] = []
+            self._bases = None
+        return rec
+
+    def add_call(self, caller, callee, path, line, ctx=(),
+                 on_object=False):
+        self.node(caller)["calls"].append(
+            Call(callee, on_object, path, line, ctx))
+
+    def resolve(self, caller, callee, on_object=False):
+        """Candidate keys for @p callee called in @p caller: the exact
+        key, else the caller's own class (bare and `this->` calls
+        only, mirroring C++ member lookup), else every function
+        sharing the base name."""
+        if callee in self.nodes:
+            return (callee,)
+        if not on_object and "::" not in callee and "::" in caller:
+            own = caller.split("::")[0] + "::" + callee
+            if own in self.nodes:
+                return (own,)
+        if self._bases is None:
+            self._bases = {}
+            for k in self.nodes:
+                self._bases.setdefault(k.split("::")[-1], []).append(k)
+        return tuple(k for k in self._bases.get(
+            callee.split("::")[-1], ()) if k != caller)
+
+    def callees(self, caller):
+        """(key, call) for every function a call in @p caller may
+        reach."""
+        for call in self.nodes[caller]["calls"]:
+            for key in self.resolve(caller, call.callee,
+                                    call.on_object):
+                yield key, call
+
+    def add_libclang_calls(self, ci, files, root):
+        """Widen the graph with the AST's call edges: overload sets,
+        operator calls and macro expansions the lexer cannot see. An
+        AST call names its target's key exactly and carries no
+        context, so it can only add reachability. Best-effort: a file
+        libclang cannot parse or walk adds nothing."""
+        include_dir = os.path.join(root, "src") if root else "."
+        records = (ci.CursorKind.CLASS_DECL, ci.CursorKind.STRUCT_DECL,
+                   ci.CursorKind.CLASS_TEMPLATE)
+        functions = (ci.CursorKind.FUNCTION_DECL,
+                     ci.CursorKind.CXX_METHOD,
+                     ci.CursorKind.CONSTRUCTOR,
+                     ci.CursorKind.DESTRUCTOR)
+
+        def key_of(cur):
+            sp = cur.semantic_parent
+            if sp is not None and sp.kind in records:
+                return f"{sp.spelling}::{cur.spelling}"
+            return cur.spelling
+
+        def walk(cur, fn, path, rel):
+            for c in cur.get_children():
+                if c.location.file and str(c.location.file) != path:
+                    continue
+                k = fn
+                if c.kind in functions and c.is_definition():
+                    k = key_of(c)
+                    self.node(k)
+                elif c.kind == ci.CursorKind.CALL_EXPR and fn:
+                    target = c.referenced
+                    self.add_call(fn, key_of(target) if target
+                                  else c.spelling, rel,
+                                  c.location.line)
+                walk(c, k, path, rel)
+
+        for path in files:
+            rel = os.path.relpath(path, root) if root else path
+            try:
+                walk(parse_tu(ci, path, include_dir).cursor, None,
+                     path, rel)
+            except Exception:
+                continue
+
+
+class GraphWalker(Walker):
+    """A Walker that keys every function it enters into @p graph;
+    `fn` is the innermost one's key. A nested function (a lambda) is
+    its own node, called by the enclosing function where it opens.
+    The tool's on_open runs before the new function becomes `fn`, so
+    calls in its opening text belong to the enclosing function. Calls
+    recorded here carry ctx(). Directive lines are blanked first: a
+    macro definition is not a function."""
+
+    def __init__(self, graph, path, ctx=tuple, **callbacks):
+        super().__init__(**callbacks)
+        self.graph, self.path, self.ctx = graph, path, ctx
+        self.fn_stack = []
+
+    @property
+    def fn(self):
+        return self.fn_stack[-1] if self.fn_stack else None
+
+    def run(self, code_lines):
+        self.fn_stack = []
+        super().run(blank_preprocessor(code_lines))
+
+    def add_call(self, callee, lineno):
+        self.graph.add_call(self.fn, callee, self.path, lineno,
+                            self.ctx())
+
+    def add_calls(self, text, lineno):
+        for callee, on_object in call_sites(text):
+            self.graph.add_call(self.fn, callee, self.path, lineno,
+                                self.ctx(), on_object)
+
+    def function_key(self, sc, lineno):
+        parts = [p for p in sc.name.split("::") if p]
+        if sc.name == "<lambda>" or not parts:
+            return f"<lambda@{self.path}:{lineno}>"
+        if len(parts) >= 2:
+            return "::".join(parts[-2:])
+        cls = next((s.name for s in reversed(self.scopes[:-1])
+                    if s.kind == "class" and s.name), None)
+        return f"{cls}::{parts[-1]}" if cls else parts[-1]
+
+    def opened(self, sc, sig, lineno):
+        if sc.kind == "function":
+            sc.key = self.function_key(sc, lineno)
+            self.graph.node(sc.key)
+            if self.fn:
+                self.add_call(sc.key, lineno)
+        super().opened(sc, sig, lineno)
+        if sc.kind == "function":
+            self.fn_stack.append(sc.key)
+
+    def closed(self, sc):
+        if sc.kind == "function" and self.fn_stack:
+            self.fn_stack.pop()
+        super().closed(sc)
+
+
+def try_libclang():
+    """The libclang Python bindings (clang.cindex), or None."""
+    try:
+        import clang.cindex as ci
+        return ci
+    except Exception:
+        return None
+
+
+def parse_tu(ci, path, include_dir):
+    return ci.Index.create().parse(
+        path, args=["-std=c++20", "-x", "c++", "-I" + include_dir])
 
 
 def find_cycles(nodes, edges):
@@ -355,5 +582,18 @@ def to_sarif(tool, rules, findings, root=None):
     }
 
 
-def print_sarif(tool, rules, findings, root=None):
-    print(json.dumps(to_sarif(tool, rules, findings, root), indent=2))
+def report(args, tool, rules, findings, root, **doc):
+    """Print @p findings as a SARIF 2.1.0 log (--sarif), as the tool's
+    JSON document with @p doc's keys after them (--json), or one line
+    each. True when a machine format was printed: the tool adds its
+    text summary only otherwise."""
+    if args.sarif:
+        print(json.dumps(to_sarif(tool, rules, findings, root), indent=2))
+    elif args.json:
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "tool": tool,
+                          "findings": findings, **doc}, indent=2))
+    else:
+        for f in findings:
+            print(f"{f['path']}:{f['line']}: [{f['rule']}] "
+                  f"{f['message']}")
+    return args.sarif or args.json

@@ -35,16 +35,12 @@ so downstream tooling can gate on one number.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpplex  # noqa: E402  (shared lexer/emitter scaffolding)
-
-# Keep in lockstep with lint::kJsonSchemaVersion (src/lint/finding.hh).
-SCHEMA_VERSION = cpplex.SCHEMA_VERSION
 
 RULES = [
     ("wall-clock",
@@ -70,15 +66,11 @@ RULES = [
 ]
 
 allowed = cpplex.allow_matcher("detlint")
-ALLOW_RE = allowed.regexp
 UNORDERED_DECL_RE = re.compile(
     r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+"
     r"(\w+)\s*[;{=(]")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(\s*(?:const\s+)?auto\s*[&\s]"
                           r"[&\s]*\w+\s*:\s*(?:\w+\.)*(\w+)\s*\)")
-
-# Shared comment/string stripper (tools/cpplex.py).
-strip_noise = cpplex.strip_noise
 
 
 def lint_file(path):
@@ -92,16 +84,9 @@ def lint_file(path):
                  "message": str(e)}]
 
     findings = []
-    unordered_names = set()
-    code_lines = []
-    in_block = False
-    for line in lines:
-        code, in_block = strip_noise(line, in_block)
-        code_lines.append(code)
-        m = UNORDERED_DECL_RE.search(code)
-        if m:
-            unordered_names.add(m.group(1))
-
+    code_lines = cpplex.strip_file(lines)
+    unordered_names = {m.group(1) for m in
+                       map(UNORDERED_DECL_RE.search, code_lines) if m}
     for idx, code in enumerate(code_lines):
         for rule, pat, msg in RULES:
             if pat.search(code) and not allowed(lines, idx, rule):
@@ -145,24 +130,14 @@ def main():
     for f in sorted(files):
         findings.extend(lint_file(f))
 
-    if args.sarif:
-        sarif_rules = [(r, m) for r, _, m in RULES] + [
-            ("unordered-iteration",
-             "range-for over a std::unordered container: iteration "
-             "order is implementation-defined"),
-            ("io-error", "input file could not be read")]
-        cpplex.print_sarif("detlint", sarif_rules, findings, root)
+    sarif_rules = [(r, m) for r, _, m in RULES] + [
+        ("unordered-iteration",
+         "range-for over a std::unordered container: iteration "
+         "order is implementation-defined"),
+        ("io-error", "input file could not be read")]
+    if cpplex.report(args, "detlint", sarif_rules, findings, root,
+                     files=len(files)):
         return 1 if findings else 0
-
-    if args.json:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "tool": "detlint",
-                          "findings": findings,
-                          "files": len(files)}, indent=2))
-        return 1 if findings else 0
-
-    for f in findings:
-        print(f"{f['path']}:{f['line']}: [{f['rule']}] {f['message']}")
     if findings:
         print(f"detlint: {len(findings)} finding(s) in "
               f"{len(files)} files")

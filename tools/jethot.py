@@ -49,12 +49,12 @@ seeds hot-path alloc / lock / throw violations (plus spin, boundary,
 cold-ok and sbo fixtures) and checks each is found with a *minimised*
 chain, mirroring the jetrace/jetmc cross-check pattern.
 
-Backends: the lexical engine (tools/cpplex.py, shared with
-jetrace/detlint) is the tested, always-available path. With the
+Backends: the lexical call graph (cpplex.CallGraph, shared with
+jetrace) is the tested, always-available path. With the
 libclang Python bindings importable (`--backend libclang`/`auto`),
 AST-walked call edges augment the lexical graph (catching calls the
-regex misses); rule matching stays lexical either way. This container
-ships no bindings, so `auto` is lexical here.
+regex misses); rule matching stays lexical either way. Without
+bindings `auto` is lexical.
 
 Usage: tools/jethot.py [--root DIR] [--json] [--sarif] [--dot]
                        [--selftest] [--backend auto|lex|libclang]
@@ -69,7 +69,6 @@ root -> ... -> offender call path.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -77,8 +76,6 @@ from collections import deque
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpplex  # noqa: E402
-
-SCHEMA_VERSION = cpplex.SCHEMA_VERSION
 
 RULES = [
     ("hot-alloc",
@@ -111,19 +108,6 @@ COLD_OK_RAW_RE = re.compile(r'\bJETSIM_COLD_OK\s*\(\s*"([^"]*)"')
 COLD_OK_CMT_RE = re.compile(r"jethot:\s*cold-ok\(([^)]*)\)")
 BOUNDARY_DECL_RE = re.compile(r"jethot:\s*boundary\((\w+)\)\s*(.*)")
 
-CALL_RE = re.compile(r"([\w~:]+)\s*\(")
-
-# Member names that are std::atomic's API: a dotted call to one of
-# these is synchronisation on a data member, not a call into repo
-# code, and must not alias a repo function that shares the base name
-# (ResultCache::store vs. `sense_.store(...)`). Rule matching still
-# sees the text — only the call *edge* is dropped.
-ATOMIC_MEMBERS = frozenset((
-    "load", "store", "exchange", "compare_exchange_weak",
-    "compare_exchange_strong", "fetch_add", "fetch_sub", "fetch_and",
-    "fetch_or", "fetch_xor", "test_and_set", "notify_one",
-    "notify_all", "wait"))
-MACRO_NAME_RE = re.compile(r"^JETSIM_[A-Z_]+$")
 MACRO_STMT_RE = re.compile(r"\s*JETSIM_[A-Z_]+\s*\(")
 LOOP_SIG_RE = re.compile(r"\s*(?:for|while|do)\b")
 
@@ -258,15 +242,19 @@ def cold_ok_reason(raw_lines, lines_0):
     return None
 
 
+def new_function():
+    """jethot's fields on a call-graph node (cpplex.CallGraph)."""
+    return {"hot": False, "boundary": False, "cold_ok": None,
+            "hits": []}  # hits: [(rule, path, line, what)]
+
+
 class Analysis:
-    """Whole-audit state: the merged function table plus the global
-    annotation / escape / sbo ledgers."""
+    """Whole-audit state: the shared call graph, whose nodes carry
+    jethot's fields, plus the global annotation / escape / sbo
+    ledgers."""
 
     def __init__(self):
-        # key -> {display, defs[(path,line)], hot, boundary,
-        #         cold_ok, hits[(rule,path,line,msg)], calls[(callee,
-        #         path,line)], is_lambda}
-        self.functions = {}
+        self.graph = cpplex.CallGraph(new_function)
         self.boundary_decls = []   # {name, path, line, why}
         self.boundary_names = set()
         self.cold_escapes = []     # {path, line, scope, fn, why}
@@ -274,34 +262,11 @@ class Analysis:
         self.findings = []         # non-reachability findings (sbo)
         self.fifo_names = set()    # names declared with a Fifo type
 
-    def rec(self, key, display):
-        return self.functions.setdefault(key, {
-            "display": display, "defs": [], "hot": False,
-            "boundary": False, "cold_ok": None, "hits": [],
-            "calls": [], "is_lambda": key.startswith("<lambda@")})
-
-
-def blank_preprocessor(code_lines):
-    """Blank out #directives incl. backslash continuations, so macro
-    *definitions* (JETSIM_CHECK's braces and report() calls) never
-    reach the scope walker — expansion sites are what gets audited."""
-    out = []
-    cont = False
-    for code in code_lines:
-        s = code.strip()
-        if cont or s.startswith("#"):
-            cont = s.endswith("\\")
-            out.append("")
-        else:
-            cont = False
-            out.append(code)
-    return out
-
 
 def scan_file(path, rel, an):
     with open(path, encoding="utf-8", errors="replace") as f:
         raw_lines = f.read().splitlines()
-    code_lines = blank_preprocessor(cpplex.strip_file(raw_lines))
+    code_lines = cpplex.blank_preprocessor(cpplex.strip_file(raw_lines))
 
     for idx, raw in enumerate(raw_lines):
         m = BOUNDARY_DECL_RE.search(raw)
@@ -329,8 +294,7 @@ def scan_file(path, rel, an):
                                "every site micro_sim --assert-sbo "
                                "counts", "chain": []})
 
-    w = cpplex.Walker()
-    fn_stack = []      # keys of enclosing function records
+    w = cpplex.GraphWalker(an.graph, rel)
     loop_stack = []    # parallel to w.scopes: is-loop flags
 
     def span_lines0(start_1, end_1):
@@ -342,13 +306,12 @@ def scan_file(path, rel, an):
                    for li in span_lines0(start_1, end_1))
 
     def scan_text(text, start_1, end_1, is_sig):
-        key = fn_stack[-1]
-        rec = an.functions[key]
+        rec = an.graph.nodes[w.fn]
         if SBO_SITE_RE.search(text):
             for site in an.sbo_sites:
                 if site["path"] == rel and \
                         start_1 - 1 <= site["line"] <= end_1:
-                    site["fn"] = rec["display"]
+                    site["fn"] = w.fn
         why = None
         if "JETSIM_COLD_OK" in text:
             why = cold_ok_reason(raw_lines, span_lines0(start_1,
@@ -362,24 +325,11 @@ def scan_file(path, rel, an):
         if why is not None:
             an.cold_escapes.append({"path": rel, "line": start_1,
                                     "scope": "statement",
-                                    "fn": rec["display"],
-                                    "why": why})
+                                    "fn": w.fn, "why": why})
             return
         if MACRO_STMT_RE.match(text):
             return  # check/violation/assert error arm: boundary
-        for m in CALL_RE.finditer(text):
-            parts = [p for p in m.group(1).split("::") if p]
-            base = parts[-1]
-            if base in cpplex.CONTROL_KEYWORDS or \
-                    MACRO_NAME_RE.match(base):
-                continue
-            pre = text[:m.start(1)].rstrip()
-            if base in ATOMIC_MEMBERS and \
-                    (pre.endswith(".") or pre.endswith("->")):
-                continue
-            # Keep one level of qualification: `Class::fn` resolves
-            # exactly; deeper namespace prefixes add nothing.
-            rec["calls"].append(("::".join(parts[-2:]), rel, end_1))
+        w.add_calls(text, end_1)
         in_loop = any(loop_stack)
         for rule, rx, what in STMT_PATTERNS:
             if is_sig and rule not in SIG_RULES:
@@ -397,33 +347,8 @@ def scan_file(path, rel, an):
                                 "atomic RMW retry inside a loop"))
 
     def enter_function(sc, sig, lineno):
-        start = w.pending_start
-        if sc.name == "<lambda>":
-            key = f"<lambda@{rel}:{lineno}>"
-        else:
-            # Class-qualified keys: an out-of-line `C::f` definition
-            # and an in-class definition of the same method share the
-            # key `C::f`; unrelated functions that merely share a base
-            # name (mc-harness `post` vs. ShardedEngine::post) stay
-            # distinct records.
-            parts = [p for p in sc.name.split("::") if p]
-            if len(parts) >= 2:
-                key = "::".join(parts[-2:])
-            else:
-                cls = next((s.name for s in reversed(w.scopes[:-1])
-                            if s.kind == "class" and s.name), None)
-                key = f"{cls}::{parts[-1]}" if cls else parts[-1]
-        display = key
-        # A lambda is reachable from the function that captures it.
-        if fn_stack:
-            an.functions[fn_stack[-1]]["calls"].append(
-                (key, rel, lineno))
-            # Calls in the capture statement text (`eq_.schedule(t,
-            # [this] {`) belong to the enclosing function.
-            scan_text(sig, start, lineno, True)
-        rec = an.rec(key, display)
-        rec["defs"].append((rel, lineno))
-        span = span_lines0(start, lineno)
+        rec = an.graph.nodes[sc.key]
+        span = span_lines0(w.pending_start, lineno)
         if HOT_RE.search(sig) or \
                 any(0 <= li < len(raw_lines) and
                     re.search(r"jethot:\s*hot\b", raw_lines[li])
@@ -435,35 +360,31 @@ def scan_file(path, rel, an):
                               raw_lines[li]) for li in span):
             rec["boundary"] = True
             an.boundary_decls.append({
-                "name": display, "path": rel, "line": lineno,
+                "name": sc.key, "path": rel, "line": lineno,
                 "why": "JETSIM_HOT_BOUNDARY definition"})
         if "JETSIM_COLD_OK" in sig:
             why = cold_ok_reason(raw_lines, span) or "(no reason)"
             rec["cold_ok"] = why
             an.cold_escapes.append({"path": rel, "line": lineno,
                                     "scope": "function",
-                                    "fn": display, "why": why})
-        fn_stack.append(key)
+                                    "fn": sc.key, "why": why})
 
     def on_open(sc, sig, lineno):
+        loop_stack.append(sc.kind == "block" and
+                          bool(LOOP_SIG_RE.match(sig)))
+        # A control condition, or a lambda's capture statement
+        # (`eq_.schedule(t, [this] {`), is the enclosing function's.
+        if w.fn and sc.kind in ("block", "function"):
+            scan_text(sig, w.pending_start, lineno, True)
         if sc.kind == "function":
-            loop_stack.append(False)
             enter_function(sc, sig, lineno)
-        elif sc.kind == "block":
-            loop_stack.append(bool(LOOP_SIG_RE.match(sig)))
-            if fn_stack:
-                scan_text(sig, w.pending_start, lineno, True)
-        else:
-            loop_stack.append(False)
 
     def on_close(sc):
         if loop_stack:
             loop_stack.pop()
-        if sc.kind == "function" and fn_stack:
-            fn_stack.pop()
 
     def on_statement(stmt, lineno):
-        if fn_stack and stmt.strip():
+        if w.fn and stmt.strip():
             scan_text(stmt, w.pending_start, lineno, False)
 
     w.on_open = on_open
@@ -472,119 +393,48 @@ def scan_file(path, rel, an):
     w.run(code_lines)
 
 
-def try_libclang():
-    try:
-        import clang.cindex as ci  # noqa: F401
-        return ci
-    except Exception:
-        return None
-
-
-def libclang_edges(ci, path, rel, include_dir, an):
-    """AST refinement: add call edges the lexical pass may have
-    missed (overload sets, operator calls). Rule matching stays
-    lexical — the AST only widens reachability, so it can only make
-    the audit stricter, never hide a finding."""
-    tu = ci.Index.create().parse(
-        path, args=["-std=c++20", "-x", "c++", "-I" + include_dir])
-
-    def walk(cur, fn_key):
-        for c in cur.get_children():
-            if c.location.file and str(c.location.file) != path:
-                continue
-            k = fn_key
-            if c.kind in (ci.CursorKind.FUNCTION_DECL,
-                          ci.CursorKind.CXX_METHOD,
-                          ci.CursorKind.CONSTRUCTOR,
-                          ci.CursorKind.DESTRUCTOR) and \
-                    c.is_definition():
-                k = c.spelling
-                sp = c.semantic_parent
-                if sp is not None and sp.kind in (
-                        ci.CursorKind.CLASS_DECL,
-                        ci.CursorKind.STRUCT_DECL,
-                        ci.CursorKind.CLASS_TEMPLATE):
-                    k = f"{sp.spelling}::{k}"
-                an.rec(k, k)["defs"].append(
-                    (rel, c.location.line))
-            elif c.kind == ci.CursorKind.CALL_EXPR and k:
-                an.rec(k, k)["calls"].append(
-                    (c.spelling, rel, c.location.line))
-            walk(c, k)
-
-    walk(tu.cursor, None)
-
-
-def build_resolver(an):
-    """Map a callee name as written to candidate record keys: exact
-    key first, then the caller's own class (mirroring C++ member
-    lookup), then every record sharing the base name — a sound
-    over-approximation for virtual dispatch and free calls."""
-    base_index = {}
-    for k in an.functions:
-        base_index.setdefault(k.split("::")[-1], []).append(k)
-
-    def resolve(caller, callee):
-        if callee in an.functions:
-            return (callee,)
-        if "::" not in callee and "::" in caller:
-            own = caller.split("::")[0] + "::" + callee
-            if own in an.functions:
-                return (own,)
-        return tuple(k for k in base_index.get(
-            callee.split("::")[-1], ()) if k != caller)
-    return resolve
-
-
 def propagate(an):
     """BFS reachability from hot roots; parents give the *minimised*
     (fewest-call) chain for every finding."""
-    resolve = build_resolver(an)
-    roots = sorted(k for k, r in an.functions.items() if r["hot"])
+    nodes = an.graph.nodes
+    roots = sorted(k for k, r in nodes.items() if r["hot"])
     parent = {}
     visited = set(roots)
     scannable = []
-    used_escapes = []
     dq = deque(roots)
     while dq:
         k = dq.popleft()
-        rec = an.functions[k]
-        if not rec["hot"]:
-            if rec["cold_ok"] is not None:
-                used_escapes.append(k)
-                continue
-            if rec["boundary"] or rec["display"] in \
-                    an.boundary_names or \
-                    rec["display"].split("::")[-1] in \
-                    an.boundary_names:
-                continue
+        rec = nodes[k]
+        if not rec["hot"] and (
+                rec["cold_ok"] is not None or rec["boundary"] or
+                k in an.boundary_names or
+                k.split("::")[-1] in an.boundary_names):
+            continue
         scannable.append(k)
-        for callee, _, _ in rec["calls"]:
-            for ck in resolve(k, callee):
-                if ck not in visited:
-                    visited.add(ck)
-                    parent[ck] = k
-                    dq.append(ck)
+        for ck, _ in an.graph.callees(k):
+            if ck not in visited:
+                visited.add(ck)
+                parent[ck] = k
+                dq.append(ck)
 
     def chain(k):
         out = [k]
         while out[-1] in parent:
             out.append(parent[out[-1]])
-        return [an.functions[x]["display"] for x in reversed(out)]
+        return out[::-1]
 
     findings = list(an.findings)
     for k in scannable:
-        rec = an.functions[k]
-        for rule, path, line, what in rec["hits"]:
+        for rule, path, line, what in nodes[k]["hits"]:
             ch = chain(k)
             via = " -> ".join(ch)
             findings.append({
                 "path": path, "line": line, "rule": rule,
-                "message": f"{what} in '{rec['display']}', reachable "
+                "message": f"{what} in '{k}', reachable "
                            f"from hot root '{ch[0]}' (chain: {via})",
                 "chain": ch})
     findings.sort(key=lambda f: (f["path"], f["line"], f["rule"]))
-    return findings, roots, visited, scannable, used_escapes
+    return findings, roots, visited, scannable
 
 
 def audit(files, root, backend="lex"):
@@ -593,19 +443,12 @@ def audit(files, root, backend="lex"):
     for path in files:
         rel = os.path.relpath(path, root) if root else path
         scan_file(path, rel, an)
-    if backend != "lex":
-        ci = try_libclang()
-        if ci is not None:
-            src_dir = os.path.join(root, "src") if root else "."
-            for path in files:
-                rel = os.path.relpath(path, root) if root else path
-                try:
-                    libclang_edges(ci, path, rel, src_dir, an)
-                except Exception:
-                    pass  # AST refinement is best-effort
-    findings, roots, visited, scannable, used = propagate(an)
+    ci = cpplex.try_libclang() if backend != "lex" else None
+    if ci is not None:
+        an.graph.add_libclang_calls(ci, files, root)
+    findings, roots, visited, scannable = propagate(an)
     summary = {
-        "roots": sorted(an.functions[k]["display"] for k in roots),
+        "roots": roots,
         "reachable": len(visited),
         "scanned": len(scannable),
         "cold_ok": an.cold_escapes,
@@ -846,7 +689,7 @@ def main():
         print("jethot: no input files", file=sys.stderr)
         return 2
 
-    if args.backend == "libclang" and try_libclang() is None:
+    if args.backend == "libclang" and cpplex.try_libclang() is None:
         print("jethot: libclang Python bindings not importable; "
               "install them or use --backend=lex", file=sys.stderr)
         return 2
@@ -857,50 +700,32 @@ def main():
         print("digraph hot_reach {")
         print("  rankdir=LR;")
         flagged = {f["chain"][-1] for f in findings if f["chain"]}
-        reach = {k for k, r in an.functions.items()
-                 if r["hot"]}
-        # recompute reachable set for rendering
-        _, roots, visited, scannable, _ = propagate(an)
+        _, _, visited, _ = propagate(an)
         for k in sorted(visited):
-            r = an.functions[k]
+            r = an.graph.nodes[k]
             attr = ""
             if r["hot"]:
                 attr = " [shape=doubleoctagon]"
             if r["cold_ok"] is not None:
                 attr = ' [style=dashed, color=green, label="%s\\n' \
-                       'COLD_OK"]' % r["display"]
+                       'COLD_OK"]' % k
             elif r["boundary"]:
                 attr = " [style=dashed, color=gray]"
-            elif r["display"] in flagged:
+            elif k in flagged:
                 attr = " [color=red]"
-            print(f'  "{r["display"]}"{attr};')
+            print(f'  "{k}"{attr};')
         seen = set()
-        resolve = build_resolver(an)
         for k in sorted(visited):
-            for callee, _, _ in an.functions[k]["calls"]:
-                for ck in resolve(k, callee):
-                    if ck in visited and (k, ck) not in seen:
-                        seen.add((k, ck))
-                        print(f'  "{an.functions[k]["display"]}" -> '
-                              f'"{an.functions[ck]["display"]}";')
+            for ck, _ in an.graph.callees(k):
+                if ck in visited and (k, ck) not in seen:
+                    seen.add((k, ck))
+                    print(f'  "{k}" -> "{ck}";')
         print("}")
         return 0
 
-    if args.sarif:
-        cpplex.print_sarif("jethot", RULES, findings, root)
+    if cpplex.report(args, "jethot", RULES, findings, root,
+                     files=len(files), **summ):
         return 1 if findings else 0
-
-    if args.json:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "tool": "jethot",
-                          "findings": findings,
-                          "files": len(files),
-                          **summ}, indent=2))
-        return 1 if findings else 0
-
-    for f in findings:
-        print(f"{f['path']}:{f['line']}: [{f['rule']}] "
-              f"{f['message']}")
     covered = sum(s["covered"] for s in summ["sbo_sites"])
     if findings:
         print(f"jethot: {len(findings)} finding(s) in {len(files)} "

@@ -284,7 +284,7 @@ main(int argc, char **argv)
     if (args.boolean("selftest"))
         return selftest(args.str("ce-dir"));
 
-    const double min_reduction = args.dbl("min-reduction");
+    const double min_reduction = args.dbl("min-reduction", 0);
     const bool compare =
         args.boolean("compare") || min_reduction > 0;
 
@@ -307,9 +307,9 @@ main(int argc, char **argv)
     }
 
     mc::ExploreConfig ecfg;
-    ecfg.depth = args.intval("depth");
+    ecfg.depth = args.intval("depth", 0);
     ecfg.max_runs =
-        static_cast<std::uint64_t>(args.intval("max-runs"));
+        static_cast<std::uint64_t>(args.intval("max-runs", 1));
     ecfg.dpor = !args.boolean("no-dpor");
 
     const auto device = args.choice("device", soc::deviceNames());
@@ -323,7 +323,7 @@ main(int argc, char **argv)
         dc.max_ecs =
             static_cast<std::uint64_t>(args.intval("max-ecs", 1));
         dc.max_events =
-            static_cast<std::uint64_t>(args.intval("max-events"));
+            static_cast<std::uint64_t>(args.intval("max-events", 1));
         dc.shared_buffer = args.boolean("shared-buffer");
         for (const auto &m : set) {
             mc::DeployConfig::Proc p;

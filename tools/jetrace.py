@@ -27,7 +27,8 @@ event core will be written against:
       would be invisible to it and to -Wthread-safety). Acquiring
       capability B while holding A adds the edge A -> B; edges are
       propagated through the static call graph to a fixpoint, and any
-      cycle is reported as a potential deadlock (`lock-cycle`).
+      cycle is reported as a potential deadlock (`lock-cycle`). The
+      call graph is the one jethot uses (cpplex.CallGraph).
 
 `--selftest` runs both analyses on a C++ rendition of jetmc's seeded
 two-lock model (src/mc/toylock.*): the inverted variant must produce
@@ -38,15 +39,16 @@ checker deadlocked must be the inverted one — static and dynamic
 analyses must agree on which discipline is broken.
 
 Backends: when the libclang Python bindings are importable
-(`--backend=libclang` or `auto`), the shared-state inventory is taken
-from a real AST walk (VarDecl storage classes); the lock graph always
-comes from the idiom-driven lexical engine, which the core::Mutex
-discipline makes exact. Without bindings (this container ships none)
-`auto` falls back to the lexical inventory, which is tested
-fixture-by-fixture in tests/tools/jetrace_test.py.
+(`--backend=libclang` or `auto`), a real AST walk adds static-storage
+VarDecls to the shared-state inventory and AST call edges to the call
+graph; lock sites and held sets always come from the idiom-driven
+lexical engine, which the core::Mutex discipline makes exact. Without
+bindings `auto` is lexical, which is tested fixture-by-fixture in
+tests/tools/jetrace_test.py.
 
-The lexical engine itself (noise stripping, scope walking, Tarjan,
-SARIF) is shared with jethot/detlint via tools/cpplex.py.
+The lexical engine itself (noise stripping, scope walking, the call
+graph, Tarjan, SARIF) is shared with jethot/detlint via
+tools/cpplex.py.
 
 Usage: tools/jetrace.py [--root DIR] [--json] [--sarif] [--dot]
                         [--selftest] [--jetmc-ce FILE]
@@ -69,9 +71,6 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpplex  # noqa: E402
 
-# Keep in lockstep with lint::kJsonSchemaVersion (src/lint/finding.hh).
-SCHEMA_VERSION = cpplex.SCHEMA_VERSION
-
 RULES = [
     ("unannotated-global",
      "non-const global/static state with no guarded/atomic/confined "
@@ -88,7 +87,6 @@ RULES = [
 ]
 
 allowed = cpplex.allow_matcher("jetrace")
-ALLOW_RE = allowed.regexp
 CONFINED_RE = re.compile(r"jetrace:\s*confined\(([^)]+)\)")
 GUARDED_CMT_RE = re.compile(r"jetrace:\s*guarded\(([^)]+)\)")
 
@@ -102,6 +100,10 @@ RAW_MUTEX_RE = re.compile(
     r"shared_mutex|shared_timed_mutex|timed_mutex|lock_guard|"
     r"unique_lock|scoped_lock|shared_lock|condition_variable(_any)?)\b")
 MUTEX_DECL_RE = re.compile(r"\b(?:core::)?Mutex\s+(\w+)\s*;")
+# JETSIM_CHECK and JETSIM_VIOLATION expand to Reporter::report
+# (src/check/check.hh), which takes the reporter's lock. The walker
+# blanks the #define, so each use adds that call explicitly.
+CHECK_MACRO_RE = re.compile(r"\bJETSIM_(?:CHECK|VIOLATION)\s*\(")
 
 # Types whose synchronization is intrinsic: owning one is the
 # annotation.
@@ -123,15 +125,10 @@ LOCAL_STATIC_RE = re.compile(
     r"\bstatic\s+(?P<decl>[^;=({]*?)(?P<name>[A-Za-z_]\w*)\s*"
     r"(?:=|\{|;)")
 
-CONTROL_KEYWORDS = cpplex.CONTROL_KEYWORDS
 NONVAR_WORDS = re.compile(
     r"\b(const|constexpr|concept|using|typedef|namespace|class|"
     r"struct|enum|union|template|operator|return|friend|throw|goto|"
     r"public|private|protected)\b")
-
-strip_noise = cpplex.strip_noise
-collect_files = cpplex.collect_files
-find_cycles = cpplex.find_cycles
 
 
 def annotation_comment(raw_lines, idx):
@@ -159,62 +156,54 @@ def cap_name(expr):
     return expr.strip()
 
 
-class FileAnalysis:
-    """Per-file lexical analysis: inventory candidates, lock events,
-    call edges, annotation counts."""
+def new_function():
+    """jetrace's field on a call-graph node (cpplex.CallGraph): the
+    locks the function takes itself, as [(cap, path, line, held)]."""
+    return {"acquires": []}
 
-    def __init__(self, path):
-        self.path = path
+
+class FileAnalysis:
+    """Per-file lexical analysis: inventory candidates and annotation
+    counts. Lock events and calls go into the shared call graph."""
+
+    def __init__(self):
         self.globals = []       # (line, name, classification, detail)
         self.raw_mutex = []     # (line, token)
         self.guarded_by = []    # (line, cap)
         self.mutex_decls = set()
-        self.functions = {}     # name -> {"acquires": [(cap, line,
-                                #          held_at_acq)], "calls":
-                                #          [(callee, line, held)]}
         self.capability_count = 0
         self.confined = []      # (line, name, thread)
 
 
-def analyze_file(path, relpath):
+def analyze_file(path, relpath, graph):
     with open(path, encoding="utf-8", errors="replace") as f:
         raw_lines = f.read().splitlines()
 
-    fa = FileAnalysis(relpath)
+    fa = FileAnalysis()
     code_lines = cpplex.strip_file(raw_lines)
-    for code in code_lines:
+    is_mutex_hh = relpath.replace("\\", "/").endswith("core/mutex.hh")
+    for idx, code in enumerate(code_lines):
         for m in MUTEX_DECL_RE.finditer(code):
             fa.mutex_decls.add(m.group(1))
             fa.capability_count += 1
+        # Directive lines too: a raw lock hidden in a macro body is
+        # still a raw lock.
+        m = None if is_mutex_hh else RAW_MUTEX_RE.search(code)
+        if m and not allowed(raw_lines, idx, "raw-mutex"):
+            fa.raw_mutex.append((idx + 1, m.group(0)))
 
-    cur_fn = None       # innermost function record
     held = []           # [(cap, scope_depth)]
-    is_mutex_hh = relpath.replace("\\", "/").endswith("core/mutex.hh")
-    w = cpplex.Walker()
-
-    def enter_function(scope, sigtext, lineno):
-        nonlocal cur_fn
-        base = scope.name.split("::")[-1]
-        rec = fa.functions.setdefault(
-            base, {"acquires": [], "calls": []})
-        cur_fn = rec
-        for m in REQUIRES_RE.finditer(sigtext):
-            for cap in m.group(1).split(","):
-                c = cap_name(cap.strip().lstrip("!"))
-                if not cap.strip().startswith("!"):
-                    held.append((c, len(w.scopes)))
+    w = cpplex.GraphWalker(graph, relpath,
+                           ctx=lambda: tuple(c for c, _ in held))
 
     def record_calls(stmt, lineno):
         """Every call, with the locks held at it: a call made under no
         lock still carries its callee's acquisitions to its caller
         (the fixpoint in build_lock_graph), so a lock taken two calls
         below a held one still yields its edge."""
-        for m in re.finditer(r"([\w~:]+)\s*\(", stmt):
-            callee = m.group(1).split("::")[-1]
-            if callee in CONTROL_KEYWORDS or callee == "LockGuard":
-                continue
-            cur_fn["calls"].append(
-                (callee, lineno, [c for c, _ in held]))
+        w.add_calls(stmt, lineno)
+        if CHECK_MACRO_RE.search(stmt):
+            w.add_call("Reporter::report", lineno)
 
     def classify_candidate(name, typetext, text, idx):
         """File the inventory verdict for one mutable static/global:
@@ -241,11 +230,6 @@ def analyze_file(path, relpath):
                 fa.globals.append((line_no, name, "unannotated", ""))
 
     def on_line(code, idx):
-        # Findings that don't need scope context.
-        if not is_mutex_hh:
-            m = RAW_MUTEX_RE.search(code)
-            if m and not allowed(raw_lines, idx, "raw-mutex"):
-                fa.raw_mutex.append((idx + 1, m.group(0)))
         for m in GUARDED_BY_RE.finditer(code):
             fa.guarded_by.append((idx + 1, cap_name(m.group(1))))
 
@@ -265,50 +249,44 @@ def analyze_file(path, relpath):
                                    code, idx)
 
     def on_open(sc, pending, lineno):
+        # Calls in a control condition (`if (f()) {`) or a lambda's
+        # capture statement are the enclosing function's, made under
+        # its held set.
+        if w.fn is not None:
+            record_calls(pending, lineno)
         if sc.kind == "function":
             sc.held_before = len(held)
-            enter_function(sc, pending, lineno)
-        else:
-            # Calls in a control condition (`if (f()) {`)
-            # happen under the held set too.
-            if cur_fn is not None:
-                record_calls(pending, lineno)
+            for m in REQUIRES_RE.finditer(pending):
+                for cap in m.group(1).split(","):
+                    if not cap.strip().startswith("!"):
+                        held.append((cap_name(cap), len(w.scopes)))
 
     def on_close(sc):
-        nonlocal cur_fn
         # Locks acquired inside this scope die with it.
         while held and held[-1][1] > len(w.scopes):
             held.pop()
         if sc.kind == "function":
             while held and len(held) > sc.held_before:
                 held.pop()
-            cur_fn = None
-            for s in reversed(w.scopes):
-                if s.kind == "function":
-                    base = s.name.split("::")[-1]
-                    cur_fn = fa.functions.get(base)
-                    break
 
     def on_statement(stmt, lineno):
         """Statement text as it completes at a `;`, with the scope
         and held-set state *at that point* (a line-level pass would
         miss locks inside single-line function bodies)."""
-        in_class = w.in_class()
-        in_fn = w.fn_depth() > 0
-        if in_class or in_fn:
+        if w.fn is not None or w.in_class():
             m = LOCAL_STATIC_RE.search(stmt + ";")
             if m and not re.search(r"\b(const|constexpr|constinit|"
                                    r"static_assert|static_cast)\b",
                                    stmt):
                 classify_candidate(m.group("name"), m.group("decl"),
                                    stmt, lineno - 1)
-        if cur_fn is None:
+        if w.fn is None:
             return
         lg = LOCK_GUARD_RE.search(stmt + ";")
         if lg:
             cap = cap_name(lg.group(1))
-            cur_fn["acquires"].append(
-                (cap, lineno, [c for c, _ in held]))
+            graph.nodes[w.fn]["acquires"].append(
+                (cap, relpath, lineno, [c for c, _ in held]))
             held.append((cap, len(w.scopes)))
             return
         record_calls(stmt, lineno)
@@ -322,64 +300,48 @@ def analyze_file(path, relpath):
     return fa, raw_lines
 
 
-def build_lock_graph(analyses):
-    """Merge per-file lock events into a capability graph; propagate
-    acquisitions through the call graph to a fixpoint."""
-    direct = {}    # fn -> set(caps)
+def build_lock_graph(graph):
+    """The capability graph over the shared call graph: taking a lock
+    while holding others is an edge from each of them, and so is a
+    call made under them, to every lock its callee may take
+    transitively (a fixpoint over the call graph)."""
     edges = {}     # (a, b) -> (path, line)
-    calls = {}     # fn -> [(callee, line, held, path)]
-    for fa in analyses:
-        for fn, rec in fa.functions.items():
-            direct.setdefault(fn, set())
-            calls.setdefault(fn, [])
-            for cap, line, held_at in rec["acquires"]:
-                direct[fn].add(cap)
-                for h in held_at:
-                    if h != cap:
-                        edges.setdefault((h, cap), (fa.path, line))
-            for callee, line, held_at in rec["calls"]:
-                calls[fn].append((callee, line, held_at, fa.path))
-
     # effects(fn): caps fn may acquire, transitively.
-    effects = {fn: set(caps) for fn, caps in direct.items()}
+    effects = {}
+    for fn, rec in graph.nodes.items():
+        effects[fn] = {cap for cap, _, _, _ in rec["acquires"]}
+        for cap, path, line, held_at in rec["acquires"]:
+            for h in held_at:
+                if h != cap:
+                    edges.setdefault((h, cap), (path, line))
+    direct = {c for caps in effects.values() for c in caps}
+    calls = {fn: list(graph.callees(fn)) for fn in graph.nodes}
     changed = True
     while changed:
         changed = False
-        for fn, cls in calls.items():
-            for callee, _, _, _ in cls:
-                if callee in effects and callee != fn:
-                    before = len(effects[fn])
+        for fn, out in calls.items():
+            for callee, _ in out:
+                if callee != fn and not effects[callee] <= effects[fn]:
                     effects[fn] |= effects[callee]
-                    if len(effects[fn]) != before:
-                        changed = True
+                    changed = True
 
-    for fn, cls in calls.items():
-        for callee, line, held_at, path in cls:
-            for cap in effects.get(callee, ()):
-                for h in held_at:
+    for out in calls.values():
+        for callee, call in out:
+            for cap in effects[callee]:
+                for h in call.ctx:
                     if h != cap:
-                        edges.setdefault((h, cap), (path, line))
+                        edges.setdefault((h, cap),
+                                         (call.path, call.line))
 
-    nodes = sorted({n for e in edges for n in e} |
-                   {c for caps in direct.values() for c in caps})
+    nodes = sorted({n for e in edges for n in e} | direct)
     return nodes, edges
-
-
-def try_libclang():
-    try:
-        import clang.cindex as ci  # noqa: F401
-        return ci
-    except Exception:
-        return None
 
 
 def libclang_inventory(ci, path, include_dir):
     """AST-walk inventory of static-storage VarDecls (libclang
     backend). Returns [(line, name)] candidates; classification still
     uses the source text, which carries the annotations."""
-    tu_index = ci.Index.create()
-    tu = tu_index.parse(path, args=["-std=c++20", "-x", "c++",
-                                    "-I" + include_dir])
+    tu = cpplex.parse_tu(ci, path, include_dir)
     out = []
     def walk(cur):
         for c in cur.get_children():
@@ -399,19 +361,18 @@ def libclang_inventory(ci, path, include_dir):
     return out
 
 
-def audit(files, root):
+def audit(files, root, ci=None):
+    """Audit @p files; with libclang bindings @p ci, AST call edges
+    widen the call graph the lock graph is propagated over."""
     findings = []
-    analyses = []
+    graph = cpplex.CallGraph(new_function)
     inventory = {"capabilities": 0, "guarded": 0, "atomic": 0,
                  "confined": 0, "thread_local": 0, "allowed": 0,
                  "guarded_fields": 0, "globals": 0}
-    raw_by_path = {}
 
     for path in files:
         rel = os.path.relpath(path, root) if root else path
-        fa, raw = analyze_file(path, rel)
-        analyses.append(fa)
-        raw_by_path[rel] = raw
+        fa, raw = analyze_file(path, rel, graph)
         inventory["capabilities"] += fa.capability_count
         inventory["guarded_fields"] += len(fa.guarded_by)
         for line, name, cls, detail in fa.globals:
@@ -427,11 +388,7 @@ def audit(files, root):
                                f"or justify `// jetrace: "
                                f"confined(<thread>)`)"})
             else:
-                key = {"guarded": "guarded", "atomic": "atomic",
-                       "confined": "confined",
-                       "thread_local": "thread_local",
-                       "allowed": "allowed"}[cls]
-                inventory[key] += 1
+                inventory[cls] += 1
         for line, tok in fa.raw_mutex:
             findings.append({
                 "path": rel, "line": line, "rule": "raw-mutex",
@@ -441,8 +398,7 @@ def audit(files, root):
                            f"graph"})
         for line, cap in fa.guarded_by:
             if fa.mutex_decls and cap not in fa.mutex_decls:
-                if not allowed(raw_by_path[rel], line - 1,
-                               "unknown-capability"):
+                if not allowed(raw, line - 1, "unknown-capability"):
                     findings.append({
                         "path": rel, "line": line,
                         "rule": "unknown-capability",
@@ -450,9 +406,11 @@ def audit(files, root):
                                    f"not name a core::Mutex declared "
                                    f"in this file"})
 
-    nodes, edges = build_lock_graph(analyses)
+    if ci is not None:
+        graph.add_libclang_calls(ci, files, root)
+    nodes, edges = build_lock_graph(graph)
 
-    cycles = find_cycles(nodes, edges)
+    cycles = cpplex.find_cycles(nodes, edges)
     for cyc in cycles:
         involved = [(a, b) for (a, b) in edges
                     if a in cyc and b in cyc]
@@ -674,8 +632,9 @@ def main():
                          "counterexample jetmc found dynamically")
     ap.add_argument("--backend", default="auto",
                     choices=["auto", "lex", "libclang"],
-                    help="inventory backend (default: libclang when "
-                         "the bindings are importable, else lexical)")
+                    help="inventory and call-edge backend (default: "
+                         "libclang when the bindings are importable, "
+                         "else lexical)")
     ap.add_argument("--list-rules", action="store_true",
                     help="print the rule table and exit")
     ap.add_argument("paths", nargs="*",
@@ -693,14 +652,14 @@ def main():
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     targets = args.paths or [os.path.join(root, "src")]
-    files = collect_files(targets)
+    files = cpplex.collect_files(targets)
     if not files:
         print("jetrace: no input files", file=sys.stderr)
         return 2
 
     ci = None
     if args.backend in ("auto", "libclang"):
-        ci = try_libclang()
+        ci = cpplex.try_libclang()
         if ci is None and args.backend == "libclang":
             print("jetrace: libclang Python bindings not importable; "
                   "install them or use --backend=lex", file=sys.stderr)
@@ -709,7 +668,7 @@ def main():
             print("jetrace: note: libclang bindings unavailable; "
                   "using the lexical backend", file=sys.stderr)
 
-    findings, inventory, lock_graph = audit(files, root)
+    findings, inventory, lock_graph = audit(files, root, ci)
 
     if ci is not None:
         # AST refinement: any static-storage VarDecl the lexical
@@ -750,22 +709,10 @@ def main():
         print("}")
         return 0
 
-    if args.sarif:
-        cpplex.print_sarif("jetrace", RULES, findings, root)
+    if cpplex.report(args, "jetrace", RULES, findings, root,
+                     files=len(files), inventory=inventory,
+                     lock_graph=lock_graph):
         return 1 if findings else 0
-
-    if args.json:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "tool": "jetrace",
-                          "findings": findings,
-                          "files": len(files),
-                          "inventory": inventory,
-                          "lock_graph": lock_graph}, indent=2))
-        return 1 if findings else 0
-
-    for f in findings:
-        print(f"{f['path']}:{f['line']}: [{f['rule']}] "
-              f"{f['message']}")
     n_edges = len(lock_graph["edges"])
     shape = "acyclic" if lock_graph["acyclic"] else "CYCLIC"
     if findings:

@@ -717,12 +717,12 @@ main(int argc, char **argv)
     if (!args.str("fleet-golden").empty())
         return fleetGolden(args.str("fleet-golden"),
                            args.boolean("update"));
-    if (args.dbl("fleet-scaling") > 0.0)
-        return fleetScaling(args.dbl("fleet-scaling"),
-                            args.boolean("json"));
-    if (args.dbl("fleet-overhead") > 0.0)
-        return fleetOverhead(args.dbl("fleet-overhead"),
-                             args.boolean("json"));
+    const double scaling = args.dbl("fleet-scaling", 0);
+    if (scaling > 0.0)
+        return fleetScaling(scaling, args.boolean("json"));
+    const double overhead = args.dbl("fleet-overhead", 0);
+    if (overhead > 0.0)
+        return fleetOverhead(overhead, args.boolean("json"));
 
     // Report-and-continue: this tool's job is to observe divergence,
     // not to abort on the first violation.
@@ -739,7 +739,8 @@ main(int argc, char **argv)
     // 1e9 s keeps every tick count far from int64 overflow.
     spec.duration = sim::sec(args.dbl("duration", 0, 1e9));
 
-    const int runs = std::max(2, args.intval("runs"));
+    const int runs = args.intval("runs", 2);
+    const int threads = args.intval("threads", 0);
     const auto seeds = parseSeeds(args.str("seeds"));
 
     int failures = 0;
@@ -752,8 +753,7 @@ main(int argc, char **argv)
     // introduces no divergence (cells race in wall time but must not
     // in simulated time). Never cache here — a cache hit would echo
     // run 0's result back instead of re-simulating.
-    core::Runner runner(args.intval("threads"), "",
-                        /*env_cache=*/false);
+    core::Runner runner(threads, "", /*env_cache=*/false);
     std::printf("replaying on %d worker thread(s)\n",
                 runner.threads());
     for (const std::uint64_t seed : seeds) {
