@@ -391,6 +391,20 @@ checkSpec(const FleetSpec &s)
     return "";
 }
 
+/** checkSpec, then the options runFleet's engine would abort on. */
+std::string
+checkReplay(const FleetReplay &r)
+{
+    std::string err = checkSpec(r.spec);
+    // Every root post lands exactly dispatch_latency after its
+    // origin, so a longer lookahead breaks the engine's causality
+    // bound on the first post.
+    if (err.empty() && r.options.lookahead > r.spec.dispatch_latency)
+        err = "options.lookahead: must not exceed spec.dispatch_latency "
+              "(" + std::to_string(r.spec.dispatch_latency) + ")";
+    return err;
+}
+
 } // namespace
 
 bool
@@ -407,10 +421,7 @@ readFleetReplay(const std::string &path, FleetSpec &spec,
                 FleetOptions &opts, std::string &err)
 {
     FleetReplay r;
-    if (!sim::readJson(path, kReplayTag, 1, r, err,
-                       [](const FleetReplay &r) {
-                           return checkSpec(r.spec);
-                       }))
+    if (!sim::readJson(path, kReplayTag, 1, r, err, checkReplay))
         return false;
     spec = std::move(r.spec);
     opts = r.options;

@@ -145,7 +145,10 @@ struct FleetResult
     std::uint64_t events = 0;
     /** @name Engine diagnostics — mode-dependent, never digested.
      * @{ */
+    /** Rises of the smallest shard clock: how often the slowest
+     * shard's clock advanced (sim::ShardedEngine::Stats::epochs). */
     std::uint64_t epochs = 0;
+    /** Times a worker found no shard it could run and yielded. */
     std::uint64_t barriers = 0;
     std::uint64_t merge_steps = 0;
     std::uint64_t messages = 0;
@@ -181,7 +184,8 @@ FleetResult runFleet(const FleetSpec &spec,
  * A failing sharded-vs-serial comparison dumps its spec and options
  * as a JSON file (sim/json.hh) that `simcheck --fleet-replay`
  * re-runs. The reader rejects a missing, unknown, mistyped or
- * out-of-range field and any spec runFleet would assert on, with
+ * out-of-range field, any spec runFleet would assert on and a
+ * lookahead past the dispatch latency, with
  * "<path>: <field>: <reason>" in @p err. @{ */
 bool writeFleetReplay(const FleetSpec &spec, const FleetOptions &opts,
                       const std::string &path);

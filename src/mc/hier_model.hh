@@ -25,10 +25,9 @@
  * what merge arbitration varies — so the explorer must find a digest
  * mismatch (self-test that the two-hop sites are live choice points).
  *
- * runWith() exposes the workload on the epoch/barrier path, including
- * the adaptive batch_windows fusion, so tests can tie the explored
- * merge space to the production scheduling paths
- * (tests/mc/hier_mc_test.cc).
+ * runWith() exposes the workload on the per-shard clock loop, so
+ * tests can tie the explored merge space to the production
+ * scheduling paths (tests/mc/hier_mc_test.cc).
  */
 
 #ifndef JETSIM_MC_HIER_MODEL_HH
@@ -61,9 +60,9 @@ class HierDispatchModel final : public Model
     /**
      * Run the same workload under explicit engine options. With
      * @p script == nullptr the engine is uncontrolled: lookahead > 0
-     * exercises the epoch/barrier path (threads > 1 genuinely
-     * parallel; batch_windows as configured). Digest comparability
-     * with run() ties the explored merge space to production paths.
+     * exercises the clock loop (threads > 1 genuinely parallel).
+     * Digest comparability with run() ties the explored merge space
+     * to production paths.
      */
     RunOutcome runWith(const sim::ShardedEngine::Options &opts,
                        const std::vector<int> *script);

@@ -21,8 +21,8 @@
  * a digest mismatch — the self-test that the harness can see
  * schedule-dependence through the sharded engine at all.
  *
- * runWith() exposes the same workload on the *epoch* (lookahead
- * barrier) path so tests can compare uncontrolled parallel digests
+ * runWith() exposes the same workload on the per-shard clock loop
+ * (lookahead > 0) so tests can compare uncontrolled parallel digests
  * against the explored merge space (tests/mc/shard_mc_test.cc).
  */
 
@@ -56,8 +56,8 @@ class ShardPingModel final : public Model
     /**
      * Run the same workload under explicit engine options. With
      * @p script == nullptr the engine is uncontrolled: options with
-     * lookahead > 0 exercise the real epoch/barrier path (threads > 1
-     * runs it genuinely parallel). The outcome digest is comparable
+     * lookahead > 0 exercise the real clock loop (threads > 1 runs it
+     * genuinely parallel). The outcome digest is comparable
      * with run()'s — equality ties the explored merge space to the
      * production scheduling path.
      */

@@ -5,13 +5,20 @@
  * Shape: a Vyukov-style bounded ring (per-cell sequence numbers, CAS
  * on the producer cursor) backed by an unbounded overflow path built
  * from arena-batched node blocks on a Treiber stack. Producers are
- * the shards executing an epoch in parallel; the single consumer is
- * the engine coordinator draining at quiescent points (epoch
- * boundaries, behind the barrier). No mutex anywhere: a full ring
- * diverts to the overflow stack instead of blocking, because the
- * consumer only drains *between* epochs — a producer spinning on a
- * full ring would deadlock against a consumer that is itself parked
- * at the barrier waiting for that producer.
+ * the shards posting to this inbox's shard; the single consumer is
+ * whichever worker runs that shard, and it drains while producers
+ * keep pushing. No mutex anywhere: a full ring diverts to the
+ * overflow stack instead of blocking, because the consumer may be
+ * waiting for the very producer that found the ring full.
+ *
+ * What one drain takes: every message whose push claimed its cell
+ * before the drain read the producer cursor, and everything on the
+ * overflow stack when the drain swapped it out. A push that claimed
+ * its cell but has not published it yet is waited out (a few of the
+ * producer's own instructions); later pushes wait for the next
+ * drain. So a push that *happens before* a drain — the engine orders
+ * them through the posting shard's published clock — is always
+ * taken by it.
  *
  * Delivery order is deliberately unspecified: every message carries
  * its own deterministic dispatch key (when, priority, packed seq) and
@@ -19,15 +26,18 @@
  * never to order them. That is what makes the LIFO overflow stack and
  * the FIFO ring freely mixable.
  *
- * ABA safety is structural, not tagged: producers may *pop* the node
- * freelist and *push* the overflow stack during the parallel phase;
- * the consumer *pushes* the freelist and *pops* the overflow stack
- * only at quiescent points (no producer running). A node can
- * therefore never be recycled back onto the freelist while a
- * concurrent pop holds a stale snapshot of it, and Treiber pushes are
- * ABA-immune by construction. Fresh nodes entering the freelist
- * mid-phase come only from newly malloc'd blocks, which by definition
- * were never observed before.
+ * ABA safety is structural, not tagged: each producer id owns a node
+ * freelist that only pushes under that id pop, and no two pushes with
+ * one id overlap while a drain may run (the engine's id is the
+ * posting shard, which one worker runs at a time). Every freelist
+ * then has a single popper, and a Treiber stack with one popper
+ * cannot suffer ABA however many threads push onto it: the consumer
+ * hands drained overflow nodes back to their owner's freelist
+ * concurrently, and a producer minting a block donates only fresh
+ * nodes. Without a drain running, pushes sharing an id may overlap:
+ * their pops then race only each other, and nodes reach a freelist
+ * only freshly minted, so no popped node can return to a freelist
+ * under a stale snapshot.
  *
  * jetrace sees exactly what is here: std::atomic cells and cursors
  * (synchronisation is the type), zero capabilities, zero lock-graph
@@ -41,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <thread>
 #include <utility>
 
 #include "core/hot_annotations.hh"
@@ -57,14 +68,21 @@ class MsgRing
      * past the ring costs ~1/64th of an allocation per message. */
     static constexpr std::size_t kBlockNodes = 64;
 
-    explicit MsgRing(std::size_t capacity = 256)
+    /** @p producers: how many producer ids push() accepts, each with
+     * its own overflow-node freelist. */
+    explicit MsgRing(std::size_t capacity = 256, std::size_t producers = 1)
         : mask_(capacity - 1),
-          cells_(new Cell[capacity])
+          cells_(new Cell[capacity]),
+          free_(new std::atomic<Node *>[producers]),
+          producers_(producers)
     {
         JETSIM_ASSERT(capacity >= 2 &&
                       (capacity & (capacity - 1)) == 0);
+        JETSIM_ASSERT(producers >= 1);
         for (std::size_t i = 0; i < capacity; ++i)
             cells_[i].seq.store(i, std::memory_order_relaxed);
+        for (std::size_t p = 0; p < producers; ++p)
+            free_[p].store(nullptr, std::memory_order_relaxed);
     }
 
     MsgRing(const MsgRing &) = delete;
@@ -76,6 +94,7 @@ class MsgRing
         // still queued, then release the arena blocks.
         drain([](T &&) {});
         delete[] cells_;
+        delete[] free_;
         Block *b = blocks_.load(std::memory_order_relaxed);
         while (b != nullptr) {
             Block *next = b->next;
@@ -87,12 +106,14 @@ class MsgRing
     std::size_t capacity() const { return mask_ + 1; }
 
     /**
-     * Producer side; safe from any thread. Never blocks, never
-     * fails: messages past the ring's capacity take the overflow
-     * stack (counted in overflowed()).
+     * Producer side; safe from any thread, concurrently with drain().
+     * Never blocks, never fails: messages past the ring's capacity
+     * take the overflow stack (counted in overflowed()). Two pushes
+     * with the same @p producer id must not overlap while a drain
+     * may run.
      */
     JETSIM_HOT void
-    push(T v)
+    push(T v, std::size_t producer = 0)
     {
         std::size_t pos = tail_.load(std::memory_order_relaxed);
         for (;;) {
@@ -113,8 +134,8 @@ class MsgRing
             } else if (seq < pos) {
                 // Cell still holds an undrained message from a lap
                 // ago: the ring is full. Divert — do not spin; the
-                // consumer only drains between epochs.
-                pushOverflow(std::move(v));
+                // consumer may be waiting on this very producer.
+                pushOverflow(std::move(v), producer);
                 return;
             } else {
                 pos = tail_.load(std::memory_order_relaxed);
@@ -123,10 +144,10 @@ class MsgRing
     }
 
     /**
-     * Consumer side; single-threaded, quiescent points only (no
-     * producer running — the engine's barrier provides this).
-     * Invokes @p fn on every queued message, in no particular order,
-     * and recycles overflow nodes onto the freelist.
+     * Consumer side; one drain at a time, concurrently with push().
+     * Invokes @p fn on every message taken (see the file comment), in
+     * no particular order, and returns overflow nodes to their
+     * owners' freelists.
      * @return messages delivered.
      */
     template <typename Fn>
@@ -135,17 +156,18 @@ class MsgRing
     {
         std::size_t n = 0;
         std::size_t pos = head_.load(std::memory_order_relaxed);
-        for (;;) {
+        const std::size_t end = tail_.load(std::memory_order_relaxed);
+        for (; pos != end; ++pos) {
             Cell &cell = cells_[pos & mask_];
-            if (cell.seq.load(std::memory_order_acquire) != pos + 1)
-                break;
+            // jethot: allow(hot-spin, hot-io) a claimed cell is published a few producer instructions later; yield only covers a producer preempted in between
+            while (cell.seq.load(std::memory_order_acquire) != pos + 1)
+                std::this_thread::yield();
             T *v = std::launder(
                 reinterpret_cast<T *>(cell.storage()));
             fn(std::move(*v));
             v->~T();
             cell.seq.store(pos + capacity(),
                            std::memory_order_release);
-            ++pos;
             ++n;
         }
         head_.store(pos, std::memory_order_relaxed);
@@ -158,12 +180,7 @@ class MsgRing
                 reinterpret_cast<T *>(node->storage()));
             fn(std::move(*v));
             v->~T();
-            // Quiescent: no producer is popping, a plain splice is
-            // race-free (still via atomics for the tooling's sake).
-            node->next.store(
-                free_head_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-            free_head_.store(node, std::memory_order_release);
+            pushFree(node, node, node->owner);
             node = next;
             ++n;
         }
@@ -194,12 +211,10 @@ class MsgRing
 
     struct Node
     {
-        // Atomic: a producer losing the freelist-pop race reads a
-        // stale next pointer while the winner is already relinking
-        // the node onto the overflow stack. The stale value is
-        // discarded (the CAS fails), but the read itself must be
-        // atomic to be defined.
+        // Atomic: the consumer links a drained node onto its owner's
+        // freelist while that owner may be reading the list's head.
         std::atomic<Node *> next{nullptr};
+        std::size_t owner = 0; ///< producer id whose freelist it joins
         alignas(T) unsigned char raw[sizeof(T)];
         void *storage() { return raw; }
     };
@@ -211,13 +226,30 @@ class MsgRing
         Node nodes[kBlockNodes];
     };
 
-    Node *
-    popFree()
+    /** Push the chain @p first .. @p last onto @p owner's freelist
+     * (any thread: pushes never suffer ABA). */
+    void
+    pushFree(Node *first, Node *last, std::size_t owner)
     {
-        Node *n = free_head_.load(std::memory_order_acquire);
-        // jethot: allow(hot-spin) Treiber pop CAS: retries only when another producer popped first — lock-free progress, not waiting
+        std::atomic<Node *> &head = free_[owner];
+        Node *h = head.load(std::memory_order_relaxed);
+        do {
+            last->next.store(h, std::memory_order_relaxed);
+            // jethot: allow(hot-spin) Treiber push CAS: a retry means the owner popped or donated meanwhile — lock-free, not a wait loop
+        } while (!head.compare_exchange_weak(
+            h, first, std::memory_order_release,
+            std::memory_order_relaxed));
+    }
+
+    /** Pop @p owner's freelist — only pushes under that id pop it. */
+    Node *
+    popFree(std::size_t owner)
+    {
+        std::atomic<Node *> &head = free_[owner];
+        Node *n = head.load(std::memory_order_acquire);
+        // jethot: allow(hot-spin) Treiber pop CAS: retries only when the consumer pushed a node meanwhile — lock-free progress, not waiting
         while (n != nullptr &&
-               !free_head_.compare_exchange_weak(
+               !head.compare_exchange_weak(
                    n, n->next.load(std::memory_order_relaxed),
                    std::memory_order_acquire,
                    std::memory_order_acquire))
@@ -228,14 +260,14 @@ class MsgRing
 
     JETSIM_COLD_OK("ring-full overflow: one malloc buys a 64-node arena block, counted by overflowed()/blocksAllocated()")
     void
-    pushOverflow(T v)
+    pushOverflow(T v, std::size_t producer)
     {
+        JETSIM_ASSERT(producer < producers_);
         overflowed_.fetch_add(1, std::memory_order_relaxed);
-        Node *node = popFree();
+        Node *node = popFree(producer);
         if (node == nullptr) {
             // Freelist dry: buy a block, keep one node, donate the
-            // rest. The donated chain is fresh memory, so concurrent
-            // freelist pops can never hold a stale view of it.
+            // rest to this producer's freelist.
             Block *blk = new Block;
             blocks_allocated_.fetch_add(1,
                                         std::memory_order_relaxed);
@@ -245,19 +277,14 @@ class MsgRing
             } while (!blocks_.compare_exchange_weak(
                 bh, blk, std::memory_order_release,
                 std::memory_order_relaxed));
+            for (Node &nd : blk->nodes)
+                nd.owner = producer;
             node = &blk->nodes[0];
             for (std::size_t i = 2; i < kBlockNodes; ++i)
                 blk->nodes[i - 1].next.store(
                     &blk->nodes[i], std::memory_order_relaxed);
-            Node *chain_head = &blk->nodes[1];
-            Node *chain_tail = &blk->nodes[kBlockNodes - 1];
-            Node *fh = free_head_.load(std::memory_order_relaxed);
-            do {
-                chain_tail->next.store(fh,
-                                       std::memory_order_relaxed);
-            } while (!free_head_.compare_exchange_weak(
-                fh, chain_head, std::memory_order_release,
-                std::memory_order_relaxed));
+            pushFree(&blk->nodes[1], &blk->nodes[kBlockNodes - 1],
+                     producer);
         }
         ::new (node->storage()) T(std::move(v));
         Node *oh = over_head_.load(std::memory_order_relaxed);
@@ -270,10 +297,11 @@ class MsgRing
 
     const std::size_t mask_;
     Cell *const cells_;
+    std::atomic<Node *> *const free_; ///< one freelist per producer id
+    const std::size_t producers_;
     alignas(64) std::atomic<std::size_t> tail_{0}; ///< producers
     alignas(64) std::atomic<std::size_t> head_{0}; ///< consumer
     alignas(64) std::atomic<Node *> over_head_{nullptr};
-    std::atomic<Node *> free_head_{nullptr};
     std::atomic<Block *> blocks_{nullptr};
     std::atomic<std::uint64_t> overflowed_{0};
     std::atomic<std::uint64_t> blocks_allocated_{0};

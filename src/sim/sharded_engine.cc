@@ -32,19 +32,28 @@ ShardedEngine::ShardedEngine(Options opts)
     JETSIM_ASSERT(opts.shards >= 1);
     JETSIM_ASSERT(opts.threads >= 1);
     JETSIM_ASSERT(opts.lookahead >= 0);
-    shards_.reserve(static_cast<std::size_t>(opts.shards));
-    for (int s = 0; s < opts.shards; ++s)
-        shards_.push_back(std::make_unique<Shard>(opts.inbox_capacity));
+    const auto k = static_cast<std::size_t>(opts.shards);
+    shards_.reserve(k);
+    // Every shard may post into every ring: one producer id each.
+    for (std::size_t s = 0; s < k; ++s)
+        shards_.push_back(
+            std::make_unique<Shard>(opts.inbox_capacity, k));
     threads_ = std::min(opts.threads, opts.shards);
     lookahead_ = opts.lookahead;
-    if (opts.batch_windows != 0)
-        batch_span_ = windowsSpan(lookahead_, opts.batch_windows);
     run_ahead_ = windowsSpan(lookahead_, kRunAheadWindows);
+    slice_span_ = windowsSpan(lookahead_, kSliceWindows);
 }
 
 ShardedEngine::~ShardedEngine()
 {
-    stopWorkers();
+    if (!workers_.empty()) {
+        // Parked workers see stop_ on the next generation.
+        stop_ = true;
+        run_gen_.fetch_add(1, std::memory_order_release);
+        run_gen_.notify_all();
+        for (auto &t : workers_)
+            t.join();
+    }
     // Undelivered messages (posts past the last runUntil target) are
     // dropped with their captured state; the queues destroy their own
     // pending events and the rings their own blocks.
@@ -65,11 +74,8 @@ ShardedEngine::addPort(int shard_idx, bool local_only)
     port_shard_.push_back(shard_idx);
     port_local_.push_back(local_only);
     port_count_.push_back(0);
-    Shard &sh = *shards_[static_cast<std::size_t>(shard_idx)];
-    if (!local_only && !sh.posts) {
-        sh.posts = true;
-        ++posters_;
-    }
+    if (!local_only)
+        shards_[static_cast<std::size_t>(shard_idx)]->posts = true;
     return static_cast<int>(port_shard_.size()) - 1;
 }
 
@@ -84,12 +90,12 @@ ShardedEngine::post(int src_port, int dst_shard, Tick when,
     const int src_shard = port_shard_[static_cast<std::size_t>(src_port)];
     const bool local_only =
         port_local_[static_cast<std::size_t>(src_port)];
-    // A local_only port never crosses shards: that is what exempts
-    // its shard from the gmin_post horizon bound.
+    // A local_only port never crosses shards: that is what keeps its
+    // shard off the poster list.
     JETSIM_ASSERT(!local_only || dst_shard == src_shard);
     Shard &src = *shards_[static_cast<std::size_t>(src_shard)];
-    // The conservative bound: a message must not land inside the
-    // horizon the epoch that sent it was allowed to run under. With
+    // The conservative bound: a message must not land below the
+    // horizon the sender's clock granted its receivers. With
     // lookahead 0 (merge mode) one tick of latency still keeps the
     // dispatch-key order shard-count-invariant; a local_only post is
     // a same-heap insert, so one tick suffices at any lookahead.
@@ -108,7 +114,7 @@ ShardedEngine::post(int src_port, int dst_shard, Tick when,
         when = src.eq.now() + min_delay; // sanitise for Log mode
     }
     // Deterministic low-band seq: (port, per-port counter) — a pure
-    // function of what the simulation sent, never of when the epoch
+    // function of what the simulation sent, never of when the clock
     // protocol delivers it. The counter is written only from the
     // port's own shard, so no synchronisation is needed.
     auto &count = port_count_[static_cast<std::size_t>(src_port)];
@@ -120,102 +126,55 @@ ShardedEngine::post(int src_port, int dst_shard, Tick when,
     JETSIM_ASSERT(seq < EventQueue::kMessageSeqLimit);
 
     Shard &dst = *shards_[static_cast<std::size_t>(dst_shard)];
-    if (dst_shard == src_shard || threads_ == 1) {
-        // Same shard — or everything runs on the caller thread (merge
-        // mode and single-threaded epochs): insert directly. The
-        // cache min-update keeps next_when exact even when the
-        // destination's slice (or an idle skip) already refreshed it
-        // this round — without it a single-threaded cross-shard post
-        // into an earlier-indexed shard would go stale-late.
+    if (dst_shard == src_shard || !parallel_) {
+        // Same shard — or only the caller runs shards (merge mode,
+        // one thread): insert directly. The cache min-update keeps
+        // next_when from going stale-late for the merge path.
         dst.eq.scheduleMessage(when, std::move(cb), priority, seq);
-        if (when < dst.next_when.load(std::memory_order_relaxed))
-            dst.next_when.store(when, std::memory_order_relaxed);
+        dst.next_when = std::min(dst.next_when, when);
         return;
     }
-    msgs_pending_.fetch_add(1, std::memory_order_relaxed);
-    dst.inbox.push(Msg{when, priority, seq, std::move(cb)});
-}
-
-JETSIM_HOT void
-ShardedEngine::deliverInboxes()
-{
-    std::uint64_t delivered = 0;
-    for (auto &sp : shards_) {
-        Shard &s = *sp;
-        Tick min_when = s.next_when.load(std::memory_order_relaxed);
-        const std::size_t k = s.inbox.drain([&](Msg &&m) {
-            if (m.when < min_when)
-                min_when = m.when;
-            s.eq.scheduleMessage(m.when, std::move(m.cb), m.priority,
-                                 m.seq);
-        });
-        if (k != 0) {
-            s.next_when.store(min_when, std::memory_order_relaxed);
-            max_inbox_ =
-                std::max(max_inbox_, static_cast<std::uint64_t>(k));
-            delivered += k;
-        }
-    }
-    if (delivered != 0)
-        msgs_pending_.fetch_sub(delivered, std::memory_order_relaxed);
+    dst.inbox.push(Msg{when, priority, seq, std::move(cb)},
+                   static_cast<std::size_t>(src_shard));
 }
 
 void
 ShardedEngine::refreshCache(Shard &sh)
 {
     EventQueue::NextEvent e;
-    sh.next_when.store(sh.eq.peekNext(e) ? e.when : kTickMax,
-                       std::memory_order_relaxed);
+    sh.next_when = sh.eq.peekNext(e) ? e.when : kTickMax;
 }
 
-void
-ShardedEngine::refreshAll()
+JETSIM_HOT void
+ShardedEngine::settle(Shard &sh)
 {
-    // Public entry points resync every cache: the user may have
-    // scheduled or cancelled events directly on the shard queues
-    // since the last run.
-    for (auto &sp : shards_)
-        refreshCache(*sp);
+    const std::size_t k = sh.inbox.drain([&sh](Msg &&m) {
+        sh.eq.scheduleMessage(m.when, std::move(m.cb), m.priority,
+                              m.seq);
+    });
+    sh.max_inbox = std::max(sh.max_inbox, static_cast<std::uint64_t>(k));
+    refreshCache(sh);
 }
 
-JETSIM_HOT ShardedEngine::Mins
-ShardedEngine::reduceMins() const
+std::uint64_t
+ShardedEngine::executedTotal() const
 {
-    // One linear pass over the cached per-shard next-event times:
-    // gmin (the earliest work anywhere), gmin_post (the earliest tick
-    // at which anything *could* post), the poster holding it and the
-    // runner-up poster time. Reading K relaxed atomics beats K heap
-    // peeks.
-    Mins m;
-    for (int s = 0; s < shards(); ++s) {
-        const Shard &sh = *shards_[static_cast<std::size_t>(s)];
-        const Tick w = sh.next_when.load(std::memory_order_relaxed);
-        m.all = std::min(m.all, w);
-        if (!sh.posts)
-            continue;
-        if (m.lead < 0 || w < m.post) {
-            m.post2 = m.post;
-            m.post = w;
-            m.lead = s;
-        } else {
-            m.post2 = std::min(m.post2, w);
-        }
-    }
-    return m;
+    std::uint64_t n = 0;
+    for (const auto &sp : shards_)
+        n += sp->eq.executed();
+    return n;
 }
 
 bool
 ShardedEngine::nextEventTime(Tick &when)
 {
-    if (msgs_pending_.load(std::memory_order_relaxed) != 0)
-        deliverInboxes();
     // Exact peek sweep (not the caches): this is a public query and
     // must see events parked at kTickMax, which the cache sentinel
     // cannot distinguish from empty.
     bool any = false;
     EventQueue::NextEvent e;
     for (auto &sp : shards_) {
-        refreshCache(*sp);
+        settle(*sp);
         if (!sp->eq.peekNext(e))
             continue;
         if (!any || e.when < when)
@@ -231,162 +190,227 @@ ShardedEngine::runUntil(Tick target)
     std::uint64_t n = 0;
     if (shards() == 1) {
         // Single shard: the engine is exactly one EventQueue; run it
-        // directly (no merge bookkeeping, no barrier, no caches).
+        // directly (no merge bookkeeping, no clocks, no caches).
         // The queue handles an installed Chooser itself.
         n = shards_[0]->eq.runUntil(target);
         refreshCache(*shards_[0]);
         return n;
     }
-    refreshAll();
+    // Public entry points resync every shard: messages left in the
+    // rings by the last run, and events the user scheduled or
+    // cancelled directly on the shard queues since.
+    for (auto &sp : shards_)
+        settle(*sp);
     n = chooser_ != nullptr || lookahead_ == 0 ? runMerge(target)
-                                               : runEpochs(target);
+                                               : runClocks(target);
     // Advance every shard clock to exactly the target (mirrors
-    // EventQueue::runUntil semantics); nothing is pending at or
-    // before it. Idle-skipped shards catch up here too.
+    // EventQueue::runUntil semantics). The clock loop already left
+    // every shard there, unless nothing was due or the target
+    // saturates at kTickMax, whose events only this sync runs.
     for (auto &sp : shards_)
         if (sp->eq.now() < target)
-            sp->eq.runUntil(target);
+            n += sp->eq.runUntil(target);
     return n;
 }
 
-JETSIM_HOT std::uint64_t
-ShardedEngine::runEpochs(Tick target)
+std::uint64_t
+ShardedEngine::runClocks(Tick target)
 {
-    std::uint64_t n = 0;
+    // Nothing due at or before the target (a set-up-only window): the
+    // caller's final clock sync is all the work, and no worker wakes.
+    if (std::all_of(shards_.begin(), shards_.end(),
+                    [target](const auto &sp) {
+                        return sp->next_when > target;
+                    }))
+        return 0;
     const Tick cap = target >= kTickMax ? kTickMax : target + 1;
-    // How far the lead may pass the receivers' horizon: with other
-    // posters, one more lookahead (its own earliest post can reach a
-    // peer at gmin_post + L, whose reply lands a lookahead later);
-    // alone, nothing can ever reach it, and only the backlog cap
-    // binds.
-    const Tick reach = posters_ > 1 ? lookahead_ : run_ahead_;
+    const std::uint64_t before = executedTotal();
+    // Every event below a shard's now has run; events at now may
+    // still be pending.
+    Tick floor = kTickMax;
+    for (auto &sp : shards_) {
+        sp->done_until.store(sp->eq.now(), std::memory_order_relaxed);
+        floor = std::min(floor, sp->eq.now());
+    }
+    floor_.store(floor, std::memory_order_relaxed);
+    if (threads_ == 1) {
+        runShards(0, cap);
+        return executedTotal() - before;
+    }
+    startWorkers();
+    run_cap_ = cap;
+    parallel_ = true;
+    running_.store(threads_ - 1, std::memory_order_relaxed);
+    run_gen_.fetch_add(1, std::memory_order_release);
+    run_gen_.notify_all();
+    runShards(0, cap); // the caller is worker 0
+    for (int r = running_.load(std::memory_order_acquire); r != 0;
+         r = running_.load(std::memory_order_acquire))
+        running_.wait(r, std::memory_order_acquire);
+    parallel_ = false;
+    return executedTotal() - before;
+}
+
+JETSIM_HOT void
+ShardedEngine::runShards(int worker, Tick cap)
+{
+    RunCounts counts;
     for (;;) {
-        if (msgs_pending_.load(std::memory_order_relaxed) != 0)
-            deliverInboxes();
-        const Mins m = reduceMins();
-        // gmin == kTickMax: nothing schedulable below the sentinel.
-        // (An event *at* kTickMax is indistinguishable from empty
-        // here; runUntil's final clock sync — or runAll's saturated
-        // tail merge — executes those.)
-        if (m.all >= kTickMax || m.all > target)
-            return n;
-        // Safety argument: every cross-shard post originates on a
-        // poster, whose events this epoch all run at when >=
-        // gmin_post — so a message lands at when >= gmin_post + L >=
-        // the receivers' horizon. The lead receives only from the
-        // other posters, which cannot act before min(post2, gmin_post
-        // + L); their posts land a lookahead after that. Shards
-        // without a non-local port can run arbitrarily far ahead,
-        // which is what fuses many lookahead windows into one
-        // barrier when gmin_post >> gmin, and a lead that runs ahead
-        // pulls the receivers' next horizon along with it.
-        const Tick recv = addSat(m.post, lookahead_);
-        // batch_windows: at most that many windows past gmin (1
-        // restores the classic single-window epoch for every shard).
-        const Tick limit = addSat(m.all, batch_span_);
-        horizons_.horizon = std::min({cap, recv, limit});
-        horizons_.lead = m.lead;
-        horizons_.lead_horizon =
-            std::min({cap, limit, addSat(m.post2, lookahead_),
-                      addSat(recv, reach)});
-        ++epochs_;
-        if (threads_ == 1) {
-            n += runShardSlice(0, horizons_);
+        int unfinished = 0;
+        if (runNext(worker, true, cap, counts, unfinished) ||
+            runNext(worker, false, cap, counts, unfinished))
             continue;
+        if (unfinished == 0)
+            break;
+        // Every shard below the cap is claimed or waiting on a
+        // poster's clock that another worker is advancing.
+        ++counts.idle;
+        // jethot: allow(hot-spin, hot-io) idle worker: the yield spin is the design — it ends when a worker publishes a clock, and the slowest shard can always run
+        std::this_thread::yield();
+    }
+    epochs_.fetch_add(counts.epochs, std::memory_order_relaxed);
+    barriers_.fetch_add(counts.idle, std::memory_order_relaxed);
+}
+
+JETSIM_HOT bool
+ShardedEngine::runNext(int worker, bool own, Tick cap, RunCounts &counts,
+                       int &unfinished)
+{
+    // Posters first: the other shards' horizons wait on their clocks.
+    // Every non-poster has the same horizon (the posters' smallest
+    // clock + L), so only the slowest one that is free needs trying.
+    int slowest = -1;
+    Tick slowest_clock = kTickMax;
+    for (int s = 0; s < shards(); ++s) {
+        if ((s % threads_ == worker) != own)
+            continue;
+        const Shard &sh = *shards_[static_cast<std::size_t>(s)];
+        const Tick c = sh.done_until.load(std::memory_order_relaxed);
+        if (c >= cap)
+            continue;
+        ++unfinished;
+        // Another worker's shard is worth taking only while its owner
+        // is busy with a different one; otherwise the owner runs it
+        // next and its state stays in the owner's cache.
+        if (!own && !ownerBusyElsewhere(s))
+            continue;
+        if (sh.posts) {
+            if (runSlice(s, cap, counts))
+                return true;
+        } else if (c < slowest_clock &&
+                   !sh.busy.load(std::memory_order_relaxed))
+        {
+            slowest = s;
+            slowest_clock = c;
         }
-        startWorkers();
-        executed_parallel_.store(0, std::memory_order_relaxed);
-        barrierArrive(start_, start_sense_);
-        n += runShardSlice(0, horizons_); // caller is worker 0
-        barrierArrive(end_, end_sense_);
-        barriers_ += 2;
-        n += executed_parallel_.load(std::memory_order_relaxed);
     }
+    return slowest >= 0 && runSlice(slowest, cap, counts);
 }
 
-JETSIM_HOT std::uint64_t
-ShardedEngine::runShardSlice(int worker, const Horizons &h)
+JETSIM_HOT bool
+ShardedEngine::ownerBusyElsewhere(int s) const
 {
-    std::uint64_t n = 0;
-    for (int s = worker; s < shards(); s += threads_) {
-        Shard &sh = *shards_[static_cast<std::size_t>(s)];
-        const Tick horizon = s == h.lead ? h.lead_horizon : h.horizon;
-        if (sh.next_when.load(std::memory_order_relaxed) >= horizon)
-            continue; // idle shard: no dispatch, no clock advance
-        n += sh.eq.runUntil(horizon - 1);
-        refreshCache(sh); // published through the end barrier
+    for (int t = s % threads_; t < shards(); t += threads_)
+        if (t != s && shards_[static_cast<std::size_t>(t)]->busy.load(
+                          std::memory_order_relaxed))
+            return true;
+    return false;
+}
+
+JETSIM_HOT bool
+ShardedEngine::runSlice(int s, Tick cap, RunCounts &counts)
+{
+    Shard &sh = *shards_[static_cast<std::size_t>(s)];
+    // Look before claiming: clocks only grow, so a stale horizon is
+    // low — a missed chance, never an unsafe run.
+    if (sh.busy.load(std::memory_order_relaxed) ||
+        sh.done_until.load(std::memory_order_relaxed) >= horizon(s, cap))
+        return false;
+    if (sh.busy.exchange(true, std::memory_order_acquire))
+        return false;
+    // Claimed: the clock is ours now. Read the others' clocks
+    // (acquire) *before* draining, so every post below the horizon
+    // they admit is already in the ring.
+    const Tick from = sh.done_until.load(std::memory_order_relaxed);
+    const Tick h = horizon(s, cap);
+    if (from >= h) {
+        sh.busy.store(false, std::memory_order_release);
+        return false;
     }
-    return n;
+    settle(sh);
+    const Tick until =
+        std::min(h, addSat(std::max(from, sh.next_when), slice_span_));
+    sh.eq.runUntil(until - 1);
+    // seq_cst (a release store too): of two shards published at
+    // once, one of them sees the other's clock in raiseFloor.
+    sh.done_until.store(until, std::memory_order_seq_cst);
+    sh.busy.store(false, std::memory_order_release);
+    raiseFloor(counts);
+    return true;
 }
 
 JETSIM_HOT void
-ShardedEngine::barrierArrive(Barrier &b, bool &local_sense)
+ShardedEngine::raiseFloor(RunCounts &counts)
 {
-    const bool s = !local_sense;
-    local_sense = s;
-    if (b.count.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        threads_)
-    {
-        // Last arriver: reset the count *before* flipping the sense,
-        // so no thread from the next crossing can observe the stale
-        // count (they only proceed past the sense flip).
-        b.count.store(0, std::memory_order_relaxed);
-        b.sense.store(s, std::memory_order_release);
-    } else {
-        // jethot: allow(hot-spin, hot-io) sense-reversing barrier: the spin (and its yield) is the design, bounded by the slowest shard's slice
-        while (b.sense.load(std::memory_order_acquire) != s)
-            std::this_thread::yield();
-    }
+    Tick m = kTickMax;
+    for (const auto &sp : shards_)
+        m = std::min(m, sp->done_until.load(std::memory_order_seq_cst));
+    // One attempt: a failed CAS means another worker raised the floor
+    // (and counted it) meanwhile.
+    Tick f = floor_.load(std::memory_order_relaxed);
+    if (m > f && floor_.compare_exchange_strong(
+                     f, m, std::memory_order_relaxed))
+        ++counts.epochs;
 }
 
-JETSIM_HOT void
-ShardedEngine::workerLoop(int worker)
+JETSIM_HOT Tick
+ShardedEngine::horizon(int s, Tick cap) const
 {
-    bool start_sense = false;
-    bool end_sense = false;
-    for (;;) {
-        barrierArrive(start_, start_sense);
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        const std::uint64_t n = runShardSlice(worker, horizons_);
-        if (n != 0)
-            executed_parallel_.fetch_add(n, std::memory_order_relaxed);
-        barrierArrive(end_, end_sense);
+    // Safety: a poster's events all run at or after its clock, so
+    // nothing it has yet to post lands below its clock + L. Shards
+    // without a non-local port post to no one and bound nothing.
+    Tick h = cap;
+    Tick others_min = kTickMax;
+    for (int t = 0; t < shards(); ++t) {
+        if (t == s)
+            continue;
+        const Shard &o = *shards_[static_cast<std::size_t>(t)];
+        const Tick c = o.done_until.load(std::memory_order_acquire);
+        others_min = std::min(others_min, c);
+        if (o.posts)
+            h = std::min(h, addSat(c, lookahead_));
     }
+    // The backlog bound: a poster's posts wait in the rings of the
+    // shards it runs ahead of.
+    if (shards_[static_cast<std::size_t>(s)]->posts)
+        h = std::min(h, addSat(others_min, run_ahead_));
+    return h;
 }
 
-JETSIM_COLD_OK("once per run: worker threads spawned lazily at the first parallel epoch, reused until stopWorkers()")
+JETSIM_COLD_OK("once per engine: worker threads spawned at the first parallel run, parked between runs")
 void
 ShardedEngine::startWorkers()
 {
-    if (!workers_.empty() || threads_ <= 1)
+    if (!workers_.empty())
         return;
-    // No workers exist yet, so the barrier state can be reset
-    // race-free (it also recovers from a previous stopWorkers()).
-    start_.count.store(0, std::memory_order_relaxed);
-    start_.sense.store(false, std::memory_order_relaxed);
-    end_.count.store(0, std::memory_order_relaxed);
-    end_.sense.store(false, std::memory_order_relaxed);
-    start_sense_ = false;
-    end_sense_ = false;
+    const std::uint32_t gen = run_gen_.load(std::memory_order_relaxed);
     workers_.reserve(static_cast<std::size_t>(threads_ - 1));
     for (int w = 1; w < threads_; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
+        workers_.emplace_back([this, w, gen] { workerLoop(w, gen); });
 }
 
 void
-ShardedEngine::stopWorkers()
+ShardedEngine::workerLoop(int worker, std::uint32_t seen)
 {
-    if (workers_.empty())
-        return;
-    // Workers park at the start barrier between epochs; one extra
-    // crossing with stop_ raised releases them.
-    stop_.store(true, std::memory_order_release);
-    barrierArrive(start_, start_sense_);
-    for (auto &t : workers_)
-        t.join();
-    workers_.clear();
-    stop_.store(false, std::memory_order_release);
+    for (;;) {
+        run_gen_.wait(seen, std::memory_order_acquire);
+        seen = run_gen_.load(std::memory_order_acquire);
+        if (stop_)
+            return;
+        runShards(worker, run_cap_);
+        if (running_.fetch_sub(1, std::memory_order_release) == 1)
+            running_.notify_one();
+    }
 }
 
 bool
@@ -398,15 +422,14 @@ ShardedEngine::mergeOne(Tick target)
     // retry). Execute the globally smallest (when, priority, seq,
     // shard). Cross-shard ties on the (when, priority) prefix are the
     // ShardMerge arbitration sites: the default (alternative 0) is
-    // the smallest (seq, shard), which the epoch path reproduces by
+    // the smallest (seq, shard), which the clock path reproduces by
     // construction — message seqs order messages, and cross-shard
     // *local* ties are independent events whose order is unobservable
     // (DESIGN.md §4i).
     for (;;) {
         Tick m = kTickMax;
         for (auto &sp : shards_)
-            m = std::min(
-                m, sp->next_when.load(std::memory_order_relaxed));
+            m = std::min(m, sp->next_when);
         if (m > target)
             return false;
 
@@ -418,8 +441,7 @@ ShardedEngine::mergeOne(Tick target)
             // m == kTickMax: the sentinel cannot distinguish an
             // event parked at kTickMax from an empty shard — peek
             // everything (rare: only the saturated drain tail).
-            if (m < kTickMax &&
-                sh.next_when.load(std::memory_order_relaxed) != m)
+            if (m < kTickMax && sh.next_when != m)
                 continue;
             EventQueue::NextEvent e;
             if (!sh.eq.peekNext(e)) {
@@ -427,9 +449,7 @@ ShardedEngine::mergeOne(Tick target)
                 // (a drained shard at the kTickMax sentinel is the
                 // steady state of the m == kTickMax sweep, not a
                 // cache miss — flagging it would spin forever).
-                if (sh.next_when.load(std::memory_order_relaxed) !=
-                    kTickMax)
-                {
+                if (sh.next_when != kTickMax) {
                     refreshCache(sh);
                     stale = true;
                 }
@@ -497,14 +517,9 @@ std::uint64_t
 ShardedEngine::runMerge(Tick target)
 {
     std::uint64_t n = 0;
-    for (;;) {
-        if (msgs_pending_.load(std::memory_order_relaxed) != 0)
-            deliverInboxes(); // posts buffer only when threads_ > 1,
-                              // but stay correct under any config
-        if (!mergeOne(target))
-            return n;
+    while (mergeOne(target))
         ++n;
-    }
+    return n;
 }
 
 std::uint64_t
@@ -517,30 +532,26 @@ ShardedEngine::runAll(std::uint64_t max_events)
         refreshCache(*shards_[0]);
         return n;
     }
-    refreshAll();
+    for (auto &sp : shards_)
+        settle(*sp);
     if (chooser_ != nullptr || lookahead_ == 0) {
-        while (n < max_events) {
-            if (msgs_pending_.load(std::memory_order_relaxed) != 0)
-                deliverInboxes();
-            if (!mergeOne(kTickMax))
-                break;
+        while (n < max_events && mergeOne(kTickMax))
             ++n;
-        }
         return n;
     }
     Tick when = 0;
     while (n < max_events && nextEventTime(when)) {
         if (when > kTickMax - lookahead_) {
             // Saturated tail (events scheduled at or near kTickMax):
-            // the epoch horizon cannot pass them, so merge serially.
+            // no horizon can pass them, so merge serially.
             if (!mergeOne(kTickMax))
                 break;
             ++n;
             continue;
         }
-        // Epoch-drain: run one horizon past the current minimum.
-        // runEpochs handles delivery, horizons and the barrier.
-        n += runEpochs(when + lookahead_);
+        // Drain step: run every shard one lookahead past the
+        // current minimum.
+        n += runClocks(when + lookahead_);
     }
     return n;
 }
@@ -560,12 +571,12 @@ ShardedEngine::stats() const
     st.shards = static_cast<int>(shards_.size());
     st.threads = threads_;
     st.lookahead = lookahead_;
-    st.epochs = epochs_;
-    st.barriers = barriers_;
+    st.epochs = epochs_.load(std::memory_order_relaxed);
+    st.barriers = barriers_.load(std::memory_order_relaxed);
     st.merge_steps = merge_steps_;
-    st.max_inbox = max_inbox_;
     for (const auto &sp : shards_) {
         st.executed += sp->eq.executed();
+        st.max_inbox = std::max(st.max_inbox, sp->max_inbox);
         st.ring_overflow += sp->inbox.overflowed();
     }
     for (const std::uint32_t c : port_count_)

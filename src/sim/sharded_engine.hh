@@ -7,33 +7,30 @@
  * are explicit messages — request arrivals, balancer decisions,
  * future net:: hops — posted through post() with a minimum latency.
  * That latency is the *lookahead* L of classic conservative
- * (Chandy–Misra–Bryant-style) parallel discrete-event simulation, and
- * it drives an epoch loop:
+ * (Chandy–Misra–Bryant-style) parallel discrete-event simulation.
+ * There are no epochs and no global barrier: every shard keeps its
+ * own clock and advances on the published clocks of the shards that
+ * can post to it.
  *
- *   1. deliver buffered cross-shard messages into their destination
- *      shards' heaps (skipped outright when the pending counter is
- *      zero);
- *   2. one linear pass over *cached* per-shard next-event times
- *      yields gmin (over all shards), gmin_post (over the *posters*:
- *      shards that own a cross-shard source port), the poster that
- *      holds gmin_post (the lead) and the runner-up poster time;
- *   3. two horizons. Receivers (every shard but the lead) run to
- *      min(target + 1, gmin_post + L): nothing posted this epoch can
- *      land before it, because every post originates on a poster
- *      whose events all run at when >= gmin_post. The lead receives
- *      only from the *other* posters, so it runs to one lookahead
- *      past the earliest tick another poster could act — its next
- *      event, or the lead's own earliest post landing there — and a
- *      lone poster only to kRunAheadWindows lookaheads past the
- *      receivers' horizon. Receivers then trail the lead by one
- *      epoch, and each epoch *fuses many lookahead windows*
- *      (adaptive epoch batching; Options::batch_windows caps or
- *      disables the fusion);
- *   4. every shard whose cached next event is below its horizon runs
- *      in parallel — idle shards are skipped without touching their
- *      queues — with outbound posts pushed onto per-shard lock-free
- *      MPSC rings (sim::MsgRing);
- *   5. a sense-reversing barrier; repeat.
+ *  - A shard's clock, done_until, says that every event below it has
+ *    run and every post those events made is in its destination's
+ *    inbox ring. It is published with a release store.
+ *  - Only *posters* — shards owning a cross-shard source port — can
+ *    post to another shard, and a poster's events all run at
+ *    when >= its clock, so nothing it posts later lands before its
+ *    clock + L. A shard's horizon is therefore the smallest of
+ *    target + 1 and every *other* poster's clock + L; a poster is
+ *    also held to kRunAheadWindows lookaheads past every other
+ *    shard's clock, which bounds the posts waiting in their rings.
+ *  - A worker claims a shard whose clock is below its horizon, reads
+ *    the clocks (acquire), drains that shard's ring into its heap,
+ *    runs it towards the horizon — at most kSliceWindows lookaheads
+ *    past its next event, so shards interleave — and publishes the
+ *    new clock. Posters go first; each worker prefers its own shards
+ *    (s % threads == w) and takes another only when none of its own
+ *    can run; with nothing runnable it yields.
+ *  - The shard with the smallest clock always has a horizon above
+ *    it, so some shard can always run: no deadlock, no global wait.
  *
  * Determinism is *bit-identical* to the serial engine at any
  * shard/thread count, by construction rather than by luck:
@@ -42,9 +39,12 @@
  *  - cross-shard messages carry an explicit seq in the reserved low
  *    band (EventQueue::kMessageSeqLimit), packed from (source port,
  *    per-port counter): a pure function of simulation content, never
- *    of epoch boundaries, worker assignment or delivery timing — so
- *    a message delivered an epoch early (a run-ahead lead's) keeps
- *    its dispatch key;
+ *    of clock values, worker assignment or delivery timing — so a
+ *    message drained early (a run-ahead poster's) keeps its dispatch
+ *    key;
+ *  - a message below a shard's horizon is in its ring before the
+ *    clock that admits that horizon is published, so it is always in
+ *    the heap before the shard runs past it;
  *  - events on *different* shards never touch shared state, so their
  *    relative order across shards cannot affect any observable — the
  *    same independence argument jetmc's partial-order reduction is
@@ -55,16 +55,15 @@
  * smallest key, cross-shard same-(when,priority) ties resolved
  * deterministically by (seq, shard) — or exposed to the model checker
  * as ChoiceKind::ShardMerge arbitration points. Digests from the
- * merge path equal the epoch path's for the same reason as above.
+ * merge path equal the clock path's for the same reason as above.
  *
  * Locking contract (jetrace, DESIGN.md §4h): there is none to state —
  * the engine's hot path owns no mutex at all. The inbox is a bounded
- * lock-free ring with arena-batched overflow blocks, the barrier is
- * two sense-reversing atomics, and the per-shard next-event cache is
- * a relaxed atomic published through the barrier. The hot
- * path is allocation-free at steady state: each shard reuses its slab
- * EventPool, and ring cells / overflow node blocks are recycled
- * across epochs.
+ * lock-free ring with arena-batched overflow blocks, a shard is
+ * claimed with one atomic exchange, and clocks are release/acquire
+ * atomics. Workers park between runs on an atomic wait. The hot path
+ * is allocation-free at steady state: each shard reuses its slab
+ * EventPool, and ring cells / overflow node blocks are recycled.
  */
 
 #ifndef JETSIM_SIM_SHARDED_ENGINE_HH
@@ -93,7 +92,7 @@ class ShardedEngine
     {
         /** Event-queue shards (>= 1). */
         int shards = 1;
-        /** Worker threads for the epoch phase; 1 = in-caller. Capped
+        /** Worker threads for the clock loop; 1 = in-caller. Capped
          * at the shard count (spare workers would idle). */
         int threads = 1;
         /**
@@ -104,30 +103,24 @@ class ShardedEngine
          * single-threaded and branch at merge ties.
          */
         Tick lookahead = 0;
-        /**
-         * Adaptive epoch batching cap: how many lookahead windows past
-         * gmin one epoch may run when the port map proves it safe
-         * (receivers to gmin_post + L, the lead poster further). 0 =
-         * no cap beyond the port map's (default), 1 = classic
-         * single-window epochs for every shard, N = at most N windows
-         * per barrier. Any value yields bit-identical digests; the
-         * knob only trades barriers for window size.
-         */
-        std::uint64_t batch_windows = 0;
         /** Per-shard inbox ring capacity (power of two); bursts past
          * it take the arena-batched overflow path, never a lock. */
         std::size_t inbox_capacity = 256;
     };
 
-    /** Epoch / message / merge counters (see stats()). */
+    /** Clock / message / merge counters (see stats()). */
     struct Stats
     {
         int shards = 0;
         int threads = 0;
         Tick lookahead = 0;
-        std::uint64_t epochs = 0;      ///< parallel-phase rounds
-        std::uint64_t barriers = 0;    ///< barrier crossings (2/epoch
-                                       ///< when threads > 1)
+        /** How often the smallest clock over all shards rose: the
+         * slowest shard's clock advanced. */
+        std::uint64_t epochs = 0;
+        /** How often a worker found no shard it could run and
+         * yielded (0 on one thread: the slowest shard can always
+         * run). */
+        std::uint64_t barriers = 0;
         std::uint64_t merge_steps = 0; ///< serial-merge dispatches
         std::uint64_t messages = 0;    ///< lifetime post() count
         std::uint64_t executed = 0;    ///< events over all shards
@@ -157,9 +150,9 @@ class ShardedEngine
      * message-message ties at equal (when, priority).
      *
      * A @p local_only port may post only to its own shard (min delay
-     * one tick instead of the lookahead) and — crucially for adaptive
-     * epoch batching — does not mark the shard as a cross-shard
-     * poster, so its events never shrink the fused horizon. Fleet
+     * one tick instead of the lookahead) and — crucially for the
+     * clock protocol — does not make the shard a poster, so its
+     * events never hold back another shard's horizon. Fleet
      * sub-balancers are the canonical user: the root->sub hop crosses
      * shards, the sub->device hop is a local_only message.
      */
@@ -170,10 +163,11 @@ class ShardedEngine
      * absolute tick @p when. Must be called from @p src_port's own
      * shard (its executing callbacks), with
      * when >= src now + max(1, lookahead) — the conservative bound
-     * that makes the epoch horizon safe (local_only ports: one tick).
-     * Safe to call concurrently from distinct shards during the
-     * parallel phase; delivery is deferred to the next epoch boundary
-     * (same-shard posts insert directly).
+     * that makes the horizons safe (local_only ports: one tick). Safe
+     * to call concurrently from distinct shards while workers run;
+     * the destination drains it at its next slice (same-shard posts,
+     * and every post while only the caller runs shards, insert
+     * directly).
      */
     void post(int src_port, int dst_shard, Tick when,
               EventQueue::Callback cb,
@@ -198,8 +192,8 @@ class ShardedEngine
     /**
      * Install @p c on every shard queue *and* the cross-shard merge
      * tie sites — forces the serial-merge path so the model checker
-     * sees ShardMerge branch points. nullptr restores epoch
-     * scheduling.
+     * sees ShardMerge branch points. nullptr restores the clock
+     * loop.
      */
     void setChooser(Chooser *c);
 
@@ -207,14 +201,23 @@ class ShardedEngine
 
   private:
     /**
-     * How many lookahead windows a lone poster may run past the
-     * receivers' horizon. Its posts wait in the receivers' inboxes
-     * until they catch up, so the cap bounds that backlog: on the
-     * 1000-board fleet 32 windows cut the epochs from 4,157 to ~150,
-     * and an unbounded lead (4 epochs) grew peak RSS by a third and
-     * made the run phase allocate ring overflow blocks.
+     * How many lookahead windows a poster may run past the slowest
+     * other shard. Its posts wait in the receivers' rings until they
+     * catch up, so the bound caps that backlog: on the 1000-board
+     * fleet 32 windows keep every ring far inside its 256 slots,
+     * while an unbounded poster grew peak RSS by a third and made the
+     * run phase allocate ring overflow blocks.
      */
     static constexpr std::uint64_t kRunAheadWindows = 32;
+
+    /**
+     * How many lookahead windows past its next event one slice may
+     * run a shard. Short slices let the shards' clocks interleave, so
+     * no worker waits long for a poster's clock; on the 1000-board
+     * fleet (16 shards, 4 threads) 8 windows timed best of 4, 8, 16
+     * and 32 (DESIGN.md §4i has the table).
+     */
+    static constexpr std::uint64_t kSliceWindows = 8;
 
     /** One buffered cross-shard message. */
     struct Msg
@@ -226,113 +229,100 @@ class ShardedEngine
     };
 
     /**
-     * A shard: queue + lock-free inbox + cached next-event time.
-     * next_when is kTickMax when the queue looked empty; it may run
-     * *early* (a cancelled event leaves it stale-low, which costs at
-     * most one wasted peek) but never late — every insertion path
-     * min-updates it, and the owning worker refreshes it after each
-     * slice, published to the coordinator through the barrier. Padded
-     * so two workers' hot shards never share a cache line.
+     * A shard: queue + lock-free inbox + clock. Everything but the
+     * atomics is touched only by the worker holding the claim (busy)
+     * or at quiescent points, ordered by the claim's acquire/release.
+     * Padded so two workers' hot shards never share a cache line.
      */
     struct alignas(64) Shard
     {
-        explicit Shard(std::size_t inbox_capacity)
-            : inbox(inbox_capacity)
+        Shard(std::size_t inbox_capacity, std::size_t producers)
+            : inbox(inbox_capacity, producers)
         {
         }
         EventQueue eq;
         MsgRing<Msg> inbox;
-        std::atomic<Tick> next_when{kTickMax};
+        /** Every event below it has run and its posts are in their
+         * rings (release store; readers acquire). Other workers poll
+         * it, so it opens a cache line of its own. */
+        alignas(64) std::atomic<Tick> done_until{0};
+        /** Claimed by a worker for one slice. */
+        std::atomic<bool> busy{false};
+        /**
+         * Merge-path cache of the next event time; kTickMax when the
+         * queue looked empty. It may run *early* (a cancelled event
+         * leaves it stale-low, which costs at most one wasted peek)
+         * but never late: every insertion path min-updates it and
+         * each public entry point refreshes it.
+         */
+        Tick next_when = kTickMax;
+        std::uint64_t max_inbox = 0; ///< deepest drain of this ring
         /** Owns >= 1 non-local port (a *poster*): only these shards
-         * can shrink the fused epoch horizon (gmin_post). */
+         * bound another shard's horizon. */
         bool posts = false;
     };
 
-    /** One linear pass's minima over the cached next_when. */
-    struct Mins
+    /** A worker's counters for one run, added up when it ends. */
+    struct RunCounts
     {
-        Tick all = kTickMax;   ///< gmin: earliest work anywhere
-        Tick post = kTickMax;  ///< gmin_post: earliest poster event
-        Tick post2 = kTickMax; ///< earliest of the other posters
-        int lead = -1;         ///< the poster holding gmin_post
+        std::uint64_t epochs = 0;
+        std::uint64_t idle = 0;
     };
 
-    /** An epoch's horizons: every shard runs its events below
-     * @c horizon, except shard @c lead, which runs below
-     * @c lead_horizon (>= horizon). */
-    struct Horizons
-    {
-        Tick horizon = 0;
-        Tick lead_horizon = 0;
-        int lead = -1;
-    };
-
-    /** Sense-reversing barrier half (one for epoch start, one for
-     * epoch end). No locks, no condvars: an atomic arrival count and
-     * a flip-flopping sense flag each thread tracks locally. */
-    struct alignas(64) Barrier
-    {
-        std::atomic<int> count{0};
-        std::atomic<bool> sense{false};
-    };
-
-    void deliverInboxes();
     void refreshCache(Shard &sh);
-    void refreshAll();
-    Mins reduceMins() const;
-    std::uint64_t runEpochs(Tick target);
+    void settle(Shard &sh);
+    std::uint64_t executedTotal() const;
+    std::uint64_t runClocks(Tick target);
+    void runShards(int worker, Tick cap);
+    bool runNext(int worker, bool own, Tick cap, RunCounts &counts,
+                 int &unfinished);
+    bool ownerBusyElsewhere(int s) const;
+    bool runSlice(int s, Tick cap, RunCounts &counts);
+    void raiseFloor(RunCounts &counts);
+    Tick horizon(int s, Tick cap) const;
     std::uint64_t runMerge(Tick target);
     bool mergeOne(Tick target);
-    void barrierArrive(Barrier &b, bool &local_sense);
     void startWorkers();
-    void stopWorkers();
-    void workerLoop(int worker);
-    std::uint64_t runShardSlice(int worker, const Horizons &h);
+    void workerLoop(int worker, std::uint32_t seen);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     int threads_ = 1;
     Tick lookahead_ = 0;
-    /** batch_windows * L (kTickMax when uncapped) and
-     * kRunAheadWindows * L, saturated once at construction. */
-    Tick batch_span_ = kTickMax;
+    /** kRunAheadWindows * L and kSliceWindows * L, saturated once at
+     * construction. */
     Tick run_ahead_ = kTickMax;
-    int posters_ = 0; ///< shards with Shard::posts set
+    Tick slice_span_ = kTickMax;
     Chooser *chooser_ = nullptr;
 
     /** Port registry: port id -> (shard, local_only), plus the
      * per-port message counters. Counters are written only from the
-     * port's own shard (one thread per epoch), read at quiescent
+     * port's own shard (one worker at a time), read at quiescent
      * points. */
     std::vector<int> port_shard_;
     std::vector<bool> port_local_;
     std::vector<std::uint32_t> port_count_;
 
-    std::uint64_t epochs_ = 0;
-    std::uint64_t barriers_ = 0;
     std::uint64_t merge_steps_ = 0;
-    std::uint64_t max_inbox_ = 0;
+    /** Smallest clock over all shards, as last raised by a slice. */
+    std::atomic<Tick> floor_{0};
+    std::atomic<std::uint64_t> epochs_{0};
+    std::atomic<std::uint64_t> barriers_{0};
 
-    /** Buffered (ring) messages not yet delivered; exact at the
-     * quiescent points where it is read, letting the epoch loop skip
-     * the delivery sweep entirely when nothing is in flight. */
-    std::atomic<std::uint64_t> msgs_pending_{0};
-
-    /** @name Epoch workers (lock-free coordination)
-     * The coordinator writes horizons_, crosses the start barrier
-     * with the workers (its release/acquire pair publishes them),
-     * runs its own slice, and meets them again at the end barrier.
-     * Workers check stop_ right after the start barrier, so shutdown
-     * is one extra crossing. jetrace's graph over the engine has no
-     * lock nodes at all.
+    /** @name Workers
+     * Spawned at the first parallel run and parked on run_gen_
+     * between runs. The caller writes run_cap_ (and stop_), bumps
+     * run_gen_ (release) to start a run, works as worker 0, and waits
+     * for running_ to reach zero. jetrace's graph over the engine has
+     * no lock nodes at all.
      * @{ */
     std::vector<std::thread> workers_;
-    Barrier start_;
-    Barrier end_;
-    bool start_sense_ = false; ///< coordinator-local senses
-    bool end_sense_ = false;
-    Horizons horizons_;
-    std::atomic<bool> stop_{false};
-    std::atomic<std::uint64_t> executed_parallel_{0};
+    std::atomic<std::uint32_t> run_gen_{0};
+    std::atomic<int> running_{0};
+    Tick run_cap_ = 0;
+    bool stop_ = false;
+    /** True while workers run shards: cross-shard posts must take
+     * the rings. Written only while no worker runs. */
+    bool parallel_ = false;
     /** @} */
 };
 

@@ -3,7 +3,8 @@
  * Sharded-engine stress: oversubscription, shard-count far beyond
  * core-count, and repeated full runs. tools/ci.sh pass 2c runs this
  * binary under JETSIM_SANITIZE=thread (--tsan), which is what turns
- * the epoch barrier and inbox-lock races — if any — into failures.
+ * races on the shard clocks, claims and inbox rings — if any — into
+ * failures.
  */
 
 #include <gtest/gtest.h>
@@ -83,8 +84,8 @@ chatter(int shards, int threads, int rounds)
 
 TEST(ShardedStress, OversubscribedThreadsMatchSerialTotals)
 {
-    // Far more worker threads than this host has cores: the barrier
-    // must stay correct (and live) under arbitrary preemption.
+    // Far more worker threads than this host has cores: the clock
+    // loop must stay correct (and live) under arbitrary preemption.
     const unsigned cores = std::thread::hardware_concurrency();
     const int threads = static_cast<int>(cores ? cores * 4 : 8);
     const std::uint64_t want = chatter(8, 1, 50);
@@ -102,7 +103,7 @@ TEST(ShardedStress, ShardCountBeyondCoreCount)
 TEST(ShardedStress, RepeatedRunsReuseWorkersSafely)
 {
     // One engine, many runUntil() cycles: workers park and restart
-    // across epochs without losing events.
+    // across runs without losing events.
     ShardedEngine eng(opts(4, 4, 8));
     std::atomic<std::uint64_t> ran{0};
     const int port = eng.addPort(0);
@@ -125,7 +126,7 @@ TEST(ShardedStress, RepeatedRunsReuseWorkersSafely)
 
 TEST(ShardedStress, ConcurrentFleetDigestStaysGolden)
 {
-    // A real fleet under the parallel epoch path, repeated: the kind
+    // A real fleet under the parallel clock loop, repeated: the kind
     // of run CI's TSan pass hammers. Digest must never wobble.
     jetsim::core::FleetSpec spec;
     for (int d = 0; d < 6; ++d) {

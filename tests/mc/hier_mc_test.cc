@@ -5,8 +5,8 @@
  * merge-schedule space (deadlock freedom + per-device arrival digest
  * invariance proved), the racy self-test variant (cross-shard arrival
  * order must be caught as schedule-dependent), and the tie between
- * the explored merge space and the production epoch/barrier path —
- * including the adaptive batch_windows fusion.
+ * the explored merge space and the production per-shard clock loop
+ * at several shard and thread counts.
  */
 
 #include "mc/hier_model.hh"
@@ -63,8 +63,8 @@ TEST(HierMc, MergeScheduleMatchesEpochAndSerialPaths)
 {
     // The digest the explorer branches around equals the digest of
     // every real scheduling path: fully serial (shards=1), serial
-    // merge, serial epochs, parallel epochs, and the unlimited
-    // batch_windows fusion the 1000-board fleet rides.
+    // merge, and the per-shard clock loop on one thread and in
+    // parallel, at two and three shards.
     mc::HierDispatchModel m(2);
     const auto explored = mc::explore(m, search());
 
@@ -83,16 +83,15 @@ TEST(HierMc, MergeScheduleMatchesEpochAndSerialPaths)
     const auto merged = m.runWith(merge, nullptr);
     EXPECT_EQ(merged.digest, explored.digest);
 
-    for (const int threads : {1, 2})
-        for (const std::uint64_t windows : {0u, 1u}) {
-            sim::ShardedEngine::Options epochs;
-            epochs.shards = 3;
-            epochs.threads = threads;
-            epochs.lookahead = 1;
-            epochs.batch_windows = windows;
-            const auto got = m.runWith(epochs, nullptr);
+    for (const int shards : {2, 3})
+        for (const int threads : {1, 2, 3}) {
+            sim::ShardedEngine::Options clocks;
+            clocks.shards = shards;
+            clocks.threads = threads;
+            clocks.lookahead = 1;
+            const auto got = m.runWith(clocks, nullptr);
             EXPECT_EQ(got.digest, explored.digest)
-                << "threads=" << threads << " windows=" << windows;
+                << "shards=" << shards << " threads=" << threads;
             EXPECT_FALSE(got.deadlock) << got.detail;
         }
 }

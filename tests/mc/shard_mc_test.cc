@@ -4,7 +4,7 @@
  * explored over the complete bounded merge-schedule space (deadlock
  * freedom + digest invariance proved), the racy self-test variant
  * (schedule-dependence must be caught), and the tie between the
- * explored merge space and the production epoch/barrier path.
+ * explored merge space and the production per-shard clock loop.
  */
 
 #include "mc/shard_model.hh"
@@ -62,8 +62,8 @@ TEST(ShardMc, RacyVariantIsCaughtAsDigestMismatch)
 TEST(ShardMc, DefaultMergeScheduleMatchesEpochPath)
 {
     // The digest the explorer branches around equals the digest of
-    // the real (uncontrolled) scheduling paths — serial merge, serial
-    // epochs, and genuinely parallel epochs.
+    // the real (uncontrolled) scheduling paths — serial merge, and
+    // the clock loop on one thread and genuinely in parallel.
     mc::ShardPingModel m(2);
     const auto explored = mc::explore(m, search());
 
@@ -75,17 +75,17 @@ TEST(ShardMc, DefaultMergeScheduleMatchesEpochPath)
     EXPECT_EQ(merge.digest, explored.digest);
     EXPECT_FALSE(merge.deadlock) << merge.detail;
 
-    sim::ShardedEngine::Options epochs;
-    epochs.shards = 2;
-    epochs.threads = 1;
-    epochs.lookahead = 1;
-    const auto serial_epochs = m.runWith(epochs, nullptr);
-    EXPECT_EQ(serial_epochs.digest, explored.digest);
+    sim::ShardedEngine::Options clocks;
+    clocks.shards = 2;
+    clocks.threads = 1;
+    clocks.lookahead = 1;
+    const auto serial_clocks = m.runWith(clocks, nullptr);
+    EXPECT_EQ(serial_clocks.digest, explored.digest);
 
-    epochs.threads = 2;
-    const auto parallel_epochs = m.runWith(epochs, nullptr);
-    EXPECT_EQ(parallel_epochs.digest, explored.digest);
-    EXPECT_FALSE(parallel_epochs.deadlock) << parallel_epochs.detail;
+    clocks.threads = 2;
+    const auto parallel_clocks = m.runWith(clocks, nullptr);
+    EXPECT_EQ(parallel_clocks.digest, explored.digest);
+    EXPECT_FALSE(parallel_clocks.deadlock) << parallel_clocks.detail;
 }
 
 TEST(ShardMc, ReplayedCounterexampleReproduces)

@@ -1,7 +1,8 @@
 /**
  * @file
  * MsgRing unit tests: ring fast path, arena overflow, move-only
- * payloads, and the MPSC contract under real producer threads.
+ * payloads, and the MPSC contract under real producer threads, with
+ * the consumer draining while they push.
  */
 
 #include "sim/msg_ring.hh"
@@ -130,6 +131,37 @@ TEST(MsgRing, ConcurrentProducersLoseNothing)
     std::sort(got.begin(), got.end());
     for (std::uint64_t i = 0; i < kProducers * kEach; ++i)
         EXPECT_EQ(got[i], i);
+}
+
+TEST(MsgRing, DrainWhileProducersPushLosesNothing)
+{
+    // The clock loop's shape: producers (one id each) push while the
+    // consumer drains; a small ring forces the overflow path and its
+    // node recycling onto the owners' freelists mid-run.
+    constexpr std::size_t kProducers = 3;
+    MsgRing<std::uint64_t> ring(8, kProducers);
+    constexpr std::uint64_t kEach = 20000;
+    std::atomic<std::size_t> done{0};
+    std::vector<std::thread> ts;
+    for (std::size_t p = 0; p < kProducers; ++p)
+        ts.emplace_back([&ring, &done, p] {
+            for (std::uint64_t i = 0; i < kEach; ++i)
+                ring.push(p * kEach + i, p);
+            done.fetch_add(1, std::memory_order_release);
+        });
+    std::vector<std::uint64_t> got;
+    got.reserve(kProducers * kEach);
+    const auto take = [&](std::uint64_t &&v) { got.push_back(v); };
+    while (done.load(std::memory_order_acquire) < kProducers)
+        ring.drain(take);
+    for (auto &t : ts)
+        t.join();
+    ring.drain(take); // pushes that finished after the last drain
+    ASSERT_EQ(got.size(), kProducers * kEach);
+    std::sort(got.begin(), got.end());
+    for (std::uint64_t i = 0; i < kProducers * kEach; ++i)
+        ASSERT_EQ(got[i], i);
+    EXPECT_GT(ring.overflowed(), 0u);
 }
 
 } // namespace

@@ -121,7 +121,7 @@ TEST(ShardedDiff, RandomFleetsSerialVsSharded)
             FleetOptions o;
             o.shards = shards;
             o.threads = threads;
-            expectIdentical(spec, o, "epoch path");
+            expectIdentical(spec, o, "clock path");
         }
         // Zero-lookahead fallback: same digests through the serial
         // cross-shard merge.
@@ -135,8 +135,8 @@ TEST(ShardedDiff, RandomFleetsSerialVsSharded)
 
 TEST(ShardedDiff, TinyLookaheadStressesEpochBoundaries)
 {
-    // lookahead of 1 tick: maximal epoch count, every horizon edge
-    // case (gmin straddling messages, ties at the boundary).
+    // lookahead of 1 tick: the shortest horizons and slices, every
+    // horizon edge case (messages landing at a horizon, ties at it).
     sim::Rng rng(0xfeedull);
     for (int i = 0; i < 3; ++i) {
         FleetSpec spec = randomSpec(rng);

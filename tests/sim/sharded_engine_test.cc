@@ -1,8 +1,8 @@
 /**
  * @file
- * ShardedEngine unit tests: epoch scheduling, the merge fallback,
- * cross-shard message determinism, and the lookahead edge cases the
- * differential battery builds on.
+ * ShardedEngine unit tests: the per-shard clock loop, the merge
+ * fallback, cross-shard message determinism, and the lookahead edge
+ * cases the differential battery builds on.
  */
 
 #include "sim/sharded_engine.hh"
@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/reporter.hh"
@@ -73,13 +76,13 @@ TEST(ShardedEngine, PostBelowLookaheadViolatesAndClamps)
 /**
  * The observable of a sharded run: per-shard event logs (cross-shard
  * order is unobservable by design — no shared state) plus counters.
- * The epoch count is a diagnostic, not compared.
+ * The engine's stats are diagnostics, not compared.
  */
 struct Observed
 {
     std::vector<std::string> per_shard;
     std::uint64_t executed = 0;
-    std::uint64_t epochs = 0;
+    ShardedEngine::Stats stats;
 
     bool
     operator==(const Observed &o) const
@@ -194,7 +197,7 @@ TEST(ShardedEngine, SimultaneousCrossShardMessageTieIsPortOrdered)
 {
     // Two ports on different shards post to shard 2 at the same
     // (when, priority): the lower port id must run first — in both
-    // the merge fallback and the epoch path.
+    // the merge fallback and the clock path.
     for (const Tick lookahead : {Tick{0}, Tick{5}}) {
         ShardedEngine eng(opts(3, 1, lookahead));
         const int pa = eng.addPort(0); // lower port id
@@ -278,7 +281,7 @@ TEST(ShardedEngine, HandleCancelAcrossEpochsIsSafe)
 {
     // ABA/lifetime: cancel local events on one shard while messages
     // from another shard land around them; slab slots are recycled
-    // across epochs, so stale-generation handles must stay inert.
+    // across slices, so stale-generation handles must stay inert.
     ShardedEngine eng(opts(2, 2, 10));
     const int port = eng.addPort(0);
     std::vector<EventQueue::Handle> doomed;
@@ -305,7 +308,7 @@ TEST(ShardedEngine, HandleCancelAcrossEpochsIsSafe)
     } pump{eng, port, delivered};
     eng.shard(0).schedule(1, [&pump] { pump.go(); });
 
-    eng.runUntil(40); // a few epochs in
+    eng.runUntil(40); // a few slices in
     for (auto &h : doomed)
         h.cancel();
     // Cancelling again (stale generation after slot reuse) is a no-op.
@@ -337,7 +340,7 @@ TEST(ShardedEngine, LocalOnlyPortPostsWithinShard)
 {
     // A local_only port: one-tick minimum delay even under a large
     // lookahead, message-band seq (beats tied local events), and no
-    // effect on the fused horizon of other shards.
+    // effect on other shards' horizons.
     ShardedEngine eng(opts(2, 1, 1000));
     const int p = eng.addPort(0, /*local_only=*/true);
     std::vector<char> order;
@@ -348,21 +351,19 @@ TEST(ShardedEngine, LocalOnlyPortPostsWithinShard)
     eng.shard(1).schedule(5000, [&] { order.push_back('x'); });
     eng.runUntil(6000);
     EXPECT_EQ(order, (std::vector<char>{'m', 'l', 'x'}));
-    // No non-local port anywhere: the whole run is one fused epoch.
+    // No non-local port anywhere: nothing bounds either horizon, so
+    // the floor rises once, when the second shard reaches the target.
     EXPECT_EQ(eng.stats().epochs, 1u);
 }
 
-TEST(ShardedEngine, BatchWindowsKnobIsDigestInvariantButCheaper)
+TEST(ShardedEngine, ThreadAndShardCountsAreDigestInvariant)
 {
-    // batch_windows=1 restores classic one-window epochs;
-    // batch_windows=0 (adaptive) must produce the same observables
-    // with no more epochs. Each destination shard keeps its own log,
-    // written only by that shard: the interleaving *across* shards is
-    // not an observable.
-    auto run = [](std::uint64_t batch, std::uint64_t &epochs) {
-        ShardedEngine::Options o = opts(3, 1, 10);
-        o.batch_windows = batch;
-        ShardedEngine eng(o);
+    // A lone poster on shard 0 pumps messages into shards 1 and 2;
+    // any extra shards stay idle. Each destination shard keeps its
+    // own log, written only by that shard: the interleaving *across*
+    // shards is not an observable.
+    auto run = [](int shards, int threads, Tick lookahead) {
+        ShardedEngine eng(opts(shards, threads, lookahead));
         const int port = eng.addPort(0);
         std::vector<std::string> logs(3);
         struct Pump
@@ -389,18 +390,15 @@ TEST(ShardedEngine, BatchWindowsKnobIsDigestInvariantButCheaper)
         } pump{eng, port, logs};
         eng.shard(0).schedule(1, [&pump] { pump.go(); });
         eng.runUntil(2000);
-        epochs = eng.stats().epochs;
         return logs;
     };
-    std::uint64_t classic_epochs = 0;
-    std::uint64_t adaptive_epochs = 0;
-    const auto classic = run(1, classic_epochs);
-    const auto adaptive = run(0, adaptive_epochs);
-    EXPECT_EQ(adaptive, classic);
-    EXPECT_FALSE(classic[1].empty());
-    EXPECT_FALSE(classic[2].empty());
-    EXPECT_LE(adaptive_epochs, classic_epochs);
-    EXPECT_GT(classic_epochs, 0u);
+    const auto want = run(3, 1, 0);
+    EXPECT_FALSE(want[1].empty());
+    EXPECT_FALSE(want[2].empty());
+    for (const int shards : {3, 4, 7})
+        for (const int threads : {1, 2, 3, 7})
+            EXPECT_EQ(run(shards, threads, 10), want)
+                << "shards=" << shards << " threads=" << threads;
 }
 
 /** A receiver's local event chain: every 5 ticks it logs how many
@@ -426,14 +424,13 @@ struct Chain
 /**
  * The fleet's shape in miniature: a root-only shard 0, the only
  * poster, pumps 250 messages (delays 10..13 ticks) round-robin into
- * three receiver shards that each run a local Chain.
+ * three receiver shards that each run a local Chain. On one thread
+ * the root also records how far its clock ever led a receiver's.
  */
 Observed
-runRootPump(int threads, Tick lookahead, std::uint64_t batch)
+runRootPump(int threads, Tick lookahead, Tick *max_lead = nullptr)
 {
-    ShardedEngine::Options o = opts(4, threads, lookahead);
-    o.batch_windows = batch;
-    ShardedEngine eng(o);
+    ShardedEngine eng(opts(4, threads, lookahead));
     Observed r;
     r.per_shard.resize(4);
     std::array<Chain, 4> rx{};
@@ -448,12 +445,17 @@ runRootPump(int threads, Tick lookahead, std::uint64_t batch)
         int port;
         std::string &log;
         std::array<Chain, 4> &rx;
+        Tick *max_lead;
         int sent = 0;
 
         void
         go()
         {
             auto &eq = eng.shard(0);
+            if (max_lead != nullptr)
+                for (int s = 1; s < 4; ++s)
+                    *max_lead = std::max(*max_lead,
+                                         eq.now() - eng.shard(s).now());
             const int k = sent++;
             log += "p" + std::to_string(k) + "@" +
                    std::to_string(eq.now()) + ";";
@@ -467,32 +469,37 @@ runRootPump(int threads, Tick lookahead, std::uint64_t batch)
             if (sent < 250)
                 eq.scheduleIn(7, [this] { go(); });
         }
-    } root{eng, eng.addPort(0), r.per_shard[0], rx};
+    } root{eng, eng.addPort(0), r.per_shard[0], rx, max_lead};
     eng.shard(0).schedule(1, [&root] { root.go(); });
     r.executed = eng.runUntil(2000);
-    r.epochs = eng.stats().epochs;
+    r.stats = eng.stats();
     return r;
 }
 
 TEST(ShardedEngine, LonePosterRunsAheadOfItsReceivers)
 {
-    // Nothing can post to a lone poster, so it runs up to
-    // kRunAheadWindows lookaheads past its receivers and they follow
-    // an epoch behind: far fewer epochs, the same per-shard logs as
-    // the lookahead-0 merge.
+    // Nothing can post to a lone poster, so only the backlog bound
+    // holds it: 32 lookaheads (320 ticks) past the slowest receiver.
+    // The per-shard logs equal the lookahead-0 merge's either way.
     check::ScopedCapture cap;
-    const Observed want = runRootPump(1, 0, 0);
-    for (const int threads : {1, 2, 4}) {
-        const Observed classic = runRootPump(threads, 10, 1);
-        const Observed adaptive = runRootPump(threads, 10, 0);
-        EXPECT_EQ(classic, want)
-            << "threads=" << threads << " batch_windows=1";
-        EXPECT_EQ(adaptive, want)
-            << "threads=" << threads << " batch_windows=0";
-        EXPECT_GT(classic.epochs, 100u) << "threads=" << threads;
-        EXPECT_LE(adaptive.epochs * 8, classic.epochs)
-            << "threads=" << threads << ": adaptive "
-            << adaptive.epochs << " vs classic " << classic.epochs;
+    const Observed want = runRootPump(1, 0);
+    Tick lead = 0;
+    const Observed one = runRootPump(1, 10, &lead);
+    EXPECT_EQ(one, want);
+    EXPECT_GT(lead, 10) << "the poster never ran past one window";
+    EXPECT_LE(lead, 320) << "the poster broke the backlog bound";
+    EXPECT_EQ(one.stats.barriers, 0u)
+        << "one worker always has the slowest shard to run";
+    EXPECT_GT(one.stats.epochs, 0u);
+    for (const int threads : {2, 4}) {
+        const Observed got = runRootPump(threads, 10);
+        EXPECT_EQ(got, want) << "threads=" << threads;
+        // A ring holds what the root posted between a receiver's two
+        // drains: from one window below that receiver's clock to 32
+        // windows above it, one post per 7 ticks at most 48 (an
+        // unbounded root would park a third of all 250 posts there).
+        EXPECT_LE(got.stats.max_inbox, 48u) << "threads=" << threads;
+        EXPECT_GT(got.stats.epochs, 0u) << "threads=" << threads;
     }
     EXPECT_EQ(cap.total(), 0u);
 }
@@ -544,7 +551,7 @@ runPingPong(int threads, Tick lookahead)
     eng.shard(0).schedule(1, [&a] { a.hop(0); });
     eng.shard(1).schedule(5, [&b] { b.hop(1); });
     r.executed = eng.runUntil(2000);
-    r.epochs = eng.stats().epochs;
+    r.stats = eng.stats();
     return r;
 }
 
@@ -587,31 +594,119 @@ TEST(ShardedEngine, RingOverflowDeliversEverything)
     EXPECT_GT(st.ring_overflow, 0u);
 }
 
-TEST(ShardedEngine, BarrierCountsTrackEpochs)
+TEST(ShardedEngine, CountersTrackTheSlowestClock)
 {
-    ShardedEngine eng(opts(4, 4, 10));
-    const int port = eng.addPort(0);
-    struct Pump
+    // epochs counts rises of the smallest clock over all shards;
+    // barriers counts a worker finding nothing it could run.
+    const auto run = [](int threads) {
+        ShardedEngine eng(opts(4, threads, 10));
+        const int port = eng.addPort(0);
+        struct Pump
+        {
+            ShardedEngine &eng;
+            int port;
+            int left = 10;
+            void
+            go()
+            {
+                if (--left < 0)
+                    return;
+                eng.post(port, 1 + left % 3,
+                         eng.shard(0).now() + 10, [] {});
+                eng.shard(0).scheduleIn(10, [this] { go(); });
+            }
+        } pump{eng, port};
+        eng.shard(0).schedule(1, [&pump] { pump.go(); });
+        eng.runUntil(500);
+        return eng.stats();
+    };
+    const auto one = run(1);
+    // Every rise is at least one tick, and the floor went 0 -> 501.
+    EXPECT_GT(one.epochs, 0u);
+    EXPECT_LE(one.epochs, 501u);
+    EXPECT_EQ(one.barriers, 0u)
+        << "the slowest shard can always run, so one worker never idles";
+    EXPECT_EQ(run(1).epochs, one.epochs) << "one thread is deterministic";
+    const auto four = run(4);
+    EXPECT_GT(four.epochs, 0u);
+    EXPECT_LE(four.epochs, 501u);
+    EXPECT_EQ(four.merge_steps, 0u);
+
+    // No poster at all: every shard reaches the target in one slice,
+    // and only the last of them raises the floor.
+    ShardedEngine quiet(opts(3, 1, 1000));
+    for (int s = 0; s < 3; ++s)
+        quiet.shard(s).schedule(10 * (s + 1), [] {});
+    quiet.runUntil(500);
+    EXPECT_EQ(quiet.stats().epochs, 1u);
+    EXPECT_EQ(quiet.stats().barriers, 0u);
+}
+
+/**
+ * A lone poster on shard 0 posts to shards 1 and 2 every L = 10
+ * ticks. With @p stall, shard 1's event at tick 5 waits (at most 5 s
+ * of wall time) until shard 2 has run its event at tick 45 — the
+ * callback only observes progress, so the logs do not depend on it.
+ */
+Observed
+runStalled(int threads, Tick lookahead, bool stall, bool &released)
+{
+    ShardedEngine eng(opts(3, threads, lookahead));
+    Observed r;
+    r.per_shard.resize(3);
+    std::atomic<bool> ran45{false};
+    released = !stall;
+    eng.shard(1).schedule(5, [&] {
+        r.per_shard[1] += "stall@5;";
+        if (!stall)
+            return;
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!ran45.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
+        released = ran45.load(std::memory_order_acquire);
+    });
+    eng.shard(2).schedule(45, [&] {
+        r.per_shard[2] += "local@45;";
+        ran45.store(true, std::memory_order_release);
+    });
+    struct Root
     {
         ShardedEngine &eng;
         int port;
-        int left = 10;
+        Observed &r;
         void
         go()
         {
-            if (--left < 0)
-                return;
-            eng.post(port, 1 + left % 3,
-                     eng.shard(0).now() + 10, [] {});
-            eng.shard(0).scheduleIn(10, [this] { go(); });
+            auto &eq = eng.shard(0);
+            for (const int dst : {1, 2})
+                eng.post(port, dst, eq.now() + 10, [this, dst] {
+                    r.per_shard[static_cast<std::size_t>(dst)] +=
+                        "m@" + std::to_string(eng.shard(dst).now()) +
+                        ";";
+                });
+            if (eq.now() < 150)
+                eq.scheduleIn(10, [this] { go(); });
         }
-    } pump{eng, port};
-    eng.shard(0).schedule(1, [&pump] { pump.go(); });
-    eng.runUntil(500);
-    const auto st = eng.stats();
-    EXPECT_GT(st.epochs, 0u);
-    EXPECT_EQ(st.barriers, 2 * st.epochs)
-        << "one start + one end crossing per parallel epoch";
+    } root{eng, eng.addPort(0), r};
+    eng.shard(0).schedule(1, [&root] { root.go(); });
+    r.executed = eng.runUntil(200);
+    r.stats = eng.stats();
+    return r;
+}
+
+TEST(ShardedEngine, StalledShardDoesNotStallTheOthers)
+{
+    // Shard 2 advances on the poster's clock alone: it need not wait
+    // for shard 1, whose worker is stuck inside one event.
+    bool unused = false;
+    const Observed want = runStalled(1, 0, false, unused);
+    bool released = false;
+    const Observed got = runStalled(2, 10, true, released);
+    EXPECT_TRUE(released)
+        << "shard 2 never reached tick 45 while shard 1 was stalled";
+    EXPECT_EQ(got, want);
 }
 
 TEST(ShardedEngine, ChooserRunAllTerminatesAfterDrain)

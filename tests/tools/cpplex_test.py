@@ -98,6 +98,20 @@ class ClassifyOpenTest(unittest.TestCase):
             cpplex.classify_open("eq_.schedule(t, [this]").name,
             "<lambda>")
 
+    def test_braced_call_argument_is_block(self):
+        # `by_buffer[...].push_back(\n {i, write})` in
+        # src/lint/hazard_lint.cc: keyed as a function `push_back`,
+        # it swallowed every `x.push_back(...)` call in src/.
+        self.assertEqual(
+            self.kind("by_buffer[static_cast<std::size_t>(buf)]"
+                      ".push_back("), "block")
+        self.assertEqual(self.kind("ring.push(Msg{when, f(x), "),
+                         "block")
+        # A lambda argument still opens a function scope.
+        self.assertEqual(
+            cpplex.classify_open("eq.scheduleIn(f(gap), [this]").kind,
+            "function")
+
     def test_annotation_macros_stripped(self):
         sc = cpplex.classify_open(
             'JETSIM_COLD_OK("slab growth") void EventPool::grow()')

@@ -10,10 +10,13 @@ gate (tools/ci.sh pass 1e) must exit 1 when it asks for more pruned
 cells than the grid has.
 
 simcheck's fleet gates (pass 1c) must fail at a ratio no host reaches
-(1000x) and pass at one every host reaches (0.01x): --fleet-overhead
-anywhere, --fleet-scaling where the process may use at least 4 CPUs.
-Pinned to one CPU, --fleet-scaling must skip, say why and pass. Both
-verdicts carry the sharded run's epochs and events per epoch.
+(1000x). --fleet-overhead must pass at one every host reaches (0.01x).
+--fleet-scaling, where the process may use at least 4 CPUs, must pass
+at 1.5x (within three tries), with its serial-bound 2-shard control
+below that, and must
+fail at 0.01x, which the control clears too. Pinned to one CPU,
+--fleet-scaling must skip, say why and pass. Both verdicts carry the
+sharded run's epochs and events per epoch.
 
 simcheck's fleet golden gate (pass 1c) must fail on a copy of
 GOLDEN_fleet.json with one digest changed and pass on the committed
@@ -146,9 +149,26 @@ class FleetGateControls(unittest.TestCase):
         self.assertEqual(code, 1, verdict)
         self.assertFalse(verdict["skipped"], verdict)
         self.assertGreaterEqual(verdict["usable_cpus"], 4, verdict)
-        code, verdict = self.simcheck("fleet-scaling", 0.01)
+        # A wall-clock ratio on a shared host: a burst of load from
+        # outside can sink one verdict, so the pass gets three tries.
+        for _ in range(3):
+            code, verdict = self.simcheck("fleet-scaling", 1.5)
+            if code == 0:
+                break
         self.assertEqual(code, 0, verdict)
         self.assertTrue(verdict["pass"], verdict)
+        self.assertGreaterEqual(verdict["speedup"], 1.5, verdict)
+        # The serial-bound control fails the same gate.
+        self.assertLess(verdict["control_speedup"], 1.5, verdict)
+
+    @unittest.skipIf(len(os.sched_getaffinity(0)) < 4,
+                     "fewer than 4 usable CPUs: the gate self-skips")
+    def test_scaling_gate_fails_when_the_control_clears_it(self):
+        code, verdict = self.simcheck("fleet-scaling", 0.01)
+        self.assertEqual(code, 1, verdict)
+        self.assertFalse(verdict["pass"], verdict)
+        self.assertGreaterEqual(verdict["control_speedup"], 0.01,
+                                verdict)
 
     def test_scaling_gate_skips_when_pinned_to_one_cpu(self):
         code, verdict = self.simcheck("fleet-scaling", 1000,

@@ -54,6 +54,7 @@ REPLAYS = {
     "replay_duplicate_key.json": "spec.seed",
     "replay_missing_options.json": "options",
     "replay_shards_overflow.json": "options.shards",
+    "replay_lookahead_past_dispatch.json": "options.lookahead",
     "replay_truncated.json": "spec: expected",
     "replay_empty.json": "jetsim_fleet_replay",
     "replay_wrong_version.json": "jetsim_fleet_replay",

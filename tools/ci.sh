@@ -21,8 +21,10 @@
 # digests), the sharded fleet goldens
 # (GOLDEN_fleet.json at shards 1, 4 and 16, including a 256-board
 # hierarchical config), a replay of the committed replay file
-# tests/data/fleet_replay_golden0.json, the sharded scaling smoke
-# (>= 1.5x at 4 shards; auto-skipped below 4 usable CPUs) and the sharded
+# tests/data/fleet_replay_golden0.json, the sharded scaling gate
+# (a 1000-board fleet at 16 shards >= 1.5x on 4 threads against 1, with
+# its 2-shard control below that; auto-skipped below 4 usable CPUs)
+# and the sharded
 # overhead gate (1000-board hierarchical fleet at shards=8/threads=1
 # must keep >= 0.75x the serial event rate; never skipped).
 #
@@ -66,8 +68,9 @@
 # engine stores: the pass rings the runner_stress_tests binary
 # (oversubscribed work-stealing pool plus the global-state
 # regression tests), the sharded_stress_tests binary
-# (sense-reversing barriers + the lock-free MPSC inbox rings under
-# oversubscription), the 8-thread store lookup test and the simcheck
+# (per-shard clocks, shard claims and the lock-free MPSC inbox rings
+# drained while producers push, under oversubscription), the 8-thread
+# store lookup test and the simcheck
 # replay through the parallel path, so data races in the concurrent
 # executors fail CI rather than lurk.
 
@@ -139,22 +142,26 @@ if [ "$run_plain" = 1 ]; then
     # sharded == repeat.
     "$repo/build-ci/plain/tools/simcheck" \
         --fleet-replay="$repo/tests/data/fleet_replay_golden0.json"
-    # Scaling smoke: the parallel epoch path must actually pay for
-    # itself — >= 1.5x serial event rate at shards=4/threads=4. The
-    # digest is always compared; simcheck skips the speedup gate by
-    # itself when its affinity mask allows < 4 CPUs (printing the
-    # reason, the usable CPUs and the host's cores), where the
-    # comparison would measure contention, not scaling. Both fleet
-    # gates print the sharded run's epochs and events per epoch;
-    # ctest gate_controls shows each of them failing and passing.
+    # Scaling gate: the clock loop must actually pay for itself on
+    # the perfbench fleet_1000 shape — 1000 hierarchical boards at
+    # 16 shards, best of three runs on 4 threads >= 1.5x best of three
+    # on 1 thread — while the serial-bound control (the same fleet at
+    # 2 shards: the root and one device shard) stays below 1.5x. The
+    # ratio was set from 22 runs on the shared 4-vCPU host (1.74x to
+    # 4.30x, all but three above 2.6x; the control 0.83x to 1.17x). The digest is always
+    # compared; simcheck skips the speedup gate by itself when its
+    # affinity mask allows < 4 CPUs (printing the reason, the usable
+    # CPUs and the host's cores), where the comparison would measure
+    # contention, not scaling. Both fleet gates print the sharded
+    # run's epochs and events per epoch; ctest gate_controls shows
+    # each of them failing and passing.
     "$repo/build-ci/plain/tools/simcheck" --fleet-scaling=1.5
-    # Overhead gate: the epoch protocol with parallelism removed —
+    # Overhead gate: the clock protocol with parallelism removed —
     # a 1000-board hierarchical fleet at shards=8 on ONE thread must
-    # keep >= 0.75x of the serial event rate (the minima pass over
-    # cached next-event times, adaptive epoch batching and the
-    # lock-free inbox are what make this hold; the mutex-inbox engine
-    # sat at 0.40x). Runs on any
-    # host — this gate never self-skips.
+    # keep >= 0.75x of the serial event rate (per-shard clocks with
+    # no barrier, one slice per claim and the lock-free inbox are
+    # what make this hold; the mutex-inbox engine sat at 0.40x).
+    # Runs on any host — this gate never self-skips.
     "$repo/build-ci/plain/tools/simcheck" --fleet-overhead=0.75
     banner "pass 1d: bounded model check (jetmc)"
     jetmc="$repo/build-ci/plain/tools/jetmc"
@@ -220,8 +227,12 @@ edges = {(e["from"], e["to"]) for e in doc["lock_graph"]["edges"]}
 assert ("engine_cache_mu", "mu") in edges, doc["lock_graph"]
 # The exact order set, so an edge that appears or vanishes (a new
 # lock site, or a resolver change) is looked at, not waved through.
+# ("m", "mu_") comes from the base-name fallback: StealPool's
+# `tasks.push_back(t)` under m reaches Fifo::push_back, now that a
+# braced call argument no longer shadows it as a function named
+# push_back.
 want = {("engine_cache_mu", "mu"), ("engine_cache_mu", "mu_"),
-        ("m_", "mu"), ("model_store_mu", "mu"),
+        ("m", "mu_"), ("m_", "mu"), ("model_store_mu", "mu"),
         ("model_store_mu", "mu_")}
 assert edges == want, sorted(edges)
 print("jetrace: src clean; lock graph acyclic "
@@ -305,9 +316,9 @@ if [ "$run_san" = 1 ]; then
     # the sanitizer sees maximum interleaving.
     JETSIM_THREADS=16 \
         "$repo/build-ci/$san_flavor/tests/runner_stress_tests"
-    # The sharded sense-reversing barriers and lock-free inbox rings
-    # under the same treatment: with --tsan this is the pass that
-    # turns any data race in ShardedEngine into a CI failure.
+    # The sharded clock loop and lock-free inbox rings under the
+    # same treatment: with --tsan this is the pass that turns any
+    # data race in ShardedEngine into a CI failure.
     "$repo/build-ci/$san_flavor/tests/sharded_stress_tests"
     # The build-once model and engine stores: 8 threads (twice the
     # cores of a 4-core host) race first builds against lookups of

@@ -140,11 +140,31 @@ def strip_template_header(text):
     return text
 
 
+def open_paren_tail(text):
+    """The text after the last `(` that @p text leaves open, or None
+    when every `(` in it is closed."""
+    depth = 0
+    for i in range(len(text) - 1, -1, -1):
+        if text[i] == ")":
+            depth += 1
+        elif text[i] == "(":
+            if depth == 0:
+                return text[i + 1:]
+            depth -= 1
+    return None
+
+
 def classify_open(text):
     """Classify the declaration text preceding a `{`: namespace,
     class/struct/enum, function (incl. lambdas), or plain block."""
     text = strip_template_header(ANNOT_MACRO_RE.sub("", text).strip())
     if not text:
+        return Scope("block", "")
+    # A `{` inside an open call's argument list is a braced argument
+    # (`v.push_back(\n {i, write})`), not a definition — unless a `[`
+    # after that `(` may introduce a lambda.
+    tail = open_paren_tail(text)
+    if tail is not None and "[" not in tail:
         return Scope("block", "")
     m = re.match(r"^(?:inline\s+)?namespace\b\s*([\w:]*)", text)
     if m:
