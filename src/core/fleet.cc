@@ -95,10 +95,11 @@ struct Node
  * soc::ShardMap::balancerReserved) posts the decision to the target
  * shard's *sub-balancer*, which forwards it to the device over a
  * shard-local port after fanout_latency. The root's port is the
- * engine's only cross-shard source, so adaptive epoch batching fuses
- * all device-shard work between consecutive root arrivals; the sub
- * hop rides the message seq band (sub ports are local_only), keeping
- * the two-hop dispatch order topology-invariant.
+ * engine's only cross-shard source, so the root shard is the only
+ * poster: the device shards advance on its clock alone, and it runs
+ * ahead of them; the sub hop rides the message seq band (sub ports
+ * are local_only), keeping the two-hop dispatch order
+ * topology-invariant.
  */
 struct Balancer
 {

@@ -82,8 +82,8 @@ struct FleetSpec
      * shard count — the two-hop path is part of the workload, so the
      * flag is spec-level and digested (via label()). This removes
      * the root as the fleets' single serialization point: with the
-     * sub-hop on shard-local ports, only the root shard bounds the
-     * engine's fused epoch horizon.
+     * sub-hop on shard-local ports, only the root shard is a poster,
+     * so only its clock bounds the device shards' horizons.
      */
     bool hierarchical = false;
     /** Sub-balancer-to-device forwarding latency (hierarchical

@@ -1,8 +1,8 @@
 #include "core/runner.hh"
 
 #include <algorithm>
-#include <deque>
-#include <optional>
+#include <atomic>
+#include <cstddef>
 #include <thread>
 
 #include "core/env.hh"
@@ -28,68 +28,6 @@ executeSpec(const MixedExperimentSpec &spec)
 {
     return runMixedExperiment(spec);
 }
-
-/**
- * One mutex-protected deque per worker. Each worker pops LIFO from
- * its own queue (warm caches) and steals FIFO from its victims'
- * queues when drained — the classic Chase-Lev discipline, with locks
- * instead of lock-free deques because a task here is a whole
- * simulation (seconds), so queue overhead is irrelevant.
- */
-class StealPool
-{
-  public:
-    StealPool(std::size_t workers, std::size_t tasks)
-        : queues_(workers)
-    {
-        // Round-robin initial distribution keeps early, usually
-        // cheaper cells (small batch, few processes) spread evenly.
-        // Workers haven't spawned yet, but the fill still runs under
-        // each queue's lock so the guarded-by contract holds in the
-        // compiler's eyes too (uncontended lock: nanoseconds, once).
-        for (std::size_t w = 0; w < workers; ++w) {
-            LockGuard lock(queues_[w].m);
-            for (std::size_t t = w; t < tasks; t += workers)
-                queues_[w].tasks.push_back(t);
-        }
-    }
-
-    /** Next task for @p worker, or nullopt when everything drained. */
-    std::optional<std::size_t> next(std::size_t worker)
-    {
-        auto &own = queues_[worker];
-        {
-            LockGuard lock(own.m);
-            if (!own.tasks.empty()) {
-                const std::size_t t = own.tasks.back();
-                own.tasks.pop_back();
-                return t;
-            }
-        }
-        // Each deque lock is taken and dropped in turn — never two at
-        // once — so steals contribute no lock-order edges (jetrace's
-        // graph over the pool is edge-free by construction).
-        for (std::size_t i = 1; i < queues_.size(); ++i) {
-            auto &victim = queues_[(worker + i) % queues_.size()];
-            LockGuard lock(victim.m);
-            if (!victim.tasks.empty()) {
-                const std::size_t t = victim.tasks.front();
-                victim.tasks.pop_front();
-                return t;
-            }
-        }
-        return std::nullopt;
-    }
-
-  private:
-    struct Queue
-    {
-        Mutex m;
-        std::deque<std::size_t> tasks JETSIM_GUARDED_BY(m);
-    };
-
-    std::deque<Queue> queues_; // deque: Queue is not movable
-};
 
 /**
  * Serialized, submission-ordered delivery of progress callbacks:
@@ -203,20 +141,28 @@ Runner::runBatch(const std::vector<Spec> &specs,
 
     const std::size_t workers =
         std::min(static_cast<std::size_t>(threads_), specs.size());
-    StealPool pool(workers, specs.size());
+    // One shared cursor hands out cells from the end of the batch,
+    // where grids list their largest cells, so the longest runs start
+    // first. A cell is a whole simulation, so one atomic decrement per
+    // cell is all the scheduling the pool needs.
+    std::atomic<std::ptrdiff_t> next{
+        static_cast<std::ptrdiff_t>(specs.size()) - 1};
     OrderedProgress announcer(specs.size(), progress);
 
-    auto worker = [&](std::size_t w) {
-        while (auto task = pool.next(w)) {
-            execute(*task);
-            announcer.retire(*task, specs);
+    auto worker = [&] {
+        for (std::ptrdiff_t i = next.fetch_sub(1, std::memory_order_relaxed);
+             i >= 0; i = next.fetch_sub(1, std::memory_order_relaxed))
+        {
+            const auto cell = static_cast<std::size_t>(i);
+            execute(cell);
+            announcer.retire(cell, specs);
         }
     };
 
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w)
-        threads.emplace_back(worker, w);
+        threads.emplace_back(worker);
     for (auto &t : threads)
         t.join();
     return results;

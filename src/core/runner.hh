@@ -7,8 +7,9 @@
  * isolated simulation: its own sim::EventQueue, its own Rng derived
  * only from spec.seed. That makes the grid embarrassingly parallel,
  * *provided* nothing global leaks between cells. Runner executes a
- * batch of cells on a work-stealing thread pool and returns results
- * in submission order; the determinism contract (proven by
+ * batch of cells on a thread pool whose workers take the next cell
+ * from one atomic cursor, last cell first, and returns results in
+ * submission order; the determinism contract (proven by
  * tests/core/runner_test.cc and the tools/simcheck replay) is that
  * every result is bit-identical to a serial run of the same spec.
  *
@@ -62,7 +63,7 @@ struct RunnerCacheStats
     std::uint64_t stores = 0; ///< results written back
 };
 
-/** Work-stealing executor for batches of experiment cells. */
+/** Parallel executor for batches of experiment cells. */
 class Runner
 {
   public:

@@ -218,8 +218,8 @@ class EventQueue
      * guarantees seqs are unique and that @p when is strictly beyond
      * every tick this queue has already dispatched, so the key total
      * order (and the JetSan monotonic-dispatch invariant) is
-     * preserved no matter when in the epoch protocol the message is
-     * physically inserted.
+     * preserved no matter when the clock protocol physically inserts
+     * the message.
      */
     Handle scheduleMessage(Tick when, Callback cb, int priority,
                            std::uint64_t msg_seq);

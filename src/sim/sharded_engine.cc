@@ -32,12 +32,9 @@ ShardedEngine::ShardedEngine(Options opts)
     JETSIM_ASSERT(opts.shards >= 1);
     JETSIM_ASSERT(opts.threads >= 1);
     JETSIM_ASSERT(opts.lookahead >= 0);
-    const auto k = static_cast<std::size_t>(opts.shards);
-    shards_.reserve(k);
-    // Every shard may post into every ring: one producer id each.
-    for (std::size_t s = 0; s < k; ++s)
-        shards_.push_back(
-            std::make_unique<Shard>(opts.inbox_capacity, k));
+    shards_.reserve(static_cast<std::size_t>(opts.shards));
+    for (int s = 0; s < opts.shards; ++s)
+        shards_.push_back(std::make_unique<Shard>());
     threads_ = std::min(opts.threads, opts.shards);
     lookahead_ = opts.lookahead;
     run_ahead_ = windowsSpan(lookahead_, kRunAheadWindows);
@@ -56,7 +53,7 @@ ShardedEngine::~ShardedEngine()
     }
     // Undelivered messages (posts past the last runUntil target) are
     // dropped with their captured state; the queues destroy their own
-    // pending events and the rings their own blocks.
+    // pending events and the outboxes their own blocks.
 }
 
 EventQueue &
@@ -74,8 +71,14 @@ ShardedEngine::addPort(int shard_idx, bool local_only)
     port_shard_.push_back(shard_idx);
     port_local_.push_back(local_only);
     port_count_.push_back(0);
-    if (!local_only)
-        shards_[static_cast<std::size_t>(shard_idx)]->posts = true;
+    Shard &sh = *shards_[static_cast<std::size_t>(shard_idx)];
+    if (!local_only && !sh.posts()) {
+        sh.out.resize(shards_.size());
+        for (int d = 0; d < shards(); ++d)
+            if (d != shard_idx)
+                sh.out[static_cast<std::size_t>(d)] =
+                    std::make_unique<Outbox<Msg>>();
+    }
     return static_cast<int>(port_shard_.size()) - 1;
 }
 
@@ -125,35 +128,32 @@ ShardedEngine::post(int src_port, int dst_shard, Tick when,
         count++;
     JETSIM_ASSERT(seq < EventQueue::kMessageSeqLimit);
 
-    Shard &dst = *shards_[static_cast<std::size_t>(dst_shard)];
     if (dst_shard == src_shard || !parallel_) {
         // Same shard — or only the caller runs shards (merge mode,
-        // one thread): insert directly. The cache min-update keeps
-        // next_when from going stale-late for the merge path.
-        dst.eq.scheduleMessage(when, std::move(cb), priority, seq);
-        dst.next_when = std::min(dst.next_when, when);
+        // one thread): insert directly.
+        shards_[static_cast<std::size_t>(dst_shard)]->eq.scheduleMessage(
+            when, std::move(cb), priority, seq);
         return;
     }
-    dst.inbox.push(Msg{when, priority, seq, std::move(cb)},
-                   static_cast<std::size_t>(src_shard));
-}
-
-void
-ShardedEngine::refreshCache(Shard &sh)
-{
-    EventQueue::NextEvent e;
-    sh.next_when = sh.eq.peekNext(e) ? e.when : kTickMax;
+    src.out[static_cast<std::size_t>(dst_shard)]->push(
+        Msg{when, priority, seq, std::move(cb)});
 }
 
 JETSIM_HOT void
-ShardedEngine::settle(Shard &sh)
+ShardedEngine::settle(int s)
 {
-    const std::size_t k = sh.inbox.drain([&sh](Msg &&m) {
-        sh.eq.scheduleMessage(m.when, std::move(m.cb), m.priority,
-                              m.seq);
-    });
+    Shard &sh = *shards_[static_cast<std::size_t>(s)];
+    std::size_t k = 0;
+    for (auto &poster : shards_) {
+        if (!poster->posts() || poster.get() == &sh)
+            continue;
+        k += poster->out[static_cast<std::size_t>(s)]->drain(
+            [&sh](Msg &&m) {
+                sh.eq.scheduleMessage(m.when, std::move(m.cb),
+                                      m.priority, m.seq);
+            });
+    }
     sh.max_inbox = std::max(sh.max_inbox, static_cast<std::uint64_t>(k));
-    refreshCache(sh);
 }
 
 std::uint64_t
@@ -168,14 +168,11 @@ ShardedEngine::executedTotal() const
 bool
 ShardedEngine::nextEventTime(Tick &when)
 {
-    // Exact peek sweep (not the caches): this is a public query and
-    // must see events parked at kTickMax, which the cache sentinel
-    // cannot distinguish from empty.
     bool any = false;
     EventQueue::NextEvent e;
-    for (auto &sp : shards_) {
-        settle(*sp);
-        if (!sp->eq.peekNext(e))
+    for (int s = 0; s < shards(); ++s) {
+        settle(s);
+        if (!shards_[static_cast<std::size_t>(s)]->eq.peekNext(e))
             continue;
         if (!any || e.when < when)
             when = e.when;
@@ -190,17 +187,13 @@ ShardedEngine::runUntil(Tick target)
     std::uint64_t n = 0;
     if (shards() == 1) {
         // Single shard: the engine is exactly one EventQueue; run it
-        // directly (no merge bookkeeping, no clocks, no caches).
+        // directly (no merge bookkeeping, no clocks).
         // The queue handles an installed Chooser itself.
-        n = shards_[0]->eq.runUntil(target);
-        refreshCache(*shards_[0]);
-        return n;
+        return shards_[0]->eq.runUntil(target);
     }
-    // Public entry points resync every shard: messages left in the
-    // rings by the last run, and events the user scheduled or
-    // cancelled directly on the shard queues since.
-    for (auto &sp : shards_)
-        settle(*sp);
+    // Messages left in the outboxes by the last run.
+    for (int s = 0; s < shards(); ++s)
+        settle(s);
     n = chooser_ != nullptr || lookahead_ == 0 ? runMerge(target)
                                                : runClocks(target);
     // Advance every shard clock to exactly the target (mirrors
@@ -220,7 +213,8 @@ ShardedEngine::runClocks(Tick target)
     // caller's final clock sync is all the work, and no worker wakes.
     if (std::all_of(shards_.begin(), shards_.end(),
                     [target](const auto &sp) {
-                        return sp->next_when > target;
+                        EventQueue::NextEvent e;
+                        return !sp->eq.peekNext(e) || e.when > target;
                     }))
         return 0;
     const Tick cap = target >= kTickMax ? kTickMax : target + 1;
@@ -294,7 +288,7 @@ ShardedEngine::runNext(int worker, bool own, Tick cap, RunCounts &counts,
         // next and its state stays in the owner's cache.
         if (!own && !ownerBusyElsewhere(s))
             continue;
-        if (sh.posts) {
+        if (sh.posts()) {
             if (runSlice(s, cap, counts))
                 return true;
         } else if (c < slowest_clock &&
@@ -330,16 +324,18 @@ ShardedEngine::runSlice(int s, Tick cap, RunCounts &counts)
         return false;
     // Claimed: the clock is ours now. Read the others' clocks
     // (acquire) *before* draining, so every post below the horizon
-    // they admit is already in the ring.
+    // they admit is already in an outbox to this shard.
     const Tick from = sh.done_until.load(std::memory_order_relaxed);
     const Tick h = horizon(s, cap);
     if (from >= h) {
         sh.busy.store(false, std::memory_order_release);
         return false;
     }
-    settle(sh);
+    settle(s);
+    EventQueue::NextEvent e;
+    const Tick next = sh.eq.peekNext(e) ? e.when : kTickMax;
     const Tick until =
-        std::min(h, addSat(std::max(from, sh.next_when), slice_span_));
+        std::min(h, addSat(std::max(from, next), slice_span_));
     sh.eq.runUntil(until - 1);
     // seq_cst (a release store too): of two shards published at
     // once, one of them sees the other's clock in raiseFloor.
@@ -377,12 +373,12 @@ ShardedEngine::horizon(int s, Tick cap) const
         const Shard &o = *shards_[static_cast<std::size_t>(t)];
         const Tick c = o.done_until.load(std::memory_order_acquire);
         others_min = std::min(others_min, c);
-        if (o.posts)
+        if (o.posts())
             h = std::min(h, addSat(c, lookahead_));
     }
-    // The backlog bound: a poster's posts wait in the rings of the
+    // The backlog bound: a poster's posts wait in its outboxes to the
     // shards it runs ahead of.
-    if (shards_[static_cast<std::size_t>(s)]->posts)
+    if (shards_[static_cast<std::size_t>(s)]->posts())
         h = std::min(h, addSat(others_min, run_ahead_));
     return h;
 }
@@ -416,101 +412,63 @@ ShardedEngine::workerLoop(int worker, std::uint32_t seen)
 bool
 ShardedEngine::mergeOne(Tick target)
 {
-    // Candidate = the shards whose *cached* next-event time equals
-    // the cached minimum; peek only those, validating the cache on
-    // the way (a cancel can leave it stale-early — refresh and
-    // retry). Execute the globally smallest (when, priority, seq,
-    // shard). Cross-shard ties on the (when, priority) prefix are the
-    // ShardMerge arbitration sites: the default (alternative 0) is
-    // the smallest (seq, shard), which the clock path reproduces by
-    // construction — message seqs order messages, and cross-shard
-    // *local* ties are independent events whose order is unobservable
-    // (DESIGN.md §4i).
-    for (;;) {
-        Tick m = kTickMax;
-        for (auto &sp : shards_)
-            m = std::min(m, sp->next_when);
-        if (m > target)
-            return false;
+    // Execute the globally smallest (when, priority, seq, shard) at or
+    // below the target. Cross-shard ties on the (when, priority)
+    // prefix are the ShardMerge arbitration sites: the default
+    // (alternative 0) is the smallest (seq, shard), which the clock
+    // path reproduces by construction — message seqs order messages,
+    // and cross-shard *local* ties are independent events whose order
+    // is unobservable (DESIGN.md §4i).
+    int best = -1;
+    EventQueue::NextEvent best_e;
+    for (int s = 0; s < shards(); ++s) {
+        EventQueue::NextEvent e;
+        if (!shards_[static_cast<std::size_t>(s)]->eq.peekNext(e) ||
+            e.when > target)
+            continue;
+        if (best < 0 || e.when < best_e.when ||
+            (e.when == best_e.when &&
+             (e.priority < best_e.priority ||
+              (e.priority == best_e.priority && e.seq < best_e.seq))))
+        {
+            best = s;
+            best_e = e;
+        }
+    }
+    if (best < 0)
+        return false;
 
-        int best = -1;
-        EventQueue::NextEvent best_e;
-        bool stale = false;
-        for (int s = 0; s < shards(); ++s) {
-            Shard &sh = *shards_[static_cast<std::size_t>(s)];
-            // m == kTickMax: the sentinel cannot distinguish an
-            // event parked at kTickMax from an empty shard — peek
-            // everything (rare: only the saturated drain tail).
-            if (m < kTickMax && sh.next_when != m)
+    int pick = best;
+    if (chooser_ != nullptr) {
+        // Collect every shard tied on the (when, priority) prefix,
+        // default first, shard index as the actor tag.
+        int cand[kMaxChoiceAlts];
+        std::int64_t actors[kMaxChoiceAlts];
+        int nc = 0;
+        cand[nc] = best;
+        actors[nc++] = best;
+        for (int s = 0; s < shards() && nc < kMaxChoiceAlts; ++s) {
+            if (s == best)
                 continue;
             EventQueue::NextEvent e;
-            if (!sh.eq.peekNext(e)) {
-                // Empty shard: only stale if the cache claimed work
-                // (a drained shard at the kTickMax sentinel is the
-                // steady state of the m == kTickMax sweep, not a
-                // cache miss — flagging it would spin forever).
-                if (sh.next_when != kTickMax) {
-                    refreshCache(sh);
-                    stale = true;
-                }
-                continue;
-            }
-            if (e.when != m) {
-                refreshCache(sh); // stale-early cache: fix, rescan
-                stale = true;
-                continue;
-            }
-            if (best < 0 || e.priority < best_e.priority ||
-                (e.priority == best_e.priority && e.seq < best_e.seq))
+            if (shards_[static_cast<std::size_t>(s)]->eq.peekNext(e) &&
+                e.when == best_e.when && e.priority == best_e.priority)
             {
-                best = s;
-                best_e = e;
+                cand[nc] = s;
+                actors[nc++] = s;
             }
         }
-        if (best < 0) {
-            if (stale)
-                continue; // minimum moved under us: recompute
-            return false; // genuinely nothing at or below target
+        if (nc > 1) {
+            const int c =
+                chooser_->choose(ChoiceKind::ShardMerge, actors, nc);
+            JETSIM_ASSERT(c >= 0 && c < nc);
+            pick = cand[c];
         }
-
-        int pick = best;
-        if (chooser_ != nullptr) {
-            // Collect every shard tied on the (when, priority)
-            // prefix, default first, shard index as the actor tag.
-            int cand[kMaxChoiceAlts];
-            std::int64_t actors[kMaxChoiceAlts];
-            int nc = 0;
-            cand[nc] = best;
-            actors[nc++] = best;
-            for (int s = 0; s < shards() && nc < kMaxChoiceAlts;
-                 ++s) {
-                if (s == best)
-                    continue;
-                Shard &sh = *shards_[static_cast<std::size_t>(s)];
-                EventQueue::NextEvent e;
-                if (sh.eq.peekNext(e) && e.when == best_e.when &&
-                    e.priority == best_e.priority)
-                {
-                    cand[nc] = s;
-                    actors[nc++] = s;
-                }
-            }
-            if (nc > 1) {
-                const int c = chooser_->choose(ChoiceKind::ShardMerge,
-                                               actors, nc);
-                JETSIM_ASSERT(c >= 0 && c < nc);
-                pick = cand[c];
-            }
-        }
-        ++merge_steps_;
-        Shard &psh = *shards_[static_cast<std::size_t>(pick)];
-        const bool ran = psh.eq.runOne();
-        JETSIM_ASSERT(ran);
-        // The dispatched callback can only have scheduled into its
-        // own shard (direct post inserts min-update theirs).
-        refreshCache(psh);
-        return true;
     }
+    ++merge_steps_;
+    const bool ran = shards_[static_cast<std::size_t>(pick)]->eq.runOne();
+    JETSIM_ASSERT(ran);
+    return true;
 }
 
 std::uint64_t
@@ -529,11 +487,10 @@ ShardedEngine::runAll(std::uint64_t max_events)
     if (shards() == 1) {
         while (n < max_events && shards_[0]->eq.runOne())
             ++n;
-        refreshCache(*shards_[0]);
         return n;
     }
-    for (auto &sp : shards_)
-        settle(*sp);
+    for (int s = 0; s < shards(); ++s)
+        settle(s);
     if (chooser_ != nullptr || lookahead_ == 0) {
         while (n < max_events && mergeOne(kTickMax))
             ++n;
@@ -577,7 +534,6 @@ ShardedEngine::stats() const
     for (const auto &sp : shards_) {
         st.executed += sp->eq.executed();
         st.max_inbox = std::max(st.max_inbox, sp->max_inbox);
-        st.ring_overflow += sp->inbox.overflowed();
     }
     for (const std::uint32_t c : port_count_)
         st.messages += c;

@@ -13,22 +13,23 @@
  * can post to it.
  *
  *  - A shard's clock, done_until, says that every event below it has
- *    run and every post those events made is in its destination's
- *    inbox ring. It is published with a release store.
+ *    run and every post those events made is in the poster's outbox
+ *    to its destination. It is published with a release store.
  *  - Only *posters* — shards owning a cross-shard source port — can
  *    post to another shard, and a poster's events all run at
  *    when >= its clock, so nothing it posts later lands before its
  *    clock + L. A shard's horizon is therefore the smallest of
  *    target + 1 and every *other* poster's clock + L; a poster is
  *    also held to kRunAheadWindows lookaheads past every other
- *    shard's clock, which bounds the posts waiting in their rings.
+ *    shard's clock, which bounds the posts waiting in its outboxes.
  *  - A worker claims a shard whose clock is below its horizon, reads
- *    the clocks (acquire), drains that shard's ring into its heap,
- *    runs it towards the horizon — at most kSliceWindows lookaheads
- *    past its next event, so shards interleave — and publishes the
- *    new clock. Posters go first; each worker prefers its own shards
- *    (s % threads == w) and takes another only when none of its own
- *    can run; with nothing runnable it yields.
+ *    the clocks (acquire), drains every poster's outbox to that shard
+ *    into its heap, runs it towards the horizon — at most
+ *    kSliceWindows lookaheads past its next event, so shards
+ *    interleave — and publishes the new clock. Posters go first;
+ *    each worker prefers its own shards (s % threads == w) and takes
+ *    another only when none of its own can run; with nothing
+ *    runnable it yields.
  *  - The shard with the smallest clock always has a horizon above
  *    it, so some shard can always run: no deadlock, no global wait.
  *
@@ -42,9 +43,9 @@
  *    of clock values, worker assignment or delivery timing — so a
  *    message drained early (a run-ahead poster's) keeps its dispatch
  *    key;
- *  - a message below a shard's horizon is in its ring before the
- *    clock that admits that horizon is published, so it is always in
- *    the heap before the shard runs past it;
+ *  - a message below a shard's horizon is in an outbox to it before
+ *    the clock that admits that horizon is published, so it is always
+ *    in the heap before the shard runs past it;
  *  - events on *different* shards never touch shared state, so their
  *    relative order across shards cannot affect any observable — the
  *    same independence argument jetmc's partial-order reduction is
@@ -58,12 +59,13 @@
  * merge path equal the clock path's for the same reason as above.
  *
  * Locking contract (jetrace, DESIGN.md §4h): there is none to state —
- * the engine's hot path owns no mutex at all. The inbox is a bounded
- * lock-free ring with arena-batched overflow blocks, a shard is
- * claimed with one atomic exchange, and clocks are release/acquire
- * atomics. Workers park between runs on an atomic wait. The hot path
- * is allocation-free at steady state: each shard reuses its slab
- * EventPool, and ring cells / overflow node blocks are recycled.
+ * the engine's hot path owns no mutex at all. Each poster owns one
+ * single-producer/single-consumer Outbox per other shard; a shard is
+ * claimed with one atomic exchange, which hands over both its heap
+ * and its outboxes' producer and consumer roles, and clocks are
+ * release/acquire atomics. Workers park between runs on an atomic
+ * wait. The hot path is allocation-free at steady state: each shard
+ * reuses its slab EventPool, and each outbox reuses drained nodes.
  */
 
 #ifndef JETSIM_SIM_SHARDED_ENGINE_HH
@@ -76,7 +78,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/msg_ring.hh"
+#include "sim/outbox.hh"
 
 namespace jetsim::sim {
 
@@ -103,9 +105,6 @@ class ShardedEngine
          * single-threaded and branch at merge ties.
          */
         Tick lookahead = 0;
-        /** Per-shard inbox ring capacity (power of two); bursts past
-         * it take the arena-batched overflow path, never a lock. */
-        std::size_t inbox_capacity = 256;
     };
 
     /** Clock / message / merge counters (see stats()). */
@@ -125,7 +124,6 @@ class ShardedEngine
         std::uint64_t messages = 0;    ///< lifetime post() count
         std::uint64_t executed = 0;    ///< events over all shards
         std::uint64_t max_inbox = 0;   ///< deepest drain observed
-        std::uint64_t ring_overflow = 0; ///< posts past the ring
     };
 
     explicit ShardedEngine(Options opts);
@@ -147,7 +145,8 @@ class ShardedEngine
      * returned port id feeds post(). Ports are allocated before the
      * run starts (registration is not thread-safe) and their order is
      * part of the deterministic merge: lower ports win
-     * message-message ties at equal (when, priority).
+     * message-message ties at equal (when, priority). The shard's
+     * first non-local port creates its outboxes, one per other shard.
      *
      * A @p local_only port may post only to its own shard (min delay
      * one tick instead of the lookahead) and — crucially for the
@@ -164,9 +163,10 @@ class ShardedEngine
      * shard (its executing callbacks), with
      * when >= src now + max(1, lookahead) — the conservative bound
      * that makes the horizons safe (local_only ports: one tick). Safe
-     * to call concurrently from distinct shards while workers run;
-     * the destination drains it at its next slice (same-shard posts,
-     * and every post while only the caller runs shards, insert
+     * to call concurrently from distinct shards while workers run:
+     * the post goes into the source shard's outbox to @p dst_shard,
+     * which the destination drains at its next slice (same-shard
+     * posts, and every post while only the caller runs shards, insert
      * directly).
      */
     void post(int src_port, int dst_shard, Tick when,
@@ -186,7 +186,7 @@ class ShardedEngine
     std::uint64_t runAll(std::uint64_t max_events = UINT64_MAX);
 
     /** Smallest pending event time across shards; false when all
-     * shards (and inboxes) are empty. */
+     * shards (and outboxes) are empty. */
     bool nextEventTime(Tick &when);
 
     /**
@@ -202,11 +202,11 @@ class ShardedEngine
   private:
     /**
      * How many lookahead windows a poster may run past the slowest
-     * other shard. Its posts wait in the receivers' rings until they
+     * other shard. Its posts wait in its outboxes until the receivers
      * catch up, so the bound caps that backlog: on the 1000-board
-     * fleet 32 windows keep every ring far inside its 256 slots,
-     * while an unbounded poster grew peak RSS by a third and made the
-     * run phase allocate ring overflow blocks.
+     * fleet 32 windows keep every outbox inside its first 64-node
+     * block (the deepest drain is 13-14), while an unbounded poster
+     * grew peak RSS by a third and made the run phase allocate.
      */
     static constexpr std::uint64_t kRunAheadWindows = 32;
 
@@ -229,37 +229,31 @@ class ShardedEngine
     };
 
     /**
-     * A shard: queue + lock-free inbox + clock. Everything but the
-     * atomics is touched only by the worker holding the claim (busy)
-     * or at quiescent points, ordered by the claim's acquire/release.
-     * Padded so two workers' hot shards never share a cache line.
+     * A shard: queue + outboxes + clock. Everything but the atomics
+     * is touched only by the worker holding the claim (busy) or at
+     * quiescent points, ordered by the claim's acquire/release: the
+     * claim makes its holder the producer of this shard's outboxes
+     * and the consumer of every outbox addressed to it. Padded so two
+     * workers' hot shards never share a cache line.
      */
     struct alignas(64) Shard
     {
-        Shard(std::size_t inbox_capacity, std::size_t producers)
-            : inbox(inbox_capacity, producers)
-        {
-        }
         EventQueue eq;
-        MsgRing<Msg> inbox;
-        /** Every event below it has run and its posts are in their
-         * rings (release store; readers acquire). Other workers poll
-         * it, so it opens a cache line of its own. */
+        /** Every event below it has run and its posts are in its
+         * outboxes (release store; readers acquire). Other workers
+         * poll it, so it opens a cache line of its own, away from the
+         * queue's per-event counters. */
         alignas(64) std::atomic<Tick> done_until{0};
         /** Claimed by a worker for one slice. */
         std::atomic<bool> busy{false};
-        /**
-         * Merge-path cache of the next event time; kTickMax when the
-         * queue looked empty. It may run *early* (a cancelled event
-         * leaves it stale-low, which costs at most one wasted peek)
-         * but never late: every insertion path min-updates it and
-         * each public entry point refreshes it.
-         */
-        Tick next_when = kTickMax;
-        std::uint64_t max_inbox = 0; ///< deepest drain of this ring
+        /** One outbox per destination shard (null for this one);
+         * empty unless the shard owns a non-local port. Pollers read
+         * it through posts(), so it shares the clock's line. */
+        std::vector<std::unique_ptr<Outbox<Msg>>> out;
+        std::uint64_t max_inbox = 0; ///< deepest drain into this heap
         /** Owns >= 1 non-local port (a *poster*): only these shards
          * bound another shard's horizon. */
-        bool posts = false;
+        bool posts() const { return !out.empty(); }
     };
 
     /** A worker's counters for one run, added up when it ends. */
@@ -269,8 +263,7 @@ class ShardedEngine
         std::uint64_t idle = 0;
     };
 
-    void refreshCache(Shard &sh);
-    void settle(Shard &sh);
+    void settle(int s);
     std::uint64_t executedTotal() const;
     std::uint64_t runClocks(Tick target);
     void runShards(int worker, Tick cap);
@@ -321,7 +314,7 @@ class ShardedEngine
     Tick run_cap_ = 0;
     bool stop_ = false;
     /** True while workers run shards: cross-shard posts must take
-     * the rings. Written only while no worker runs. */
+     * the outboxes. Written only while no worker runs. */
     bool parallel_ = false;
     /** @} */
 };

@@ -9,8 +9,8 @@ ShardMap::roundRobin(int devices, int shards)
 {
     JETSIM_ASSERT(devices >= 1);
     JETSIM_ASSERT(shards >= 1);
-    // More shards than devices would leave empty shards spinning in
-    // every epoch; clamp instead.
+    // More shards than devices would leave empty shards for the
+    // workers to claim and advance; clamp instead.
     const int k = shards > devices ? devices : shards;
     std::vector<int> map(static_cast<std::size_t>(devices));
     for (int d = 0; d < devices; ++d)

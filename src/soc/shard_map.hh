@@ -35,8 +35,8 @@ class ShardMap
      * Shard 0 reserved for a root balancer (no devices), devices
      * round-robin over shards 1..K-1 — the placement hierarchical
      * fleets want: the root's arrival stream is the only cross-shard
-     * poster, so the engine's adaptive epoch batching fuses every
-     * device shard's work between consecutive dispatch decisions.
+     * poster, so every device shard advances on the root shard's
+     * clock alone and never waits on another device shard.
      * Degenerates to everything-on-shard-0 when @p shards < 2 (the
      * serial / merge topologies); K is clamped to devices + 1 so no
      * device shard is ever empty.

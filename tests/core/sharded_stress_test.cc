@@ -3,7 +3,7 @@
  * Sharded-engine stress: oversubscription, shard-count far beyond
  * core-count, and repeated full runs. tools/ci.sh pass 2c runs this
  * binary under JETSIM_SANITIZE=thread (--tsan), which is what turns
- * races on the shard clocks, claims and inbox rings — if any — into
+ * races on the shard clocks, claims and outboxes — if any — into
  * failures.
  */
 

@@ -494,8 +494,8 @@ TEST(ShardedEngine, LonePosterRunsAheadOfItsReceivers)
     for (const int threads : {2, 4}) {
         const Observed got = runRootPump(threads, 10);
         EXPECT_EQ(got, want) << "threads=" << threads;
-        // A ring holds what the root posted between a receiver's two
-        // drains: from one window below that receiver's clock to 32
+        // An outbox holds what the root posted between a receiver's
+        // two drains: from one window below that receiver's clock to 32
         // windows above it, one post per 7 ticks at most 48 (an
         // unbounded root would park a third of all 250 posts there).
         EXPECT_LE(got.stats.max_inbox, 48u) << "threads=" << threads;
@@ -572,26 +572,28 @@ TEST(ShardedEngine, PostersReplyingAtTheLookaheadStayCausal)
     EXPECT_EQ(cap.total(), 0u);
 }
 
-TEST(ShardedEngine, RingOverflowDeliversEverything)
+TEST(ShardedEngine, BurstDeeperThanOneBlockDeliversEverything)
 {
-    // A burst past the inbox ring's capacity takes the arena
-    // overflow path; nothing may be lost or reordered observably.
-    ShardedEngine::Options o = opts(2, 2, 5);
-    o.inbox_capacity = 4; // force overflow quickly
-    ShardedEngine eng(o);
+    // One event posts more messages than an outbox block holds: the
+    // outbox grows, and every message runs at its own tick.
+    constexpr int kBurst = 200;
+    static_assert(kBurst > static_cast<int>(Outbox<int>::kBlockNodes));
+    ShardedEngine eng(opts(2, 2, 5));
     const int port = eng.addPort(0);
     std::atomic<int> got{0};
+    std::atomic<int> late{0};
     eng.shard(0).schedule(1, [&] {
-        for (int i = 0; i < 200; ++i)
-            eng.post(port, 1, 10 + i, [&] {
+        for (int i = 0; i < kBurst; ++i)
+            eng.post(port, 1, 10 + i, [&eng, &got, &late, i] {
+                if (eng.shard(1).now() != 10 + i)
+                    late.fetch_add(1, std::memory_order_relaxed);
                 got.fetch_add(1, std::memory_order_relaxed);
             });
     });
     eng.runUntil(1000);
-    EXPECT_EQ(got.load(), 200);
-    const auto st = eng.stats();
-    EXPECT_EQ(st.messages, 200u);
-    EXPECT_GT(st.ring_overflow, 0u);
+    EXPECT_EQ(got.load(), kBurst);
+    EXPECT_EQ(late.load(), 0);
+    EXPECT_EQ(eng.stats().messages, static_cast<std::uint64_t>(kBurst));
 }
 
 TEST(ShardedEngine, CountersTrackTheSlowestClock)

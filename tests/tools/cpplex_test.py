@@ -69,6 +69,8 @@ class ClassifyOpenTest(unittest.TestCase):
     def test_class(self):
         sc = cpplex.classify_open("class EventQueue")
         self.assertEqual((sc.kind, sc.name), ("class", "EventQueue"))
+        sc = cpplex.classify_open("struct alignas(64) Shard")
+        self.assertEqual((sc.kind, sc.name), ("class", "Shard"))
 
     def test_function_qualified(self):
         sc = cpplex.classify_open("void EventQueue::dispatch(int k)")
@@ -107,10 +109,15 @@ class ClassifyOpenTest(unittest.TestCase):
                       ".push_back("), "block")
         self.assertEqual(self.kind("ring.push(Msg{when, f(x), "),
                          "block")
-        # A lambda argument still opens a function scope.
-        self.assertEqual(
-            cpplex.classify_open("eq.scheduleIn(f(gap), [this]").kind,
-            "function")
+        # A lambda argument opens a lambda, even after a parenthesised
+        # argument: it is not a function named after the callee.
+        for text in ("eq.scheduleIn(f(gap), [this]",
+                     "engine.post(sub, shard, engine.shard(shard).now()"
+                     " + fanout, [srv, origin]",
+                     "std::sort(v.begin(), v.end(), [](int a, int b)"):
+            sc = cpplex.classify_open(text)
+            self.assertEqual((sc.kind, sc.name), ("function", "<lambda>"),
+                             text)
 
     def test_annotation_macros_stripped(self):
         sc = cpplex.classify_open(
@@ -250,6 +257,28 @@ class CallGraphTest(unittest.TestCase):
         self.assertEqual(calls["A::run"][0], ("<lambda@t.cc:6>", False, 6))
         self.assertEqual([k for k, _ in g.callees("<lambda@t.cc:6>")],
                          ["helper"])
+
+    def test_lambda_argument_after_a_call_is_not_the_callee(self):
+        # The lambda passed to post() is a node of its own; the call
+        # q.post(...) in send() still reaches Q::post and nothing else.
+        src = ("struct Q { void post(int a, int b, Fn f); };\n"
+               "void Q::post(int a, int b, Fn f) { grow(); }\n"
+               "void send(Q &q, int x) {\n"
+               "    q.post(1, twice(x), [x] {\n"
+               "        use(x);\n"
+               "    });\n"
+               "}\n")
+        g = cpplex.CallGraph()
+        w = cpplex.GraphWalker(g, "t.cc")
+        # As the tools do: a lambda's opening text is the enclosing
+        # function's statement.
+        w.on_open = lambda sc, sig, ln: w.fn and w.add_calls(sig, ln)
+        w.on_statement = lambda st, ln: w.fn and w.add_calls(st, ln)
+        w.run(cpplex.strip_file(src.splitlines()))
+        self.assertEqual(sorted(g.nodes),
+                         ["<lambda@t.cc:4>", "Q::post", "send"])
+        self.assertEqual([k for k, _ in g.callees("<lambda@t.cc:4>")], [])
+        self.assertIn("Q::post", [k for k, _ in g.callees("send")])
 
 
 # A stand-in for libclang's Python bindings: whatever file it parses,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Controls for eight gates: each must be shown to pass and to fail.
+"""Controls for nine gates: each must be shown to pass and to fail.
 
 jetlint's plan mode on the committed good plan
 (tests/data/plan_good.json, trt::Engine::serialize() of resnet18 at
@@ -24,11 +24,12 @@ file. jetmc's reduction gate (pass 1d) must fail when it asks for a
 reduction no search reaches and pass at one it does (2x; the 2-process
 resnet50 deployment measures 5x).
 
-The source analyzers' gates (passes 1f and 1g) must pass on src/ and
-fail once one bad file joins it: jetrace on a function taking mu_ then
-engine_cache_mu, the reverse of the engine cache's order, must report
-a lock cycle over exactly those two locks; jethot on a JETSIM_HOT root
-that calls new must report hot-alloc.
+The source analyzers' gates (passes 1b, 1f and 1g) must pass on src/
+and fail once one bad file joins it: detlint on a function calling
+std::rand() must report one rand finding; jetrace on a function taking
+mu_ then engine_cache_mu, the reverse of the engine cache's order, must
+report a lock cycle over exactly those two locks; jethot on a
+JETSIM_HOT root that calls new must report hot-alloc.
 
     gate_controls_test.py --jetlint PATH --capacity-planner PATH \
         --simcheck PATH --jetmc PATH
@@ -200,13 +201,18 @@ HOT_NEW = """\
 JETSIM_HOT int *controlRoot() { return new int(1); }
 """
 
+RAND_CALL = """\
+#include <cstdlib>
+int controlDraw() { return std::rand(); }
+"""
+
 
 class AnalyzerGateControls(unittest.TestCase):
-    def analyze(self, tool, extra=None):
+    def analyze(self, tool, extra=None, flags=("--backend", "lex")):
         """Run a source analyzer over src/ (plus @p extra's source);
         returns (exit code, JSON document)."""
         cmd = [sys.executable, os.path.join(ROOT, "tools", tool),
-               "--backend", "lex", "--json", "--root", ROOT,
+               *flags, "--json", "--root", ROOT,
                os.path.join(ROOT, "src")]
         with tempfile.TemporaryDirectory() as tmp:
             if extra is not None:
@@ -217,6 +223,13 @@ class AnalyzerGateControls(unittest.TestCase):
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=120)
         return proc.returncode, json.loads(proc.stdout)
+
+    def test_detlint_fails_on_a_rand_call(self):
+        code, doc = self.analyze("detlint.py", flags=())
+        self.assertEqual((code, doc["findings"]), (0, []))
+        code, doc = self.analyze("detlint.py", RAND_CALL, flags=())
+        self.assertEqual(code, 1, doc["findings"])
+        self.assertEqual([f["rule"] for f in doc["findings"]], ["rand"])
 
     def test_jetrace_fails_on_an_inverted_lock_order(self):
         code, doc = self.analyze("jetrace.py")

@@ -142,6 +142,23 @@ class RuleFiresTest(AuditMixin, unittest.TestCase):
         self.assertEqual([h["chain"] for h in hits],
                          [["Queue::pop", "Log::flush"]], findings)
 
+    def test_lambda_argument_does_not_hide_the_callee(self):
+        # The lambda passed after a parenthesised argument is its own
+        # node, so q.post(...) still reaches Q::post's allocation.
+        findings, _, _ = self.audit_src("""
+            struct Q { template <typename F> void post(int, int, F); };
+            template <typename F>
+            void Q::post(int, int, F) { new int(1); }
+            int twice(int x) { return 2 * x; }
+            JETSIM_HOT void root(Q &q, int x)
+            {
+                q.post(1, twice(x), [x] {});
+            }
+        """)
+        hits = [f for f in findings if f["rule"] == "hot-alloc"]
+        self.assertEqual([h["chain"] for h in hits],
+                         [["root", "Q::post"]], findings)
+
     def test_chain_is_minimised(self):
         findings, _, _ = self.audit_src(
             JETHOT_MOD.SELFTEST_HOT_ALLOC)

@@ -66,10 +66,11 @@
 # gate for the parallel sweep runner (core::Runner), the sharded
 # event core (sim::ShardedEngine) and the build-once model and
 # engine stores: the pass rings the runner_stress_tests binary
-# (oversubscribed work-stealing pool plus the global-state
-# regression tests), the sharded_stress_tests binary
-# (per-shard clocks, shard claims and the lock-free MPSC inbox rings
-# drained while producers push, under oversubscription), the 8-thread
+# (an oversubscribed pool plus the global-state regression tests),
+# the sharded_stress_tests binary (per-shard clocks, shard claims and
+# the single-producer outboxes drained while their posters push,
+# under oversubscription), the Outbox unit tests (a drain racing a
+# producer, and both roles handed between threads), the 8-thread
 # store lookup test and the simcheck
 # replay through the parallel path, so data races in the concurrent
 # executors fail CI rather than lurk.
@@ -159,8 +160,9 @@ if [ "$run_plain" = 1 ]; then
     # Overhead gate: the clock protocol with parallelism removed —
     # a 1000-board hierarchical fleet at shards=8 on ONE thread must
     # keep >= 0.75x of the serial event rate (per-shard clocks with
-    # no barrier, one slice per claim and the lock-free inbox are
-    # what make this hold; the mutex-inbox engine sat at 0.40x).
+    # no barrier, one slice per claim, and posts inserted straight
+    # into the receiver's heap on one thread are what make this hold;
+    # the mutex-inbox engine sat at 0.40x).
     # Runs on any host — this gate never self-skips.
     "$repo/build-ci/plain/tools/simcheck" --fleet-overhead=0.75
     banner "pass 1d: bounded model check (jetmc)"
@@ -227,12 +229,8 @@ edges = {(e["from"], e["to"]) for e in doc["lock_graph"]["edges"]}
 assert ("engine_cache_mu", "mu") in edges, doc["lock_graph"]
 # The exact order set, so an edge that appears or vanishes (a new
 # lock site, or a resolver change) is looked at, not waved through.
-# ("m", "mu_") comes from the base-name fallback: StealPool's
-# `tasks.push_back(t)` under m reaches Fifo::push_back, now that a
-# braced call argument no longer shadows it as a function named
-# push_back.
 want = {("engine_cache_mu", "mu"), ("engine_cache_mu", "mu_"),
-        ("m", "mu_"), ("m_", "mu"), ("model_store_mu", "mu"),
+        ("m_", "mu"), ("model_store_mu", "mu"),
         ("model_store_mu", "mu_")}
 assert edges == want, sorted(edges)
 print("jetrace: src clean; lock graph acyclic "
@@ -316,10 +314,16 @@ if [ "$run_san" = 1 ]; then
     # the sanitizer sees maximum interleaving.
     JETSIM_THREADS=16 \
         "$repo/build-ci/$san_flavor/tests/runner_stress_tests"
-    # The sharded clock loop and lock-free inbox rings under the
-    # same treatment: with --tsan this is the pass that turns any
-    # data race in ShardedEngine into a CI failure.
+    # The sharded clock loop and its outboxes under the same
+    # treatment: with --tsan this is the pass that turns any data
+    # race in ShardedEngine into a CI failure. The Outbox unit tests
+    # race a drain against a producer and hand both roles between
+    # threads; each run is a fresh schedule.
     "$repo/build-ci/$san_flavor/tests/sharded_stress_tests"
+    for _ in 1 2 3 4 5; do
+        "$repo/build-ci/$san_flavor/tests/sharded_tests" --gtest_brief=1 \
+            --gtest_filter='Outbox.*'
+    done
     # The build-once model and engine stores: 8 threads (twice the
     # cores of a 4-core host) race first builds against lookups of
     # every key. Each run is a fresh process, so every run races the

@@ -161,15 +161,18 @@ def classify_open(text):
     if not text:
         return Scope("block", "")
     # A `{` inside an open call's argument list is a braced argument
-    # (`v.push_back(\n {i, write})`), not a definition — unless a `[`
-    # after that `(` may introduce a lambda.
+    # (`v.push_back(\n {i, write})`), or, when a `[` follows that `(`,
+    # a lambda argument — never a function named after the callee
+    # (`engine.post(sub, f(x), [srv] {` is not a `post`).
     tail = open_paren_tail(text)
-    if tail is not None and "[" not in tail:
-        return Scope("block", "")
+    if tail is not None:
+        if "[" not in tail:
+            return Scope("block", "")
+        return Scope("function", "<lambda>")
     m = re.match(r"^(?:inline\s+)?namespace\b\s*([\w:]*)", text)
     if m:
         return Scope("namespace", m.group(1) or "<anon>")
-    m = re.search(r"\b(class|struct|union)\s+(?:JETSIM_\w+"
+    m = re.search(r"\b(class|struct|union)\s+(?:(?:JETSIM_\w+|alignas)"
                   r"\s*\([^)]*\)\s*)?(\w+)?", text)
     if m and "(" not in text.split(m.group(1))[0]:
         return Scope("class", m.group(2) or "<anon>")

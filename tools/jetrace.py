@@ -470,11 +470,12 @@ void outer() { LockGuard a(lockA); middle(); ++shared_ab; }
 """
 
 # MPSC-inbox fixtures: a miniature of the lock-free shard inbox ring
-# (src/sim/msg_ring.hh) that replaced the shard_mu_ mutex inbox in
-# DESIGN.md §4i. The ring variant is pure std::atomic — it must audit
-# clean AND contribute zero lock-graph capabilities, because the point
-# of the replacement is that cross-shard posting no longer introduces
-# any lock the epoch barrier could entangle with. The mutexed variant
+# that replaced the shard_mu_ mutex inbox in DESIGN.md §4i (the
+# engine's cross-shard queues are now the single-producer outboxes of
+# src/sim/outbox.hh). The ring variant is pure std::atomic — it must
+# audit clean AND contribute zero lock-graph capabilities, because
+# cross-shard posting must not introduce any lock the shard clocks
+# could entangle with. The mutexed variant
 # reintroduces the old raw std::mutex inbox; raw-mutex must flag both
 # the declaration and the lock site before that lock can re-enter the
 # engine invisible to the graph.

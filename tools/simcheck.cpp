@@ -47,7 +47,7 @@
  * (also in --json) and passes.
  *
  * With --fleet-overhead=<ratio> it times a hierarchical fleet at
- * shards=8 on ONE thread against shards=1: pure epoch-protocol
+ * shards=8 on ONE thread against shards=1: pure clock-protocol
  * overhead, no parallelism to hide behind. The sharded run must keep
  * >= <ratio>x of the serial event rate (CI pass 1c gates at 0.75).
  * Unlike --fleet-scaling this holds on any host, 1 core included.
