@@ -1,11 +1,11 @@
 /**
  * @file
- * Outbox unit tests: push order across drains, node reuse after a
- * burst, move-only payloads, teardown of undrained messages, a drain
- * loop racing a producer, and the sharded engine's role handoff (each
- * role passed between threads by an acquire/release flag, as a shard
- * claim passes it). tools/ci.sh pass 2c reruns them under the
- * sanitizer.
+ * Outbox unit tests: a push/drain round trip, push order across many
+ * drains within one block, node reuse after a burst, move-only
+ * payloads, teardown of undrained messages, a drain loop racing a
+ * producer, and the sharded engine's role handoff (each role passed
+ * between threads by an acquire/release flag, as a shard claim passes
+ * it). tools/ci.sh pass 2c reruns them under the sanitizer.
  */
 
 #include "sim/outbox.hh"
@@ -29,14 +29,20 @@ drainAll(Outbox<int> &box)
     return got;
 }
 
-TEST(Outbox, PushOrderIsKeptAcrossDrains)
+TEST(Outbox, PushDrainRoundTrip)
 {
     Outbox<int> box;
     for (int i = 0; i < 5; ++i)
         box.push(i);
     EXPECT_EQ(drainAll(box), (std::vector<int>{0, 1, 2, 3, 4}));
     EXPECT_EQ(box.drain([](int &&) { FAIL(); }), 0u);
-    int next = 5;
+    EXPECT_EQ(box.blocks(), 1u);
+}
+
+TEST(Outbox, ManyDrainsKeepOrderInOneBlock)
+{
+    Outbox<int> box;
+    int next = 0;
     for (int round = 0; round < 100; ++round) {
         const int first = next;
         for (int i = 0; i < 3; ++i)
