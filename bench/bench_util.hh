@@ -62,14 +62,6 @@ runParallel(const std::vector<core::ExperimentSpec> &specs)
     return results;
 }
 
-/** Heterogeneous counterpart of runParallel(). */
-inline std::vector<core::MixedExperimentResult>
-runParallelMixed(const std::vector<core::MixedExperimentSpec> &specs)
-{
-    core::Runner runner;
-    return runner.runMixed(specs, progress());
-}
-
 /**
  * Common sweep timing: benches favour wall-clock over variance, so
  * they run shorter windows than the library defaults. JETSIM_QUICK=1

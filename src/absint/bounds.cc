@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "absint/memlive.hh"
 #include "gpu/cost_model.hh"
-#include "lint/hazard_lint.hh"
 #include "models/zoo.hh"
 #include "prof/nsight.hh"
 #include "sim/rng.hh"
@@ -205,79 +203,37 @@ analyze(const core::MixedExperimentSpec &spec)
                         b.switch_ms
                   : 0.0;
 
-    // --- Memory high-water via buffer liveness ------------------------
-    // The symbolic allocation program: a deploy stream pins every
-    // process's runtime + engine buffers (program order), then each
-    // process stream runs inference on its own buffers after the
-    // deploy event — so all allocations must coexist, and the
-    // liveness bound collapses to the exact whole-sum, matching the
-    // simulator's sequential deploy.
-    lint::StreamProgram prog;
-    const int deploy_s = prog.stream("deploy");
-    std::vector<int> proc_stream;
+    // --- Memory high-water ---------------------------------------------
+    // Each process pins its runtime overhead and its engine's device
+    // buffers at deploy and holds them until it exits, so every
+    // allocation is resident at once: the high-water mark is exactly
+    // jetlint D001's whole sum, and the simulator's sequential deploy
+    // fails exactly when that sum exceeds the budget.
     std::vector<std::string> proc_name;
     std::vector<int> proc_workload;
+    sim::Bytes need = 0;
     for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
         const auto &w = spec.workloads[wi];
         for (int i = 0; i < w.processes; ++i) {
-            const std::string nm = w.model + "/" +
-                                   soc::name(w.precision) + "." +
-                                   std::to_string(i);
-            proc_stream.push_back(prog.stream(nm));
-            proc_name.push_back(nm);
+            proc_name.push_back(w.model + "/" +
+                                soc::name(w.precision) + "." +
+                                std::to_string(i));
             proc_workload.push_back(static_cast<int>(wi));
+            need += dev->memory.process_runtime_overhead +
+                    infos[wi].engine_bytes;
         }
     }
-    const int ev = prog.event("deployed");
-    std::vector<std::pair<int, int>> proc_bufs;
-    for (std::size_t pi = 0; pi < proc_stream.size(); ++pi) {
-        const int rt_b = prog.buffer(
-            proc_name[pi] + ".rt",
-            dev->memory.process_runtime_overhead);
-        const int eng_b = prog.buffer(
-            proc_name[pi] + ".eng",
-            infos[static_cast<std::size_t>(proc_workload[pi])]
-                .engine_bytes);
-        prog.launch(deploy_s, "alloc." + proc_name[pi], {},
-                    {rt_b, eng_b});
-        proc_bufs.emplace_back(rt_b, eng_b);
-    }
-    prog.record(deploy_s, ev);
-    for (std::size_t pi = 0; pi < proc_stream.size(); ++pi) {
-        prog.wait(proc_stream[pi], ev);
-        prog.launch(proc_stream[pi], "infer." + proc_name[pi],
-                    {proc_bufs[pi].first},
-                    {proc_bufs[pi].second});
-    }
-
-    const MemBounds mem = memHighWater(prog);
     b.available_mib = sim::toMiB(dev->availableMemory());
-    b.mem_mib = {sim::toMiB(mem.peak_lo), sim::toMiB(mem.peak_hi)};
-    b.whole_sum_mib = sim::toMiB(mem.whole_sum);
-    b.must_oom = mem.peak_lo > dev->availableMemory();
-    b.may_oom = mem.peak_hi > dev->availableMemory();
-
-    // Logical coupling between process streams (conflicting pairs
-    // excluding the deploy stream): such partners may serialize on
-    // shared data, so their drain is added to the hi side below.
-    // The default per-process-buffer program has none.
-    std::vector<std::vector<int>> partners(proc_stream.size());
-    for (const auto &pr : lint::conflictingStreamPairs(prog)) {
-        if (pr.first == deploy_s || pr.second == deploy_s)
-            continue;
-        const int a = pr.first - 1;  // stream ids follow deploy's 0
-        const int p2 = pr.second - 1;
-        partners[static_cast<std::size_t>(a)].push_back(p2);
-        partners[static_cast<std::size_t>(p2)].push_back(a);
-        ++b.contending_pairs;
-    }
+    b.mem_mib = {sim::toMiB(need), sim::toMiB(need)};
+    b.whole_sum_mib = sim::toMiB(need);
+    b.must_oom = b.may_oom = need > dev->availableMemory();
 
     // --- Per-process intervals ----------------------------------------
     const double in_flight =
         static_cast<double>(1 + spec.pre_enqueue);
     const double w_ms = b.window_ms;
     double best_rate = 0.0;
-    for (std::size_t pi = 0; pi < proc_stream.size(); ++pi) {
+    for (std::size_t pi = 0; pi < proc_name.size(); ++pi) {
         const auto &info =
             infos[static_cast<std::size_t>(proc_workload[pi])];
         ProcBounds pb;
@@ -297,20 +253,12 @@ analyze(const core::MixedExperimentSpec &spec)
         const double launch_total =
             kd * b.cpu.serviceHiMs(b.cpu.launch_hi_ms);
 
-        for (const int q : partners[pi])
-            pb.conflict_stall_ms +=
-                in_flight *
-                infos[static_cast<std::size_t>(proc_workload
-                          [static_cast<std::size_t>(q)])]
-                    .e_hi_ms;
-
         // Pipeline span: our K launches (CPU), then the channel
         // drains at most (1+pre) ECs' kernels, each preceded by a
         // full rotation gap.
         const double drain_hi = in_flight * info.e_hi_ms +
                                 in_flight * kd * gap_hi;
-        const double span_hi =
-            launch_total + drain_hi + pb.conflict_stall_ms;
+        const double span_hi = launch_total + drain_hi;
         pb.latency_ms = {info.e_lo_ms, span_hi};
 
         // Completion period: detection + sync + prep + the span

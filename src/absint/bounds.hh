@@ -100,10 +100,6 @@ struct ProcBounds
     Interval throughput_fps;
     /** Per-EC blocking B_l (GPU done -> CPU detection), upper. */
     double blocking_ms_hi = 0;
-    /** Serialization allowance added for logically-coupled streams
-     * (conflictingStreamPairs partners); zero for disjoint-buffer
-     * deployments. */
-    double conflict_stall_ms = 0;
 };
 
 /** Whole-deployment bounds. */
@@ -120,15 +116,11 @@ struct DeploymentBounds
     /** @name Memory (MiB)
      * @{ */
     double available_mib = 0;
-    Interval mem_mib;          ///< liveness high-water interval
+    Interval mem_mib;          ///< resident high-water (exact)
     double whole_sum_mib = 0;  ///< jetlint D001's whole-sum bound
     bool must_oom = false;     ///< lower bound alone exceeds budget
     bool may_oom = false;      ///< upper bound exceeds budget
     /** @} */
-
-    /** Logically-coupled process-stream pairs (shared buffers per
-     * lint::conflictingStreamPairs; sync edges ignored there). */
-    int contending_pairs = 0;
 
     /** Aggregate throughput cap from GPU serialization: completed
      * ECs beyond the in-flight allowance each hold the GPU for at

@@ -35,16 +35,6 @@ struct Interval
     bool valid() const { return lo <= hi; }
     double width() const { return hi - lo; }
 
-    /** Width relative to the midpoint — the tightness figure the
-     * jetbound CLI reports per quantity (0 = exact, 2 = vacuous
-     * [0, 2x] style bound). */
-    double
-    relWidth() const
-    {
-        const double mid = 0.5 * (lo + hi);
-        return mid > 0.0 ? width() / mid : 0.0;
-    }
-
     Interval
     operator+(const Interval &o) const
     {

@@ -7,10 +7,10 @@
  * re-simulates every cell it shares with the others. Because the
  * simulator is bit-deterministic (same spec ⇒ same result, the JetSan
  * determinism invariant), a result can be keyed purely by its spec:
- * the cache key is an FNV-1a digest over the format version, a kind
- * tag ("experiment" / "mixed") and the spec's field list (its
- * canonical JSON, sim/json.hh), so any change to any field, or to
- * the format, misses.
+ * the cache key is an FNV-1a digest over the format version, the
+ * kind tag "experiment" and the spec's field list (its canonical
+ * JSON, sim/json.hh), so any change to any field, or to the format,
+ * misses.
  *
  * Entries are single JSON files, `jetsim-<16-hex-key>.json`, written
  * atomically: the result's field list as a `"jetsim_cache": 2`
@@ -47,11 +47,9 @@ class ResultCache
 
     /** Digest of every field of @p spec (the cache key). */
     static std::uint64_t specKey(const ExperimentSpec &spec);
-    static std::uint64_t specKey(const MixedExperimentSpec &spec);
 
     /** File that does/would hold the entry for @p spec. */
     std::string pathFor(const ExperimentSpec &spec) const;
-    std::string pathFor(const MixedExperimentSpec &spec) const;
 
     /**
      * Look up a cached result. Returns nullopt on miss, corruption,
@@ -59,13 +57,10 @@ class ResultCache
      */
     std::optional<ExperimentResult>
     load(const ExperimentSpec &spec) const;
-    std::optional<MixedExperimentResult>
-    load(const MixedExperimentSpec &spec) const;
 
     /** Persist a result under its spec's key. Best-effort: failures
      * (read-only dir, full disk) are reported via warn() once. */
     void store(const ExperimentResult &r) const;
-    void store(const MixedExperimentResult &r) const;
 
   private:
     std::string pathForKey(std::uint64_t key) const;

@@ -16,19 +16,6 @@ namespace jetsim::core {
 
 namespace {
 
-/** Overload set so runBatch() stays a single template. */
-ExperimentResult
-executeSpec(const ExperimentSpec &spec)
-{
-    return runExperiment(spec);
-}
-
-MixedExperimentResult
-executeSpec(const MixedExperimentSpec &spec)
-{
-    return runMixedExperiment(spec);
-}
-
 /**
  * Serialized, submission-ordered delivery of progress callbacks:
  * workers retire cells in any order; announcements drain strictly
@@ -39,8 +26,8 @@ class OrderedProgress
   public:
     OrderedProgress(std::size_t n, const ProgressFn &fn) : done_(n, 0), fn_(fn) {}
 
-    template <typename Spec>
-    void retire(std::size_t index, const std::vector<Spec> &specs)
+    void retire(std::size_t index,
+                const std::vector<ExperimentSpec> &specs)
     {
         if (!fn_)
             return;
@@ -102,17 +89,16 @@ Runner::cacheStats() const
     return s;
 }
 
-template <typename Spec, typename Result>
-std::vector<Result>
-Runner::runBatch(const std::vector<Spec> &specs,
-                 const ProgressFn &progress)
+std::vector<ExperimentResult>
+Runner::run(const std::vector<ExperimentSpec> &specs,
+            const ProgressFn &progress)
 {
-    std::vector<Result> results(specs.size());
+    std::vector<ExperimentResult> results(specs.size());
     if (specs.empty())
         return results;
 
     auto execute = [&](std::size_t i) {
-        const Spec &spec = specs[i];
+        const ExperimentSpec &spec = specs[i];
         if (cache_) {
             if (auto cached = cache_->load(spec)) {
                 hits_.fetch_add(1, std::memory_order_relaxed);
@@ -121,7 +107,7 @@ Runner::runBatch(const std::vector<Spec> &specs,
             }
         }
         misses_.fetch_add(1, std::memory_order_relaxed);
-        results[i] = executeSpec(spec);
+        results[i] = runExperiment(spec);
         if (cache_) {
             cache_->store(results[i]);
             stores_.fetch_add(1, std::memory_order_relaxed);
@@ -166,21 +152,6 @@ Runner::runBatch(const std::vector<Spec> &specs,
     for (auto &t : threads)
         t.join();
     return results;
-}
-
-std::vector<ExperimentResult>
-Runner::run(const std::vector<ExperimentSpec> &specs,
-            const ProgressFn &progress)
-{
-    return runBatch<ExperimentSpec, ExperimentResult>(specs, progress);
-}
-
-std::vector<MixedExperimentResult>
-Runner::runMixed(const std::vector<MixedExperimentSpec> &specs,
-                 const ProgressFn &progress)
-{
-    return runBatch<MixedExperimentSpec, MixedExperimentResult>(
-        specs, progress);
 }
 
 } // namespace jetsim::core

@@ -104,17 +104,12 @@ class Runner
     run(const std::vector<ExperimentSpec> &specs,
         const ProgressFn &progress = nullptr);
 
-    /** Heterogeneous (multi-tenant) batch. */
-    std::vector<MixedExperimentResult>
-    runMixed(const std::vector<MixedExperimentSpec> &specs,
-             const ProgressFn &progress = nullptr);
-
     /** Resolved worker count this runner uses. */
     int threads() const { return threads_; }
 
     bool cacheEnabled() const { return cache_ != nullptr; }
 
-    /** Cumulative cache traffic across run()/runMixed() calls. */
+    /** Cumulative cache traffic across run() calls. */
     RunnerCacheStats cacheStats() const;
 
     /**
@@ -125,10 +120,6 @@ class Runner
     static int resolveThreads(int requested);
 
   private:
-    template <typename Spec, typename Result>
-    std::vector<Result> runBatch(const std::vector<Spec> &specs,
-                                 const ProgressFn &progress);
-
     int threads_;
     std::unique_ptr<ResultCache> cache_;
     std::atomic<std::uint64_t> hits_{0};

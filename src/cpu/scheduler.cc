@@ -31,7 +31,6 @@ Thread::resetStats()
     wake_wait_ = 0;
     preempt_wait_ = 0;
     cache_penalty_ = 0;
-    wakeups_ = 0;
     preemptions_ = 0;
     migrations_ = 0;
     dispatches_ = 0;
@@ -64,13 +63,6 @@ OsScheduler::createThread(sim::NameId name_id, bool big)
 }
 
 int
-OsScheduler::runnableCount(bool big) const
-{
-    const auto &q = big ? runq_big_ : runq_little_;
-    return static_cast<int>(q.size());
-}
-
-int
 OsScheduler::busyCores(bool big) const
 {
     int n = 0;
@@ -87,7 +79,6 @@ OsScheduler::makeRunnable(Thread *t)
     t->state_ = Thread::State::Runnable;
     t->runnable_since_ = eq_.now();
     t->was_preempted_ = false;
-    ++t->wakeups_;
     queueFor(t->big_).push_back(t);
     dispatchAll();
 }

@@ -51,9 +51,6 @@ class OsScheduler
      * threads in a loop intern once instead of per call. */
     Thread *createThread(sim::NameId name_id, bool big = true);
 
-    /** Threads currently in state Runnable (queued, not running). */
-    int runnableCount(bool big) const;
-
     /** Cores of the given kind currently executing a thread. */
     int busyCores(bool big) const;
 

@@ -51,7 +51,6 @@ class Thread
     /** Interned id of the thread's name. */
     sim::NameId nameId() const { return name_id_; }
     State state() const { return state_; }
-    bool big() const { return big_; }
 
     /** @name Accounting (Section 7 decomposition)
      * @{ */
@@ -59,7 +58,6 @@ class Thread
     sim::Tick wakeWait() const { return wake_wait_; }
     sim::Tick preemptWait() const { return preempt_wait_; }
     sim::Tick cachePenalty() const { return cache_penalty_; }
-    std::uint64_t wakeups() const { return wakeups_; }
     std::uint64_t preemptions() const { return preemptions_; }
     std::uint64_t migrations() const { return migrations_; }
     std::uint64_t dispatches() const { return dispatches_; }
@@ -96,7 +94,6 @@ class Thread
     sim::Tick wake_wait_ = 0;
     sim::Tick preempt_wait_ = 0;
     sim::Tick cache_penalty_ = 0;
-    std::uint64_t wakeups_ = 0;
     std::uint64_t preemptions_ = 0;
     std::uint64_t migrations_ = 0;
     std::uint64_t dispatches_ = 0;

@@ -52,25 +52,4 @@ Stream::onComplete(std::uint64_t target, sim::InlineFn cb)
     waiters_.push_back(Waiter{target, std::move(cb)});
 }
 
-void
-Event::record(Stream &s)
-{
-    stream_ = &s;
-    target_ = s.submitted();
-}
-
-bool
-Event::query() const
-{
-    JETSIM_ASSERT(stream_ != nullptr);
-    return stream_->completed() >= target_;
-}
-
-void
-Event::wait(sim::InlineFn cb)
-{
-    JETSIM_ASSERT(stream_ != nullptr);
-    stream_->onComplete(target_, std::move(cb));
-}
-
 } // namespace jetsim::cuda

@@ -5,8 +5,8 @@
  * A stream is a FIFO of kernels belonging to one process. Launching
  * is asynchronous from the CPU's point of view; completion order
  * within a stream matches submission order (the engine's channels
- * are FIFOs). Completion-count bookkeeping supports events and
- * synchronisation (the paper's CudaSynchronization spans).
+ * are FIFOs). Completion-count bookkeeping supports synchronisation
+ * (the paper's CudaSynchronization spans).
  */
 
 #ifndef JETSIM_CUDA_STREAM_HH
@@ -80,30 +80,6 @@ class Stream
         sim::InlineFn cb;
     };
     sim::Fifo<Waiter> waiters_; // sorted by target (FIFO submit order)
-};
-
-/**
- * CUDA-event analogue: captures a position in a stream at record()
- * time; wait() callbacks fire when the GPU passes that position.
- */
-class Event
-{
-  public:
-    /** Capture the current tail of @p s. */
-    void record(Stream &s);
-
-    /** True when everything before the record point has completed. */
-    bool query() const;
-
-    /**
-     * Invoke @p cb when the recorded position completes (immediately
-     * if already done). record() must have been called.
-     */
-    void wait(sim::InlineFn cb);
-
-  private:
-    Stream *stream_ = nullptr;
-    std::uint64_t target_ = 0;
 };
 
 } // namespace jetsim::cuda

@@ -100,8 +100,6 @@ class GpuEngine
     /** Switch between time-multiplexed (default) and spatial mode. */
     void setSpatialSharing(bool on);
 
-    bool spatialSharing() const { return spatial_; }
-
     /**
      * Hand every finished kernel's record to @p fn, in subscription
      * order and before its channel's completion callback, until the
@@ -119,9 +117,6 @@ class GpuEngine
     void setExtraKernelOverhead(sim::Tick t) { extra_overhead_ = t; }
 
     sim::Tick extraKernelOverhead() const { return extra_overhead_; }
-
-    /** Expose the cost model for tests and the builder. */
-    const KernelCostModel &costModel() const { return cost_; }
 
     /** The queue this engine's events run on — with sharding, the
      * board's shard. Stream/event waiters attribute their SBO misses

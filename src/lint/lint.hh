@@ -10,7 +10,6 @@
  *   graph_lint   - Network structure (Gxxx rules)
  *   plan_lint    - compiled Engine plans + deployment memory (P/D)
  *   config_lint  - experiment/sweep specs, end to end (Cxxx)
- *   hazard_lint  - happens-before hazards over stream programs (H)
  *
  * Diagnostics accumulate in a lint::Report (finding.hh) and render
  * as text, JSON, or JetSan violations. The tools/jetlint CLI fronts
@@ -23,7 +22,6 @@
 #include "lint/config_lint.hh"
 #include "lint/finding.hh"
 #include "lint/graph_lint.hh"
-#include "lint/hazard_lint.hh"
 #include "lint/plan_lint.hh"
 #include "lint/rules.hh"
 

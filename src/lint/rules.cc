@@ -73,21 +73,6 @@ constexpr RuleInfo kRules[] = {
     {"C008", "bad-pre-enqueue", Severity::Error,
      "negative pre-enqueue depth, or a depth far beyond trtexec "
      "practice (warning)"},
-
-    {"H001", "waw-hazard", Severity::Error,
-     "two streams write the same buffer with no happens-before edge "
-     "between the writes"},
-    {"H002", "raw-hazard", Severity::Error,
-     "a read and a write of the same buffer on different streams "
-     "with no happens-before edge"},
-    {"H003", "event-wait-cycle", Severity::Error,
-     "record/wait edges form a cycle: the stream program deadlocks"},
-    {"H004", "wait-unrecorded-event", Severity::Warning,
-     "stream waits on an event no stream records (the wait is a "
-     "no-op in CUDA; ordering is not established)"},
-    {"H005", "event-re-record", Severity::Warning,
-     "event recorded more than once; waits are ambiguous and the "
-     "detector uses the first record"},
 };
 
 } // namespace

@@ -11,7 +11,6 @@
  *   Pxxx  trt::Engine plans (precision mix, kernel plausibility)
  *   Dxxx  deployment footprint vs. a soc::DeviceSpec
  *   Cxxx  experiment/sweep configuration plausibility
- *   Hxxx  happens-before hazards over symbolic stream programs
  *
  * The catalogue is data, not behaviour: ruleInfo() backs the CLI's
  * `--list-rules`, the README table, and the default severity each
@@ -60,13 +59,6 @@ enum class Rule {
     ConfigPrecisionCoverage, ///< C006 precision with partial coverage
     ConfigSpatialSharing,    ///< C007 MPS-style sharing on Jetson
     ConfigBadPreEnqueue,     ///< C008 pre-enqueue depth implausible
-
-    // Happens-before hazards.
-    HazardWaw,            ///< H001 unsynchronised write/write
-    HazardRaw,            ///< H002 unsynchronised read/write
-    HazardDeadlock,       ///< H003 event-wait cycle
-    HazardUnrecordedWait, ///< H004 wait on a never-recorded event
-    HazardReRecord,       ///< H005 event recorded more than once
 };
 
 /** Static description of one rule. */

@@ -6,7 +6,6 @@
 #include "check/reporter.hh"
 #include "cpu/scheduler.hh"
 #include "gpu/engine.hh"
-#include "lint/hazard_lint.hh"
 #include "models/zoo.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -51,42 +50,6 @@ DeploymentModel::DeploymentModel(DeployConfig cfg)
     thread_ids_.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
         thread_ids_.push_back(sim::internName(procName(cfg_, i)));
-
-    // Symbolic stream program mirroring what the deployment submits:
-    // one stream per process, one private buffer per process that its
-    // kernels read and write (TensorRT processes share no device
-    // memory). The hazard relation over that program — not an
-    // assumption — is the independence the DPOR prunes with:
-    // conflict-free stream pairs commute at the logical-digest level.
-    lint::StreamProgram prog;
-    std::vector<int> streams, bufs;
-    for (int i = 0; i < n; ++i) {
-        streams.push_back(prog.stream(procName(cfg_, i)));
-        bufs.push_back(
-            prog.buffer(procName(cfg_, i) + ".mem"));
-    }
-    const int shared =
-        cfg_.shared_buffer ? prog.buffer("shared.mem") : -1;
-    for (int i = 0; i < n; ++i) {
-        std::vector<int> writes{bufs[static_cast<std::size_t>(i)]};
-        if (shared >= 0)
-            writes.push_back(shared);
-        prog.launch(streams[static_cast<std::size_t>(i)],
-                    cfg_.procs[static_cast<std::size_t>(i)].model,
-                    {bufs[static_cast<std::size_t>(i)]},
-                    std::move(writes));
-    }
-
-    dependent_.assign(
-        static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0);
-    for (const auto &[a, b] : lint::conflictingStreamPairs(prog)) {
-        dependent_[static_cast<std::size_t>(a) *
-                       static_cast<std::size_t>(n) +
-                   static_cast<std::size_t>(b)] = 1;
-        dependent_[static_cast<std::size_t>(b) *
-                       static_cast<std::size_t>(n) +
-                   static_cast<std::size_t>(a)] = 1;
-    }
 }
 
 int
@@ -117,11 +80,10 @@ DeploymentModel::procOf(sim::ChoiceKind kind, std::int64_t actor) const
 bool
 DeploymentModel::dependent(int pa, int pb) const
 {
-    if (pa == pb)
-        return true;
-    return dependent_[static_cast<std::size_t>(pa) *
-                          static_cast<std::size_t>(procCount()) +
-                      static_cast<std::size_t>(pb)] != 0;
+    // Each process owns its stream and its device memory (TensorRT
+    // processes share none), so distinct processes commute at the
+    // logical-digest level unless a shared buffer is seeded.
+    return pa == pb || cfg_.shared_buffer;
 }
 
 RunOutcome

@@ -22,13 +22,12 @@
  *  - per-process worst-case blocking, reported as a bound over the
  *    explored schedules.
  *
- * Independence for the partial-order reduction comes from
- * lint::conflictingStreamPairs over a symbolic stream program
- * mirroring the deployment: one stream and one private buffer set per
- * process (TensorRT processes share no device memory), so distinct
- * processes are independent — unless `shared_buffer` seeds a
- * cross-process conflict, which collapses the reduction exactly as
- * the theory says it must.
+ * Independence for the partial-order reduction: each process owns
+ * one stream and its own device memory (TensorRT processes share
+ * none), so distinct processes are independent — unless
+ * `shared_buffer` seeds a cross-process conflict, which makes every
+ * pair dependent and collapses the reduction exactly as the theory
+ * says it must.
  */
 
 #ifndef JETSIM_MC_DEPLOYMENT_HH
@@ -76,8 +75,8 @@ struct DeployConfig
     /** Event budget per run; exhausting it is a config error, not a
      * verdict. */
     std::uint64_t max_events = 500000;
-    /** Seed a cross-process buffer conflict into the symbolic stream
-     * program (dependence-injection test for the DPOR). */
+    /** Seed a buffer every process writes, so every process pair
+     * is dependent (dependence-injection test for the DPOR). */
     bool shared_buffer = false;
 
     std::string label() const;
@@ -119,8 +118,6 @@ class DeploymentModel final : public Model
     DeployConfig cfg_;
     /** Interned per-process thread names (CpuRunQueue actor tags). */
     std::vector<sim::NameId> thread_ids_;
-    /** dependent_[a*n+b] from the hazard relation (symmetric). */
-    std::vector<char> dependent_;
 };
 
 } // namespace jetsim::mc

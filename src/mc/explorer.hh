@@ -15,19 +15,20 @@
  * factor.
  *
  * The reduction is a sleep-set-style commutation prune built on the
- * model's dependence relation (for deployments: the hazard relation
- * from lint/hazard_lint). A non-default alternative that would
- * schedule process b at site i is redundant when the default
- * continuation reaches a same-kind site that schedules b anyway with
- * only b-independent steps in between: the two runs are the same
- * Mazurkiewicz trace, so every logical invariant (digest equality,
- * deadlock-freedom) holds in one iff it holds in the other. Any
- * dependent intermediate step — or any step the model cannot
- * attribute (kProcUnknown) — blocks the prune, so fully dependent
- * models (the toylock self-test, shared-buffer deployments) degrade
- * to the exhaustive search. Note the timing *bounds* (worst-case
- * blocking) are maxima over the reduced run set: sound for the
- * logical properties, reported as observed bounds, not proofs.
+ * model's dependence relation (for deployments: distinct processes
+ * are independent unless they share a buffer). A non-default
+ * alternative that would schedule process b at site i is redundant
+ * when the default continuation reaches a same-kind site that
+ * schedules b anyway with only b-independent steps in between: the
+ * two runs are the same Mazurkiewicz trace, so every logical
+ * invariant (digest equality, deadlock-freedom) holds in one iff it
+ * holds in the other. Any dependent intermediate step — or any step
+ * the model cannot attribute (kProcUnknown) — blocks the prune, so
+ * fully dependent models (the toylock self-test, shared-buffer
+ * deployments) degrade to the exhaustive search. Note the timing
+ * *bounds* (worst-case blocking) are maxima over the reduced run
+ * set: sound for the logical properties, reported as observed
+ * bounds, not proofs.
  */
 
 #ifndef JETSIM_MC_EXPLORER_HH

@@ -11,12 +11,12 @@
  *
  *  - a mapping from arbitration-site actor tags to *process indices*
  *    (the unit of independence), and
- *  - the dependence relation between processes, derived for real
- *    deployments from the happens-before hazard analysis
- *    (lint::conflictingStreamPairs): two processes are independent
- *    exactly when their stream programs touch disjoint buffers, so
- *    swapping adjacent scheduling actions of the two cannot change
- *    any reachable logical state.
+ *  - the dependence relation between processes: for real
+ *    deployments two processes are independent exactly when they
+ *    touch disjoint device memory, which each TensorRT process's
+ *    private stream and buffers guarantee, so swapping adjacent
+ *    scheduling actions of the two cannot change any reachable
+ *    logical state.
  */
 
 #ifndef JETSIM_MC_MODEL_HH
@@ -64,8 +64,6 @@ struct RunOutcome
 
     /** Human-readable diagnosis of a deadlock/violation, if any. */
     std::string detail;
-
-    bool failed() const { return deadlock || violations > 0; }
 };
 
 /** Process index when an actor tag cannot be attributed. */

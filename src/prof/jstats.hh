@@ -53,7 +53,6 @@ class JStatsSampler
     double avgPowerW() const { return power_.mean(); }
     double maxPowerW() const { return power_.max(); }
     double avgGpuUtilPct() const { return gpu_util_.mean(); }
-    double avgMemPct() const { return mem_.mean(); }
     double peakMemPct() const { return mem_.max(); }
 
   private:

@@ -62,7 +62,6 @@ class KernelSummary
     void clear();
 
     std::uint64_t totalCalls() const { return total_calls_; }
-    double totalBusyUs() const { return total_us_; }
 
     /**
      * The summary rows, heaviest first (by total residency).

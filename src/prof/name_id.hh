@@ -21,7 +21,6 @@ using NameId = sim::NameId;
 inline constexpr NameId kInvalidNameId = sim::kInvalidNameId;
 
 using sim::internName;
-using sim::internedNameCount;
 using sim::nameOf;
 
 } // namespace jetsim::prof

@@ -43,8 +43,6 @@ class NsightTracer
      * behaviour. */
     void detach();
 
-    bool attached() const { return static_cast<bool>(sub_); }
-
     /**
      * Disable the intrusion while keeping tracing (an idealised
      * zero-overhead profiler; used by ablation A4's baseline).

@@ -62,12 +62,4 @@ nameOf(NameId id)
     return r.names[id];
 }
 
-std::size_t
-internedNameCount()
-{
-    Registry &r = registry();
-    core::LockGuard lock(r.mu);
-    return r.names.size();
-}
-
 } // namespace jetsim::sim

@@ -40,9 +40,6 @@ NameId internName(std::string_view name);
 /** Resolve an id back to its string; fatal() on an unknown id. */
 const std::string &nameOf(NameId id);
 
-/** Number of distinct names interned so far. */
-std::size_t internedNameCount();
-
 } // namespace jetsim::sim
 
 #endif // JETSIM_SIM_NAME_REGISTRY_HH

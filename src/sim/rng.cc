@@ -99,12 +99,6 @@ Rng::normal()
            std::cos(2.0 * M_PI * u2);
 }
 
-double
-Rng::normal(double mean, double stddev)
-{
-    return mean + stddev * normal();
-}
-
 Lognormal::Lognormal(double mean, double cv) : mean_(mean), cv_(cv)
 {
     JETSIM_ASSERT(mean > 0.0 && cv >= 0.0);

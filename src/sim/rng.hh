@@ -78,9 +78,6 @@ class Rng
     /** Standard normal variate (Box-Muller, one value per call). */
     double normal();
 
-    /** Normal variate with the given mean and standard deviation. */
-    double normal(double mean, double stddev);
-
     /** Log-normal variate from @p d (see Lognormal). */
     double lognormal(const Lognormal &d);
 

@@ -134,7 +134,6 @@ class ShardedEngine
 
     int shards() const { return static_cast<int>(shards_.size()); }
     int threads() const { return threads_; }
-    Tick lookahead() const { return lookahead_; }
 
     /** Shard @p s's queue: the composition root for the boards mapped
      * to that shard (soc::ShardMap). */

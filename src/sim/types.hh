@@ -31,12 +31,6 @@ constexpr Tick kTickMax = INT64_MAX;
  * @{
  */
 constexpr Tick
-nsec(double n)
-{
-    return static_cast<Tick>(n);
-}
-
-constexpr Tick
 usec(double u)
 {
     return static_cast<Tick>(u * 1e3);

@@ -86,9 +86,6 @@ Board::setGpuState(bool busy, double sm_active, double issue_slot,
 
     const sim::Tick now = eq_.now();
     gpu_busy_tw_.set(now, busy ? 1.0 : 0.0);
-    sm_active_tw_.set(now, activity_.sm_active);
-    issue_tw_.set(now, activity_.issue_slot);
-    tc_tw_.set(now, activity_.tc_util);
     refresh();
 }
 

@@ -73,9 +73,6 @@ class Board
      * @{ */
     const sim::TimeWeighted &powerTw() const { return power_tw_; }
     const sim::TimeWeighted &gpuBusyTw() const { return gpu_busy_tw_; }
-    const sim::TimeWeighted &smActiveTw() const { return sm_active_tw_; }
-    const sim::TimeWeighted &issueSlotTw() const { return issue_tw_; }
-    const sim::TimeWeighted &tcUtilTw() const { return tc_tw_; }
     /** @} */
 
   private:
@@ -97,9 +94,6 @@ class Board
 
     sim::TimeWeighted power_tw_;
     sim::TimeWeighted gpu_busy_tw_;
-    sim::TimeWeighted sm_active_tw_;
-    sim::TimeWeighted issue_tw_;
-    sim::TimeWeighted tc_tw_;
 };
 
 } // namespace jetsim::soc

@@ -43,8 +43,6 @@ class DvfsGovernor
      */
     void setEnabled(bool enabled);
 
-    bool enabled() const { return enabled_; }
-
     /** Current GPU frequency as a fraction of the maximum. */
     double freqFrac() const { return freq_frac_; }
 

@@ -19,26 +19,6 @@ ShardMap::roundRobin(int devices, int shards)
 }
 
 ShardMap
-ShardMap::blocked(int devices, int shards)
-{
-    JETSIM_ASSERT(devices >= 1);
-    JETSIM_ASSERT(shards >= 1);
-    const int k = shards > devices ? devices : shards;
-    std::vector<int> map(static_cast<std::size_t>(devices));
-    // Ceil-sized blocks: the first (devices % k) shards get one more.
-    const int base = devices / k;
-    const int extra = devices % k;
-    int d = 0;
-    for (int s = 0; s < k; ++s) {
-        const int take = base + (s < extra ? 1 : 0);
-        for (int i = 0; i < take; ++i)
-            map[static_cast<std::size_t>(d++)] = s;
-    }
-    JETSIM_ASSERT(d == devices);
-    return ShardMap(std::move(map), k);
-}
-
-ShardMap
 ShardMap::balancerReserved(int devices, int shards)
 {
     JETSIM_ASSERT(devices >= 1);

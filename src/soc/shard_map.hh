@@ -26,11 +26,6 @@ class ShardMap
     /** Device d -> shard d % shards (load-interleaving default). */
     static ShardMap roundRobin(int devices, int shards);
 
-    /** Device d -> contiguous blocks (cache-friendly when adjacent
-     * devices exchange most of their traffic, e.g. pipeline splits
-     * of one model across boards). */
-    static ShardMap blocked(int devices, int shards);
-
     /**
      * Shard 0 reserved for a root balancer (no devices), devices
      * round-robin over shards 1..K-1 — the placement hierarchical

@@ -113,18 +113,15 @@ TEST(Bounds, IntervalShapeIsWellFormed)
         // The pipeline span contains the run-alone GPU time.
         EXPECT_LE(p.latency_ms.lo, p.gpu_ec_ms.lo + 1e-9);
         EXPECT_GE(p.latency_ms.hi, p.gpu_ec_ms.hi);
-        // Disjoint private buffers: no conflict allowance.
-        EXPECT_EQ(p.conflict_stall_ms, 0.0);
     }
-    EXPECT_EQ(b.contending_pairs, 0);
     EXPECT_GT(b.mean_throughput_hi_fps, 0.0);
 }
 
 TEST(Bounds, DeploymentMemoryIsExact)
 {
-    // Every process's runtime + engine allocation is live at once in
-    // every schedule, so the liveness interval collapses to the
-    // whole-sum point — the analysis is exact for this program shape.
+    // Every process's runtime + engine allocation is resident at once
+    // in every schedule, so the memory interval is the whole-sum
+    // point (jetlint D001's sum).
     const auto b = analyze(baseSpec());
     ASSERT_TRUE(b.ok);
     EXPECT_DOUBLE_EQ(b.mem_mib.lo, b.mem_mib.hi);

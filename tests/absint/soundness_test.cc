@@ -3,7 +3,7 @@
  * The jetbound soundness harness — the tentpole property of the
  * static analyzer: for every zoo model x board x 1..4-process
  * configuration, every value the simulator measures lands inside the
- * statically derived interval (lo <= sim <= hi), the liveness memory
+ * statically derived interval (lo <= sim <= hi), the static memory
  * verdict agrees with the deployment outcome, the per-channel queue
  * depth never exceeds the static cap, and jetmc's schedule-space
  * worst-case blocking stays below the adversarial static bound.
@@ -43,8 +43,8 @@ checkSound(const core::ExperimentSpec &spec)
     ASSERT_TRUE(b.ok) << b.error;
     const auto res = core::runExperiment(spec);
 
-    // The liveness analysis is exact for the deployment program, so
-    // the static OOM verdict must equal the simulated outcome.
+    // The memory bound is the exact resident sum, so the static OOM
+    // verdict must equal the simulated outcome.
     EXPECT_EQ(res.all_deployed, !b.must_oom);
     if (!res.all_deployed)
         return;

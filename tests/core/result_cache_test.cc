@@ -89,28 +89,6 @@ TEST_F(ResultCacheTest, RoundTripIsBitExactFieldByField)
     EXPECT_EQ(core::resultDigest(*cached), core::resultDigest(fresh));
 }
 
-TEST_F(ResultCacheTest, MixedRoundTripIsBitExact)
-{
-    core::MixedExperimentSpec spec;
-    spec.device = "orin-nano";
-    spec.workloads = {
-        {"resnet50", soc::Precision::Int8, 1, 2},
-        {"yolov8n", soc::Precision::Fp16, 2, 1},
-    };
-    spec.phase = core::Phase::Deep;
-    spec.warmup = sim::msec(50);
-    spec.duration = sim::msec(200);
-    spec.seed = 4;
-
-    core::ResultCache cache(dir());
-    const auto fresh = core::runMixedExperiment(spec);
-    cache.store(fresh);
-    const auto cached = cache.load(spec);
-    ASSERT_TRUE(cached.has_value());
-    EXPECT_TRUE(*cached == fresh);
-    EXPECT_EQ(core::resultDigest(*cached), core::resultDigest(fresh));
-}
-
 TEST_F(ResultCacheTest, AnySpecFieldChangeChangesTheKey)
 {
     const auto base = smallSpec();
@@ -142,33 +120,6 @@ TEST_F(ResultCacheTest, AnySpecFieldChangeChangesTheKey)
         s.spatial_sharing = true;
     }));
     EXPECT_NE(key, mutated([](Spec &s) { s.seed += 1; }));
-}
-
-TEST_F(ResultCacheTest, MixedKeyCoversWorkloadsAndKind)
-{
-    core::MixedExperimentSpec m;
-    m.device = "orin-nano";
-    m.workloads = {{"resnet50", soc::Precision::Fp16, 1, 1}};
-    m.seed = 7;
-    const auto key = core::ResultCache::specKey(m);
-
-    auto w2 = m;
-    w2.workloads.push_back({"yolov8n", soc::Precision::Int8, 2, 1});
-    EXPECT_NE(key, core::ResultCache::specKey(w2));
-
-    auto batch = m;
-    batch.workloads[0].batch = 2;
-    EXPECT_NE(key, core::ResultCache::specKey(batch));
-
-    // A single-workload mixed spec must never alias the equivalent
-    // plain ExperimentSpec (distinct key kinds).
-    core::ExperimentSpec flat;
-    flat.device = m.device;
-    flat.model = "resnet50";
-    flat.precision = soc::Precision::Fp16;
-    flat.seed = 7;
-    EXPECT_NE(core::ResultCache::specKey(m),
-              core::ResultCache::specKey(flat));
 }
 
 TEST_F(ResultCacheTest, CorruptedFilesFallBackToMiss)

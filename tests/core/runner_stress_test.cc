@@ -1,8 +1,8 @@
 /**
  * @file
  * Concurrency stress for core::Runner and the process-wide state it
- * exposed: an oversubscribed pool (threads >> cores) hammering mixed
- * and plain specs with progress callbacks, plus regression tests for
+ * exposed: an oversubscribed pool (threads >> cores) hammering specs
+ * with progress callbacks, plus regression tests for
  * the latent global-state races the pool surfaced (the sim::logging
  * sink, the JetSan check::Reporter, the models/zoo and
  * soc::findDevice static tables). tools/ci.sh runs this binary under
@@ -69,31 +69,6 @@ TEST(RunnerStress, OversubscribedPoolStaysDeterministic)
         EXPECT_EQ(core::resultDigest(results[i]),
                   core::resultDigest(reference[i]))
             << specs[i].label();
-}
-
-TEST(RunnerStress, OversubscribedMixedBatch)
-{
-    std::vector<core::MixedExperimentSpec> specs;
-    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        core::MixedExperimentSpec m;
-        m.device = seed % 2 ? "orin-nano" : "nano";
-        m.workloads = {
-            {"resnet50", soc::Precision::Int8, 1, 1},
-            {"yolov8n", soc::Precision::Fp16, 1, 1},
-        };
-        m.warmup = sim::msec(20);
-        m.duration = sim::msec(60);
-        m.seed = seed;
-        specs.push_back(m);
-    }
-
-    core::Runner serial(1);
-    core::Runner oversub(16);
-    const auto a = serial.runMixed(specs);
-    const auto b = oversub.runMixed(specs);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(core::resultDigest(a[i]), core::resultDigest(b[i]));
 }
 
 // ---------------------------------------------------------------

@@ -6,8 +6,7 @@
  * threads=N (N in {2, 8}) must equal the threads=1 digest, across
  * two repeated runs — the executable form of this PR's proof
  * obligation. Also covers submission-order results, serialized
- * in-order progress delivery, JETSIM_THREADS resolution, and the
- * mixed (multi-tenant) path.
+ * in-order progress delivery, and JETSIM_THREADS resolution.
  */
 
 #include <gtest/gtest.h>
@@ -131,31 +130,6 @@ TEST(Runner, ProgressSerializedAndInSubmissionOrder)
     ASSERT_EQ(seen.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(seen[i], specs[i].label());
-}
-
-TEST(Runner, MixedSpecsParallelBitIdentical)
-{
-    std::vector<core::MixedExperimentSpec> specs;
-    for (const std::uint64_t seed : {1, 2, 3, 4}) {
-        core::MixedExperimentSpec m;
-        m.device = "orin-nano";
-        m.workloads = {
-            {"resnet50", soc::Precision::Int8, 1, 2},
-            {"yolov8n", soc::Precision::Fp16, 2, 1},
-        };
-        m.warmup = sim::msec(50);
-        m.duration = sim::msec(200);
-        m.seed = seed;
-        specs.push_back(m);
-    }
-
-    core::Runner serial(1);
-    core::Runner parallel(4);
-    const auto a = serial.runMixed(specs);
-    const auto b = parallel.runMixed(specs);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(core::resultDigest(a[i]), core::resultDigest(b[i]));
 }
 
 TEST(Runner, SweepsMatchLegacySerialResults)

@@ -1,6 +1,6 @@
 /**
  * @file
- * CUDA-shim tests: stream ordering, events, completion waiters, and
+ * CUDA-shim tests: stream ordering, completion waiters, and
  * device-buffer RAII.
  */
 
@@ -88,48 +88,6 @@ TEST(Stream, MultipleWaitersSameTarget)
     s.onComplete(1, [&] { ++fired; });
     r.eq.runAll();
     EXPECT_EQ(fired, 2);
-}
-
-TEST(Event, QueryReflectsProgress)
-{
-    Rig r;
-    Stream s(r.engine, "s0");
-    const auto k = kernel();
-    Event e;
-    e.record(s); // empty stream: nothing to wait for
-    EXPECT_TRUE(e.query());
-    s.launch(&k);
-    e.record(s);
-    EXPECT_FALSE(e.query());
-    r.eq.runAll();
-    EXPECT_TRUE(e.query());
-}
-
-TEST(Event, WaitFiresOnCompletion)
-{
-    Rig r;
-    Stream s(r.engine, "s0");
-    const auto k = kernel();
-    s.launch(&k);
-    Event e;
-    e.record(s);
-    s.launch(&k); // later work not covered by the event
-    sim::Tick fired_at = -1;
-    e.wait([&] { fired_at = r.eq.now(); });
-    r.eq.runAll();
-    EXPECT_GT(fired_at, 0);
-    EXPECT_LT(fired_at, r.eq.now()); // before the second kernel ended
-}
-
-TEST(Event, RecordIsAPositionNotALiveView)
-{
-    Rig r;
-    Stream s(r.engine, "s0");
-    const auto k = kernel();
-    Event e;
-    e.record(s);
-    s.launch(&k);
-    EXPECT_TRUE(e.query()); // recorded before any work
 }
 
 TEST(DeviceBuffer, AllocatesAndReleasesOnDestruction)

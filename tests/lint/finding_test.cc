@@ -39,12 +39,12 @@ TEST(Report, ExplicitSeverityOverridesTheDefault)
 TEST(Report, ByRuleFiltersFindings)
 {
     Report rep;
-    rep.add(Rule::HazardWaw, "hazard", "", "a");
-    rep.add(Rule::HazardRaw, "hazard", "", "b");
-    rep.add(Rule::HazardWaw, "hazard", "", "c");
-    EXPECT_EQ(rep.byRule(Rule::HazardWaw).size(), 2u);
-    EXPECT_EQ(rep.byRule(Rule::HazardRaw).size(), 1u);
-    EXPECT_EQ(rep.byRule(Rule::HazardDeadlock).size(), 0u);
+    rep.add(Rule::PlanEmpty, "plan", "", "a");
+    rep.add(Rule::PlanBadBatch, "plan", "", "b");
+    rep.add(Rule::PlanEmpty, "plan", "", "c");
+    EXPECT_EQ(rep.byRule(Rule::PlanEmpty).size(), 2u);
+    EXPECT_EQ(rep.byRule(Rule::PlanBadBatch).size(), 1u);
+    EXPECT_EQ(rep.byRule(Rule::PlanTcWithoutTc).size(), 0u);
 }
 
 TEST(Report, TextRenderingCarriesRuleIdAndHint)
@@ -83,7 +83,7 @@ TEST(Report, ForwardsIntoJetSanAsStaticLintViolations)
     check::ScopedCapture capture;
     Report rep;
     rep.add(Rule::GraphCycle, "graph.m", "layer 2", "cycle");
-    rep.add(Rule::HazardWaw, "hazard", "", "unordered writes");
+    rep.add(Rule::DeployOverCapacity, "deploy.nano", "", "needs more");
     rep.toReporter();
     EXPECT_EQ(capture.count(check::Invariant::StaticLint), 2u);
 }

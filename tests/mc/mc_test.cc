@@ -126,6 +126,23 @@ TEST(DeploymentMcTest, DisjointProcessesPruneSharedBufferDoesNot)
     EXPECT_TRUE(s.clean()) << s.ce_what;
 }
 
+TEST(DeploymentMcTest, DependenceIsSameProcessOrSharedBuffer)
+{
+    // Each process owns its stream and device memory, so distinct
+    // processes are independent; a seeded shared buffer makes every
+    // pair dependent.
+    for (const bool shared : {false, true}) {
+        auto cfg = twoProcConfig(shared);
+        cfg.procs.push_back(cfg.procs.front());
+        const mc::DeploymentModel m(cfg);
+        ASSERT_EQ(m.procCount(), 3);
+        for (int a = 0; a < 3; ++a)
+            for (int b = 0; b < 3; ++b)
+                EXPECT_EQ(m.dependent(a, b), shared || a == b)
+                    << "shared=" << shared << " a=" << a << " b=" << b;
+    }
+}
+
 TEST(DeploymentMcTest, DefaultScheduleMatchesReferenceDigest)
 {
     // Run 0 of the search is the empty script; re-running it

@@ -101,9 +101,10 @@ class ClassifyOpenTest(unittest.TestCase):
             "<lambda>")
 
     def test_braced_call_argument_is_block(self):
-        # `by_buffer[...].push_back(\n {i, write})` in
-        # src/lint/hazard_lint.cc: keyed as a function `push_back`,
-        # it swallowed every `x.push_back(...)` call in src/.
+        # A call whose braced argument starts on the next line, as in
+        # `by_buffer[...].push_back(\n {i, write})`: keyed as a
+        # function `push_back`, it swallowed every `x.push_back(...)`
+        # call in src/.
         self.assertEqual(
             self.kind("by_buffer[static_cast<std::size_t>(buf)]"
                       ".push_back("), "block")

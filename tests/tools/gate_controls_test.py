@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Controls for nine gates: each must be shown to pass and to fail.
+"""Controls for ten gates: each must be shown to pass and to fail.
 
 jetlint's plan mode on the committed good plan
 (tests/data/plan_good.json, trt::Engine::serialize() of resnet18 at
@@ -7,7 +7,9 @@ fp16 for orin-nano) must exit 0 under --werror. The same plan with its
 fallback_ops edited to a wrong value must exit 1 under --werror (rule
 P006 is a warning) and 0 without it. The capacity planner's prescreen
 gate (tools/ci.sh pass 1e) must exit 1 when it asks for more pruned
-cells than the grid has.
+cells than the grid has. README's rule table must equal the rows of
+`jetlint --list-rules --markdown`, in order; a copy of it that keeps a
+row for a deleted rule (H001) must fail that check.
 
 simcheck's fleet gates (pass 1c) must fail at a ratio no host reaches
 (1000x). --fleet-overhead must pass at one every host reaches (0.01x).
@@ -36,6 +38,7 @@ JETSIM_HOT root that calls new must report hot-alloc.
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -48,6 +51,13 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     os.pardir, os.pardir)
 GOOD_PLAN = os.path.join(ROOT, "tests", "data", "plan_good.json")
 FLEET_GOLDEN = os.path.join(ROOT, "GOLDEN_fleet.json")
+README = os.path.join(ROOT, "README.md")
+
+RULE_ROW = re.compile(r"^\| [A-Z][0-9]{3} \|")
+# A rule jetlint no longer has: its row must not survive in README.
+STALE_RULE_ROW = ("| H001 | error | waw-hazard | two streams write the "
+                  "same buffer with no happens-before edge between the "
+                  "writes |")
 
 TOOLS = {}
 
@@ -60,6 +70,22 @@ def run(cmd, preexec_fn=None):
 
 def pin_to_one_cpu():
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def rule_rows(markdown):
+    return [line for line in markdown.splitlines() if RULE_ROW.match(line)]
+
+
+def rule_table_drift(readme, catalogue):
+    """The first README rule row that differs from the catalogue's
+    row at the same position, or None when the tables are equal."""
+    for i, (have, want) in enumerate(itertools.zip_longest(
+            rule_rows(readme), rule_rows(catalogue))):
+        if have != want:
+            return (f"README rule row {i + 1} is {have!r}; jetlint "
+                    f"--list-rules --markdown has {want!r} (regenerate "
+                    "the table)")
+    return None
 
 
 class GateControls(unittest.TestCase):
@@ -92,6 +118,19 @@ class GateControls(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("expected >= 1000", out)
 
+    def test_readme_rule_table_equals_the_catalogue(self):
+        code, catalogue = run([TOOLS["jetlint"], "--list-rules",
+                               "--markdown"])
+        self.assertEqual(code, 0, catalogue)
+        self.assertTrue(rule_rows(catalogue), catalogue)
+        with open(README) as f:
+            readme = f.read()
+        self.assertIsNone(rule_table_drift(readme, catalogue))
+        last = rule_rows(readme)[-1]
+        stale = readme.replace(last, last + "\n" + STALE_RULE_ROW, 1)
+        drift = rule_table_drift(stale, catalogue)
+        self.assertIsNotNone(drift)
+        self.assertIn("H001", drift)
 
     def test_fleet_golden_gate_fails_on_a_changed_digest(self):
         code, out = run([TOOLS["simcheck"],

@@ -38,10 +38,11 @@
 # Pass 1e is the static-bound soundness gate (jetbound): the zoo is
 # simulated with --compare-sim and every measurement must land
 # inside its statically derived interval (exit 1 on any violation);
-# the proven-OOM cell must agree with the simulator; the capacity
+# the proven-OOM cell must agree with the simulator; and the capacity
 # planner's prescreen must prune at least one cell of the shipped
-# acceptance grid; and README's rule table must mention every rule
-# ID that jetlint --list-rules emits.
+# acceptance grid. README's rule table must equal the rows of
+# jetlint --list-rules --markdown, in order: the gate_controls test in
+# pass 1's ctest suite checks it, next to its control.
 #
 # Pass 1f is the concurrency-discipline gate (jetrace): src/ must
 # carry zero unannotated mutable globals/statics, no raw std::mutex
@@ -198,16 +199,6 @@ if [ "$run_plain" = 1 ]; then
     "$repo/build-ci/plain/examples/capacity_planner" \
         --prescreen --min-pruned=1 nano fcn_resnet50 100 15 \
         2>/dev/null | tail -3
-    # README's rule table is generated from --list-rules; drifting
-    # by hand-editing fails here.
-    "$jetlint" --list-rules | awk 'NR>1 {print $1}' |
-        while read -r rule; do
-            grep -q "| $rule |" "$repo/README.md" || {
-                echo "ci.sh: rule $rule missing from README.md" \
-                     "(regenerate: jetlint --list-rules --markdown)" >&2
-                exit 1
-            }
-        done
     banner "pass 1f: concurrency discipline (jetrace)"
     # Zero findings over src/ (unannotated shared state, raw locks,
     # unknown capabilities) AND an acyclic lock-order graph; the

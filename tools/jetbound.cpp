@@ -26,7 +26,6 @@
 #include "absint/bounds.hh"
 #include "argparse.hh"
 #include "core/profiler.hh"
-#include "lint/finding.hh"
 #include "models/zoo.hh"
 #include "soc/device_spec.hh"
 #include "soc/precision.hh"
@@ -34,6 +33,10 @@
 using namespace jetsim;
 
 namespace {
+
+/** Version of the --json document; bumped when a key is removed or
+ * changes meaning. */
+constexpr int kJsonSchemaVersion = 2;
 
 /** Containment with a relative slack for float accumulation. */
 bool
@@ -54,9 +57,8 @@ printBounds(const absint::DeploymentBounds &b)
         b.must_oom ? "  MUST-OOM" : "",
         !b.must_oom && b.may_oom ? "  may-OOM" : "");
     std::printf("  aggregate  <= %.1f fps total, <= %.1f fps/process "
-                "mean; %d contending stream pair(s)\n",
-                b.total_throughput_hi_fps, b.mean_throughput_hi_fps,
-                b.contending_pairs);
+                "mean\n", b.total_throughput_hi_fps,
+                b.mean_throughput_hi_fps);
     for (const auto &p : b.procs) {
         std::printf("  %s: K=%d queue<=%d\n", p.name.c_str(),
                     p.kernels_per_ec, p.queue_depth_hi);
@@ -84,17 +86,17 @@ toJson(const absint::DeploymentBounds &b)
 {
     char buf[256];
     std::string out = "{\"schema_version\":";
-    out += std::to_string(lint::kJsonSchemaVersion);
+    out += std::to_string(kJsonSchemaVersion);
     out += ",\"tool\":\"jetbound\",\"device\":\"" + b.device + "\"";
     std::snprintf(buf, sizeof(buf),
                   ",\"ok\":%s,\"processes\":%d,\"available_mib\":%.1f,"
                   "\"whole_sum_mib\":%.1f,\"must_oom\":%s,"
-                  "\"may_oom\":%s,\"contending_pairs\":%d,"
+                  "\"may_oom\":%s,"
                   "\"total_throughput_hi_fps\":%.3f,",
                   b.ok ? "true" : "false", b.processes,
                   b.available_mib, b.whole_sum_mib,
                   b.must_oom ? "true" : "false",
-                  b.may_oom ? "true" : "false", b.contending_pairs,
+                  b.may_oom ? "true" : "false",
                   b.total_throughput_hi_fps);
     out += buf;
     jsonInterval(out, "mem_mib", b.mem_mib);
@@ -149,8 +151,8 @@ compareSim(const core::ExperimentSpec &spec,
     bool ok = true;
     std::printf("  compare-sim %s\n", spec.label().c_str());
 
-    // Deployment outcome: the liveness analysis is exact for this
-    // program shape, so the verdicts must agree with the simulator.
+    // Deployment outcome: the memory bound is the exact resident
+    // sum, so the verdicts must agree with the simulator.
     if (res.all_deployed == b.must_oom) {
         std::fprintf(stderr,
                      "jetbound: SOUNDNESS VIOLATION deploy: sim "
