@@ -9,6 +9,17 @@ namespace jetsim::cpu {
 
 // ---------------------------------------------------------------- Thread
 
+Thread::Thread(sim::NameId name_id, bool big, OsScheduler &sched)
+    : name_id_(name_id), big_(big), sched_(sched),
+      slice_end_(
+          [](void *self) {
+              auto *t = static_cast<Thread *>(self);
+              t->sched_.sliceEnd(t);
+          },
+          this)
+{
+}
+
 void
 Thread::exec(sim::Tick work, sim::InlineFn done)
 {
@@ -22,6 +33,15 @@ Thread::exec(sim::Tick work, sim::InlineFn done)
     queue_.push_back(WorkItem{work, std::move(done)});
     if (state_ == State::Idle)
         sched_.makeRunnable(this);
+}
+
+void
+Thread::spin(sim::Tick chunk, const bool *ready, sim::InlineFn done)
+{
+    JETSIM_ASSERT(queue_.empty() && chunk > 0 && ready != nullptr);
+    poll_ready_ = ready;
+    poll_chunk_ = chunk;
+    exec(chunk, std::move(done));
 }
 
 void
@@ -190,29 +210,40 @@ OsScheduler::dispatch(Core &core, Thread *t)
 
     const sim::Tick slice =
         std::min(front.remaining, board_.spec().runtime.timeslice);
-    eq_.scheduleIn(cs + slice,
-                   [this, &core, t, slice] { sliceEnd(core, t, slice); });
+    eq_.armIn(t->slice_end_, cs + slice);
 }
 
-void
-OsScheduler::sliceEnd(Core &core, Thread *t, sim::Tick work_done)
+JETSIM_HOT void
+OsScheduler::sliceEnd(Thread *t)
 {
+    Core &core = cores_[static_cast<std::size_t>(t->core_)];
     JETSIM_ASSERT(core.running == t);
     JETSIM_ASSERT(!t->queue_.empty());
 
+    // The front item cannot change while its slice runs, so this is
+    // the slice dispatch() or the previous sliceEnd() armed.
     auto &front = t->queue_.front();
+    const sim::Tick work_done =
+        std::min(front.remaining, board_.spec().runtime.timeslice);
     front.remaining -= work_done;
     t->cpu_time_ += work_done;
 
     if (front.remaining <= 0) {
-        auto done = std::move(front.done);
-        t->queue_.pop_front();
-        if (done)
-            done(); // may queue more work on this or other threads
+        if (t->poll_ready_ != nullptr && !*t->poll_ready_) {
+            // A spin() poll found nothing: the same item polls
+            // again, then the yield rule below runs as for any item.
+            front.remaining = t->poll_chunk_;
+        } else {
+            t->poll_ready_ = nullptr;
+            auto done = std::move(front.done);
+            t->queue_.pop_front();
+            if (done)
+                done(); // may queue more work on this or other threads
 
-        if (t->queue_.empty()) {
-            idleThread(core, t);
-            return;
+            if (t->queue_.empty()) {
+                idleThread(core, t);
+                return;
+            }
         }
     }
 
@@ -238,11 +269,9 @@ OsScheduler::sliceEnd(Core &core, Thread *t, sim::Tick work_done)
         return;
     }
 
-    const sim::Tick slice =
-        std::min(t->queue_.front().remaining,
-                 board_.spec().runtime.timeslice);
-    eq_.scheduleIn(slice,
-                   [this, &core, t, slice] { sliceEnd(core, t, slice); });
+    eq_.armIn(t->slice_end_,
+              std::min(t->queue_.front().remaining,
+                       board_.spec().runtime.timeslice));
 }
 
 void

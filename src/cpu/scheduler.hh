@@ -103,8 +103,9 @@ class OsScheduler
     /** Begin (or resume) executing @p t on @p core. */
     void dispatch(Core &core, Thread *t);
 
-    /** Timeslice / work-item boundary on @p core. */
-    void sliceEnd(Core &core, Thread *t, sim::Tick work_done);
+    /** @p t's slice-end timer fired: a timeslice or work-item
+     * boundary on the core it runs on. */
+    void sliceEnd(Thread *t);
 
     /** Thread finished its queue: idle it and free the core. */
     void idleThread(Core &core, Thread *t);

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/event_queue.hh"
 #include "sim/fifo.hh"
 #include "sim/inline_fn.hh"
 #include "sim/name_registry.hh"
@@ -44,6 +45,17 @@ class Thread
      * idle it becomes runnable. Items execute FIFO.
      */
     void exec(sim::Tick work, sim::InlineFn done);
+
+    /**
+     * Busy-poll until @p *ready: queue one @p chunk-long item that,
+     * each time it ends, reads @p *ready. While false the same item
+     * runs another @p chunk — the thread keeps its core unless the
+     * scheduler preempts it at that boundary, exactly as if a fresh
+     * chunk had been exec()'d — and once true it completes and
+     * @p done fires. Called with an empty queue; @p ready must stay
+     * valid until then.
+     */
+    void spin(sim::Tick chunk, const bool *ready, sim::InlineFn done);
 
     /** Display name, resolved from the interned id. */
     const std::string &name() const { return sim::nameOf(name_id_); }
@@ -69,9 +81,7 @@ class Thread
   private:
     friend class OsScheduler;
 
-    Thread(sim::NameId name_id, bool big, OsScheduler &sched)
-        : name_id_(name_id), big_(big), sched_(sched)
-    {}
+    Thread(sim::NameId name_id, bool big, OsScheduler &sched);
 
     struct WorkItem
     {
@@ -85,6 +95,11 @@ class Thread
 
     State state_ = State::Idle;
     sim::Fifo<WorkItem> queue_;
+    /** The running slice's end: a thread runs one slice at a time. */
+    sim::EventQueue::Timer slice_end_;
+    /** Non-null while the front item is a spin() poll. */
+    const bool *poll_ready_ = nullptr;
+    sim::Tick poll_chunk_ = 0;
     int core_ = -1;       ///< core currently running on, -1 if none
     int last_core_ = -1;  ///< core of the previous dispatch
     sim::Tick runnable_since_ = sim::kTickInvalid;

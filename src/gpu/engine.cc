@@ -15,7 +15,13 @@ constexpr const char *kComponent = "gpu.engine";
 
 GpuEngine::GpuEngine(soc::Board &board)
     : board_(board), eq_(board.eq()), cost_(board.spec()),
-      rng_(board.rng().fork("gpu-engine"))
+      rng_(board.rng().fork("gpu-engine")),
+      start_timer_(
+          [](void *self) { static_cast<GpuEngine *>(self)->startMux(); },
+          this),
+      finish_timer_(
+          [](void *self) { static_cast<GpuEngine *>(self)->finishMux(); },
+          this)
 {
 }
 
@@ -238,10 +244,8 @@ GpuEngine::scheduleNext()
 
     busy_ = true;
 
-    // The in-flight record lives on the engine, not in the event
-    // captures: both events below capture only `this` (valid because
-    // busy_ serialises the time-mux path) and stay on the event
-    // queue's inline (no-allocation) path.
+    // The in-flight record lives on the engine, where both timers'
+    // targets read it (busy_ serialises the time-mux path).
     inflight_rec_.channel = pick;
     inflight_rec_.desc = k;
     inflight_rec_.submit = submit_tick;
@@ -257,20 +261,24 @@ GpuEngine::scheduleNext()
             board_.setGpuState(true, 1.0, 0.0, 0.0, 0.0);
         else
             board_.setGpuState(false, 0, 0, 0, 0);
-        eq_.schedule(start, [this] {
-            const KernelTiming &t = inflight_rec_.timing;
-            board_.setGpuState(true, t.sm_active, t.issue_slot,
-                               t.tc_util, t.bw_util);
-        });
+        eq_.arm(start_timer_, start);
     } else {
         board_.setGpuState(true, timing.sm_active, timing.issue_slot,
                            timing.tc_util, timing.bw_util);
     }
 
-    eq_.schedule(end, [this] { finishMux(); });
+    eq_.arm(finish_timer_, end);
 }
 
-void
+JETSIM_HOT void
+GpuEngine::startMux()
+{
+    const KernelTiming &t = inflight_rec_.timing;
+    board_.setGpuState(true, t.sm_active, t.issue_slot, t.tc_util,
+                       t.bw_util);
+}
+
+JETSIM_HOT void
 GpuEngine::finishMux()
 {
     // Exactly one kernel may occupy the time-multiplexed GPU; a

@@ -161,6 +161,9 @@ class GpuEngine
 
     // --- time-multiplexed path
     void scheduleNext();
+    /** The in-flight kernel's residency starts (start_timer_). */
+    void startMux();
+    /** The in-flight kernel finishes (finish_timer_). */
     void finishMux();
 
     // --- spatial path
@@ -187,13 +190,13 @@ class GpuEngine
     sim::Tick extra_overhead_ = 0;
 
     // time-mux state. Exactly one kernel is in flight (busy_), so its
-    // record lives here instead of inside the end event's capture —
-    // the event captures only `this` and stays on the queue's 48-byte
-    // inline path.
+    // record lives here and its two edges are timers the engine owns.
     bool busy_ = false;
     int active_channel_ = -1;
     sim::Tick quantum_start_ = 0;
     KernelRecord inflight_rec_;
+    sim::EventQueue::Timer start_timer_;
+    sim::EventQueue::Timer finish_timer_;
 
     // spatial state
     std::vector<Exec> execs_;

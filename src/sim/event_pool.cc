@@ -30,11 +30,7 @@ EventPool::grow()
         // deliberately left untouched until a callback lands in a
         // slot.
         slabs_.emplace_back(new Slab);
-        const auto base = static_cast<Index>(meta_.size());
         meta_.resize(meta_.size() + kSlabEvents);
-        if (gen_floor_ != 0)
-            for (std::uint32_t i = 0; i < kSlabEvents; ++i)
-                meta_[base + i].gen = gen_floor_;
 #ifdef JETSIM_POOL_ASAN
         for (auto &e : slabs_.back()->events)
             poisonCb(e);
@@ -50,36 +46,6 @@ EventPool::cancel(Index idx, std::uint32_t gen)
     meta_[idx].cancelled = true;
     --live_;
     ++cancels_;
-}
-
-void
-EventPool::releaseAll(bool handles_outstanding)
-{
-    JETSIM_ASSERT(allocatedCount() == 0);
-#ifdef JETSIM_POOL_ASAN
-    for (auto &slab : slabs_)
-        for (auto &e : slab->events)
-            unpoisonCb(e);
-#endif
-    if (handles_outstanding && bump_ > 0) {
-        // Raise the generation floor past every generation ever
-        // handed out, so a recycled (index, generation) pair can
-        // never match a pre-release handle. Scanned here (cold)
-        // rather than tracked on every free (hot); slots past bump_
-        // were never handed out and still sit at the old floor.
-        std::uint32_t max_gen = gen_floor_;
-        for (Index i = 0; i < bump_; ++i)
-            if (meta_[i].gen > max_gen)
-                max_gen = meta_[i].gen;
-        gen_floor_ = max_gen + 1;
-    }
-    slabs_.clear();
-    slabs_.shrink_to_fit();
-    meta_.clear();
-    meta_.shrink_to_fit();
-    free_.clear();
-    free_.shrink_to_fit();
-    bump_ = 0;
 }
 
 } // namespace jetsim::sim

@@ -201,17 +201,6 @@ class EventPool
         return slabs_.size() * kSlabEvents;
     }
 
-    /**
-     * Release every slab, the metadata and the freelist. Requires
-     * allocatedCount() == 0. Outstanding handles stay safe: their
-     * indices exceed the (now zero) capacity, and the generation
-     * floor carried into new slabs keeps recycled (index, generation)
-     * pairs from ever matching a pre-release handle. Callers that
-     * know no handle is outstanding pass @p handles_outstanding =
-     * false to skip raising the floor (no stale pair can exist).
-     */
-    void releaseAll(bool handles_outstanding = true);
-
   private:
     struct Slab
     {
@@ -261,10 +250,6 @@ class EventPool
     Index bump_ = 0;
     std::uint64_t live_ = 0;
     std::uint64_t cancels_ = 0;
-    /** Starting generation for slots of newly created slabs; raised
-     * past every generation ever handed out when releaseAll() drops
-     * the slabs, preserving ABA safety across a shrink. */
-    std::uint32_t gen_floor_ = 0;
 };
 
 } // namespace jetsim::sim

@@ -10,19 +10,18 @@ EventQueue::EventQueue()
     // One slab's worth up front: a fresh queue reaches steady state
     // without a cascade of doubling reallocations.
     heap_keys_.reserve(EventPool::kSlabEvents);
-    heap_idx_.reserve(EventPool::kSlabEvents);
+    heap_pay_.reserve(EventPool::kSlabEvents);
 }
 
 EventQueue::~EventQueue()
 {
     // Free every queued slot (destroying the callbacks' captured
-    // state) and drop the slabs, then detach the liveness block so
-    // outstanding handles go inert; the last handle deletes it.
-    for (const Index idx : heap_idx_)
-        pool_.free(idx);
-    heap_keys_.clear();
-    heap_idx_.clear();
-    pool_.releaseAll(life_->refs > 1);
+    // state), then detach the liveness block so outstanding handles
+    // go inert; the last handle deletes it. Armed timers are skipped
+    // untouched: their owners may already be gone.
+    for (const Payload p : heap_pay_)
+        if (!isTimer(p))
+            pool_.free(slotOf(p));
     life_->pool = nullptr;
     if (--life_->refs == 0)
         delete life_;
@@ -33,7 +32,7 @@ EventQueue::stats() const
 {
     checkPlausible();
     Stats s;
-    s.pending = pool_.liveCount();
+    s.pending = pending();
     s.peak_pending = peak_pending_;
     s.executed = executed_;
     s.cancelled = pool_.cancelCount();
@@ -41,7 +40,6 @@ EventQueue::stats() const
     s.pool_capacity = pool_.capacity();
     s.heap_capacity = heap_keys_.capacity();
     s.sbo_misses = sbo_misses_;
-    s.shrinks = shrinks_;
     return s;
 }
 
@@ -62,12 +60,12 @@ EventQueue::checkPlausible() const
                  static_cast<unsigned long long>(
                      pool_.allocatedCount()),
                  pool_.capacity());
-    JETSIM_CHECK(pool_.liveCount() <= peak_pending_,
+    JETSIM_CHECK(pending() <= peak_pending_,
                  check::Severity::Error,
                  check::Invariant::Plausibility, detail::kEqComponent,
                  now_,
                  "pending (%llu) above recorded high-water mark (%llu)",
-                 static_cast<unsigned long long>(pool_.liveCount()),
+                 static_cast<unsigned long long>(pending()),
                  static_cast<unsigned long long>(peak_pending_));
 }
 
@@ -77,32 +75,27 @@ EventQueue::checkPlausible() const
 JETSIM_HOT_BOUNDARY bool
 EventQueue::runOneControlled()
 {
-    // Collect every live event tied with the top on the (when,
+    // Collect every live entry tied with the top on the (when,
     // priority) prefix — the seq component is exactly the insertion
-    // order a controlled scheduler is allowed to permute. Capped at
+    // order a controlled scheduler is allowed to permute; an armed
+    // timer is one alternative like any event. Capped at
     // kMaxChoiceAlts: deeper ties keep their relative order and get
     // re-offered at the next pop, so every permutation is still
     // reachable through successive choices.
     HeapKey cand_key[kMaxChoiceAlts];
-    Index cand_idx[kMaxChoiceAlts];
+    Payload cand[kMaxChoiceAlts];
     std::int64_t actors[kMaxChoiceAlts];
     int n = 0;
-    while (!heap_keys_.empty() && n < kMaxChoiceAlts) {
+    while (n < kMaxChoiceAlts && pruneTop()) {
         const HeapKey key = heap_keys_.front();
-        const Index idx = heap_idx_.front();
-        if (pool_.cancelled(idx)) {
-            heapPopTop();
-            pool_.free(idx);
-            continue;
-        }
         if (n > 0 &&
             (key & ~HeapKey(kSeqMask)) !=
                 (cand_key[0] & ~HeapKey(kSeqMask)))
             break;
-        heapPopTop();
         cand_key[n] = key;
-        cand_idx[n] = idx;
+        cand[n] = heap_pay_.front();
         actors[n] = kActorUnknown;
+        heapPopTop();
         ++n;
     }
     if (n == 0)
@@ -115,20 +108,9 @@ EventQueue::runOneControlled()
     // them (and against everything still queued) is unchanged.
     for (int i = 0; i < n; ++i)
         if (i != pick)
-            heapPush(cand_key[i], cand_idx[i]);
-    dispatch(cand_key[pick], cand_idx[pick]);
+            heapPush(cand_key[i], cand[i]);
+    dispatch(cand_key[pick], cand[pick]);
     return true;
-}
-
-void
-EventQueue::shrink()
-{
-    checkPlausible();
-    ++shrinks_;
-    heap_keys_.shrink_to_fit();
-    heap_idx_.shrink_to_fit();
-    if (heap_keys_.empty() && pool_.allocatedCount() == 0)
-        pool_.releaseAll(life_->refs > 1);
 }
 
 } // namespace jetsim::sim

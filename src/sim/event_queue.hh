@@ -19,7 +19,10 @@
  *    reuse and even across queue destruction — without any per-event
  *    atomic refcount traffic;
  *  - callbacks are sim::InlineFn: captures up to 48 bytes never
- *    allocate (stats() counts the fallbacks).
+ *    allocate (stats() counts the fallbacks);
+ *  - a component's recurring edge (a CPU slice end, a GPU kernel
+ *    edge) is a Timer it owns: the heap entry points at the timer,
+ *    so arming one builds no slot, callback or handle.
  * Dispatch order — (when, priority, seq) — is bit-identical to the
  * previous shared_ptr implementation; the golden determinism tests
  * and the JetSan monotonic-dispatch invariant are the proof.
@@ -184,10 +187,48 @@ class EventQueue
         std::uint32_t gen_ = 0;
     };
 
+    /**
+     * A component-owned event with at most one pending occurrence and
+     * a fixed target. arm() pushes it into the heap under exactly the
+     * key schedule() would give an event at the same point —
+     * (when, kPriDefault, next seq) — so dispatch order, seqs and
+     * Chooser tie sets are those of the equivalent schedule() call,
+     * but the entry points at the timer itself: no pool slot,
+     * callback or handle is built. Dispatching it counts in
+     * executed(), clears armed() and calls @p fire(@p owner); the
+     * target may re-arm it. Armed timers count in pending().
+     *
+     * Not cancellable: a component whose event may be withdrawn keeps
+     * a schedule()d event and its Handle. The queue reaches a timer
+     * only through its heap entry and never touches one it destroys
+     * armed, so a timer may die with its owner before its queue (the
+     * contract of a `this` capture); an owner destroyed while the
+     * queue still runs must not leave its timer armed. Not movable:
+     * the heap entry holds its address.
+     */
+    class Timer
+    {
+      public:
+        Timer(void (*fire)(void *owner), void *owner)
+            : fire_(fire), owner_(owner)
+        {}
+        Timer(const Timer &) = delete;
+        Timer &operator=(const Timer &) = delete;
+
+        /** True from arm() until the occurrence dispatches. */
+        bool armed() const { return armed_; }
+
+      private:
+        friend class EventQueue;
+        void (*fire_)(void *);
+        void *owner_;
+        bool armed_ = false;
+    };
+
     /** Memory / hot-path health counters (see stats()). */
     struct Stats
     {
-        std::uint64_t pending = 0;       ///< live (non-cancelled) events
+        std::uint64_t pending = 0;       ///< live events + armed timers
         std::uint64_t peak_pending = 0;  ///< high-water mark of pending
         std::uint64_t executed = 0;      ///< lifetime dispatch count
         std::uint64_t cancelled = 0;     ///< lifetime handle cancels
@@ -195,7 +236,6 @@ class EventQueue
         std::size_t pool_capacity = 0;   ///< event slots currently held
         std::size_t heap_capacity = 0;   ///< heap array capacity (slots)
         std::uint64_t sbo_misses = 0;    ///< callbacks that heap-allocated
-        std::uint64_t shrinks = 0;       ///< shrink() invocations
     };
 
     EventQueue();
@@ -211,6 +251,14 @@ class EventQueue
 
     /** Schedule @p cb at now() + @p delay. */
     Handle scheduleIn(Tick delay, Callback cb, int priority = kPriDefault);
+
+    /** Arm @p t (not already armed) at absolute tick @p when, with
+     * schedule()'s causality check. */
+    void arm(Timer &t, Tick when);
+
+    /** Arm @p t at now() + @p delay, checked and saturated as
+     * scheduleIn() does. */
+    void armIn(Timer &t, Tick delay);
 
     /**
      * Schedule a cross-shard message with an explicit low-band seq
@@ -240,11 +288,16 @@ class EventQueue
      */
     bool peekNext(NextEvent &out);
 
-    /** True when no pending (non-cancelled) events remain. */
-    bool empty() const { return pool_.liveCount() == 0; }
+    /** True when no pending (non-cancelled) event or armed timer
+     * remains. */
+    bool empty() const { return pending() == 0; }
 
-    /** Number of pending (non-cancelled) events. */
-    std::uint64_t pending() const { return pool_.liveCount(); }
+    /** Pending (non-cancelled) events plus armed timers. */
+    std::uint64_t
+    pending() const
+    {
+        return pool_.liveCount() + timers_armed_;
+    }
 
     /**
      * Execute the single next event, advancing time to it.
@@ -288,14 +341,6 @@ class EventQueue
      */
     JETSIM_COLD_OK("SBO miss ledger: attribution counter for externally-held callbacks, asserted zero by micro_sim --assert-sbo")
     void noteSboMiss() { ++sbo_misses_; }
-
-    /**
-     * Release retained capacity back to the allocator: shrinks the
-     * heap array and, when no events are queued at all, drops every
-     * pool slab. Outstanding handles remain safe (generation floor).
-     * Call between sweep cells so long runs don't hold peak memory.
-     */
-    void shrink();
 
     /** @name Controlled scheduling (model checking)
      * Install a Chooser to make the queue's same-(tick,priority) tie
@@ -359,8 +404,43 @@ class EventQueue
         return static_cast<std::uint64_t>(k) & kSeqMask;
     }
 
-    void heapPush(HeapKey key, Index idx);
+    /**
+     * A heap entry's payload: a pool slot index shifted left one bit
+     * (even), or an armed Timer's address with the low bit set (odd;
+     * Timer is pointer-aligned).
+     */
+    using Payload = std::uintptr_t;
+
+    static Payload slotPayload(Index idx) { return Payload(idx) << 1; }
+
+    static Payload
+    timerPayload(Timer *t)
+    {
+        return reinterpret_cast<Payload>(t) | 1u;
+    }
+
+    static bool isTimer(Payload p) { return (p & 1u) != 0; }
+    static Index slotOf(Payload p) { return static_cast<Index>(p >> 1); }
+
+    static Timer *
+    timerOf(Payload p)
+    {
+        return reinterpret_cast<Timer *>(p & ~Payload(1));
+    }
+
+    void heapPush(HeapKey key, Payload p);
     void heapPopTop();
+
+    /** Free cancelled entries off the heap top; @return false when
+     * nothing live is left. */
+    bool pruneTop();
+
+    /** schedule()'s causality check: @p when, or now() if it lies in
+     * the past (after reporting it). */
+    Tick causal(Tick when) const;
+
+    /** scheduleIn()'s delay check and saturation: now() + @p delay. */
+    Tick whenIn(Tick delay) const;
 
     /** Common schedule body; @p seq is the full packed seq lane. */
     Handle scheduleKeyed(Tick when, Callback cb, int priority,
@@ -374,8 +454,8 @@ class EventQueue
      */
     bool runOneControlled();
 
-    /** Dispatch the already-popped live event (@p key, @p idx). */
-    void dispatch(HeapKey key, Index idx);
+    /** Dispatch the already-popped live entry (@p key, @p p). */
+    void dispatch(HeapKey key, Payload p);
 
     /** JetSan: verify dispatch order against the previous event. */
     void checkDispatch(HeapKey key);
@@ -392,10 +472,10 @@ class EventQueue
     // nulls life_->pool, after which stale handles are inert.
     detail::PoolLife *life_ = nullptr;
 
-    // Binary heap as parallel key/slot arrays: sift compares touch
+    // Binary heap as parallel key/payload arrays: sift compares touch
     // only the dense key array (16 B per pending event).
     std::vector<HeapKey> heap_keys_;
-    std::vector<Index> heap_idx_;
+    std::vector<Payload> heap_pay_;
     Chooser *chooser_ = nullptr;
     Tick now_ = 0;
     // Local insertion-order counter; starts above the message band so
@@ -406,7 +486,7 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::uint64_t peak_pending_ = 0;
     std::uint64_t sbo_misses_ = 0;
-    std::uint64_t shrinks_ = 0;
+    std::uint64_t timers_armed_ = 0;
 
     // Key of the most recently dispatched event, for the JetSan
     // monotonic-dispatch / same-tick-ordering invariant (checked only
@@ -417,21 +497,24 @@ class EventQueue
 // The schedule/dispatch path is defined in the header on purpose:
 // call sites (the engines, the sweep loop) see through the InlineFn
 // type erasure and the sift loops, which is worth a large constant
-// factor per event. Cold paths (construction, stats, shrink) live in
-// event_queue.cc.
+// factor per event. Cold paths (construction, stats, the controlled
+// pop) live in event_queue.cc.
+
+static_assert(alignof(EventQueue::Timer) >= 2,
+              "a heap payload tags timer addresses in the low bit");
 
 JETSIM_HOT inline void
-EventQueue::heapPush(HeapKey key, Index idx)
+EventQueue::heapPush(HeapKey key, Payload p)
 {
     // Hole-based sift-up: parents slide down into the hole and the
     // new entry is written exactly once.
     std::size_t i = heap_keys_.size();
-    JETSIM_COLD_OK("amortized: geometric vector growth, reserved up front and recycled by shrink()")
+    JETSIM_COLD_OK("amortized: geometric vector growth, reserved up front; grows only past the queue's high-water depth")
     heap_keys_.push_back(key);
     JETSIM_COLD_OK("amortized: grows in lockstep with heap_keys_")
-    heap_idx_.push_back(idx);
+    heap_pay_.push_back(p);
     HeapKey *k = heap_keys_.data();
-    Index *v = heap_idx_.data();
+    Payload *v = heap_pay_.data();
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
         if (!(key < k[parent]))
@@ -441,7 +524,7 @@ EventQueue::heapPush(HeapKey key, Index idx)
         i = parent;
     }
     k[i] = key;
-    v[i] = idx;
+    v[i] = p;
 }
 
 JETSIM_HOT inline void
@@ -453,14 +536,14 @@ EventQueue::heapPopTop()
     // because the back element is among the largest. Fewer compares,
     // and the child select never mispredicts.
     const HeapKey key = heap_keys_.back();
-    const Index idx = heap_idx_.back();
+    const Payload p = heap_pay_.back();
     heap_keys_.pop_back();
-    heap_idx_.pop_back();
+    heap_pay_.pop_back();
     const std::size_t n = heap_keys_.size();
     if (n == 0)
         return;
     HeapKey *k = heap_keys_.data();
-    Index *v = heap_idx_.data();
+    Payload *v = heap_pay_.data();
     std::size_t i = 0;
     while (true) {
         std::size_t c = 2 * i + 1;
@@ -481,7 +564,49 @@ EventQueue::heapPopTop()
         i = parent;
     }
     k[i] = key;
-    v[i] = idx;
+    v[i] = p;
+}
+
+JETSIM_HOT inline bool
+EventQueue::pruneTop()
+{
+    while (!heap_keys_.empty()) {
+        const Payload p = heap_pay_.front();
+        if (isTimer(p) || !pool_.cancelled(slotOf(p)))
+            return true;
+        heapPopTop();
+        pool_.free(slotOf(p));
+    }
+    return false;
+}
+
+JETSIM_HOT inline Tick
+EventQueue::causal(Tick when) const
+{
+    if (when < now_) {
+        JETSIM_VIOLATION(check::Severity::Error,
+                         check::Invariant::Causality,
+                         detail::kEqComponent, now_,
+                         "event scheduled into the past (when=%lld < "
+                         "now=%lld)",
+                         static_cast<long long>(when),
+                         static_cast<long long>(now_));
+        return now_; // sanitise so Log mode can continue
+    }
+    return when;
+}
+
+JETSIM_HOT inline Tick
+EventQueue::whenIn(Tick delay) const
+{
+    JETSIM_CHECK(delay >= 0, check::Severity::Error,
+                 check::Invariant::Causality, detail::kEqComponent,
+                 now_, "negative delay %lld",
+                 static_cast<long long>(delay));
+    if (delay < 0)
+        delay = 0;
+    // Saturate instead of overflowing past kTickMax (UB on int64).
+    return delay > kTickMax - now_ ? kTickMax : now_ + delay;
 }
 
 JETSIM_HOT inline EventQueue::Handle
@@ -494,16 +619,7 @@ JETSIM_HOT inline EventQueue::Handle
 EventQueue::scheduleKeyed(Tick when, Callback cb, int priority,
                           std::uint64_t seq)
 {
-    if (when < now_) {
-        JETSIM_VIOLATION(check::Severity::Error,
-                         check::Invariant::Causality,
-                         detail::kEqComponent, now_,
-                         "event scheduled into the past (when=%lld < "
-                         "now=%lld)",
-                         static_cast<long long>(when),
-                         static_cast<long long>(now_));
-        when = now_; // sanitise so Log mode can continue
-    }
+    when = causal(when);
     JETSIM_ASSERT(static_cast<bool>(cb));
     if (priority < kPriPackMin || priority > kPriPackMax) {
         JETSIM_VIOLATION(check::Severity::Error,
@@ -518,8 +634,8 @@ EventQueue::scheduleKeyed(Tick when, Callback cb, int priority,
         JETSIM_COLD_OK("SBO miss: capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
         ++sbo_misses_;
     const Index idx = pool_.alloc(std::move(cb));
-    heapPush(makeKey(when, priority, seq), idx);
-    const std::uint64_t live = pool_.liveCount();
+    heapPush(makeKey(when, priority, seq), slotPayload(idx));
+    const std::uint64_t live = pending();
     if (live > peak_pending_)
         peak_pending_ = live;
     return Handle(life_, idx, pool_.gen(idx));
@@ -538,38 +654,41 @@ EventQueue::scheduleMessage(Tick when, Callback cb, int priority,
                          msg_seq & (kMessageSeqLimit - 1));
 }
 
+JETSIM_HOT inline void
+EventQueue::arm(Timer &t, Tick when)
+{
+    JETSIM_ASSERT(!t.armed_);
+    t.armed_ = true;
+    ++timers_armed_;
+    heapPush(makeKey(causal(when), kPriDefault, seq_++),
+             timerPayload(&t));
+    const std::uint64_t live = pending();
+    if (live > peak_pending_)
+        peak_pending_ = live;
+}
+
+JETSIM_HOT inline void
+EventQueue::armIn(Timer &t, Tick delay)
+{
+    arm(t, whenIn(delay));
+}
+
 JETSIM_HOT inline bool
 EventQueue::peekNext(NextEvent &out)
 {
-    while (!heap_keys_.empty()) {
-        const HeapKey key = heap_keys_.front();
-        const Index idx = heap_idx_.front();
-        if (pool_.cancelled(idx)) {
-            heapPopTop();
-            pool_.free(idx);
-            continue;
-        }
-        out.when = keyWhen(key);
-        out.priority = keyPriority(key);
-        out.seq = keySeq(key);
-        return true;
-    }
-    return false;
+    if (!pruneTop())
+        return false;
+    const HeapKey key = heap_keys_.front();
+    out.when = keyWhen(key);
+    out.priority = keyPriority(key);
+    out.seq = keySeq(key);
+    return true;
 }
 
 JETSIM_HOT inline EventQueue::Handle
 EventQueue::scheduleIn(Tick delay, Callback cb, int priority)
 {
-    JETSIM_CHECK(delay >= 0, check::Severity::Error,
-                 check::Invariant::Causality, detail::kEqComponent,
-                 now_, "negative delay %lld",
-                 static_cast<long long>(delay));
-    if (delay < 0)
-        delay = 0;
-    // Saturate instead of overflowing past kTickMax (UB on int64).
-    const Tick when =
-        delay > kTickMax - now_ ? kTickMax : now_ + delay;
-    return schedule(when, std::move(cb), priority);
+    return schedule(whenIn(delay), std::move(cb), priority);
 }
 
 JETSIM_HOT inline void
@@ -608,16 +727,25 @@ EventQueue::checkDispatch(HeapKey key)
 }
 
 JETSIM_HOT inline void
-EventQueue::dispatch(HeapKey key, Index idx)
+EventQueue::dispatch(HeapKey key, Payload p)
 {
     checkDispatch(key);
     now_ = keyWhen(key);
     ++executed_;
+    if (isTimer(p)) {
+        // Disarmed before the call, so the target may re-arm it.
+        Timer *t = timerOf(p);
+        t->armed_ = false;
+        --timers_armed_;
+        t->fire_(t->owner_);
+        return;
+    }
     // Mark consumed so a Handle held by the callback's owner reports
     // !pending() during and after execution. The callback is invoked
     // in place — slab addresses are stable even if the callback
     // schedules (growing the pool) — and the slot is recycled after
     // it returns.
+    const Index idx = slotOf(p);
     pool_.markDispatched(idx);
     EventPool::Event &e = pool_.at(idx);
     e.cb()();
@@ -631,15 +759,16 @@ EventQueue::runOne()
         return runOneControlled();
     while (!heap_keys_.empty()) {
         const HeapKey key = heap_keys_.front();
-        const Index idx = heap_idx_.front();
+        const Payload p = heap_pay_.front();
         // Overlap the slot's cache-line fetch with the sift-down.
-        pool_.prefetch(idx);
+        if (!isTimer(p))
+            pool_.prefetch(slotOf(p));
         heapPopTop();
-        if (pool_.cancelled(idx)) {
-            pool_.free(idx);
+        if (!isTimer(p) && pool_.cancelled(slotOf(p))) {
+            pool_.free(slotOf(p));
             continue;
         }
-        dispatch(key, idx);
+        dispatch(key, p);
         return true;
     }
     return false;
@@ -656,36 +785,18 @@ EventQueue::runUntil(Tick horizon)
     if (chooser_ != nullptr) {
         // Controlled scheduling: same horizon semantics, but every
         // pop goes through the tie-break choice point.
-        while (!heap_keys_.empty()) {
-            const HeapKey key = heap_keys_.front();
-            const Index idx = heap_idx_.front();
-            if (pool_.cancelled(idx)) {
-                heapPopTop();
-                pool_.free(idx);
-                continue;
-            }
-            if (keyWhen(key) > horizon)
-                break;
+        while (pruneTop() && keyWhen(heap_keys_.front()) <= horizon) {
             runOneControlled();
             ++n;
         }
-        if (horizon > now_)
-            now_ = horizon;
-        return n;
-    }
-    while (!heap_keys_.empty()) {
-        const HeapKey key = heap_keys_.front();
-        const Index idx = heap_idx_.front();
-        if (pool_.cancelled(idx)) {
+    } else {
+        while (pruneTop() && keyWhen(heap_keys_.front()) <= horizon) {
+            const HeapKey key = heap_keys_.front();
+            const Payload p = heap_pay_.front();
             heapPopTop();
-            pool_.free(idx);
-            continue;
+            dispatch(key, p);
+            ++n;
         }
-        if (keyWhen(key) > horizon)
-            break; // not yet due; stays queued
-        heapPopTop();
-        dispatch(key, idx);
-        ++n;
     }
     if (horizon > now_)
         now_ = horizon;

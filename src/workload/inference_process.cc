@@ -215,14 +215,10 @@ InferenceProcess::spinWait()
     // Poll the stream in short bursts of CPU work. The burst keeps
     // the core busy, so with more processes than cores the OS
     // time-shares the spinners and completion detection is delayed
-    // by scheduler waits (the paper's B_l).
-    thread_->exec(cfg_.spin_chunk, [this] {
-        JETSIM_ASSERT(in_flight_ > 0);
-        if (inFlight(0).gpu_done)
-            syncReturn();
-        else
-            spinWait();
-    });
+    // by scheduler waits (the paper's B_l). head_ cannot move while
+    // the thread spins, so the flag stays the oldest EC's.
+    thread_->spin(cfg_.spin_chunk, &inFlight(0).gpu_done,
+                  [this] { syncReturn(); });
 }
 
 void

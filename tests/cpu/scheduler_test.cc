@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,132 @@ TEST(Scheduler, ResetStatsZeroesCounters)
     t->resetStats();
     EXPECT_EQ(t->cpuTime(), 0);
     EXPECT_EQ(t->dispatches(), 0u);
+}
+
+/**
+ * One spin-waiting thread: each round preps, then busy-polls a ready
+ * flag a timed event raises, either through Thread::spin or through
+ * the exec() re-queue loop spin() replaces.
+ */
+struct Spinner
+{
+    static constexpr int kRounds = 4;
+    static constexpr sim::Tick kChunk = sim::usec(150);
+
+    sim::EventQueue *eq;
+    Thread *t;
+    bool use_spin;
+    int id;
+    int round = 0;
+    bool ready[kRounds] = {};
+    std::vector<sim::Tick> done_at{};
+
+    void
+    prep()
+    {
+        t->exec(sim::usec(100 + 37 * id + 11 * round), [this] { wait(); });
+    }
+
+    void
+    wait()
+    {
+        if (use_spin)
+            t->spin(kChunk, &ready[round], [this] { done(); });
+        else
+            poll();
+    }
+
+    void
+    poll()
+    {
+        t->exec(kChunk, [this] {
+            if (ready[round])
+                done();
+            else
+                poll();
+        });
+    }
+
+    void
+    done()
+    {
+        done_at.push_back(eq->now());
+        if (++round < kRounds)
+            prep();
+    }
+};
+
+/** Everything observable about a contended spin-wait run. */
+struct SpinRun
+{
+    std::vector<std::vector<sim::Tick>> done_at;
+    std::vector<sim::Tick> cpu, wake_wait, preempt_wait;
+    std::vector<std::uint64_t> dispatches, preemptions, migrations;
+    std::uint64_t context_switches = 0;
+    std::uint64_t events = 0;
+    sim::Tick end = 0;
+};
+
+SpinRun
+runSpinners(bool use_spin)
+{
+    Rig r;
+    std::vector<std::unique_ptr<Spinner>> spinners;
+    for (int i = 0; i < 4; ++i) {
+        spinners.push_back(std::unique_ptr<Spinner>(new Spinner{
+            &r.eq, r.sched.createThread("spin" + std::to_string(i)),
+            use_spin, i}));
+        Spinner *s = spinners.back().get();
+        for (int k = 0; k < Spinner::kRounds; ++k)
+            r.eq.schedule(sim::usec(900 + 1300 * k + 410 * i),
+                          [s, k] { s->ready[k] = true; });
+        s->prep();
+    }
+    r.eq.runAll();
+
+    SpinRun out;
+    for (const auto &s : spinners) {
+        EXPECT_EQ(s->round, Spinner::kRounds);
+        out.done_at.push_back(s->done_at);
+        out.cpu.push_back(s->t->cpuTime());
+        out.wake_wait.push_back(s->t->wakeWait());
+        out.preempt_wait.push_back(s->t->preemptWait());
+        out.dispatches.push_back(s->t->dispatches());
+        out.preemptions.push_back(s->t->preemptions());
+        out.migrations.push_back(s->t->migrations());
+    }
+    out.context_switches = r.sched.contextSwitches();
+    out.events = r.eq.executed();
+    out.end = r.eq.now();
+    return out;
+}
+
+TEST(SchedulerSpin, PollItemMatchesTheExecRequeueLoop)
+{
+    // 4 spinners on orin-nano's 3 big cores: the polls time-share
+    // the cores, so preemptions and migrations land on chunk
+    // boundaries. A poll re-armed in place must reproduce the
+    // re-queued chunk's schedule exactly.
+    const SpinRun spin = runSpinners(true);
+    const SpinRun loop = runSpinners(false);
+    EXPECT_EQ(spin.done_at, loop.done_at);
+    EXPECT_EQ(spin.cpu, loop.cpu);
+    EXPECT_EQ(spin.wake_wait, loop.wake_wait);
+    EXPECT_EQ(spin.preempt_wait, loop.preempt_wait);
+    EXPECT_EQ(spin.dispatches, loop.dispatches);
+    EXPECT_EQ(spin.preemptions, loop.preemptions);
+    EXPECT_EQ(spin.migrations, loop.migrations);
+    EXPECT_EQ(spin.context_switches, loop.context_switches);
+    EXPECT_EQ(spin.events, loop.events);
+    EXPECT_EQ(spin.end, loop.end);
+    // The run is contended enough to exercise the yield rule.
+    std::uint64_t preemptions = 0, migrations = 0;
+    for (std::size_t i = 0; i < spin.preemptions.size(); ++i) {
+        preemptions += spin.preemptions[i];
+        migrations += spin.migrations[i];
+    }
+    EXPECT_GT(preemptions, 0u);
+    EXPECT_GT(migrations, 0u);
 }
 
 /** Invariant sweep over thread counts. */

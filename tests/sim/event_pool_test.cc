@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the pooled event core: handle lifetime across slot reuse
- * and queue destruction, cancellation edge cases, a randomized
- * differential fuzz against a naive reference queue, and the
- * zero-allocation guarantee of the steady-state schedule path.
+ * and queue destruction, cancellation edge cases, component-owned
+ * timers, a randomized differential fuzz against a naive reference
+ * queue, and the zero-allocation guarantee of the steady-state
+ * schedule path.
  */
 
 #include "sim/event_pool.hh"
@@ -11,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <queue>
 #include <vector>
 
+#include "check/reporter.hh"
 #include "sim/rng.hh"
 #include "support/alloc_count.hh"
 
@@ -80,23 +83,6 @@ TEST(EventPoolHandle, SlotReuseDoesNotResurrectOldHandle)
     EXPECT_EQ(runs2, 1);
 }
 
-TEST(EventPoolHandle, StaleHandleInertAcrossShrink)
-{
-    EventQueue eq;
-    auto h1 = eq.schedule(10, [] {});
-    h1.cancel();
-    eq.runAll();
-    eq.shrink(); // drops every slab; raises the generation floor
-
-    int runs = 0;
-    auto h2 = eq.schedule(20, [&] { ++runs; });
-    EXPECT_FALSE(h1.pending());
-    h1.cancel(); // must not touch the fresh slab's occupant
-    EXPECT_TRUE(h2.pending());
-    eq.runAll();
-    EXPECT_EQ(runs, 1);
-}
-
 // --------------------------------------------------------- pool unit
 
 TEST(EventPool, GenerationChecksGateIsPending)
@@ -109,22 +95,163 @@ TEST(EventPool, GenerationChecksGateIsPending)
     EXPECT_FALSE(pool.isPending(idx + 1000, gen));
     pool.free(idx);
     EXPECT_FALSE(pool.isPending(idx, gen));
-    pool.releaseAll();
 }
 
-TEST(EventPool, ReleaseAllRaisesGenerationFloor)
+// ------------------------------------------------------------ timers
+
+/** Owns a timer whose target appends the probe's current id. */
+struct Probe
 {
-    EventPool pool;
-    const auto idx = pool.alloc([] {});
-    const auto gen = pool.gen(idx);
-    pool.free(idx);
-    pool.releaseAll(/*handles_outstanding=*/true);
-    // New slabs start past every generation ever handed out.
-    const auto idx2 = pool.alloc([] {});
-    EXPECT_EQ(idx2, idx); // same slot index, fresh slab
-    EXPECT_GT(pool.gen(idx2), gen);
-    pool.free(idx2);
-    pool.releaseAll();
+    std::vector<int> *out;
+    int id;
+    EventQueue::Timer timer{[](void *self) {
+                                auto *p = static_cast<Probe *>(self);
+                                p->out->push_back(p->id);
+                            },
+                            this};
+};
+
+/** Records each tie set's size and takes alternative @p pick (or the
+ * last one when fewer are offered). */
+struct RecordingChooser final : Chooser
+{
+    int pick = 0;
+    std::vector<int> sizes;
+
+    int
+    choose(ChoiceKind kind, const std::int64_t *, int n) override
+    {
+        EXPECT_EQ(kind, ChoiceKind::EventTie);
+        sizes.push_back(n);
+        return pick < n ? pick : n - 1;
+    }
+};
+
+TEST(EventQueueTimer, DispatchesWhereAScheduleWouldHave)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    Probe probe{&order, 1};
+    eq.schedule(10, [&] { order.push_back(0); });
+    eq.arm(probe.timer, 10);
+    eq.schedule(10, [&] { order.push_back(2); });
+    EXPECT_TRUE(probe.timer.armed());
+    EXPECT_EQ(eq.runAll(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_FALSE(probe.timer.armed());
+    EXPECT_EQ(eq.executed(), 3u);
+}
+
+TEST(EventQueueTimer, ArmInChecksAndSaturatesLikeScheduleIn)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    Probe far{&order, 1};
+    Probe past{&order, 3};
+    eq.schedule(100, [] {});
+    eq.runOne(); // now() == 100
+    eq.scheduleIn(kTickMax, [&] { order.push_back(0); });
+    eq.armIn(far.timer, kTickMax);
+    {
+        check::ScopedCapture cap;
+        eq.scheduleIn(-5, [&] { order.push_back(2); });
+        eq.armIn(past.timer, -5);
+        EXPECT_EQ(cap.count(check::Invariant::Causality), 2u);
+    }
+    // Both negative delays clamp to now(), in arm order.
+    EXPECT_EQ(eq.runUntil(100), 2u);
+    EXPECT_EQ(order, (std::vector<int>{2, 3}));
+    // Both saturated delays land on kTickMax, in arm order.
+    EventQueue::NextEvent next;
+    ASSERT_TRUE(eq.peekNext(next));
+    EXPECT_EQ(next.when, kTickMax);
+    EXPECT_EQ(eq.runAll(), 2u);
+    EXPECT_EQ(order, (std::vector<int>{2, 3, 0, 1}));
+    EXPECT_EQ(eq.now(), kTickMax);
+}
+
+TEST(EventQueueTimer, ArmingIntoThePastIsDetected)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    Probe probe{&order, 0};
+    eq.schedule(100, [] {});
+    eq.runOne();
+    {
+        check::ScopedCapture cap;
+        eq.arm(probe.timer, 50);
+        EXPECT_EQ(cap.count(check::Invariant::Causality), 1u);
+    }
+    // Log-mode sanitisation clamps the occurrence to now().
+    EXPECT_TRUE(eq.runOne());
+    EXPECT_EQ(eq.now(), 100);
+    EXPECT_EQ(order, (std::vector<int>{0}));
+}
+
+TEST(EventQueueTimer, JoinsTheChoosersTieSet)
+{
+    for (int pick = 0; pick < 3; ++pick) {
+        EventQueue eq;
+        RecordingChooser chooser;
+        chooser.pick = pick;
+        eq.setChooser(&chooser);
+        std::vector<int> order;
+        Probe probe{&order, 1};
+        eq.schedule(10, [&] { order.push_back(0); });
+        eq.arm(probe.timer, 10);
+        eq.schedule(10, [&] { order.push_back(2); });
+        eq.schedule(11, [&] { order.push_back(3); });
+        eq.runAll();
+        eq.setChooser(nullptr);
+        // Two events and the timer tie on (10, default priority):
+        // three alternatives, then the two left over.
+        EXPECT_EQ(chooser.sizes, (std::vector<int>{3, 2}));
+        ASSERT_EQ(order.size(), 4u);
+        EXPECT_EQ(order[0], pick);
+        EXPECT_EQ(order[3], 3);
+    }
+}
+
+TEST(EventQueueTimer, CountsAsPending)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    Probe a{&order, 0};
+    Probe b{&order, 1};
+    EXPECT_TRUE(eq.empty());
+    eq.arm(a.timer, 5);
+    EXPECT_FALSE(eq.empty());
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.schedule(6, [] {});
+    eq.arm(b.timer, 7);
+    auto s = eq.stats();
+    EXPECT_EQ(s.pending, 3u);
+    EXPECT_EQ(s.peak_pending, 3u);
+
+    EXPECT_TRUE(eq.runOne());
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(eq.runAll(), 2u);
+    EXPECT_TRUE(eq.empty());
+    s = eq.stats();
+    EXPECT_EQ(s.pending, 0u);
+    EXPECT_EQ(s.peak_pending, 3u);
+    EXPECT_EQ(s.executed, 3u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(EventQueueTimer, QueueOutlivingAnArmedTimersOwnerTouchesNothing)
+{
+    std::vector<int> order;
+    EventQueue::Handle h;
+    {
+        EventQueue eq;
+        auto probe = std::unique_ptr<Probe>(new Probe{&order, 0});
+        eq.arm(probe->timer, 10);
+        h = eq.schedule(20, [&order] { order.push_back(1); });
+        probe.reset(); // the owner dies first, its timer still armed
+    } // ~EventQueue frees the event and skips the timer's entry
+    EXPECT_TRUE(order.empty());
+    EXPECT_FALSE(h.pending());
 }
 
 // ------------------------------------------------- differential fuzz
@@ -197,9 +324,22 @@ TEST(EventPoolFuzz, RandomScheduleCancelMatchesReference)
         std::vector<EventQueue::Handle> handles;
         std::vector<int> ids;
 
+        // Timers join the stream; the oracle schedules each arm as a
+        // plain event at the default priority.
+        std::vector<std::unique_ptr<Probe>> timers;
+        for (int k = 0; k < 16; ++k)
+            timers.push_back(std::unique_ptr<Probe>(new Probe{&got, -1}));
+
         const int n = 50 + static_cast<int>(rng.uniformInt(0, 150));
         for (int i = 0; i < n; ++i) {
             const Tick when = static_cast<Tick>(rng.uniformInt(0, 50));
+            Probe &tp = *timers[static_cast<std::size_t>(
+                rng.uniformInt(0, timers.size() - 1))];
+            if (rng.uniformInt(0, 3) == 0 && !tp.timer.armed()) {
+                tp.id = ref.schedule(when, EventQueue::kPriDefault);
+                eq.arm(tp.timer, when);
+                continue;
+            }
             const int pri = static_cast<int>(rng.uniformInt(0, 5)) - 2;
             const int id = ref.schedule(when, pri);
             handles.push_back(
@@ -270,9 +410,9 @@ TEST(EventPoolAlloc, OversizedCaptureCountsAsSboMiss)
     eq.runAll();
 }
 
-// ------------------------------------------------------ stats/shrink
+// ------------------------------------------------------------- stats
 
-TEST(EventQueueStats, TracksPeakPendingAndShrinks)
+TEST(EventQueueStats, TracksPeakPending)
 {
     EventQueue eq;
     for (int i = 0; i < 600; ++i)
@@ -289,18 +429,6 @@ TEST(EventQueueStats, TracksPeakPendingAndShrinks)
     EXPECT_EQ(s.peak_pending, 600u);
     EXPECT_EQ(s.executed, 600u);
     EXPECT_GE(s.pool_capacity, 600u); // retained for reuse
-
-    eq.shrink();
-    s = eq.stats();
-    EXPECT_EQ(s.pool_capacity, 0u); // fully drained: slabs dropped
-    EXPECT_EQ(s.pool_slabs, 0u);
-    EXPECT_EQ(s.shrinks, 1u);
-
-    // The queue stays usable after a shrink.
-    int runs = 0;
-    eq.scheduleIn(5, [&] { ++runs; });
-    eq.runAll();
-    EXPECT_EQ(runs, 1);
 }
 
 } // namespace

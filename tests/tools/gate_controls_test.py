@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Controls for ten gates: each must be shown to pass and to fail.
+"""Controls for eleven gates: each must be shown to pass and to fail.
 
 jetlint's plan mode on the committed good plan
 (tests/data/plan_good.json, trt::Engine::serialize() of resnet18 at
@@ -24,14 +24,18 @@ simcheck's fleet golden gate (pass 1c) must fail on a copy of
 GOLDEN_fleet.json with one digest changed and pass on the committed
 file. jetmc's reduction gate (pass 1d) must fail when it asks for a
 reduction no search reaches and pass at one it does (2x; the 2-process
-resnet50 deployment measures 5x).
+resnet50 deployment measures 5x), and must fail, saying the reduction
+was not measured, when the DPOR search hit --max-runs (a 3-process
+yolov8n deployment cut at 50 runs).
 
 The source analyzers' gates (passes 1b, 1f and 1g) must pass on src/
 and fail once one bad file joins it: detlint on a function calling
 std::rand() must report one rand finding; jetrace on a function taking
 mu_ then engine_cache_mu, the reverse of the engine cache's order, must
 report a lock cycle over exactly those two locks; jethot on a
-JETSIM_HOT root that calls new must report hot-alloc.
+JETSIM_HOT root that calls new must report hot-alloc. jethot's
+reachability pin (pass 1g) must hold on src/ and fail on a copy of it
+whose timer targets lost their JETSIM_HOT marking.
 
     gate_controls_test.py --jetlint PATH --capacity-planner PATH \
         --simcheck PATH --jetmc PATH
@@ -42,6 +46,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -159,6 +164,17 @@ class GateControls(unittest.TestCase):
         code, out = jetmc(2)
         self.assertEqual(code, 0, out)
         self.assertIn("reduction", out)
+        # A DPOR search cut off by --max-runs measured no ratio (its
+        # naive search is capped too, so it reads 200x): it must fail
+        # and say so, naming the configuration.
+        code, out = run([TOOLS["jetmc"], "--device=nano",
+                         "--model=yolov8n", "--procs=3", "--max-ecs=1",
+                         "--compare", "--shared-buffer", "--max-runs=50",
+                         "--min-reduction=10"])
+        self.assertEqual(code, 1, out)
+        self.assertIn("hit --max-runs", out)
+        self.assertIn("reduction not measured", out)
+        self.assertIn("yolov8n", out)
 
 
 class FleetGateControls(unittest.TestCase):
@@ -280,6 +296,40 @@ class AnalyzerGateControls(unittest.TestCase):
         cycle = re.search(r"cycle over \{([^}]*)\}",
                           doc["findings"][0]["message"]).group(1)
         self.assertEqual(cycle, "engine_cache_mu, mu_")
+
+    def test_jethot_pin_fails_without_the_timer_targets_marking(self):
+        # tools/ci.sh pass 1g's reachability pin: the event queue fires
+        # timer targets no arm site calls, so only their JETSIM_HOT
+        # marking keeps them (and Fifo::push_back) in the audit.
+        pinned = {"OsScheduler::sliceEnd", "GpuEngine::finishMux",
+                  "Fifo::push_back"}
+        code, doc = self.analyze("jethot.py")
+        self.assertEqual(code, 0, doc["findings"])
+        self.assertLessEqual(pinned, set(doc["reachable_fns"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(os.path.join(ROOT, "src"),
+                            os.path.join(tmp, "src"))
+            for rel, fns in (("src/cpu/scheduler.cc",
+                              ["OsScheduler::sliceEnd"]),
+                             ("src/gpu/engine.cc",
+                              ["GpuEngine::startMux",
+                               "GpuEngine::finishMux"])):
+                path = os.path.join(tmp, rel)
+                with open(path) as f:
+                    text = f.read()
+                for fn in fns:
+                    marked = f"JETSIM_HOT void\n{fn}("
+                    self.assertIn(marked, text)
+                    text = text.replace(marked, f"void\n{fn}(")
+                with open(path, "w") as f:
+                    f.write(text)
+            proc = subprocess.run(
+                [sys.executable, os.path.join(ROOT, "tools", "jethot.py"),
+                 "--backend", "lex", "--json", "--root", tmp,
+                 os.path.join(tmp, "src")],
+                capture_output=True, text=True, timeout=120)
+        doc = json.loads(proc.stdout)
+        self.assertEqual(pinned - set(doc["reachable_fns"]), pinned)
 
     def test_jethot_fails_on_a_hot_allocation(self):
         code, doc = self.analyze("jethot.py")

@@ -316,9 +316,11 @@ class CliContractTest(unittest.TestCase):
         for f in doc["findings"]:
             for k in ("path", "line", "rule", "message", "chain"):
                 self.assertIn(k, f)
-        for k in ("roots", "reachable", "cold_ok", "boundaries",
-                  "sbo_sites"):
+        for k in ("roots", "reachable", "reachable_fns", "cold_ok",
+                  "boundaries", "sbo_sites"):
             self.assertIn(k, doc)
+        self.assertEqual(len(doc["reachable_fns"]), doc["reachable"])
+        self.assertIn("leakyHelper", doc["reachable_fns"])
 
     def test_sarif_contract(self):
         proc = self.run_cli(

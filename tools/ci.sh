@@ -263,7 +263,9 @@ EOF
     # static escape set and the runtime SBO accounting name the
     # same sites. The site list itself is pinned (file and
     # function), so a per-kernel or per-EC site cannot come back
-    # unnoticed.
+    # unnoticed, and so is the reachability of the timer targets
+    # (OsScheduler::sliceEnd, GpuEngine::finishMux) and of
+    # Fifo::push_back below them.
     python3 "$repo/tools/jethot.py" --json > \
         "$repo/build-ci/plain/jethot.json"
     python3 - "$repo/build-ci/plain/jethot.json" <<'EOF'
@@ -285,6 +287,13 @@ want = {
 }
 got = {(s["path"], s["fn"]) for s in sites}
 assert got == want and len(sites) == len(want), sorted(got)
+# Event-queue timers fire targets that no arm site calls: their
+# JETSIM_HOT marking is what keeps the slice-end and kernel-finish
+# paths (and the run-queue growth below them) under this audit.
+pinned = {"OsScheduler::sliceEnd", "GpuEngine::finishMux",
+          "Fifo::push_back"}
+missing = pinned - set(doc["reachable_fns"])
+assert not missing, sorted(missing)
 print(f"jethot: src clean; {len(doc['roots'])} hot roots, "
       f"{doc['reachable']} reachable, "
       f"{len(doc['cold_ok'])} sanctioned cold escapes, "

@@ -62,8 +62,9 @@ Usage: tools/jethot.py [--root DIR] [--json] [--sarif] [--dot]
 Exit: 0 clean, 1 findings (or failed self-test), 2 usage error.
 
 --json emits {"schema_version": 1, "tool": "jethot", "findings":
-[...], "files": N, "roots": [...], "reachable": N, "cold_ok": [...],
-"boundaries": [...], "sbo_sites": [...]} — the same schema_version
+[...], "files": N, "roots": [...], "reachable": N, "reachable_fns":
+[...], "cold_ok": [...], "boundaries": [...], "sbo_sites": [...]} —
+the same schema_version
 jetlint/jetrace/detlint stamp. Findings carry "chain": the minimised
 root -> ... -> offender call path.
 """
@@ -450,6 +451,7 @@ def audit(files, root, backend="lex"):
     summary = {
         "roots": roots,
         "reachable": len(visited),
+        "reachable_fns": sorted(visited),
         "scanned": len(scannable),
         "cold_ok": an.cold_escapes,
         "boundaries": an.boundary_decls,

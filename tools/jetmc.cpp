@@ -22,7 +22,8 @@
  *
  * --compare re-runs the search without the reduction and reports the
  * naive/DPOR run ratio; --min-reduction fails CI when the reduction
- * underperforms. Counterexamples go to --ce-dir and replay with
+ * underperforms or when the DPOR search hit --max-runs (its ratio
+ * would be unmeasured). Counterexamples go to --ce-dir and replay with
  * `simcheck --mc-replay=<file>`.
  */
 
@@ -274,8 +275,9 @@ main(int argc, char **argv)
              "also run the naive DFS and report the reduction "
              "factor");
     args.add("min-reduction", "0",
-             "fail unless DPOR reduces runs by at least this factor "
-             "(implies --compare)");
+             "fail unless DPOR finishes within --max-runs and "
+             "reduces runs by at least this factor (implies "
+             "--compare)");
     args.add("json", "", "write a machine-readable report");
     args.add("ce-dir", "", "directory for counterexample files");
     if (!args.parse(argc, argv))
@@ -357,7 +359,16 @@ main(int argc, char **argv)
         printReport(r);
         if (!r.dpor.clean())
             failed = true;
-        if (min_reduction > 0 && r.reduction < min_reduction) {
+        if (min_reduction > 0 && r.dpor.run_budget_hit) {
+            // A capped naive search only understates the ratio, but a
+            // capped DPOR search leaves its run count undefined.
+            std::fprintf(stderr,
+                         "jetmc: DPOR search for %s hit --max-runs "
+                         "before exhausting the space; reduction not "
+                         "measured\n",
+                         r.label.c_str());
+            failed = true;
+        } else if (min_reduction > 0 && r.reduction < min_reduction) {
             std::fprintf(stderr,
                          "jetmc: reduction %.1fx below required "
                          "%.1fx for %s\n",
