@@ -4,13 +4,14 @@
  * core::resultDigest / jetmc logical-digest values for a handful of
  * cells chosen to cover every path of workload::InferenceProcess's
  * closed loop — spin-wait under CPU oversubscription (the paper's S7
- * blocking regime) in phase 2, a deployment that runs out of memory,
- * no pre-enqueue, two co-located workloads, and a bounded
- * blocking-sync deployment that drains. RunnerGolden compares thread
- * counts against each other inside one process; these literals pin
- * the values themselves, so any change to the loop that moves a
- * result fails here. Regenerate only when the model legitimately
- * changes (the failure message prints the new value).
+ * blocking regime) in phase 2, the spatial-sharing GPU path in phase
+ * 2, a deployment that runs out of memory, no pre-enqueue, two
+ * co-located workloads, and a bounded blocking-sync deployment that
+ * drains. RunnerGolden compares thread counts against each other
+ * inside one process; these literals pin the values themselves, so
+ * any change to the loop that moves a result fails here. Regenerate
+ * only when the model legitimately changes (the failure message
+ * prints the new value).
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +56,21 @@ TEST(ProcessGolden, DeepSpinCellOversubscribed)
     s.phase = core::Phase::Deep;
     EXPECT_EQ(hex(core::resultDigest(core::runExperiment(s))),
               "d98b426b95c9bbd5");
+    EXPECT_EQ(cap.total(), 0u);
+}
+
+TEST(ProcessGolden, SpatialSharingDeepCell)
+{
+    // Ablation A5's idealised MPS path under phase 2: the spatial
+    // completion timer is disarmed and re-armed as kernels start,
+    // alongside the DVFS, jetson-stats and Nsight sampling timers.
+    check::ScopedCapture cap;
+    auto s = shortSpec("orin-nano", "yolov8n", soc::Precision::Int8, 4);
+    s.phase = core::Phase::Deep;
+    s.spatial_sharing = true;
+    const auto r = core::runExperiment(s);
+    EXPECT_EQ(hex(core::resultDigest(r)), "9e8e9fd717b07df1");
+    EXPECT_EQ(r.dvfs_throttle_events, 7);
     EXPECT_EQ(cap.total(), 0u);
 }
 
