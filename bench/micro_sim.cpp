@@ -55,29 +55,6 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleRun);
 
 static void
-BM_EventQueueCancelHeavy(benchmark::State &state)
-{
-    // Half the scheduled events are cancelled before the run: the
-    // queue must skip them cheaply (lazy deletion at pop).
-    std::vector<sim::EventQueue::Handle> handles;
-    handles.reserve(500);
-    for (auto _ : state) {
-        sim::EventQueue eq;
-        handles.clear();
-        for (int i = 0; i < 1000; ++i) {
-            auto h = eq.schedule(i, [] {});
-            if (i % 2 == 0)
-                handles.push_back(std::move(h));
-        }
-        for (auto &h : handles)
-            h.cancel();
-        benchmark::DoNotOptimize(eq.runAll());
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueCancelHeavy);
-
-static void
 BM_SchedulerContention(benchmark::State &state)
 {
     const int threads = static_cast<int>(state.range(0));
@@ -227,26 +204,6 @@ scheduleRunEventsPerSec(int reps)
 }
 
 double
-cancelHeavyEventsPerSec(int reps)
-{
-    std::vector<sim::EventQueue::Handle> handles;
-    handles.reserve(500);
-    const double s = minSeconds(reps, [&handles] {
-        sim::EventQueue eq;
-        handles.clear();
-        for (int i = 0; i < 1000; ++i) {
-            auto h = eq.schedule(i, [] {});
-            if (i % 2 == 0)
-                handles.push_back(std::move(h));
-        }
-        for (auto &h : handles)
-            h.cancel();
-        benchmark::DoNotOptimize(eq.runAll());
-    });
-    return 1000.0 / s;
-}
-
-double
 fullCellMs(int processes, int reps)
 {
     core::ExperimentSpec spec;
@@ -385,10 +342,8 @@ peakRssMb()
 }
 
 /**
- * sbo_misses after the steady-state schedule workload: every hot-path
- * callback (`this` + small ids) must fit InlineFn's inline buffer, so
- * the count must be zero. Measured on a fresh queue so the number is
- * attributable to this workload alone.
+ * sbo_misses after the steady-state schedule workload, measured on a
+ * fresh queue so the number is attributable to this workload alone.
  */
 std::uint64_t
 steadyStateSboMisses()
@@ -401,13 +356,34 @@ steadyStateSboMisses()
 }
 
 /**
+ * InlineFn heap fallbacks over one phase-2 cell, set-up included: 8
+ * spin-waiting resnet50/int8 processes on an orin-nano, so every
+ * callback the process loop, streams, GPU channels, CPU work items and
+ * samplers store must fit InlineFn's inline buffer for the count to
+ * stay zero.
+ */
+std::uint64_t
+deepCellHeapFallbacks()
+{
+    core::ExperimentSpec spec;
+    spec.model = "resnet50";
+    spec.precision = soc::Precision::Int8;
+    spec.processes = 8;
+    spec.phase = core::Phase::Deep;
+    spec.warmup = sim::msec(100);
+    spec.duration = sim::msec(400);
+    const std::uint64_t before = sim::InlineFn::heapFallbackCount();
+    benchmark::DoNotOptimize(core::runExperiment(spec));
+    return sim::InlineFn::heapFallbackCount() - before;
+}
+
+/**
  * Seed-commit baselines, measured with this same emitter method
  * (min over repetitions) on the shared reference host below before
  * the pooled event core landed. Committed so the "speedup" fields
  * stay meaningful without rebuilding the seed.
  */
 constexpr double kSeedScheduleRunEvPerSec = 7.97e6;
-constexpr double kSeedCancelHeavyEvPerSec = 7.30e6;
 constexpr double kSeedFullCell1Ms = 9.00;
 constexpr double kSeedFullCell4Ms = 10.6;
 /** bench::kHostNote plus the cross-reference to the seed numbers. */
@@ -423,7 +399,6 @@ emitJson(const std::string &path)
 {
     std::fprintf(stderr, "measuring simcore benchmarks...\n");
     const double sched = scheduleRunEventsPerSec(400);
-    const double cancel = cancelHeavyEventsPerSec(400);
     const double cell1 = fullCellMs(1, 6);
     const double cell4 = fullCellMs(4, 6);
     std::uint64_t fleet_events = 0;
@@ -444,13 +419,6 @@ emitJson(const std::string &path)
     std::fprintf(f, "    \"seed_events_per_sec\": %.3e,\n",
                  kSeedScheduleRunEvPerSec);
     std::fprintf(f, "    \"speedup\": %.2f\n", sched / kSeedScheduleRunEvPerSec);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"event_queue_cancel_heavy\": {\n");
-    std::fprintf(f, "    \"events_per_sec\": %.3e,\n", cancel);
-    std::fprintf(f, "    \"seed_events_per_sec\": %.3e,\n",
-                 kSeedCancelHeavyEvPerSec);
-    std::fprintf(f, "    \"speedup\": %.2f\n",
-                 cancel / kSeedCancelHeavyEvPerSec);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"full_cell_resnet50_int8\": {\n");
     std::fprintf(f, "    \"procs1_ms\": %.2f,\n", cell1);
@@ -525,20 +493,21 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
         if (arg == "--assert-sbo") {
-            // CI probe (tools/ci.sh pass 1c): the steady-state
-            // schedule path must never fall back to the heap.
-            const auto misses = steadyStateSboMisses();
-            if (misses != 0) {
+            // CI probe (tools/ci.sh pass 1c): no callback a phase-2
+            // cell stores may fall back to the heap.
+            const auto fallbacks = deepCellHeapFallbacks();
+            if (fallbacks != 0) {
                 std::fprintf(stderr,
-                             "micro_sim: sbo_misses = %llu after the "
-                             "steady-state schedule workload "
-                             "(expected 0): an InlineFn capture "
-                             "outgrew the inline buffer\n",
-                             static_cast<unsigned long long>(misses));
+                             "micro_sim: %llu InlineFn heap "
+                             "fallback(s) over one 8-process phase-2 "
+                             "resnet50/int8 cell (expected 0): a "
+                             "callback capture outgrew the inline "
+                             "buffer\n",
+                             static_cast<unsigned long long>(fallbacks));
                 return 1;
             }
-            std::printf("micro_sim: sbo_misses == 0 (steady-state "
-                        "schedule path allocation-free)\n");
+            std::printf("micro_sim: 0 InlineFn heap fallbacks over one "
+                        "8-process phase-2 resnet50/int8 cell\n");
             return 0;
         }
         if (arg == "--json" || arg.rfind("--json=", 0) == 0) {

@@ -224,9 +224,8 @@ analyze(const core::MixedExperimentSpec &spec)
         }
     }
     b.available_mib = sim::toMiB(dev->availableMemory());
-    b.mem_mib = {sim::toMiB(need), sim::toMiB(need)};
-    b.whole_sum_mib = sim::toMiB(need);
-    b.must_oom = b.may_oom = need > dev->availableMemory();
+    b.mem_mib = sim::toMiB(need);
+    b.oom = need > dev->availableMemory();
 
     // --- Per-process intervals ----------------------------------------
     const double in_flight =

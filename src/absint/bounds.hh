@@ -4,10 +4,11 @@
  * bounds for a deployment spec, derived by abstract interpretation of
  * the same cost and scheduling models the simulator executes.
  *
- * Every quantity is an Interval whose containment of the simulated
- * value is a *tested property* (tests/absint/soundness_test.cc runs
- * every zoo model x board x process count and asserts lo <= sim <=
- * hi). The bounds rest on explicit mechanisms, not tuning:
+ * Every time and rate is an Interval whose containment of the
+ * simulated value is a *tested property* (tests/absint/soundness_test.cc
+ * runs every zoo model x board x process count and asserts lo <= sim
+ * <= hi); memory is the exact resident sum, checked the same way. The
+ * bounds rest on explicit mechanisms, not tuning:
  *
  *  - Kernel bodies are inside [kJitterLo, kJitterHi] x the
  *    deterministic roofline body (clamped lognormal jitter), and the
@@ -116,10 +117,8 @@ struct DeploymentBounds
     /** @name Memory (MiB)
      * @{ */
     double available_mib = 0;
-    Interval mem_mib;          ///< resident high-water (exact)
-    double whole_sum_mib = 0;  ///< jetlint D001's whole-sum bound
-    bool must_oom = false;     ///< lower bound alone exceeds budget
-    bool may_oom = false;      ///< upper bound exceeds budget
+    double mem_mib = 0; ///< resident high-water: D001's sum (exact)
+    bool oom = false;   ///< mem_mib exceeds the budget
     /** @} */
 
     /** Aggregate throughput cap from GPU serialization: completed

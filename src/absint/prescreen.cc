@@ -41,11 +41,11 @@ screen(const core::ExperimentSpec &spec, const Slo &slo)
     }
 
     // --- Infeasibility proofs (lower bounds beat the SLO) ----------
-    if (b.must_oom) {
+    if (b.oom) {
         r.verdict = Verdict::ProvedInfeasible;
-        r.reason = fmt("memory lower bound %.1f MiB exceeds the "
+        r.reason = fmt("memory high-water %.1f MiB exceeds the "
                        "%.1f MiB budget: deployment must fail",
-                       b.mem_mib.lo, b.available_mib);
+                       b.mem_mib, b.available_mib);
         return r;
     }
     double lat_lo = std::numeric_limits<double>::max();
@@ -84,7 +84,7 @@ screen(const core::ExperimentSpec &spec, const Slo &slo)
         slo.max_latency_ms <= 0 || lat_hi <= slo.max_latency_ms;
     const bool fps_ok =
         slo.min_fps <= 0 || tput_lo_min >= slo.min_fps;
-    if (!b.may_oom && lat_ok && fps_ok) {
+    if (lat_ok && fps_ok) {
         r.verdict = Verdict::ProvedFeasible;
         r.reason = fmt("upper bounds meet the SLO (latency <= %.2f "
                        "ms, throughput >= %.2f fps) in every "

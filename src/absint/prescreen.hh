@@ -5,7 +5,7 @@
  * A capacity-planning sweep simulates every cell of a grid to label
  * it feasible/infeasible against an SLO. Many cells are decidable
  * without simulation: if the *lower* latency bound already violates
- * the SLO (or the memory lower bound exceeds the budget, or the
+ * the SLO (or the memory high-water exceeds the budget, or the
  * throughput *upper* bound misses the floor), no simulated run can
  * be feasible — the cell is provably infeasible and the simulation
  * is wasted work. Symmetrically, a cell whose upper bounds all meet

@@ -21,6 +21,11 @@ GpuEngine::GpuEngine(soc::Board &board)
           this),
       finish_timer_(
           [](void *self) { static_cast<GpuEngine *>(self)->finishMux(); },
+          this),
+      spatial_timer_(
+          [](void *self) {
+              static_cast<GpuEngine *>(self)->spatialComplete();
+          },
           this)
 {
 }
@@ -343,7 +348,7 @@ GpuEngine::spatialAdvance()
 void
 GpuEngine::spatialReschedule()
 {
-    spatial_event_.cancel();
+    eq_.disarm(spatial_timer_);
     if (execs_.empty()) {
         publishIdleIfQuiet();
         return;
@@ -354,45 +359,49 @@ GpuEngine::spatialReschedule()
     const double n = static_cast<double>(execs_.size());
     const auto delay =
         static_cast<sim::Tick>(std::ceil(min_rem * n)) + 1;
-    spatial_event_ = eq_.scheduleIn(delay, [this] {
-        spatialAdvance();
+    eq_.armIn(spatial_timer_, delay);
+}
 
-        // Collect everything that finished at this instant into the
-        // reused member scratch (no per-fire allocation).
-        auto &finished = finished_scratch_;
-        finished.clear();
-        for (auto it = execs_.begin(); it != execs_.end();) {
-            if (it->remaining_ns <= 1.0) {
-                finished.push_back(std::move(*it));
-                it = execs_.erase(it);
-            } else {
-                ++it;
-            }
+void
+GpuEngine::spatialComplete()
+{
+    spatialAdvance();
+
+    // Collect everything that finished at this instant into the
+    // reused member scratch (no per-fire allocation).
+    auto &finished = finished_scratch_;
+    finished.clear();
+    for (auto it = execs_.begin(); it != execs_.end();) {
+        if (it->remaining_ns <= 1.0) {
+            finished.push_back(std::move(*it));
+            it = execs_.erase(it);
+        } else {
+            ++it;
         }
-        for (auto &e : finished)
-            channels_[e.channel].executing = false;
+    }
+    for (auto &e : finished)
+        channels_[e.channel].executing = false;
 
-        for (auto &e : finished) {
-            ++kernels_executed_;
-            KernelRecord rec;
-            rec.channel = e.channel;
-            rec.desc = e.desc;
-            rec.submit = e.submit;
-            rec.start = e.start;
-            rec.end = eq_.now();
-            rec.timing = e.timing;
-            complete(rec);
-        }
+    for (auto &e : finished) {
+        ++kernels_executed_;
+        KernelRecord rec;
+        rec.channel = e.channel;
+        rec.desc = e.desc;
+        rec.submit = e.submit;
+        rec.start = e.start;
+        rec.end = eq_.now();
+        rec.timing = e.timing;
+        complete(rec);
+    }
 
-        // Channels with queued work (from callbacks or earlier
-        // submissions) start their next kernel.
-        for (std::size_t c = 0; c < channels_.size(); ++c)
-            if (!channels_[c].executing && !channels_[c].queue.empty())
-                spatialStart(static_cast<int>(c));
+    // Channels with queued work (from callbacks or earlier
+    // submissions) start their next kernel.
+    for (std::size_t c = 0; c < channels_.size(); ++c)
+        if (!channels_[c].executing && !channels_[c].queue.empty())
+            spatialStart(static_cast<int>(c));
 
-        spatialReschedule();
-        spatialPublish();
-    });
+    spatialReschedule();
+    spatialPublish();
 }
 
 void

@@ -169,7 +169,10 @@ class GpuEngine
     // --- spatial path
     void spatialStart(int channel);
     void spatialAdvance();
+    /** Re-arm spatial_timer_ at the earliest completion, if any. */
     void spatialReschedule();
+    /** The earliest in-flight kernels finish (spatial_timer_). */
+    void spatialComplete();
     void spatialPublish();
 
     void publishIdleIfQuiet();
@@ -202,7 +205,7 @@ class GpuEngine
     std::vector<Exec> execs_;
     std::vector<Exec> finished_scratch_; ///< reused across fires
     sim::Tick last_advance_ = 0;
-    sim::EventQueue::Handle spatial_event_;
+    sim::EventQueue::Timer spatial_timer_;
 
     std::uint64_t kernels_executed_ = 0;
     std::uint64_t channel_switches_ = 0;

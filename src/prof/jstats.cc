@@ -3,29 +3,28 @@
 namespace jetsim::prof {
 
 JStatsSampler::JStatsSampler(soc::Board &board, sim::Tick interval)
-    : board_(board), interval_(interval)
+    : board_(board), interval_(interval),
+      tick_timer_(
+          [](void *self) { static_cast<JStatsSampler *>(self)->tick(); },
+          this, sim::EventQueue::kPriSample)
 {
 }
 
 void
 JStatsSampler::start()
 {
-    if (running_)
+    if (tick_timer_.armed())
         return;
-    running_ = true;
     last_tick_ = board_.eq().now();
     last_power_integral_ = board_.powerTw().integral(last_tick_);
     last_busy_integral_ = board_.gpuBusyTw().integral(last_tick_);
-    pending_ = board_.eq().scheduleIn(
-        interval_, [this] { tick(); },
-        sim::EventQueue::kPriSample);
+    board_.eq().armIn(tick_timer_, interval_);
 }
 
 void
 JStatsSampler::stop()
 {
-    running_ = false;
-    pending_.cancel();
+    board_.eq().disarm(tick_timer_);
 }
 
 void
@@ -43,9 +42,6 @@ JStatsSampler::reset()
 void
 JStatsSampler::tick()
 {
-    if (!running_)
-        return;
-
     const sim::Tick now = board_.eq().now();
     const double span = static_cast<double>(now - last_tick_);
 
@@ -68,9 +64,7 @@ JStatsSampler::tick()
     gpu_util_.sample(s.gpu_util_pct);
     mem_.sample(s.mem_pct);
 
-    pending_ = board_.eq().scheduleIn(
-        interval_, [this] { tick(); },
-        sim::EventQueue::kPriSample);
+    board_.eq().armIn(tick_timer_, interval_);
 }
 
 } // namespace jetsim::prof

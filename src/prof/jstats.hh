@@ -33,7 +33,7 @@ class JStatsSampler
     /** Begin sampling; idempotent. */
     void start();
 
-    /** Stop sampling. */
+    /** Stop sampling; call it while the board's queue lives. */
     void stop();
 
     /** Drop collected samples (e.g. after warm-up). */
@@ -60,8 +60,7 @@ class JStatsSampler
 
     soc::Board &board_;
     sim::Tick interval_;
-    bool running_ = false;
-    sim::EventQueue::Handle pending_;
+    sim::EventQueue::Timer tick_timer_; ///< target: tick()
 
     double last_power_integral_ = 0.0;
     double last_busy_integral_ = 0.0;

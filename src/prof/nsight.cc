@@ -4,7 +4,12 @@ namespace jetsim::prof {
 
 NsightTracer::NsightTracer(soc::Board &board, gpu::GpuEngine &engine,
                            sim::Tick counter_interval)
-    : board_(board), engine_(engine), interval_(counter_interval)
+    : board_(board), engine_(engine), interval_(counter_interval),
+      sample_timer_(
+          [](void *self) {
+              static_cast<NsightTracer *>(self)->sampleCounters();
+          },
+          this, sim::EventQueue::kPriSample)
 {
 }
 
@@ -29,9 +34,7 @@ NsightTracer::attach()
         board_.setLaunchOverheadFactor(kLaunchOverheadFactor);
     }
 
-    pending_ = board_.eq().scheduleIn(
-        interval_, [this] { sampleCounters(); },
-        sim::EventQueue::kPriSample);
+    board_.eq().armIn(sample_timer_, interval_);
 }
 
 void
@@ -42,7 +45,7 @@ NsightTracer::detach()
     sub_.reset();
     engine_.setExtraKernelOverhead(0);
     board_.setLaunchOverheadFactor(1.0);
-    pending_.cancel();
+    board_.eq().disarm(sample_timer_);
 }
 
 void
@@ -69,9 +72,6 @@ NsightTracer::reset()
 void
 NsightTracer::sampleCounters()
 {
-    if (!sub_)
-        return;
-
     const auto &a = board_.activity();
     if (a.gpu_busy) {
         sm_active_.add(100.0 * a.sm_active);
@@ -79,9 +79,7 @@ NsightTracer::sampleCounters()
         tc_util_.add(100.0 * a.tc_util);
     }
 
-    pending_ = board_.eq().scheduleIn(
-        interval_, [this] { sampleCounters(); },
-        sim::EventQueue::kPriSample);
+    board_.eq().armIn(sample_timer_, interval_);
 }
 
 } // namespace jetsim::prof

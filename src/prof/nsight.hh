@@ -40,7 +40,8 @@ class NsightTracer
     void attach();
 
     /** Unsubscribe, stop sampling and restore unprofiled
-     * behaviour. */
+     * behaviour; call it (or destroy the tracer) while the board's
+     * queue lives. */
     void detach();
 
     /**
@@ -74,7 +75,7 @@ class NsightTracer
     sim::Tick interval_;
     gpu::GpuEngine::Subscription sub_;
     bool intrusion_ = true;
-    sim::EventQueue::Handle pending_;
+    sim::EventQueue::Timer sample_timer_; ///< target: sampleCounters()
 
     sim::Accumulator duration_;
     std::uint64_t kernel_count_ = 0;

@@ -5,7 +5,6 @@
 namespace jetsim::sim {
 
 EventQueue::EventQueue()
-    : life_(new detail::PoolLife{&pool_, 1})
 {
     // One slab's worth up front: a fresh queue reaches steady state
     // without a cascade of doubling reallocations.
@@ -16,15 +15,11 @@ EventQueue::EventQueue()
 EventQueue::~EventQueue()
 {
     // Free every queued slot (destroying the callbacks' captured
-    // state), then detach the liveness block so outstanding handles
-    // go inert; the last handle deletes it. Armed timers are skipped
-    // untouched: their owners may already be gone.
+    // state). Armed timers are skipped untouched: their owners may
+    // already be gone.
     for (const Payload p : heap_pay_)
         if (!isTimer(p))
-            pool_.free(slotOf(p));
-    life_->pool = nullptr;
-    if (--life_->refs == 0)
-        delete life_;
+            pool_.free(slotOf(p), pool_.at(slotOf(p)));
 }
 
 EventQueue::Stats
@@ -35,7 +30,6 @@ EventQueue::stats() const
     s.pending = pending();
     s.peak_pending = peak_pending_;
     s.executed = executed_;
-    s.cancelled = pool_.cancelCount();
     s.pool_slabs = pool_.slabCount();
     s.pool_capacity = pool_.capacity();
     s.heap_capacity = heap_keys_.capacity();
@@ -46,13 +40,6 @@ EventQueue::stats() const
 void
 EventQueue::checkPlausible() const
 {
-    JETSIM_CHECK(pool_.liveCount() <= pool_.allocatedCount(),
-                 check::Severity::Error,
-                 check::Invariant::Plausibility, detail::kEqComponent,
-                 now_, "live events (%llu) exceed allocated slots (%llu)",
-                 static_cast<unsigned long long>(pool_.liveCount()),
-                 static_cast<unsigned long long>(
-                     pool_.allocatedCount()));
     JETSIM_CHECK(pool_.allocatedCount() <= pool_.capacity(),
                  check::Severity::Error,
                  check::Invariant::Plausibility, detail::kEqComponent,
@@ -75,7 +62,7 @@ EventQueue::checkPlausible() const
 JETSIM_HOT_BOUNDARY bool
 EventQueue::runOneControlled()
 {
-    // Collect every live entry tied with the top on the (when,
+    // Collect every entry tied with the top on the (when,
     // priority) prefix — the seq component is exactly the insertion
     // order a controlled scheduler is allowed to permute; an armed
     // timer is one alternative like any event. Capped at
@@ -86,7 +73,7 @@ EventQueue::runOneControlled()
     Payload cand[kMaxChoiceAlts];
     std::int64_t actors[kMaxChoiceAlts];
     int n = 0;
-    while (n < kMaxChoiceAlts && pruneTop()) {
+    while (n < kMaxChoiceAlts && !heap_keys_.empty()) {
         const HeapKey key = heap_keys_.front();
         if (n > 0 &&
             (key & ~HeapKey(kSeqMask)) !=
@@ -95,7 +82,7 @@ EventQueue::runOneControlled()
         cand_key[n] = key;
         cand[n] = heap_pay_.front();
         actors[n] = kActorUnknown;
-        heapPopTop();
+        heapRemove(0);
         ++n;
     }
     if (n == 0)

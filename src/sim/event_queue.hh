@@ -14,15 +14,13 @@
  *  - the ordering keys (when, priority, seq) are packed into one
  *    128-bit integer per heap node, so a heap compare is a single
  *    scalar `<` on a dense array and never dereferences the pool;
- *  - handles carry (index, generation) pairs plus a non-atomic
- *    liveness block, so cancel()/pending() stay safe across slot
- *    reuse and even across queue destruction — without any per-event
- *    atomic refcount traffic;
  *  - callbacks are sim::InlineFn: captures up to 48 bytes never
  *    allocate (stats() counts the fallbacks);
  *  - a component's recurring edge (a CPU slice end, a GPU kernel
- *    edge) is a Timer it owns: the heap entry points at the timer,
- *    so arming one builds no slot, callback or handle.
+ *    edge, a sampler tick) is a Timer it owns: the heap entry points
+ *    at the timer, so arming one builds no slot or callback, and a
+ *    Timer is the only event that can be withdrawn (disarm()), so the
+ *    heap holds live entries only.
  * Dispatch order — (when, priority, seq) — is bit-identical to the
  * previous shared_ptr implementation; the golden determinism tests
  * and the JetSan monotonic-dispatch invariant are the proof.
@@ -48,18 +46,6 @@ namespace jetsim::sim {
 namespace detail {
 
 inline constexpr const char *kEqComponent = "sim.event_queue";
-
-/**
- * Shared liveness block between a queue's pool and its handles.
- * The refcount is deliberately non-atomic: a queue and every handle
- * it issues belong to one simulation cell, which runs on one thread
- * (the parallel sweep runner gives each worker its own queues).
- */
-struct PoolLife
-{
-    EventPool *pool = nullptr;
-    std::uint64_t refs = 0;
-};
 
 } // namespace detail
 
@@ -94,144 +80,55 @@ class EventQueue
     static constexpr std::uint64_t kMessageSeqLimit = 1ull << 47;
 
     /**
-     * Cancellation handle for a scheduled event. Default-constructed
-     * handles are inert. Cancelling an already-executed or already-
-     * cancelled event is a no-op, and a handle may safely outlive the
-     * queue (the shared liveness block outlives the pool; the event
-     * storage itself does not). A handle whose slot was recycled is
-     * inert: the generation check rejects the new occupant. Handles
-     * are not thread-safe — they belong to their queue's cell.
-     */
-    class Handle
-    {
-      public:
-        Handle() = default;
-
-        Handle(const Handle &o)
-            : life_(o.life_), idx_(o.idx_), gen_(o.gen_)
-        {
-            if (life_)
-                ++life_->refs;
-        }
-
-        Handle(Handle &&o) noexcept
-            : life_(o.life_), idx_(o.idx_), gen_(o.gen_)
-        {
-            o.life_ = nullptr;
-        }
-
-        Handle &
-        operator=(const Handle &o)
-        {
-            if (this != &o) {
-                release();
-                life_ = o.life_;
-                idx_ = o.idx_;
-                gen_ = o.gen_;
-                if (life_)
-                    ++life_->refs;
-            }
-            return *this;
-        }
-
-        Handle &
-        operator=(Handle &&o) noexcept
-        {
-            if (this != &o) {
-                release();
-                life_ = o.life_;
-                idx_ = o.idx_;
-                gen_ = o.gen_;
-                o.life_ = nullptr;
-            }
-            return *this;
-        }
-
-        ~Handle() { release(); }
-
-        /** True while the event is still pending. */
-        bool
-        pending() const
-        {
-            return life_ && life_->pool &&
-                   life_->pool->isPending(idx_, gen_);
-        }
-
-        /** Prevent the event from running; idempotent. */
-        void
-        cancel()
-        {
-            if (life_ && life_->pool)
-                life_->pool->cancel(idx_, gen_);
-        }
-
-      private:
-        friend class EventQueue;
-        Handle(detail::PoolLife *life, EventPool::Index idx,
-               std::uint32_t gen)
-            : life_(life), idx_(idx), gen_(gen)
-        {
-            ++life_->refs;
-        }
-
-        void
-        release()
-        {
-            if (life_ && --life_->refs == 0)
-                delete life_;
-            life_ = nullptr;
-        }
-
-        detail::PoolLife *life_ = nullptr;
-        EventPool::Index idx_ = EventPool::kInvalidIndex;
-        std::uint32_t gen_ = 0;
-    };
-
-    /**
-     * A component-owned event with at most one pending occurrence and
-     * a fixed target. arm() pushes it into the heap under exactly the
-     * key schedule() would give an event at the same point —
-     * (when, kPriDefault, next seq) — so dispatch order, seqs and
-     * Chooser tie sets are those of the equivalent schedule() call,
-     * but the entry points at the timer itself: no pool slot,
-     * callback or handle is built. Dispatching it counts in
+     * A component-owned event with at most one pending occurrence, a
+     * fixed target and a fixed priority. arm() pushes it into the heap
+     * under exactly the key schedule() would give an event at the
+     * same point — (when, priority, next seq) — so dispatch order,
+     * seqs and Chooser tie sets are those of the equivalent
+     * schedule() call, but the entry points at the timer itself: no
+     * pool slot or callback is built. Dispatching it counts in
      * executed(), clears armed() and calls @p fire(@p owner); the
      * target may re-arm it. Armed timers count in pending().
      *
-     * Not cancellable: a component whose event may be withdrawn keeps
-     * a schedule()d event and its Handle. The queue reaches a timer
-     * only through its heap entry and never touches one it destroys
-     * armed, so a timer may die with its owner before its queue (the
-     * contract of a `this` capture); an owner destroyed while the
-     * queue still runs must not leave its timer armed. Not movable:
-     * the heap entry holds its address.
+     * disarm() withdraws the pending occurrence. The queue reaches a
+     * timer only through its heap entry and never touches one it
+     * destroys armed, so a timer may die with its owner before its
+     * queue (the contract of a `this` capture); an owner destroyed
+     * while the queue still runs must not leave its timer armed, and
+     * an owner that disarms must do so while its queue lives. Not
+     * movable: the heap entry holds its address.
      */
     class Timer
     {
       public:
-        Timer(void (*fire)(void *owner), void *owner)
-            : fire_(fire), owner_(owner)
-        {}
+        Timer(void (*fire)(void *owner), void *owner,
+              int priority = kPriDefault)
+            : fire_(fire), owner_(owner), priority_(priority)
+        {
+            JETSIM_ASSERT(priority >= kPriPackMin &&
+                          priority <= kPriPackMax);
+        }
         Timer(const Timer &) = delete;
         Timer &operator=(const Timer &) = delete;
 
-        /** True from arm() until the occurrence dispatches. */
+        /** True from arm() until the occurrence dispatches or is
+         * disarmed. */
         bool armed() const { return armed_; }
 
       private:
         friend class EventQueue;
         void (*fire_)(void *);
         void *owner_;
+        int priority_;
         bool armed_ = false;
     };
 
     /** Memory / hot-path health counters (see stats()). */
     struct Stats
     {
-        std::uint64_t pending = 0;       ///< live events + armed timers
+        std::uint64_t pending = 0;       ///< events + armed timers
         std::uint64_t peak_pending = 0;  ///< high-water mark of pending
         std::uint64_t executed = 0;      ///< lifetime dispatch count
-        std::uint64_t cancelled = 0;     ///< lifetime handle cancels
         std::size_t pool_slabs = 0;      ///< slabs currently held
         std::size_t pool_capacity = 0;   ///< event slots currently held
         std::size_t heap_capacity = 0;   ///< heap array capacity (slots)
@@ -247,10 +144,10 @@ class EventQueue
     Tick now() const { return now_; }
 
     /** Schedule @p cb at absolute tick @p when. */
-    Handle schedule(Tick when, Callback cb, int priority = kPriDefault);
+    void schedule(Tick when, Callback cb, int priority = kPriDefault);
 
     /** Schedule @p cb at now() + @p delay. */
-    Handle scheduleIn(Tick delay, Callback cb, int priority = kPriDefault);
+    void scheduleIn(Tick delay, Callback cb, int priority = kPriDefault);
 
     /** Arm @p t (not already armed) at absolute tick @p when, with
      * schedule()'s causality check. */
@@ -261,6 +158,14 @@ class EventQueue
     void armIn(Timer &t, Tick delay);
 
     /**
+     * Withdraw @p t's pending occurrence; a no-op when it is not
+     * armed. The entry is found by a linear scan of the heap (per-
+     * board heaps hold a few dozen entries) and removed, so the heap
+     * keeps live entries only. A re-armed timer takes a fresh seq.
+     */
+    void disarm(Timer &t);
+
+    /**
      * Schedule a cross-shard message with an explicit low-band seq
      * (must be < kMessageSeqLimit). The caller — sim::ShardedEngine —
      * guarantees seqs are unique and that @p when is strictly beyond
@@ -269,8 +174,8 @@ class EventQueue
      * preserved no matter when the clock protocol physically inserts
      * the message.
      */
-    Handle scheduleMessage(Tick when, Callback cb, int priority,
-                           std::uint64_t msg_seq);
+    void scheduleMessage(Tick when, Callback cb, int priority,
+                         std::uint64_t msg_seq);
 
     /** The next pending event's dispatch key (peek). */
     struct NextEvent
@@ -281,23 +186,17 @@ class EventQueue
     };
 
     /**
-     * Peek the next pending event without executing it, pruning
-     * cancelled entries off the heap top. @return false when empty.
-     * Used by the sharded engine for horizon computation and the
-     * deterministic cross-shard merge.
+     * Peek the next pending event without executing it.
+     * @return false when empty. Used by the sharded engine for
+     * horizon computation and the deterministic cross-shard merge.
      */
-    bool peekNext(NextEvent &out);
+    bool peekNext(NextEvent &out) const;
 
-    /** True when no pending (non-cancelled) event or armed timer
-     * remains. */
-    bool empty() const { return pending() == 0; }
+    /** True when no pending event or armed timer remains. */
+    bool empty() const { return heap_keys_.empty(); }
 
-    /** Pending (non-cancelled) events plus armed timers. */
-    std::uint64_t
-    pending() const
-    {
-        return pool_.liveCount() + timers_armed_;
-    }
+    /** Pending events plus armed timers: the heap's size. */
+    std::uint64_t pending() const { return heap_keys_.size(); }
 
     /**
      * Execute the single next event, advancing time to it.
@@ -357,7 +256,6 @@ class EventQueue
   private:
     using Index = EventPool::Index;
 
-    /** Heap arity: flatter tree, fewer cache-missing compares. */
     /**
      * The dispatch key (when, priority, seq) packed into one 128-bit
      * integer — when in the top 64 bits, the bias-shifted priority in
@@ -429,11 +327,9 @@ class EventQueue
     }
 
     void heapPush(HeapKey key, Payload p);
-    void heapPopTop();
 
-    /** Free cancelled entries off the heap top; @return false when
-     * nothing live is left. */
-    bool pruneTop();
+    /** Remove the entry at heap index @p i (0 pops the top). */
+    void heapRemove(std::size_t i);
 
     /** schedule()'s causality check: @p when, or now() if it lies in
      * the past (after reporting it). */
@@ -443,8 +339,8 @@ class EventQueue
     Tick whenIn(Tick delay) const;
 
     /** Common schedule body; @p seq is the full packed seq lane. */
-    Handle scheduleKeyed(Tick when, Callback cb, int priority,
-                         std::uint64_t seq);
+    void scheduleKeyed(Tick when, Callback cb, int priority,
+                       std::uint64_t seq);
 
     /**
      * Pop path when a Chooser is installed (cold, defined in the
@@ -454,7 +350,7 @@ class EventQueue
      */
     bool runOneControlled();
 
-    /** Dispatch the already-popped live entry (@p key, @p p). */
+    /** Dispatch the already-popped entry (@p key, @p p). */
     void dispatch(HeapKey key, Payload p);
 
     /** JetSan: verify dispatch order against the previous event. */
@@ -463,14 +359,9 @@ class EventQueue
     /** JetSan plausibility: counters must be mutually consistent. */
     void checkPlausible() const;
 
-    // Direct member (EventQueue is neither copyable nor movable, so
-    // &pool_ is stable for the handles' liveness block): one less
-    // allocation per queue and no pointer chase on the hot path.
+    // Direct member: one less allocation per queue and no pointer
+    // chase on the hot path.
     EventPool pool_;
-    // Shared with handles so they stay safe past queue destruction;
-    // the queue frees all slots (and slabs) in its destructor and
-    // nulls life_->pool, after which stale handles are inert.
-    detail::PoolLife *life_ = nullptr;
 
     // Binary heap as parallel key/payload arrays: sift compares touch
     // only the dense key array (16 B per pending event).
@@ -486,7 +377,6 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::uint64_t peak_pending_ = 0;
     std::uint64_t sbo_misses_ = 0;
-    std::uint64_t timers_armed_ = 0;
 
     // Key of the most recently dispatched event, for the JetSan
     // monotonic-dispatch / same-tick-ordering invariant (checked only
@@ -528,23 +418,23 @@ EventQueue::heapPush(HeapKey key, Payload p)
 }
 
 JETSIM_HOT inline void
-EventQueue::heapPopTop()
+EventQueue::heapRemove(std::size_t i)
 {
-    // Bottom-up pop: the hole runs to the bottom along the min-child
-    // path (one branchless compare per level), then the displaced
-    // back element bubbles up from the hole — usually not at all,
-    // because the back element is among the largest. Fewer compares,
-    // and the child select never mispredicts.
+    // Bottom-up removal: the hole at i runs to the bottom along the
+    // min-child path (one branchless compare per level), then the
+    // displaced back element bubbles up from the hole — usually not
+    // at all, because the back element is among the largest; from a
+    // hole below the top it may rise past i. Fewer compares than a
+    // sift-down, and the child select never mispredicts.
     const HeapKey key = heap_keys_.back();
     const Payload p = heap_pay_.back();
     heap_keys_.pop_back();
     heap_pay_.pop_back();
     const std::size_t n = heap_keys_.size();
-    if (n == 0)
-        return;
+    if (i == n)
+        return; // the removed entry was the back one
     HeapKey *k = heap_keys_.data();
     Payload *v = heap_pay_.data();
-    std::size_t i = 0;
     while (true) {
         std::size_t c = 2 * i + 1;
         if (c >= n)
@@ -565,19 +455,6 @@ EventQueue::heapPopTop()
     }
     k[i] = key;
     v[i] = p;
-}
-
-JETSIM_HOT inline bool
-EventQueue::pruneTop()
-{
-    while (!heap_keys_.empty()) {
-        const Payload p = heap_pay_.front();
-        if (isTimer(p) || !pool_.cancelled(slotOf(p)))
-            return true;
-        heapPopTop();
-        pool_.free(slotOf(p));
-    }
-    return false;
 }
 
 JETSIM_HOT inline Tick
@@ -609,13 +486,13 @@ EventQueue::whenIn(Tick delay) const
     return delay > kTickMax - now_ ? kTickMax : now_ + delay;
 }
 
-JETSIM_HOT inline EventQueue::Handle
+JETSIM_HOT inline void
 EventQueue::schedule(Tick when, Callback cb, int priority)
 {
-    return scheduleKeyed(when, std::move(cb), priority, seq_++);
+    scheduleKeyed(when, std::move(cb), priority, seq_++);
 }
 
-JETSIM_HOT inline EventQueue::Handle
+JETSIM_HOT inline void
 EventQueue::scheduleKeyed(Tick when, Callback cb, int priority,
                           std::uint64_t seq)
 {
@@ -633,15 +510,13 @@ EventQueue::scheduleKeyed(Tick when, Callback cb, int priority,
     if (cb.onHeap())
         JETSIM_COLD_OK("SBO miss: capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
         ++sbo_misses_;
-    const Index idx = pool_.alloc(std::move(cb));
-    heapPush(makeKey(when, priority, seq), slotPayload(idx));
-    const std::uint64_t live = pending();
-    if (live > peak_pending_)
-        peak_pending_ = live;
-    return Handle(life_, idx, pool_.gen(idx));
+    heapPush(makeKey(when, priority, seq),
+             slotPayload(pool_.alloc(std::move(cb))));
+    if (pending() > peak_pending_)
+        peak_pending_ = pending();
 }
 
-JETSIM_HOT inline EventQueue::Handle
+JETSIM_HOT inline void
 EventQueue::scheduleMessage(Tick when, Callback cb, int priority,
                             std::uint64_t msg_seq)
 {
@@ -650,8 +525,8 @@ EventQueue::scheduleMessage(Tick when, Callback cb, int priority,
                  now_,
                  "message seq %llu outside the reserved low band",
                  static_cast<unsigned long long>(msg_seq));
-    return scheduleKeyed(when, std::move(cb), priority,
-                         msg_seq & (kMessageSeqLimit - 1));
+    scheduleKeyed(when, std::move(cb), priority,
+                  msg_seq & (kMessageSeqLimit - 1));
 }
 
 JETSIM_HOT inline void
@@ -659,12 +534,10 @@ EventQueue::arm(Timer &t, Tick when)
 {
     JETSIM_ASSERT(!t.armed_);
     t.armed_ = true;
-    ++timers_armed_;
-    heapPush(makeKey(causal(when), kPriDefault, seq_++),
+    heapPush(makeKey(causal(when), t.priority_, seq_++),
              timerPayload(&t));
-    const std::uint64_t live = pending();
-    if (live > peak_pending_)
-        peak_pending_ = live;
+    if (pending() > peak_pending_)
+        peak_pending_ = pending();
 }
 
 JETSIM_HOT inline void
@@ -673,10 +546,24 @@ EventQueue::armIn(Timer &t, Tick delay)
     arm(t, whenIn(delay));
 }
 
-JETSIM_HOT inline bool
-EventQueue::peekNext(NextEvent &out)
+JETSIM_HOT inline void
+EventQueue::disarm(Timer &t)
 {
-    if (!pruneTop())
+    if (!t.armed_)
+        return;
+    t.armed_ = false;
+    const Payload p = timerPayload(&t);
+    std::size_t i = 0;
+    while (i < heap_pay_.size() && heap_pay_[i] != p)
+        ++i;
+    JETSIM_ASSERT(i < heap_pay_.size(), "an armed timer is not queued");
+    heapRemove(i);
+}
+
+JETSIM_HOT inline bool
+EventQueue::peekNext(NextEvent &out) const
+{
+    if (heap_keys_.empty())
         return false;
     const HeapKey key = heap_keys_.front();
     out.when = keyWhen(key);
@@ -685,10 +572,10 @@ EventQueue::peekNext(NextEvent &out)
     return true;
 }
 
-JETSIM_HOT inline EventQueue::Handle
+JETSIM_HOT inline void
 EventQueue::scheduleIn(Tick delay, Callback cb, int priority)
 {
-    return schedule(whenIn(delay), std::move(cb), priority);
+    schedule(whenIn(delay), std::move(cb), priority);
 }
 
 JETSIM_HOT inline void
@@ -736,20 +623,16 @@ EventQueue::dispatch(HeapKey key, Payload p)
         // Disarmed before the call, so the target may re-arm it.
         Timer *t = timerOf(p);
         t->armed_ = false;
-        --timers_armed_;
         t->fire_(t->owner_);
         return;
     }
-    // Mark consumed so a Handle held by the callback's owner reports
-    // !pending() during and after execution. The callback is invoked
-    // in place — slab addresses are stable even if the callback
-    // schedules (growing the pool) — and the slot is recycled after
-    // it returns.
+    // The callback is invoked in place — slab addresses are stable
+    // even if the callback schedules (growing the pool) — and the
+    // slot is recycled after it returns.
     const Index idx = slotOf(p);
-    pool_.markDispatched(idx);
     EventPool::Event &e = pool_.at(idx);
     e.cb()();
-    pool_.recycleDispatched(idx, e);
+    pool_.free(idx, e);
 }
 
 JETSIM_HOT inline bool
@@ -757,21 +640,16 @@ EventQueue::runOne()
 {
     if (chooser_ != nullptr)
         return runOneControlled();
-    while (!heap_keys_.empty()) {
-        const HeapKey key = heap_keys_.front();
-        const Payload p = heap_pay_.front();
-        // Overlap the slot's cache-line fetch with the sift-down.
-        if (!isTimer(p))
-            pool_.prefetch(slotOf(p));
-        heapPopTop();
-        if (!isTimer(p) && pool_.cancelled(slotOf(p))) {
-            pool_.free(slotOf(p));
-            continue;
-        }
-        dispatch(key, p);
-        return true;
-    }
-    return false;
+    if (heap_keys_.empty())
+        return false;
+    const HeapKey key = heap_keys_.front();
+    const Payload p = heap_pay_.front();
+    // Overlap the slot's cache-line fetch with the sift-down.
+    if (!isTimer(p))
+        pool_.prefetch(slotOf(p));
+    heapRemove(0);
+    dispatch(key, p);
+    return true;
 }
 
 JETSIM_HOT inline std::uint64_t
@@ -785,15 +663,17 @@ EventQueue::runUntil(Tick horizon)
     if (chooser_ != nullptr) {
         // Controlled scheduling: same horizon semantics, but every
         // pop goes through the tie-break choice point.
-        while (pruneTop() && keyWhen(heap_keys_.front()) <= horizon) {
+        while (!heap_keys_.empty() &&
+               keyWhen(heap_keys_.front()) <= horizon) {
             runOneControlled();
             ++n;
         }
     } else {
-        while (pruneTop() && keyWhen(heap_keys_.front()) <= horizon) {
+        while (!heap_keys_.empty() &&
+               keyWhen(heap_keys_.front()) <= horizon) {
             const HeapKey key = heap_keys_.front();
             const Payload p = heap_pay_.front();
-            heapPopTop();
+            heapRemove(0);
             dispatch(key, p);
             ++n;
         }

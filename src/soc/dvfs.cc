@@ -18,7 +18,10 @@ constexpr double kCoolPerDeg = 0.055;   // 1/s toward ambient
 DvfsGovernor::DvfsGovernor(const DeviceSpec &spec, sim::EventQueue &eq,
                            PowerFn power_fn)
     : spec_(spec), eq_(eq), power_fn_(std::move(power_fn)),
-      temp_c_(spec.power.ambient_temp_c)
+      temp_c_(spec.power.ambient_temp_c),
+      tick_timer_(
+          [](void *self) { static_cast<DvfsGovernor *>(self)->tick(); },
+          this)
 {
     JETSIM_ASSERT(spec_.gpu.dvfs_levels >= 2);
     setLevel(spec_.gpu.dvfs_levels - 1);
@@ -27,17 +30,8 @@ DvfsGovernor::DvfsGovernor(const DeviceSpec &spec, sim::EventQueue &eq,
 void
 DvfsGovernor::start()
 {
-    if (running_)
-        return;
-    running_ = true;
-    pending_ = eq_.scheduleIn(kPeriod, [this] { tick(); });
-}
-
-void
-DvfsGovernor::stop()
-{
-    running_ = false;
-    pending_.cancel();
+    if (!tick_timer_.armed())
+        eq_.armIn(tick_timer_, kPeriod);
 }
 
 void
@@ -69,9 +63,6 @@ DvfsGovernor::freqGhz() const
 void
 DvfsGovernor::tick()
 {
-    if (!running_)
-        return;
-
     const double p = power_fn_();
 
     // Exponential smoothing approximates the board's averaging sensor.
@@ -107,7 +98,7 @@ DvfsGovernor::tick()
                  level_, spec_.gpu.dvfs_levels, freqGhz(),
                  spec_.gpu.min_freq_ghz, spec_.gpu.max_freq_ghz);
 
-    pending_ = eq_.scheduleIn(kPeriod, [this] { tick(); });
+    eq_.armIn(tick_timer_, kPeriod);
 }
 
 } // namespace jetsim::soc

@@ -34,9 +34,6 @@ class DvfsGovernor
     /** Begin periodic control; idempotent. */
     void start();
 
-    /** Cancel the periodic control event. */
-    void stop();
-
     /**
      * Enable/disable throttling (ablation A2). Disabled, the clock
      * pins to the maximum level and the cap is ignored.
@@ -71,13 +68,12 @@ class DvfsGovernor
     sim::EventQueue &eq_;
     PowerFn power_fn_;
     bool enabled_ = true;
-    bool running_ = false;
     int level_ = 0;
     double freq_frac_ = 0.0; ///< freqFrac() at level_, set by setLevel
     double temp_c_;
     double power_ema_ = 0.0;
     std::uint64_t throttle_events_ = 0;
-    sim::EventQueue::Handle pending_;
+    sim::EventQueue::Timer tick_timer_; ///< target: tick()
 };
 
 } // namespace jetsim::soc

@@ -120,13 +120,18 @@ TEST(Bounds, IntervalShapeIsWellFormed)
 TEST(Bounds, DeploymentMemoryIsExact)
 {
     // Every process's runtime + engine allocation is resident at once
-    // in every schedule, so the memory interval is the whole-sum
-    // point (jetlint D001's sum).
+    // in every schedule, so the high-water is the whole sum (jetlint
+    // D001's): one process's share per process, exactly.
+    auto s = baseSpec();
+    s.processes = 1;
+    const auto one = analyze(s);
     const auto b = analyze(baseSpec());
+    ASSERT_TRUE(one.ok);
     ASSERT_TRUE(b.ok);
-    EXPECT_DOUBLE_EQ(b.mem_mib.lo, b.mem_mib.hi);
-    EXPECT_DOUBLE_EQ(b.mem_mib.hi, b.whole_sum_mib);
-    EXPECT_FALSE(b.must_oom);
+    EXPECT_GT(one.mem_mib, 0.0);
+    EXPECT_EQ(b.mem_mib, 2 * one.mem_mib);
+    EXPECT_LT(b.mem_mib, b.available_mib);
+    EXPECT_FALSE(b.oom);
 }
 
 TEST(Bounds, ProvesOomWhenEngineSumsPastBudget)
@@ -137,9 +142,8 @@ TEST(Bounds, ProvesOomWhenEngineSumsPastBudget)
     s.processes = 4;
     const auto b = analyze(s);
     ASSERT_TRUE(b.ok);
-    EXPECT_TRUE(b.must_oom);
-    EXPECT_TRUE(b.may_oom);
-    EXPECT_GT(b.mem_mib.lo, b.available_mib);
+    EXPECT_TRUE(b.oom);
+    EXPECT_GT(b.mem_mib, b.available_mib);
 }
 
 TEST(Bounds, DvfsWidensOnlyTheUpperBound)

@@ -44,7 +44,7 @@ TEST(Prescreen, ProvesMemoryInfeasibility)
     const auto r = screen(cell("nano", "fcn_resnet50", 1, 4), {});
     EXPECT_EQ(r.verdict, Verdict::ProvedInfeasible);
     EXPECT_NE(r.reason.find("memory"), std::string::npos);
-    EXPECT_TRUE(r.bounds.must_oom);
+    EXPECT_TRUE(r.bounds.oom);
 }
 
 TEST(Prescreen, ProvesLatencyInfeasibility)

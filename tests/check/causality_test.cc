@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "check/reporter.hh"
@@ -113,14 +114,29 @@ TEST(Comparator, PriorityBeatsInsertionOrderAtEqualTimestamps)
 
 TEST(Comparator, CancellationPreservesTieOrder)
 {
+    // 16 same-tick timers; disarming the odd ones removes entries
+    // from the middle of the heap, and the survivors must still leave
+    // in arm order.
+    struct Mark
+    {
+        std::vector<int> *order;
+        int id;
+        sim::EventQueue::Timer timer{
+            [](void *self) {
+                auto *t = static_cast<Mark *>(self);
+                t->order->push_back(t->id);
+            },
+            this};
+    };
     sim::EventQueue eq;
     std::vector<int> order;
-    std::vector<sim::EventQueue::Handle> handles;
-    for (int i = 0; i < 16; ++i)
-        handles.push_back(
-            eq.schedule(42, [&order, i] { order.push_back(i); }));
+    std::vector<std::unique_ptr<Mark>> timers;
+    for (int i = 0; i < 16; ++i) {
+        timers.push_back(std::unique_ptr<Mark>(new Mark{&order, i}));
+        eq.arm(timers.back()->timer, 42);
+    }
     for (int i = 1; i < 16; i += 2)
-        handles[i].cancel();
+        eq.disarm(timers[i]->timer);
 
     ScopedCapture cap;
     eq.runAll();

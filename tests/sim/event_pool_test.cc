@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for the pooled event core: handle lifetime across slot reuse
- * and queue destruction, cancellation edge cases, component-owned
- * timers, a randomized differential fuzz against a naive reference
- * queue, and the zero-allocation guarantee of the steady-state
- * schedule path.
+ * Tests for the pooled event core: component-owned timers (arming,
+ * disarming, tie order, lifetime against the queue), a randomized
+ * differential fuzz against a naive reference queue, and the
+ * zero-allocation guarantee of the steady-state schedule path.
  */
 
-#include "sim/event_pool.hh"
 #include "sim/event_queue.hh"
 
 #include <gtest/gtest.h>
@@ -24,79 +22,6 @@
 namespace jetsim::sim {
 namespace {
 
-// ---------------------------------------------------- handle lifetime
-
-TEST(EventPoolHandle, CancelAfterFireIsInert)
-{
-    EventQueue eq;
-    int runs = 0;
-    auto h = eq.schedule(10, [&] { ++runs; });
-    EXPECT_TRUE(h.pending());
-    eq.runAll();
-    EXPECT_EQ(runs, 1);
-    EXPECT_FALSE(h.pending());
-    h.cancel(); // no-op: already executed
-    EXPECT_EQ(eq.stats().cancelled, 0u);
-}
-
-TEST(EventPoolHandle, DoubleCancelCountsOnce)
-{
-    EventQueue eq;
-    auto h = eq.schedule(10, [] {});
-    h.cancel();
-    h.cancel();
-    EXPECT_FALSE(h.pending());
-    EXPECT_EQ(eq.stats().cancelled, 1u);
-    EXPECT_EQ(eq.runAll(), 0u);
-}
-
-TEST(EventPoolHandle, HandleOutlivesQueue)
-{
-    EventQueue::Handle h;
-    {
-        EventQueue eq;
-        h = eq.schedule(10, [] {});
-        EXPECT_TRUE(h.pending());
-    }
-    // The queue (and its pool) are gone; the shared liveness block
-    // keeps the handle safe and inert.
-    EXPECT_FALSE(h.pending());
-    h.cancel();
-}
-
-TEST(EventPoolHandle, SlotReuseDoesNotResurrectOldHandle)
-{
-    EventQueue eq;
-    auto h1 = eq.schedule(10, [] {});
-    eq.runAll(); // slot recycled onto the freelist
-    EXPECT_FALSE(h1.pending());
-
-    // The next event reuses the slot (LIFO freelist); the stale
-    // handle's generation no longer matches, so it must neither
-    // report pending nor cancel the new occupant (ABA hazard).
-    int runs2 = 0;
-    auto h2 = eq.schedule(20, [&] { ++runs2; });
-    EXPECT_FALSE(h1.pending());
-    h1.cancel();
-    EXPECT_TRUE(h2.pending());
-    eq.runAll();
-    EXPECT_EQ(runs2, 1);
-}
-
-// --------------------------------------------------------- pool unit
-
-TEST(EventPool, GenerationChecksGateIsPending)
-{
-    EventPool pool;
-    const auto idx = pool.alloc([] {});
-    const auto gen = pool.gen(idx);
-    EXPECT_TRUE(pool.isPending(idx, gen));
-    EXPECT_FALSE(pool.isPending(idx, gen + 1));
-    EXPECT_FALSE(pool.isPending(idx + 1000, gen));
-    pool.free(idx);
-    EXPECT_FALSE(pool.isPending(idx, gen));
-}
-
 // ------------------------------------------------------------ timers
 
 /** Owns a timer whose target appends the probe's current id. */
@@ -104,11 +29,12 @@ struct Probe
 {
     std::vector<int> *out;
     int id;
+    int priority = EventQueue::kPriDefault;
     EventQueue::Timer timer{[](void *self) {
                                 auto *p = static_cast<Probe *>(self);
                                 p->out->push_back(p->id);
                             },
-                            this};
+                            this, priority};
 };
 
 /** Records each tie set's size and takes alternative @p pick (or the
@@ -239,19 +165,66 @@ TEST(EventQueueTimer, CountsAsPending)
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
+TEST(EventQueueTimer, DisarmRemovesTheOccurrence)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    Probe a{&order, 0};
+    Probe b{&order, 1};
+    Probe c{&order, 2};
+    eq.arm(a.timer, 10);
+    eq.arm(b.timer, 10);
+    eq.arm(c.timer, 10);
+    eq.schedule(10, [&] { order.push_back(3); });
+    EXPECT_EQ(eq.pending(), 4u);
+
+    eq.disarm(a.timer);
+    EXPECT_FALSE(a.timer.armed());
+    EXPECT_EQ(eq.pending(), 3u);
+    // Disarming an unarmed (here: already disarmed) timer is a no-op.
+    eq.disarm(a.timer);
+    EXPECT_EQ(eq.pending(), 3u);
+
+    // A re-armed timer takes a fresh seq: it now runs after every
+    // occurrence it ties with, including the event scheduled after
+    // its first arm.
+    eq.arm(a.timer, 10);
+    EXPECT_EQ(eq.pending(), 4u);
+    EXPECT_EQ(eq.runAll(), 4u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 0}));
+    EXPECT_EQ(eq.executed(), 4u);
+
+    // A withdrawn occurrence never runs; disarming after the
+    // dispatch, when the timer is no longer armed, is a no-op too.
+    order.clear();
+    eq.arm(b.timer, 20);
+    eq.arm(c.timer, 30);
+    eq.disarm(b.timer);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.runAll(), 1u);
+    eq.disarm(c.timer);
+    EXPECT_EQ(order, (std::vector<int>{2}));
+    EXPECT_TRUE(eq.empty());
+    const auto s = eq.stats();
+    EXPECT_EQ(s.pending, 0u);
+    EXPECT_EQ(s.peak_pending, 4u);
+    EXPECT_EQ(s.executed, 5u);
+}
+
 TEST(EventQueueTimer, QueueOutlivingAnArmedTimersOwnerTouchesNothing)
 {
     std::vector<int> order;
-    EventQueue::Handle h;
+    auto capture = std::make_shared<int>(1);
     {
         EventQueue eq;
         auto probe = std::unique_ptr<Probe>(new Probe{&order, 0});
         eq.arm(probe->timer, 10);
-        h = eq.schedule(20, [&order] { order.push_back(1); });
+        eq.schedule(20, [&order, capture] { order.push_back(*capture); });
+        EXPECT_EQ(capture.use_count(), 2);
         probe.reset(); // the owner dies first, its timer still armed
     } // ~EventQueue frees the event and skips the timer's entry
     EXPECT_TRUE(order.empty());
-    EXPECT_FALSE(h.pending());
+    EXPECT_EQ(capture.use_count(), 1); // the queued capture was freed
 }
 
 // ------------------------------------------------- differential fuzz
@@ -321,39 +294,46 @@ TEST(EventPoolFuzz, RandomScheduleCancelMatchesReference)
         EventQueue eq;
         NaiveQueue ref;
         std::vector<int> got;
-        std::vector<EventQueue::Handle> handles;
-        std::vector<int> ids;
 
-        // Timers join the stream; the oracle schedules each arm as a
-        // plain event at the default priority.
+        // Timers join the stream at their own fixed priorities; the
+        // oracle schedules each arm as a plain event at that priority
+        // and cancels it when the timer is disarmed.
         std::vector<std::unique_ptr<Probe>> timers;
         for (int k = 0; k < 16; ++k)
-            timers.push_back(std::unique_ptr<Probe>(new Probe{&got, -1}));
+            timers.push_back(std::unique_ptr<Probe>(new Probe{
+                &got, -1, static_cast<int>(rng.uniformInt(0, 5)) - 2}));
 
         const int n = 50 + static_cast<int>(rng.uniformInt(0, 150));
+        std::uint64_t events = 0;
         for (int i = 0; i < n; ++i) {
             const Tick when = static_cast<Tick>(rng.uniformInt(0, 50));
             Probe &tp = *timers[static_cast<std::size_t>(
                 rng.uniformInt(0, timers.size() - 1))];
             if (rng.uniformInt(0, 3) == 0 && !tp.timer.armed()) {
-                tp.id = ref.schedule(when, EventQueue::kPriDefault);
+                tp.id = ref.schedule(when, tp.priority);
                 eq.arm(tp.timer, when);
                 continue;
             }
             const int pri = static_cast<int>(rng.uniformInt(0, 5)) - 2;
             const int id = ref.schedule(when, pri);
-            handles.push_back(
-                eq.schedule(when, [&got, id] { got.push_back(id); },
-                            pri));
-            ids.push_back(id);
-            // Occasionally cancel a random earlier event.
+            eq.schedule(when, [&got, id] { got.push_back(id); }, pri);
+            ++events;
+            // Occasionally disarm a random timer (a no-op on both
+            // sides when it is not armed).
             if (rng.uniformInt(0, 4) == 0) {
-                const auto pick = static_cast<std::size_t>(
-                    rng.uniformInt(0, handles.size() - 1));
-                handles[pick].cancel();
-                ref.cancel(ids[pick]);
+                Probe &dp = *timers[static_cast<std::size_t>(
+                    rng.uniformInt(0, timers.size() - 1))];
+                if (dp.timer.armed())
+                    ref.cancel(dp.id);
+                eq.disarm(dp.timer);
             }
         }
+        // Disarmed timers left the heap: only events and armed timers
+        // are pending.
+        std::uint64_t armed = 0;
+        for (const auto &t : timers)
+            armed += t->timer.armed() ? 1 : 0;
+        EXPECT_EQ(eq.pending(), events + armed);
         eq.runAll();
         EXPECT_EQ(got, ref.runAll()) << "round " << round;
     }

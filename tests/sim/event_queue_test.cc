@@ -69,41 +69,6 @@ TEST(EventQueue, ScheduleInIsRelative)
     EXPECT_EQ(seen, 15);
 }
 
-TEST(EventQueue, CancelPreventsExecution)
-{
-    EventQueue eq;
-    bool ran = false;
-    auto h = eq.schedule(10, [&] { ran = true; });
-    EXPECT_TRUE(h.pending());
-    h.cancel();
-    EXPECT_FALSE(h.pending());
-    eq.runAll();
-    EXPECT_FALSE(ran);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, CancelIsIdempotentAndSafeAfterRun)
-{
-    EventQueue eq;
-    auto h = eq.schedule(10, [] {});
-    eq.runAll();
-    EXPECT_FALSE(h.pending());
-    h.cancel(); // no effect, no crash
-    EventQueue::Handle inert;
-    EXPECT_FALSE(inert.pending());
-    inert.cancel();
-}
-
-TEST(EventQueue, PendingCountExcludesCancelled)
-{
-    EventQueue eq;
-    auto a = eq.schedule(10, [] {});
-    eq.schedule(20, [] {});
-    EXPECT_EQ(eq.pending(), 2u);
-    a.cancel();
-    EXPECT_EQ(eq.pending(), 1u);
-}
-
 TEST(EventQueue, RunUntilStopsAtHorizon)
 {
     EventQueue eq;

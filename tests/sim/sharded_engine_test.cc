@@ -12,6 +12,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,16 +280,26 @@ TEST(ShardedEngine, RepeatedRunUntilAdvancesIncrementally)
 
 TEST(ShardedEngine, HandleCancelAcrossEpochsIsSafe)
 {
-    // ABA/lifetime: cancel local events on one shard while messages
-    // from another shard land around them; slab slots are recycled
-    // across slices, so stale-generation handles must stay inert.
+    // Disarm timers on one shard while messages from another shard
+    // land around them: each disarm removes the timer's entry from a
+    // heap the message inserts keep reshaping, and no withdrawn
+    // occurrence may run.
     ShardedEngine eng(opts(2, 2, 10));
     const int port = eng.addPort(0);
-    std::vector<EventQueue::Handle> doomed;
-    int ran_cancelled = 0;
-    for (int i = 1; i <= 20; ++i)
-        doomed.push_back(eng.shard(1).schedule(
-            i * 50, [&] { ++ran_cancelled; }));
+    struct Doomed
+    {
+        int *ran;
+        EventQueue::Timer timer{
+            [](void *self) { ++*static_cast<Doomed *>(self)->ran; },
+            this};
+    };
+    int ran_disarmed = 0;
+    std::vector<std::unique_ptr<Doomed>> doomed;
+    for (int i = 1; i <= 20; ++i) {
+        doomed.push_back(
+            std::unique_ptr<Doomed>(new Doomed{&ran_disarmed}));
+        eng.shard(1).arm(doomed.back()->timer, i * 50);
+    }
     int delivered = 0;
     struct Pump
     {
@@ -309,13 +320,13 @@ TEST(ShardedEngine, HandleCancelAcrossEpochsIsSafe)
     eng.shard(0).schedule(1, [&pump] { pump.go(); });
 
     eng.runUntil(40); // a few slices in
-    for (auto &h : doomed)
-        h.cancel();
-    // Cancelling again (stale generation after slot reuse) is a no-op.
+    for (auto &d : doomed)
+        eng.shard(1).disarm(d->timer);
     eng.runUntil(2000);
-    for (auto &h : doomed)
-        h.cancel();
-    EXPECT_EQ(ran_cancelled, 0);
+    // Disarming again, long after, is a no-op.
+    for (auto &d : doomed)
+        eng.shard(1).disarm(d->timer);
+    EXPECT_EQ(ran_disarmed, 0);
     EXPECT_EQ(delivered, 40);
 }
 

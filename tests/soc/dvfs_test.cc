@@ -133,16 +133,5 @@ TEST(Dvfs, TemperatureEquilibratesUnderSustainedLoad)
     EXPECT_LT(t2 - t1, 0.3 * (t1 - device().power.ambient_temp_c));
 }
 
-TEST(Dvfs, StopCancelsControl)
-{
-    sim::EventQueue eq;
-    DvfsGovernor g(device(), eq, [] { return 9.0; });
-    g.start();
-    g.stop();
-    eq.runUntil(sim::sec(1));
-    EXPECT_EQ(g.throttleEvents(), 0u);
-    EXPECT_DOUBLE_EQ(g.freqFrac(), 1.0);
-}
-
 } // namespace
 } // namespace jetsim::soc

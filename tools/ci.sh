@@ -122,8 +122,9 @@ if [ "$run_plain" = 1 ]; then
     "$repo/build-ci/plain/bench/micro_sim" \
         --benchmark_min_time=0.05 \
         --benchmark_filter='BM_EventQueue.*|BM_SchedulerContention.*'
-    # Steady-state schedule path must stay allocation-free: any
-    # InlineFn capture outgrowing the inline buffer fails here.
+    # No callback a phase-2 cell stores (set-up included) may fall
+    # back to the heap: any InlineFn capture outgrowing the inline
+    # buffer fails here.
     "$repo/build-ci/plain/bench/micro_sim" --assert-sbo
     # Golden digests: RunnerGolden proves runner threads=2 and 8
     # bit-identical to threads=1 on both boards (a self-comparison in
@@ -190,7 +191,7 @@ if [ "$run_plain" = 1 ]; then
     "$jetbound" --zoo --device=orin-nano --procs=3 \
         --compare-sim | tail -1
     # The cell the paper's Nano reboot anecdote maps to: the static
-    # memory lower bound proves the deployment must fail, and the
+    # memory high-water proves the deployment must fail, and the
     # simulator must agree.
     "$jetbound" --model=fcn_resnet50 --device=nano --procs=4 \
         --compare-sim | tail -1

@@ -3,7 +3,7 @@
  * jetbound: sound static bound analyzer for deployment specs.
  *
  * Derives per-process latency / period / throughput / blocking /
- * queue-depth intervals and a memory high-water interval for a grid
+ * queue-depth intervals and the exact memory high-water for a grid
  * cell by abstract interpretation of the simulator's cost models
  * (src/absint) — without running a single simulated tick. The same
  * intervals drive the capacity planner's sweep pruning.
@@ -36,7 +36,7 @@ namespace {
 
 /** Version of the --json document; bumped when a key is removed or
  * changes meaning. */
-constexpr int kJsonSchemaVersion = 2;
+constexpr int kJsonSchemaVersion = 3;
 
 /** Containment with a relative slack for float accumulation. */
 bool
@@ -51,11 +51,8 @@ printBounds(const absint::DeploymentBounds &b)
 {
     std::printf("jetbound: %s x%d procs, window %.0f ms\n",
                 b.device.c_str(), b.processes, b.window_ms);
-    std::printf(
-        "  memory     %s MiB of %.1f budget (D001 sum %.1f)%s%s\n",
-        b.mem_mib.str().c_str(), b.available_mib, b.whole_sum_mib,
-        b.must_oom ? "  MUST-OOM" : "",
-        !b.must_oom && b.may_oom ? "  may-OOM" : "");
+    std::printf("  memory     %.3f MiB of %.1f budget%s\n", b.mem_mib,
+                b.available_mib, b.oom ? "  OOM" : "");
     std::printf("  aggregate  <= %.1f fps total, <= %.1f fps/process "
                 "mean\n", b.total_throughput_hi_fps,
                 b.mean_throughput_hi_fps);
@@ -90,17 +87,13 @@ toJson(const absint::DeploymentBounds &b)
     out += ",\"tool\":\"jetbound\",\"device\":\"" + b.device + "\"";
     std::snprintf(buf, sizeof(buf),
                   ",\"ok\":%s,\"processes\":%d,\"available_mib\":%.1f,"
-                  "\"whole_sum_mib\":%.1f,\"must_oom\":%s,"
-                  "\"may_oom\":%s,"
+                  "\"mem_mib\":%.6f,\"oom\":%s,"
                   "\"total_throughput_hi_fps\":%.3f,",
                   b.ok ? "true" : "false", b.processes,
-                  b.available_mib, b.whole_sum_mib,
-                  b.must_oom ? "true" : "false",
-                  b.may_oom ? "true" : "false",
+                  b.available_mib, b.mem_mib, b.oom ? "true" : "false",
                   b.total_throughput_hi_fps);
     out += buf;
-    jsonInterval(out, "mem_mib", b.mem_mib);
-    out += ",\"procs\":[";
+    out += "\"procs\":[";
     bool first = true;
     for (const auto &p : b.procs) {
         if (!first)
@@ -152,12 +145,12 @@ compareSim(const core::ExperimentSpec &spec,
     std::printf("  compare-sim %s\n", spec.label().c_str());
 
     // Deployment outcome: the memory bound is the exact resident
-    // sum, so the verdicts must agree with the simulator.
-    if (res.all_deployed == b.must_oom) {
+    // sum, so the verdict must agree with the simulator.
+    if (res.all_deployed == b.oom) {
         std::fprintf(stderr,
                      "jetbound: SOUNDNESS VIOLATION deploy: sim "
-                     "all_deployed=%d vs must_oom=%d\n",
-                     res.all_deployed, b.must_oom);
+                     "all_deployed=%d vs oom=%d\n",
+                     res.all_deployed, b.oom);
         ok = false;
     }
     if (!res.all_deployed) {
@@ -165,7 +158,7 @@ compareSim(const core::ExperimentSpec &spec,
         return ok;
     }
     ok &= gate("mem MiB", "deployment", res.workload_mem_mb,
-               b.mem_mib);
+               {b.mem_mib, b.mem_mib});
 
     const double eps =
         1e-6 * std::max(1.0, b.mean_throughput_hi_fps);
