@@ -69,6 +69,60 @@ TEST(EventQueue, ScheduleInIsRelative)
     EXPECT_EQ(seen, 15);
 }
 
+/** Sets *ran when its timer fires. */
+struct Flag
+{
+    bool *ran;
+    EventQueue::Timer timer{
+        [](void *self) { *static_cast<Flag *>(self)->ran = true; }, this};
+};
+
+TEST(EventQueue, CancelPreventsExecution)
+{
+    EventQueue eq;
+    bool ran = false;
+    Flag f{&ran};
+    eq.arm(f.timer, 10);
+    EXPECT_TRUE(f.timer.armed());
+    eq.disarm(f.timer);
+    EXPECT_FALSE(f.timer.armed());
+    eq.runAll();
+    EXPECT_FALSE(ran);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, CancelIsIdempotentAndSafeAfterRun)
+{
+    EventQueue eq;
+    bool ran = false;
+    Flag f{&ran};
+    eq.arm(f.timer, 10);
+    eq.runAll();
+    EXPECT_TRUE(ran);
+    EXPECT_FALSE(f.timer.armed());
+    eq.disarm(f.timer); // no effect, no crash
+    EXPECT_TRUE(eq.empty());
+    bool never = false;
+    Flag inert{&never};
+    EXPECT_FALSE(inert.timer.armed());
+    eq.disarm(inert.timer);
+    eq.disarm(inert.timer);
+    EXPECT_FALSE(never);
+    EXPECT_EQ(eq.executed(), 1u);
+}
+
+TEST(EventQueue, PendingCountExcludesCancelled)
+{
+    EventQueue eq;
+    bool ran = false;
+    Flag a{&ran};
+    eq.arm(a.timer, 10);
+    eq.schedule(20, [] {});
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.disarm(a.timer);
+    EXPECT_EQ(eq.pending(), 1u);
+}
+
 TEST(EventQueue, RunUntilStopsAtHorizon)
 {
     EventQueue eq;
