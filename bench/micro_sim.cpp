@@ -342,42 +342,6 @@ peakRssMb()
 }
 
 /**
- * sbo_misses after the steady-state schedule workload, measured on a
- * fresh queue so the number is attributable to this workload alone.
- */
-std::uint64_t
-steadyStateSboMisses()
-{
-    sim::EventQueue eq;
-    for (int i = 0; i < 1000; ++i)
-        eq.schedule(i, [] {});
-    eq.runAll();
-    return eq.stats().sbo_misses;
-}
-
-/**
- * InlineFn heap fallbacks over one phase-2 cell, set-up included: 8
- * spin-waiting resnet50/int8 processes on an orin-nano, so every
- * callback the process loop, streams, GPU channels, CPU work items and
- * samplers store must fit InlineFn's inline buffer for the count to
- * stay zero.
- */
-std::uint64_t
-deepCellHeapFallbacks()
-{
-    core::ExperimentSpec spec;
-    spec.model = "resnet50";
-    spec.precision = soc::Precision::Int8;
-    spec.processes = 8;
-    spec.phase = core::Phase::Deep;
-    spec.warmup = sim::msec(100);
-    spec.duration = sim::msec(400);
-    const std::uint64_t before = sim::InlineFn::heapFallbackCount();
-    benchmark::DoNotOptimize(core::runExperiment(spec));
-    return sim::InlineFn::heapFallbackCount() - before;
-}
-
-/**
  * Seed-commit baselines, measured with this same emitter method
  * (min over repetitions) on the shared reference host below before
  * the pooled event core landed. Committed so the "speedup" fields
@@ -472,13 +436,7 @@ emitJson(const std::string &path)
                      i + 1 < fleet1000_pts.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"event_queue_sbo_misses\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     steadyStateSboMisses()));
-    std::fprintf(f, "  \"inline_fn_heap_fallbacks\": %llu\n",
-                 static_cast<unsigned long long>(
-                     sim::InlineFn::heapFallbackCount()));
+    std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", path.c_str());
@@ -492,24 +450,6 @@ main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         const std::string_view arg = argv[i];
-        if (arg == "--assert-sbo") {
-            // CI probe (tools/ci.sh pass 1c): no callback a phase-2
-            // cell stores may fall back to the heap.
-            const auto fallbacks = deepCellHeapFallbacks();
-            if (fallbacks != 0) {
-                std::fprintf(stderr,
-                             "micro_sim: %llu InlineFn heap "
-                             "fallback(s) over one 8-process phase-2 "
-                             "resnet50/int8 cell (expected 0): a "
-                             "callback capture outgrew the inline "
-                             "buffer\n",
-                             static_cast<unsigned long long>(fallbacks));
-                return 1;
-            }
-            std::printf("micro_sim: 0 InlineFn heap fallbacks over one "
-                        "8-process phase-2 resnet50/int8 cell\n");
-            return 0;
-        }
         if (arg == "--json" || arg.rfind("--json=", 0) == 0) {
             std::string path = "BENCH_simcore.json";
             if (const auto eq = arg.find('=');

@@ -18,17 +18,6 @@ fmt(const char *pattern, double a, double b)
 
 } // namespace
 
-const char *
-verdictName(Verdict v)
-{
-    switch (v) {
-      case Verdict::Unknown: return "unknown";
-      case Verdict::ProvedInfeasible: return "proved-infeasible";
-      case Verdict::ProvedFeasible: return "proved-feasible";
-    }
-    return "?";
-}
-
 ScreenResult
 screen(const core::ExperimentSpec &spec, const Slo &slo)
 {

@@ -52,8 +52,6 @@ struct ScreenResult
 /** Screen one grid cell against @p slo without simulating. */
 ScreenResult screen(const core::ExperimentSpec &spec, const Slo &slo);
 
-const char *verdictName(Verdict v);
-
 } // namespace jetsim::absint
 
 #endif // JETSIM_ABSINT_PRESCREEN_HH

@@ -4,12 +4,13 @@
  *
  * The event core's performance contract (DESIGN.md §4j) is that the
  * steady-state dispatch path performs no heap allocation, acquires no
- * lock, never throws, and never enters the kernel. PR 4 and PR 9 made
- * that true and proved it with runtime probes (`micro_sim
- * --assert-sbo`, the operator-new-counting test, TSan); jethot closes
+ * lock, never throws, and never enters the kernel. Runtime probes
+ * (the operator-new-counting tests, TSan) sample that; jethot closes
  * the loop statically: it walks the call graph from every JETSIM_HOT
  * root and proves no forbidden operation is *reachable*, the same way
- * jetrace proves lock-order discipline.
+ * jetrace proves lock-order discipline. InlineFn's capture bound is a
+ * compile-time rule (a static_assert), so no callback can reach the
+ * heap behind the analyzer's back.
  *
  * All three macros expand to nothing in every build configuration —
  * they cost zero codegen, zero preprocessor branches, and are safe in
@@ -25,14 +26,14 @@
  *   JETSIM_COLD_OK("reason")
  *       A sanctioned cold escape. On a function definition: the body
  *       is exempt and traversal stops there — use for slow paths
- *       deliberately hung off a hot function (slab growth, overflow
- *       arena refill, thread spawn). On a statement line (or the line
- *       above): that statement's findings and call edges are
- *       suppressed — use for amortized container growth and
- *       first-occurrence setup inside an otherwise hot body. The
- *       reason string is mandatory, is collected into jethot's JSON
- *       output, and is the reviewable artifact: every escape says
- *       *why* it cannot run in steady state.
+ *       deliberately hung off a hot function (ring growth, thread
+ *       spawn). On a statement line (or the line above): that
+ *       statement's findings and call edges are suppressed — use for
+ *       amortized container growth and first-occurrence setup inside
+ *       an otherwise hot body. The reason string is mandatory, is
+ *       collected into jethot's JSON output, and is the reviewable
+ *       artifact: every escape says *why* it cannot run in steady
+ *       state.
  *
  *   JETSIM_HOT_BOUNDARY
  *       Traversal stops here and the body is not scanned: the callee
@@ -47,11 +48,6 @@
  *   boundary(NAME) <why>   — declares callee NAME a boundary
  *   cold-ok(<why>)         — statement-level COLD_OK
  *   allow(<rule>) <why>    — suppress one rule on one line
- *
- * The runtime cross-check: every `noteSboMiss()` caller — the
- * counters `micro_sim --assert-sbo` gates on — must sit on a line
- * covered by JETSIM_COLD_OK, so the static escape set and the runtime
- * probe set name exactly the same heap-fallback sites.
  */
 
 #ifndef JETSIM_CORE_HOT_ANNOTATIONS_HH

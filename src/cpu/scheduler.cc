@@ -24,12 +24,6 @@ void
 Thread::exec(sim::Tick work, sim::InlineFn done)
 {
     JETSIM_ASSERT(work >= 0);
-    // A work item's callback waits in the thread queue, not the event
-    // queue, so EventQueue::schedule never sees its SBO state; count
-    // the miss against the queue it will eventually fire on.
-    if (done.onHeap())
-        JETSIM_COLD_OK("SBO miss: work-item capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
-        sched_.eq().noteSboMiss();
     queue_.push_back(WorkItem{work, std::move(done)});
     if (state_ == State::Idle)
         sched_.makeRunnable(this);

@@ -72,11 +72,6 @@ class OsScheduler
         return threads_;
     }
 
-    /** The queue this scheduler's events run on — with sharding, the
-     * board's shard, not a global queue. SBO misses of callbacks the
-     * scheduler holds are attributed here (see EventQueue::stats()). */
-    sim::EventQueue &eq() { return eq_; }
-
   private:
     friend class Thread;
 

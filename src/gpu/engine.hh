@@ -35,8 +35,8 @@ namespace jetsim::gpu {
 class GpuEngine
 {
   public:
-    /** A channel's completion callback rides the event queue's SBO
-     * type: captures <= InlineFn::kInlineSize never heap-allocate. */
+    /** A channel's completion callback is the event queue's callback
+     * type, which never heap-allocates. */
     using Callback = sim::InlineFn;
     using RecordFn = std::function<void(const KernelRecord &)>;
 
@@ -117,11 +117,6 @@ class GpuEngine
     void setExtraKernelOverhead(sim::Tick t) { extra_overhead_ = t; }
 
     sim::Tick extraKernelOverhead() const { return extra_overhead_; }
-
-    /** The queue this engine's events run on — with sharding, the
-     * board's shard. Stream/event waiters attribute their SBO misses
-     * here (see EventQueue::stats()). */
-    sim::EventQueue &eq() { return eq_; }
 
     /** @name Statistics
      * @{ */
@@ -205,6 +200,9 @@ class GpuEngine
     std::vector<Exec> execs_;
     std::vector<Exec> finished_scratch_; ///< reused across fires
     sim::Tick last_advance_ = 0;
+    /** spatialComplete runs: its close arms spatial_timer_ once for
+     * every kernel started meanwhile. */
+    bool spatial_completing_ = false;
     sim::EventQueue::Timer spatial_timer_;
 
     std::uint64_t kernels_executed_ = 0;

@@ -6,20 +6,12 @@ namespace jetsim::sim {
 
 EventQueue::EventQueue()
 {
-    // One slab's worth up front: a fresh queue reaches steady state
-    // without a cascade of doubling reallocations.
-    heap_keys_.reserve(EventPool::kSlabEvents);
-    heap_pay_.reserve(EventPool::kSlabEvents);
-}
-
-EventQueue::~EventQueue()
-{
-    // Free every queued slot (destroying the callbacks' captured
-    // state). Armed timers are skipped untouched: their owners may
-    // already be gone.
-    for (const Payload p : heap_pay_)
-        if (!isTimer(p))
-            pool_.free(slotOf(p), pool_.at(slotOf(p)));
+    // Reserved up front: a fresh queue reaches steady state without a
+    // cascade of doubling reallocations.
+    slots_.reserve(kReserve);
+    free_.reserve(kReserve);
+    heap_keys_.reserve(kReserve);
+    heap_pay_.reserve(kReserve);
 }
 
 EventQueue::Stats
@@ -30,23 +22,19 @@ EventQueue::stats() const
     s.pending = pending();
     s.peak_pending = peak_pending_;
     s.executed = executed_;
-    s.pool_slabs = pool_.slabCount();
-    s.pool_capacity = pool_.capacity();
-    s.heap_capacity = heap_keys_.capacity();
-    s.sbo_misses = sbo_misses_;
     return s;
 }
 
 void
 EventQueue::checkPlausible() const
 {
-    JETSIM_CHECK(pool_.allocatedCount() <= pool_.capacity(),
+    // Every occupied slot has its own heap entry.
+    JETSIM_CHECK(slots_.size() - free_.size() <= pending(),
                  check::Severity::Error,
                  check::Invariant::Plausibility, detail::kEqComponent,
-                 now_, "allocated slots (%llu) exceed pool capacity (%zu)",
-                 static_cast<unsigned long long>(
-                     pool_.allocatedCount()),
-                 pool_.capacity());
+                 now_, "occupied slots (%zu) exceed pending (%llu)",
+                 slots_.size() - free_.size(),
+                 static_cast<unsigned long long>(pending()));
     JETSIM_CHECK(pending() <= peak_pending_,
                  check::Severity::Error,
                  check::Invariant::Plausibility, detail::kEqComponent,

@@ -6,16 +6,17 @@
  * same tick execute in (priority, insertion-order) order so that
  * component interactions are fully deterministic.
  *
- * The implementation is a pooled, intrusive event core built for the
+ * The implementation is an intrusive event core built for the
  * per-cell hot path (the sweep loop schedules millions of events per
  * experiment cell):
- *  - callback state lives in a slab/freelist EventPool — no per-event
+ *  - a queued callback waits in one slot of a vector the queue owns,
+ *    recycled through a LIFO freelist of slot indices — no per-event
  *    heap allocation, no shared_ptr refcounting;
  *  - the ordering keys (when, priority, seq) are packed into one
  *    128-bit integer per heap node, so a heap compare is a single
- *    scalar `<` on a dense array and never dereferences the pool;
- *  - callbacks are sim::InlineFn: captures up to 48 bytes never
- *    allocate (stats() counts the fallbacks);
+ *    scalar `<` on a dense array and never touches a slot;
+ *  - callbacks are sim::InlineFn, whose captures are bounded at
+ *    compile time and never allocate;
  *  - a component's recurring edge (a CPU slice end, a GPU kernel
  *    edge, a sampler tick) is a Timer it owns: the heap entry points
  *    at the timer, so arming one builds no slot or callback, and a
@@ -36,7 +37,6 @@
 #include "check/check.hh"
 #include "core/hot_annotations.hh"
 #include "sim/choice.hh"
-#include "sim/event_pool.hh"
 #include "sim/inline_fn.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -66,6 +66,9 @@ class EventQueue
     /** Samplers run after the state they observe has settled. */
     static constexpr int kPriSample = 100;
 
+    /** Callback slots and heap entries a new queue reserves. */
+    static constexpr std::size_t kReserve = 256;
+
     /**
      * Sequence-number band split for the sharded engine. Local
      * events draw their insertion-order seq from a counter starting
@@ -86,7 +89,7 @@ class EventQueue
      * same point — (when, priority, next seq) — so dispatch order,
      * seqs and Chooser tie sets are those of the equivalent
      * schedule() call, but the entry points at the timer itself: no
-     * pool slot or callback is built. Dispatching it counts in
+     * slot or callback is built. Dispatching it counts in
      * executed(), clears armed() and calls @p fire(@p owner); the
      * target may re-arm it. Armed timers count in pending().
      *
@@ -123,20 +126,19 @@ class EventQueue
         bool armed_ = false;
     };
 
-    /** Memory / hot-path health counters (see stats()). */
+    /** Queue depth and dispatch counters (see stats()). */
     struct Stats
     {
         std::uint64_t pending = 0;       ///< events + armed timers
         std::uint64_t peak_pending = 0;  ///< high-water mark of pending
         std::uint64_t executed = 0;      ///< lifetime dispatch count
-        std::size_t pool_slabs = 0;      ///< slabs currently held
-        std::size_t pool_capacity = 0;   ///< event slots currently held
-        std::size_t heap_capacity = 0;   ///< heap array capacity (slots)
-        std::uint64_t sbo_misses = 0;    ///< callbacks that heap-allocated
+        std::uint64_t sbo_misses = 0;    ///< always 0 (perfbench reads it)
     };
 
     EventQueue();
-    ~EventQueue();
+    /** Destroys the queued callbacks; armed timers are not touched,
+     * their owners may already be gone. */
+    ~EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -217,29 +219,8 @@ class EventQueue
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
-    /**
-     * Snapshot of pool / heap / SBO health. peak_pending is the
-     * high-water mark long sweeps can compare against the retained
-     * pool_capacity; sbo_misses counts callbacks attributed to *this*
-     * queue whose captures exceeded InlineFn::kInlineSize (each one a
-     * heap allocation on the hot path): every callback scheduled
-     * here, plus component-held callbacks the owning components
-     * attribute via noteSboMiss(). Per-queue counting keeps per-shard
-     * stats attributable under the sharded engine; the process-wide
-     * aggregate (InlineFn::heapFallbackCount, used by
-     * `micro_sim --assert-sbo`) is unchanged.
-     */
+    /** Snapshot of the queue's depth and dispatch counters. */
     Stats stats() const;
-
-    /**
-     * Attribute one InlineFn heap fallback to this queue. Components
-     * that hold callbacks *outside* the queue (cpu::Thread work
-     * items, gpu::GpuEngine completion callbacks, cuda::Stream
-     * waiters) call this so per-shard SBO accounting stays complete —
-     * schedule() already counts callbacks it stores itself.
-     */
-    JETSIM_COLD_OK("SBO miss ledger: attribution counter for externally-held callbacks, asserted zero by micro_sim --assert-sbo")
-    void noteSboMiss() { ++sbo_misses_; }
 
     /** @name Controlled scheduling (model checking)
      * Install a Chooser to make the queue's same-(tick,priority) tie
@@ -254,7 +235,8 @@ class EventQueue
     /** @} */
 
   private:
-    using Index = EventPool::Index;
+    /** A queued callback's position in slots_. */
+    using Index = std::uint32_t;
 
     /**
      * The dispatch key (when, priority, seq) packed into one 128-bit
@@ -303,7 +285,7 @@ class EventQueue
     }
 
     /**
-     * A heap entry's payload: a pool slot index shifted left one bit
+     * A heap entry's payload: a slot index shifted left one bit
      * (even), or an armed Timer's address with the low bit set (odd;
      * Timer is pointer-aligned).
      */
@@ -359,9 +341,11 @@ class EventQueue
     /** JetSan plausibility: counters must be mutually consistent. */
     void checkPlausible() const;
 
-    // Direct member: one less allocation per queue and no pointer
-    // chase on the hot path.
-    EventPool pool_;
+    // Queued callbacks, one per slot, and the LIFO freelist of slot
+    // indices (recently used slots first). A slot is free exactly
+    // when its index is listed here; its InlineFn is then empty.
+    std::vector<InlineFn> slots_;
+    std::vector<Index> free_;
 
     // Binary heap as parallel key/payload arrays: sift compares touch
     // only the dense key array (16 B per pending event).
@@ -376,7 +360,6 @@ class EventQueue
     std::uint64_t seq_ = kMessageSeqLimit;
     std::uint64_t executed_ = 0;
     std::uint64_t peak_pending_ = 0;
-    std::uint64_t sbo_misses_ = 0;
 
     // Key of the most recently dispatched event, for the JetSan
     // monotonic-dispatch / same-tick-ordering invariant (checked only
@@ -507,11 +490,17 @@ EventQueue::scheduleKeyed(Tick when, Callback cb, int priority,
                          priority, kPriPackMin, kPriPackMax);
         priority = priority < kPriPackMin ? kPriPackMin : kPriPackMax;
     }
-    if (cb.onHeap())
-        JETSIM_COLD_OK("SBO miss: capture spilled past 48 bytes; counted, asserted zero by micro_sim --assert-sbo")
-        ++sbo_misses_;
-    heapPush(makeKey(when, priority, seq),
-             slotPayload(pool_.alloc(std::move(cb))));
+    Index idx;
+    if (free_.empty()) {
+        idx = static_cast<Index>(slots_.size());
+        JETSIM_COLD_OK("amortized: geometric vector growth, reserved up front; grows only past the queue's high-water depth")
+        slots_.push_back(std::move(cb));
+    } else {
+        idx = free_.back();
+        free_.pop_back();
+        slots_[idx] = std::move(cb);
+    }
+    heapPush(makeKey(when, priority, seq), slotPayload(idx));
     if (pending() > peak_pending_)
         peak_pending_ = pending();
 }
@@ -626,13 +615,13 @@ EventQueue::dispatch(HeapKey key, Payload p)
         t->fire_(t->owner_);
         return;
     }
-    // The callback is invoked in place — slab addresses are stable
-    // even if the callback schedules (growing the pool) — and the
-    // slot is recycled after it returns.
+    // Moved out and its slot freed before the call: the callback may
+    // schedule, and growing slots_ moves every slot.
     const Index idx = slotOf(p);
-    EventPool::Event &e = pool_.at(idx);
-    e.cb()();
-    pool_.free(idx, e);
+    Callback cb = std::move(slots_[idx]);
+    JETSIM_COLD_OK("amortized: reserved up front; the freelist never outgrows slots_, so it stops growing at the queue's high-water depth")
+    free_.push_back(idx);
+    cb();
 }
 
 JETSIM_HOT inline bool
@@ -644,9 +633,6 @@ EventQueue::runOne()
         return false;
     const HeapKey key = heap_keys_.front();
     const Payload p = heap_pay_.front();
-    // Overlap the slot's cache-line fetch with the sift-down.
-    if (!isTimer(p))
-        pool_.prefetch(slotOf(p));
     heapRemove(0);
     dispatch(key, p);
     return true;

@@ -1,21 +1,15 @@
 /**
  * @file
- * InlineFn: the event queue's small-buffer-optimised callback.
+ * InlineFn: the event queue's small-buffer callback.
  *
  * The simulator's hot path schedules millions of short-lived
  * callbacks whose captures are tiny (`this` plus a couple of ids).
  * std::function heap-allocates for anything beyond two words;
- * InlineFn stores captures up to kInlineSize bytes in place and only
- * falls back to the heap beyond that. Fallbacks are counted twice
- * over: a process-wide aggregate here (heapFallbackCount, the
- * `micro_sim --assert-sbo` gate) and per event queue
- * (EventQueue::stats().sbo_misses — schedule() counts callbacks it
- * stores, components holding callbacks outside a queue attribute
- * theirs via EventQueue::noteSboMiss), so under the sharded engine
- * every miss is attributable to the shard that paid for it.
+ * InlineFn stores every capture in place and never allocates. The
+ * bound is a compile-time rule: a capture larger than kInlineSize
+ * bytes, over-aligned or throwing on move fails the constructor's
+ * static_assert (tests/sim/inline_fn_capture_bound.cc is the gate).
  *
- * Contract: callbacks whose capture state is <= kInlineSize bytes,
- * suitably aligned and nothrow-move-constructible never allocate.
  * Move-only, void(), one-shot friendly (may be invoked repeatedly but
  * the queue invokes each event once).
  */
@@ -23,27 +17,19 @@
 #ifndef JETSIM_SIM_INLINE_FN_HH
 #define JETSIM_SIM_INLINE_FN_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
-#include "core/hot_annotations.hh"
-
 namespace jetsim::sim {
-
-namespace detail {
-/** Process-wide count of InlineFn heap fallbacks (test hook). */
-inline std::atomic<std::uint64_t> g_inline_fn_heap_fallbacks{0};
-} // namespace detail
 
 /** Move-only void() callable with a 48-byte inline capture buffer. */
 class InlineFn
 {
   public:
-    /** Captures up to this many bytes are stored without allocating. */
+    /** The largest capture, in bytes, a callback may have. */
     static constexpr std::size_t kInlineSize = 48;
 
     InlineFn() noexcept = default;
@@ -56,18 +42,11 @@ class InlineFn
                   std::is_invocable_r_v<void, D &>>>
     InlineFn(F &&f) // NOLINT(*-explicit-*): drop-in for std::function
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &kInlineOps<D>;
-        } else {
-            JETSIM_COLD_OK("SBO miss ledger: counted here, asserted zero by micro_sim --assert-sbo")
-            detail::g_inline_fn_heap_fallbacks.fetch_add(
-                1, std::memory_order_relaxed);
-            JETSIM_COLD_OK("SBO fallback arm: only reached by captures past 48 bytes, which the gate above proves absent in hot runs")
-            ::new (static_cast<void *>(buf_))
-                D *(new D(std::forward<F>(f)));
-            ops_ = &kHeapOps<D>;
-        }
+        static_assert(fitsInline<D>(),
+                      "InlineFn capture exceeds kInlineSize bytes, is "
+                      "over-aligned or may throw on move");
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        ops_ = &kOps<D>;
     }
 
     InlineFn(InlineFn &&o) noexcept { moveFrom(o); }
@@ -99,9 +78,6 @@ class InlineFn
 
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-    /** True when the capture did not fit inline (heap fallback). */
-    bool onHeap() const noexcept { return ops_ && ops_->heap; }
-
     /** Destroy the wrapped callable, leaving the fn empty. */
     void
     reset() noexcept
@@ -113,13 +89,8 @@ class InlineFn
         }
     }
 
-    /** Process-wide heap fallbacks since start (test hook). */
-    static std::uint64_t
-    heapFallbackCount() noexcept
-    {
-        return detail::g_inline_fn_heap_fallbacks.load(
-            std::memory_order_relaxed);
-    }
+    /** Always 0: captures are bounded at compile time (perfbench). */
+    static constexpr std::uint64_t heapFallbackCount() noexcept { return 0; }
 
   private:
     struct Ops
@@ -128,12 +99,11 @@ class InlineFn
         /** Move-construct dst's buffer from src's, destroying src. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
-        bool heap;
         /** Relocation recipe: kRelocateFn = call relocate(); other
-         * values = inline + trivially copyable/destructible, copy
-         * exactly this many buffer bytes (0 for stateless captures)
-         * and skip destroy(). Lets the hot path avoid two indirect
-         * calls for the common trivial captures. */
+         * values = trivially copyable/destructible, copy exactly
+         * this many buffer bytes (0 for stateless captures) and skip
+         * destroy(). Lets the hot path avoid two indirect calls for
+         * the common trivial captures. */
         std::uint8_t copy_bytes;
     };
 
@@ -161,26 +131,14 @@ class InlineFn
     }
 
     template <typename D>
-    static constexpr Ops kInlineOps = {
+    static constexpr Ops kOps = {
         [](void *p) { (*static_cast<D *>(p))(); },
         [](void *dst, void *src) noexcept {
             ::new (dst) D(std::move(*static_cast<D *>(src)));
             static_cast<D *>(src)->~D();
         },
         [](void *p) noexcept { static_cast<D *>(p)->~D(); },
-        false,
         copyRecipe<D>(),
-    };
-
-    template <typename D>
-    static constexpr Ops kHeapOps = {
-        [](void *p) { (**static_cast<D **>(p))(); },
-        [](void *dst, void *src) noexcept {
-            ::new (dst) D *(*static_cast<D **>(src));
-        },
-        [](void *p) noexcept { delete *static_cast<D **>(p); },
-        true,
-        kRelocateFn,
     };
 
     void

@@ -64,8 +64,9 @@
  * claimed with one atomic exchange, which hands over both its heap
  * and its outboxes' producer and consumer roles, and clocks are
  * release/acquire atomics. Workers park between runs on an atomic
- * wait. The hot path is allocation-free at steady state: each shard
- * reuses its slab EventPool, and each outbox reuses drained nodes.
+ * wait. The hot path is allocation-free at steady state: each shard's
+ * queue reuses its callback slots, and each outbox reuses drained
+ * nodes.
  */
 
 #ifndef JETSIM_SIM_SHARDED_ENGINE_HH

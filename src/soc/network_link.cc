@@ -28,10 +28,4 @@ NetworkLink::endToEndLatencyMs(double device_fps, int batch) const
     return rtt_ms + up_ms + down_ms + compute_ms;
 }
 
-double
-NetworkLink::saturationPoint(double device_fps) const
-{
-    return std::min(device_fps, wireThroughput());
-}
-
 } // namespace jetsim::soc

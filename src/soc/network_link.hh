@@ -43,13 +43,6 @@ struct NetworkLink
      * @param batch       images per inference invocation
      */
     double endToEndLatencyMs(double device_fps, int batch) const;
-
-    /**
-     * Offered load (images/s) above which the *wire*, not the GPU,
-     * is the bottleneck — the paper's "network delays diminish the
-     * effective throughput" crossover.
-     */
-    double saturationPoint(double device_fps) const;
 };
 
 } // namespace jetsim::soc

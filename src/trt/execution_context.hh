@@ -45,8 +45,8 @@ struct EcRecord
 class ExecutionContext
 {
   public:
-    /** Completion callbacks ride the event queue's SBO type, so an
-     * enqueue never heap-allocates for small captures. */
+    /** Completion callbacks are the event queue's callback type, so
+     * an enqueue never heap-allocates. */
     using DoneFn = sim::InlineFn;
 
     /**

@@ -152,14 +152,5 @@ TEST(Prescreen, NullScreenKeepsEverything)
         EXPECT_TRUE(c.has_value());
 }
 
-TEST(Prescreen, VerdictNamesAreStable)
-{
-    EXPECT_STREQ(verdictName(Verdict::Unknown), "unknown");
-    EXPECT_STREQ(verdictName(Verdict::ProvedInfeasible),
-                 "proved-infeasible");
-    EXPECT_STREQ(verdictName(Verdict::ProvedFeasible),
-                 "proved-feasible");
-}
-
 } // namespace
 } // namespace jetsim::absint

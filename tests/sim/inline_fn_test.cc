@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for sim::InlineFn: the heap-fallback path for captures beyond
- * kInlineSize, the fixed-size move recipes vs. the relocate path,
- * self-move safety, and the monotonic process-wide fallback counter
- * that EventQueue::stats() / micro_sim --json surface.
+ * Tests for sim::InlineFn: the fixed-size move recipes vs. the
+ * relocate path, destruction accounting and self-move safety. The
+ * capture bound itself is a compile-time rule, checked by the
+ * inline_fn_capture_bound ctests (inline_fn_capture_bound.cc).
  */
 
 #include "sim/inline_fn.hh"
@@ -36,44 +36,11 @@ int Tracker::live = 0;
 
 TEST(InlineFnTest, SmallCaptureStaysInline)
 {
-    const auto before = InlineFn::heapFallbackCount();
     int hits = 0;
     InlineFn fn([&hits] { ++hits; });
-    EXPECT_FALSE(fn.onHeap());
     fn();
     fn();
     EXPECT_EQ(hits, 2);
-    EXPECT_EQ(InlineFn::heapFallbackCount(), before);
-}
-
-TEST(InlineFnTest, CaptureBeyondInlineSizeFallsBackToHeap)
-{
-    const auto before = InlineFn::heapFallbackCount();
-    std::array<char, InlineFn::kInlineSize + 16> big{};
-    big.back() = 42;
-    int sum = 0;
-    InlineFn fn([big, &sum] { sum += big.back(); });
-    EXPECT_TRUE(fn.onHeap());
-    EXPECT_EQ(InlineFn::heapFallbackCount(), before + 1);
-    fn();
-    EXPECT_EQ(sum, 42);
-}
-
-TEST(InlineFnTest, FallbackCounterIsMonotonic)
-{
-    const auto base = InlineFn::heapFallbackCount();
-    std::array<char, InlineFn::kInlineSize + 1> big{};
-    for (int i = 0; i < 5; ++i) {
-        InlineFn fn([big] { (void)big; });
-        EXPECT_TRUE(fn.onHeap());
-        EXPECT_EQ(InlineFn::heapFallbackCount(),
-                  base + static_cast<std::uint64_t>(i) + 1);
-    }
-    // Inline constructions, moves and resets never bump the counter.
-    InlineFn a([] {});
-    InlineFn b(std::move(a));
-    b.reset();
-    EXPECT_EQ(InlineFn::heapFallbackCount(), base + 5);
 }
 
 TEST(InlineFnTest, TrivialMoveRecipesPreserveCapture)
@@ -116,34 +83,12 @@ TEST(InlineFnTest, NonTrivialCaptureUsesRelocateAndDestroysOnce)
     int hits = 0;
     {
         InlineFn fn{Tracker(&hits)};
-        EXPECT_FALSE(fn.onHeap());
         EXPECT_EQ(Tracker::live, 1);
         InlineFn moved(std::move(fn));
         // Relocate = move-construct into dst + destroy src: exactly
         // one live instance either side of the move.
         EXPECT_EQ(Tracker::live, 1);
         EXPECT_FALSE(static_cast<bool>(fn)); // NOLINT(bugprone-use-after-move)
-        moved();
-        EXPECT_EQ(hits, 1);
-    }
-    EXPECT_EQ(Tracker::live, 0);
-}
-
-TEST(InlineFnTest, HeapFallbackMoveTransfersOwnership)
-{
-    ASSERT_EQ(Tracker::live, 0);
-    int hits = 0;
-    {
-        std::array<char, InlineFn::kInlineSize> pad{};
-        InlineFn fn([t = Tracker(&hits), pad] {
-            (void)pad;
-            t();
-        });
-        EXPECT_TRUE(fn.onHeap());
-        EXPECT_EQ(Tracker::live, 1);
-        InlineFn moved(std::move(fn));
-        EXPECT_TRUE(moved.onHeap());
-        EXPECT_EQ(Tracker::live, 1); // pointer steal, no copy
         moved();
         EXPECT_EQ(hits, 1);
     }

@@ -67,12 +67,5 @@ TEST(NetworkLink, FasterUplinkRaisesEverything)
               slow.endToEndLatencyMs(100.0, 4));
 }
 
-TEST(NetworkLink, SaturationPointCapsAtDevice)
-{
-    const auto l = link();
-    EXPECT_NEAR(l.saturationPoint(30.0), 30.0, 1e-9);
-    EXPECT_NEAR(l.saturationPoint(500.0), 50.0, 1e-9);
-}
-
 } // namespace
 } // namespace jetsim::soc

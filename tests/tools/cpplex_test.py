@@ -122,9 +122,9 @@ class ClassifyOpenTest(unittest.TestCase):
 
     def test_annotation_macros_stripped(self):
         sc = cpplex.classify_open(
-            'JETSIM_COLD_OK("slab growth") void EventPool::grow()')
+            'JETSIM_COLD_OK("ring growth") void Fifo::grow()')
         self.assertEqual((sc.kind, sc.name),
-                         ("function", "EventPool::grow"))
+                         ("function", "Fifo::grow"))
         sc = cpplex.classify_open("JETSIM_HOT void dispatch()")
         self.assertEqual((sc.kind, sc.name),
                          ("function", "dispatch"))

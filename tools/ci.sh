@@ -116,16 +116,12 @@ if [ "$run_plain" = 1 ]; then
     python3 "$repo/tools/detlint.py" | tail -1
     banner "pass 1c: perf smoke + golden digest check"
     # Short-min-time run of the event-core microbenchmarks: catches
-    # perf-path asserts (pool recycling, SBO fallback, JetSan key
-    # order) that only fire at benchmark volume. Numbers themselves
-    # are not gated — CI hosts are too noisy.
+    # perf-path asserts (slot recycling, JetSan key order) that only
+    # fire at benchmark volume. Numbers themselves are not gated — CI
+    # hosts are too noisy.
     "$repo/build-ci/plain/bench/micro_sim" \
         --benchmark_min_time=0.05 \
         --benchmark_filter='BM_EventQueue.*|BM_SchedulerContention.*'
-    # No callback a phase-2 cell stores (set-up included) may fall
-    # back to the heap: any InlineFn capture outgrowing the inline
-    # buffer fails here.
-    "$repo/build-ci/plain/bench/micro_sim" --assert-sbo
     # Golden digests: RunnerGolden proves runner threads=2 and 8
     # bit-identical to threads=1 on both boards (a self-comparison in
     # one process); ProcessGolden pins the inference loop's digests
@@ -258,36 +254,16 @@ EOF
     python3 "$repo/tools/jethot.py" --selftest
     # Zero findings over src/: nothing reachable from a hot root
     # allocates, locks, throws, blocks, or reads the environment
-    # outside an explicit JETSIM_COLD_OK / boundary escape — and
-    # every runtime heap-fallback counter site (what micro_sim
-    # --assert-sbo counts) is covered by a ledgered escape, so the
-    # static escape set and the runtime SBO accounting name the
-    # same sites. The site list itself is pinned (file and
-    # function), so a per-kernel or per-EC site cannot come back
-    # unnoticed, and so is the reachability of the timer targets
-    # (OsScheduler::sliceEnd, GpuEngine::finishMux) and of
-    # Fifo::push_back below them.
+    # outside an explicit JETSIM_COLD_OK / boundary escape. The
+    # reachability of the timer targets (OsScheduler::sliceEnd,
+    # GpuEngine::finishMux) and of Fifo::push_back below them is
+    # pinned.
     python3 "$repo/tools/jethot.py" --json > \
         "$repo/build-ci/plain/jethot.json"
     python3 - "$repo/build-ci/plain/jethot.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["findings"] == [], doc["findings"]
-sites = doc["sbo_sites"]
-assert all(s["covered"] for s in sites), sites
-# The exact heap-fallback ledger: one site per place a callback is
-# stored outside the event queue's own accounting, and none per
-# kernel, per work item or per EC beyond these.
-want = {
-    ("src/cpu/scheduler.cc", "Thread::exec"),
-    ("src/cuda/stream.cc", "Stream::onComplete"),
-    ("src/gpu/engine.cc", "GpuEngine::createChannel"),
-    ("src/sim/event_queue.hh", "EventQueue::noteSboMiss"),
-    ("src/sim/event_queue.hh", "EventQueue::scheduleKeyed"),
-    ("src/sim/inline_fn.hh", "InlineFn::InlineFn"),
-}
-got = {(s["path"], s["fn"]) for s in sites}
-assert got == want and len(sites) == len(want), sorted(got)
 # Event-queue timers fire targets that no arm site calls: their
 # JETSIM_HOT marking is what keeps the slice-end and kernel-finish
 # paths (and the run-queue growth below them) under this audit.
@@ -297,8 +273,7 @@ missing = pinned - set(doc["reachable_fns"])
 assert not missing, sorted(missing)
 print(f"jethot: src clean; {len(doc['roots'])} hot roots, "
       f"{doc['reachable']} reachable, "
-      f"{len(doc['cold_ok'])} sanctioned cold escapes, "
-      f"{len(sites)}/{len(sites)} heap-fallback sites covered")
+      f"{len(doc['cold_ok'])} sanctioned cold escapes")
 EOF
 fi
 

@@ -3,12 +3,11 @@
 
 The event core's performance contract (DESIGN.md §4j) says the
 steady-state dispatch path allocates nothing, locks nothing, throws
-nothing, and never enters the kernel. PR 4 / PR 9 made that true and
-probe it at runtime (`micro_sim --assert-sbo`, the operator-new
-counting test, TSan); jethot proves it *statically*, the way jetrace
-proves lock-order discipline: a call-graph reachability pass from
-annotated hot roots, where any reachable forbidden operation is a
-finding reported with its full call chain.
+nothing, and never enters the kernel. The operator-new counting
+tests and TSan probe that at runtime; jethot proves it *statically*,
+the way jetrace proves lock-order discipline: a call-graph
+reachability pass from annotated hot roots, where any reachable
+forbidden operation is a finding reported with its full call chain.
 
 Annotations (src/core/hot_annotations.hh; all expand to nothing):
 
@@ -40,14 +39,10 @@ allocation is Fifo::grow's function-level JETSIM_COLD_OK. Growth on
 any other receiver (std containers, locals of deduced type) is still
 a hot-alloc finding.
 
-Cross-validation against the runtime probes: every heap-fallback
-counter site (`noteSboMiss()` callers and the InlineFn
-heap-fallback counter) must sit on a line covered by JETSIM_COLD_OK —
-the static escape set and the runtime counter set must name exactly
-the same sites (`unguarded-sbo-fallback` otherwise). `--selftest`
-seeds hot-path alloc / lock / throw violations (plus spin, boundary,
-cold-ok and sbo fixtures) and checks each is found with a *minimised*
-chain, mirroring the jetrace/jetmc cross-check pattern.
+`--selftest` seeds hot-path alloc / lock / throw violations (plus
+spin, boundary, cold-ok and Fifo fixtures) and checks each is found
+with a *minimised* chain, mirroring the jetrace/jetmc cross-check
+pattern.
 
 Backends: the lexical call graph (cpplex.CallGraph, shared with
 jetrace) is the tested, always-available path. With the
@@ -63,8 +58,8 @@ Exit: 0 clean, 1 findings (or failed self-test), 2 usage error.
 
 --json emits {"schema_version": 1, "tool": "jethot", "findings":
 [...], "files": N, "roots": [...], "reachable": N, "reachable_fns":
-[...], "cold_ok": [...], "boundaries": [...], "sbo_sites": [...]} —
-the same schema_version
+[...], "cold_ok": [...], "boundaries": [...]} — the same
+schema_version
 jetlint/jetrace/detlint stamp. Findings carry "chain": the minimised
 root -> ... -> offender call path.
 """
@@ -96,9 +91,6 @@ RULES = [
     ("hot-env",
      "core::env()/getenv reachable from a hot root (env reads are "
      "startup-only by contract)"),
-    ("unguarded-sbo-fallback",
-     "runtime heap-fallback counter site (noteSboMiss / InlineFn "
-     "fallback) not covered by a JETSIM_COLD_OK escape"),
 ]
 
 allowed = cpplex.allow_matcher("jethot")
@@ -120,11 +112,6 @@ FIFO_DECL_RE = re.compile(r"\bFifo\s*<[^;{}]*?>\s*&?\s*(\w+)\s*[;={(]")
 GROWTH_CALL_RE = re.compile(r"(?:\.|->)\s*(?:push_back|emplace_back|"
                             r"emplace|emplace_front|push_front|insert|"
                             r"resize|reserve|append|assign)\s*\(")
-
-SBO_SITE_RE = re.compile(r"(?:\.|->)\s*noteSboMiss\s*\(|"
-                         r"\+\+\s*sbo_misses_|"
-                         r"\bg_inline_fn_heap_fallbacks\s*\.\s*"
-                         r"fetch_add\b")
 
 # (rule, compiled regex, what-it-is) — matched against noise-stripped
 # statement text. Placement new (`new (buf) T`) is construction into
@@ -251,16 +238,13 @@ def new_function():
 
 class Analysis:
     """Whole-audit state: the shared call graph, whose nodes carry
-    jethot's fields, plus the global annotation / escape / sbo
-    ledgers."""
+    jethot's fields, plus the global annotation and escape ledgers."""
 
     def __init__(self):
         self.graph = cpplex.CallGraph(new_function)
         self.boundary_decls = []   # {name, path, line, why}
         self.boundary_names = set()
         self.cold_escapes = []     # {path, line, scope, fn, why}
-        self.sbo_sites = []        # {path, line, fn, covered, why}
-        self.findings = []         # non-reachability findings (sbo)
         self.fifo_names = set()    # names declared with a Fifo type
 
 
@@ -277,24 +261,6 @@ def scan_file(path, rel, an):
                 "name": m.group(1), "path": rel, "line": idx + 1,
                 "why": m.group(2).strip()})
 
-    for idx, code in enumerate(code_lines):
-        if SBO_SITE_RE.search(code):
-            why = cold_ok_reason(raw_lines, [idx, idx - 1])
-            an.sbo_sites.append({"path": rel, "line": idx + 1,
-                                 "fn": None,
-                                 "covered": why is not None,
-                                 "why": why})
-            if why is None and not allowed(raw_lines, idx,
-                                           "unguarded-sbo-fallback"):
-                an.findings.append({
-                    "path": rel, "line": idx + 1,
-                    "rule": "unguarded-sbo-fallback",
-                    "message": "runtime heap-fallback counter site "
-                               "without a JETSIM_COLD_OK escape — "
-                               "the static escape set must name "
-                               "every site micro_sim --assert-sbo "
-                               "counts", "chain": []})
-
     w = cpplex.GraphWalker(an.graph, rel)
     loop_stack = []    # parallel to w.scopes: is-loop flags
 
@@ -308,11 +274,6 @@ def scan_file(path, rel, an):
 
     def scan_text(text, start_1, end_1, is_sig):
         rec = an.graph.nodes[w.fn]
-        if SBO_SITE_RE.search(text):
-            for site in an.sbo_sites:
-                if site["path"] == rel and \
-                        start_1 - 1 <= site["line"] <= end_1:
-                    site["fn"] = w.fn
         why = None
         if "JETSIM_COLD_OK" in text:
             why = cold_ok_reason(raw_lines, span_lines0(start_1,
@@ -424,7 +385,7 @@ def propagate(an):
             out.append(parent[out[-1]])
         return out[::-1]
 
-    findings = list(an.findings)
+    findings = []
     for k in scannable:
         for rule, path, line, what in nodes[k]["hits"]:
             ch = chain(k)
@@ -455,7 +416,6 @@ def audit(files, root, backend="lex"):
         "scanned": len(scannable),
         "cold_ok": an.cold_escapes,
         "boundaries": an.boundary_decls,
-        "sbo_sites": an.sbo_sites,
     }
     return findings, summary, an
 
@@ -523,22 +483,6 @@ JETSIM_HOT void casRoot(std::atomic<int> &t)
     // jethot: allow(hot-spin) bounded: one lap, producers never park
     while (!t.compare_exchange_weak(v, v + 1)) {
     }
-}
-"""
-
-SELFTEST_SBO = """\
-#include "core/hot_annotations.hh"
-struct Q { void noteSboMiss(); };
-void submitCovered(Q &q, bool heap)
-{
-    if (heap)
-        JETSIM_COLD_OK("SBO miss: counted, asserted zero in bench")
-        q.noteSboMiss();
-}
-void submitUncovered(Q &q, bool heap)
-{
-    if (heap)
-        q.noteSboMiss();
 }
 """
 
@@ -621,15 +565,6 @@ def selftest():
         findings, _, _ = run("spin_ok.cc", SELFTEST_SPIN_ALLOWED)
         if any(f["rule"] == "hot-spin" for f in findings):
             fail(f"allow(hot-spin) not honored: {findings}")
-        findings, summ, _ = run("sbo.cc", SELFTEST_SBO)
-        sbo = [f for f in findings
-               if f["rule"] == "unguarded-sbo-fallback"]
-        if len(sbo) != 1:
-            fail(f"want exactly 1 unguarded-sbo-fallback, "
-                 f"got {sbo}")
-        if len(summ["sbo_sites"]) != 2 or \
-                sum(s["covered"] for s in summ["sbo_sites"]) != 1:
-            fail(f"sbo site ledger wrong: {summ['sbo_sites']}")
         findings, summ, _ = run("fifo.cc", SELFTEST_FIFO)
         growth = [SELFTEST_FIFO.splitlines()[f["line"] - 1].strip()
                   for f in findings if f["rule"] == "hot-alloc"]
@@ -643,8 +578,7 @@ def selftest():
               "each found with a minimised 2-hop chain; CAS spin "
               "flagged and allow()-whitelistable; JETSIM_COLD_OK "
               "and JETSIM_HOT_BOUNDARY stop traversal with the "
-              "escape recorded; uncovered noteSboMiss site flagged, "
-              "covered site ledgered; Fifo growth followed to its "
+              "escape recorded; Fifo growth followed to its "
               "grow() escape, std::vector growth flagged")
     return ok
 
@@ -728,7 +662,6 @@ def main():
     if cpplex.report(args, "jethot", RULES, findings, root,
                      files=len(files), **summ):
         return 1 if findings else 0
-    covered = sum(s["covered"] for s in summ["sbo_sites"])
     if findings:
         print(f"jethot: {len(findings)} finding(s) in {len(files)} "
               f"files ({len(summ['roots'])} roots, "
@@ -737,9 +670,7 @@ def main():
     print(f"jethot: {len(files)} files clean — "
           f"{len(summ['roots'])} hot roots, {summ['reachable']} "
           f"reachable functions, {len(summ['cold_ok'])} sanctioned "
-          f"cold escapes, {len(summ['boundaries'])} boundaries, "
-          f"{covered}/{len(summ['sbo_sites'])} heap-fallback sites "
-          f"covered")
+          f"cold escapes, {len(summ['boundaries'])} boundaries")
     return 0
 
 
