@@ -258,7 +258,8 @@ OsScheduler::sliceEnd(Thread *t)
         t->core_ = -1;
         core.running = nullptr;
         queueFor(t->big_).push_back(t);
-        updateBoardActivity();
+        // A waiter takes the freed core at once, and that dispatch
+        // publishes the board's CPU activity at this tick.
         dispatchAll();
         return;
     }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "check/check.hh"
+#include "check/digest.hh"
 #include "sim/logging.hh"
 
 namespace jetsim::gpu {
@@ -23,17 +24,49 @@ constexpr double kMaxBodyNs = KernelCostModel::kMaxBodyNsCap;
 /** Per-launch execution-time jitter (see KernelCostModel::kJitterLo). */
 const sim::Lognormal kJitter(1.0, 0.05);
 
+/** timing()'s descriptor check. */
+bool
+descriptorOk(const KernelDesc &k)
+{
+    return std::isfinite(k.flops) && k.flops >= 0.0 &&
+           std::isfinite(k.bytes) && k.bytes >= 0.0 &&
+           std::isfinite(k.efficiency_scale) &&
+           k.efficiency_scale > 0.0 && k.blocks >= 1;
+}
+
+/** Folds every GpuSpec field into a digest, in list order. */
+struct TagFold
+{
+    check::Digest &d;
+
+    void operator()(const char *, const std::string &x) { d.add(x); }
+    void operator()(const char *, double x) { d.add(x); }
+    void operator()(const char *, int x) { d.add(std::int64_t{x}); }
+    void operator()(const char *, sim::Tick x) { d.add(x); }
+};
+
 } // namespace
 
 KernelCostModel::KernelCostModel(const soc::DeviceSpec &spec)
-    : spec_(spec)
+    : gpu_(spec.gpu), device_(spec.name), tag_(gpuTag(spec.gpu))
 {
+    for (std::size_t i = 0; i < tc_peak_.size(); ++i)
+        tc_peak_[i] = gpu_.peakTcGflops(soc::kAllPrecisions[i]);
+}
+
+std::uint64_t
+KernelCostModel::gpuTag(const soc::GpuSpec &g)
+{
+    check::Digest d;
+    TagFold fold{d};
+    visitFields(fold, g);
+    return d.value() == 0 ? 1 : d.value();
 }
 
 double
 KernelCostModel::baseRate(const KernelDesc &k) const
 {
-    const auto &g = spec_.gpu;
+    const auto &g = gpu_;
     if (k.tc && g.hasTensorCores()) {
         switch (k.prec) {
           case soc::Precision::Int8: return g.eff_tc_gflops_int8;
@@ -55,6 +88,74 @@ KernelCostModel::baseRate(const KernelDesc &k) const
     }
 }
 
+KernelCostModel::Terms
+KernelCostModel::terms(const KernelDesc &k) const
+{
+    Terms t;
+    t.flops = std::isfinite(k.flops) ? std::max(0.0, k.flops) : 0.0;
+    t.bytes = std::isfinite(k.bytes) ? std::max(0.0, k.bytes) : 0.0;
+    const double eff_scale =
+        std::isfinite(k.efficiency_scale) && k.efficiency_scale > 0.0
+            ? k.efficiency_scale
+            : 1.0;
+    const int blocks = std::max(1, k.blocks);
+
+    const auto &g = gpu_;
+    const double base = baseRate(k);
+
+    // Shape-dependent sustained rate, never above ~95 % of peak.
+    const double peak =
+        onTc(k) ? tc_peak_[static_cast<std::size_t>(k.prec)]
+                : g.peakCudaGflopsFp32() *
+                      (k.prec == soc::Precision::Fp16 &&
+                               g.eff_cuda_gflops_fp16 > 0
+                           ? 2.0
+                           : 1.0);
+    t.block.rate = std::min(std::max(base, 1e-9) * eff_scale, 0.95 * peak);
+
+    const double eff_bw =
+        std::max(g.mem_bw_gbps * g.mem_efficiency, 1e-9);
+    t.block.mem_ns = t.bytes / eff_bw;
+
+    // SM-active: average occupied-SM fraction of the wave schedule.
+    const int sms = std::max(1, g.num_sms);
+    const int waves = (blocks + sms - 1) / sms;
+    t.block.occupancy = static_cast<double>(blocks) /
+                        static_cast<double>(waves * sms);
+
+    // The block path reads flops and bytes from the descriptor, so a
+    // block also needs them to be their own sanitised values: -0.0
+    // passes the check but sanitises to +0.0.
+    if (descriptorOk(k) && base > 0.0 && !std::signbit(k.flops) &&
+        !std::signbit(k.bytes))
+        t.block.gpu = tag_;
+    return t;
+}
+
+KernelStatics
+KernelCostModel::statics(const KernelDesc &k) const
+{
+    return terms(k).block;
+}
+
+void
+KernelCostModel::reportInvalid(const KernelDesc &k) const
+{
+    JETSIM_CHECK(descriptorOk(k), check::Severity::Error,
+                 check::Invariant::Plausibility, kComponent,
+                 check::kTimeUnknown,
+                 "degenerate kernel descriptor '%s' (flops=%g bytes=%g "
+                 "eff=%g blocks=%d)",
+                 k.name.c_str(), k.flops, k.bytes, k.efficiency_scale,
+                 k.blocks);
+    JETSIM_CHECK(baseRate(k) > 0.0, check::Severity::Error,
+                 check::Invariant::Plausibility, kComponent,
+                 check::kTimeUnknown,
+                 "device %s has no execution path for kernel '%s' "
+                 "(base rate 0)",
+                 device_.c_str(), k.name.c_str());
+}
+
 KernelTiming
 KernelCostModel::timing(const KernelDesc &k, double freq_frac,
                         sim::Rng *rng) const
@@ -73,55 +174,24 @@ KernelCostModel::timing(const KernelDesc &k, double freq_frac,
         freq_frac = 1e-3;
     freq_frac = std::min(freq_frac, 1.0);
 
-    JETSIM_CHECK(std::isfinite(k.flops) && k.flops >= 0.0 &&
-                     std::isfinite(k.bytes) && k.bytes >= 0.0 &&
-                     std::isfinite(k.efficiency_scale) &&
-                     k.efficiency_scale > 0.0 && k.blocks >= 1,
-                 check::Severity::Error,
-                 check::Invariant::Plausibility, kComponent,
-                 check::kTimeUnknown,
-                 "degenerate kernel descriptor '%s' (flops=%g bytes=%g "
-                 "eff=%g blocks=%d)",
-                 k.name.c_str(), k.flops, k.bytes, k.efficiency_scale,
-                 k.blocks);
-    const double flops =
-        std::isfinite(k.flops) ? std::max(0.0, k.flops) : 0.0;
-    const double bytes =
-        std::isfinite(k.bytes) ? std::max(0.0, k.bytes) : 0.0;
-    const double eff_scale =
-        std::isfinite(k.efficiency_scale) && k.efficiency_scale > 0.0
-            ? k.efficiency_scale
-            : 1.0;
-    const int blocks = std::max(1, k.blocks);
+    if (k.statics.gpu == tag_)
+        return perCall(k, k.statics, k.flops, k.bytes, freq_frac, rng);
+    const Terms t = terms(k);
+    if (t.block.gpu == 0)
+        reportInvalid(k);
+    return perCall(k, t.block, t.flops, t.bytes, freq_frac, rng);
+}
 
-    const auto &g = spec_.gpu;
-
-    const double base = baseRate(k);
-    JETSIM_CHECK(base > 0.0, check::Severity::Error,
-                 check::Invariant::Plausibility, kComponent,
-                 check::kTimeUnknown,
-                 "device %s has no execution path for kernel '%s' "
-                 "(base rate 0)",
-                 spec_.name.c_str(), k.name.c_str());
-
-    // Shape-dependent sustained rate, never above ~95 % of peak.
-    const bool on_tc = k.tc && g.hasTensorCores() &&
-                       k.prec != soc::Precision::Fp32;
-    const double peak = on_tc ? g.peakTcGflops(k.prec)
-                              : g.peakCudaGflopsFp32() *
-                                (k.prec == soc::Precision::Fp16 &&
-                                 g.eff_cuda_gflops_fp16 > 0 ? 2.0 : 1.0);
-    const double rate = std::max(
-        std::min(std::max(base, 1e-9) * eff_scale, 0.95 * peak) *
-            freq_frac,
-        1e-9);
+KernelTiming
+KernelCostModel::perCall(const KernelDesc &k, const KernelStatics &s,
+                         double flops, double bytes, double freq_frac,
+                         sim::Rng *rng) const
+{
+    const auto &g = gpu_;
+    const double rate = std::max(s.rate * freq_frac, 1e-9);
 
     const double compute_ns = flops / rate;
-    const double eff_bw =
-        std::max(g.mem_bw_gbps * g.mem_efficiency, 1e-9);
-    const double mem_ns = bytes / eff_bw;
-
-    double body_ns = std::max(compute_ns, mem_ns);
+    double body_ns = std::max(compute_ns, s.mem_ns);
     // Small kernels hit the device's latency floor (launch tail,
     // DRAM latency, layer dependencies) — the overhead larger batch
     // sizes amortise.
@@ -139,11 +209,7 @@ KernelCostModel::timing(const KernelDesc &k, double freq_frac,
     t.compute_frac = std::min(1.0, compute_ns / dur_ns);
     t.bw_util = std::min(1.0, (bytes / dur_ns) / g.mem_bw_gbps);
 
-    // SM-active: average occupied-SM fraction of the wave schedule.
-    const int sms = std::max(1, g.num_sms);
-    const int waves = (blocks + sms - 1) / sms;
-    double occupancy = static_cast<double>(blocks) /
-                       static_cast<double>(waves * sms);
+    double occupancy = s.occupancy;
     if (rng)
         occupancy *= rng->uniform(0.96, 1.0);
     t.sm_active = std::clamp(occupancy, 0.05, 1.0);
@@ -151,10 +217,12 @@ KernelCostModel::timing(const KernelDesc &k, double freq_frac,
     // Tensor-core utilisation: TC-busy over elapsed. The efficiency
     // fold means memory-bound kernels show low TC utilisation even at
     // high throughput (the paper's int8 inversion).
-    if (on_tc) {
+    if (onTc(k)) {
         const double tc_busy_ns =
             k.tc_stall_factor * flops /
-            std::max(g.peakTcGflops(k.prec) * freq_frac, 1e-9);
+            std::max(tc_peak_[static_cast<std::size_t>(k.prec)] *
+                         freq_frac,
+                     1e-9);
         t.tc_util = std::min(0.99, tc_busy_ns / dur_ns);
     }
 

@@ -14,13 +14,29 @@
 #ifndef JETSIM_GPU_COST_MODEL_HH
 #define JETSIM_GPU_COST_MODEL_HH
 
+#include <array>
+#include <cstdint>
+#include <string>
+
 #include "gpu/kernel.hh"
 #include "sim/rng.hh"
 #include "soc/device_spec.hh"
 
 namespace jetsim::gpu {
 
-/** Pure-function cost model for one device. */
+/**
+ * Pure-function cost model for one device. Keeps the device's GpuSpec
+ * and name, nothing else of its DeviceSpec.
+ *
+ * timing() runs in two stages. The device-static one validates the
+ * descriptor and computes the capped rate before DVFS scaling, the
+ * memory time and the wave occupancy (statics()); the per-call one
+ * applies the DVFS point, the latency floor, both jitter draws and the
+ * counters. A descriptor whose KernelDesc::statics block carries this
+ * GPU's tag skips the first stage; any other (hand-built, restored
+ * from a plan, or built for another GPU) runs it on every call. The
+ * two paths give the same bits.
+ */
 class KernelCostModel
 {
   public:
@@ -34,6 +50,18 @@ class KernelCostModel
      */
     KernelTiming timing(const KernelDesc &k, double freq_frac,
                         sim::Rng *rng = nullptr) const;
+
+    /**
+     * The device-static stage of timing() for @p k on this GPU, tagged
+     * with gpuTag(). A descriptor that fails timing()'s validation
+     * gets an untagged block (gpu 0), so JetSan still reports it on
+     * every call. Reports nothing itself.
+     */
+    KernelStatics statics(const KernelDesc &k) const;
+
+    /** Digest of every GpuSpec field, never 0: the tag of the blocks
+     * a model for @p g computes and uses. */
+    static std::uint64_t gpuTag(const soc::GpuSpec &g);
 
     /**
      * Sustained GFLOPS this kernel's path achieves (before the
@@ -61,7 +89,38 @@ class KernelCostModel
     static constexpr double kMaxBodyNsCap = 3.6e12;
 
   private:
-    soc::DeviceSpec spec_;
+    /** The static stage's block plus the sanitised flops and bytes
+     * the per-call stage reads. */
+    struct Terms
+    {
+        KernelStatics block;
+        double flops;
+        double bytes;
+    };
+
+    Terms terms(const KernelDesc &k) const;
+
+    /** JetSan: report what makes @p k fail validation. */
+    void reportInvalid(const KernelDesc &k) const;
+
+    /** The per-call stage over static terms @p s. */
+    KernelTiming perCall(const KernelDesc &k, const KernelStatics &s,
+                         double flops, double bytes, double freq_frac,
+                         sim::Rng *rng) const;
+
+    /** Does @p k run on the tensor-core path on this GPU? */
+    bool
+    onTc(const KernelDesc &k) const
+    {
+        return k.tc && gpu_.hasTensorCores() &&
+               k.prec != soc::Precision::Fp32;
+    }
+
+    soc::GpuSpec gpu_;
+    std::string device_;
+    std::uint64_t tag_;
+    /** gpu_.peakTcGflops() per precision, in kAllPrecisions order. */
+    std::array<double, soc::kAllPrecisions.size()> tc_peak_;
 };
 
 } // namespace jetsim::gpu

@@ -292,9 +292,10 @@ GpuEngine::finishMux()
     ++kernels_executed_;
     busy_ = false;
     // Copy the in-flight record out first: the completion may submit,
-    // which starts the next kernel and overwrites the member.
+    // which starts the next kernel and overwrites the member. No idle
+    // publish here: scheduleNext, nested in the completion or below,
+    // publishes the GPU's state at this tick either way.
     const KernelRecord rec = inflight_rec_;
-    board_.setGpuState(false, 0, 0, 0, 0);
     complete(rec);
     scheduleNext();
 }
@@ -322,9 +323,12 @@ GpuEngine::spatialStart(int channel)
     ch.executing = true;
 
     execs_.push_back(std::move(e));
-    if (!spatial_completing_)
+    // Inside spatialComplete, its close re-arms and publishes once for
+    // every kernel started meanwhile.
+    if (!spatial_completing_) {
         spatialReschedule();
-    spatialPublish();
+        spatialPublish();
+    }
 }
 
 void
@@ -345,10 +349,8 @@ void
 GpuEngine::spatialReschedule()
 {
     eq_.disarm(spatial_timer_);
-    if (execs_.empty()) {
-        publishIdleIfQuiet();
-        return;
-    }
+    if (execs_.empty())
+        return; // the spatialPublish that follows publishes idle
     double min_rem = execs_.front().remaining_ns;
     for (const auto &e : execs_)
         min_rem = std::min(min_rem, e.remaining_ns);

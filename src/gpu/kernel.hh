@@ -10,6 +10,7 @@
 #ifndef JETSIM_GPU_KERNEL_HH
 #define JETSIM_GPU_KERNEL_HH
 
+#include <cstdint>
 #include <string>
 
 #include "sim/fields.hh"
@@ -18,6 +19,28 @@
 #include "soc/precision.hh"
 
 namespace jetsim::gpu {
+
+/**
+ * The device-static half of one kernel's timing on one GPU, which
+ * KernelCostModel::timing() would otherwise recompute from the
+ * descriptor and the GpuSpec on every call (see
+ * KernelCostModel::statics). 32 bytes.
+ */
+struct KernelStatics
+{
+    /** Sustained rate before DVFS scaling, GFLOPS:
+     * min(max(base, 1e-9) * efficiency_scale, 0.95 * peak). */
+    double rate = 0.0;
+    /** DRAM time at the sustained bandwidth, ns. */
+    double mem_ns = 0.0;
+    /** Wave occupancy of the launch grid, before jitter. */
+    double occupancy = 0.0;
+    /** KernelCostModel::gpuTag() of the GPU these were computed on;
+     * 0 means there is no block. */
+    std::uint64_t gpu = 0;
+};
+
+static_assert(sizeof(KernelStatics) <= 32);
 
 /**
  * One compiled GPU kernel (a fused engine operation) with everything
@@ -75,9 +98,19 @@ struct KernelDesc
      * utilisation without matching throughput.
      */
     double tc_stall_factor = 1.0;
+
+    /**
+     * Device-static timing terms, filled by trt::Builder::build for
+     * the GPU it builds on (TensorRT settles its kernel choices when
+     * it builds the plan). Derived like @ref name_id and never
+     * serialised: a restored plan or a hand-built descriptor has none,
+     * and whoever edits a built descriptor's fields must reset it.
+     */
+    KernelStatics statics;
 };
 
-/** Everything but @ref KernelDesc::name_id, which is derived. */
+/** Everything but @ref KernelDesc::name_id and
+ * @ref KernelDesc::statics, which are derived. */
 template <class V, sim::FieldsOf<KernelDesc> S>
 void
 visitFields(V &v, S &k)

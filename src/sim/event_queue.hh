@@ -21,7 +21,11 @@
  *    edge, a sampler tick) is a Timer it owns: the heap entry points
  *    at the timer, so arming one builds no slot or callback, and a
  *    Timer is the only event that can be withdrawn (disarm()), so the
- *    heap holds live entries only.
+ *    heap holds live entries only;
+ *  - a firing timer's entry stays at the heap root while its target
+ *    runs (the "hold"), so a target that re-arms its own timer
+ *    rewrites the root's key and sifts it down once instead of a pop
+ *    followed by a push.
  * Dispatch order — (when, priority, seq) — is bit-identical to the
  * previous shared_ptr implementation; the golden determinism tests
  * and the JetSan monotonic-dispatch invariant are the proof.
@@ -92,6 +96,10 @@ class EventQueue
      * slot or callback is built. Dispatching it counts in
      * executed(), clears armed() and calls @p fire(@p owner); the
      * target may re-arm it. Armed timers count in pending().
+     *
+     * While the target runs, the spent entry is held at the heap root
+     * (runTop()); every view of the queue reads as if it had been
+     * popped, and a re-arm of this timer rewrites it in place.
      *
      * disarm() withdraws the pending occurrence. The queue reaches a
      * timer only through its heap entry and never touches one it
@@ -195,10 +203,15 @@ class EventQueue
     bool peekNext(NextEvent &out) const;
 
     /** True when no pending event or armed timer remains. */
-    bool empty() const { return heap_keys_.empty(); }
+    bool empty() const { return pending() == 0; }
 
-    /** Pending events plus armed timers: the heap's size. */
-    std::uint64_t pending() const { return heap_keys_.size(); }
+    /** Pending events plus armed timers: the heap's size, less a
+     * held root. */
+    std::uint64_t
+    pending() const
+    {
+        return heap_keys_.size() - static_cast<std::size_t>(held_);
+    }
 
     /**
      * Execute the single next event, advancing time to it.
@@ -308,10 +321,16 @@ class EventQueue
         return reinterpret_cast<Timer *>(p & ~Payload(1));
     }
 
+    /** Insert (@p key, @p p); a key below a held root drops the root
+     * first. */
     void heapPush(HeapKey key, Payload p);
 
     /** Remove the entry at heap index @p i (0 pops the top). */
     void heapRemove(std::size_t i);
+
+    /** Give the root the larger @p key, keeping its payload, and sift
+     * it down: the hold's re-arm. */
+    void heapReplaceTop(HeapKey key);
 
     /** schedule()'s causality check: @p when, or now() if it lies in
      * the past (after reporting it). */
@@ -332,7 +351,15 @@ class EventQueue
      */
     bool runOneControlled();
 
-    /** Dispatch the already-popped entry (@p key, @p p). */
+    /**
+     * Pop and dispatch the top entry: the uncontrolled pop of runOne()
+     * and runUntil(). A timer's entry is held at the root while its
+     * target runs and removed after it returns, unless the target
+     * re-armed the timer in place or a smaller push dropped it.
+     */
+    void runTop();
+
+    /** Dispatch the entry (@p key, @p p), already popped or held. */
     void dispatch(HeapKey key, Payload p);
 
     /** JetSan: verify dispatch order against the previous event. */
@@ -351,6 +378,9 @@ class EventQueue
     // only the dense key array (16 B per pending event).
     std::vector<HeapKey> heap_keys_;
     std::vector<Payload> heap_pay_;
+    // The root is a dispatching timer's spent entry (runTop): it is
+    // not pending, and every other key is larger than its key.
+    bool held_ = false;
     Chooser *chooser_ = nullptr;
     Tick now_ = 0;
     // Local insertion-order counter; starts above the message band so
@@ -379,6 +409,12 @@ static_assert(alignof(EventQueue::Timer) >= 2,
 JETSIM_HOT inline void
 EventQueue::heapPush(HeapKey key, Payload p)
 {
+    // A key below the held root (a same-tick event at a lower
+    // priority number) would rise above it: the spent root goes first.
+    if (held_ && key < heap_keys_.front()) {
+        held_ = false;
+        heapRemove(0);
+    }
     // Hole-based sift-up: parents slide down into the hole and the
     // new entry is written exactly once.
     std::size_t i = heap_keys_.size();
@@ -435,6 +471,34 @@ EventQueue::heapRemove(std::size_t i)
         k[i] = k[parent];
         v[i] = v[parent];
         i = parent;
+    }
+    k[i] = key;
+    v[i] = p;
+}
+
+JETSIM_HOT inline void
+EventQueue::heapReplaceTop(HeapKey key)
+{
+    // Top-down sift with an early exit: a re-armed timer is often
+    // among the next few due (a GPU kernel's successor, a CPU slice),
+    // so it usually stops near the root, where the bottom-up pop's
+    // run to the bottom and back would pay the full depth twice.
+    const std::size_t n = heap_keys_.size();
+    HeapKey *k = heap_keys_.data();
+    Payload *v = heap_pay_.data();
+    const Payload p = v[0];
+    std::size_t i = 0;
+    while (true) {
+        std::size_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && k[c + 1] < k[c])
+            ++c;
+        if (!(k[c] < key))
+            break;
+        k[i] = k[c];
+        v[i] = v[c];
+        i = c;
     }
     k[i] = key;
     v[i] = p;
@@ -523,8 +587,15 @@ EventQueue::arm(Timer &t, Tick when)
 {
     JETSIM_ASSERT(!t.armed_);
     t.armed_ = true;
-    heapPush(makeKey(causal(when), t.priority_, seq_++),
-             timerPayload(&t));
+    const HeapKey key = makeKey(causal(when), t.priority_, seq_++);
+    if (held_ && heap_pay_.front() == timerPayload(&t)) {
+        // The firing timer re-arms itself: its held entry takes the
+        // new key, which is larger (a later seq, no earlier tick).
+        held_ = false;
+        heapReplaceTop(key);
+    } else {
+        heapPush(key, timerPayload(&t));
+    }
     if (pending() > peak_pending_)
         peak_pending_ = pending();
 }
@@ -552,9 +623,15 @@ EventQueue::disarm(Timer &t)
 JETSIM_HOT inline bool
 EventQueue::peekNext(NextEvent &out) const
 {
-    if (heap_keys_.empty())
+    if (empty())
         return false;
-    const HeapKey key = heap_keys_.front();
+    HeapKey key = heap_keys_.front();
+    if (held_) {
+        // Past the held root, the next key is its smaller child.
+        key = heap_keys_[1];
+        if (heap_keys_.size() > 2 && heap_keys_[2] < key)
+            key = heap_keys_[2];
+    }
     out.when = keyWhen(key);
     out.priority = keyPriority(key);
     out.seq = keySeq(key);
@@ -624,6 +701,22 @@ EventQueue::dispatch(HeapKey key, Payload p)
     cb();
 }
 
+JETSIM_HOT inline void
+EventQueue::runTop()
+{
+    const HeapKey key = heap_keys_.front();
+    const Payload p = heap_pay_.front();
+    if (isTimer(p))
+        held_ = true;
+    else
+        heapRemove(0);
+    dispatch(key, p);
+    if (held_) {
+        held_ = false;
+        heapRemove(0);
+    }
+}
+
 JETSIM_HOT inline bool
 EventQueue::runOne()
 {
@@ -631,10 +724,7 @@ EventQueue::runOne()
         return runOneControlled();
     if (heap_keys_.empty())
         return false;
-    const HeapKey key = heap_keys_.front();
-    const Payload p = heap_pay_.front();
-    heapRemove(0);
-    dispatch(key, p);
+    runTop();
     return true;
 }
 
@@ -657,10 +747,7 @@ EventQueue::runUntil(Tick horizon)
     } else {
         while (!heap_keys_.empty() &&
                keyWhen(heap_keys_.front()) <= horizon) {
-            const HeapKey key = heap_keys_.front();
-            const Payload p = heap_pay_.front();
-            heapRemove(0);
-            dispatch(key, p);
+            runTop();
             ++n;
         }
     }

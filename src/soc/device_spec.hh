@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fields.hh"
 #include "sim/types.hh"
 #include "soc/precision.hh"
 
@@ -85,6 +86,28 @@ struct GpuSpec
     int totalTensorCores() const { return num_sms * tensor_cores_per_sm; }
     bool hasTensorCores() const { return tensor_cores_per_sm > 0; }
 };
+
+/** Every GpuSpec field (gpu::KernelCostModel::gpuTag digests them). */
+template <class V, sim::FieldsOf<GpuSpec> S>
+void
+visitFields(V &v, S &g)
+{
+    v("arch", g.arch);
+    v("num_sms", g.num_sms);
+    v("cuda_cores_per_sm", g.cuda_cores_per_sm);
+    v("tensor_cores_per_sm", g.tensor_cores_per_sm);
+    v("max_freq_ghz", g.max_freq_ghz);
+    v("min_freq_ghz", g.min_freq_ghz);
+    v("dvfs_levels", g.dvfs_levels);
+    v("mem_bw_gbps", g.mem_bw_gbps);
+    v("mem_efficiency", g.mem_efficiency);
+    v("min_kernel_latency", g.min_kernel_latency);
+    v("eff_tc_gflops_int8", g.eff_tc_gflops_int8);
+    v("eff_tc_gflops_fp16", g.eff_tc_gflops_fp16);
+    v("eff_tc_gflops_tf32", g.eff_tc_gflops_tf32);
+    v("eff_cuda_gflops_fp32", g.eff_cuda_gflops_fp32);
+    v("eff_cuda_gflops_fp16", g.eff_cuda_gflops_fp16);
+}
 
 /** Unified-memory budget and per-process footprint constants. */
 struct MemorySpec

@@ -17,14 +17,15 @@ constexpr double kCoolPerDeg = 0.055;   // 1/s toward ambient
 
 DvfsGovernor::DvfsGovernor(const DeviceSpec &spec, sim::EventQueue &eq,
                            PowerFn power_fn)
-    : spec_(spec), eq_(eq), power_fn_(std::move(power_fn)),
+    : gpu_(spec.gpu), power_(spec.power), eq_(eq),
+      power_fn_(std::move(power_fn)),
       temp_c_(spec.power.ambient_temp_c),
       tick_timer_(
           [](void *self) { static_cast<DvfsGovernor *>(self)->tick(); },
           this)
 {
-    JETSIM_ASSERT(spec_.gpu.dvfs_levels >= 2);
-    setLevel(spec_.gpu.dvfs_levels - 1);
+    JETSIM_ASSERT(gpu_.dvfs_levels >= 2);
+    setLevel(gpu_.dvfs_levels - 1);
 }
 
 void
@@ -39,25 +40,36 @@ DvfsGovernor::setEnabled(bool enabled)
 {
     enabled_ = enabled;
     if (!enabled_)
-        setLevel(spec_.gpu.dvfs_levels - 1);
+        setLevel(gpu_.dvfs_levels - 1);
+}
+
+double
+DvfsGovernor::levelGhz(const GpuSpec &g, int level)
+{
+    const double step = (g.max_freq_ghz - g.min_freq_ghz) /
+                        static_cast<double>(g.dvfs_levels - 1);
+    return g.min_freq_ghz + step * level;
+}
+
+double
+DvfsGovernor::levelFreqFrac(const GpuSpec &g, int level)
+{
+    // The level arithmetic can land a hair above max_freq_ghz in
+    // floating point; clamp so consumers can rely on (0, 1].
+    return std::min(1.0, levelGhz(g, level) / g.max_freq_ghz);
 }
 
 void
 DvfsGovernor::setLevel(int level)
 {
     level_ = level;
-    // The level arithmetic can land a hair above max_freq_ghz in
-    // floating point; clamp so consumers can rely on (0, 1].
-    freq_frac_ = std::min(1.0, freqGhz() / spec_.gpu.max_freq_ghz);
+    freq_frac_ = levelFreqFrac(gpu_, level_);
 }
 
 double
 DvfsGovernor::freqGhz() const
 {
-    const auto &g = spec_.gpu;
-    const double step = (g.max_freq_ghz - g.min_freq_ghz) /
-                        static_cast<double>(g.dvfs_levels - 1);
-    return g.min_freq_ghz + step * level_;
+    return levelGhz(gpu_, level_);
 }
 
 void
@@ -70,33 +82,33 @@ DvfsGovernor::tick()
 
     // First-order thermal integration over the control period.
     const double dt = sim::toSec(kPeriod);
-    temp_c_ += dt * (kHeatPerWatt * std::max(0.0, p - spec_.power.idle_w)
-                     - kCoolPerDeg * (temp_c_ - spec_.power.ambient_temp_c));
+    temp_c_ += dt * (kHeatPerWatt * std::max(0.0, p - power_.idle_w)
+                     - kCoolPerDeg * (temp_c_ - power_.ambient_temp_c));
 
     if (enabled_) {
-        const double cap = spec_.power.cap_w;
-        const bool hot = temp_c_ > spec_.power.throttle_temp_c;
+        const double cap = power_.cap_w;
+        const bool hot = temp_c_ > power_.throttle_temp_c;
         if (power_ema_ > cap || hot) {
             if (level_ > 0) {
                 setLevel(level_ - 1);
                 ++throttle_events_;
             }
         } else if (power_ema_ < 0.88 * cap &&
-                   temp_c_ < spec_.power.throttle_temp_c - 5.0) {
-            setLevel(std::min(level_ + 1, spec_.gpu.dvfs_levels - 1));
+                   temp_c_ < power_.throttle_temp_c - 5.0) {
+            setLevel(std::min(level_ + 1, gpu_.dvfs_levels - 1));
         }
     }
 
     // JetSan: the clock must stay inside the device's DVFS table.
-    JETSIM_CHECK(level_ >= 0 && level_ < spec_.gpu.dvfs_levels &&
-                     freqGhz() >= spec_.gpu.min_freq_ghz - 1e-9 &&
-                     freqGhz() <= spec_.gpu.max_freq_ghz + 1e-9,
+    JETSIM_CHECK(level_ >= 0 && level_ < gpu_.dvfs_levels &&
+                     freqGhz() >= gpu_.min_freq_ghz - 1e-9 &&
+                     freqGhz() <= gpu_.max_freq_ghz + 1e-9,
                  check::Severity::Error,
                  check::Invariant::Plausibility, "soc.dvfs", eq_.now(),
                  "GPU clock outside the DVFS table (level=%d of %d, "
                  "%.3f GHz not in [%.3f, %.3f])",
-                 level_, spec_.gpu.dvfs_levels, freqGhz(),
-                 spec_.gpu.min_freq_ghz, spec_.gpu.max_freq_ghz);
+                 level_, gpu_.dvfs_levels, freqGhz(),
+                 gpu_.min_freq_ghz, gpu_.max_freq_ghz);
 
     eq_.armIn(tick_timer_, kPeriod);
 }

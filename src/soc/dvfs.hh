@@ -58,13 +58,21 @@ class DvfsGovernor
     /** Control period (public for tests). */
     static constexpr sim::Tick kPeriod = sim::msec(10);
 
+    /** GPU frequency in GHz at DVFS @p level of @p g. */
+    static double levelGhz(const GpuSpec &g, int level);
+
+    /** levelGhz() over the maximum, clamped to at most 1: what
+     * freqFrac() reads at @p level. */
+    static double levelFreqFrac(const GpuSpec &g, int level);
+
   private:
     void tick();
 
     /** Move to @p level and recompute freq_frac_. */
     void setLevel(int level);
 
-    const DeviceSpec spec_;
+    const GpuSpec gpu_;
+    const PowerSpec power_;
     sim::EventQueue &eq_;
     PowerFn power_fn_;
     bool enabled_ = true;

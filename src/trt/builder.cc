@@ -7,6 +7,7 @@
 
 #include "core/mutex.hh"
 #include "core/thread_annotations.hh"
+#include "gpu/cost_model.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -181,7 +182,11 @@ Builder::build(const graph::Network &net,
                         soc::storageBytes(p);
     }
 
-    for (const auto &k : e.kernels_) {
+    // Settle each kernel's device-static timing terms for this GPU,
+    // as TensorRT settles its kernel choices when it builds the plan.
+    const gpu::KernelCostModel cost(spec_);
+    for (auto &k : e.kernels_) {
+        k.statics = cost.statics(k);
         e.total_flops_ += k.flops;
         e.total_bytes_ += k.bytes;
     }

@@ -11,7 +11,9 @@
  *  3. select tactics: tensor-core vs CUDA-core path, launch grid and
  *     the shape-dependent efficiency/issue parameters of the kernel
  *     cost model;
- *  4. size the engine's device-memory footprint.
+ *  4. size the engine's device-memory footprint;
+ *  5. settle each kernel's device-static timing terms on this GPU
+ *     (gpu::KernelStatics, tagged with the GpuSpec's digest).
  */
 
 #ifndef JETSIM_TRT_BUILDER_HH
@@ -60,8 +62,10 @@ class Builder
  * process for each distinct builder input and shared from then on
  * (build once, deploy many). The key is exactly what build() reads:
  * the network's digest, the precision and batch, the device's
- * precision-coverage table and whether it has tensor cores.
- * Thread-safe; the engine lives as long as the process or its last
+ * precision-coverage table and whether it has tensor cores. Two GPUs
+ * that agree on those share the engine, whose kernels' statics blocks
+ * carry the tag of the GPU that built it; the other GPU's cost model
+ * computes the same terms per call instead. Thread-safe; the engine lives as long as the process or its last
  * holder, whichever is longer.
  */
 std::shared_ptr<const Engine> sharedEngine(const soc::DeviceSpec &spec,

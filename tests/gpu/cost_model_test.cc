@@ -1,12 +1,23 @@
 /**
  * @file
  * Kernel cost-model tests: roofline behaviour, precision paths,
- * latency floor, and the derived utilisation counters.
+ * latency floor, the derived utilisation counters, and the statics
+ * block built engines carry (the same bits as the computed path,
+ * retagged by any GpuSpec change).
  */
 
 #include "gpu/cost_model.hh"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <bit>
+#include <functional>
+
+#include "check/reporter.hh"
+#include "models/zoo.hh"
+#include "soc/dvfs.hh"
+#include "trt/builder.hh"
 
 namespace jetsim::gpu {
 namespace {
@@ -185,6 +196,169 @@ TEST(CostModel, EfficiencyScaleIsCappedNearPeak)
     const double floor_ns =
         k.flops / (0.95 * spec.gpu.peakTcGflops(k.prec));
     EXPECT_GE(static_cast<double>(t.duration), floor_ns);
+}
+
+// ---------------------------------------------------- statics block
+
+/** A timing's every field, by bit pattern. */
+std::array<std::uint64_t, 6>
+bits(const KernelTiming &t)
+{
+    return {static_cast<std::uint64_t>(t.duration),
+            std::bit_cast<std::uint64_t>(t.sm_active),
+            std::bit_cast<std::uint64_t>(t.issue_slot),
+            std::bit_cast<std::uint64_t>(t.tc_util),
+            std::bit_cast<std::uint64_t>(t.bw_util),
+            std::bit_cast<std::uint64_t>(t.compute_frac)};
+}
+
+/** @p k with its statics block cleared: the computed path. */
+KernelDesc
+withoutBlock(const KernelDesc &k)
+{
+    KernelDesc c = k;
+    c.statics = {};
+    return c;
+}
+
+trt::Engine
+buildFor(const soc::DeviceSpec &spec, const std::string &model,
+         soc::Precision p, int batch = 1)
+{
+    return trt::Builder(spec).build(models::modelByName(model),
+                                    trt::BuilderConfig{p, batch});
+}
+
+TEST(KernelStatics, BlockPathMatchesComputedPathOverTheZoo)
+{
+    // Every zoo model at every precision on both boards, timed at each
+    // DVFS level's frequency fraction as the governor computes it,
+    // with a seeded jitter source and without one.
+    check::ScopedCapture cap;
+    std::uint64_t calls = 0;
+    for (const auto &spec : {soc::orinNano(), soc::jetsonNano()}) {
+        const KernelCostModel m(spec);
+        const auto tag = KernelCostModel::gpuTag(spec.gpu);
+        for (const auto &model : models::allModelNames()) {
+            for (const auto p : soc::kAllPrecisions) {
+                const auto e = buildFor(spec, model, p);
+                for (int level = 0; level < spec.gpu.dvfs_levels;
+                     ++level) {
+                    const double f = soc::DvfsGovernor::levelFreqFrac(
+                        spec.gpu, level);
+                    sim::Rng block_rng(0xb10c + level);
+                    sim::Rng computed_rng(0xb10c + level);
+                    for (const auto &k : e.kernels()) {
+                        ASSERT_EQ(k.statics.gpu, tag) << k.name;
+                        const auto c = withoutBlock(k);
+                        EXPECT_EQ(bits(m.timing(k, f)),
+                                  bits(m.timing(c, f)))
+                            << spec.name << " " << model << " "
+                            << k.name << " level " << level;
+                        EXPECT_EQ(bits(m.timing(k, f, &block_rng)),
+                                  bits(m.timing(c, f, &computed_rng)))
+                            << spec.name << " " << model << " "
+                            << k.name << " level " << level;
+                        calls += 2;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(calls, 10000u);
+    EXPECT_EQ(cap.total(), 0u);
+}
+
+TEST(KernelStatics, AnyGpuFieldChangeRetagsTheBlock)
+{
+    const auto base = soc::orinNano().gpu;
+    const auto tag = KernelCostModel::gpuTag(base);
+    EXPECT_NE(tag, 0u);
+    EXPECT_EQ(tag, KernelCostModel::gpuTag(soc::orinNano().gpu));
+    EXPECT_NE(tag, KernelCostModel::gpuTag(soc::jetsonNano().gpu));
+    EXPECT_NE(tag, KernelCostModel::gpuTag(soc::orinNano15W().gpu));
+
+    auto retagged = [&](auto mutate) {
+        auto g = base;
+        mutate(g);
+        return KernelCostModel::gpuTag(g);
+    };
+
+    using Gpu = soc::GpuSpec;
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.arch = "Maxwell"; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.num_sms += 1; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.cuda_cores_per_sm += 1; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.tensor_cores_per_sm += 1; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.max_freq_ghz += 0.001; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.min_freq_ghz += 0.001; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.dvfs_levels += 1; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.mem_bw_gbps += 0.5; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.mem_efficiency += 0.01; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.min_kernel_latency += 1; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.eff_tc_gflops_int8 += 1; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.eff_tc_gflops_fp16 += 1; }));
+    EXPECT_NE(tag, retagged([](Gpu &g) { g.eff_tc_gflops_tf32 += 1; }));
+    EXPECT_NE(tag,
+              retagged([](Gpu &g) { g.eff_cuda_gflops_fp32 += 1; }));
+    EXPECT_NE(tag,
+              retagged([](Gpu &g) { g.eff_cuda_gflops_fp16 += 1; }));
+}
+
+TEST(KernelStatics, AKernelBuiltForAnotherGpuTakesTheComputedPath)
+{
+    // Each GPU differs from orin-nano in one field that a static term
+    // reads, so orin-nano's block would be wrong for it.
+    const auto orin = soc::orinNano();
+    const auto e = buildFor(orin, "resnet50", soc::Precision::Int8);
+    using Gpu = soc::GpuSpec;
+    const std::function<void(Gpu &)> changes[] = {
+        [](Gpu &g) { g.num_sms = 16; },
+        [](Gpu &g) { g.tensor_cores_per_sm = 1; },
+        [](Gpu &g) { g.mem_bw_gbps = 34.0; },
+        [](Gpu &g) { g.mem_efficiency = 0.5; },
+        [](Gpu &g) { g.eff_tc_gflops_int8 *= 2.0; },
+    };
+    for (const auto &change : changes) {
+        auto spec = orin;
+        change(spec.gpu);
+        const KernelCostModel m(spec);
+        int stale = 0;
+        for (const auto &k : e.kernels()) {
+            const auto c = withoutBlock(k);
+            EXPECT_EQ(bits(m.timing(k, 0.7)), bits(m.timing(c, 0.7)))
+                << k.name;
+            const auto own = m.statics(k);
+            EXPECT_NE(own.gpu, k.statics.gpu);
+            stale += own.rate != k.statics.rate ||
+                     own.mem_ns != k.statics.mem_ns ||
+                     own.occupancy != k.statics.occupancy;
+        }
+        EXPECT_GT(stale, 0);
+    }
+}
+
+TEST(KernelStatics, InvalidDescriptorGetsNoBlockAndReportsEveryCall)
+{
+    const auto spec = soc::orinNano();
+    const KernelCostModel m(spec);
+    EXPECT_EQ(m.statics(bigTcKernel()).gpu,
+              KernelCostModel::gpuTag(spec.gpu));
+
+    KernelDesc k = bigTcKernel();
+    k.blocks = 0;
+    check::ScopedCapture cap;
+    EXPECT_EQ(m.statics(k).gpu, 0u);
+    EXPECT_EQ(cap.total(), 0u); // statics() itself reports nothing
+    k.statics = m.statics(k);
+    m.timing(k, 1.0);
+    m.timing(k, 1.0);
+    EXPECT_EQ(cap.count(check::Invariant::Plausibility), 2u);
+
+    // A negative zero passes the checks but sanitises to +0.0, which
+    // the block path would not see.
+    KernelDesc z = bigTcKernel();
+    z.bytes = -0.0;
+    EXPECT_EQ(m.statics(z).gpu, 0u);
 }
 
 } // namespace

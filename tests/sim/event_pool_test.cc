@@ -2,7 +2,8 @@
  * @file
  * Tests for the event core: component-owned timers (arming,
  * disarming, tie order, lifetime against the queue), a randomized
- * differential fuzz against a naive reference queue, a callback that
+ * differential fuzz against a naive pop-then-dispatch reference queue
+ * (self-re-arming timers and the views their targets see), a callback that
  * grows the slot table from inside its own dispatch, and the
  * zero-allocation guarantee of the steady-state schedule path.
  */
@@ -13,7 +14,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <queue>
 #include <tuple>
 #include <vector>
 
@@ -232,36 +232,135 @@ TEST(EventQueueTimer, QueueOutlivingAnArmedTimersOwnerTouchesNothing)
 
 // ------------------------------------------------- differential fuzz
 
-/** The pre-pool implementation: shared_ptr events in a binary heap
- * ordered by (when, priority, seq) — the dispatch-order oracle. */
+/** What a queue looks like from inside a target. */
+struct View
+{
+    std::uint64_t pending = 0;
+    bool empty = true;
+    bool has_next = false;
+    Tick next_when = 0;
+    int next_priority = 0;
+    std::uint64_t next_seq = 0; ///< counted from the first schedule
+    std::uint64_t peak_pending = 0;
+    std::uint64_t executed = 0;
+
+    bool operator==(const View &) const = default;
+};
+
+/**
+ * What a fuzz timer's target does, in this order: record the view,
+ * disarm timer @ref disarm (if >= 0), schedule a same-tick event at a
+ * priority number below its own when @ref lower_first (that key sorts
+ * below the firing timer's spent one), re-arm itself @ref rearm_in
+ * ticks on (if >= 0, at most @ref budget times), record the view
+ * again.
+ */
+struct Script
+{
+    int disarm = -1;
+    bool lower_first = false;
+    int rearm_in = -1;
+    int budget = 0;
+};
+
+/** Run @p k's script on either side of the fuzz (see Script). */
+template <class Side>
+void
+react(Side &side, std::vector<Script> &scripts, int k)
+{
+    Script &sc = scripts[static_cast<std::size_t>(k)];
+    side.views.push_back(side.view());
+    if (sc.disarm >= 0)
+        side.disarm(sc.disarm);
+    if (sc.lower_first)
+        side.schedule(side.now(), side.priority(k) - 1);
+    if (sc.rearm_in >= 0 && sc.budget > 0) {
+        --sc.budget;
+        side.arm(k, side.now() + sc.rearm_in);
+    }
+    side.views.push_back(side.view());
+}
+
+/**
+ * The pre-pool implementation's order with pop-then-dispatch: a flat
+ * list of (when, priority, seq) entries, the smallest popped before
+ * its target runs — the dispatch-order and view oracle.
+ */
 class NaiveQueue
 {
   public:
-    int
-    schedule(Tick when, int priority)
+    std::vector<int> got;
+    std::vector<View> views;
+    /** Dispatches whose key sorts below the previous one's. */
+    std::uint64_t out_of_order = 0;
+
+    explicit NaiveQueue(std::vector<Script> scripts,
+                        std::vector<int> priorities)
+        : scripts_(std::move(scripts)), pri_(std::move(priorities)),
+          timer_id_(pri_.size(), -1)
+    {}
+
+    Tick now() const { return now_; }
+    int priority(int k) const { return pri_[static_cast<std::size_t>(k)]; }
+
+    bool
+    armed(int k) const
     {
-        const int id = next_id_++;
-        heap_.push(Ev{when, priority, seq_++, id});
-        return id;
+        return timer_id_[static_cast<std::size_t>(k)] >= 0;
     }
 
-    void cancel(int id) { cancelled_.push_back(id); }
+    void schedule(Tick when, int pri) { push(when, pri, -1); }
 
-    std::vector<int>
+    void
+    arm(int k, Tick when)
+    {
+        timer_id_[static_cast<std::size_t>(k)] = push(when, priority(k), k);
+    }
+
+    void
+    disarm(int k)
+    {
+        int &id = timer_id_[static_cast<std::size_t>(k)];
+        std::erase_if(evs_, [id](const Ev &e) { return e.id == id; });
+        id = -1;
+    }
+
+    View
+    view() const
+    {
+        View v;
+        v.pending = evs_.size();
+        v.empty = evs_.empty();
+        if (!evs_.empty()) {
+            const Ev &e = *std::min_element(evs_.begin(), evs_.end());
+            v.has_next = true;
+            v.next_when = e.when;
+            v.next_priority = e.pri;
+            v.next_seq = e.seq;
+        }
+        v.peak_pending = peak_;
+        v.executed = executed_;
+        return v;
+    }
+
+    void
     runAll()
     {
-        std::vector<int> order;
-        while (!heap_.empty()) {
-            const Ev e = heap_.top();
-            heap_.pop();
-            bool dead = false;
-            for (const int c : cancelled_)
-                if (c == e.id)
-                    dead = true;
-            if (!dead)
-                order.push_back(e.id);
+        while (!evs_.empty()) {
+            const auto it = std::min_element(evs_.begin(), evs_.end());
+            const Ev e = *it;
+            evs_.erase(it);
+            if (executed_ > 0 && e < last_)
+                ++out_of_order;
+            last_ = e;
+            now_ = e.when;
+            ++executed_;
+            got.push_back(e.id);
+            if (e.timer >= 0) {
+                timer_id_[static_cast<std::size_t>(e.timer)] = -1;
+                react(*this, scripts_, e.timer);
+            }
         }
-        return order;
     }
 
   private:
@@ -271,75 +370,201 @@ class NaiveQueue
         int pri;
         std::uint64_t seq;
         int id;
-    };
-    struct Later
-    {
+        int timer; ///< -1 for a plain event
+
         bool
-        operator()(const Ev &a, const Ev &b) const
+        operator<(const Ev &o) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.pri != b.pri)
-                return a.pri > b.pri;
-            return a.seq > b.seq;
+            return std::tie(when, pri, seq) < std::tie(o.when, o.pri, o.seq);
         }
     };
-    std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
-    std::vector<int> cancelled_;
+
+    int
+    push(Tick when, int pri, int timer)
+    {
+        const int id = next_id_++;
+        evs_.push_back(Ev{when, pri, seq_++, id, timer});
+        peak_ = std::max<std::uint64_t>(peak_, evs_.size());
+        return id;
+    }
+
+    std::vector<Script> scripts_;
+    std::vector<int> pri_;
+    std::vector<int> timer_id_; ///< pending occurrence's id, or -1
+    std::vector<Ev> evs_;
+    Ev last_{};
+    Tick now_ = 0;
     std::uint64_t seq_ = 0;
+    std::uint64_t peak_ = 0;
+    std::uint64_t executed_ = 0;
+    int next_id_ = 0;
+};
+
+/** The same calls on a real EventQueue, each timer's target running
+ * its script. */
+class RealSide
+{
+  public:
+    EventQueue eq;
+    std::vector<int> got;
+    std::vector<View> views;
+
+    RealSide(std::vector<Script> scripts, const std::vector<int> &pri)
+        : scripts_(std::move(scripts))
+    {
+        for (std::size_t k = 0; k < pri.size(); ++k)
+            timers_.push_back(std::unique_ptr<FuzzTimer>(
+                new FuzzTimer{this, static_cast<int>(k), pri[k]}));
+    }
+
+    Tick now() const { return eq.now(); }
+    int priority(int k) const { return timer(k).priority; }
+    bool armed(int k) const { return timer(k).timer.armed(); }
+
+    void
+    schedule(Tick when, int pri)
+    {
+        const int id = next_id_++;
+        eq.schedule(when, [this, id] { got.push_back(id); }, pri);
+    }
+
+    void
+    arm(int k, Tick when)
+    {
+        timer(k).id = next_id_++;
+        eq.arm(timer(k).timer, when);
+    }
+
+    void disarm(int k) { eq.disarm(timer(k).timer); }
+
+    View
+    view() const
+    {
+        View v;
+        v.pending = eq.pending();
+        v.empty = eq.empty();
+        EventQueue::NextEvent next;
+        v.has_next = eq.peekNext(next);
+        if (v.has_next) {
+            v.next_when = next.when;
+            v.next_priority = next.priority;
+            v.next_seq = next.seq - EventQueue::kMessageSeqLimit;
+        }
+        const auto s = eq.stats();
+        EXPECT_EQ(s.pending, v.pending);
+        v.peak_pending = s.peak_pending;
+        v.executed = s.executed;
+        return v;
+    }
+
+  private:
+    struct FuzzTimer
+    {
+        RealSide *side;
+        int k;
+        int priority;
+        int id = -1;
+        EventQueue::Timer timer{
+            [](void *self) {
+                auto *t = static_cast<FuzzTimer *>(self);
+                t->side->got.push_back(t->id);
+                react(*t->side, t->side->scripts_, t->k);
+            },
+            this, priority};
+    };
+
+    FuzzTimer &timer(int k) { return *timers_[static_cast<std::size_t>(k)]; }
+
+    const FuzzTimer &
+    timer(int k) const
+    {
+        return *timers_[static_cast<std::size_t>(k)];
+    }
+
+    std::vector<Script> scripts_;
+    std::vector<std::unique_ptr<FuzzTimer>> timers_;
     int next_id_ = 0;
 };
 
 TEST(EventPoolFuzz, RandomScheduleCancelMatchesReference)
 {
+    // Timers join the stream at their own fixed priorities; the
+    // reference schedules each arm as a plain entry at that priority
+    // and erases it when the timer is disarmed. Half the timers' targets
+    // re-arm themselves, which the queue does in place (the hold); some
+    // of those first schedule a same-tick event that sorts below the
+    // held entry, and some disarm another timer. Every target records
+    // the queue's views before and after, which must read as if its
+    // entry had been popped before the call.
+    check::ScopedCapture cap;
     Rng rng(0xfeedu);
-    for (int round = 0; round < 20; ++round) {
-        EventQueue eq;
-        NaiveQueue ref;
-        std::vector<int> got;
-
-        // Timers join the stream at their own fixed priorities; the
-        // oracle schedules each arm as a plain event at that priority
-        // and cancels it when the timer is disarmed.
-        std::vector<std::unique_ptr<Probe>> timers;
-        for (int k = 0; k < 16; ++k)
-            timers.push_back(std::unique_ptr<Probe>(new Probe{
-                &got, -1, static_cast<int>(rng.uniformInt(0, 5)) - 2}));
+    std::uint64_t holds = 0;
+    std::uint64_t out_of_order = 0;
+    for (int round = 0; round < 40; ++round) {
+        constexpr int kTimers = 16;
+        std::vector<int> pri;
+        std::vector<Script> scripts;
+        for (int k = 0; k < kTimers; ++k) {
+            pri.push_back(static_cast<int>(rng.uniformInt(0, 5)) - 2);
+            Script sc;
+            if (rng.uniformInt(0, 1) == 0) {
+                sc.rearm_in = static_cast<int>(rng.uniformInt(0, 6));
+                sc.budget = 1 + static_cast<int>(rng.uniformInt(0, 3));
+                sc.lower_first = rng.uniformInt(0, 3) == 0;
+            }
+            if (rng.uniformInt(0, 4) == 0)
+                sc.disarm = static_cast<int>(
+                    (k + 1 + rng.uniformInt(0, kTimers - 2)) % kTimers);
+            holds += sc.rearm_in >= 0 ? 1 : 0;
+            scripts.push_back(sc);
+        }
+        RealSide real(scripts, pri);
+        NaiveQueue ref(scripts, pri);
 
         const int n = 50 + static_cast<int>(rng.uniformInt(0, 150));
         std::uint64_t events = 0;
         for (int i = 0; i < n; ++i) {
             const Tick when = static_cast<Tick>(rng.uniformInt(0, 50));
-            Probe &tp = *timers[static_cast<std::size_t>(
-                rng.uniformInt(0, timers.size() - 1))];
-            if (rng.uniformInt(0, 3) == 0 && !tp.timer.armed()) {
-                tp.id = ref.schedule(when, tp.priority);
-                eq.arm(tp.timer, when);
+            const int k = static_cast<int>(rng.uniformInt(0, kTimers - 1));
+            if (rng.uniformInt(0, 3) == 0 && !real.armed(k)) {
+                ref.arm(k, when);
+                real.arm(k, when);
                 continue;
             }
-            const int pri = static_cast<int>(rng.uniformInt(0, 5)) - 2;
-            const int id = ref.schedule(when, pri);
-            eq.schedule(when, [&got, id] { got.push_back(id); }, pri);
+            const int p = static_cast<int>(rng.uniformInt(0, 5)) - 2;
+            ref.schedule(when, p);
+            real.schedule(when, p);
             ++events;
             // Occasionally disarm a random timer (a no-op on both
             // sides when it is not armed).
             if (rng.uniformInt(0, 4) == 0) {
-                Probe &dp = *timers[static_cast<std::size_t>(
-                    rng.uniformInt(0, timers.size() - 1))];
-                if (dp.timer.armed())
-                    ref.cancel(dp.id);
-                eq.disarm(dp.timer);
+                const int d =
+                    static_cast<int>(rng.uniformInt(0, kTimers - 1));
+                ref.disarm(d);
+                real.disarm(d);
             }
         }
         // Disarmed timers left the heap: only events and armed timers
         // are pending.
         std::uint64_t armed = 0;
-        for (const auto &t : timers)
-            armed += t->timer.armed() ? 1 : 0;
-        EXPECT_EQ(eq.pending(), events + armed);
-        eq.runAll();
-        EXPECT_EQ(got, ref.runAll()) << "round " << round;
+        for (int k = 0; k < kTimers; ++k)
+            armed += real.armed(k) ? 1 : 0;
+        EXPECT_EQ(real.eq.pending(), events + armed);
+        EXPECT_EQ(real.view(), ref.view());
+
+        real.eq.runAll();
+        ref.runAll();
+        EXPECT_EQ(real.got, ref.got) << "round " << round;
+        EXPECT_TRUE(real.views == ref.views) << "round " << round;
+        EXPECT_EQ(real.view(), ref.view()) << "round " << round;
+        out_of_order += ref.out_of_order;
     }
+    EXPECT_GT(holds, 0u);
+    // A same-tick event below the firing timer's key dispatches out of
+    // order in both queues; JetSan reports each one and nothing else.
+    EXPECT_GT(out_of_order, 0u);
+    EXPECT_EQ(cap.count(check::Invariant::Causality), out_of_order);
+    EXPECT_EQ(cap.total(), out_of_order);
 }
 
 // -------------------------------------------------------- slot table

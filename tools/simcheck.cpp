@@ -10,10 +10,13 @@
  * (tools/ci.sh runs it after the sanitized test pass).
  *
  * Before the replays it also checks the plan round trip: the spec's
- * engine is serialized, deserialized and "run" through the
- * deterministic kernel cost model; the plan text and the timing
- * digest must be bit-identical on both sides, so a plan file can be
- * built once and deployed many times without drift.
+ * engine is serialized, deserialized and "run" through the kernel
+ * cost model at every DVFS level with a seeded jitter source; the
+ * plan text and the timing digest must be bit-identical on both
+ * sides, so a plan file can be built once and deployed many times
+ * without drift. The built engine's kernels carry statics blocks and
+ * the restored ones do not, so this also holds the cost model's two
+ * paths to the same bits.
  *
  *   simcheck --model=yolov8n --precision=int8 --procs=2 --runs=3
  *   simcheck --seeds=1,2,3        # distinct seeds must all differ? no:
@@ -80,6 +83,7 @@
 #include "models/zoo.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
+#include "soc/dvfs.hh"
 #include "trt/builder.hh"
 
 using namespace jetsim;
@@ -111,22 +115,28 @@ parseSeeds(const std::string &csv)
     return seeds;
 }
 
-/** Digest of a deterministic dry run: every kernel through the cost
- * model at full frequency with the jitter source disabled. */
+/** Digest of a dry run: every kernel through the cost model at each
+ * DVFS level's frequency fraction (as the governor computes it), the
+ * jitter drawn from one source seeded with @p seed. */
 std::uint64_t
-dryRunDigest(const trt::Engine &e, const soc::DeviceSpec &spec)
+dryRunDigest(const trt::Engine &e, const soc::DeviceSpec &spec,
+             std::uint64_t seed)
 {
     const gpu::KernelCostModel cost(spec);
+    sim::Rng rng(seed);
     check::Digest d;
-    for (const auto &k : e.kernels()) {
-        const auto t = cost.timing(k, 1.0, nullptr);
-        d.add(k.name);
-        d.add(static_cast<std::int64_t>(t.duration));
-        d.add(t.sm_active);
-        d.add(t.issue_slot);
-        d.add(t.tc_util);
-        d.add(t.bw_util);
-        d.add(t.compute_frac);
+    for (int level = 0; level < spec.gpu.dvfs_levels; ++level) {
+        const double f = soc::DvfsGovernor::levelFreqFrac(spec.gpu, level);
+        for (const auto &k : e.kernels()) {
+            const auto t = cost.timing(k, f, &rng);
+            d.add(k.name);
+            d.add(static_cast<std::int64_t>(t.duration));
+            d.add(t.sm_active);
+            d.add(t.issue_slot);
+            d.add(t.tc_util);
+            d.add(t.bw_util);
+            d.add(t.compute_frac);
+        }
     }
     return d.value();
 }
@@ -171,8 +181,8 @@ planRoundTripCheck(const core::ExperimentSpec &spec)
                    spec.model.c_str());
     }
 
-    const auto before = dryRunDigest(built, dev);
-    const auto after = dryRunDigest(*restored, dev);
+    const auto before = dryRunDigest(built, dev, spec.seed);
+    const auto after = dryRunDigest(*restored, dev, spec.seed);
     if (before != after) {
         ok = false;
         rep.report(check::Severity::Error,
