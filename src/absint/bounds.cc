@@ -181,11 +181,11 @@ analyze(const core::MixedExperimentSpec &spec)
     b.cpu.big_cores = dev->bigCores();
     b.cpu.procs = nproc;
     b.cpu.prep_hi_ms =
-        sim::toMsec(defaults.prep_cost) * sim::kLognormalEnvelope;
+        sim::toMsec(workload::kPrepCost) * sim::kLognormalEnvelope;
     b.cpu.launch_hi_ms = sim::toMsec(rt.launch_cpu_cost) * lof *
                          sim::kLognormalEnvelope;
     b.cpu.sync_ms = sim::toMsec(rt.sync_cpu_cost);
-    b.cpu.spin_chunk_ms = sim::toMsec(defaults.spin_chunk);
+    b.cpu.spin_chunk_ms = sim::toMsec(workload::kSpinChunk);
     b.cpu.spin_wait = defaults.spin_wait;
 
     // --- GPU arbitration ----------------------------------------------

@@ -14,7 +14,6 @@
 #ifndef JETSIM_ABSINT_INTERVAL_HH
 #define JETSIM_ABSINT_INTERVAL_HH
 
-#include <algorithm>
 #include <string>
 
 namespace jetsim::absint {
@@ -34,34 +33,6 @@ struct Interval
 
     bool valid() const { return lo <= hi; }
     double width() const { return hi - lo; }
-
-    Interval
-    operator+(const Interval &o) const
-    {
-        return {lo + o.lo, hi + o.hi};
-    }
-
-    Interval &
-    operator+=(const Interval &o)
-    {
-        lo += o.lo;
-        hi += o.hi;
-        return *this;
-    }
-
-    /** Scale by a non-negative constant. */
-    Interval
-    scaled(double k) const
-    {
-        return {lo * k, hi * k};
-    }
-
-    /** Smallest interval containing both (join). */
-    Interval
-    hull(const Interval &o) const
-    {
-        return {std::min(lo, o.lo), std::max(hi, o.hi)};
-    }
 
     /** `[lo, hi]` with %.3f precision, for reports. */
     std::string str() const;

@@ -29,11 +29,10 @@ enum class Invariant {
     StreamHazard,     ///< use of destroyed streams/contexts, overlap
     Plausibility,     ///< physical bounds (power, freq, NaN/Inf)
     Determinism,      ///< same seed must reproduce bit-identically
-    StaticLint,       ///< ahead-of-time findings (src/lint, jetlint)
 };
 
 /** Number of Invariant enumerators (sizes per-class counters). */
-inline constexpr int kInvariantCount = 6;
+inline constexpr int kInvariantCount = 5;
 
 /** Display name, e.g. "error". */
 const char *severityName(Severity s);

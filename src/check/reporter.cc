@@ -30,7 +30,6 @@ invariantName(Invariant i)
       case Invariant::StreamHazard: return "stream-hazard";
       case Invariant::Plausibility: return "plausibility";
       case Invariant::Determinism: return "determinism";
-      case Invariant::StaticLint: return "static-lint";
     }
     return "?";
 }
@@ -98,13 +97,6 @@ Reporter::count(Invariant inv) const
 {
     core::LockGuard lock(mu_);
     return by_invariant_[static_cast<int>(inv)];
-}
-
-std::vector<Violation>
-Reporter::violationsSnapshot() const
-{
-    core::LockGuard lock(mu_);
-    return violations_;
 }
 
 void

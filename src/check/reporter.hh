@@ -11,8 +11,7 @@
  *
  * The reporter's mode decides what happens next:
  *  - Abort: print and abort() on Error (the default — tests and
- *    tier-1 runs must never continue past a simulator bug; this
- *    matches the panic() semantics the checks replaced),
+ *    tier-1 runs must never continue past a simulator bug),
  *  - Log:   print to stderr and keep running (benches, tools),
  *  - Count: record silently (violation-injection tests).
  *
@@ -76,22 +75,12 @@ class Reporter
     std::uint64_t count(Invariant inv) const JETSIM_EXCLUDES(mu_);
 
     /**
-     * Most recent violations (bounded history), copied under the
-     * lock — safe at any time, including while parallel Runner cells
-     * are still reporting.
-     */
-    std::vector<Violation> violationsSnapshot() const
-        JETSIM_EXCLUDES(mu_);
-
-    /**
-     * Most recent violations, by reference to internal storage —
-     * zero-copy, but legal only from a quiescent point (no
+     * Most recent violations (bounded history), by reference to
+     * internal storage — legal only from a quiescent point (no
      * concurrent simulations reporting), e.g. after a Runner batch
      * has joined or under ScopedCapture in a single-threaded test.
-     * The PR-7 thread-safety audit kept this accessor (every in-tree
-     * caller is a quiescent test) but the analysis is suppressed, so
-     * new callers must justify quiescence — prefer
-     * violationsSnapshot().
+     * The thread-safety analysis is suppressed here, so new callers
+     * must justify quiescence.
      */
     const std::vector<Violation> &violations() const
         JETSIM_NO_THREAD_SAFETY_ANALYSIS
@@ -142,12 +131,6 @@ class ScopedCapture
     const std::vector<Violation> &violations() const
     {
         return Reporter::instance().violations();
-    }
-
-    /** Lock-safe copy; use when reporters may still be running. */
-    std::vector<Violation> violationsSnapshot() const
-    {
-        return Reporter::instance().violationsSnapshot();
     }
 
   private:

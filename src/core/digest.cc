@@ -86,29 +86,7 @@ resultDigest(const MixedExperimentResult &r)
 std::uint64_t
 resultDigest(const FleetResult &r)
 {
-    check::Digest d;
-    d.add(r.spec.label());
-    d.add(std::uint64_t{r.all_deployed});
-    for (const auto &dev : r.devices) {
-        d.add(dev.name);
-        d.add(dev.device);
-        d.add(std::uint64_t{dev.deployed});
-        d.add(dev.arrived);
-        d.add(dev.served);
-        d.add(dev.throughput);
-        d.add(dev.p50_ms);
-        d.add(dev.p99_ms);
-        d.add(dev.max_ms);
-        d.add(dev.max_queue);
-    }
-    d.add(r.total_throughput);
-    d.add(r.p99_ms);
-    d.add(r.dispatched);
-    // Structural check: total events executed is the same simulation
-    // regardless of shard/thread topology. epochs/merge_steps are
-    // deliberately excluded (mode diagnostics).
-    d.add(r.events);
-    return d.value();
+    return fieldListDigest(r);
 }
 
 } // namespace jetsim::core

@@ -9,9 +9,8 @@
  * (tools/simcheck) and tests/check/determinism_test.cc can compare
  * runs with a single integer.
  *
- * The experiment digests walk the result's field list
- * (sim/fields.hh), so a field added to the list is digested without
- * touching this file.
+ * Every digest walks the result's field list (sim/fields.hh), so a
+ * field added to the list is digested without touching this file.
  */
 
 #ifndef JETSIM_CORE_DIGEST_HH
@@ -31,12 +30,13 @@ std::uint64_t resultDigest(const ExperimentResult &r);
 std::uint64_t resultDigest(const MixedExperimentResult &r);
 
 /**
- * Digest of a fleet result. Folds only topology-invariant fields —
- * per-board serving metrics, balancer decisions, and the total
- * executed-event count — never the engine's epoch/merge diagnostics,
- * which legitimately vary with (shards, threads). Equality of this
- * digest across configurations *is* the sharded engine's bit-identity
- * claim (tests/sim/sharded_diff_test.cc, CI pass 1c).
+ * Digest of a fleet result. Its field list holds only
+ * topology-invariant fields — per-board serving metrics, balancer
+ * decisions, and the total executed-event count — never the engine's
+ * epoch/merge diagnostics, which legitimately vary with (shards,
+ * threads). Equality of this digest across configurations *is* the
+ * sharded engine's bit-identity claim (tests/sim/sharded_diff_test.cc,
+ * CI pass 1c).
  */
 std::uint64_t resultDigest(const FleetResult &r);
 

@@ -130,6 +130,22 @@ struct FleetDeviceResult
     std::uint64_t max_queue = 0; ///< deepest backlog observed
 };
 
+template <class V, sim::FieldsOf<FleetDeviceResult> S>
+void
+visitFields(V &v, S &r)
+{
+    v("name", r.name);
+    v("device", r.device);
+    v("deployed", r.deployed);
+    v("arrived", r.arrived);
+    v("served", r.served);
+    v("throughput", r.throughput);
+    v("p50_ms", r.p50_ms);
+    v("p99_ms", r.p99_ms);
+    v("max_ms", r.max_ms);
+    v("max_queue", r.max_queue);
+}
+
 /** Everything one fleet run produces. */
 struct FleetResult
 {
@@ -143,7 +159,8 @@ struct FleetResult
      * shard/thread count (the same simulation runs either way), so
      * it is folded into the digest as a structural check. */
     std::uint64_t events = 0;
-    /** @name Engine diagnostics — mode-dependent, never digested.
+    /** @name Engine diagnostics — mode-dependent, so off the field
+     * list and never digested.
      * @{ */
     /** Rises of the smallest shard clock: how often the slowest
      * shard's clock advanced (sim::ShardedEngine::Stats::epochs). */
@@ -154,6 +171,22 @@ struct FleetResult
     std::uint64_t messages = 0;
     /** @} */
 };
+
+template <class V, sim::FieldsOf<FleetResult> S>
+void
+visitFields(V &v, S &r)
+{
+    v("spec", r.spec);
+    v("all_deployed", r.all_deployed);
+    v("devices", r.devices);
+    v("total_throughput", r.total_throughput);
+    v("p99_ms", r.p99_ms);
+    v("dispatched", r.dispatched);
+    v("events", r.events);
+    // epochs, barriers, merge_steps and messages vary with (shards,
+    // threads): listing them would break the digest's equality
+    // across topologies.
+}
 
 /** How to run a fleet: shard/thread topology of the event core. */
 struct FleetOptions

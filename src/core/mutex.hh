@@ -40,11 +40,6 @@ class JETSIM_CAPABILITY("mutex") Mutex
 
     void lock() JETSIM_ACQUIRE() { m_.lock(); }
     void unlock() JETSIM_RELEASE() { m_.unlock(); }
-    bool try_lock() JETSIM_TRY_ACQUIRE(true) { return m_.try_lock(); }
-
-    /** The wrapped handle, for APIs that need a std::mutex (none in
-     * tree today; condition variables would use this). */
-    std::mutex &native() { return m_; }
 
   private:
     std::mutex m_;

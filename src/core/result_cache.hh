@@ -43,8 +43,6 @@ class ResultCache
     /** Open (and create, if needed) a cache rooted at @p dir. */
     explicit ResultCache(std::string dir);
 
-    const std::string &dir() const { return dir_; }
-
     /** Digest of every field of @p spec (the cache key). */
     static std::uint64_t specKey(const ExperimentSpec &spec);
 

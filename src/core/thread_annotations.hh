@@ -81,10 +81,6 @@
 #define JETSIM_RELEASE_SHARED(...) \
     JETSIM_THREAD_ATTR(release_shared_capability(__VA_ARGS__))
 
-/** Conditional acquisition: returns @p r iff acquired. */
-#define JETSIM_TRY_ACQUIRE(r, ...) \
-    JETSIM_THREAD_ATTR(try_acquire_capability(r, __VA_ARGS__))
-
 /** Caller must NOT hold the listed capabilities (anti-deadlock). */
 #define JETSIM_EXCLUDES(...) \
     JETSIM_THREAD_ATTR(locks_excluded(__VA_ARGS__))

@@ -66,12 +66,6 @@ class OsScheduler
      */
     void setPartitioned(bool on) { partitioned_ = on; }
 
-    /** Access the owned threads (test support). */
-    const std::vector<std::unique_ptr<Thread>> &threads() const
-    {
-        return threads_;
-    }
-
   private:
     friend class Thread;
 

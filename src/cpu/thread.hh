@@ -57,9 +57,6 @@ class Thread
      */
     void spin(sim::Tick chunk, const bool *ready, sim::InlineFn done);
 
-    /** Display name, resolved from the interned id. */
-    const std::string &name() const { return sim::nameOf(name_id_); }
-
     /** Interned id of the thread's name. */
     sim::NameId nameId() const { return name_id_; }
     State state() const { return state_; }

@@ -409,17 +409,6 @@ Network::peakActivationElems() const
     return peak;
 }
 
-int
-Network::fanout(int id) const
-{
-    int n = 0;
-    for (const auto &l : layers_)
-        for (int in : l.inputs)
-            if (in == id)
-                ++n;
-    return n;
-}
-
 std::string
 Network::toDot() const
 {

@@ -190,9 +190,6 @@ class Network
      */
     std::int64_t peakActivationElems() const;
 
-    /** Number of layers that consume layer @p id. */
-    int fanout(int id) const;
-
     /** Panics if the graph is malformed (dangling inputs, etc). */
     void validate() const;
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <string_view>
 
-#include "check/reporter.hh"
 #include "sim/json.hh"
 
 namespace jetsim::lint {
@@ -111,16 +110,6 @@ Report::json() const
            ",\"infos\":" +
            std::to_string(count(check::Severity::Info)) + "}";
     return out;
-}
-
-void
-Report::toReporter() const
-{
-    auto &rep = check::Reporter::instance();
-    for (const auto &f : findings_)
-        rep.report(f.severity, check::Invariant::StaticLint,
-                   f.component.c_str(), check::kTimeUnknown, "[%s] %s",
-                   ruleInfo(f.rule).id, f.message.c_str());
 }
 
 } // namespace jetsim::lint

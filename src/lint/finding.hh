@@ -6,9 +6,7 @@
  * a catalogue rule with the concrete artifact it fired on (component
  * + location), a message with the offending numbers, and — where the
  * fix is mechanical — a hint. The report renders as human-readable
- * text or as JSON for CI tooling, and can forward itself into the
- * JetSan check::Reporter so static findings obey the same
- * abort/log/count modes as runtime violations.
+ * text or as JSON for CI tooling.
  */
 
 #ifndef JETSIM_LINT_FINDING_HH
@@ -74,14 +72,6 @@ class Report
 
     /** Machine-readable rendering (stable field order). */
     std::string json() const;
-
-    /**
-     * Forward every finding into the JetSan reporter as a StaticLint
-     * violation, honouring its Abort/Log/Count mode. Lets runtime
-     * harnesses treat "the config never could have worked" exactly
-     * like a runtime invariant violation.
-     */
-    void toReporter() const;
 
   private:
     std::vector<Finding> findings_;

@@ -112,8 +112,6 @@ class DeploymentModel final : public Model
     int procOf(sim::ChoiceKind kind, std::int64_t actor) const override;
     bool dependent(int pa, int pb) const override;
 
-    const DeployConfig &config() const { return cfg_; }
-
   private:
     DeployConfig cfg_;
     /** Interned per-process thread names (CpuRunQueue actor tags). */

@@ -59,10 +59,8 @@ class TraceChooser final : public sim::Chooser
             // earlier choice changed the run) falls back to the
             // default rather than crashing: exploration treats the
             // resulting trace as what actually happened.
-            if (pick < 0 || pick >= n) {
+            if (pick < 0 || pick >= n)
                 pick = 0;
-                ++clamped_;
-            }
         }
         rec.picked = pick;
         trace_.push_back(rec);
@@ -71,13 +69,9 @@ class TraceChooser final : public sim::Chooser
 
     const std::vector<ChoiceRec> &trace() const { return trace_; }
 
-    /** Script entries that no longer matched a legal alternative. */
-    std::uint64_t clamped() const { return clamped_; }
-
   private:
     std::vector<int> script_;
     std::vector<ChoiceRec> trace_;
-    std::uint64_t clamped_ = 0;
 };
 
 } // namespace jetsim::mc

@@ -1,7 +1,6 @@
 #include "prof/cdf.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "sim/logging.hh"
 
@@ -77,19 +76,6 @@ Cdf::curve(int points) const
         out.emplace_back(x, fractionBelow(x));
     }
     return out;
-}
-
-std::string
-Cdf::summary() const
-{
-    if (samples_.empty())
-        return "(no samples)";
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "p10=%6.2f p50=%6.2f p90=%6.2f max=%6.2f",
-                  quantile(0.10), quantile(0.50), quantile(0.90),
-                  max());
-    return buf;
 }
 
 } // namespace jetsim::prof

@@ -7,7 +7,6 @@
 #define JETSIM_PROF_CDF_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "sim/fields.hh"
@@ -45,12 +44,6 @@ class Cdf
      * sample range — the series a plotting script would consume.
      */
     std::vector<std::pair<double, double>> curve(int points = 21) const;
-
-    /**
-     * Render a fixed-width ASCII summary line of selected quantiles,
-     * e.g. "p10=..  p50=..  p90=..  max=..".
-     */
-    std::string summary() const;
 
     /** Raw samples in their current order (sorted iff a
      * quantile-style query already ran). */

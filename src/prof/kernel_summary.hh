@@ -52,9 +52,8 @@ class KernelSummary
     KernelSummary &operator=(const KernelSummary &) = delete;
 
     /** Subscribe to the engine's kernel records, beside any other
-     * subscriber; detach() unsubscribes (keeps the table). */
+     * subscriber, until destruction. */
     void attach();
-    void detach() { sub_.reset(); }
 
     /** Feed one record manually (e.g. from a replayed trace). */
     void record(const gpu::KernelRecord &rec);

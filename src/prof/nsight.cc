@@ -29,10 +29,8 @@ NsightTracer::attach()
         duration_.sample(static_cast<double>(rec.end - rec.start));
     });
 
-    if (intrusion_) {
-        engine_.setExtraKernelOverhead(kPerKernelOverhead);
-        board_.setLaunchOverheadFactor(kLaunchOverheadFactor);
-    }
+    engine_.setExtraKernelOverhead(kPerKernelOverhead);
+    board_.setLaunchOverheadFactor(kLaunchOverheadFactor);
 
     board_.eq().armIn(sample_timer_, interval_);
 }
@@ -46,17 +44,6 @@ NsightTracer::detach()
     engine_.setExtraKernelOverhead(0);
     board_.setLaunchOverheadFactor(1.0);
     board_.eq().disarm(sample_timer_);
-}
-
-void
-NsightTracer::setIntrusion(bool on)
-{
-    intrusion_ = on;
-    if (sub_) {
-        engine_.setExtraKernelOverhead(on ? kPerKernelOverhead : 0);
-        board_.setLaunchOverheadFactor(on ? kLaunchOverheadFactor
-                                          : 1.0);
-    }
 }
 
 void

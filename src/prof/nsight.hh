@@ -44,12 +44,6 @@ class NsightTracer
      * queue lives. */
     void detach();
 
-    /**
-     * Disable the intrusion while keeping tracing (an idealised
-     * zero-overhead profiler; used by ablation A4's baseline).
-     */
-    void setIntrusion(bool on);
-
     /** Drop collected data (e.g. after warm-up). */
     void reset();
 
@@ -74,7 +68,6 @@ class NsightTracer
     gpu::GpuEngine &engine_;
     sim::Tick interval_;
     gpu::GpuEngine::Subscription sub_;
-    bool intrusion_ = true;
     sim::EventQueue::Timer sample_timer_; ///< target: sampleCounters()
 
     sim::Accumulator duration_;

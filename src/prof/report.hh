@@ -27,8 +27,6 @@ class Table
     /** Append a row; must match the header width. */
     void addRow(std::vector<std::string> cells);
 
-    std::size_t rows() const { return rows_.size(); }
-
     /** Render with padded columns and a header rule. */
     void print(std::ostream &os) const;
 

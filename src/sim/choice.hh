@@ -46,23 +46,6 @@ enum class ChoiceKind : std::uint8_t {
                      ///< priority) merge pick (serial-merge fallback)
 };
 
-/** Stable short name for traces and reports. */
-inline const char *
-name(ChoiceKind k)
-{
-    switch (k) {
-      case ChoiceKind::EventTie:
-        return "event-tie";
-      case ChoiceKind::GpuChannel:
-        return "gpu-channel";
-      case ChoiceKind::CpuRunQueue:
-        return "cpu-runq";
-      case ChoiceKind::ShardMerge:
-        return "shard-merge";
-    }
-    return "?";
-}
-
 /** Actor id when the alternative has no attributable model entity. */
 inline constexpr std::int64_t kActorUnknown = -1;
 

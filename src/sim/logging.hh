@@ -3,9 +3,10 @@
  * Error-reporting helpers in the gem5 tradition.
  *
  * `fatal()` terminates the run for conditions that are the user's
- * fault (bad configuration, impossible experiment spec). `panic()`
- * aborts for conditions that indicate a bug in the simulator itself.
- * `warn()` and `inform()` report without stopping.
+ * fault (bad configuration, impossible experiment spec).
+ * JETSIM_ASSERT aborts for conditions that indicate a bug in the
+ * simulator itself. `warn()` reports without stopping. Every message
+ * goes to stderr.
  */
 
 #ifndef JETSIM_SIM_LOGGING_HH
@@ -16,37 +17,12 @@
 
 namespace jetsim::sim {
 
-/** Severity of a log message. */
-enum class LogLevel { Info, Warn, Fatal, Panic };
-
-/**
- * Sink invoked for every log message. Tests may replace it to capture
- * output; the default writes to stderr.
- */
-using LogSink = void (*)(LogLevel, const std::string &);
-
-/**
- * Replace the process-wide log sink; returns the previous sink.
- *
- * The swap is atomic but deliberately does not wait for concurrent
- * log calls to finish: a thread may still be executing the *old*
- * sink when this returns. Sinks are therefore required to be
- * stateless function pointers that remain callable for the life of
- * the process — do not install a sink that reads state you intend
- * to tear down while other threads can still log (annotated
- * benign-racy in the PR-7 thread-safety audit; see logging.cc).
- */
-LogSink setLogSink(LogSink sink);
-
 /** printf-style message formatting used by the helpers below. */
 std::string vformat(const char *fmt, std::va_list ap);
 
 /** printf-style formatting into a string, of any length. */
 std::string format(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Report a condition the user should know about but not worry over. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Report a condition that might indicate degraded behaviour. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -56,12 +32,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
  * user-level error (invalid configuration or arguments).
  */
 [[noreturn]] void fatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/**
- * Abort: an internal invariant was violated; this is a simulator bug.
- */
-[[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /** JETSIM_ASSERT's slow path; `fmt` adds optional context. */

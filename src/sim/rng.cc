@@ -124,12 +124,6 @@ Rng::lognormalBounded(const Lognormal &d)
     return v < lo ? lo : (v > hi ? hi : v);
 }
 
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
-}
-
 Rng
 Rng::fork(std::string_view label)
 {

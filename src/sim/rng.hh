@@ -81,21 +81,12 @@ class Rng
     /** Log-normal variate from @p d (see Lognormal). */
     double lognormal(const Lognormal &d);
 
-    /** As above for a distribution used once. */
-    double lognormal(double mean, double cv)
-    {
-        return lognormal(Lognormal(mean, cv));
-    }
-
     /**
      * lognormal() clamped to the kLognormalEnvelope band around the
      * mean. All CPU-side latency draws in the simulator use this form
      * so worst cases are boundable (see src/absint).
      */
     double lognormalBounded(const Lognormal &d);
-
-    /** Bernoulli trial with probability p of true. */
-    bool chance(double p);
 
     /**
      * Deterministically derive an independent child generator. The

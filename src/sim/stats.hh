@@ -2,7 +2,7 @@
  * @file
  * Lightweight statistics primitives shared across the simulator.
  *
- * `Accumulator` tracks streaming moments (Welford) plus min/max;
+ * `Accumulator` tracks a streaming count, mean, minimum and maximum;
  * `TimeWeighted` integrates a piecewise-constant signal over
  * simulated time (used for utilisation-style metrics).
  */
@@ -20,7 +20,7 @@
 
 namespace jetsim::sim {
 
-/** Streaming mean/variance/min/max over a sequence of samples. */
+/** Streaming count/mean/min/max over a sequence of samples. */
 class Accumulator
 {
   public:
@@ -29,26 +29,13 @@ class Accumulator
     sample(double x)
     {
         ++count_;
-        const double delta = x - mean_;
-        mean_ += delta / static_cast<double>(count_);
-        m2_ += delta * (x - mean_);
+        mean_ += (x - mean_) / static_cast<double>(count_);
         min_ = std::min(min_, x);
         max_ = std::max(max_, x);
-        sum_ += x;
     }
 
     std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
     double mean() const { return count_ ? mean_ : 0.0; }
-
-    double
-    variance() const
-    {
-        return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-    }
-
-    double stddev() const;
-
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
 
@@ -58,8 +45,6 @@ class Accumulator
   private:
     std::uint64_t count_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
@@ -67,7 +52,7 @@ class Accumulator
 /**
  * Time integral of a piecewise-constant signal. Feed level changes
  * with `set(now, level)`; `average(now)` yields the time-weighted mean
- * since construction (or the last reset).
+ * since construction.
  */
 class TimeWeighted
 {
@@ -85,10 +70,7 @@ class TimeWeighted
         level_ = level;
     }
 
-    /** Current level. */
-    double level() const { return level_; }
-
-    /** Integral of the signal from the window start to @p now. */
+    /** Integral of the signal from construction to @p now. */
     double
     integral(Tick now) const
     {
@@ -101,15 +83,6 @@ class TimeWeighted
     {
         const double span = static_cast<double>(now - start_);
         return span > 0.0 ? integral(now) / span : level_;
-    }
-
-    /** Restart the averaging window at @p now, keeping the level. */
-    void
-    reset(Tick now)
-    {
-        start_ = now;
-        last_ = now;
-        integral_ = 0.0;
     }
 
   private:

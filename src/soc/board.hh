@@ -36,9 +36,7 @@ class Board
     const DeviceSpec &spec() const { return spec_; }
     sim::EventQueue &eq() { return eq_; }
     UnifiedMemory &memory() { return memory_; }
-    const UnifiedMemory &memory() const { return memory_; }
     DvfsGovernor &governor() { return governor_; }
-    const DvfsGovernor &governor() const { return governor_; }
     sim::Rng &rng() { return rng_; }
 
     /** Start periodic services (the DVFS governor). */

@@ -32,13 +32,11 @@ UnifiedMemory::allocate(const std::string &owner, sim::Bytes size)
     if (size > available()) {
         // A denied allocation is a *legal* outcome (the paper's
         // over-deployment failure mode), not an invariant violation.
-        ++oom_events_;
         return kBadAlloc;
     }
     const AllocId id = next_id_++;
     allocs_[id] = Allocation{owner, size};
     used_ += size;
-    peak_used_ = std::max(peak_used_, used_);
     JETSIM_CHECK(used_ <= total_ - os_reserved_,
                  check::Severity::Error,
                  check::Invariant::MemoryAccounting, kComponent,
@@ -73,19 +71,6 @@ UnifiedMemory::release(AllocId id)
                  static_cast<unsigned long long>(used_));
     used_ -= std::min(it->second.size, used_);
     allocs_.erase(it);
-}
-
-void
-UnifiedMemory::releaseOwner(const std::string &owner)
-{
-    for (auto it = allocs_.begin(); it != allocs_.end();) {
-        if (it->second.owner == owner) {
-            used_ -= std::min(it->second.size, used_);
-            it = allocs_.erase(it);
-        } else {
-            ++it;
-        }
-    }
 }
 
 bool
@@ -123,13 +108,6 @@ double
 UnifiedMemory::usagePercent() const
 {
     return 100.0 * static_cast<double>(os_reserved_ + used_) /
-           static_cast<double>(total_);
-}
-
-double
-UnifiedMemory::workloadPercent() const
-{
-    return 100.0 * static_cast<double>(used_) /
            static_cast<double>(total_);
 }
 

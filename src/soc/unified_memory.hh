@@ -57,9 +57,6 @@ class UnifiedMemory
     /** Release a previous allocation; id must be live. */
     void release(AllocId id);
 
-    /** Release every allocation tagged with @p owner. */
-    void releaseOwner(const std::string &owner);
-
     /** Bytes currently allocated (excluding the OS reservation). */
     sim::Bytes used() const { return used_; }
 
@@ -70,9 +67,6 @@ class UnifiedMemory
         return total_ - os_reserved_ - used_;
     }
 
-    /** Physical pool size. */
-    sim::Bytes total() const { return total_; }
-
     /**
      * Usage as a percentage of *total* physical RAM, including the OS
      * share — matching how jetson-stats (and the paper's figures)
@@ -80,20 +74,8 @@ class UnifiedMemory
      */
     double usagePercent() const;
 
-    /**
-     * Usage percentage counting only inference allocations, i.e. the
-     * delta the workload adds over the idle system.
-     */
-    double workloadPercent() const;
-
     /** Bytes held by one owner. */
     sim::Bytes ownerUsage(const std::string &owner) const;
-
-    /** High-water mark of used(). */
-    sim::Bytes peakUsed() const { return peak_used_; }
-
-    /** Number of failed allocations observed. */
-    std::uint64_t oomEvents() const { return oom_events_; }
 
     /**
      * JetSan audit: verify that used() equals the sum of live
@@ -114,8 +96,6 @@ class UnifiedMemory
     sim::Bytes total_;
     sim::Bytes os_reserved_;
     sim::Bytes used_ = 0;
-    sim::Bytes peak_used_ = 0;
-    std::uint64_t oom_events_ = 0;
     AllocId next_id_ = 1;
     std::map<AllocId, Allocation> allocs_;
 };

@@ -25,7 +25,6 @@ ExecutionContext::ExecutionContext(const Engine &engine,
 void
 ExecutionContext::enqueue(EcRecord &rec, DoneFn done, DoneFn cpu_done)
 {
-    ++invocations_;
     rec = EcRecord{};
     rec.enqueue_begin = board_.eq().now();
     rec.kernels = static_cast<int>(engine_.kernels().size());

@@ -74,9 +74,6 @@ class ExecutionContext
      */
     void enqueue(EcRecord &rec, DoneFn done, DoneFn cpu_done = nullptr);
 
-    /** ECs enqueued over the context's lifetime. */
-    std::uint64_t invocations() const { return invocations_; }
-
   private:
     /** An EC whose kernels are launched, or being launched, and not
      * yet complete. The stream completes ECs in enqueue order. */
@@ -103,7 +100,6 @@ class ExecutionContext
     sim::Fifo<Pending> inflight_;
     /** The launching EC's cpu_done: one launch sequence at a time. */
     DoneFn cpu_done_;
-    std::uint64_t invocations_ = 0;
 };
 
 } // namespace jetsim::trt

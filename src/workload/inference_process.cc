@@ -19,7 +19,7 @@ InferenceProcess::InferenceProcess(soc::Board &board,
                             cfg_.name)),
       // Bounded draws: prep stays within the sim::kLognormalEnvelope
       // band, which is what src/absint's CPU-side upper bounds assume.
-      prep_dist_(static_cast<double>(cfg_.prep_cost), 0.3),
+      prep_dist_(static_cast<double>(kPrepCost), 0.3),
       thread_(sched.createThread(cfg_.name, /*big=*/true)),
       engine_(trt::sharedEngine(board.spec(), net, cfg_.build))
 {
@@ -217,7 +217,7 @@ InferenceProcess::spinWait()
     // time-shares the spinners and completion detection is delayed
     // by scheduler waits (the paper's B_l). head_ cannot move while
     // the thread spins, so the flag stays the oldest EC's.
-    thread_->spin(cfg_.spin_chunk, &inFlight(0).gpu_done,
+    thread_->spin(kSpinChunk, &inFlight(0).gpu_done,
                   [this] { syncReturn(); });
 }
 

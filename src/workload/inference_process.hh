@@ -48,6 +48,13 @@
 
 namespace jetsim::workload {
 
+/** Host-side per-EC work (input prep, bindings, bookkeeping): the
+ * mean of every process's prep draw. */
+inline constexpr sim::Tick kPrepCost = sim::usec(450);
+
+/** Polling granularity of a spin-waiting sync. */
+inline constexpr sim::Tick kSpinChunk = sim::usec(150);
+
 /** Per-process configuration. */
 struct ProcessConfig
 {
@@ -62,8 +69,6 @@ struct ProcessConfig
     std::optional<double> arrival_rate;
     /** Extra ECs kept in flight beyond the executing one. */
     int pre_enqueue = 1;
-    /** Host-side per-EC work (input prep, bindings, bookkeeping). */
-    sim::Tick prep_cost = sim::usec(450);
     /** Stagger offset before a closed loop starts. */
     sim::Tick start_offset = 0;
     /**
@@ -75,8 +80,6 @@ struct ProcessConfig
      * servers typically use.
      */
     bool spin_wait = true;
-    /** Spin-loop polling granularity. */
-    sim::Tick spin_chunk = sim::usec(150);
     /**
      * Stop enqueueing after this many ECs (0 = unbounded). The bound
      * is counted in the enqueue thread's program order, so the number

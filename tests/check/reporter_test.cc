@@ -32,33 +32,6 @@ TEST(Reporter, RecordsSeverityComponentAndTime)
     EXPECT_NE(v.str().find("causality"), std::string::npos);
 }
 
-TEST(Reporter, SnapshotMatchesQuiescentReference)
-{
-    // violationsSnapshot() is the lock-safe accessor (copies under
-    // the reporter mutex); at a quiescent point it must agree
-    // element-for-element with the zero-copy violations() reference.
-    ScopedCapture cap;
-    Reporter::instance().report(Severity::Warning,
-                                Invariant::StreamHazard, "t", 7, "x");
-    Reporter::instance().report(Severity::Error, Invariant::Causality,
-                                "t", 8, "y");
-
-    const auto snap = cap.violationsSnapshot();
-    const auto &ref = cap.violations();
-    ASSERT_EQ(snap.size(), ref.size());
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-        EXPECT_EQ(snap[i].severity, ref[i].severity);
-        EXPECT_EQ(snap[i].invariant, ref[i].invariant);
-        EXPECT_EQ(snap[i].sim_time, ref[i].sim_time);
-        EXPECT_EQ(snap[i].message, ref[i].message);
-    }
-    // The snapshot is an independent copy: clearing the reporter
-    // must not invalidate or empty it.
-    Reporter::instance().clear();
-    EXPECT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[1].message, "y");
-}
-
 TEST(Reporter, CountsPerInvariantClass)
 {
     ScopedCapture cap;

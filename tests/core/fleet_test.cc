@@ -320,5 +320,65 @@ TEST(Fleet, HeterogeneousFleetDigestsStable)
     }
 }
 
+TEST(Fleet, DigestCoversTheFieldListAndNotTheDiagnostics)
+{
+    FleetResult base;
+    base.spec = cell("orin-nano", "resnet50", 2);
+    base.devices.resize(2);
+    for (auto &dev : base.devices) {
+        dev.name = "srv";
+        dev.device = "orin-nano";
+        dev.arrived = 10;
+        dev.served = 9;
+        dev.throughput = 90.0;
+        dev.p50_ms = 3.0;
+        dev.p99_ms = 5.0;
+        dev.max_ms = 6.0;
+        dev.max_queue = 2;
+    }
+    base.total_throughput = 180.0;
+    base.p99_ms = 5.0;
+    base.dispatched = 20;
+    base.events = 1000;
+    const auto key = resultDigest(base);
+
+    auto mutated = [&](auto mutate) {
+        auto r = base;
+        mutate(r);
+        return resultDigest(r);
+    };
+    using R = FleetResult;
+
+    // Engine diagnostics vary with (shards, threads): never digested.
+    EXPECT_EQ(key, mutated([](R &r) { r.epochs = 7; }));
+    EXPECT_EQ(key, mutated([](R &r) { r.barriers = 7; }));
+    EXPECT_EQ(key, mutated([](R &r) { r.merge_steps = 7; }));
+    EXPECT_EQ(key, mutated([](R &r) { r.messages = 7; }));
+
+    EXPECT_NE(key, mutated([](R &r) { r.spec.seed += 1; }));
+    EXPECT_NE(key, mutated([](R &r) { r.all_deployed = true; }));
+    EXPECT_NE(key, mutated([](R &r) { r.devices.pop_back(); }));
+    EXPECT_NE(key, mutated([](R &r) { r.total_throughput += 1; }));
+    EXPECT_NE(key, mutated([](R &r) { r.p99_ms += 1; }));
+    EXPECT_NE(key, mutated([](R &r) { r.dispatched += 1; }));
+    EXPECT_NE(key, mutated([](R &r) { r.events += 1; }));
+
+    // Every field of one device, here the second.
+    auto dev = [&](auto mutate) {
+        return mutated([&](R &r) { mutate(r.devices[1]); });
+    };
+    using D = FleetDeviceResult;
+    EXPECT_NE(key, dev([](D &d) { d.name = "srv1"; }));
+    EXPECT_NE(key, dev([](D &d) { d.device = "nano"; }));
+    EXPECT_NE(key, dev([](D &d) { d.deployed = true; }));
+    EXPECT_NE(key, dev([](D &d) { d.arrived += 1; }));
+    EXPECT_NE(key, dev([](D &d) { d.served += 1; }));
+    EXPECT_NE(key, dev([](D &d) { d.throughput += 1; }));
+    EXPECT_NE(key, dev([](D &d) { d.p50_ms += 1; }));
+    EXPECT_NE(key, dev([](D &d) { d.p99_ms += 1; }));
+    EXPECT_NE(key, dev([](D &d) { d.max_ms += 1; }));
+    EXPECT_NE(key, dev([](D &d) { d.max_queue += 1; }));
+}
+
 } // namespace
 } // namespace jetsim::core

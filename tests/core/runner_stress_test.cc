@@ -3,9 +3,9 @@
  * Concurrency stress for core::Runner and the process-wide state it
  * exposed: an oversubscribed pool (threads >> cores) hammering specs
  * with progress callbacks, plus regression tests for
- * the latent global-state races the pool surfaced (the sim::logging
- * sink, the JetSan check::Reporter, the models/zoo and
- * soc::findDevice static tables). tools/ci.sh runs this binary under
+ * the latent global-state races the pool surfaced (the JetSan
+ * check::Reporter, the models/zoo and soc::findDevice static
+ * tables). tools/ci.sh runs this binary under
  * JETSIM_SANITIZE=thread, where TSan turns any missing
  * synchronisation into a hard failure; the digest comparisons turn
  * any cross-thread *value* leakage into one too.
@@ -22,7 +22,6 @@
 #include "core/profiler.hh"
 #include "core/runner.hh"
 #include "models/zoo.hh"
-#include "sim/logging.hh"
 #include "soc/device_spec.hh"
 
 namespace jetsim {
@@ -96,27 +95,6 @@ TEST(GlobalState, TwoThreadsSameSpecIdenticalDigests)
               core::resultDigest(core::runExperiment(spec)));
 }
 
-TEST(GlobalState, ConcurrentLoggingIsRaceFree)
-{
-    // inform()/warn() read the process-wide sink pointer on every
-    // call; two logging threads plus a sink swap exercise the
-    // atomic exchange.
-    std::thread writer([] {
-        for (int i = 0; i < 200; ++i)
-            sim::inform("stress logging line %d", i);
-    });
-    std::thread swapper([] {
-        for (int i = 0; i < 50; ++i) {
-            const auto prev =
-                sim::setLogSink([](sim::LogLevel, const std::string &) {
-                });
-            sim::setLogSink(prev);
-        }
-    });
-    writer.join();
-    swapper.join();
-}
-
 TEST(GlobalState, ReporterCountsAreExactUnderContention)
 {
     check::ScopedCapture cap;
@@ -157,33 +135,6 @@ TEST(GlobalState, EnvSnapshotSafeFromConcurrentFirstTouch)
         t.join();
     for (const auto *p : seen)
         EXPECT_EQ(p, &core::env());
-}
-
-TEST(GlobalState, ViolationsSnapshotIsSafeUnderContention)
-{
-    // Unlike violations() (quiescent-only reference), the snapshot
-    // accessor copies under the reporter lock and so may race with
-    // live reporters; the copy must be internally consistent.
-    check::ScopedCapture cap;
-    constexpr int kEvents = 300;
-    std::thread producer([] {
-        for (int i = 0; i < kEvents; ++i)
-            check::Reporter::instance().report(
-                check::Severity::Warning,
-                check::Invariant::Plausibility,
-                "tests.runner_stress", check::kTimeUnknown,
-                "snapshot race %d", i);
-    });
-    std::size_t max_seen = 0;
-    for (int i = 0; i < 50; ++i) {
-        const auto snap = cap.violationsSnapshot();
-        EXPECT_GE(snap.size(), max_seen); // append-only growth
-        max_seen = snap.size();
-        for (const auto &v : snap)
-            EXPECT_EQ(v.invariant, check::Invariant::Plausibility);
-    }
-    producer.join();
-    EXPECT_EQ(cap.total(), static_cast<std::uint64_t>(kEvents));
 }
 
 TEST(GlobalState, StaticTablesSafeFromTwoThreads)

@@ -158,16 +158,6 @@ TEST(Network, PeakAccountsForSkipConnections)
     EXPECT_GE(net.peakActivationElems(), 3 * 8 * 8 * 8);
 }
 
-TEST(Network, FanoutCountsConsumers)
-{
-    Network net("n", Shape{8, 4, 4});
-    const int a = net.addConv("a", 0, 8, 1);
-    net.addActivation("r1", a, OpKind::Relu);
-    net.addActivation("r2", a, OpKind::Relu);
-    EXPECT_EQ(net.fanout(a), 2);
-    EXPECT_EQ(net.fanout(0), 1);
-}
-
 TEST(Network, OutputDefaultsToLastAndIsSettable)
 {
     Network net("n", Shape{8, 4, 4});

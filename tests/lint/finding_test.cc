@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "check/reporter.hh"
 
 namespace jetsim::lint {
 namespace {
@@ -76,16 +75,6 @@ TEST(Report, JsonRenderingEscapesAndCounts)
               "\"component\":\"graph.m\",\"location\":\"layer 1\","
               "\"message\":\"shape \\\"8x8\\\"\\nmismatch\",\"hint\":\"\"}],"
               "\"errors\":1,\"warnings\":0,\"infos\":0}");
-}
-
-TEST(Report, ForwardsIntoJetSanAsStaticLintViolations)
-{
-    check::ScopedCapture capture;
-    Report rep;
-    rep.add(Rule::GraphCycle, "graph.m", "layer 2", "cycle");
-    rep.add(Rule::DeployOverCapacity, "deploy.nano", "", "needs more");
-    rep.toReporter();
-    EXPECT_EQ(capture.count(check::Invariant::StaticLint), 2u);
 }
 
 TEST(Rules, CatalogueIsCompleteAndWellFormed)

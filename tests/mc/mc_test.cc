@@ -230,7 +230,6 @@ TEST(TraceChooserTest, ClampsStaleScriptEntriesToDefault)
     EXPECT_EQ(tc.choose(sim::ChoiceKind::EventTie, actors, 2), 0);
     // Past the script: default, still recorded.
     EXPECT_EQ(tc.choose(sim::ChoiceKind::GpuChannel, actors, 2), 0);
-    EXPECT_EQ(tc.clamped(), 2u);
     ASSERT_EQ(tc.trace().size(), 4u);
     EXPECT_EQ(tc.trace()[0].picked, 1);
     EXPECT_EQ(tc.trace()[0].n, 3);

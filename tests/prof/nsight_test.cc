@@ -99,16 +99,6 @@ TEST(Nsight, IntrusionSlowsKernels)
               clean + 10 * NsightTracer::kPerKernelOverhead - 100);
 }
 
-TEST(Nsight, IntrusionCanBeDisabled)
-{
-    Rig r;
-    NsightTracer tracer(r.board, r.engine);
-    tracer.setIntrusion(false);
-    tracer.attach();
-    EXPECT_EQ(r.engine.extraKernelOverhead(), 0);
-    EXPECT_DOUBLE_EQ(r.board.launchOverheadFactor(), 1.0);
-}
-
 TEST(Nsight, DetachRestoresCleanState)
 {
     Rig r;

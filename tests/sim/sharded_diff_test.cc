@@ -38,14 +38,14 @@ randomSpec(sim::Rng &rng)
         dev.batch = static_cast<int>(rng.uniformInt(1, 4));
         // A third of the boards also take local open-loop traffic.
         dev.local_rate =
-            rng.chance(0.33) ? rng.uniform(20.0, 120.0) : 0.0;
+            rng.uniform() < 0.33 ? rng.uniform(20.0, 120.0) : 0.0;
         spec.devices.push_back(dev);
     }
     spec.balancer_rate = rng.uniform(50.0, 600.0);
     spec.dispatch_latency = sim::usec(rng.uniform(20.0, 500.0));
     // Half the fleets dispatch through the two-hop hierarchical
     // balancer so the fuzzer also covers root->sub->device ordering.
-    spec.hierarchical = rng.chance(0.5);
+    spec.hierarchical = rng.uniform() < 0.5;
     if (spec.hierarchical)
         spec.fanout_latency = sim::usec(rng.uniform(10.0, 200.0));
     spec.warmup = sim::msec(10);

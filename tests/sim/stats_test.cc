@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace jetsim::sim {
 namespace {
 
@@ -17,7 +15,6 @@ TEST(Accumulator, EmptyIsZero)
     Accumulator a;
     EXPECT_EQ(a.count(), 0u);
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(a.variance(), 0.0);
     EXPECT_DOUBLE_EQ(a.min(), 0.0);
     EXPECT_DOUBLE_EQ(a.max(), 0.0);
 }
@@ -29,20 +26,8 @@ TEST(Accumulator, TracksMoments)
         a.sample(x);
     EXPECT_EQ(a.count(), 8u);
     EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 40.0);
     EXPECT_DOUBLE_EQ(a.min(), 2.0);
     EXPECT_DOUBLE_EQ(a.max(), 9.0);
-    // Sample variance of the classic dataset is 32/7.
-    EXPECT_NEAR(a.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_NEAR(a.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(Accumulator, SingleSampleHasZeroVariance)
-{
-    Accumulator a;
-    a.sample(3.5);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(a.variance(), 0.0);
 }
 
 TEST(Accumulator, ResetClears)
@@ -88,23 +73,6 @@ TEST(TimeWeighted, MultipleSteps)
     // 1*10 + 3*10 + 0*10 = 40 over 30 ticks.
     EXPECT_DOUBLE_EQ(tw.integral(30), 40.0);
     EXPECT_NEAR(tw.average(30), 40.0 / 30.0, 1e-12);
-}
-
-TEST(TimeWeighted, LevelIsReadable)
-{
-    TimeWeighted tw(0, 0.25);
-    EXPECT_DOUBLE_EQ(tw.level(), 0.25);
-    tw.set(5, 0.75);
-    EXPECT_DOUBLE_EQ(tw.level(), 0.75);
-}
-
-TEST(TimeWeighted, ResetRestartsWindow)
-{
-    TimeWeighted tw(0, 4.0);
-    tw.set(10, 2.0);
-    tw.reset(10);
-    EXPECT_DOUBLE_EQ(tw.integral(20), 20.0);
-    EXPECT_DOUBLE_EQ(tw.average(20), 2.0);
 }
 
 TEST(TimeWeighted, ZeroSpanAverageIsLevel)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Controls for eleven gates: each must be shown to pass and to fail.
+"""Controls for twelve gates: each must be shown to pass and to fail.
 
 jetlint's plan mode on the committed good plan
 (tests/data/plan_good.json, trt::Engine::serialize() of resnet18 at
@@ -37,8 +37,13 @@ JETSIM_HOT root that calls new must report hot-alloc. jethot's
 reachability pin (pass 1g) must hold on src/ and fail on a copy of it
 whose timer targets lost their JETSIM_HOT marking.
 
+The linker census (pass 1h) runs on a fixture: a static library of two
+functions and a program that calls one of them, built with the
+census's flags. It must report the uncalled function and fail, pass
+once a hook names it, and fail on a hook that names the called one.
+
     gate_controls_test.py --jetlint PATH --capacity-planner PATH \
-        --simcheck PATH --jetmc PATH
+        --simcheck PATH --jetmc PATH --cxx COMPILER
 """
 
 import argparse
@@ -341,9 +346,74 @@ class AnalyzerGateControls(unittest.TestCase):
                          [("hot-alloc", ["controlRoot"])])
 
 
+CENSUS_LIB = """
+namespace jetsim::control {
+int reached(int x) { return x + 1; }
+int unreached(int x) { return x - 1; }
+}
+"""
+
+CENSUS_PROGRAM = """
+namespace jetsim::control { int reached(int x); }
+int main() { return jetsim::control::reached(-1); }
+"""
+
+CENSUS_FLAGS = ["-O0", "-ffunction-sections", "-fkeep-inline-functions"]
+
+
+class CensusGateControls(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        cls.tmp = tempfile.TemporaryDirectory()
+        d = cls.tmp.name
+        for name, text in (("lib.cc", CENSUS_LIB),
+                           ("program.cc", CENSUS_PROGRAM)):
+            with open(os.path.join(d, name), "w") as f:
+                f.write(text)
+        cls.lib = os.path.join(d, "libcontrol.a")
+        cls.program = os.path.join(d, "program")
+        cxx = TOOLS["cxx"]
+        for cmd in ([cxx, *CENSUS_FLAGS, "-c", os.path.join(d, "lib.cc"),
+                     "-o", os.path.join(d, "lib.o")],
+                    ["ar", "rcs", cls.lib, os.path.join(d, "lib.o")],
+                    [cxx, *CENSUS_FLAGS, os.path.join(d, "program.cc"),
+                     cls.lib, "-Wl,--gc-sections", "-o", cls.program]):
+            subprocess.run(cmd, check=True, timeout=120)
+
+    @classmethod
+    def tearDownClass(cls):
+        cls.tmp.cleanup()
+
+    def census(self, hooks):
+        path = os.path.join(self.tmp.name, "hooks.txt")
+        with open(path, "w") as f:
+            f.write(hooks)
+        return run([sys.executable, os.path.join(ROOT, "tools",
+                                                 "census.py"),
+                    "--hooks", path, "--libs", self.lib,
+                    "--programs", self.program])
+
+    def test_unreached_function_fails_until_a_hook_names_it(self):
+        code, out = self.census("")
+        self.assertEqual(code, 1, out)
+        self.assertIn("unlisted: jetsim::control::unreached(int)", out)
+        self.assertNotIn("unlisted: jetsim::control::reached(int)", out)
+        code, out = self.census(
+            "jetsim::control::unreached(int)  # control\n")
+        self.assertEqual(code, 0, out)
+
+    def test_hook_naming_a_called_function_is_stale(self):
+        code, out = self.census(
+            "jetsim::control::unreached(int)  # control\n"
+            "jetsim::control::reached(int)  # control\n")
+        self.assertEqual(code, 1, out)
+        self.assertIn("stale hook: jetsim::control::reached(int)", out)
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    for tool in ("jetlint", "capacity-planner", "simcheck", "jetmc"):
+    for tool in ("jetlint", "capacity-planner", "simcheck", "jetmc",
+                 "cxx"):
         ap.add_argument("--" + tool, required=True)
     args, rest = ap.parse_known_args()
     TOOLS.update(vars(args))

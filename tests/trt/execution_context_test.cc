@@ -98,7 +98,6 @@ TEST(ExecutionContext, SequentialEnqueuesPipeline)
     // Each EC completed into its own record, in enqueue order.
     EXPECT_LT(first.gpu_done, second.gpu_done);
     EXPECT_LE(first.enqueue_end, second.enqueue_begin);
-    EXPECT_EQ(r.ctx.invocations(), 2u);
     EXPECT_EQ(r.stream.completed(), 2 * r.engine.kernels().size());
 }
 

@@ -39,7 +39,7 @@ randomNetwork(std::uint64_t seed)
           case 1: { // conv (possibly strided)
             const int out_c =
                 static_cast<int>(rng.uniformInt(8, 64));
-            const int stride = in.h >= 8 && rng.chance(0.3) ? 2 : 1;
+            const int stride = in.h >= 8 && rng.uniform() < 0.3 ? 2 : 1;
             id = net.addConv(name, src, out_c, 3, stride, 1);
             break;
           }
@@ -54,8 +54,8 @@ randomNetwork(std::uint64_t seed)
             break;
           case 4:
             id = net.addActivation(name, src,
-                                   rng.chance(0.5) ? OpKind::Relu
-                                                   : OpKind::Silu);
+                                   rng.uniform() < 0.5 ? OpKind::Relu
+                                                       : OpKind::Silu);
             break;
           case 5: { // residual add with a same-shape partner
             int partner = -1;

@@ -50,7 +50,7 @@
 # includes the two build-once stores' locks (model_store_mu,
 # engine_cache_mu) and the engine_cache_mu -> mu order that is only
 # reached through lock-free callers, and whose edge set is pinned
-# exactly (five edges); the auditor's own selftest must
+# exactly (four edges); the auditor's own selftest must
 # agree with the deadlock counterexample jetmc produced in pass 1d
 # (static cycle <-> dynamic deadlock on the same inverted two-lock
 # discipline). When a clang++ is installed the
@@ -59,6 +59,14 @@
 # access to a JETSIM_GUARDED_BY field a hard compile error; without
 # clang the build step is skipped with a warning (the jetrace audit
 # above still enforces the same contracts structurally).
+#
+# Pass 1h is the linker census (tools/census.py): every program (the
+# tools, bench programs and examples, and perfbench's jetbench) is
+# rebuilt at -O0 -ffunction-sections -fkeep-inline-functions and
+# linked with -Wl,--gc-sections, without the tests. A jetsim function
+# a library defines and no program keeps must be named, with its
+# reason, in tools/census_hooks.txt; an unnamed one, or a hook line
+# that names a function some program keeps, fails the pass.
 #
 # Usage: tools/ci.sh [--tsan] [--skip-plain] [--skip-sanitized]
 #                    [--skip-tidy]
@@ -218,8 +226,7 @@ assert ("engine_cache_mu", "mu") in edges, doc["lock_graph"]
 # The exact order set, so an edge that appears or vanishes (a new
 # lock site, or a resolver change) is looked at, not waved through.
 want = {("engine_cache_mu", "mu"), ("engine_cache_mu", "mu_"),
-        ("m_", "mu"), ("model_store_mu", "mu"),
-        ("model_store_mu", "mu_")}
+        ("model_store_mu", "mu"), ("model_store_mu", "mu_")}
 assert edges == want, sorted(edges)
 print("jetrace: src clean; lock graph acyclic "
       f"({len(doc['lock_graph']['nodes'])} capabilities, "
@@ -275,6 +282,26 @@ print(f"jethot: src clean; {len(doc['roots'])} hot roots, "
       f"{doc['reachable']} reachable, "
       f"{len(doc['cold_ok'])} sanctioned cold escapes")
 EOF
+
+    banner "pass 1h: linker census"
+    census="$repo/build-ci/census"
+    census_flags=(-G Ninja -DCMAKE_BUILD_TYPE=None
+                  "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fkeep-inline-functions"
+                  "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+    cmake -B "$census/repo" -S "$repo" "${census_flags[@]}" >/dev/null
+    cmake --build "$census/repo" -j "$jobs" \
+        --target src/all tools/all bench/all examples/all
+    cmake -B "$census/perfbench" -S "$repo/perfbench" \
+        "${census_flags[@]}" >/dev/null
+    cmake --build "$census/perfbench" -j "$jobs"
+    mapfile -t census_libs < <(find "$census/repo/src" -name '*.a')
+    mapfile -t census_programs < <(find "$census/repo/tools" \
+        "$census/repo/bench" "$census/repo/examples" -maxdepth 1 \
+        -type f -executable)
+    python3 "$repo/tools/census.py" \
+        --hooks "$repo/tools/census_hooks.txt" \
+        --libs "${census_libs[@]}" \
+        --programs "${census_programs[@]}" "$census/perfbench/jetbench"
 fi
 
 if [ "$run_san" = 1 ]; then
