@@ -14,9 +14,9 @@
  *    deterministic roofline body (clamped lognormal jitter), and the
  *    body is monotone in DVFS frequency, so evaluating the cost
  *    model at f=1 / f=f_min brackets every reachable duration.
- *  - CPU-side work (prep, launch, sync) uses Rng::lognormalBounded,
- *    whose draws stay inside mean x [1/kLognormalEnvelope,
- *    kLognormalEnvelope].
+ *  - CPU-side draws (prep, launch) map through
+ *    sim::Lognormal::boundedTick, whose Ticks stay inside
+ *    mean x [1/kLognormalEnvelope, kLognormalEnvelope].
  *  - The OS scheduler's slice/min-granularity/cache-penalty rules
  *    bound a work item's wall time (see CpuModel::serviceHiMs).
  *  - The GPU's time-multiplexed arbitration rotates cyclically to

@@ -9,15 +9,14 @@ DeviceBuffer::tryAlloc(soc::UnifiedMemory &mem, const std::string &owner,
     const auto id = mem.allocate(owner, size);
     if (id == soc::UnifiedMemory::kBadAlloc)
         return std::nullopt;
-    return DeviceBuffer(mem, id, size);
+    return DeviceBuffer(mem, id);
 }
 
 DeviceBuffer::DeviceBuffer(DeviceBuffer &&other) noexcept
-    : mem_(other.mem_), id_(other.id_), size_(other.size_)
+    : mem_(other.mem_), id_(other.id_)
 {
     other.mem_ = nullptr;
     other.id_ = soc::UnifiedMemory::kBadAlloc;
-    other.size_ = 0;
 }
 
 DeviceBuffer &
@@ -27,10 +26,8 @@ DeviceBuffer::operator=(DeviceBuffer &&other) noexcept
         release();
         mem_ = other.mem_;
         id_ = other.id_;
-        size_ = other.size_;
         other.mem_ = nullptr;
         other.id_ = soc::UnifiedMemory::kBadAlloc;
-        other.size_ = 0;
     }
     return *this;
 }

@@ -38,19 +38,15 @@ class DeviceBuffer
     DeviceBuffer &operator=(const DeviceBuffer &) = delete;
     ~DeviceBuffer();
 
-    sim::Bytes size() const { return size_; }
-
   private:
-    DeviceBuffer(soc::UnifiedMemory &mem,
-                 soc::UnifiedMemory::AllocId id, sim::Bytes size)
-        : mem_(&mem), id_(id), size_(size)
+    DeviceBuffer(soc::UnifiedMemory &mem, soc::UnifiedMemory::AllocId id)
+        : mem_(&mem), id_(id)
     {}
 
     void release();
 
     soc::UnifiedMemory *mem_ = nullptr;
     soc::UnifiedMemory::AllocId id_ = soc::UnifiedMemory::kBadAlloc;
-    sim::Bytes size_ = 0;
 };
 
 } // namespace jetsim::cuda

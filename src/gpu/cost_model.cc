@@ -13,16 +13,8 @@ namespace {
 
 constexpr const char *kComponent = "gpu.cost";
 
-/**
- * Longest single kernel body the model will produce (one simulated
- * hour). Finite-clamping before the Tick cast keeps a degenerate
- * input (zero rate or bandwidth would otherwise yield inf, and
- * casting a non-finite double to an integer is UB).
- */
-constexpr double kMaxBodyNs = KernelCostModel::kMaxBodyNsCap;
-
 /** Per-launch execution-time jitter (see KernelCostModel::kJitterLo). */
-const sim::Lognormal kJitter(1.0, 0.05);
+const sim::Lognormal kJitter(1.0, KernelCostModel::kJitterCv);
 
 /** timing()'s descriptor check. */
 bool
@@ -182,28 +174,35 @@ KernelCostModel::timing(const KernelDesc &k, double freq_frac,
     return perCall(k, t.block, t.flops, t.bytes, freq_frac, rng);
 }
 
+double
+KernelCostModel::body(const KernelStatics &s, double flops,
+                      double freq_frac) const
+{
+    const double compute_ns = flops / std::max(s.rate * freq_frac, 1e-9);
+    // Small kernels hit the device's latency floor (launch tail,
+    // DRAM latency, layer dependencies) — the overhead larger batch
+    // sizes amortise.
+    return std::max(
+        std::max(compute_ns, s.mem_ns),
+        static_cast<double>(gpu_.min_kernel_latency) / freq_frac);
+}
+
 KernelTiming
 KernelCostModel::perCall(const KernelDesc &k, const KernelStatics &s,
                          double flops, double bytes, double freq_frac,
                          sim::Rng *rng) const
 {
     const auto &g = gpu_;
-    const double rate = std::max(s.rate * freq_frac, 1e-9);
-
-    const double compute_ns = flops / rate;
-    double body_ns = std::max(compute_ns, s.mem_ns);
-    // Small kernels hit the device's latency floor (launch tail,
-    // DRAM latency, layer dependencies) — the overhead larger batch
-    // sizes amortise.
-    body_ns = std::max(
-        body_ns, static_cast<double>(g.min_kernel_latency) / freq_frac);
-    if (rng)
-        body_ns *= std::clamp(rng->lognormal(kJitter), kJitterLo,
-                              kJitterHi);
-    body_ns = std::min(body_ns, kMaxBodyNs);
+    const double compute_ns = flops / std::max(s.rate * freq_frac, 1e-9);
+    const double body_ns = body(s, flops, freq_frac);
 
     KernelTiming t;
-    t.duration = kKernelOverhead + static_cast<sim::Tick>(body_ns);
+    t.duration =
+        kKernelOverhead +
+        (rng ? rng->lognormalTick(
+                   kJitter,
+                   [body_ns](double j) { return jitteredBody(body_ns, j); })
+             : jitteredBody(body_ns, 1.0));
 
     const double dur_ns = static_cast<double>(t.duration);
     t.compute_frac = std::min(1.0, compute_ns / dur_ns);

@@ -14,6 +14,7 @@
 #ifndef JETSIM_GPU_COST_MODEL_HH
 #define JETSIM_GPU_COST_MODEL_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -85,8 +86,38 @@ class KernelCostModel
     static constexpr double kJitterLo = 0.5;
     static constexpr double kJitterHi = 1.5;
 
-    /** Hard cap on one kernel body in ns (see cost_model.cc). */
+    /** Coefficient of variation of the body factor's lognormal (mean
+     * 1) draw. */
+    static constexpr double kJitterCv = 0.05;
+
+    /**
+     * Longest single kernel body the model will produce, in ns (one
+     * simulated hour). Finite-clamping before the Tick cast keeps a
+     * degenerate input (zero rate or bandwidth would otherwise yield
+     * inf, and casting a non-finite double to an integer is UB).
+     */
     static constexpr double kMaxBodyNsCap = 3.6e12;
+
+    /**
+     * The body of one call in ns before jitter, over static terms
+     * @p s: the roofline max of compute and memory time at DVFS
+     * fraction @p freq_frac, raised to the device's latency floor.
+     */
+    double body(const KernelStatics &s, double flops,
+                double freq_frac) const;
+
+    /**
+     * Tick of a body of @p body_ns ns at jitter factor @p j: the
+     * factor clamped into [kJitterLo, kJitterHi], the product capped
+     * at kMaxBodyNsCap, then truncated. Monotone non-decreasing in
+     * @p j, as sim::Rng::lognormalTick requires of its map.
+     */
+    static sim::Tick
+    jitteredBody(double body_ns, double j)
+    {
+        return static_cast<sim::Tick>(std::min(
+            body_ns * std::clamp(j, kJitterLo, kJitterHi), kMaxBodyNsCap));
+    }
 
   private:
     /** The static stage's block plus the sanitised flops and bytes

@@ -1,6 +1,8 @@
 #include "models/zoo.hh"
 
 #include <map>
+#include <mutex>
+#include <optional>
 
 #include "core/mutex.hh"
 #include "core/thread_annotations.hh"
@@ -48,14 +50,21 @@ builderFor(const std::string &name)
     return nullptr;
 }
 
-/** The models built so far, by name. A std::map never moves its
- * values, so a reference handed out stays valid after the lock drops,
- * and a published network is never mutated. */
+/** The models built so far, by name. The lock covers the map alone:
+ * each model is built once under its slot's once_flag, outside the
+ * lock. A std::map never moves its values, so a slot, and a reference
+ * to its network, stays valid after the lock drops, and a published
+ * network is never mutated. */
 struct ModelStore
 {
+    struct Slot
+    {
+        std::once_flag built;
+        std::optional<graph::Network> net;
+    };
+
     core::Mutex model_store_mu;
-    std::map<std::string, graph::Network> models
-        JETSIM_GUARDED_BY(model_store_mu);
+    std::map<std::string, Slot> models JETSIM_GUARDED_BY(model_store_mu);
 };
 
 } // namespace
@@ -72,11 +81,13 @@ modelByName(const std::string &name)
                    name.c_str());
 
     static ModelStore store; // jetrace: guarded(ModelStore::model_store_mu)
-    core::LockGuard lock(store.model_store_mu);
-    auto it = store.models.find(name);
-    if (it == store.models.end())
-        it = store.models.emplace(name, build()).first;
-    return it->second;
+    ModelStore::Slot *slot = nullptr;
+    {
+        core::LockGuard lock(store.model_store_mu);
+        slot = &store.models[name];
+    }
+    std::call_once(slot->built, [&] { slot->net.emplace(build()); });
+    return *slot->net;
 }
 
 } // namespace jetsim::models

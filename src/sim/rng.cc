@@ -17,13 +17,86 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
+// Compile-time series for the draw tables, in long double so each
+// entry rounds to within an ulp of its double. consteval: none of it
+// is emitted as code.
+
+constexpr long double kPiL = 3.141592653589793238462643383279502884L;
+constexpr long double kLn2L = 0.693147180559945309417232121458176568L;
+
+/** ln(x) for x in [1/2, 1]: 2 atanh((x - 1) / (x + 1)). */
+consteval long double
+lnSeries(long double x)
 {
-    return (x << k) | (x >> (64 - k));
+    const long double z = (x - 1) / (x + 1);
+    long double term = z, sum = 0;
+    for (int k = 1; k < 80; k += 2) {
+        sum += term / k;
+        term *= z * z;
+    }
+    return 2 * sum;
+}
+
+/** sin(t) (@p odd) or cos(t) for t in [0, pi/2]: Taylor series. */
+consteval long double
+trigSeries(long double t, bool odd)
+{
+    long double term = odd ? t : 1, sum = 0;
+    for (int k = odd ? 1 : 0; k < 60; k += 2) {
+        sum += term;
+        term *= -t * t / ((k + 1) * (k + 2));
+    }
+    return sum;
+}
+
+/** exp(x) for x in [0, ln 2): Taylor series. */
+consteval long double
+expSeries(long double x)
+{
+    long double term = 1, sum = 0;
+    for (int k = 1; k < 40; ++k) {
+        sum += term;
+        term *= x / k;
+    }
+    return sum;
 }
 
 } // namespace
+
+namespace draw_tables {
+
+constexpr std::array<LogEntry, 128> kLog = []() consteval {
+    std::array<LogEntry, 128> t{};
+    for (int i = 0; i < 128; ++i) {
+        const double invc = 1.0 / (1.0 + (i + 0.5) / 128);
+        t[i] = {invc, static_cast<double>(-lnSeries(invc))};
+    }
+    return t;
+}();
+
+constexpr std::array<CosEntry, 256> kCos2Pi = []() consteval {
+    std::array<CosEntry, 256> t{};
+    for (int j = 0; j < 256; ++j) {
+        // 2 pi j / 256 = quadrant * pi/2 + a, a in [0, pi/2).
+        const long double a = kPiL * (j % 64) / 128;
+        const long double c = trigSeries(a, false);
+        const long double s = trigSeries(a, true);
+        const long double cs[4] = {c, -s, -c, s};
+        const long double sn[4] = {s, c, -s, -c};
+        t[j] = {static_cast<double>(cs[j / 64]),
+                static_cast<double>(sn[j / 64])};
+    }
+    return t;
+}();
+
+constexpr std::array<double, 64> kExp2 = []() consteval {
+    std::array<double, 64> t{};
+    for (int j = 0; j < 64; ++j)
+        t[j] = static_cast<double>(expSeries(kLn2L * j / 64));
+    return t;
+}();
+
+} // namespace draw_tables
 
 std::uint64_t
 hashLabel(std::string_view label)
@@ -41,33 +114,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t x = seed;
     for (auto &s : s_)
         s = splitmix64(x);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random bits into the double mantissa.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
 }
 
 std::int64_t
@@ -88,15 +134,15 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Rng::normal()
+Rng::lognormalLibm(const Lognormal &d, double u1, double u2)
 {
-    // Box-Muller; discard the second variate to stay stateless.
-    double u1 = uniform();
-    double u2 = uniform();
+    // Box-Muller's first variate, then the lognormal: the operations,
+    // in the order, that every recorded digest was drawn with.
     if (u1 < 1e-300)
         u1 = 1e-300;
-    return std::sqrt(-2.0 * std::log(u1)) *
-           std::cos(2.0 * M_PI * u2);
+    const double normal =
+        std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+    return std::exp(d.mu_ + d.sigma_ * normal);
 }
 
 Lognormal::Lognormal(double mean, double cv) : mean_(mean), cv_(cv)
@@ -105,23 +151,6 @@ Lognormal::Lognormal(double mean, double cv) : mean_(mean), cv_(cv)
     const double sigma2 = std::log(1.0 + cv * cv);
     mu_ = std::log(mean) - 0.5 * sigma2;
     sigma_ = std::sqrt(sigma2);
-}
-
-double
-Rng::lognormal(const Lognormal &d)
-{
-    if (d.cv_ == 0.0)
-        return d.mean_;
-    return std::exp(d.mu_ + d.sigma_ * normal());
-}
-
-double
-Rng::lognormalBounded(const Lognormal &d)
-{
-    const double v = lognormal(d);
-    const double lo = d.mean_ / kLognormalEnvelope;
-    const double hi = d.mean_ * kLognormalEnvelope;
-    return v < lo ? lo : (v > hi ? hi : v);
 }
 
 Rng

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <mutex>
 
 #include "core/mutex.hh"
 #include "core/thread_annotations.hh"
@@ -243,12 +244,21 @@ buildKey(const soc::DeviceSpec &spec, const graph::Network &net,
 }
 
 /** The engines built so far. An engine is a deterministic function of
- * its key, so which thread builds it first cannot change a result. */
+ * its key, so which thread builds it first cannot change a result.
+ * The lock covers the map alone: each key's build runs once under its
+ * slot's once_flag, so a build holds up only the callers that need
+ * that engine. Slots are never erased, and a std::map never moves
+ * them, so a slot's address stays valid once the lock drops. */
 struct EngineCache
 {
+    struct Slot
+    {
+        std::once_flag built;
+        std::shared_ptr<const Engine> engine;
+    };
+
     core::Mutex engine_cache_mu;
-    std::map<BuildKey, std::shared_ptr<const Engine>> engines
-        JETSIM_GUARDED_BY(engine_cache_mu);
+    std::map<BuildKey, Slot> engines JETSIM_GUARDED_BY(engine_cache_mu);
 };
 
 } // namespace
@@ -259,11 +269,16 @@ sharedEngine(const soc::DeviceSpec &spec, const graph::Network &net,
 {
     const BuildKey key = buildKey(spec, net, cfg);
     static EngineCache cache; // jetrace: guarded(EngineCache::engine_cache_mu)
-    core::LockGuard lock(cache.engine_cache_mu);
-    auto &slot = cache.engines[key];
-    if (!slot)
-        slot = std::make_shared<const Engine>(Builder(spec).build(net, cfg));
-    return slot;
+    EngineCache::Slot *slot = nullptr;
+    {
+        core::LockGuard lock(cache.engine_cache_mu);
+        slot = &cache.engines[key];
+    }
+    std::call_once(slot->built, [&] {
+        slot->engine =
+            std::make_shared<const Engine>(Builder(spec).build(net, cfg));
+    });
+    return slot->engine;
 }
 
 } // namespace jetsim::trt

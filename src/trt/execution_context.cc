@@ -4,11 +4,6 @@
 
 namespace jetsim::trt {
 
-namespace {
-/** Coefficient of variation of one launch API call's CPU cost. */
-constexpr double kLaunchCostCv = 0.35;
-} // namespace
-
 ExecutionContext::ExecutionContext(const Engine &engine,
                                    cuda::Stream &stream,
                                    cpu::Thread &thread,
@@ -59,8 +54,9 @@ ExecutionContext::launchNext(std::size_t i)
         launch_cost_ = sim::Lognormal(mean, kLaunchCostCv);
     // Bounded draw (sim::kLognormalEnvelope): launch-API worst cases
     // are provable, not just unlikely (src/absint).
-    const auto cost =
-        static_cast<sim::Tick>(rng_.lognormalBounded(launch_cost_));
+    const sim::Tick cost = rng_.lognormalTick(
+        launch_cost_,
+        [this](double v) { return launch_cost_.boundedTick(v); });
     thread_.exec(cost, [this, i, t0] {
         stream_.launch(&engine_.kernels()[i]);
         inflight_.back().rec->launch_api_total += board_.eq().now() - t0;

@@ -28,6 +28,9 @@
 
 namespace jetsim::trt {
 
+/** Coefficient of variation of one launch API call's CPU cost. */
+inline constexpr double kLaunchCostCv = 0.35;
+
 /** Timing record for one executed EC. */
 struct EcRecord
 {

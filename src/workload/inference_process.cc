@@ -19,7 +19,7 @@ InferenceProcess::InferenceProcess(soc::Board &board,
                             cfg_.name)),
       // Bounded draws: prep stays within the sim::kLognormalEnvelope
       // band, which is what src/absint's CPU-side upper bounds assume.
-      prep_dist_(static_cast<double>(kPrepCost), 0.3),
+      prep_dist_(static_cast<double>(kPrepCost), kPrepCostCv),
       thread_(sched.createThread(cfg_.name, /*big=*/true)),
       engine_(trt::sharedEngine(board.spec(), net, cfg_.build))
 {
@@ -132,8 +132,8 @@ InferenceProcess::kick()
 void
 InferenceProcess::prepAndEnqueue()
 {
-    const auto prep =
-        static_cast<sim::Tick>(rng_.lognormalBounded(prep_dist_));
+    const sim::Tick prep = rng_.lognormalTick(
+        prep_dist_, [this](double v) { return prep_dist_.boundedTick(v); });
     thread_->exec(prep, [this] { enqueueOne(); });
 }
 
@@ -293,17 +293,6 @@ InferenceProcess::throughput() const
 {
     const double span = sim::toSec(window_end_ - window_start_);
     return span > 0 ? static_cast<double>(images_) / span : 0.0;
-}
-
-sim::Bytes
-InferenceProcess::deviceBytes() const
-{
-    sim::Bytes n = 0;
-    if (runtime_mem_)
-        n += runtime_mem_->size();
-    if (engine_mem_)
-        n += engine_mem_->size();
-    return n;
 }
 
 } // namespace jetsim::workload

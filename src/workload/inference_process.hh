@@ -52,6 +52,9 @@ namespace jetsim::workload {
  * mean of every process's prep draw. */
 inline constexpr sim::Tick kPrepCost = sim::usec(450);
 
+/** Coefficient of variation of the prep draw. */
+inline constexpr double kPrepCostCv = 0.3;
+
 /** Polling granularity of a spin-waiting sync. */
 inline constexpr sim::Tick kSpinChunk = sim::usec(150);
 
@@ -171,9 +174,6 @@ class InferenceProcess
     const trt::Engine &engine() const { return *engine_; }
     const cpu::Thread &thread() const { return *thread_; }
     const ProcessConfig &config() const { return cfg_; }
-
-    /** Device bytes pinned (runtime overhead + engine footprint). */
-    sim::Bytes deviceBytes() const;
 
   private:
     /** One in-flight EC's bookkeeping, reused EC after EC. */

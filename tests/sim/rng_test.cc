@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace jetsim::sim {
@@ -64,13 +65,28 @@ TEST(Rng, UniformIntCoversInclusiveRange)
     EXPECT_TRUE(hi);
 }
 
+/** Truncation to a Tick: monotone, as lognormalTick requires. */
+Tick
+truncTick(double v)
+{
+    return static_cast<Tick>(v);
+}
+
 TEST(Rng, NormalHasExpectedMoments)
 {
+    // The normal variate under the lognormal, read back from the
+    // Tick: ln(tick) = mu + sigma * N to within 1e-6 at this mean.
+    const double mean = 1e6, cv = 0.5;
+    const double sigma2 = std::log(1.0 + cv * cv);
+    const double mu = std::log(mean) - 0.5 * sigma2;
+    const Lognormal d(mean, cv);
     Rng r(42);
     double sum = 0, sq = 0;
     const int n = 50000;
     for (int i = 0; i < n; ++i) {
-        const double x = r.normal();
+        const Tick t = r.lognormalTick(d, truncTick);
+        const double x =
+            (std::log(static_cast<double>(t)) - mu) / std::sqrt(sigma2);
         sum += x;
         sq += x * x;
     }
@@ -83,28 +99,36 @@ TEST(Rng, LognormalMatchesTargetMean)
     Rng r(42);
     double sum = 0;
     const int n = 50000;
+    const Lognormal d(6.0e6, 0.35);
     for (int i = 0; i < n; ++i)
-        sum += r.lognormal(Lognormal(6.0, 0.35));
-    EXPECT_NEAR(sum / n, 6.0, 0.1);
+        sum += static_cast<double>(r.lognormalTick(d, truncTick));
+    EXPECT_NEAR(sum / n, 6.0e6, 1e5);
 }
 
 TEST(Rng, LognormalZeroCvIsDeterministic)
 {
-    Rng r(1);
-    EXPECT_DOUBLE_EQ(r.lognormal(Lognormal(5.0, 0.0)), 5.0);
+    Rng r(1), untouched(1);
+    EXPECT_EQ(r.lognormalTick(Lognormal(5.0, 0.0),
+                              [](double v) { return truncTick(v * 1e3); }),
+              5000);
+    EXPECT_EQ(r.next(), untouched.next()); // nothing drawn
 }
 
 TEST(Rng, LognormalIsPositive)
 {
     Rng r(3);
     const Lognormal d(10.0, 1.0);
+    // Ticks 1 for a positive draw and 0 otherwise: still monotone.
+    const auto positive = [](double v) { return Tick{v > 0.0}; };
     for (int i = 0; i < 10000; ++i)
-        EXPECT_GT(r.lognormal(d), 0.0);
+        EXPECT_EQ(r.lognormalTick(d, positive), 1);
 }
 
-/** The per-draw lognormal expression the simulator used before
- * distributions were precomputed (sim::Lognormal); its draws are the
- * reference every golden digest was recorded with. */
+/** One draw as the simulator evaluated it before lognormalTick and
+ * before distributions were precomputed (sim::Lognormal): Box-Muller's
+ * first variate from two uniform() draws, then exp(mu + sigma * N)
+ * with per-draw parameters. Every golden digest was recorded with
+ * its bits. */
 double
 referenceLognormal(Rng &rng, double mean, double cv)
 {
@@ -112,7 +136,13 @@ referenceLognormal(Rng &rng, double mean, double cv)
         return mean;
     const double sigma2 = std::log(1.0 + cv * cv);
     const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::exp(mu + std::sqrt(sigma2) * rng.normal());
+    double u1 = rng.uniform();
+    const double u2 = rng.uniform();
+    if (u1 < 1e-300)
+        u1 = 1e-300;
+    const double normal =
+        std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+    return std::exp(mu + std::sqrt(sigma2) * normal);
 }
 
 double
@@ -128,7 +158,8 @@ TEST(Rng, PrecomputedLognormalIsBitIdenticalToPerDrawParameters)
 {
     // The three distributions the run phase draws from: kernel jitter,
     // launch-API cost (whose mean moves when a profiler attaches) and
-    // host-side prep; plus cv = 0.
+    // host-side prep; plus cv = 0. Each is mapped to Ticks at a
+    // resolution of 1e-6 of its mean, unbounded and bounded.
     struct Case
     {
         double mean, cv;
@@ -138,11 +169,20 @@ TEST(Rng, PrecomputedLognormalIsBitIdenticalToPerDrawParameters)
     for (const Case &c : cases) {
         Rng a(77), b(77);
         const Lognormal d(c.mean, c.cv);
+        const double scale = 1e6 / c.mean;
+        const auto fine = [scale](double v) { return truncTick(v * scale); };
+        const auto bounded = [&d, scale](double v) {
+            return truncTick(
+                std::clamp(v, d.mean() / kLognormalEnvelope,
+                           d.mean() * kLognormalEnvelope) *
+                scale);
+        };
         for (int i = 0; i < 2000; ++i) {
-            ASSERT_EQ(a.lognormal(d), referenceLognormal(b, c.mean, c.cv))
+            ASSERT_EQ(a.lognormalTick(d, fine),
+                      fine(referenceLognormal(b, c.mean, c.cv)))
                 << "mean " << c.mean << " cv " << c.cv << " draw " << i;
-            ASSERT_EQ(a.lognormalBounded(d),
-                      referenceLognormalBounded(b, c.mean, c.cv));
+            ASSERT_EQ(a.lognormalTick(d, bounded),
+                      fine(referenceLognormalBounded(b, c.mean, c.cv)));
         }
         EXPECT_EQ(a.next(), b.next()); // same RNG position
     }
@@ -159,8 +199,11 @@ TEST(Rng, CachedLognormalFollowsAMeanThatChangesMidStream)
         const double mean = 6000.0 * factor;
         if (mean != cached.mean())
             cached = Lognormal(mean, 0.35);
-        ASSERT_EQ(a.lognormalBounded(cached),
-                  referenceLognormalBounded(b, mean, 0.35))
+        ASSERT_EQ(a.lognormalTick(cached,
+                                  [&cached](double v) {
+                                      return cached.boundedTick(v);
+                                  }),
+                  truncTick(referenceLognormalBounded(b, mean, 0.35)))
             << "draw " << i;
     }
 }

@@ -30,9 +30,9 @@ yolov8n deployment cut at 50 runs).
 
 The source analyzers' gates (passes 1b, 1f and 1g) must pass on src/
 and fail once one bad file joins it: detlint on a function calling
-std::rand() must report one rand finding; jetrace on a function taking
-mu_ then engine_cache_mu, the reverse of the engine cache's order, must
-report a lock cycle over exactly those two locks; jethot on a
+std::rand() must report one rand finding; jetrace on two functions
+taking mu_ and engine_cache_mu in opposite orders must report a lock
+cycle over exactly those two locks; jethot on a
 JETSIM_HOT root that calls new must report hot-alloc. jethot's
 reachability pin (pass 1g) must hold on src/ and fail on a copy of it
 whose timer targets lost their JETSIM_HOT marking.
@@ -245,14 +245,20 @@ class FleetGateControls(unittest.TestCase):
         self.assertIn("speedup gate skipped: process may use 1 of", out)
 
 
-# Takes the JetSan reporter's lock, then the engine cache's: the
-# reverse of sharedEngine's engine_cache_mu -> mu_ order.
+# Takes the JetSan reporter's lock and the engine cache's in both
+# orders. src/ itself holds no lock while it takes another, so both
+# edges of the cycle come from this file.
 INVERTED_LOCKS = """\
 #include "core/mutex.hh"
-void inverted(Reporter &r, EngineCache &cache)
+void reporterFirst(Reporter &r, EngineCache &cache)
 {
     core::LockGuard a(r.mu_);
     core::LockGuard b(cache.engine_cache_mu);
+}
+void cacheFirst(Reporter &r, EngineCache &cache)
+{
+    core::LockGuard b(cache.engine_cache_mu);
+    core::LockGuard a(r.mu_);
 }
 """
 

@@ -89,11 +89,14 @@ TEST(Process, DeploysAndPinsMemory)
     Rig r;
     auto p = r.makeProcess();
     EXPECT_FALSE(p->deployed());
+    const sim::Bytes before = r.board.memory().used();
     ASSERT_TRUE(p->deploy());
     EXPECT_TRUE(p->deployed());
-    EXPECT_GT(p->deviceBytes(),
-              r.board.spec().memory.process_runtime_overhead);
-    EXPECT_EQ(r.board.memory().used(), p->deviceBytes());
+    // The runtime overhead and the engine's footprint, nothing else.
+    EXPECT_GT(p->engine().deviceBytes(), 0u);
+    EXPECT_EQ(r.board.memory().used() - before,
+              r.board.spec().memory.process_runtime_overhead +
+                  p->engine().deviceBytes());
 }
 
 TEST(Process, MemoryReleasedOnDestruction)

@@ -48,12 +48,13 @@
 # carry zero unannotated mutable globals/statics, no raw std::mutex
 # outside core/mutex.hh, and an acyclic static lock-order graph that
 # includes the two build-once stores' locks (model_store_mu,
-# engine_cache_mu) and the engine_cache_mu -> mu order that is only
-# reached through lock-free callers, and whose edge set is pinned
-# exactly (four edges); the auditor's own selftest must
-# agree with the deadlock counterexample jetmc produced in pass 1d
-# (static cycle <-> dynamic deadlock on the same inverted two-lock
-# discipline). When a clang++ is installed the
+# engine_cache_mu) and whose edge set is pinned exactly (empty: no
+# lock in src/ is taken while another is held, since the stores
+# build outside their locks); the auditor's own selftest must find
+# an acquisition below a lock-free caller, none after a lock's block
+# closes, and agree with the deadlock counterexample jetmc produced
+# in pass 1d (static cycle <-> dynamic deadlock on the same inverted
+# two-lock discipline). When a clang++ is installed the
 # whole tree is additionally rebuilt with -DJETSIM_THREAD_SAFETY=ON
 # (-Wthread-safety -Werror=thread-safety), making every unguarded
 # access to a JETSIM_GUARDED_BY field a hard compile error; without
@@ -218,15 +219,12 @@ assert doc["findings"] == [], doc["findings"]
 assert doc["lock_graph"]["acyclic"], doc["lock_graph"]
 stores = {"model_store_mu", "engine_cache_mu"}
 assert stores <= set(doc["lock_graph"]["nodes"]), doc["lock_graph"]
-# Reached only through lock-free callers (sharedEngine holds
-# engine_cache_mu -> Builder::build -> internName takes mu): the
-# graph must see acquisitions below functions that hold nothing.
+# The exact order set, so an edge that appears (a new lock site, a
+# build moved back under a store's lock, or a resolver change) is
+# looked at, not waved through. The selftest below shows the graph
+# still finds an acquisition below a caller that holds nothing.
 edges = {(e["from"], e["to"]) for e in doc["lock_graph"]["edges"]}
-assert ("engine_cache_mu", "mu") in edges, doc["lock_graph"]
-# The exact order set, so an edge that appears or vanishes (a new
-# lock site, or a resolver change) is looked at, not waved through.
-want = {("engine_cache_mu", "mu"), ("engine_cache_mu", "mu_"),
-        ("model_store_mu", "mu"), ("model_store_mu", "mu_")}
+want = set()
 assert edges == want, sorted(edges)
 print("jetrace: src clean; lock graph acyclic "
       f"({len(doc['lock_graph']['nodes'])} capabilities, "

@@ -469,6 +469,22 @@ void middle() { leaf(); }
 void outer() { LockGuard a(lockA); middle(); ++shared_ab; }
 """
 
+# The build-once stores' shape (sharedEngine, modelByName): the lock
+# covers only the lookup, in a block of its own, and the build that
+# takes another lock runs after that block closes. No lockA -> lockB
+# edge may be reported.
+SELFTEST_SCOPED = SELFTEST_COMMON + """
+void build() { LockGuard b(lockB); }
+void store()
+{
+    {
+        LockGuard a(lockA);
+        ++shared_ab;
+    }
+    build();
+}
+"""
+
 # MPSC-inbox fixtures: a miniature of the lock-free shard inbox ring
 # that replaced the shard_mu_ mutex inbox in DESIGN.md §4i (the
 # engine's cross-shard queues are now the single-producer outboxes of
@@ -530,6 +546,7 @@ def selftest(jetmc_ce):
         for name, src, want_cycle in [
                 ("toylock_ordered.cc", SELFTEST_ORDERED, False),
                 ("toylock_transitive.cc", SELFTEST_TRANSITIVE, False),
+                ("toylock_scoped.cc", SELFTEST_SCOPED, False),
                 ("toylock_inverted.cc", SELFTEST_INVERTED, True)]:
             p = os.path.join(td, name)
             with open(p, "w", encoding="utf-8") as f:
@@ -549,11 +566,13 @@ def selftest(jetmc_ce):
                 print(f"jetrace selftest: FAILED — unexpected "
                       f"findings on {name}: {others}")
                 ok = False
-            if not want_cycle and \
-                    ("lockA", "lockB") not in {
-                        (e["from"], e["to"]) for e in graph["edges"]}:
-                print(f"jetrace selftest: FAILED — {name} is "
-                      f"missing the lockA->lockB edge")
+            want_edge = src is not SELFTEST_SCOPED
+            has_edge = ("lockA", "lockB") in {
+                (e["from"], e["to"]) for e in graph["edges"]}
+            if not want_cycle and has_edge != want_edge:
+                print(f"jetrace selftest: FAILED — {name} "
+                      f"{'is missing' if want_edge else 'reports'} "
+                      f"the lockA->lockB edge")
                 ok = False
         for name, src, want_raw in [
                 ("mpsc_ring.cc", SELFTEST_MPSC_RING, 0),
@@ -589,7 +608,8 @@ def selftest(jetmc_ce):
     if ok:
         print("jetrace selftest: inverted two-lock fixture yields "
               "the lockA<->lockB cycle; ordered fixture is acyclic; "
-              "lockA->lockB found through a lock-free caller; "
+              "lockA->lockB found through a lock-free caller, and "
+              "not after the lock's block closes; "
               "MPSC inbox ring audits clean with zero lock-graph "
               "capabilities, raw-mutex inbox variant flagged")
     if jetmc_ce:
