@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string_view>
 
@@ -67,9 +68,9 @@ namespace {
 /** One board's full simulation stack, pinned to its shard's queue. */
 struct Node
 {
-    Node(const FleetDevice &d, sim::EventQueue &eq, std::uint64_t seed)
-        : board(soc::deviceByName(d.device), eq, seed), sched(board),
-          gpu(board)
+    Node(const soc::DeviceSpec &spec, const FleetDevice &d,
+         sim::EventQueue &eq, std::uint64_t seed)
+        : board(spec, eq, seed), sched(board), gpu(board)
     {
         srv_cfg.name = "srv"; // per-fleet index appended by caller
         srv_cfg.build.precision = d.precision;
@@ -169,14 +170,6 @@ struct Balancer
     }
 };
 
-/** Per-device leaf of the deterministic result reduction tree. */
-struct Partial
-{
-    FleetDeviceResult dev;
-    std::vector<double> samples; ///< request latencies (ticks)
-    double throughput = 0.0;
-};
-
 } // namespace
 
 FleetResult
@@ -202,26 +195,45 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
 
     FleetResult res;
     res.spec = spec;
-    res.all_deployed = true;
 
-    // Boards in spec order; the seed stride keeps per-board RNG
-    // streams independent of fleet size and shard topology.
-    std::vector<std::unique_ptr<Node>> nodes;
-    nodes.reserve(static_cast<std::size_t>(n));
-    for (int d = 0; d < n; ++d) {
-        const FleetDevice &dev = spec.devices[static_cast<std::size_t>(d)];
-        auto node = std::make_unique<Node>(
-            dev, engine.shard(map.shardOf(d)),
-            spec.seed * 1000003 + static_cast<std::uint64_t>(d));
-        node->board.start();
-        node->srv_cfg.name = "srv" + std::to_string(d);
-        node->srv = std::make_unique<workload::InferenceProcess>(
-            node->board, node->sched, node->gpu,
-            models::modelByName(dev.model), node->srv_cfg);
-        if (!node->srv->deploy())
-            res.all_deployed = false;
-        nodes.push_back(std::move(node));
+    // Names resolve here, on the caller, once each: an unknown one is
+    // fatal(), whose exit must not run static destructors under live
+    // workers.
+    std::map<std::string, soc::DeviceSpec> boards;
+    std::map<std::string, const graph::Network *> nets;
+    for (const FleetDevice &dev : spec.devices) {
+        if (!boards.contains(dev.device))
+            boards.emplace(dev.device, soc::deviceByName(dev.device));
+        if (!nets.contains(dev.model))
+            nets.emplace(dev.model, &models::modelByName(dev.model));
     }
+
+    // Set-up, each shard on its own worker: it builds and deploys its
+    // boards in device order, then starts the deployed ones, so its
+    // queue receives the same timer arms in the same order as from
+    // one loop over the fleet, and no board touches another shard's
+    // queue. The seed stride keeps per-board RNG streams independent
+    // of fleet size and shard topology.
+    std::vector<std::unique_ptr<Node>> nodes(static_cast<std::size_t>(n));
+    engine.forEachShard([&](int s) {
+        const std::vector<int> on = map.devicesOn(s);
+        for (const int d : on) {
+            const FleetDevice &dev = spec.devices[static_cast<std::size_t>(d)];
+            auto &node = nodes[static_cast<std::size_t>(d)];
+            node = std::make_unique<Node>(
+                boards.at(dev.device), dev, engine.shard(s),
+                spec.seed * 1000003 + static_cast<std::uint64_t>(d));
+            node->board.start();
+            node->srv_cfg.name = "srv" + std::to_string(d);
+            node->srv = std::make_unique<workload::InferenceProcess>(
+                node->board, node->sched, node->gpu, *nets.at(dev.model),
+                node->srv_cfg);
+            node->srv->deploy();
+        }
+        for (const int d : on)
+            if (nodes[static_cast<std::size_t>(d)]->srv->deployed())
+                nodes[static_cast<std::size_t>(d)]->srv->start();
+    });
 
     Balancer bal{engine,
                  engine.shard(0),
@@ -255,10 +267,7 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
             bal.targets.emplace_back(
                 map.shardOf(d),
                 nodes[static_cast<std::size_t>(d)]->srv.get());
-
-    for (auto &node : nodes)
-        if (node->srv->deployed())
-            node->srv->start();
+    res.all_deployed = bal.targets.size() == nodes.size();
     if (spec.balancer_rate > 0.0 && !bal.targets.empty())
         bal.scheduleNext();
 
@@ -269,66 +278,70 @@ runFleet(const FleetSpec &spec, const FleetOptions &opts)
     engine.runUntil(spec.warmup + spec.duration);
     bal.measuring = false;
     bal.stopped = true;
-    for (auto &node : nodes) {
-        node->srv->endMeasurement();
-        node->srv->stopEnqueue();
-    }
 
-    // Per-device leaf accumulators merged by a deterministic
-    // pairwise reduction tree in *device-index* order — never shard
-    // order, which would make the floating-point throughput sum (and
-    // so the digest) depend on the placement topology. The latency
-    // quantile is computed over the merged sample multiset, which is
-    // merge-order-invariant by construction (prof::Cdf sorts).
-    std::vector<Partial> parts(static_cast<std::size_t>(n));
-    for (int d = 0; d < n; ++d) {
-        const auto &node = *nodes[static_cast<std::size_t>(d)];
-        const auto &srv = *node.srv;
-        Partial &p = parts[static_cast<std::size_t>(d)];
-        FleetDeviceResult &r = p.dev;
-        r.name = "srv" + std::to_string(d);
-        r.device = spec.devices[static_cast<std::size_t>(d)].device;
-        r.deployed = srv.deployed();
-        if (r.deployed) {
-            r.arrived = srv.arrived();
-            r.served = srv.imagesCompleted();
-            r.throughput = srv.throughput();
-            const auto &lat = srv.latencyCdf();
-            if (!lat.empty()) {
-                r.p50_ms = sim::toMsec(
-                    static_cast<sim::Tick>(lat.quantile(0.5)));
-                r.p99_ms = sim::toMsec(
-                    static_cast<sim::Tick>(lat.quantile(0.99)));
-                r.max_ms =
-                    sim::toMsec(static_cast<sim::Tick>(lat.max()));
+    // Reduction and tear-down, each shard on the worker that built it:
+    // its devices' results and latency samples, then its nodes, freed
+    // by the thread that allocated them.
+    res.devices.resize(static_cast<std::size_t>(n));
+    std::vector<std::vector<double>> samples(
+        static_cast<std::size_t>(map.shards()));
+    engine.forEachShard([&](int s) {
+        for (const int d : map.devicesOn(s)) {
+            auto &node = nodes[static_cast<std::size_t>(d)];
+            auto &srv = *node->srv;
+            srv.endMeasurement();
+            srv.stopEnqueue();
+            FleetDeviceResult &r = res.devices[static_cast<std::size_t>(d)];
+            r.name = "srv" + std::to_string(d);
+            r.device = spec.devices[static_cast<std::size_t>(d)].device;
+            r.deployed = srv.deployed();
+            if (r.deployed) {
+                r.arrived = srv.arrived();
+                r.served = srv.imagesCompleted();
+                r.throughput = srv.throughput();
+                const auto &lat = srv.latencyCdf();
+                if (!lat.empty()) {
+                    r.p50_ms = sim::toMsec(
+                        static_cast<sim::Tick>(lat.quantile(0.5)));
+                    r.p99_ms = sim::toMsec(
+                        static_cast<sim::Tick>(lat.quantile(0.99)));
+                    r.max_ms =
+                        sim::toMsec(static_cast<sim::Tick>(lat.max()));
+                }
+                auto &mine = samples[static_cast<std::size_t>(s)];
+                mine.insert(mine.end(), lat.samples().begin(),
+                            lat.samples().end());
+                r.max_queue = srv.maxQueueDepth();
             }
-            p.samples = lat.samples();
-            r.max_queue = srv.maxQueueDepth();
-            p.throughput = r.throughput;
+            node.reset();
         }
-        res.devices.push_back(r);
-    }
-    for (std::size_t width = parts.size(); width > 1;) {
+    });
+
+    // The throughput sum folds halves in *device-index* order — never
+    // shard order, which would make its rounding (and so the digest)
+    // depend on the placement topology.
+    std::vector<double> sum(static_cast<std::size_t>(n));
+    for (std::size_t d = 0; d < sum.size(); ++d)
+        sum[d] = res.devices[d].throughput;
+    for (std::size_t width = sum.size(); width > 1;) {
         const std::size_t half = (width + 1) / 2;
-        for (std::size_t i = 0; i + half < width; ++i) {
-            Partial &a = parts[i];
-            Partial &b = parts[i + half];
-            a.throughput += b.throughput;
-            a.samples.insert(a.samples.end(), b.samples.begin(),
-                             b.samples.end());
-            b.samples.clear();
-            b.samples.shrink_to_fit();
-        }
+        for (std::size_t i = 0; i + half < width; ++i)
+            sum[i] += sum[i + half];
         width = half;
     }
-    res.total_throughput = parts[0].throughput;
-    if (!parts[0].samples.empty()) {
-        prof::Cdf fleet_latency;
-        for (const double x : parts[0].samples)
-            fleet_latency.add(x);
-        res.p99_ms = sim::toMsec(
-            static_cast<sim::Tick>(fleet_latency.quantile(0.99)));
-    }
+    res.total_throughput = sum[0];
+    // A quantile depends on the sample multiset only, so the shards'
+    // samples join in shard order and the p99 is selected, not sorted.
+    std::size_t total = 0;
+    for (const auto &mine : samples)
+        total += mine.size();
+    std::vector<double> latencies;
+    latencies.reserve(total);
+    for (const auto &mine : samples)
+        latencies.insert(latencies.end(), mine.begin(), mine.end());
+    if (!latencies.empty())
+        res.p99_ms = sim::toMsec(static_cast<sim::Tick>(
+            prof::selectQuantile(latencies, 0.99)));
     res.dispatched = bal.dispatched;
 
     const auto st = engine.stats();

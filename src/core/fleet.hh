@@ -209,7 +209,13 @@ visitFields(V &v, S &o)
     v("lookahead", o.lookahead);
 }
 
-/** Simulate @p spec under @p opts (bit-identical at any opts). */
+/**
+ * Simulate @p spec under @p opts (bit-identical at any opts). Each
+ * shard's boards are built, reduced and destroyed on the engine
+ * worker that runs the shard (sim::ShardedEngine::forEachShard); an
+ * unknown device or model name is fatal() on the caller, before any
+ * worker starts.
+ */
 FleetResult runFleet(const FleetSpec &spec,
                      const FleetOptions &opts = {});
 

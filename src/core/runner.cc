@@ -127,10 +127,11 @@ Runner::run(const std::vector<ExperimentSpec> &specs,
 
     const std::size_t workers =
         std::min(static_cast<std::size_t>(threads_), specs.size());
-    // One shared cursor hands out cells from the end of the batch,
-    // where grids list their largest cells, so the longest runs start
-    // first. A cell is a whole simulation, so one atomic decrement per
-    // cell is all the scheduling the pool needs.
+    // One shared cursor hands out cells from the end of the batch.
+    // That is not longest-first for every grid: the paper grid's
+    // longest cells sit near its start. A cell is a whole simulation,
+    // so one atomic decrement per cell is all the scheduling the pool
+    // needs.
     std::atomic<std::ptrdiff_t> next{
         static_cast<std::ptrdiff_t>(specs.size()) - 1};
     OrderedProgress announcer(specs.size(), progress);

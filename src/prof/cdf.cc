@@ -6,6 +6,51 @@
 
 namespace jetsim::prof {
 
+namespace {
+
+/**
+ * Where the q-quantile of n >= 1 samples lies: at q * (n - 1) in
+ * sorted order, frac of the way from order statistic lo to lo + 1, or
+ * order statistic lo itself when it is the last. Cdf::quantile and
+ * selectQuantile both go through it, so they agree bit for bit.
+ */
+struct QuantileRank
+{
+    QuantileRank(double q, std::size_t n)
+    {
+        JETSIM_ASSERT(n >= 1);
+        JETSIM_ASSERT(q >= 0.0 && q <= 1.0);
+        const double pos = q * static_cast<double>(n - 1);
+        lo = static_cast<std::size_t>(pos);
+        frac = pos - static_cast<double>(lo);
+        last = lo + 1 >= n;
+    }
+
+    /** The quantile from order statistics lo and lo + 1 (!last). */
+    double
+    interpolate(double at_lo, double at_next) const
+    {
+        return at_lo * (1.0 - frac) + at_next * frac;
+    }
+
+    std::size_t lo = 0;
+    double frac = 0.0;
+    bool last = false; ///< lo == n - 1: the quantile is order statistic lo
+};
+
+} // namespace
+
+double
+selectQuantile(std::vector<double> &samples, double q)
+{
+    const QuantileRank r(q, samples.size());
+    const auto lo = samples.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    std::nth_element(samples.begin(), lo, samples.end());
+    if (r.last)
+        return *lo;
+    return r.interpolate(*lo, *std::min_element(lo + 1, samples.end()));
+}
+
 void
 Cdf::add(double x)
 {
@@ -27,16 +72,11 @@ double
 Cdf::quantile(double q) const
 {
     JETSIM_ASSERT(!samples_.empty());
-    JETSIM_ASSERT(q >= 0.0 && q <= 1.0);
     ensureSorted();
-    if (samples_.size() == 1)
-        return samples_.front();
-    const double pos = q * static_cast<double>(samples_.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(lo);
-    if (lo + 1 >= samples_.size())
-        return samples_.back();
-    return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+    const QuantileRank r(q, samples_.size());
+    if (r.last)
+        return samples_[r.lo];
+    return r.interpolate(samples_[r.lo], samples_[r.lo + 1]);
 }
 
 double

@@ -14,6 +14,15 @@
 namespace jetsim::prof {
 
 /**
+ * Cdf::quantile(q) over @p samples, bit for bit, found by selection
+ * instead of a sort: nth_element places the lower of the two order
+ * statistics the quantile lies between, min_element over the rest
+ * finds the upper, and the two share Cdf::quantile's interpolation.
+ * Reorders @p samples; O(n).
+ */
+double selectQuantile(std::vector<double> &samples, double q);
+
+/**
  * Collects scalar samples and answers quantile / cumulative-fraction
  * queries. Samples are sorted lazily on first query.
  */

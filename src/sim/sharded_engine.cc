@@ -231,16 +231,11 @@ ShardedEngine::runClocks(Tick target)
         runShards(0, cap);
         return executedTotal() - before;
     }
-    startWorkers();
     run_cap_ = cap;
     parallel_ = true;
-    running_.store(threads_ - 1, std::memory_order_relaxed);
-    run_gen_.fetch_add(1, std::memory_order_release);
-    run_gen_.notify_all();
+    wakeWorkers();
     runShards(0, cap); // the caller is worker 0
-    for (int r = running_.load(std::memory_order_acquire); r != 0;
-         r = running_.load(std::memory_order_acquire))
-        running_.wait(r, std::memory_order_acquire);
+    waitForWorkers();
     parallel_ = false;
     return executedTotal() - before;
 }
@@ -383,7 +378,7 @@ ShardedEngine::horizon(int s, Tick cap) const
     return h;
 }
 
-JETSIM_COLD_OK("once per engine: worker threads spawned at the first parallel run, parked between runs")
+JETSIM_COLD_OK("once per engine: worker threads spawned at the first parallel run or forEachShard, parked between rounds")
 void
 ShardedEngine::startWorkers()
 {
@@ -395,6 +390,27 @@ ShardedEngine::startWorkers()
         workers_.emplace_back([this, w, gen] { workerLoop(w, gen); });
 }
 
+/** Start a round on the parked workers (spawning them the first
+ * time); run_cap_ or job_ is already set. */
+void
+ShardedEngine::wakeWorkers()
+{
+    startWorkers();
+    running_.store(threads_ - 1, std::memory_order_relaxed);
+    run_gen_.fetch_add(1, std::memory_order_release);
+    run_gen_.notify_all();
+}
+
+/** Wait until every worker has finished the round; what they wrote is
+ * then visible to the caller. */
+void
+ShardedEngine::waitForWorkers()
+{
+    for (int r = running_.load(std::memory_order_acquire); r != 0;
+         r = running_.load(std::memory_order_acquire))
+        running_.wait(r, std::memory_order_acquire);
+}
+
 void
 ShardedEngine::workerLoop(int worker, std::uint32_t seen)
 {
@@ -403,10 +419,39 @@ ShardedEngine::workerLoop(int worker, std::uint32_t seen)
         seen = run_gen_.load(std::memory_order_acquire);
         if (stop_)
             return;
-        runShards(worker, run_cap_);
+        // jethot: boundary(runJob) a forEachShard round runs between clock runs, never inside one: per-shard set-up, reduction and tear-down, cold code of the caller's
+        if (job_ != nullptr)
+            runJob(worker);
+        else
+            runShards(worker, run_cap_);
         if (running_.fetch_sub(1, std::memory_order_release) == 1)
             running_.notify_one();
     }
+}
+
+void
+ShardedEngine::forEachShard(const std::function<void(int)> &fn) noexcept
+{
+    // Not from inside a parallel run or another round.
+    JETSIM_ASSERT(!parallel_ && job_ == nullptr);
+    if (threads_ == 1 || chooser_ != nullptr) {
+        for (int s = 0; s < shards(); ++s)
+            fn(s);
+        return;
+    }
+    job_ = &fn;
+    wakeWorkers();
+    runJob(0); // the caller is worker 0
+    waitForWorkers();
+    job_ = nullptr;
+}
+
+/** The shards @p worker owns in the clock loop, through job_. */
+void
+ShardedEngine::runJob(int worker)
+{
+    for (int s = worker; s < shards(); s += threads_)
+        (*job_)(s);
 }
 
 bool

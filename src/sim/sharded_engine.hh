@@ -67,6 +67,10 @@
  * wait. The hot path is allocation-free at steady state: each shard's
  * queue reuses its callback slots, and each outbox reuses drained
  * nodes.
+ *
+ * Between runs the same workers take per-shard jobs (forEachShard):
+ * each runs the shards it owns in the clock loop, so what a shard's
+ * events touch is built, read and freed by the thread that runs them.
  */
 
 #ifndef JETSIM_SIM_SHARDED_ENGINE_HH
@@ -74,6 +78,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -95,8 +100,9 @@ class ShardedEngine
     {
         /** Event-queue shards (>= 1). */
         int shards = 1;
-        /** Worker threads for the clock loop; 1 = in-caller. Capped
-         * at the shard count (spare workers would idle). */
+        /** Worker threads for the clock loop and forEachShard; 1 =
+         * in-caller. Capped at the shard count (spare workers would
+         * idle). */
         int threads = 1;
         /**
          * Conservative lookahead: the minimum delay of every
@@ -184,6 +190,20 @@ class ShardedEngine
 
     /** Run until every shard drains (or @p max_events executed). */
     std::uint64_t runAll(std::uint64_t max_events = UINT64_MAX);
+
+    /**
+     * Call @p fn(s) once for every shard s and return when every call
+     * has returned. Each call runs on the worker that owns s in the
+     * clock loop (s % threads() == w, the caller being worker 0),
+     * shards that share a worker in increasing order. With one
+     * thread, or a Chooser installed, every call runs on the caller,
+     * in shard order. @p fn(s) may touch shard s's queue and what
+     * lives only on shard s, and must not post(). Callable before the
+     * first run, between runs and after the last, never from inside
+     * a run or from @p fn. An exception out of @p fn terminates, as
+     * it would on a worker.
+     */
+    void forEachShard(const std::function<void(int)> &fn) noexcept;
 
     /** Smallest pending event time across shards; false when all
      * shards (and outboxes) are empty. */
@@ -276,7 +296,10 @@ class ShardedEngine
     std::uint64_t runMerge(Tick target);
     bool mergeOne(Tick target);
     void startWorkers();
+    void wakeWorkers();
+    void waitForWorkers();
     void workerLoop(int worker, std::uint32_t seen);
+    void runJob(int worker);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     int threads_ = 1;
@@ -302,16 +325,18 @@ class ShardedEngine
     std::atomic<std::uint64_t> barriers_{0};
 
     /** @name Workers
-     * Spawned at the first parallel run and parked on run_gen_
-     * between runs. The caller writes run_cap_ (and stop_), bumps
-     * run_gen_ (release) to start a run, works as worker 0, and waits
-     * for running_ to reach zero. jetrace's graph over the engine has
-     * no lock nodes at all.
+     * Spawned at the first parallel run or forEachShard and parked on
+     * run_gen_ between rounds. The caller writes run_cap_ or job_
+     * (and stop_), bumps run_gen_ (release) to start a round, works
+     * as worker 0, and waits for running_ to reach zero. jetrace's
+     * graph over the engine has no lock nodes at all.
      * @{ */
     std::vector<std::thread> workers_;
     std::atomic<std::uint32_t> run_gen_{0};
     std::atomic<int> running_{0};
     Tick run_cap_ = 0;
+    /** forEachShard's function for this round; null in a clock run. */
+    const std::function<void(int)> *job_ = nullptr;
     bool stop_ = false;
     /** True while workers run shards: cross-shard posts must take
      * the outboxes. Written only while no worker runs. */

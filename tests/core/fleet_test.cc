@@ -121,7 +121,8 @@ TEST(Fleet, SixteenShardMatrixBitIdenticalToSerial)
     const FleetResult serial = runFleet(spec, {});
     ASSERT_GT(serial.dispatched, 0u);
     const auto want = resultDigest(serial);
-    for (const int threads : {1, 2, 8}) {
+    // 3 does not divide 16; 4 is the benchmark's thread count.
+    for (const int threads : {1, 2, 3, 4, 8}) {
         FleetOptions o;
         o.shards = 16;
         o.threads = threads;
@@ -130,6 +131,49 @@ TEST(Fleet, SixteenShardMatrixBitIdenticalToSerial)
         EXPECT_EQ(got.events, serial.events);
     }
     EXPECT_EQ(cap.total(), 0u);
+}
+
+TEST(FleetDeathTest, UnknownNamesExitOnTheCaller)
+{
+    // Names resolve before any worker builds a board: an unknown one
+    // is a user error (exit 1 with the lookup's message), never an
+    // abort on a worker.
+    const auto user_error = testing::ExitedWithCode(1);
+    FleetOptions o;
+    o.shards = 16;
+    o.threads = 4;
+    FleetSpec bad_model = bigFleet(20, false);
+    bad_model.devices[7].model = "resnet51";
+    EXPECT_EXIT(runFleet(bad_model, o), user_error,
+                "unknown model 'resnet51'");
+    FleetSpec bad_device = bigFleet(20, false);
+    bad_device.devices[13].device = "orin-mega";
+    EXPECT_EXIT(runFleet(bad_device, o), user_error,
+                "unknown device 'orin-mega'");
+}
+
+TEST(Fleet, BoardThatCannotDeployClearsAllDeployed)
+{
+    // FCN-ResNet50 at fp32 batch 40 does not fit the Nano's memory;
+    // its shard's failed deploy must still reach the fleet's flag.
+    FleetSpec spec = bigFleet(20, false);
+    spec.devices[5].device = "nano";
+    spec.devices[5].model = "fcn_resnet50";
+    spec.devices[5].precision = soc::Precision::Fp32;
+    spec.devices[5].batch = 40;
+    const FleetResult serial = runFleet(spec, {});
+    for (const int threads : {1, 4}) {
+        FleetOptions o;
+        o.shards = 16;
+        o.threads = threads;
+        const FleetResult got = runFleet(spec, o);
+        EXPECT_FALSE(got.all_deployed) << "threads=" << threads;
+        EXPECT_FALSE(got.devices[5].deployed) << "threads=" << threads;
+        EXPECT_TRUE(got.devices[4].deployed) << "threads=" << threads;
+        EXPECT_GT(got.dispatched, 0u) << "threads=" << threads;
+        EXPECT_EQ(resultDigest(got), resultDigest(serial))
+            << "threads=" << threads;
+    }
 }
 
 TEST(Fleet, HierarchicalFleetBitIdenticalAcrossTopologies)

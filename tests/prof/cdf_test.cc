@@ -7,6 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "sim/rng.hh"
+
 namespace jetsim::prof {
 namespace {
 
@@ -112,6 +119,39 @@ TEST(Cdf, CopyIsIndependent)
     b.add(1000.0);
     EXPECT_EQ(a.count(), 10u);
     EXPECT_EQ(b.count(), 11u);
+}
+
+TEST(Cdf, SelectionQuantileEqualsSortedQuantileBitForBit)
+{
+    // The rank q * (n - 1) is an integer, so the upper order
+    // statistic has weight 0, at n = 3 and 101 for q = 0.5 and at
+    // n = 101 for q = 0.99; it is not at n = 20046.
+    EXPECT_EQ(0.99 * 100.0, 99.0);
+    EXPECT_NE(0.99 * 20045.0, std::floor(0.99 * 20045.0));
+
+    sim::Rng rng(41);
+    for (const std::size_t n : {1, 2, 3, 101, 20046}) {
+        // Distinct latencies in ticks and duplicates of four values,
+        // both in random order, and all equal.
+        std::vector<double> distinct, dups, equal(n, 4.25e6);
+        for (std::size_t i = 0; i < n; ++i) {
+            distinct.push_back(1e6 * (1.0 + rng.uniform()));
+            dups.push_back(
+                1.5e6 * static_cast<double>(rng.uniformInt(1, 4)));
+        }
+        for (const auto *xs : {&distinct, &dups, &equal})
+            for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+                Cdf c;
+                for (const double x : *xs)
+                    c.add(x);
+                std::vector<double> copy = *xs;
+                EXPECT_EQ(
+                    std::bit_cast<std::uint64_t>(
+                        selectQuantile(copy, q)),
+                    std::bit_cast<std::uint64_t>(c.quantile(q)))
+                    << "n=" << n << " q=" << q;
+            }
+    }
 }
 
 } // namespace

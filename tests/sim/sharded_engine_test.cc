@@ -95,10 +95,14 @@ struct Observed
 /**
  * A fixed 4-"device" workload: every device ticks locally and sends
  * round-robin messages to the next device, with deliberate (when,
- * priority) collisions at every multiple of 10.
+ * priority) collisions at every multiple of 10. With @p per_shard_setup
+ * each shard schedules its own devices' first ticks in forEachShard,
+ * and two more rounds read every shard's clock, one between two runs
+ * and one after the last.
  */
 Observed
-runWorkload(int shards, int threads, Tick lookahead)
+runWorkload(int shards, int threads, Tick lookahead,
+            bool per_shard_setup = false)
 {
     constexpr int kDevices = 4;
     ShardedEngine eng(opts(shards, threads, lookahead));
@@ -143,13 +147,34 @@ runWorkload(int shards, int threads, Tick lookahead)
     };
 
     std::array<Dev, kDevices> devs;
+    const auto start = [&](int d) {
+        eng.shard(d % k).schedule(
+            10, [&devs, d] { devs[static_cast<std::size_t>(d)].tick(); });
+    };
     for (int d = 0; d < kDevices; ++d) {
         devs[static_cast<std::size_t>(d)] =
             Dev{&eng, &obs, &ports, d, d % k};
-        eng.shard(d % k).schedule(
-            10, [&devs, d] { devs[static_cast<std::size_t>(d)].tick(); });
+        if (!per_shard_setup)
+            start(d);
     }
-    obs.executed = eng.runUntil(500);
+    if (!per_shard_setup) {
+        obs.executed = eng.runUntil(500);
+        return obs;
+    }
+    eng.forEachShard([&](int s) {
+        for (int d = s; d < kDevices; d += k)
+            start(d);
+    });
+    std::vector<Tick> clocks(static_cast<std::size_t>(k));
+    const auto readClocks = [&](int s) {
+        clocks[static_cast<std::size_t>(s)] = eng.shard(s).now();
+    };
+    obs.executed = eng.runUntil(250);
+    eng.forEachShard(readClocks);
+    EXPECT_EQ(clocks, std::vector<Tick>(clocks.size(), 250));
+    obs.executed += eng.runUntil(500);
+    eng.forEachShard(readClocks);
+    EXPECT_EQ(clocks, std::vector<Tick>(clocks.size(), 500));
     return obs;
 }
 
@@ -165,6 +190,73 @@ TEST(ShardedEngine, EveryTopologyMatchesSerial)
                     << "shards=" << shards << " threads=" << threads
                     << " lookahead=" << lookahead;
             }
+}
+
+TEST(ShardedEngine, ForEachShardRunsEveryShardOnceOnItsOwner)
+{
+    const auto caller = std::this_thread::get_id();
+    for (const int shards : {1, 2, 16})
+        for (const int threads : {1, 2, 3, 4, 16}) {
+            ShardedEngine eng(opts(shards, threads, 10));
+            const int t = eng.threads();
+            const auto n = static_cast<std::size_t>(shards);
+            // Each call writes only its own shard's entries.
+            std::vector<int> calls(n, 0);
+            std::vector<std::thread::id> ran_on(n);
+            std::vector<int> turn(n, -1);
+            std::atomic<int> next_turn{0};
+            eng.forEachShard([&](int s) {
+                const auto i = static_cast<std::size_t>(s);
+                ++calls[i];
+                ran_on[i] = std::this_thread::get_id();
+                turn[i] = next_turn.fetch_add(1);
+            });
+            for (int s = 0; s < shards; ++s) {
+                const auto i = static_cast<std::size_t>(s);
+                SCOPED_TRACE("shards=" + std::to_string(shards) +
+                             " threads=" + std::to_string(threads) +
+                             " shard=" + std::to_string(s));
+                EXPECT_EQ(calls[i], 1);
+                EXPECT_EQ(ran_on[i] == caller, s % t == 0);
+                for (int u = 0; u < s; ++u) {
+                    const auto j = static_cast<std::size_t>(u);
+                    EXPECT_EQ(ran_on[i] == ran_on[j], s % t == u % t);
+                    if (s % t == u % t) {
+                        EXPECT_LT(turn[j], turn[i]);
+                    }
+                }
+            }
+        }
+
+    // With a Chooser installed every shard runs on the caller, in order.
+    struct DefaultChooser final : Chooser
+    {
+        int
+        choose(ChoiceKind, const std::int64_t *, int) override
+        {
+            return 0;
+        }
+    } chooser;
+    ShardedEngine eng(opts(16, 4, 10));
+    eng.setChooser(&chooser);
+    std::vector<int> order;
+    eng.forEachShard([&](int s) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(s);
+    });
+    std::vector<int> want(16);
+    for (int s = 0; s < 16; ++s)
+        want[static_cast<std::size_t>(s)] = s;
+    EXPECT_EQ(order, want);
+}
+
+TEST(ShardedEngine, ForEachShardAroundRunsKeepsTheSerialResult)
+{
+    const Observed serial = runWorkload(1, 1, 10);
+    for (const int shards : {1, 2, 16})
+        for (const int threads : {1, 2, 3, 4, 16})
+            EXPECT_EQ(runWorkload(shards, threads, 10, true), serial)
+                << "shards=" << shards << " threads=" << threads;
 }
 
 TEST(ShardedEngine, ZeroLookaheadFallsBackToSerialMerge)

@@ -79,9 +79,11 @@
 # (an oversubscribed pool plus the global-state regression tests),
 # the sharded_stress_tests binary (per-shard clocks, shard claims and
 # the single-producer outboxes drained while their posters push,
-# under oversubscription), the Outbox unit tests (a drain racing a
-# producer, and both roles handed between threads), the 8-thread
-# store lookup test and the simcheck
+# under oversubscription, and runFleet's per-shard set-up and
+# tear-down on the engine's workers), the Outbox unit tests (a drain
+# racing a producer, and both roles handed between threads), the
+# forEachShard tests (per-shard jobs on the parked workers), the
+# 8-thread store lookup test and the simcheck
 # replay through the parallel path, so data races in the concurrent
 # executors fail CI rather than lurk.
 
@@ -319,11 +321,13 @@ if [ "$run_san" = 1 ]; then
     # treatment: with --tsan this is the pass that turns any data
     # race in ShardedEngine into a CI failure. The Outbox unit tests
     # race a drain against a producer and hand both roles between
-    # threads; each run is a fresh schedule.
+    # threads; the forEachShard tests hand per-shard jobs to the
+    # parked workers before, between and after runs; each run is a
+    # fresh schedule.
     "$repo/build-ci/$san_flavor/tests/sharded_stress_tests"
     for _ in 1 2 3 4 5; do
         "$repo/build-ci/$san_flavor/tests/sharded_tests" --gtest_brief=1 \
-            --gtest_filter='Outbox.*'
+            --gtest_filter='Outbox.*:ShardedEngine.ForEachShard*'
     done
     # The build-once model and engine stores: 8 threads (twice the
     # cores of a 4-core host) race first builds against lookups of
