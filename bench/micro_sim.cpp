@@ -34,6 +34,7 @@
 #include "cpu/scheduler.hh"
 #include "gpu/cost_model.hh"
 #include "models/zoo.hh"
+#include "sim/draw_stream.hh"
 #include "sim/event_queue.hh"
 #include "sim/sharded_engine.hh"
 #include "soc/board.hh"
@@ -129,11 +130,32 @@ BM_KernelCostModel(benchmark::State &state)
     k.prec = soc::Precision::Fp16;
     k.tc = true;
     k.blocks = 512;
-    sim::Rng rng(1);
+    auto draws = gpu::KernelCostModel::jitterStream(sim::Rng(1));
     for (auto _ : state)
-        benchmark::DoNotOptimize(model.timing(k, 0.9, &rng));
+        benchmark::DoNotOptimize(model.timing(k, 0.9, &draws));
 }
 BENCHMARK(BM_KernelCostModel);
+
+/** One iteration is one block of launch-cost draws: a refill and its
+ * eight draws (Arg 1), or the same eight draws one Rng call at a time
+ * (Arg 0). */
+static void
+BM_LaunchDrawBlock(benchmark::State &state)
+{
+    const sim::Lognormal d(5000.0, 0.35);
+    const auto to_tick = [&d](double v) { return d.boundedTick(v); };
+    sim::Rng rng(1);
+    sim::DrawStream<2> stream(rng, d);
+    const bool block = state.range(0) == 1;
+    for (auto _ : state) {
+        sim::Tick sum = 0;
+        for (int i = 0; i < sim::kDrawBlock; ++i)
+            sum += block ? stream.lognormalTick(d, to_tick)
+                         : rng.lognormalTick(d, to_tick);
+        benchmark::DoNotOptimize(sum);
+    }
+}
+BENCHMARK(BM_LaunchDrawBlock)->Arg(0)->Arg(1);
 
 static void
 BM_BuildResnet50Engine(benchmark::State &state)

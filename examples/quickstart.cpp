@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "core/bottleneck.hh"
 #include "core/profiler.hh"
@@ -34,29 +35,12 @@ positiveInt(const char *arg, const char *v)
     return *n;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** The phase-1 and phase-2 metric tables of a deployed run. */
+void
+printPhases(const core::ExperimentResult &light,
+            const core::ExperimentResult &deep)
 {
-    const char *precision = argc > 3 ? argv[3] : "int8";
-    core::ExperimentSpec spec;
-    spec.device = argc > 1 ? argv[1] : "orin-nano";
-    spec.model = argc > 2 ? argv[2] : "resnet50";
-    const auto prec = sim::enumFromName<soc::Precision>(precision);
-    if (!prec)
-        sim::fatal("quickstart: precision: '%s' is not one of int8, "
-                   "fp16, tf32, fp32",
-                   precision);
-    spec.precision = *prec;
-    spec.batch = positiveInt("batch", argc > 4 ? argv[4] : "1");
-    spec.processes = positiveInt("processes", argc > 5 ? argv[5] : "1");
-
-    std::printf("jetsim quickstart: %s\n", spec.label().c_str());
-
     // Phase 1: lightweight metrics with no profiler intrusion.
-    auto [light, deep] = core::runTwoPhase(spec);
-
     prof::printHeading(std::cout, "Phase 1 (trtexec + jetson-stats)");
     prof::Table t1({"metric", "value", "unit"});
     t1.addRow({"throughput (total)", prof::fmt(light.total_throughput, 1),
@@ -85,16 +69,21 @@ main(int argc, char **argv)
                ""});
     t2.addRow({"kernel duration (mean)", prof::fmt(deep.kernel_us_mean, 1),
                "us"});
-    t2.addRow({"SM active (median)", prof::fmt(deep.sm_active.median(), 1),
-               "%"});
-    t2.addRow({"issue slot (median)",
-               prof::fmt(deep.issue_slot.median(), 1), "%"});
-    t2.addRow({"TC util (median)", prof::fmt(deep.tc_util.median(), 1),
-               "%"});
+    // A counter with no traced kernels has no median.
+    const auto median = [](const prof::Cdf &c) {
+        return c.empty() ? std::string("-") : prof::fmt(c.median(), 1);
+    };
+    t2.addRow({"SM active (median)", median(deep.sm_active), "%"});
+    t2.addRow({"issue slot (median)", median(deep.issue_slot), "%"});
+    t2.addRow({"TC util (median)", median(deep.tc_util), "%"});
     t2.print(std::cout);
+}
 
+/** The kernel-level decomposition table of a deployed run. */
+void
+printDecomposition(const core::EcBreakdown &b)
+{
     prof::printHeading(std::cout, "Kernel-level decomposition (deep)");
-    const auto b = core::analyzeBottleneck(deep);
     prof::Table t3({"term", "ms/EC"});
     t3.addRow({"EC span", prof::fmt(b.ec_ms)});
     t3.addRow({"K (launch API)", prof::fmt(b.launch_ms)});
@@ -104,6 +93,40 @@ main(int argc, char **argv)
     t3.addRow({"  cache penalty", prof::fmt(b.cache_ms)});
     t3.addRow({"sync span", prof::fmt(b.sync_ms)});
     t3.print(std::cout);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const char *precision = argc > 3 ? argv[3] : "int8";
+    core::ExperimentSpec spec;
+    spec.device = argc > 1 ? argv[1] : "orin-nano";
+    spec.model = argc > 2 ? argv[2] : "resnet50";
+    const auto prec = sim::enumFromName<soc::Precision>(precision);
+    if (!prec)
+        sim::fatal("quickstart: precision: '%s' is not one of int8, "
+                   "fp16, tf32, fp32",
+                   precision);
+    spec.precision = *prec;
+    spec.batch = positiveInt("batch", argc > 4 ? argv[4] : "1");
+    spec.processes = positiveInt("processes", argc > 5 ? argv[5] : "1");
+
+    std::printf("jetsim quickstart: %s\n", spec.label().c_str());
+
+    // Both phases: light (trtexec + jetson-stats), then deep (Nsight).
+    auto [light, deep] = core::runTwoPhase(spec);
+
+    // The run starts only if every process deploys; the bottleneck
+    // analysis says why one did not.
+    std::printf("deployed: %d of %d processes\n", light.deployed_count,
+                spec.processes);
+    const auto b = core::analyzeBottleneck(deep);
+    if (light.all_deployed) {
+        printPhases(light, deep);
+        printDecomposition(b);
+    }
     std::printf("\nbottleneck: %s - %s\n", core::bottleneckName(b.primary),
                 b.explanation.c_str());
 

@@ -148,9 +148,15 @@ KernelCostModel::reportInvalid(const KernelDesc &k) const
                  device_.c_str(), k.name.c_str());
 }
 
+JitterStream
+KernelCostModel::jitterStream(sim::Rng rng)
+{
+    return JitterStream(rng, kJitter);
+}
+
 KernelTiming
 KernelCostModel::timing(const KernelDesc &k, double freq_frac,
-                        sim::Rng *rng) const
+                        Draws draws) const
 {
     // --- JetSan input validation: a degenerate descriptor or DVFS
     // state must not leak NaN/Inf (or UB) into the timeline.
@@ -167,11 +173,11 @@ KernelCostModel::timing(const KernelDesc &k, double freq_frac,
     freq_frac = std::min(freq_frac, 1.0);
 
     if (k.statics.gpu == tag_)
-        return perCall(k, k.statics, k.flops, k.bytes, freq_frac, rng);
+        return perCall(k, k.statics, k.flops, k.bytes, freq_frac, draws);
     const Terms t = terms(k);
     if (t.block.gpu == 0)
         reportInvalid(k);
-    return perCall(k, t.block, t.flops, t.bytes, freq_frac, rng);
+    return perCall(k, t.block, t.flops, t.bytes, freq_frac, draws);
 }
 
 double
@@ -190,27 +196,34 @@ KernelCostModel::body(const KernelStatics &s, double flops,
 KernelTiming
 KernelCostModel::perCall(const KernelDesc &k, const KernelStatics &s,
                          double flops, double bytes, double freq_frac,
-                         sim::Rng *rng) const
+                         Draws draws) const
 {
     const auto &g = gpu_;
     const double compute_ns = flops / std::max(s.rate * freq_frac, 1e-9);
     const double body_ns = body(s, flops, freq_frac);
+    const auto to_tick = [body_ns](double j) {
+        return jitteredBody(body_ns, j);
+    };
+
+    // The jitter's two uniforms, then the occupancy's third.
+    sim::Tick body_tick;
+    double occupancy = s.occupancy;
+    if (draws.stream_) {
+        body_tick = draws.stream_->lognormalTick(kJitter, to_tick);
+        occupancy *= sim::Rng::scaled(0.96, 1.0, draws.stream_->third());
+    } else if (draws.rng_) {
+        body_tick = draws.rng_->lognormalTick(kJitter, to_tick);
+        occupancy *= draws.rng_->uniform(0.96, 1.0);
+    } else {
+        body_tick = jitteredBody(body_ns, 1.0);
+    }
 
     KernelTiming t;
-    t.duration =
-        kKernelOverhead +
-        (rng ? rng->lognormalTick(
-                   kJitter,
-                   [body_ns](double j) { return jitteredBody(body_ns, j); })
-             : jitteredBody(body_ns, 1.0));
+    t.duration = kKernelOverhead + body_tick;
 
     const double dur_ns = static_cast<double>(t.duration);
     t.compute_frac = std::min(1.0, compute_ns / dur_ns);
     t.bw_util = std::min(1.0, (bytes / dur_ns) / g.mem_bw_gbps);
-
-    double occupancy = s.occupancy;
-    if (rng)
-        occupancy *= rng->uniform(0.96, 1.0);
     t.sm_active = std::clamp(occupancy, 0.05, 1.0);
 
     // Tensor-core utilisation: TC-busy over elapsed. The efficiency

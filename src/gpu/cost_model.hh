@@ -16,14 +16,19 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "gpu/kernel.hh"
-#include "sim/rng.hh"
+#include "sim/draw_stream.hh"
 #include "soc/device_spec.hh"
 
 namespace jetsim::gpu {
+
+/** timing()'s draws per kernel: the body jitter's two uniforms, then
+ * the SM-occupancy one. */
+using JitterStream = sim::DrawStream<3>;
 
 /**
  * Pure-function cost model for one device. Keeps the device's GpuSpec
@@ -44,13 +49,35 @@ class KernelCostModel
     explicit KernelCostModel(const soc::DeviceSpec &spec);
 
     /**
+     * Where timing() draws a call's jitter: a JitterStream (the
+     * engine's); a plain Rng, which gives the same draws one call at
+     * a time (perfbench's cost-model layer times it so); or nothing,
+     * for the deterministic expectation.
+     */
+    class Draws
+    {
+      public:
+        Draws(std::nullptr_t = nullptr) {}
+        Draws(JitterStream *stream) : stream_(stream) {}
+        Draws(sim::Rng *rng) : rng_(rng) {}
+
+      private:
+        friend class KernelCostModel;
+        JitterStream *stream_ = nullptr;
+        sim::Rng *rng_ = nullptr;
+    };
+
+    /** A stream of timing()'s draws from @p rng. */
+    static JitterStream jitterStream(sim::Rng rng);
+
+    /**
      * Timing and counters for @p k at the given DVFS point.
      * @param freq_frac current GPU frequency / max frequency
-     * @param rng source for the small execution-time jitter; pass
-     *        nullptr for the deterministic expectation (tests).
+     * @param draws source of the small execution-time jitter; nullptr
+     *        for the deterministic expectation.
      */
     KernelTiming timing(const KernelDesc &k, double freq_frac,
-                        sim::Rng *rng = nullptr) const;
+                        Draws draws = nullptr) const;
 
     /**
      * The device-static stage of timing() for @p k on this GPU, tagged
@@ -110,7 +137,7 @@ class KernelCostModel
      * Tick of a body of @p body_ns ns at jitter factor @p j: the
      * factor clamped into [kJitterLo, kJitterHi], the product capped
      * at kMaxBodyNsCap, then truncated. Monotone non-decreasing in
-     * @p j, as sim::Rng::lognormalTick requires of its map.
+     * @p j, as a lognormal draw's Tick map must be.
      */
     static sim::Tick
     jitteredBody(double body_ns, double j)
@@ -137,7 +164,7 @@ class KernelCostModel
     /** The per-call stage over static terms @p s. */
     KernelTiming perCall(const KernelDesc &k, const KernelStatics &s,
                          double flops, double bytes, double freq_frac,
-                         sim::Rng *rng) const;
+                         Draws draws) const;
 
     /** Does @p k run on the tensor-core path on this GPU? */
     bool

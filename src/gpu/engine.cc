@@ -15,7 +15,8 @@ constexpr const char *kComponent = "gpu.engine";
 
 GpuEngine::GpuEngine(soc::Board &board)
     : board_(board), eq_(board.eq()), cost_(board.spec()),
-      rng_(board.rng().fork("gpu-engine")),
+      jitter_(
+          KernelCostModel::jitterStream(board.rng().fork("gpu-engine"))),
       start_timer_(
           [](void *self) { static_cast<GpuEngine *>(self)->startMux(); },
           this),
@@ -234,7 +235,7 @@ GpuEngine::scheduleNext()
     ch.queue.pop_front();
 
     const KernelTiming timing =
-        cost_.timing(*k, board_.gpuFreqFrac(), &rng_);
+        cost_.timing(*k, board_.gpuFreqFrac(), &jitter_);
     // Profiler intrusion surfaces as serialisation *between* kernels
     // (driver-side bookkeeping): the GPU idles for the gap, so the
     // in-kernel utilisation counters stay untouched while throughput
@@ -317,7 +318,7 @@ GpuEngine::spatialStart(int channel)
     ch.queue.pop_front();
 
     e.start = eq_.now();
-    e.timing = cost_.timing(*e.desc, board_.gpuFreqFrac(), &rng_);
+    e.timing = cost_.timing(*e.desc, board_.gpuFreqFrac(), &jitter_);
     e.timing.duration += extra_overhead_;
     e.remaining_ns = static_cast<double>(e.timing.duration);
     ch.executing = true;

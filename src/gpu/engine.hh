@@ -179,7 +179,7 @@ class GpuEngine
     soc::Board &board_;
     sim::EventQueue &eq_;
     KernelCostModel cost_;
-    sim::Rng rng_;
+    JitterStream jitter_;
 
     std::vector<RecordFn *> subscribers_; ///< owned by Subscriptions
     std::vector<Channel> channels_;

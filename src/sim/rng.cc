@@ -134,7 +134,7 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 }
 
 double
-Rng::lognormalLibm(const Lognormal &d, double u1, double u2)
+Lognormal::libmValue(double u1, double u2) const
 {
     // Box-Muller's first variate, then the lognormal: the operations,
     // in the order, that every recorded digest was drawn with.
@@ -142,7 +142,7 @@ Rng::lognormalLibm(const Lognormal &d, double u1, double u2)
         u1 = 1e-300;
     const double normal =
         std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-    return std::exp(d.mu_ + d.sigma_ * normal);
+    return std::exp(mu_ + sigma_ * normal);
 }
 
 Lognormal::Lognormal(double mean, double cv) : mean_(mean), cv_(cv)
@@ -151,6 +151,7 @@ Lognormal::Lognormal(double mean, double cv) : mean_(mean), cv_(cv)
     const double sigma2 = std::log(1.0 + cv * cv);
     mu_ = std::log(mean) - 0.5 * sigma2;
     sigma_ = std::sqrt(sigma2);
+    exp_mu_ = std::exp(mu_);
 }
 
 Rng

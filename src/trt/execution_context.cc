@@ -9,10 +9,11 @@ ExecutionContext::ExecutionContext(const Engine &engine,
                                    cpu::Thread &thread,
                                    soc::Board &board)
     : engine_(engine), stream_(stream), thread_(thread), board_(board),
-      rng_(board.rng().fork("ec-" + engine.model())),
       launch_cost_(
           static_cast<double>(board.spec().runtime.launch_cpu_cost),
-          kLaunchCostCv)
+          kLaunchCostCv),
+      launch_draws_(board.rng().fork("ec-" + engine.model()),
+                    launch_cost_)
 {
     JETSIM_ASSERT(!engine_.kernels().empty());
 }
@@ -54,7 +55,7 @@ ExecutionContext::launchNext(std::size_t i)
         launch_cost_ = sim::Lognormal(mean, kLaunchCostCv);
     // Bounded draw (sim::kLognormalEnvelope): launch-API worst cases
     // are provable, not just unlikely (src/absint).
-    const sim::Tick cost = rng_.lognormalTick(
+    const sim::Tick cost = launch_draws_.lognormalTick(
         launch_cost_,
         [this](double v) { return launch_cost_.boundedTick(v); });
     thread_.exec(cost, [this, i, t0] {

@@ -20,9 +20,9 @@
 
 #include "cpu/scheduler.hh"
 #include "cuda/stream.hh"
+#include "sim/draw_stream.hh"
 #include "sim/fifo.hh"
 #include "sim/inline_fn.hh"
-#include "sim/rng.hh"
 #include "soc/board.hh"
 #include "trt/engine.hh"
 
@@ -96,10 +96,12 @@ class ExecutionContext
     cuda::Stream &stream_;
     cpu::Thread &thread_;
     soc::Board &board_;
-    sim::Rng rng_;
     /** Launch-API cost distribution, rebuilt when its mean moves
      * (attaching a profiler inflates it). */
     sim::Lognormal launch_cost_;
+    /** Its draws, one tuple per launch; a new mean applies from the
+     * next draw on. */
+    sim::DrawStream<2> launch_draws_;
     sim::Fifo<Pending> inflight_;
     /** The launching EC's cpu_done: one launch sequence at a time. */
     DoneFn cpu_done_;

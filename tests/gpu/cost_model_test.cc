@@ -186,6 +186,30 @@ TEST(CostModel, DeterministicWithoutRng)
     EXPECT_DOUBLE_EQ(a.tc_util, b.tc_util);
 }
 
+TEST(CostModel, StreamAndRngDrawTheSameTimings)
+{
+    // Both sources of one seed over a varied run of kernels, well past
+    // three block boundaries: every field of every timing is the same.
+    KernelCostModel m(soc::orinNano());
+    sim::Rng shapes(3), rng(11);
+    auto draws = KernelCostModel::jitterStream(sim::Rng(11));
+    for (int i = 0; i < 5 * sim::kDrawBlock + 3; ++i) {
+        KernelDesc k = bigTcKernel();
+        k.flops = shapes.uniform(1e3, 5e9);
+        k.bytes = shapes.uniform(1e3, 2e8);
+        k.blocks = static_cast<int>(shapes.uniformInt(1, 5000));
+        const double f = shapes.uniform(0.3, 1.0);
+        const auto a = m.timing(k, f, &draws);
+        const auto b = m.timing(k, f, &rng);
+        EXPECT_EQ(a.duration, b.duration) << "kernel " << i;
+        EXPECT_EQ(a.sm_active, b.sm_active) << "kernel " << i;
+        EXPECT_EQ(a.issue_slot, b.issue_slot) << "kernel " << i;
+        EXPECT_EQ(a.tc_util, b.tc_util) << "kernel " << i;
+        EXPECT_EQ(a.bw_util, b.bw_util) << "kernel " << i;
+        EXPECT_EQ(a.compute_frac, b.compute_frac) << "kernel " << i;
+    }
+}
+
 TEST(CostModel, EfficiencyScaleIsCappedNearPeak)
 {
     const auto spec = soc::orinNano();
@@ -246,8 +270,10 @@ TEST(KernelStatics, BlockPathMatchesComputedPathOverTheZoo)
                      ++level) {
                     const double f = soc::DvfsGovernor::levelFreqFrac(
                         spec.gpu, level);
-                    sim::Rng block_rng(0xb10c + level);
-                    sim::Rng computed_rng(0xb10c + level);
+                    auto block_draws = KernelCostModel::jitterStream(
+                        sim::Rng(0xb10c + level));
+                    auto computed_draws = KernelCostModel::jitterStream(
+                        sim::Rng(0xb10c + level));
                     for (const auto &k : e.kernels()) {
                         ASSERT_EQ(k.statics.gpu, tag) << k.name;
                         const auto c = withoutBlock(k);
@@ -255,8 +281,8 @@ TEST(KernelStatics, BlockPathMatchesComputedPathOverTheZoo)
                                   bits(m.timing(c, f)))
                             << spec.name << " " << model << " "
                             << k.name << " level " << level;
-                        EXPECT_EQ(bits(m.timing(k, f, &block_rng)),
-                                  bits(m.timing(c, f, &computed_rng)))
+                        EXPECT_EQ(bits(m.timing(k, f, &block_draws)),
+                                  bits(m.timing(c, f, &computed_draws)))
                             << spec.name << " " << model << " "
                             << k.name << " level " << level;
                         calls += 2;

@@ -243,6 +243,18 @@ class MalformedInput(unittest.TestCase):
             with self.subTest(tool=tool, flags=flags):
                 self.assert_user_error([TOOLS[tool]] + flags, flag)
 
+    def test_processes_that_do_not_fit_are_reported(self):
+        # Four fcn_resnet50 fp16 processes overrun the Nano's memory:
+        # the run reports how many deployed, and takes no median of a
+        # counter no kernel filled.
+        cmd = [TOOLS["quickstart"], "nano", "fcn_resnet50", "fp16", "1",
+               "4"]
+        code, out = run(cmd)
+        self.assertEqual(code, 0, f"{cmd}: exit {code}\n{out}")
+        for bad in ("panic", "terminate"):
+            self.assertNotIn(bad, out, f"{cmd}\n{out}")
+        self.assertIn("of 4 processes", out, f"{cmd}\n{out}")
+
     def test_good_replay_file_replays(self):
         code, out = run([TOOLS["simcheck"], "--fleet-replay=" +
                          os.path.join(DATA, "fleet_replay_golden0.json")])

@@ -123,12 +123,12 @@ dryRunDigest(const trt::Engine &e, const soc::DeviceSpec &spec,
              std::uint64_t seed)
 {
     const gpu::KernelCostModel cost(spec);
-    sim::Rng rng(seed);
+    auto draws = gpu::KernelCostModel::jitterStream(sim::Rng(seed));
     check::Digest d;
     for (int level = 0; level < spec.gpu.dvfs_levels; ++level) {
         const double f = soc::DvfsGovernor::levelFreqFrac(spec.gpu, level);
         for (const auto &k : e.kernels()) {
-            const auto t = cost.timing(k, f, &rng);
+            const auto t = cost.timing(k, f, &draws);
             d.add(k.name);
             d.add(static_cast<std::int64_t>(t.duration));
             d.add(t.sm_active);
