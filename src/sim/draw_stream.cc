@@ -113,8 +113,7 @@ hostDrawLevel()
 template <int Arity>
 DrawStream<Arity>::DrawStream(Rng rng, const Lognormal &shape,
                               const DrawLevel &level)
-    : rng_(rng), block_start_(rng), sigma_(shape.sigma_),
-      factors_(level.factors)
+    : rng_(rng), sigma_(shape.sigma_), factors_(level.factors)
 {
     JETSIM_ASSERT(shape.cv_ > 0.0, "a stream of cv %g draws nothing",
                   shape.cv_);
@@ -124,7 +123,6 @@ template <int Arity>
 void
 DrawStream<Arity>::refill()
 {
-    block_start_ = rng_;
     double u1[kDrawBlock];
     double u2[kDrawBlock];
     for (int i = 0; i < kDrawBlock; ++i) {
@@ -141,8 +139,8 @@ template <int Arity>
 double
 DrawStream<Arity>::libmValue(const Lognormal &d, int i) const
 {
-    Rng r = block_start_;
-    r.discard(Arity * i);
+    Rng r = rng_;
+    r.rewind(Arity * (kDrawBlock - i));
     const double u1 = r.uniform();
     return d.libmValue(u1, r.uniform());
 }

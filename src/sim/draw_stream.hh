@@ -12,7 +12,7 @@
  * best one the host supports. A draw then multiplies its factor by
  * the distribution's exp(mu) and decides its Tick by the bracket
  * (Lognormal::bracketTick); where the bracket does not decide, libm
- * evaluates the same uniforms, replayed from the block's first state.
+ * evaluates the same uniforms, replayed by rewinding the Rng to them.
  * So every Tick equals what Rng::lognormalTick gives, which equals
  * libm's (DESIGN.md §4, "Tick-exact draws").
  */
@@ -107,11 +107,11 @@ class DrawStream
     void refill();
 
     /** libm's value of tuple @p i's draw from @p d, on its uniforms
-     * replayed from block_start_. Out of line: a fallback. */
+     * replayed by a copy of rng_ rewound to them. Out of line: a
+     * fallback. */
     double libmValue(const Lognormal &d, int i) const;
 
-    Rng rng_;         ///< at the first uniform after the block
-    Rng block_start_; ///< at the block's first uniform
+    Rng rng_; ///< at the first uniform after the block
     std::array<double, kDrawBlock> factor_{};
     [[no_unique_address]] std::array<double, Arity == 3 ? kDrawBlock : 0>
         third_{};

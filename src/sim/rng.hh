@@ -275,11 +275,25 @@ class Rng
         return result;
     }
 
-    /** Advance past @p n values, as @p n next() calls would. */
-    void discard(int n)
+    /**
+     * Step back past the last @p n values: the state is then the one
+     * @p n next() calls ago. next() maps (a, b, c, d) to
+     * (a ^ b ^ d, a ^ b ^ c, a ^ c ^ (b << 17), rotl(b ^ d, 45));
+     * each step undoes that, solving x = b ^ (b << 17) for b by
+     * shifted xors.
+     */
+    void rewind(int n)
     {
-        for (int i = 0; i < n; ++i)
-            next();
+        for (int i = 0; i < n; ++i) {
+            const std::uint64_t bd = std::rotr(s_[3], 45);
+            const std::uint64_t x = s_[1] ^ s_[2];
+            const std::uint64_t b = x ^ (x << 17) ^ (x << 34) ^ (x << 51);
+            const std::uint64_t ac = s_[1] ^ b;
+            s_[0] ^= bd;
+            s_[1] = b;
+            s_[2] = ac ^ s_[0];
+            s_[3] = bd ^ b;
+        }
     }
 
     /** Uniform double in [0, 1): 53 random bits into the mantissa. */

@@ -20,6 +20,23 @@ TEST(Rng, SameSeedSameSequence)
         EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(Rng, RewindStepsBackPastTheLastValues)
+{
+    for (const std::uint64_t seed : {0ull, 1ull, 0x5eedull, ~0ull}) {
+        Rng r(seed);
+        r.next(); // a state past the seeding
+        for (const int n : {0, 1, 2, 24, 100}) {
+            std::uint64_t drawn[100];
+            for (int i = 0; i < n; ++i)
+                drawn[i] = r.next();
+            r.rewind(n);
+            for (int i = 0; i < n; ++i)
+                ASSERT_EQ(r.next(), drawn[i])
+                    << "seed " << seed << " n " << n << " value " << i;
+        }
+    }
+}
+
 TEST(Rng, DifferentSeedsDiffer)
 {
     Rng a(1), b(2);
