@@ -1,15 +1,10 @@
 #include "sim/draw_stream.hh"
 
-// x86-64 under GCC with glibc: AVX-512 (x86-64-v4) and AVX2
-// (x86-64-v3) builds of the loop, whose arithmetic runs four lanes at
-// a time (the table lookups stay per-lane loads); the baseline x86-64
-// build does not vectorize. The host's features come from glibc,
-// which read CPUID once at start-up: __builtin_cpu_supports would
-// link libgcc's CPUID constructor into every program. Clang and other
-// platforms build the baseline loop only.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    __has_include(<sys/platform/x86.h>)
-#include <sys/platform/x86.h>
+// x86-64 under GCC: an AVX2 (x86-64-v3) build of the loop, whose
+// arithmetic runs four lanes at a time (the table lookups stay
+// per-lane loads); the baseline x86-64 build does not vectorize. Clang
+// and other platforms build the baseline loop only.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define JETSIM_DRAW_X86_LEVELS 1
 #endif
 
@@ -35,39 +30,16 @@ factorLoop(double sigma, const double *__restrict u1,
 }
 
 #ifdef JETSIM_DRAW_X86_LEVELS
-[[gnu::target("arch=x86-64-v4"), gnu::flatten]] void
-factorsV4(double sigma, const double *u1, const double *u2, double *factor)
-{
-    factorLoop(sigma, u1, u2, factor);
-}
-
 [[gnu::target("arch=x86-64-v3"), gnu::flatten]] void
 factorsV3(double sigma, const double *u1, const double *u2, double *factor)
 {
     factorLoop(sigma, u1, u2, factor);
 }
 
-/** Every feature the x86-64-v3 level may use, active. */
 bool
 hostRunsV3()
 {
-    return CPU_FEATURE_ACTIVE(CMPXCHG16B) &&
-           CPU_FEATURE_ACTIVE(LAHF64_SAHF64) && CPU_FEATURE_ACTIVE(POPCNT) &&
-           CPU_FEATURE_ACTIVE(SSE3) && CPU_FEATURE_ACTIVE(SSE4_1) &&
-           CPU_FEATURE_ACTIVE(SSE4_2) && CPU_FEATURE_ACTIVE(SSSE3) &&
-           CPU_FEATURE_ACTIVE(AVX) && CPU_FEATURE_ACTIVE(AVX2) &&
-           CPU_FEATURE_ACTIVE(BMI1) && CPU_FEATURE_ACTIVE(BMI2) &&
-           CPU_FEATURE_ACTIVE(F16C) && CPU_FEATURE_ACTIVE(FMA) &&
-           CPU_FEATURE_ACTIVE(LZCNT) && CPU_FEATURE_ACTIVE(MOVBE);
-}
-
-/** Every feature the x86-64-v4 level may use, active. */
-bool
-hostRunsV4()
-{
-    return hostRunsV3() && CPU_FEATURE_ACTIVE(AVX512F) &&
-           CPU_FEATURE_ACTIVE(AVX512BW) && CPU_FEATURE_ACTIVE(AVX512CD) &&
-           CPU_FEATURE_ACTIVE(AVX512DQ) && CPU_FEATURE_ACTIVE(AVX512VL);
+    return __builtin_cpu_supports("x86-64-v3");
 }
 #endif
 
@@ -86,7 +58,6 @@ hostRunsBaseline()
 
 constexpr DrawLevel kLevels[] = {
 #ifdef JETSIM_DRAW_X86_LEVELS
-    {"x86-64-v4", hostRunsV4, factorsV4},
     {"x86-64-v3", hostRunsV3, factorsV3},
 #endif
     {"baseline", hostRunsBaseline, factorsBaseline},
