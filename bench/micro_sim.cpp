@@ -59,18 +59,12 @@ static void
 BM_SchedulerContention(benchmark::State &state)
 {
     const int threads = static_cast<int>(state.range(0));
-    // Intern the thread names once: the measured loop should time
-    // scheduling, not std::string temporaries.
-    std::vector<sim::NameId> ids;
-    ids.reserve(threads);
-    for (int i = 0; i < threads; ++i)
-        ids.push_back(sim::internName("t" + std::to_string(i)));
     for (auto _ : state) {
         sim::EventQueue eq;
         soc::Board board(soc::orinNano(), eq);
         cpu::OsScheduler sched(board);
         for (int i = 0; i < threads; ++i)
-            sched.createThread(ids[i])->exec(sim::msec(5), nullptr);
+            sched.createThread()->exec(sim::msec(5), nullptr);
         eq.runAll();
         benchmark::DoNotOptimize(eq.executed());
     }

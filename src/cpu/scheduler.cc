@@ -9,8 +9,8 @@ namespace jetsim::cpu {
 
 // ---------------------------------------------------------------- Thread
 
-Thread::Thread(sim::NameId name_id, bool big, OsScheduler &sched)
-    : name_id_(name_id), big_(big), sched_(sched),
+Thread::Thread(int index, bool big, OsScheduler &sched)
+    : index_(index), big_(big), sched_(sched),
       slice_end_(
           [](void *self) {
               auto *t = static_cast<Thread *>(self);
@@ -63,16 +63,10 @@ OsScheduler::OsScheduler(soc::Board &board)
 }
 
 Thread *
-OsScheduler::createThread(const std::string &name, bool big)
+OsScheduler::createThread(bool big)
 {
-    return createThread(sim::internName(name), big);
-}
-
-Thread *
-OsScheduler::createThread(sim::NameId name_id, bool big)
-{
-    threads_.push_back(
-        std::unique_ptr<Thread>(new Thread(name_id, big, *this)));
+    threads_.push_back(std::unique_ptr<Thread>(
+        new Thread(static_cast<int>(threads_.size()), big, *this)));
     return threads_.back().get();
 }
 
@@ -127,7 +121,7 @@ OsScheduler::dispatchAll()
                 // on timing noise we don't model, so any queued thread
                 // may legally reach the free core first. Offer the
                 // queue in order (head = default alternative 0),
-                // tagged by interned thread name for the checker's
+                // tagged by thread index for the checker's
                 // independence relation.
                 std::int64_t actors[sim::kMaxChoiceAlts];
                 const int nc = static_cast<int>(
@@ -135,7 +129,7 @@ OsScheduler::dispatchAll()
                                           sim::kMaxChoiceAlts));
                 for (int i = 0; i < nc; ++i)
                     actors[i] = (*q)[static_cast<std::size_t>(i)]
-                                    ->nameId();
+                                    ->index();
                 const int sel = chooser->choose(
                     sim::ChoiceKind::CpuRunQueue, actors, nc);
                 JETSIM_ASSERT(sel >= 0 && sel < nc);

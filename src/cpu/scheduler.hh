@@ -21,7 +21,6 @@
 #define JETSIM_CPU_SCHEDULER_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cpu/thread.hh"
@@ -43,13 +42,8 @@ class OsScheduler
      * Create a thread with affinity to the big (heavy-load) cluster
      * when @p big, otherwise to the LITTLE cluster. The scheduler
      * owns the Thread; the pointer stays valid for its lifetime.
-     * Interns @p name and delegates to the NameId overload.
      */
-    Thread *createThread(const std::string &name, bool big = true);
-
-    /** As above with an already-interned name — callers creating
-     * threads in a loop intern once instead of per call. */
-    Thread *createThread(sim::NameId name_id, bool big = true);
+    Thread *createThread(bool big = true);
 
     /** Cores of the given kind currently executing a thread. */
     int busyCores(bool big) const;

@@ -20,12 +20,10 @@
 #define JETSIM_CPU_THREAD_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/event_queue.hh"
 #include "sim/fifo.hh"
 #include "sim/inline_fn.hh"
-#include "sim/name_registry.hh"
 #include "sim/types.hh"
 
 namespace jetsim::cpu {
@@ -57,8 +55,9 @@ class Thread
      */
     void spin(sim::Tick chunk, const bool *ready, sim::InlineFn done);
 
-    /** Interned id of the thread's name. */
-    sim::NameId nameId() const { return name_id_; }
+    /** Creation index in the owning scheduler: 0 for its first
+     * thread, then 1, 2, ... */
+    int index() const { return index_; }
     State state() const { return state_; }
 
     /** @name Accounting (Section 7 decomposition)
@@ -78,7 +77,7 @@ class Thread
   private:
     friend class OsScheduler;
 
-    Thread(sim::NameId name_id, bool big, OsScheduler &sched);
+    Thread(int index, bool big, OsScheduler &sched);
 
     struct WorkItem
     {
@@ -86,7 +85,7 @@ class Thread
         sim::InlineFn done;
     };
 
-    sim::NameId name_id_;
+    int index_;
     bool big_;
     OsScheduler &sched_;
 

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "sim/fields.hh"
-#include "sim/name_registry.hh"
 #include "sim/types.hh"
 #include "soc/precision.hh"
 
@@ -50,16 +49,6 @@ static_assert(sizeof(KernelStatics) <= 32);
 struct KernelDesc
 {
     std::string name;           ///< e.g. "layer1.0.conv1+bn+relu"
-
-    /**
-     * Interned id of @ref name, assigned when the builder (or plan
-     * deserialisation) creates the descriptor. Record subscribers key
-     * their per-kernel accumulators on this id — a dense vector index
-     * — instead of hashing/comparing the string on every record.
-     * Hand-built descriptors may leave it invalid; consumers intern
-     * lazily on first sight.
-     */
-    sim::NameId name_id = sim::kInvalidNameId;
 
     /** Numeric operations (FLOPs, or 8-bit MAC-equivalents for int8). */
     double flops = 0.0;
@@ -102,15 +91,14 @@ struct KernelDesc
     /**
      * Device-static timing terms, filled by trt::Builder::build for
      * the GPU it builds on (TensorRT settles its kernel choices when
-     * it builds the plan). Derived like @ref name_id and never
-     * serialised: a restored plan or a hand-built descriptor has none,
-     * and whoever edits a built descriptor's fields must reset it.
+     * it builds the plan). Derived, so never serialised: a restored
+     * plan or a hand-built descriptor has none, and whoever edits a
+     * built descriptor's fields must reset it.
      */
     KernelStatics statics;
 };
 
-/** Everything but @ref KernelDesc::name_id and
- * @ref KernelDesc::statics, which are derived. */
+/** Everything but @ref KernelDesc::statics, which is derived. */
 template <class V, sim::FieldsOf<KernelDesc> S>
 void
 visitFields(V &v, S &k)

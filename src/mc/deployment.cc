@@ -46,10 +46,6 @@ DeploymentModel::DeploymentModel(DeployConfig cfg)
     : cfg_(std::move(cfg))
 {
     JETSIM_ASSERT(!cfg_.procs.empty() && cfg_.max_ecs > 0);
-    const int n = procCount();
-    thread_ids_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        thread_ids_.push_back(sim::internName(procName(cfg_, i)));
 }
 
 int
@@ -57,16 +53,11 @@ DeploymentModel::procOf(sim::ChoiceKind kind, std::int64_t actor) const
 {
     switch (kind) {
       case sim::ChoiceKind::GpuChannel:
-        // Streams are created in deploy order, so channel id ==
-        // process index.
+      case sim::ChoiceKind::CpuRunQueue:
+        // Each process creates one stream and one thread, in deploy
+        // order, so channel id == thread index == process index.
         if (actor >= 0 && actor < procCount())
             return static_cast<int>(actor);
-        return kProcUnknown;
-      case sim::ChoiceKind::CpuRunQueue:
-        for (int i = 0; i < procCount(); ++i)
-            if (thread_ids_[static_cast<std::size_t>(i)] ==
-                static_cast<sim::NameId>(actor))
-                return i;
         return kProcUnknown;
       case sim::ChoiceKind::EventTie:
         return kProcUnknown;

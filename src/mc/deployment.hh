@@ -38,7 +38,6 @@
 
 #include "mc/model.hh"
 #include "sim/fields.hh"
-#include "sim/name_registry.hh"
 #include "soc/precision.hh"
 
 namespace jetsim::mc {
@@ -114,8 +113,6 @@ class DeploymentModel final : public Model
 
   private:
     DeployConfig cfg_;
-    /** Interned per-process thread names (CpuRunQueue actor tags). */
-    std::vector<sim::NameId> thread_ids_;
 };
 
 } // namespace jetsim::mc

@@ -15,11 +15,8 @@ ChromeTraceExporter::attach()
     if (sub_)
         return;
     sub_ = engine_.subscribe([this](const gpu::KernelRecord &rec) {
-        NameId id = rec.desc->name_id;
-        if (id == kInvalidNameId)
-            id = internName(rec.desc->name); // hand-built descriptor
-        events_.push_back(Event{id, rec.channel, rec.start, rec.end,
-                                rec.desc->prec, rec.desc->tc});
+        events_.push_back(Event{rec.desc->name, rec.channel, rec.start,
+                                rec.end, rec.desc->prec, rec.desc->tc});
     });
 }
 
@@ -31,7 +28,7 @@ ChromeTraceExporter::json() const
         if (out.back() != '[')
             out += ',';
         out += "{\"name\":";
-        sim::putJsonString(out, nameOf(e.name_id));
+        sim::putJsonString(out, e.name);
         out += ",\"ph\":\"X\",\"ts\":";
         sim::putJsonNumber(out, sim::toUsec(e.start));
         out += ",\"dur\":";

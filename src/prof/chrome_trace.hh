@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "gpu/engine.hh"
-#include "prof/name_id.hh"
 
 namespace jetsim::prof {
 
@@ -57,8 +56,7 @@ class ChromeTraceExporter
   private:
     struct Event
     {
-        /** Interned kernel name; resolved to a string in json(). */
-        NameId name_id;
+        std::string name;
         int channel;
         sim::Tick start;
         sim::Tick end;

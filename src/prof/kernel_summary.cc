@@ -34,14 +34,11 @@ JETSIM_HOT void
 KernelSummary::record(const gpu::KernelRecord &rec)
 {
     const double us = sim::toUsec(rec.end - rec.start);
-    NameId id = rec.desc->name_id;
-    if (id == kInvalidNameId)
-        JETSIM_COLD_OK("first occurrence only: hand-built descriptors intern once, then hit the cached id")
-        id = internName(rec.desc->name); // hand-built descriptor
-    if (id >= by_id_.size())
-        JETSIM_COLD_OK("first occurrence only: per-name accumulator table grows to the kernel-name universe, then stops")
-        by_id_.resize(id + 1);
-    auto &acc = by_id_[id];
+    auto row = row_of_.find(rec.desc);
+    if (row == row_of_.end())
+        JETSIM_COLD_OK("a descriptor's first record only: finds or adds its name's row, then every later record of it hits row_of_")
+        row = row_of_.emplace(rec.desc, &by_name_[rec.desc->name]).first;
+    Acc &acc = *row->second;
     ++acc.calls;
     acc.total_us += us;
     acc.compute_frac_sum += rec.timing.compute_frac;
@@ -57,7 +54,8 @@ KernelSummary::record(const gpu::KernelRecord &rec)
 void
 KernelSummary::clear()
 {
-    by_id_.clear();
+    row_of_.clear();
+    by_name_.clear();
     total_calls_ = 0;
     total_us_ = 0;
 }
@@ -66,13 +64,10 @@ std::vector<KernelStats>
 KernelSummary::table(std::size_t top) const
 {
     std::vector<KernelStats> rows;
-    rows.reserve(by_id_.size());
-    for (NameId id = 0; id < by_id_.size(); ++id) {
-        const Acc &acc = by_id_[id];
-        if (acc.calls == 0)
-            continue; // id interned by someone else, never recorded
+    rows.reserve(by_name_.size());
+    for (const auto &[name, acc] : by_name_) {
         KernelStats s;
-        s.name = nameOf(id);
+        s.name = name;
         s.calls = acc.calls;
         s.total_us = acc.total_us;
         s.share_pct =
@@ -89,13 +84,11 @@ KernelSummary::table(std::size_t top) const
             s.bound = KernelBound::Memory;
         rows.push_back(std::move(s));
     }
-    // Name tie-break so the table never depends on interning order.
-    std::sort(rows.begin(), rows.end(),
-              [](const KernelStats &a, const KernelStats &b) {
-                  if (a.total_us != b.total_us)
-                      return a.total_us > b.total_us;
-                  return a.name < b.name;
-              });
+    // Heaviest first; equal totals keep by_name_'s name order.
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const KernelStats &a, const KernelStats &b) {
+                         return a.total_us > b.total_us;
+                     });
     if (top > 0 && rows.size() > top)
         rows.resize(top);
     return rows;

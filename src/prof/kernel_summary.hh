@@ -12,11 +12,12 @@
 #ifndef JETSIM_PROF_KERNEL_SUMMARY_HH
 #define JETSIM_PROF_KERNEL_SUMMARY_HH
 
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "gpu/engine.hh"
-#include "prof/name_id.hh"
 
 namespace jetsim::prof {
 
@@ -41,7 +42,16 @@ struct KernelStats
     KernelBound bound = KernelBound::Latency;
 };
 
-/** Collects KernelRecords and produces the summary table. */
+/**
+ * Collects KernelRecords and produces the summary table: one row per
+ * kernel name, so descriptors of one name (one layer in several
+ * engines) share a row.
+ *
+ * Lifetime: a descriptor recorded into a summary must outlive the
+ * summary, or outlive the summary's next clear(). The summary finds a
+ * descriptor's row by its address, so a new descriptor at a freed
+ * one's address would land in the old one's row.
+ */
 class KernelSummary
 {
   public:
@@ -80,10 +90,12 @@ class KernelSummary
 
     gpu::GpuEngine &engine_;
     gpu::GpuEngine::Subscription sub_;
-    /** Dense accumulators indexed by interned NameId: the record hot
-     * path is an array index, never a string hash or compare. Strings
-     * are resolved only in table(). */
-    std::vector<Acc> by_id_;
+    /** One accumulator per kernel name. */
+    std::map<std::string, Acc> by_name_;
+    /** Each recorded descriptor's row in by_name_, filled on its
+     * first record: a later record of it hashes a pointer, never a
+     * string, and allocates nothing. */
+    std::unordered_map<const gpu::KernelDesc *, Acc *> row_of_;
     std::uint64_t total_calls_ = 0;
     double total_us_ = 0;
 };

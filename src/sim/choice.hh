@@ -23,8 +23,8 @@
  *    chooser is installed the site must not even construct the
  *    alternative list (the hot path pays one null check);
  *  - alternatives carry an *actor* id identifying the model entity
- *    the branch would schedule (GPU channel index, interned thread
- *    name id); kActorUnknown when no entity is attributable (event
+ *    the branch would schedule (GPU channel index, thread creation
+ *    index); kActorUnknown when no entity is attributable (event
  *    ties between opaque callbacks). Actor ids feed the checker's
  *    independence relation, so they must be stable across runs of
  *    the same configuration.

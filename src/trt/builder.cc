@@ -56,7 +56,6 @@ Builder::makeKernel(const FusedOp &op, soc::Precision p,
 {
     gpu::KernelDesc k;
     k.name = op.name;
-    k.name_id = sim::internName(op.name);
     k.prec = p;
     k.flops = 2.0 * op.macs * cfg.batch;
 

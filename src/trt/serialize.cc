@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "sim/json.hh"
-#include "sim/name_registry.hh"
 
 namespace jetsim::trt {
 
@@ -32,10 +31,7 @@ Engine::deserialize(std::string_view plan, std::string &err)
     Engine e;
     if (!sim::fromJson(plan, kTag, kVersion, e, err))
         return std::nullopt;
-    for (auto &k : e.kernels_) {
-        // The plan stores only the display name; intern it so a
-        // deserialised engine profiles as cheaply as a built one.
-        k.name_id = sim::internName(k.name);
+    for (const auto &k : e.kernels_) {
         e.total_flops_ += k.flops;
         e.total_bytes_ += k.bytes;
     }

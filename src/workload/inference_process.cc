@@ -20,7 +20,7 @@ InferenceProcess::InferenceProcess(soc::Board &board,
       // Bounded draws: prep stays within the sim::kLognormalEnvelope
       // band, which is what src/absint's CPU-side upper bounds assume.
       prep_dist_(static_cast<double>(kPrepCost), kPrepCostCv),
-      thread_(sched.createThread(cfg_.name, /*big=*/true)),
+      thread_(sched.createThread(/*big=*/true)),
       engine_(trt::sharedEngine(board.spec(), net, cfg_.build))
 {
     JETSIM_ASSERT(cfg_.arrival_rate.value_or(0.0) >= 0.0);

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -32,7 +31,7 @@ TEST(Scheduler, SingleThreadRunsImmediately)
 {
     Rig r;
     bool done = false;
-    Thread *t = r.sched.createThread("t0");
+    Thread *t = r.sched.createThread();
     EXPECT_EQ(t->state(), Thread::State::Idle);
     t->exec(sim::usec(100), [&] { done = true; });
     r.eq.runAll();
@@ -44,7 +43,7 @@ TEST(Scheduler, SingleThreadRunsImmediately)
 TEST(Scheduler, WorkTimeIsAccounted)
 {
     Rig r;
-    Thread *t = r.sched.createThread("t0");
+    Thread *t = r.sched.createThread();
     t->exec(sim::usec(250), nullptr);
     r.eq.runAll();
     EXPECT_EQ(t->cpuTime(), sim::usec(250));
@@ -54,7 +53,7 @@ TEST(Scheduler, WorkTimeIsAccounted)
 TEST(Scheduler, ChainedItemsRunInOrder)
 {
     Rig r;
-    Thread *t = r.sched.createThread("t0");
+    Thread *t = r.sched.createThread();
     std::vector<int> order;
     t->exec(sim::usec(10), [&] { order.push_back(1); });
     t->exec(sim::usec(10), [&] { order.push_back(2); });
@@ -66,7 +65,7 @@ TEST(Scheduler, ChainedItemsRunInOrder)
 TEST(Scheduler, CallbackMayQueueMoreWork)
 {
     Rig r;
-    Thread *t = r.sched.createThread("t0");
+    Thread *t = r.sched.createThread();
     int steps = 0;
     std::function<void()> step = [&] {
         if (++steps < 4)
@@ -83,7 +82,7 @@ TEST(Scheduler, ThreadsWithinCoreCountRunConcurrently)
     // 3 big cores: 3 threads of equal work finish at the same time.
     std::vector<sim::Tick> done(3);
     for (int i = 0; i < 3; ++i) {
-        Thread *t = r.sched.createThread("t" + std::to_string(i));
+        Thread *t = r.sched.createThread();
         t->exec(sim::msec(1), [&, i] { done[i] = r.eq.now(); });
     }
     r.eq.runAll();
@@ -97,7 +96,7 @@ TEST(Scheduler, OversubscriptionSerialises)
     // 6 threads x 1 ms on 3 big cores: ~2 ms wall, not 1 ms.
     sim::Tick last = 0;
     for (int i = 0; i < 6; ++i) {
-        Thread *t = r.sched.createThread("t" + std::to_string(i));
+        Thread *t = r.sched.createThread();
         t->exec(sim::msec(1), [&] { last = r.eq.now(); });
     }
     r.eq.runAll();
@@ -109,7 +108,7 @@ TEST(Scheduler, WakeWaitAccruesUnderContention)
     Rig r;
     std::vector<Thread *> ts;
     for (int i = 0; i < 6; ++i)
-        ts.push_back(r.sched.createThread("t" + std::to_string(i)));
+        ts.push_back(r.sched.createThread());
     for (auto *t : ts)
         t->exec(sim::msec(1), nullptr);
     r.eq.runAll();
@@ -122,7 +121,7 @@ TEST(Scheduler, WakeWaitAccruesUnderContention)
 TEST(Scheduler, NoWaitWhenCoresAreFree)
 {
     Rig r;
-    Thread *t = r.sched.createThread("t0");
+    Thread *t = r.sched.createThread();
     t->exec(sim::msec(1), nullptr);
     r.eq.runAll();
     EXPECT_EQ(t->wakeWait(), 0);
@@ -136,7 +135,7 @@ TEST(Scheduler, LongRunnersGetPreempted)
     // 4 long threads on 3 cores force timeslice preemption.
     std::vector<Thread *> ts;
     for (int i = 0; i < 4; ++i) {
-        ts.push_back(r.sched.createThread("t" + std::to_string(i)));
+        ts.push_back(r.sched.createThread());
         ts.back()->exec(sim::msec(20), nullptr);
     }
     r.eq.runAll();
@@ -153,7 +152,7 @@ TEST(Scheduler, FairnessUnderTimeSharing)
     // All equal threads finish within one timeslice of each other.
     std::vector<sim::Tick> done(6, 0);
     for (int i = 0; i < 6; ++i) {
-        Thread *t = r.sched.createThread("t" + std::to_string(i));
+        Thread *t = r.sched.createThread();
         t->exec(sim::msec(10), [&, i] { done[i] = r.eq.now(); });
     }
     r.eq.runAll();
@@ -168,7 +167,7 @@ TEST(Scheduler, MigrationsChargeCachePenalty)
     Rig r;
     std::vector<Thread *> ts;
     for (int i = 0; i < 5; ++i) {
-        ts.push_back(r.sched.createThread("t" + std::to_string(i)));
+        ts.push_back(r.sched.createThread());
         ts.back()->exec(sim::msec(30), nullptr);
     }
     r.eq.runAll();
@@ -191,15 +190,13 @@ TEST(Scheduler, BigAffinityLimitsParallelismWhenPartitioned)
     {
         Rig p;
         for (int i = 0; i < 6; ++i)
-            p.sched.createThread("t" + std::to_string(i))
-                ->exec(sim::msec(5), nullptr);
+            p.sched.createThread()->exec(sim::msec(5), nullptr);
         p.eq.runAll();
         partitioned_end = p.eq.now();
     }
     r.sched.setPartitioned(false);
     for (int i = 0; i < 6; ++i)
-        r.sched.createThread("t" + std::to_string(i))
-            ->exec(sim::msec(5), nullptr);
+        r.sched.createThread()->exec(sim::msec(5), nullptr);
     r.eq.runAll();
     EXPECT_LT(r.eq.now(), partitioned_end);
 }
@@ -207,8 +204,8 @@ TEST(Scheduler, BigAffinityLimitsParallelismWhenPartitioned)
 TEST(Scheduler, LittleThreadsUseLittleCores)
 {
     Rig r;
-    Thread *big = r.sched.createThread("big", true);
-    Thread *little = r.sched.createThread("little", false);
+    Thread *big = r.sched.createThread(true);
+    Thread *little = r.sched.createThread(false);
     big->exec(sim::msec(1), nullptr);
     little->exec(sim::msec(1), nullptr);
     // Both runnable: one big core and one LITTLE core busy.
@@ -222,8 +219,7 @@ TEST(Scheduler, BoardActivityTracksBusyCores)
 {
     Rig r;
     for (int i = 0; i < 2; ++i)
-        r.sched.createThread("t" + std::to_string(i))
-            ->exec(sim::msec(1), nullptr);
+        r.sched.createThread()->exec(sim::msec(1), nullptr);
     r.eq.runUntil(sim::usec(100));
     EXPECT_EQ(r.board.activity().cpu_active_big, 2);
     r.eq.runAll();
@@ -233,7 +229,7 @@ TEST(Scheduler, BoardActivityTracksBusyCores)
 TEST(Scheduler, ResetStatsZeroesCounters)
 {
     Rig r;
-    Thread *t = r.sched.createThread("t0");
+    Thread *t = r.sched.createThread();
     t->exec(sim::msec(1), nullptr);
     r.eq.runAll();
     EXPECT_GT(t->cpuTime(), 0);
@@ -313,8 +309,7 @@ runSpinners(bool use_spin)
     std::vector<std::unique_ptr<Spinner>> spinners;
     for (int i = 0; i < 4; ++i) {
         spinners.push_back(std::unique_ptr<Spinner>(new Spinner{
-            &r.eq, r.sched.createThread("spin" + std::to_string(i)),
-            use_spin, i}));
+            &r.eq, r.sched.createThread(), use_spin, i}));
         Spinner *s = spinners.back().get();
         for (int k = 0; k < Spinner::kRounds; ++k)
             r.eq.schedule(sim::usec(900 + 1300 * k + 410 * i),
@@ -380,7 +375,7 @@ TEST_P(SchedulerLoad, ConservationAndBounds)
     std::vector<Thread *> ts;
     const sim::Tick work = sim::msec(4);
     for (int i = 0; i < n; ++i) {
-        ts.push_back(r.sched.createThread("t" + std::to_string(i)));
+        ts.push_back(r.sched.createThread());
         ts.back()->exec(work, nullptr);
     }
     r.eq.runAll();

@@ -42,6 +42,19 @@ twoProcConfig(bool shared_buffer)
     return dc;
 }
 
+/** Four processes on the nano's two heavy cores: threads queue
+ * behind busy cores, so CPU run-queue picks branch too. */
+mc::DeployConfig
+fourMobilenetsOnNano()
+{
+    mc::DeployConfig dc;
+    dc.device = "nano";
+    dc.max_ecs = 1;
+    for (int i = 0; i < 4; ++i)
+        dc.procs.push_back({"mobilenet_v2", soc::Precision::Fp16, 1});
+    return dc;
+}
+
 mc::ExploreConfig
 smallSearch()
 {
@@ -154,6 +167,37 @@ TEST(DeploymentMcTest, DefaultScheduleMatchesReferenceDigest)
     EXPECT_EQ(solo.digest, rep.digest);
     EXPECT_FALSE(solo.deadlock);
     EXPECT_FALSE(solo.bound_exceeded);
+}
+
+TEST(DeploymentMcTest, CpuRunQueuePicksBranchByThreadIndex)
+{
+    // A run-queue pick's actor is its thread's creation index, and
+    // each process creates one thread in deploy order, so the actor
+    // is the process index.
+    mc::DeploymentModel m(fourMobilenetsOnNano());
+    const auto def = m.run({});
+    int cpu_sites = 0;
+    for (const auto &site : def.trace) {
+        if (site.kind != sim::ChoiceKind::CpuRunQueue)
+            continue;
+        ++cpu_sites;
+        for (int a = 0; a < site.n; ++a) {
+            EXPECT_GE(site.actors[a], 0);
+            EXPECT_EQ(m.procOf(site.kind, site.actors[a]),
+                      site.actors[a]);
+        }
+    }
+    EXPECT_EQ(cpu_sites, 2);
+
+    // The search over those picks, pinned: a change to how run-queue
+    // actors map to processes moves what the reduction prunes.
+    mc::ExploreConfig cfg;
+    cfg.depth = 24;
+    const auto rep = mc::explore(m, cfg);
+    EXPECT_TRUE(rep.proved()) << rep.ce_what << ": " << rep.ce_detail;
+    EXPECT_EQ(rep.runs, 512u);
+    EXPECT_EQ(rep.pruned, 3452u);
+    EXPECT_EQ(rep.digest, 0x880e9ab496dc8572u);
 }
 
 TEST(CounterExampleTest, DeploymentRoundTripPreservesConfig)

@@ -61,6 +61,39 @@ TEST(KernelSummary, AggregatesByName)
     }
 }
 
+TEST(KernelSummary, MergesDescriptorsOfOneName)
+{
+    // One layer name in two engines: two descriptors, one row, with
+    // their calls and time summed.
+    Rig r;
+    KernelSummary s(r.engine);
+    s.attach();
+    double conv_us = 0;
+    const auto sub = r.engine.subscribe([&](const gpu::KernelRecord &rec) {
+        if (rec.desc->name == "conv")
+            conv_us += sim::toUsec(rec.end - rec.start);
+    });
+    const auto first = kernel("conv", 1e9, 1e6);
+    const auto second = kernel("conv", 3e9, 1e6);
+    const auto other = kernel("other", 1e8, 1e5);
+    const int ch = r.engine.createChannel("p");
+    r.engine.submit(ch, &first);
+    r.engine.submit(ch, &second);
+    r.engine.submit(ch, &other);
+    r.engine.submit(ch, &second);
+    r.eq.runUntil(sim::msec(50));
+
+    EXPECT_EQ(s.totalCalls(), 4u);
+    const auto rows = s.table();
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].name, "conv");
+    EXPECT_EQ(rows[0].calls, 3u);
+    EXPECT_GT(conv_us, 0.0);
+    EXPECT_EQ(rows[0].total_us, conv_us);
+    EXPECT_EQ(rows[1].name, "other");
+    EXPECT_EQ(rows[1].calls, 1u);
+}
+
 TEST(KernelSummary, SharesSumToHundred)
 {
     Rig r;
@@ -153,6 +186,13 @@ TEST(KernelSummary, ClearResets)
     s.clear();
     EXPECT_EQ(s.totalCalls(), 0u);
     EXPECT_TRUE(s.table().empty());
+
+    // A descriptor recorded before the clear starts a fresh row.
+    r.engine.submit(ch, &k);
+    r.eq.runUntil(sim::msec(100));
+    const auto rows = s.table();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].calls, 1u);
 }
 
 } // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Controls for twelve gates: each must be shown to pass and to fail.
+"""Controls for thirteen gates: each must be shown to pass and to fail.
 
 jetlint's plan mode on the committed good plan
 (tests/data/plan_good.json, trt::Engine::serialize() of resnet18 at
@@ -35,7 +35,10 @@ taking mu_ and engine_cache_mu in opposite orders must report a lock
 cycle over exactly those two locks; jethot on a
 JETSIM_HOT root that calls new must report hot-alloc. jethot's
 reachability pin (pass 1g) must hold on src/ and fail on a copy of it
-whose timer targets lost their JETSIM_HOT marking.
+whose timer targets lost their JETSIM_HOT marking. EXPERIMENTS.md's
+jetrace and jethot census tables must equal each tool's --json counts,
+and a copy of either table with any one count off by one must fail
+that check, naming the count.
 
 The linker census (pass 1h) runs on a fixture: a static library of two
 functions and a program that calls one of them, built with the
@@ -62,6 +65,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 GOOD_PLAN = os.path.join(ROOT, "tests", "data", "plan_good.json")
 FLEET_GOLDEN = os.path.join(ROOT, "GOLDEN_fleet.json")
 README = os.path.join(ROOT, "README.md")
+EXPERIMENTS = os.path.join(ROOT, "EXPERIMENTS.md")
 
 RULE_ROW = re.compile(r"^\| [A-Z][0-9]{3} \|")
 # A rule jetlint no longer has: its row must not survive in README.
@@ -272,6 +276,53 @@ RAND_CALL = """\
 int controlDraw() { return std::rand(); }
 """
 
+# EXPERIMENTS.md's census table of each analyzer: the heading of its
+# section, and for each row's quantity the count in the tool's --json.
+# The section's "over the N files of `src/`" is checked too.
+CENSUS_TABLES = {
+    "jetrace.py": ("## Concurrency-discipline inventory", {
+        "capabilities": lambda d: d["inventory"]["capabilities"],
+        "guarded fields": lambda d: d["inventory"]["guarded_fields"],
+        "atomic globals": lambda d: d["inventory"]["atomic"],
+        "self-synchronized globals": lambda d: d["inventory"]["guarded"],
+        "confined globals": lambda d: d["inventory"]["confined"],
+        "lock-order edges": lambda d: len(d["lock_graph"]["edges"]),
+    }),
+    "jethot.py": ("## Hot-path discipline census", {
+        "hot roots": lambda d: len(d["roots"]),
+        "reachable functions": lambda d: d["reachable"],
+        "findings": lambda d: len(d["findings"]),
+        "sanctioned cold escapes": lambda d: len(d["cold_ok"]),
+        "boundaries": lambda d: len(d["boundaries"]),
+    }),
+}
+CENSUS_ROW = re.compile(r"^\| ([a-z][a-z -]*) \| (\d+) \|", re.M)
+CENSUS_FILES = re.compile(r"over\s+the\s+(\d+)\s+files\s+of\s+`src/`")
+
+
+def census_section(experiments, heading):
+    return experiments.split(heading, 1)[1].split("\n## ", 1)[0]
+
+
+def census_table_drift(experiments, tool, doc):
+    """The first count in EXPERIMENTS.md's census table for @p tool
+    that differs from its --json document @p doc, or None."""
+    heading, counts = CENSUS_TABLES[tool]
+    section = census_section(experiments, heading)
+    files = CENSUS_FILES.search(section)
+    have = {"files": int(files.group(1)) if files else None}
+    have.update((m.group(1), int(m.group(2)))
+                for m in CENSUS_ROW.finditer(section))
+    want = {"files": doc["files"]}
+    want.update((quantity, count(doc))
+                for quantity, count in counts.items())
+    for quantity in sorted(set(have) | set(want)):
+        if have.get(quantity) != want.get(quantity):
+            return (f"EXPERIMENTS.md's {tool} table has {quantity} = "
+                    f"{have.get(quantity)}; {tool} --json has "
+                    f"{want.get(quantity)} (regenerate the table)")
+    return None
+
 
 class AnalyzerGateControls(unittest.TestCase):
     def analyze(self, tool, extra=None, flags=("--backend", "lex")):
@@ -341,6 +392,27 @@ class AnalyzerGateControls(unittest.TestCase):
                 capture_output=True, text=True, timeout=120)
         doc = json.loads(proc.stdout)
         self.assertEqual(pinned - set(doc["reachable_fns"]), pinned)
+
+    def test_census_tables_equal_the_tools(self):
+        with open(EXPERIMENTS) as f:
+            text = f.read()
+        for tool, (heading, _) in CENSUS_TABLES.items():
+            code, doc = self.analyze(tool)
+            self.assertEqual(code, 0, doc["findings"])
+            self.assertIsNone(census_table_drift(text, tool, doc))
+            section = census_section(text, heading)
+            rows = [(m.group(0), m.group(1), int(m.group(2)))
+                    for m in CENSUS_ROW.finditer(section)]
+            files = CENSUS_FILES.search(section)
+            rows.append((files.group(0), "files", int(files.group(1))))
+            for line, quantity, count in rows:
+                stale = text.replace(
+                    section, section.replace(
+                        line, line.replace(str(count), str(count + 1)),
+                        1), 1)
+                drift = census_table_drift(stale, tool, doc)
+                self.assertIsNotNone(drift, quantity)
+                self.assertIn(f" {quantity} = {count + 1};", drift)
 
     def test_jethot_fails_on_a_hot_allocation(self):
         code, doc = self.analyze("jethot.py")

@@ -417,8 +417,8 @@ class JetraceHarness(unittest.TestCase):
         self.assertEqual(doc["findings"], [])
         self.assertTrue(doc["lock_graph"]["acyclic"])
         # The annotation campaign's floor: the four core capabilities
-        # (runner queues, ordered progress, reporter, name registry)
-        # and at least one confined global (the env snapshot).
+        # (ordered progress, reporter, model store, engine cache) and
+        # at least one confined global (the env snapshot).
         self.assertGreaterEqual(doc["inventory"]["capabilities"], 4)
         self.assertGreaterEqual(doc["inventory"]["confined"], 1)
 

@@ -23,7 +23,7 @@ struct Rig
     cpu::OsScheduler sched{board};
     gpu::GpuEngine gpu{board};
     cuda::Stream stream{gpu, "s0"};
-    cpu::Thread *thread = sched.createThread("t0");
+    cpu::Thread *thread = sched.createThread();
 
     Engine engine = [this] {
         Builder b(board.spec());

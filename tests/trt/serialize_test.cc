@@ -79,7 +79,6 @@ TEST(Serialize, RoundTripPreservesEveryKernel)
             const auto &a = e.kernels()[i];
             const auto &b = d->kernels()[i];
             EXPECT_EQ(a.name, b.name);
-            EXPECT_EQ(a.name_id, b.name_id) << "names are interned";
             EXPECT_DOUBLE_EQ(a.flops, b.flops);
             EXPECT_DOUBLE_EQ(a.bytes, b.bytes);
             EXPECT_EQ(a.prec, b.prec);

@@ -163,7 +163,7 @@ if [ "$run_plain" = 1 ]; then
     # affinity mask allows < 4 CPUs (printing the reason, the usable
     # CPUs and the host's cores), where the comparison would measure
     # contention, not scaling. Both fleet gates print the sharded
-    # run's epochs and events per epoch; ctest gate_controls shows
+    # run's epochs and events per epoch; ctest gate_controls_fleet shows
     # each of them failing and passing.
     "$repo/build-ci/plain/tools/simcheck" --fleet-scaling=1.5
     # Overhead gate: the clock protocol with parallelism removed —

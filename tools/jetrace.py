@@ -461,8 +461,9 @@ void worker2() { LockGuard b(lockB); LockGuard a(lockA); }
 """
 
 # A lock taken two calls below a held one, through a function that
-# holds nothing itself (the shape of sharedEngine -> Builder::build ->
-# internName): the lockA -> lockB edge must still be found.
+# holds nothing itself (a store that calls a builder while it holds
+# its lock, and the builder calls into another locked table): the
+# lockA -> lockB edge must still be found.
 SELFTEST_TRANSITIVE = SELFTEST_COMMON + """
 void leaf() { LockGuard b(lockB); }
 void middle() { leaf(); }
