@@ -34,11 +34,11 @@ JETSIM_HOT void
 KernelSummary::record(const gpu::KernelRecord &rec)
 {
     const double us = sim::toUsec(rec.end - rec.start);
-    auto row = row_of_.find(rec.desc);
-    if (row == row_of_.end())
-        JETSIM_COLD_OK("a descriptor's first record only: finds or adds its name's row, then every later record of it hits row_of_")
-        row = row_of_.emplace(rec.desc, &by_name_[rec.desc->name]).first;
-    Acc &acc = *row->second;
+    auto row = by_name_.find(rec.desc->name);
+    if (row == by_name_.end())
+        JETSIM_COLD_OK("a kernel name's first record only: adds its row, which every later record of that name finds")
+        row = by_name_.emplace(rec.desc->name, Acc{}).first;
+    Acc &acc = row->second;
     ++acc.calls;
     acc.total_us += us;
     acc.compute_frac_sum += rec.timing.compute_frac;
@@ -54,7 +54,6 @@ KernelSummary::record(const gpu::KernelRecord &rec)
 void
 KernelSummary::clear()
 {
-    row_of_.clear();
     by_name_.clear();
     total_calls_ = 0;
     total_us_ = 0;

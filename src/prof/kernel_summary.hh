@@ -14,7 +14,6 @@
 
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "gpu/engine.hh"
@@ -46,11 +45,6 @@ struct KernelStats
  * Collects KernelRecords and produces the summary table: one row per
  * kernel name, so descriptors of one name (one layer in several
  * engines) share a row.
- *
- * Lifetime: a descriptor recorded into a summary must outlive the
- * summary, or outlive the summary's next clear(). The summary finds a
- * descriptor's row by its address, so a new descriptor at a freed
- * one's address would land in the old one's row.
  */
 class KernelSummary
 {
@@ -90,12 +84,9 @@ class KernelSummary
 
     gpu::GpuEngine &engine_;
     gpu::GpuEngine::Subscription sub_;
-    /** One accumulator per kernel name. */
+    /** One accumulator per kernel name: a record allocates only on
+     * its name's first record. */
     std::map<std::string, Acc> by_name_;
-    /** Each recorded descriptor's row in by_name_, filled on its
-     * first record: a later record of it hashes a pointer, never a
-     * string, and allocates nothing. */
-    std::unordered_map<const gpu::KernelDesc *, Acc *> row_of_;
     std::uint64_t total_calls_ = 0;
     double total_us_ = 0;
 };

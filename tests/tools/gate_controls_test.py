@@ -324,34 +324,41 @@ def census_table_drift(experiments, tool, doc):
     return None
 
 
+def analyze(tool, extra=None):
+    """Run a source analyzer over src/ (plus @p extra's source);
+    returns (exit code, JSON document)."""
+    flags = () if tool == "detlint.py" else ("--backend", "lex")
+    cmd = [sys.executable, os.path.join(ROOT, "tools", tool),
+           *flags, "--json", "--root", ROOT, os.path.join(ROOT, "src")]
+    with tempfile.TemporaryDirectory() as tmp:
+        if extra is not None:
+            path = os.path.join(tmp, "control.cc")
+            with open(path, "w") as f:
+                f.write(extra)
+            cmd.append(path)
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=120)
+    return proc.returncode, json.loads(proc.stdout)
+
+
 class AnalyzerGateControls(unittest.TestCase):
-    def analyze(self, tool, extra=None, flags=("--backend", "lex")):
-        """Run a source analyzer over src/ (plus @p extra's source);
-        returns (exit code, JSON document)."""
-        cmd = [sys.executable, os.path.join(ROOT, "tools", tool),
-               *flags, "--json", "--root", ROOT,
-               os.path.join(ROOT, "src")]
-        with tempfile.TemporaryDirectory() as tmp:
-            if extra is not None:
-                path = os.path.join(tmp, "control.cc")
-                with open(path, "w") as f:
-                    f.write(extra)
-                cmd.append(path)
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=120)
-        return proc.returncode, json.loads(proc.stdout)
+    @classmethod
+    def setUpClass(cls):
+        # Each analyzer's run over src/ alone, shared by the tests.
+        cls.src = {tool: analyze(tool)
+                   for tool in ("detlint.py", "jetrace.py", "jethot.py")}
 
     def test_detlint_fails_on_a_rand_call(self):
-        code, doc = self.analyze("detlint.py", flags=())
+        code, doc = self.src["detlint.py"]
         self.assertEqual((code, doc["findings"]), (0, []))
-        code, doc = self.analyze("detlint.py", RAND_CALL, flags=())
+        code, doc = analyze("detlint.py", RAND_CALL)
         self.assertEqual(code, 1, doc["findings"])
         self.assertEqual([f["rule"] for f in doc["findings"]], ["rand"])
 
     def test_jetrace_fails_on_an_inverted_lock_order(self):
-        code, doc = self.analyze("jetrace.py")
+        code, doc = self.src["jetrace.py"]
         self.assertEqual((code, doc["findings"]), (0, []))
-        code, doc = self.analyze("jetrace.py", INVERTED_LOCKS)
+        code, doc = analyze("jetrace.py", INVERTED_LOCKS)
         self.assertEqual(code, 1, doc["findings"])
         self.assertEqual([f["rule"] for f in doc["findings"]],
                          ["lock-cycle"])
@@ -365,7 +372,7 @@ class AnalyzerGateControls(unittest.TestCase):
         # marking keeps them (and Fifo::push_back) in the audit.
         pinned = {"OsScheduler::sliceEnd", "GpuEngine::finishMux",
                   "Fifo::push_back"}
-        code, doc = self.analyze("jethot.py")
+        code, doc = self.src["jethot.py"]
         self.assertEqual(code, 0, doc["findings"])
         self.assertLessEqual(pinned, set(doc["reachable_fns"]))
         with tempfile.TemporaryDirectory() as tmp:
@@ -397,7 +404,7 @@ class AnalyzerGateControls(unittest.TestCase):
         with open(EXPERIMENTS) as f:
             text = f.read()
         for tool, (heading, _) in CENSUS_TABLES.items():
-            code, doc = self.analyze(tool)
+            code, doc = self.src[tool]
             self.assertEqual(code, 0, doc["findings"])
             self.assertIsNone(census_table_drift(text, tool, doc))
             section = census_section(text, heading)
@@ -415,9 +422,9 @@ class AnalyzerGateControls(unittest.TestCase):
                 self.assertIn(f" {quantity} = {count + 1};", drift)
 
     def test_jethot_fails_on_a_hot_allocation(self):
-        code, doc = self.analyze("jethot.py")
+        code, doc = self.src["jethot.py"]
         self.assertEqual((code, doc["findings"]), (0, []))
-        code, doc = self.analyze("jethot.py", HOT_NEW)
+        code, doc = analyze("jethot.py", HOT_NEW)
         self.assertEqual(code, 1, doc["findings"])
         self.assertEqual([(f["rule"], f["chain"])
                           for f in doc["findings"]],
